@@ -82,10 +82,14 @@ def _parse_vector(value, name):
     out = []
     for entry in value:
         try:
-            out.append(parse_rational(str(entry)))
+            x = parse_rational(str(entry))
         except (ValueError, ZeroDivisionError):
             raise SchemaError("field %r has a non-rational entry %r"
                               % (name, entry))
+        if x.denominator != 1:
+            raise SchemaError("field %r has a non-integral entry %r: a"
+                              " class has integer coordinates" % (name, entry))
+        out.append(x)
     return tuple(out)
 
 
@@ -495,7 +499,10 @@ def _integrand(job, n):
     if name == "custom":
         if "expr" not in job.params:
             raise SchemaError("formula 'custom' needs params.expr")
-        expr = expr_from_json(job.params["expr"])
+        try:
+            expr = expr_from_json(job.params["expr"], "params.expr")
+        except ValueError as err:
+            raise SchemaError(str(err))
         if job.n1 or job.n2:
             return expr, job.n1, job.n2
         return expr, 0, n

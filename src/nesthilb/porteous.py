@@ -200,14 +200,91 @@ def expr_to_json(e):
     return doc
 
 
-def expr_from_json(doc):
-    params = [parse_rational(p) if isinstance(p, str) and ("/" in p)
-              else p for p in doc.get("params", [])]
-    if doc["kind"] == "scale" and params:
-        params = [Fraction(params[0])]
-    attrs = doc.get("attrs", {}).items()
-    children = [expr_from_json(c) for c in doc.get("children", [])]
-    return FormulaExpr(doc["kind"], params=params, attrs=attrs,
+# node grammar of the JSON form: kind -> (number of children, None for
+# any number; types of the params).  Only leaves carry attrs.
+_GRAMMAR = {
+    "leaf": (0, ("name",)), "one": (0, ()), "ksum": (None, ()),
+    "kdiff": (2, ()), "dual": (1, ()), "twist": (2, ("int",)),
+    "chern": (1, ("int",)), "euler": (1, ()), "delta": (1, ("size", "int")),
+    "push": (1, ("int",)), "cap": (2, ()), "add": (None, ()),
+    "mul": (None, ()), "scale": (1, ("rational",)),
+}
+_NODE_KEYS = {"kind", "params", "attrs", "children"}
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rational(x):
+    if _is_int(x):
+        return True
+    if not isinstance(x, str):
+        return False
+    try:
+        parse_rational(x)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+# param type -> (check, description)
+_PARAM_TYPES = {
+    "name": (lambda p: isinstance(p, str) and p != "", "a leaf name"),
+    "int": (_is_int, "an integer"),
+    "size": (lambda p: _is_int(p) and p >= 0, "a non-negative integer"),
+    "rational": (_is_rational, "a rational"),
+}
+
+
+def expr_from_json(doc, path="expr"):
+    """Tree from its JSON form (see expr_to_json).
+
+    Checks the node grammar: known kind and keys, number of children
+    and params, param types, and attrs (on leaves only) holding
+    integers or rational strings, or lists of them.  A breach raises
+    ValueError naming the node's path.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("%s: node must be an object" % path)
+    extra = sorted(set(doc) - _NODE_KEYS)
+    if extra:
+        raise ValueError("%s: unknown key %r" % (path, extra[0]))
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _GRAMMAR:
+        raise ValueError("%s: unknown kind %r" % (path, kind))
+    arity, types = _GRAMMAR[kind]
+    params = doc.get("params", [])
+    if not isinstance(params, list) or len(params) != len(types):
+        raise ValueError("%s: %s takes %d param%s"
+                         % (path, kind, len(types), "" if len(types) == 1
+                            else "s"))
+    for p, t in zip(params, types):
+        check, what = _PARAM_TYPES[t]
+        if not check(p):
+            raise ValueError("%s: %s param %r is not %s"
+                             % (path, kind, p, what))
+    if kind == "scale":
+        params = [parse_rational(params[0])]
+    attrs = doc.get("attrs", {})
+    if not isinstance(attrs, dict):
+        raise ValueError("%s: attrs must be an object" % path)
+    if attrs and kind != "leaf":
+        raise ValueError("%s: only leaves carry attrs" % path)
+    for k, v in attrs.items():
+        if not (_is_rational(v) or isinstance(v, list)
+                and all(_is_rational(x) for x in v)):
+            raise ValueError("%s: attr %r must be a rational or a list of"
+                             " rationals" % (path, k))
+    children = doc.get("children", [])
+    if not isinstance(children, list) \
+            or arity is not None and len(children) != arity:
+        raise ValueError("%s: %s takes %s children"
+                         % (path, kind, "a list of" if arity is None
+                            else arity))
+    children = [expr_from_json(c, "%s.children[%d]" % (path, i))
+                for i, c in enumerate(children)]
+    return FormulaExpr(kind, params=params, attrs=attrs.items(),
                        children=children)
 
 

@@ -9,10 +9,17 @@ series) are `KClass` objects.
 
 All arithmetic is exact.  Products silently truncate above the ring's
 bound D, mirroring the vanishing of cycle classes above the ambient
-dimension.
+dimension.  A product scales both factors to integer numerators over
+one common denominator, multiplies degree buckets whose degrees fit
+under D, and builds one Fraction per output term.  Relations are
+applied through normal forms of monomials, memoized on each `Ring`
+instance (never shared between rings), so every monomial is rewritten
+once per ring.
 """
 
+import math
 from fractions import Fraction
+from operator import add, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -63,6 +70,34 @@ def binom_general(n, k):
     return q
 
 
+def _exact(c):
+    """A rational as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _over(nums, den):
+    """{monomial: Fraction} dict of the nonzero numerators over den."""
+    if den == 1:
+        return {m: Fraction(v) for m, v in nums.items() if v}
+    return {m: Fraction(v, den) for m, v in nums.items() if v}
+
+
+def _scaled_buckets(poly, degrees):
+    """The terms of poly as integer numerators over one common
+    denominator, grouped by weighted degree.
+
+    Returns (den, {degree: [(monomial, numerator), ...]}).
+    """
+    den = math.lcm(*[c.denominator for c in poly.values()])
+    buckets = {}
+    for m, c in poly.items():
+        d = sum(map(mul, m, degrees))
+        buckets.setdefault(d, []).append(
+            (m, c.numerator * (den // c.denominator)))
+    return den, buckets
+
+
 class Ring:
     """Truncated graded polynomial ring with rational coefficients.
 
@@ -76,6 +111,10 @@ class Ring:
         dict {exponent tuple: Fraction} meaning gen**power = replacement.
         Each replacement must be homogeneous of degree power*deg(gen) and
         must only involve the generator itself to exponents < power.
+
+    Normal forms of monomials are memoized on the instance as they are
+    needed; the memo depends only on the ring's own generators,
+    relations and D.
     """
 
     def __init__(self, names, degrees=None, D=None, relations=None):
@@ -94,10 +133,11 @@ class Ring:
         self.index = {n: i for i, n in enumerate(names)}
         self.D = None if D is None else int(D)
         self.rels = {}
+        self._nf = {}
         if relations:
             for name, (power, repl) in relations.items():
                 i = self.index[name]
-                repl = {tuple(m): Fraction(c) for m, c in repl.items() if c}
+                repl = {tuple(m): _exact(c) for m, c in repl.items() if c}
                 for m in repl:
                     if len(m) != len(names):
                         raise ValueError("relation monomial has wrong arity")
@@ -108,7 +148,7 @@ class Ring:
                 self.rels[i] = (int(power), repl)
 
     def mdeg(self, mono):
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(mul, mono, self.degrees))
 
     def zero(self):
         return GradedClass(self, {}, reduced=True)
@@ -174,32 +214,51 @@ class Ring:
         names (by name lookup), reducing in this ring."""
         return self.lift(x)
 
-    def _reduce(self, poly):
-        out = {}
-        stack = [(m, c) for m, c in poly.items() if c]
-        while stack:
-            mono, coeff = stack.pop()
-            if self.D is not None and self.mdeg(mono) > self.D:
-                continue
-            hit = None
-            for i, (p, repl) in self.rels.items():
-                if mono[i] >= p:
-                    hit = (i, p, repl)
-                    break
+    def _normal_form(self, mono):
+        """Normal form of one monomial: a tuple of (monomial, coefficient)
+        pairs, coefficients int where the relations allow.  Filled
+        recursively through the relations and memoized; a monomial
+        above D has the empty normal form.  Callers look the memo up
+        first."""
+        memo = self._nf
+        if self.D is not None and self.mdeg(mono) > self.D:
+            nf = ()
+        else:
+            hit = next(((i, p, repl) for i, (p, repl) in self.rels.items()
+                        if mono[i] >= p), None)
             if hit is None:
-                v = out.get(mono, ZERO) + coeff
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
+                nf = ((mono, 1),)
             else:
                 i, p, repl = hit
                 rest = list(mono)
                 rest[i] -= p
+                acc = {}
+                get = acc.get
                 for rm, rc in repl.items():
-                    new = tuple(a + b for a, b in zip(rest, rm))
-                    stack.append((new, coeff * rc))
-        return out
+                    new = tuple(map(add, rest, rm))
+                    sub = memo.get(new)
+                    if sub is None:
+                        sub = self._normal_form(new)
+                    for m, k in sub:
+                        acc[m] = get(m, 0) + rc * k
+                nf = tuple([(m, k) for m, k in acc.items() if k])
+        memo[mono] = nf
+        return nf
+
+    def _reduce(self, poly, den=1):
+        """Normal form of sum(c * m) / den over the items m: c of poly, as
+        a {monomial: Fraction} dict without zero terms.  The c may be
+        ints (numerators) or Fractions."""
+        memo = self._nf
+        out = {}
+        get = out.get
+        for mono, c in poly.items():
+            nf = memo.get(mono)
+            if nf is None:
+                nf = self._normal_form(mono)
+            for m, k in nf:
+                out[m] = get(m, 0) + c * k
+        return _over(out, den)
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.names == other.names
@@ -234,7 +293,7 @@ class GradedClass:
 
     def _coerce(self, other):
         if isinstance(other, GradedClass):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("classes from different rings")
             return other
         return self.ring.const(other)
@@ -273,19 +332,23 @@ class GradedClass:
         other = self._coerce(other)
         ring = self.ring
         D = ring.D
+        den1, buckets1 = _scaled_buckets(self.poly, ring.degrees)
+        den2, buckets2 = _scaled_buckets(other.poly, ring.degrees)
         out = {}
-        for m1, c1 in self.poly.items():
-            d1 = ring.mdeg(m1)
-            for m2, c2 in other.poly.items():
-                if D is not None and d1 + ring.mdeg(m2) > D:
+        get = out.get
+        for d1, terms1 in buckets1.items():
+            for d2, terms2 in buckets2.items():
+                if D is not None and d1 + d2 > D:
                     continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = out.get(m, ZERO) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return GradedClass(ring, out)
+                for m1, c1 in terms1:
+                    for m2, c2 in terms2:
+                        m = tuple(map(add, m1, m2))
+                        out[m] = get(m, 0) + c1 * c2
+        if ring.rels:
+            poly = ring._reduce(out, den1 * den2)
+        else:
+            poly = _over(out, den1 * den2)
+        return GradedClass(ring, poly, reduced=True)
 
     __rmul__ = __mul__
 
@@ -409,23 +472,38 @@ def series_invert(c):
 
 
 def _det(rows):
-    """Determinant of a square matrix of GradedClass entries by cofactor
-    expansion along the first column."""
+    """Determinant of a square matrix of GradedClass entries.
+
+    Laplace expansion along the rows, memoized over column subsets: the
+    minor on the last k rows and a k-set of columns is computed once,
+    so an a x a matrix needs at most a 2^(a-1) products, not a! terms.
+    It divides nowhere, so it is valid in truncated rings.
+    """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return rows[0][0]
-    ring = rows[0][0].ring
-    acc = ring.zero()
-    for i in range(n):
-        entry = rows[i][0]
-        if entry.is_zero():
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = entry * _det(minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
+    zero = rows[0][0].ring.zero()
+    memo = {}
+
+    def minor(cols):
+        if len(cols) == 1:
+            return rows[n - 1][cols[0]]
+        value = memo.get(cols)
+        if value is None:
+            row = rows[n - len(cols)]
+            value = zero
+            for j, col in enumerate(cols):
+                if row[col].is_zero():
+                    continue
+                sub = minor(cols[:j] + cols[j + 1:])
+                if sub.is_zero():
+                    continue
+                term = row[col] * sub
+                value = value - term if j % 2 else value + term
+            memo[cols] = value
+        return value
+
+    return minor(tuple(range(n)))
 
 
 def delta_det(a, b, c):
@@ -444,8 +522,9 @@ def delta_det(a, b, c):
     ring = c.ring
     if a == 0:
         return ring.one()
-    rows = [[c.component(b + (j + 1) - (i + 1)) for j in range(a)]
-            for i in range(a)]
+    parts = c.components()
+    zero = ring.zero()
+    rows = [[parts.get(b + j - i, zero) for j in range(a)] for i in range(a)]
     return _det(rows)
 
 

@@ -95,6 +95,12 @@ class TestSuiteRoutes:
         det_val, euler_val = delta_euler_forms(2, 3, 2, 1)
         assert det_val == euler_val
 
+    @pytest.mark.parametrize("e0,e1", [(3, 3), (3, 4)])
+    def test_porteous_routes_agree_rank_three(self, e0, e1):
+        det_route, loc_route = porteous_two_routes(3, e0, e1)
+        assert det_route == loc_route
+        assert not det_route.is_zero()
+
     def test_segre_routes_agree(self):
         push, segre = segre_two_routes(3, 2)
         assert push == segre
@@ -242,6 +248,27 @@ class TestMain:
         assert code == EXIT_SCHEMA
         doc = json.loads(capsys.readouterr().out)
         assert doc["error"]["code"] == EXIT_SCHEMA
+
+    def test_non_integral_class_is_schema_error(self, capsys):
+        code = main(["vw", "--surface", "P2", "--beta", "1/2", "--n",
+                     "0:1"])
+        assert code == EXIT_SCHEMA
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == EXIT_SCHEMA
+        assert "non-integral" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("expr", [{"foo": 1}, "x", {"kind": "leaf"}])
+    def test_malformed_custom_expr_is_schema_error(self, expr, tmp_path,
+                                                   capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(
+            {"command": "integrate", "surface": "P2", "formula": "custom",
+             "n": 1, "params": {"expr": expr}}))
+        code = main(["integrate", "--job", str(path)])
+        assert code == EXIT_SCHEMA
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == EXIT_SCHEMA
+        assert doc["error"]["message"].startswith("params.expr")
 
     def test_malformed_job_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from nesthilb.ringcore import (Ring, GradedClass, KClass, series_invert,
                                delta_det, k_twist, k_dual, binom_general,
                                rational_str, parse_rational, _det)
+from nesthilb.bundles import free_model, projective_bundle
 
 
 def ring3(D=6):
@@ -88,6 +89,49 @@ class TestDeltaDet:
         rows = [[c1, c2], [R.one(), x]]
         swapped = [rows[1], rows[0]]
         assert _det(rows) == -_det(swapped)
+
+
+def cofactor_det(rows):
+    """Reference determinant: cofactor expansion along the first column
+    (a! terms)."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = rows[0][0].ring.zero()
+    for i in range(n):
+        entry = rows[i][0]
+        if entry.is_zero():
+            continue
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = entry * cofactor_det(minor)
+        acc = acc + term if i % 2 == 0 else acc - term
+    return acc
+
+
+class TestLaplaceDet:
+    @pytest.mark.parametrize("a", [4, 5])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_matches_cofactor_expansion(self, a, b):
+        names = ["c%d" % k for k in range(1, 5)]
+        R = Ring(names, degrees=[1, 2, 3, 4], D=a * b + 2)
+        c = R.one() + R.gen("c1") + Fraction(1, 2) * R.gen("c2") \
+            - R.gen("c3") + 3 * R.gen("c4") + R.gen("c1") * R.gen("c2")
+        parts = c.components()
+        rows = [[parts.get(b + j - i, R.zero()) for j in range(a)]
+                for i in range(a)]
+        assert delta_det(a, b, c) == _det(rows) == cofactor_det(rows)
+        assert _det(rows).max_degree() <= a * b
+
+    def test_truncated_ring(self):
+        # entries of an over-degree product vanish in a truncated ring,
+        # so both expansions must agree there too
+        R = Ring(["x", "y"], D=3)
+        x, y = R.gen("x"), R.gen("y")
+        rows = [[x, y, R.one(), x * y],
+                [R.one(), x + y, y, x],
+                [y, R.one(), x * x, R.zero()],
+                [x, x, R.one(), y]]
+        assert _det(rows) == cofactor_det(rows)
 
 
 class TestKTwist:
@@ -212,6 +256,111 @@ class TestNormalForm:
         x = R.gen("x")
         assert (x**4).is_zero()
         assert not (x**3).is_zero()
+
+
+# -- products and normal forms against a schoolbook reference ------------
+
+
+def schoolbook_product(p, q):
+    """Every pair of terms, Fraction arithmetic, no truncation."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return out
+
+
+def stack_reduce(ring, poly):
+    """Reference reduction: rewrite one relation step per monomial via a
+    stack, dropping monomials above the ring's bound."""
+    out = {}
+    stack = [(m, Fraction(c)) for m, c in poly.items() if c]
+    while stack:
+        mono, coeff = stack.pop()
+        if ring.D is not None and ring.mdeg(mono) > ring.D:
+            continue
+        hit = next(((i, p, repl) for i, (p, repl) in ring.rels.items()
+                    if mono[i] >= p), None)
+        if hit is None:
+            out[mono] = out.get(mono, Fraction(0)) + coeff
+            continue
+        i, p, repl = hit
+        rest = list(mono)
+        rest[i] -= p
+        for rm, rc in repl.items():
+            stack.append((tuple(a + b for a, b in zip(rest, rm)),
+                          coeff * rc))
+    return {m: c for m, c in out.items() if c}
+
+
+def fractional_ring(D):
+    """h^2 = c1 h / 2 - 3 c2 / 4: replacement coefficients not integral."""
+    return Ring(["h", "c1", "c2"], degrees=[1, 1, 2], D=D,
+                relations={"h": (2, {(1, 1, 0): Fraction(1, 2),
+                                     (0, 0, 1): Fraction(-3, 4)})})
+
+
+def tower_ring(D):
+    """Two-level flag tower P(Q_1) -> P(B) -> base with B of rank 3: the
+    h2 relation involves h1, which has its own relation."""
+    base = free_model(["b0", "b1", "b2"], D=D)
+    P1 = projective_bundle(base, KClass.from_roots(base.ring.gens()),
+                           name="h1")
+    return projective_bundle(P1, P1.taut["Q"], name="h2").ring
+
+
+RINGS = {
+    "free": lambda: Ring(["x", "y", "c2"], degrees=[1, 1, 2]),
+    "free-D5": lambda: Ring(["x", "y", "c2"], degrees=[1, 1, 2], D=5),
+    "fractional-relation": lambda: fractional_ring(None),
+    "fractional-relation-D6": lambda: fractional_ring(6),
+    "tower-D2": lambda: tower_ring(2),
+    "tower-D4": lambda: tower_ring(4),
+}
+
+fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def raw_poly(draw, ring):
+    n = draw(st.integers(min_value=0, max_value=6))
+    return {tuple(draw(st.integers(0, 3)) for _ in ring.names):
+            draw(fractions) for _ in range(n)}
+
+
+@st.composite
+def ring_and_polys(draw):
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]()
+    return ring, draw(raw_poly(ring)), draw(raw_poly(ring))
+
+
+class TestProductKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(ring_and_polys())
+    def test_against_schoolbook(self, data):
+        ring, p, q = data
+        a, b = GradedClass(ring, p), GradedClass(ring, q)
+        assert a.poly == stack_reduce(ring, p)
+        assert b.poly == stack_reduce(ring, q)
+        prod = a * b
+        assert prod.poly == stack_reduce(
+            ring, schoolbook_product(a.poly, b.poly))
+        assert all(type(c) is Fraction for c in prod.poly.values())
+        assert (b * a).poly == prod.poly
+
+    def test_equal_names_different_relations(self):
+        # normal forms belong to one ring: x^2 vanishes in the first
+        # ring and not in the second, whichever is reduced first
+        for first, second in ((2, 3), (3, 2)):
+            R1 = Ring(["x"], D=5, relations={"x": (first, {})})
+            R2 = Ring(["x"], D=5, relations={"x": (second, {})})
+            squares = [(R.gen("x") * R.gen("x")).is_zero() for R in (R1, R2)]
+            assert squares == [first == 2, second == 2]
+        R1 = Ring(["x", "y"], D=4, relations={"x": (2, {(1, 1): 1})})
+        R2 = Ring(["x", "y"], D=4, relations={"x": (2, {(1, 1): -1})})
+        assert (R1.gen("x") ** 2).poly == {(1, 1): 1}
+        assert (R2.gen("x") ** 2).poly == {(1, 1): -1}
 
 
 class TestSerialization:
