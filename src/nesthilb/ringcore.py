@@ -216,34 +216,54 @@ class Ring:
 
     def _normal_form(self, mono):
         """Normal form of one monomial: a tuple of (monomial, coefficient)
-        pairs, coefficients int where the relations allow.  Filled
-        recursively through the relations and memoized; a monomial
-        above D has the empty normal form.  Callers look the memo up
-        first."""
+        pairs, coefficients int where the relations allow.
+
+        Filled through the relations depth first and memoized; a stack,
+        not recursion, so a long rewrite chain (a high power in an
+        untruncated ring) cannot exhaust the interpreter's stack.  A
+        monomial above D has the empty normal form."""
         memo = self._nf
-        if self.D is not None and self.mdeg(mono) > self.D:
-            nf = ()
-        else:
-            hit = next(((i, p, repl) for i, (p, repl) in self.rels.items()
-                        if mono[i] >= p), None)
-            if hit is None:
-                nf = ((mono, 1),)
-            else:
+        pending = {}
+        todo = [mono]
+        while todo:
+            m = todo[-1]
+            if m in memo:
+                todo.pop()
+                continue
+            terms = pending.pop(m, None)
+            if terms is None:
+                if self.D is not None and self.mdeg(m) > self.D:
+                    memo[todo.pop()] = ()
+                    continue
+                hit = next(((i, p, repl) for i, (p, repl)
+                            in self.rels.items() if m[i] >= p), None)
+                if hit is None:
+                    memo[todo.pop()] = ((m, 1),)
+                    continue
                 i, p, repl = hit
-                rest = list(mono)
+                rest = list(m)
                 rest[i] -= p
-                acc = {}
-                get = acc.get
-                for rm, rc in repl.items():
-                    new = tuple(map(add, rest, rm))
-                    sub = memo.get(new)
-                    if sub is None:
-                        sub = self._normal_form(new)
-                    for m, k in sub:
-                        acc[m] = get(m, 0) + rc * k
-                nf = tuple([(m, k) for m, k in acc.items() if k])
-        memo[mono] = nf
-        return nf
+                terms = [(tuple(map(add, rest, rm)), rc)
+                         for rm, rc in repl.items()]
+            acc = {}
+            get = acc.get
+            missing = []
+            for t, rc in terms:
+                sub = memo.get(t)
+                if sub is None:
+                    missing.append(t)
+                elif not missing:
+                    # once a term is missing, m is combined on its
+                    # next visit, after its missing terms
+                    for m2, k in sub:
+                        acc[m2] = get(m2, 0) + rc * k
+            if missing:
+                pending[m] = terms
+                todo.extend(missing)
+            else:
+                memo[todo.pop()] = tuple([(m2, k) for m2, k in acc.items()
+                                          if k])
+        return memo[mono]
 
     def _reduce(self, poly, den=1):
         """Normal form of sum(c * m) / den over the items m: c of poly, as

@@ -251,6 +251,12 @@ class TestNormalForm:
         assert (h * h) * h == h * (h * h)
         assert h**3 == (c1 * c1 - c2) * h + c1 * c2
 
+    def test_long_rewrite_chain(self):
+        # x^2 = x y rewrites x^k in k - 1 steps, more than the default
+        # recursion limit of the interpreter
+        R = Ring(["x", "y"], relations={"x": (2, {(1, 1): 1})})
+        assert R.from_dict({(3000, 0): 1}).poly == {(1, 2999): 1}
+
     def test_truncation(self):
         R = Ring(["x"], D=3)
         x = R.gen("x")
