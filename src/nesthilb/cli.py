@@ -160,6 +160,11 @@ class JobSpec:
         self.seed = _require_int(doc.get("seed", 0), "seed")
         self.threads = _require_int(doc.get("threads", 1), "threads",
                                     least=1)
+        import os
+        cpus = os.cpu_count()
+        if cpus is not None and self.threads > cpus:
+            raise SchemaError("field 'threads' must be at most %d, the"
+                              " number of CPUs" % cpus)
         self.out = doc.get("out")
         self.runs = doc.get("runs")
         self.sw = doc.get("sw")

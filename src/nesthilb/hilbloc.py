@@ -17,6 +17,18 @@ Since every specialized weight is linear in s and t, each point value
 expands in s with coefficients that are Laurent polynomials in t.  All
 of it is one exact sparse dict {(s_power, t_power): coefficient}; the
 s^0 part of the sum becomes a RatFunc, the Laurent polynomial in t.
+
+Per point, the work is assembly from chart pieces.  A fixed point is a
+tuple of per-chart partitions, and its characters are sums of pieces
+that depend on one chart only: the tangent character of (chart, lam),
+the Rhom correction of (chart, mu, nu, twist vertex), the tautological
+term of (chart, lam, vertex).  The LocalizationContext of an integral
+builds each distinct piece once; a point's character is one dict sum of
+its pieces.  The tangent character of a point is built once and shared
+by its tangent leaves and the localization denominator.  Before the
+s-expansion, the weights that numerator and denominator share cancel as
+multisets, which is exact because each weight is a nonzero linear form
+k s + c t; the zero-weight and collision checks run before that.
 """
 
 import json
@@ -183,11 +195,11 @@ class EquivChar:
 
 def box_character(mu, w1=(1, 0), w2=(0, 1)):
     """Sum of t^(a w1 + b w2) over cells (a, b) of the partition."""
-    out = EquivChar()
+    out = {}
     for a, b in cells(mu):
-        out = out + EquivChar.monomial(a * w1[0] + b * w2[0],
-                                       a * w1[1] + b * w2[1])
-    return out
+        key = (a * w1[0] + b * w2[0], a * w1[1] + b * w2[1], 0)
+        out[key] = out.get(key, 0) + 1
+    return EquivChar(out)
 
 
 def structure_numerator(mu, w1=(1, 0), w2=(0, 1)):
@@ -214,15 +226,16 @@ def tangent_character(mu, w):
     ideal, in terms of the chart's tangent weight vectors w = (w1, w2):
     sum over cells of t^((arm+1) w1 - leg w2) + t^(-arm w1 + (leg+1) w2).
     """
-    w1, w2 = w
-    out = EquivChar()
-    for cell in cells(mu):
-        a, l = arm(mu, cell), leg(mu, cell)
-        out = out + EquivChar.monomial((a + 1) * w1[0] - l * w2[0],
-                                       (a + 1) * w1[1] - l * w2[1])
-        out = out + EquivChar.monomial(-a * w1[0] + (l + 1) * w2[0],
-                                       -a * w1[1] + (l + 1) * w2[1])
-    return out
+    (x1, y1), (x2, y2) = w
+    cols = conjugate(mu)
+    out = {}
+    for b, row in enumerate(mu):
+        for a in range(row):
+            r, l = row - a - 1, cols[a] - b - 1
+            for key in (((r + 1) * x1 - l * x2, (r + 1) * y1 - l * y2, 0),
+                        (-r * x1 + (l + 1) * x2, -r * y1 + (l + 1) * y2, 0)):
+                out[key] = out.get(key, 0) + 1
+    return EquivChar(out)
 
 
 class LocalChar:
@@ -361,33 +374,32 @@ def chi_line_character(surface, beta):
     return out
 
 
+def _rhom_chart_piece(m1, m2, mu, nu, u):
+    """Finite correction of one chart, with coordinate weights m1, m2
+    and twist vertex u, to the character of Rhom(I_mu, I_nu tensor L)."""
+    piece = EquivChar()
+    if nu:
+        piece = piece - box_character(nu, m1, m2)
+    if mu:
+        qbar = box_character(mu, m1, m2).conj()
+        piece = piece - qbar.shift(-m1[0] - m2[0], -m1[1] - m2[1])
+        if nu:
+            dbar = _denominator_char((-m1[0], -m1[1]), (-m2[0], -m2[1]))
+            piece = piece + dbar * qbar * box_character(nu, m1, m2)
+    return piece.shift(u[0], u[1])
+
+
 def rhom_global_character(surface, parts_a, parts_b, beta):
     """Character of Rhom(I_A, I_B tensor L) at a fixed point, where
     parts_a and parts_b list one partition per chart.
 
     The rational chart sums collapse to the twist characteristic plus a
     finite correction per chart, so no assembly is needed beyond the
-    line bundle itself.
+    line bundle itself.  ``surface`` may also be the
+    LocalizationContext of an integral, whose cached chart pieces are
+    then used.
     """
-    out = chi_line_character(surface, beta)
-    for chart, mu, nu in zip(surface.charts, parts_a, parts_b):
-        if not mu and not nu:
-            continue
-        m1, m2 = chart.m1, chart.m2
-        u = surface.chart_vertex(chart, beta)
-        u = (int(u[0]), int(u[1]))
-        piece = EquivChar()
-        if nu:
-            piece = piece - box_character(nu, m1, m2)
-        if mu:
-            qbar = box_character(mu, m1, m2).conj()
-            piece = piece - qbar.shift(-m1[0] - m2[0], -m1[1] - m2[1])
-            if nu:
-                dbar = _denominator_char(
-                    (-m1[0], -m1[1]), (-m2[0], -m2[1]))
-                piece = piece + dbar * qbar * box_character(nu, m1, m2)
-        out = out + piece.shift(u[0], u[1])
-    return out
+    return _context(surface).rhom(parts_a, parts_b, beta)
 
 
 def rhom_assembled(surface, parts_a, parts_b, beta):
@@ -475,21 +487,10 @@ def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
 def full_tangent_character(surface, point, with_pb=None):
     """Tangent character of the ambient product at a fixed point: both
     Hilbert scheme factors plus, with a section bundle, the bundle of
-    lines."""
-    out = EquivChar()
-    for chart, mu, nu in zip(surface.charts, point.mu, point.nu):
-        w = chart.tangent_weights()
-        if mu:
-            out = out + tangent_character(mu, w)
-        if nu:
-            out = out + tangent_character(nu, w)
-    if with_pb is not None and point.pb is not None:
-        pts = surface.polytope_points(with_pb)
-        u0 = pts[point.pb]
-        for u in pts:
-            if u != u0:
-                out = out + EquivChar.monomial(u[0] - u0[0], u[1] - u0[1])
-    return out
+    lines.  ``surface`` may also be the LocalizationContext of an
+    integral; its cached chart pieces and section offsets are then used,
+    and its own ``with_pb``."""
+    return _context(surface, with_pb).tangent(point)
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +778,44 @@ def point_value_laurent(pv):
 # evaluation of formula trees at a fixed point
 
 
+def _char_sum(base, pieces):
+    """The character with terms ``base`` plus every term dict in
+    ``pieces``, summed in one dict."""
+    out = dict(base)
+    for terms in pieces:
+        for k, v in terms.items():
+            out[k] = out.get(k, 0) + v
+    return EquivChar(out)
+
+
+def _section_line_offsets(sections, pb):
+    """Tangent character of the bundle of section lines at the line of
+    section ``pb``: the offsets u - u_pb of the other sections."""
+    (p0, q0) = sections[pb]
+    return EquivChar({(p - p0, q - q0, 0): 1
+                      for i, (p, q) in enumerate(sections) if i != pb})
+
+
+def _taut_chart_piece(m1, m2, lam, u):
+    """Chart term of a tautological bundle: the boxes of lam twisted by
+    the chart vertex u."""
+    return box_character(lam, m1, m2).shift(u[0], u[1])
+
+
+def _context(surface, with_pb=None):
+    if isinstance(surface, LocalizationContext):
+        return surface
+    return LocalizationContext(surface, with_pb=with_pb)
+
+
 class LocalizationContext:
     """Shared data for evaluating formulas at the fixed points of one
-    localization problem."""
+    localization problem.
+
+    A fixed-point character is a sum of chart pieces, each a function of
+    one chart and its partitions (and twist vertex); the context builds
+    each distinct piece once and keeps it for the whole integral.
+    """
 
     def __init__(self, surface, beta=None, A=None, with_pb=None):
         if not isinstance(surface, ToricSurface):
@@ -790,14 +826,72 @@ class LocalizationContext:
         self.with_pb = with_pb
         self.sections = None
         if with_pb is not None:
-            self.sections = [
+            self.sections = tuple(
                 (int(u[0]), int(u[1]))
-                for u in surface.polytope_points(with_pb)]
+                for u in surface.polytope_points(with_pb))
+        self._pieces = {}
+        self._vertices = {}
+        self._twists = {}
+
+    def piece(self, build, *args):
+        """The terms of ``build(*args)``, built once per context."""
+        key = (build,) + args
+        terms = self._pieces.get(key)
+        if terms is None:
+            terms = self._pieces[key] = build(*args).terms
+        return terms
+
+    def vertices(self, beta):
+        """Integer chart vertices of the class, one per chart."""
+        key = tuple(beta)
+        verts = self._vertices.get(key)
+        if verts is None:
+            S = self.surface
+            verts = self._vertices[key] = [
+                (int(u[0]), int(u[1]))
+                for u in (S.chart_vertex(chart, beta) for chart in S.charts)]
+        return verts
+
+    def tangent(self, point):
+        """Tangent character at a fixed point, from cached pieces."""
+        pieces = [self.piece(tangent_character, lam, chart.tangent_weights())
+                  for chart, mu, nu in zip(self.surface.charts, point.mu,
+                                           point.nu)
+                  for lam in (mu, nu) if lam]
+        if self.sections is not None and point.pb is not None:
+            pieces.append(self.piece(_section_line_offsets, self.sections,
+                                     point.pb))
+        return _char_sum({}, pieces)
+
+    def rhom(self, parts_a, parts_b, beta):
+        """Rhom character at a fixed point: chi(L) plus cached chart
+        corrections."""
+        pieces = [self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu, nu, u)
+                  for chart, u, mu, nu in zip(self.surface.charts,
+                                              self.vertices(beta),
+                                              parts_a, parts_b)
+                  if mu or nu]
+        return _char_sum(chi_line_character(self.surface, beta).terms,
+                         pieces)
+
+    def taut(self, lams, beta):
+        """Tautological bundle of the class at one nesting level."""
+        return _char_sum({}, [
+            self.piece(_taut_chart_piece, chart.m1, chart.m2, lam, u)
+            for chart, u, lam in zip(self.surface.charts,
+                                     self.vertices(beta), lams)
+            if lam])
 
     def twist_class(self, leaf):
+        key = (leaf.attr("bc"), leaf.attr("ac"), leaf.attr("kc"))
+        cls = self._twists.get(key)
+        if cls is None:
+            cls = self._twists[key] = self._twist_class(*key)
+        return cls
+
+    def _twist_class(self, bc, ac, kc):
         S = self.surface
         cls = S.zero_class()
-        bc, ac, kc = leaf.attr("bc"), leaf.attr("ac"), leaf.attr("kc")
         if bc:
             if self.beta is None:
                 raise ValueError("twist references an unbound curve class")
@@ -816,6 +910,14 @@ class PointEvaluator:
         self.ctx = ctx
         self.point = point
         self.spec = spec
+        self._tangent = None
+
+    def tangent(self):
+        """The point's tangent character, built once and shared by its
+        tangent leaves and the localization denominator."""
+        if self._tangent is None:
+            self._tangent = full_tangent_character(self.ctx, self.point)
+        return self._tangent
 
     def parts(self, index):
         if index == 1:
@@ -835,23 +937,16 @@ class PointEvaluator:
         if name in ("rhom", "rhom0"):
             cls = self.ctx.twist_class(e)
             ch = rhom_global_character(
-                S, self.parts(e.attr("i")), self.parts(e.attr("j")), cls)
+                self.ctx, self.parts(e.attr("i")), self.parts(e.attr("j")),
+                cls)
             if name == "rhom0":
                 ch = ch - chi_line_character(S, cls)
         elif name == "pushO":
             ch = chi_line_character(S, self.ctx.twist_class(e))
         elif name == "taut":
-            cls = S.cls(e.attr("a"))
-            part = self.parts(e.attr("level"))
-            ch = EquivChar()
-            for chart, lam in zip(S.charts, part):
-                if not lam:
-                    continue
-                u = S.chart_vertex(chart, cls)
-                q = box_character(lam, chart.m1, chart.m2)
-                ch = ch + q.shift(int(u[0]), int(u[1]))
+            ch = self.ctx.taut(self.parts(e.attr("level")), e.attr("a"))
         elif name == "tangent":
-            ch = full_tangent_character(S, self.point, self.ctx.with_pb)
+            ch = self.tangent()
         elif name == "O1":
             u = self.pb_vertex()
             ch = EquivChar.monomial(-u[0], -u[1])
@@ -934,40 +1029,67 @@ class PointEvaluator:
 
 
 def _pol_det(rows):
+    """Determinant of a square matrix of {(s, t): c} polynomials, by
+    Laplace expansion along the rows memoized over column subsets, as
+    in ``ringcore._det``: division-free, at most a 2^(a-1) products."""
     n = len(rows)
     if n == 0:
         return dict(POL_ONE)
-    if n == 1:
-        return rows[0][0]
-    acc = {}
-    for i in range(n):
-        if not rows[i][0]:
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = pol_mul(rows[i][0], _pol_det(minor))
-        if i % 2:
-            term = pol_scale(term, -1)
-        acc = pol_add(acc, term)
-    return acc
+    memo = {}
+
+    def minor(cols):
+        if len(cols) == 1:
+            return rows[n - 1][cols[0]]
+        value = memo.get(cols)
+        if value is None:
+            row = rows[n - len(cols)]
+            value = {}
+            for j, col in enumerate(cols):
+                if not row[col]:
+                    continue
+                sub = minor(cols[:j] + cols[j + 1:])
+                if sub:
+                    term = pol_mul(row[col], sub)
+                    value = pol_add(value, pol_scale(term, -1) if j % 2
+                                    else term)
+            memo[cols] = value
+        return value
+
+    return minor(tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------
 # the integral
 
 
+def _cancel_shared(num_ws, den_ws):
+    """Drop the weights that num_ws and den_ws share, as multisets.
+
+    Exact, since every weight k s + c t other than (0, 0) is a nonzero
+    linear form; (0, 0) is never cancelled, so point_value_laurent still
+    rejects it."""
+    left = {}
+    for w in den_ws:
+        left[w] = left.get(w, 0) + 1
+    num = []
+    for w in num_ws:
+        if left.get(w) and w != (0, 0):
+            left[w] -= 1
+        else:
+            num.append(w)
+    return num, [w for w, m in left.items() for _ in range(m)]
+
+
 def _point_contribution(ctx, expr, point, spec):
     ev = PointEvaluator(ctx, point, spec)
     val = ev.cval(expr)
-    tangent = full_tangent_character(ctx.surface, point, ctx.with_pb)
-    den = []
-    for (w, mult) in specialize_weights(tangent, spec):
-        if w == (0, 0):
-            raise ValueError("non-isolated or non-generic weights")
-        if mult < 0:
+    den = list(val.den_ws)
+    for (w, mult) in specialize_weights(ev.tangent(), spec):
+        if w == (0, 0) or mult < 0:
             raise ValueError("non-isolated or non-generic weights")
         den.extend([w] * mult)
-    total = PointValue(val.poly, val.num_ws, val.den_ws + den)
-    return point_value_laurent(total)
+    num, den = _cancel_shared(val.num_ws, den)
+    return point_value_laurent(PointValue(val.poly, num, den))
 
 
 def _draw_spec(rng):

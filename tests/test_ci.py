@@ -1,0 +1,30 @@
+"""The CI workflow runs the tier-1 command that ROADMAP.md names, on
+every supported interpreter, after installing the test extra."""
+
+import re
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def tier1_command():
+    text = (ROOT / "ROADMAP.md").read_text()
+    return re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", text).group(1)
+
+
+def test_workflow_runs_tier1():
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    # YAML 1.1 reads the bare key "on" as true
+    triggers = doc.get("on", doc.get(True))
+    assert {"push", "pull_request"} <= set(triggers)
+    (job,) = doc["jobs"].values()
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs == ['pip install -e ".[test]"', tier1_command()]
+    setup = [step for step in job["steps"]
+             if step.get("uses", "").startswith("actions/setup-python")]
+    assert setup[0]["with"]["python-version"] \
+        == "${{ matrix.python-version }}"

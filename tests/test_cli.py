@@ -2,9 +2,11 @@
 front-end."""
 
 import json
+import os
 
 import pytest
 
+from nesthilb import cli
 from nesthilb.ringcore import parse_rational
 from nesthilb.cli import (
     JobSpec, SchemaError, run, main, porteous_two_routes,
@@ -79,6 +81,22 @@ class TestJobSpec:
             job(command="fit", n=0, threads=0)
         with pytest.raises(SchemaError, match="order"):
             job(command="fit", n=0, order=-1)
+
+    def test_threads_bounded_by_cpu_count(self, monkeypatch, capsys):
+        # validation only: run() is replaced, so no pool can start
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "run", lambda job: pytest.fail("ran"))
+        assert job(command="fit", n=0, threads=2).threads == 2
+        with pytest.raises(SchemaError, match="at most 2"):
+            job(command="fit", n=0, threads=3)
+        code = main(["integrate", "--surface", "P2", "--formula", "euler",
+                     "--n", "1", "--threads", "3"])
+        assert code == EXIT_SCHEMA
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == EXIT_SCHEMA
+        assert "threads" in doc["error"]["message"]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert job(command="fit", n=0, threads=3).threads == 3
 
     def test_general_type_reference(self):
         j = job(command="fit", n=0, surface="general_type:2,3")

@@ -1,0 +1,314 @@
+"""Per-point contributions assembled from cached chart pieces, with
+shared weights cancelled, against the uncached reference: every chart
+term rebuilt at every point, the tangent character built twice and
+the weight lists expanded as they are."""
+
+import math
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nesthilb import hilbloc as H
+from nesthilb.hilbloc import EquivChar, cells, arm, leg, partitions
+from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, o1_line, taut
+from nesthilb.surface import p2, p1xp1, f1, f2, surface_from_json
+from nesthilb.vw import monopole_integrand
+
+
+# ---------------------------------------------------------------------------
+# uncached reference
+
+
+def ref_box_character(mu, w1, w2):
+    out = EquivChar()
+    for a, b in cells(mu):
+        out = out + EquivChar.monomial(a * w1[0] + b * w2[0],
+                                       a * w1[1] + b * w2[1])
+    return out
+
+
+def ref_tangent_character(mu, w):
+    w1, w2 = w
+    out = EquivChar()
+    for cell in cells(mu):
+        a, l = arm(mu, cell), leg(mu, cell)
+        out = out + EquivChar.monomial((a + 1) * w1[0] - l * w2[0],
+                                       (a + 1) * w1[1] - l * w2[1])
+        out = out + EquivChar.monomial(-a * w1[0] + (l + 1) * w2[0],
+                                       -a * w1[1] + (l + 1) * w2[1])
+    return out
+
+
+class UncachedContext(H.LocalizationContext):
+    """Every character rebuilt from scratch at every point: no chart
+    piece, vertex or twist class is kept."""
+
+    def tangent(self, point):
+        S = self.surface
+        out = EquivChar()
+        for chart, mu, nu in zip(S.charts, point.mu, point.nu):
+            w = chart.tangent_weights()
+            if mu:
+                out = out + ref_tangent_character(mu, w)
+            if nu:
+                out = out + ref_tangent_character(nu, w)
+        if self.with_pb is not None and point.pb is not None:
+            pts = S.polytope_points(self.with_pb)
+            u0 = pts[point.pb]
+            for u in pts:
+                if u != u0:
+                    out = out + EquivChar.monomial(u[0] - u0[0],
+                                                   u[1] - u0[1])
+        return out
+
+    def rhom(self, parts_a, parts_b, beta):
+        S = self.surface
+        out = H.chi_line_character(S, beta)
+        for chart, mu, nu in zip(S.charts, parts_a, parts_b):
+            if not mu and not nu:
+                continue
+            m1, m2 = chart.m1, chart.m2
+            u = S.chart_vertex(chart, beta)
+            piece = EquivChar()
+            if nu:
+                piece = piece - ref_box_character(nu, m1, m2)
+            if mu:
+                qbar = ref_box_character(mu, m1, m2).conj()
+                piece = piece - qbar.shift(-m1[0] - m2[0], -m1[1] - m2[1])
+                if nu:
+                    dbar = H._denominator_char(
+                        (-m1[0], -m1[1]), (-m2[0], -m2[1]))
+                    piece = piece + dbar * qbar * ref_box_character(
+                        nu, m1, m2)
+            out = out + piece.shift(int(u[0]), int(u[1]))
+        return out
+
+    def taut(self, lams, beta):
+        S = self.surface
+        ch = EquivChar()
+        for chart, lam in zip(S.charts, lams):
+            if lam:
+                u = S.chart_vertex(chart, S.cls(beta))
+                ch = ch + ref_box_character(lam, chart.m1, chart.m2).shift(
+                    int(u[0]), int(u[1]))
+        return ch
+
+    def twist_class(self, leaf):
+        return self._twist_class(leaf.attr("bc"), leaf.attr("ac"),
+                                 leaf.attr("kc"))
+
+
+def ref_point_contribution(ctx, expr, point, spec):
+    val = H.PointEvaluator(ctx, point, spec).cval(expr)
+    den = []
+    for (w, mult) in H.specialize_weights(ctx.tangent(point), spec):
+        if w == (0, 0) or mult < 0:
+            raise ValueError("non-isolated or non-generic weights")
+        den.extend([w] * mult)
+    return H.point_value_laurent(
+        H.PointValue(val.poly, val.num_ws, val.den_ws + den))
+
+
+def ref_pol_det(rows):
+    """Cofactor expansion along the first column: a! terms."""
+    n = len(rows)
+    if n == 0:
+        return dict(H.POL_ONE)
+    if n == 1:
+        return rows[0][0]
+    acc = {}
+    for i in range(n):
+        if not rows[i][0]:
+            continue
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = H.pol_mul(rows[i][0], ref_pol_det(minor))
+        if i % 2:
+            term = H.pol_scale(term, -1)
+        acc = H.pol_add(acc, term)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# problems: surface, class (curve class and section bundle), integrand
+
+
+def fake_p1xp1():
+    """A user surface named like the builtin P1xP1 on the rays of F1."""
+    return surface_from_json({"name": "P1xP1",
+                              "rays": [list(r) for r in f1().rays],
+                              "basis": [0, 1]})
+
+
+SURFACES = [(p2, (1,)), (p1xp1, (1, 1)), (f1, (1, 1)), (f2, (2, 1)),
+            (fake_p1xp1, (1, 1))]
+
+EULER = FE.euler(FE.leaf("tangent"))
+
+
+def pushforward_integrand(n, rank):
+    """A leaf of criterion 06's section-bundle route, with a tangent
+    leaf, a tautological class and O(1) twists."""
+    B1 = FE.twist(pushO(bc=1), o1_line(), 1)
+    R1 = rhom(1, 2, bc=1, o1=1)
+    a = (1,) + (0,) * (rank - 1)
+    return FE.mul(FE.chern(1, taut(a, 2)), FE.chern(1, o1_line()),
+                  FE.chern(n, FE.kdiff(B1, R1)),
+                  FE.chern(1, FE.leaf("tangent")))
+
+
+def problem(kind, make, beta, n1, n2):
+    """(surface, integrand, integral keywords) of one localization
+    problem."""
+    S = make()
+    if kind == "euler":
+        return S, EULER, {}
+    if kind == "monopole":
+        return S, monopole_integrand(n1, n2), {"beta": beta}
+    return S, pushforward_integrand(n1 + n2, S.rank), \
+        {"beta": beta, "with_pb": beta}
+
+
+def contributions(ctx, expr, points, spec, contribution):
+    """Per-point values, or the exception type a point raised."""
+    out = []
+    for pt in points:
+        try:
+            out.append(contribution(ctx, expr, pt, spec))
+        except (H._Collision, ValueError) as err:
+            out.append(type(err))
+    return out
+
+
+class TestChartPieces:
+    def test_one_pass_characters(self):
+        for w in (((1, 0), (0, 1)), ((-1, 0), (1, -1)), ((2, 1), (0, -1))):
+            for n in range(7):
+                for mu in partitions(n):
+                    assert H.tangent_character(mu, w) \
+                        == ref_tangent_character(mu, w)
+                    assert H.box_character(mu, *w) \
+                        == ref_box_character(mu, *w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(range(len(SURFACES))),
+           st.sampled_from(["euler", "monopole", "pushforward"]),
+           st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 0)]),
+           st.integers(0, 10 ** 6))
+    def test_cached_contribution_matches_uncached(self, which, kind,
+                                                  sizes, seed):
+        make, beta = SURFACES[which]
+        n1, n2 = sizes
+        S, expr, kw = problem(kind, make, beta, n1, n2)
+        points = list(H.enumerate_fixed_points(
+            S, n1, n2, with_pb=kw.get("with_pb"), nested=False))
+        spec = H._draw_spec(random.Random(seed))
+        # one context for all points, so later points hit cached pieces
+        cached = contributions(H.LocalizationContext(S, **kw), expr,
+                               points, spec, H._point_contribution)
+        ref = contributions(UncachedContext(S, **kw), expr, points, spec,
+                            ref_point_contribution)
+        assert cached == ref
+
+    def test_each_piece_built_once(self):
+        S = p1xp1()
+        ctx = H.LocalizationContext(S)
+        for pt in H.enumerate_fixed_points(S, 0, 2):
+            H._point_contribution(ctx, EULER, pt, (7, 3))
+        # one tangent piece per chart and partition of size 1 or 2
+        assert len(ctx._pieces) == len(S.charts) * 3
+
+
+def annihilating_spec(S, points):
+    """A drawable direction (a, b) killing some tangent weight."""
+    for pt in points:
+        for (p, q, _) in UncachedContext(S).tangent(pt).terms:
+            if p * q < 0:
+                a, b = abs(q), abs(p)
+                if a >= 2 and a != b and math.gcd(a, b) == 1:
+                    return pt, (a, b)
+    raise AssertionError("no annihilating direction")
+
+
+class TestCollisions:
+    def test_collision_with_and_without_cached_piece(self):
+        S = p2()
+        points = list(H.enumerate_fixed_points(S, 0, 3))
+        pt, bad = annihilating_spec(S, points)
+        with pytest.raises(H._Collision):
+            H._point_contribution(H.LocalizationContext(S), EULER, pt, bad)
+        ctx = H.LocalizationContext(S)
+        assert H._point_contribution(ctx, EULER, pt, (7, 3)) \
+            == {(0, 0): 1}
+        with pytest.raises(H._Collision):
+            H._point_contribution(ctx, EULER, pt, bad)
+
+    @pytest.mark.parametrize("kind", ["euler", "monopole"])
+    def test_redraw_after_collision(self, kind):
+        S, expr, kw = problem(kind, p2, (1,), 0, 3)
+        points = list(H.enumerate_fixed_points(S, 0, 3, nested=False))
+        _, bad = annihilating_spec(S, points)
+        for first in (bad, (7, 3)):
+            draws = iter([first, (11, 4)])
+            with mock.patch.object(H, "_draw_spec",
+                                   lambda rng: next(draws)):
+                value, info = H.equivariant_integrate(
+                    expr, S, 0, 3, refined=True, return_info=True, **kw)
+            want = (11, 4) if first == bad else (7, 3)
+            assert (info["spec"], info["attempts"]) \
+                == (want, 2 if first == bad else 1)
+            # the value does not depend on the direction drawn
+            ref = {}
+            ctx = UncachedContext(S, **kw)
+            for p in points:
+                for key, v in ref_point_contribution(ctx, expr, p,
+                                                     want).items():
+                    ref[key] = ref.get(key, 0) + v
+            assert value == H.RatFunc({t: v for (s, t), v in ref.items()
+                                       if s == 0})
+
+
+class TestCancellation:
+    def test_shared_weights_cancel_as_multisets(self):
+        num, den = H._cancel_shared([(1, 0), (1, 0), (2, 1), (0, 0)],
+                                    [(1, 0), (2, 1), (2, 1), (0, 0)])
+        assert sorted(num) == [(0, 0), (1, 0)]
+        assert sorted(den) == [(0, 0), (2, 1)]
+
+    def test_negative_s_powers_survive(self):
+        # e(T) e(-T)^2 leaves 1/e(T)^2 at each point after cancelling
+        inverse = FE.euler(FE.kdiff(FE.ksum(), FE.leaf("tangent")))
+        expr = FE.mul(EULER, inverse, inverse)
+        S = p2()
+        ctx, ref_ctx = H.LocalizationContext(S), UncachedContext(S)
+        for pt in H.enumerate_fixed_points(S, 0, 1):
+            value = H._point_contribution(ctx, expr, pt, (7, 3))
+            assert value == ref_point_contribution(ref_ctx, expr, pt,
+                                                   (7, 3))
+            assert min(s for s, _ in value) == -4
+        with pytest.raises(ValueError,
+                           match="integral not equivariantly constant"):
+            H.equivariant_integrate(expr, S, 0, 1)
+
+
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-1, 2)),
+    st.integers(-3, 3).filter(bool).map(Fraction), max_size=3)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return [[draw(polys) for _ in range(n)] for _ in range(n)]
+
+
+class TestPolDet:
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices())
+    def test_laplace_matches_cofactor(self, rows):
+        assert H._pol_det(rows) == ref_pol_det(rows)
+
+    def test_empty_matrix(self):
+        assert H._pol_det([]) == H.POL_ONE
