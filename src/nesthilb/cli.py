@@ -29,8 +29,8 @@ from .porteous import FormulaExpr, FormalEnv, eval_formal, expr_to_json, \
 from .hilbloc import EquivChar, partitions, box_character, \
     tangent_character, rhom_character, structure_numerator, \
     equivariant_integrate
-from .vw import SWTable, monopole_contribution, universality_fit, \
-    fit_report, format_value, ROW_FIELDS
+from .vw import SWTable, UniversalityError, monopole_contribution, \
+    universality_fit, fit_report, format_value, MONOMIALS, ROW_FIELDS
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -109,12 +109,28 @@ def _parse_n(value):
     return (_require_int(value, "n", least=0),)
 
 
+def _parse_window(value):
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise SchemaError("params.window must be a pair of rationals")
+    try:
+        return tuple(parse_rational(str(x)) for x in value)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError("params.window must be a pair of rationals")
+
+
 class JobSpec:
     """One validated batch job.
 
     Collects the command, the geometric inputs (surface, curve classes,
     lengths), the formula or suite to run, evaluator and output
     options, and the seed that fixes the weight specialization.
+
+    ``threads`` is accepted and validated (an integer from 1 to the CPU
+    count) so that existing job files keep running, but nothing reads
+    it: a job runs in one process, and parallel work means running
+    jobs side by side.
     """
 
     FIELDS = ("command", "surface", "beta", "A", "n", "n1", "n2",
@@ -171,6 +187,19 @@ class JobSpec:
         self.params = doc.get("params") or {}
         if not isinstance(self.params, dict):
             raise SchemaError("field 'params' must be an object")
+        monomials = self.params.get("monomials")
+        if monomials is not None and not (
+                isinstance(monomials, (list, tuple))
+                and all(name in MONOMIALS for name in monomials)):
+            raise SchemaError("params.monomials must be a list of names"
+                              " from %s" % ", ".join(MONOMIALS))
+        self.window = _parse_window(self.params.get("window"))
+        if self.sw is not None:
+            if not isinstance(self.sw, dict):
+                raise SchemaError("field 'sw' must be an object")
+            if not isinstance(self.sw.get("entries") or [],
+                              (list, tuple)):
+                raise SchemaError("field 'sw.entries' must be a list")
 
         self.format = doc.get("format") or "text"
         if self.format not in FORMATS:
@@ -520,7 +549,7 @@ def _handle_integrate(job):
         expr, n1, n2 = _integrand(job, n)
         value = equivariant_integrate(
             expr, job.surface, n1, n2, beta=job.beta, A=job.A,
-            refined=job.order > 0, seed=job.seed, threads=job.threads)
+            refined=job.order > 0, seed=job.seed)
         rows.append({"n": n, "value": format_value(value, job.order)})
     return EXIT_OK, {"formula": job.formula,
                      "surface": job.surface.name, "rows": rows}
@@ -529,8 +558,6 @@ def _handle_integrate(job):
 def _sw_table(job):
     if job.sw is None:
         return SWTable(job.surface)
-    if not isinstance(job.sw, dict):
-        raise SchemaError("field 'sw' must be an object")
     entries = {}
     for item in job.sw.get("entries") or []:
         try:
@@ -547,15 +574,11 @@ def _sw_table(job):
 
 def _handle_vw(job):
     table = _sw_table(job)
-    window = job.params.get("window")
-    if window is not None:
-        window = tuple(parse_rational(str(x)) for x in window)
     rows = []
     for n in job.n_range:
         result = monopole_contribution(
             job.surface, table, job.beta, n, refined=job.order > 0,
-            order=job.order or None, seed=job.seed,
-            threads=job.threads, window=window)
+            order=job.order or None, seed=job.seed, window=job.window)
         rows.extend(result.rows(job.order or None))
     return EXIT_OK, {"surface": job.surface.name,
                      "columns": list(ROW_FIELDS), "rows": rows}
@@ -587,7 +610,7 @@ def _handle_fit(job):
     if monomials is None:
         monomials = list(DEFAULT_FIT_MONOMIALS)
     fit = universality_fit(job.n_range[0], runs, monomials=monomials,
-                           seed=job.seed, threads=job.threads)
+                           seed=job.seed)
     return EXIT_OK, fit_report(fit, order=job.order or 4)
 
 
@@ -677,13 +700,6 @@ def _render_error(code, message):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _exit_code_for(message):
-    if "universality" in message or "insufficient surface spread" \
-            in message:
-        return EXIT_RESIDUAL
-    return EXIT_MATH
-
-
 def run(job):
     """Execute one validated job.  Returns (exit code, artifact text)."""
     try:
@@ -691,9 +707,10 @@ def run(job):
         return code, _render(job, doc)
     except SchemaError as err:
         return EXIT_SCHEMA, _render_error(EXIT_SCHEMA, str(err))
+    except UniversalityError as err:
+        return EXIT_RESIDUAL, _render_error(EXIT_RESIDUAL, str(err))
     except ValueError as err:
-        code = _exit_code_for(str(err))
-        return code, _render_error(code, str(err))
+        return EXIT_MATH, _render_error(EXIT_MATH, str(err))
 
 
 # ---------------------------------------------------------------------------

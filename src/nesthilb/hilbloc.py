@@ -31,16 +31,13 @@ multisets, which is exact because each weight is a nonzero linear form
 k s + c t; the zero-weight and collision checks run before that.
 """
 
-import json
 import math
-import multiprocessing
 import random
 from fractions import Fraction
 
 from .ringcore import binom_general
-from .surface import ToricSurface, riemann_roch_chi, surface_to_json, \
-    surface_from_json
-from .porteous import FormulaExpr, expr_to_json, expr_from_json
+from .surface import ToricSurface, riemann_roch_chi
+from .porteous import FormulaExpr
 
 
 # ---------------------------------------------------------------------------
@@ -1100,27 +1097,8 @@ def _draw_spec(rng):
             return (a, b)
 
 
-_MP_STATE = {}
-
-
-def _mp_init(surface_json, beta, A, with_pb, expr_json, spec):
-    surf = surface_from_json(json.loads(surface_json))
-    ctx = LocalizationContext(
-        surf, beta=beta, A=A, with_pb=with_pb)
-    _MP_STATE["ctx"] = ctx
-    _MP_STATE["expr"] = expr_from_json(json.loads(expr_json))
-    _MP_STATE["spec"] = spec
-
-
-def _mp_point(point_data):
-    mu, nu, pb = point_data
-    point = NestedFixedPoint(mu, nu, pb)
-    return _point_contribution(_MP_STATE["ctx"], _MP_STATE["expr"],
-                               point, _MP_STATE["spec"])
-
-
 def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
-                          with_pb=None, refined=False, seed=0, threads=1,
+                          with_pb=None, refined=False, seed=0,
                           return_info=False):
     """Integrate a formula over S^[n1] x S^[n2] (times the bundle of
     section lines of ``with_pb`` when given) by summing fixed point
@@ -1129,7 +1107,8 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     Exact: the result is a Fraction, or with ``refined`` a RatFunc,
     the Laurent polynomial in the auxiliary weight.  A seeded random
     direction breaks the torus to one dimension; collisions redraw
-    deterministically.
+    deterministically.  The points are summed in this process, one
+    after another; parallel work means running jobs side by side.
     """
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
@@ -1143,18 +1122,8 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
         attempts += 1
         try:
             totals = {}
-            if threads > 1:
-                payload = (json.dumps(surface_to_json(surface)),
-                           beta, A, with_pb,
-                           json.dumps(expr_to_json(expr)), spec)
-                with multiprocessing.Pool(threads, _mp_init, payload) as pool:
-                    results = pool.map(
-                        _mp_point,
-                        [(p.mu, p.nu, p.pb) for p in points])
-            else:
-                results = (_point_contribution(ctx, expr, p, spec)
-                           for p in points)
-            for contrib in results:
+            for p in points:
+                contrib = _point_contribution(ctx, expr, p, spec)
                 for key, coef in contrib.items():
                     totals[key] = totals.get(key, 0) + coef
             break

@@ -20,6 +20,11 @@ from .porteous import FormulaExpr, ZERO_CLASS, rhom, pushO, sw_factor, \
 from .hilbloc import RatFunc, equivariant_integrate
 
 
+class UniversalityError(ValueError):
+    """The runs of a fit cannot separate the monomials, or their point
+    contributions are not one affine function of the monomials."""
+
+
 def _as_ratfunc(x):
     if isinstance(x, RatFunc):
         return x
@@ -177,7 +182,7 @@ def _surface_data(surface):
 
 
 def point_contribution(surface, beta, n, refined=False, order=None,
-                       seed=0, threads=1, point_table=None):
+                       seed=0, point_table=None):
     """Sum over splittings n = n1 + n2 of the monopole integrand
     integral, without the Seiberg-Witten weight or the torsion
     prefactor.  These are the numbers the universality statement is
@@ -199,7 +204,7 @@ def point_contribution(surface, beta, n, refined=False, order=None,
         elif isinstance(surface, ToricSurface):
             term = equivariant_integrate(
                 monopole_integrand(n1, n2), surface, n1, n2, beta=key,
-                refined=True, seed=seed, threads=threads)
+                refined=True, seed=seed)
         else:
             raise ValueError("point contributions need a toric surface"
                              " or a supplied table")
@@ -211,7 +216,7 @@ def point_contribution(surface, beta, n, refined=False, order=None,
 
 
 def monopole_contribution(surface, sw, beta, n, refined=False,
-                          order=None, seed=0, threads=1, window=None,
+                          order=None, seed=0, window=None,
                           point_table=None):
     """Weighted contribution of one curve class at total length n:
 
@@ -241,7 +246,7 @@ def monopole_contribution(surface, sw, beta, n, refined=False,
     if weight == 0:
         return MonopoleResult(key, n, Fraction(0), {}, refined, meta)
     point = point_contribution(surface, key, n, refined=True,
-                               order=order, seed=seed, threads=threads,
+                               order=order, seed=seed,
                                point_table=point_table)
     value = _as_ratfunc(point.value) * weight
     return MonopoleResult(key, n, value, point.terms, refined, meta)
@@ -298,18 +303,17 @@ def _solve_affine(rows, values):
         pivots.append(col)
         rank += 1
     if rank < m:
-        raise ValueError("insufficient surface spread")
+        raise UniversalityError("insufficient surface spread")
     for i in range(rank, len(aug)):
         if not is_zero(aug[i][m]):
-            raise ValueError("universality violated")
+            raise UniversalityError("universality violated")
     coefs = [lift(0)] * m
     for r, col in enumerate(pivots):
         coefs[col] = aug[r][m]
     return coefs
 
 
-def universality_fit(n, runs, monomials=None, refined=True, seed=0,
-                     threads=1):
+def universality_fit(n, runs, monomials=None, refined=True, seed=0):
     """Fit point contributions at fixed total length n by an exact
     affine polynomial in the intersection numbers.
 
@@ -327,7 +331,7 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0,
             value = run[2]
         else:
             value = point_contribution(surface, beta, n, refined=refined,
-                                       seed=seed, threads=threads).value
+                                       seed=seed).value
         rows.append([monomial_value(name, surface, beta)
                      for name in names])
         values.append(value)
@@ -339,7 +343,7 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0,
         if sig in seen:
             other_value, other_label = seen[sig]
             if _as_ratfunc(other_value) != _as_ratfunc(value):
-                raise ValueError(
+                raise UniversalityError(
                     "universality violated: %r and %r share invariants"
                     " but differ" % (other_label, label))
         seen[sig] = (value, label)
@@ -349,7 +353,7 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0,
         for c, x in zip(coefs, row):
             fitted = fitted + _as_ratfunc(c) * x
         if fitted != _as_ratfunc(value):
-            raise ValueError("universality violated")
+            raise UniversalityError("universality violated")
     return {"n": n,
             "monomials": names,
             "coefficients": dict(zip(names, coefs)),

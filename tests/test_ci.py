@@ -1,5 +1,6 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, on
-every supported interpreter, after installing the test extra."""
+every supported interpreter, after installing the test extra, with a
+time limit."""
 
 import re
 from pathlib import Path
@@ -21,6 +22,8 @@ def test_workflow_runs_tier1():
     triggers = doc.get("on", doc.get(True))
     assert {"push", "pull_request"} <= set(triggers)
     (job,) = doc["jobs"].values()
+    # a hung run stops after 15 minutes, not GitHub's 6 h default
+    assert job["timeout-minutes"] == 15
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs == ['pip install -e ".[test]"', tier1_command()]

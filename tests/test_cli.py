@@ -83,7 +83,7 @@ class TestJobSpec:
             job(command="fit", n=0, order=-1)
 
     def test_threads_bounded_by_cpu_count(self, monkeypatch, capsys):
-        # validation only: run() is replaced, so no pool can start
+        # validation only: run() is replaced, so no job runs
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "run", lambda job: pytest.fail("ran"))
         assert job(command="fit", n=0, threads=2).threads == 2
@@ -287,6 +287,25 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["error"]["code"] == EXIT_SCHEMA
         assert doc["error"]["message"].startswith("params.expr")
+
+    @pytest.mark.parametrize("doc", [
+        {"command": "fit", "n": 1, "params": {"monomials": 5}},
+        {"command": "fit", "n": 1, "params": {"monomials": ["foo"]}},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "params": {"window": 7}},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "params": {"window": [1]}},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "sw": {"entries": 5}},
+    ])
+    def test_malformed_params_and_sw_are_schema_errors(self, doc, tmp_path,
+                                                       capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        code = main([doc["command"], "--job", str(path)])
+        assert code == EXIT_SCHEMA
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == EXIT_SCHEMA
 
     def test_malformed_job_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

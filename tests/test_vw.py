@@ -16,6 +16,7 @@ from nesthilb.vw import (
     SWTable, MonopoleResult, monopole_integrand, monopole_contribution,
     point_contribution, universality_fit, fit_report, format_value,
     sw_coupled_pushforward, virtual_class_route, monomial_value,
+    UniversalityError,
 )
 
 
@@ -239,13 +240,13 @@ class TestUniversalityFit:
 
     def test_nonuniversal_values_refuse_fit(self):
         runs = self.synthetic_runs(lambda t: t["betasq"] * t["c1sq"])
-        with pytest.raises(ValueError, match="universality violated"):
+        with pytest.raises(UniversalityError, match="universality violated"):
             universality_fit(1, runs)
 
     def test_duplicate_tuples_must_agree(self):
         G = general_type_profile(1)
         runs = [(G, (1,), Fraction(2)), (G, (1,), Fraction(3))]
-        with pytest.raises(ValueError, match="universality violated"):
+        with pytest.raises(UniversalityError, match="universality violated"):
             universality_fit(0, runs, monomials=["1"])
 
     def test_toric_design_is_rank_deficient(self):
@@ -255,7 +256,7 @@ class TestUniversalityFit:
                 (p1xp1(), (2, 2), Fraction(0)),
                 (f2(), (2, 1), Fraction(0)),
                 (f2(), (4, 2), Fraction(0))]
-        with pytest.raises(ValueError, match="insufficient surface"):
+        with pytest.raises(UniversalityError, match="insufficient surface"):
             universality_fit(0, runs)
 
     def test_matched_pair_constant_fit(self):
