@@ -22,7 +22,7 @@ from math import comb
 from .ringcore import Ring, GradedClass, KClass, series_invert, \
     rational_str, parse_rational
 from .bundles import grassmann_split_pushforward
-from .surface import load_surface
+from .surface import load_surface, parse_sw_entries
 from .porteous import FormulaExpr, FormalEnv, eval_formal, expr_to_json, \
     expr_from_json, degeneracy_pushforward_X, degeneracy_pushforward_GrB, \
     nested_reduced_formula, co_class
@@ -189,17 +189,23 @@ class JobSpec:
             raise SchemaError("field 'params' must be an object")
         monomials = self.params.get("monomials")
         if monomials is not None and not (
-                isinstance(monomials, (list, tuple))
+                isinstance(monomials, (list, tuple)) and monomials
                 and all(name in MONOMIALS for name in monomials)):
-            raise SchemaError("params.monomials must be a list of names"
-                              " from %s" % ", ".join(MONOMIALS))
+            raise SchemaError("params.monomials must be a nonempty list of"
+                              " names from %s" % ", ".join(MONOMIALS))
         self.window = _parse_window(self.params.get("window"))
+        self.sw_entries = None
         if self.sw is not None:
             if not isinstance(self.sw, dict):
                 raise SchemaError("field 'sw' must be an object")
-            if not isinstance(self.sw.get("entries") or [],
-                              (list, tuple)):
+            entries = self.sw.get("entries") or []
+            if not isinstance(entries, (list, tuple)):
                 raise SchemaError("field 'sw.entries' must be a list")
+            if self.surface is not None:
+                try:
+                    self.sw_entries = parse_sw_entries(self.surface, entries)
+                except ValueError as err:
+                    raise SchemaError("field 'sw.entries': %s" % err)
 
         self.format = doc.get("format") or "text"
         if self.format not in FORMATS:
@@ -558,17 +564,7 @@ def _handle_integrate(job):
 def _sw_table(job):
     if job.sw is None:
         return SWTable(job.surface)
-    entries = {}
-    for item in job.sw.get("entries") or []:
-        try:
-            key = tuple(parse_rational(str(x)) for x in item["beta"])
-            value = parse_rational(str(item["sw"]))
-            higher = tuple(parse_rational(str(h))
-                           for h in item.get("higher") or [])
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError("malformed 'sw' entry %r" % (item,))
-        entries[key] = (value, higher) if higher else value
-    return SWTable(job.surface, entries=entries,
+    return SWTable(job.surface, entries=job.sw_entries,
                    higher_mode=bool(job.sw.get("higher_mode")))
 
 
@@ -775,8 +771,13 @@ def main(argv=None):
         return EXIT_SCHEMA
     code, text = run(job)
     if job.out:
-        with open(job.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(job.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as err:
+            sys.stdout.write(_render_error(
+                EXIT_SCHEMA, "cannot write output file: %s" % err))
+            return EXIT_SCHEMA
     else:
         sys.stdout.write(text)
     return code

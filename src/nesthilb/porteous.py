@@ -684,13 +684,12 @@ def nested_reduced_formula(n1, n2, surface, beta, A, h2_vanishing=False):
     if not h2_vanishing:
         raise ValueError("reduced formula needs the H2-vanishing flag")
     d = twist_dim_d(surface, beta, A)
-    data = surface.data if hasattr(surface, "data") else surface
     chi = riemann_roch_chi(surface, beta)
     B1 = FormulaExpr.twist(pushO(bc=1, ac=1), o1_line(), 1)
     R1 = rhom(1, 2, bc=1, o1=1)
     expr = FormulaExpr.chern(n1 + n2 + d, FormulaExpr.kdiff(B1, R1))
     info = {"d": d,
-            "reduced_vd": chi + n1 + n2 + data.q - 1,
+            "reduced_vd": chi + n1 + n2 + surface.q - 1,
             "degree": n1 + n2 + d}
     return expr, info
 
@@ -790,6 +789,5 @@ def duality_rewrite(expr, n1, n2, beta, surface):
         return FormulaExpr(e.kind, e.params, e.attrs,
                            tuple(walk(c) for c in e.children))
 
-    data = surface.data if hasattr(surface, "data") else surface
-    s = n1 + n2 - data.chiO - vd_beta(surface, beta)
+    s = n1 + n2 - surface.chiO - vd_beta(surface, beta)
     return walk(expr), s

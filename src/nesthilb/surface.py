@@ -1,11 +1,11 @@
 """Surface geometry: numeric invariants, toric models, lattice data.
 
-Two kinds of surface are supported.  A `SurfaceData` is a purely
-numerical profile (chi(O), K^2, Euler number, irregularity, geometric
-genus) plus a small Neron-Severi lattice and a Seiberg-Witten table; it
-is enough for the formal pushforward identities.  A `ToricSurface` is
-built from a smooth complete fan in Z^2 and derives all of that, plus
-the chart data needed for equivariant localization: dual bases, fixed
+A `SurfaceData` is a numerical profile of a surface (chi(O), K^2,
+Euler number, irregularity, geometric genus) plus a small Neron-Severi
+lattice and a Seiberg-Witten table; it is enough for the formal
+pushforward identities.  A `ToricSurface` is a `SurfaceData` whose
+profile is derived from a smooth complete fan in Z^2, and it adds the
+chart data needed for equivariant localization: dual bases, fixed
 points, polytopes of invariant divisors.
 
 Conventions.  Rays are listed counterclockwise; chart i is the cone on
@@ -21,10 +21,6 @@ import json
 from fractions import Fraction
 
 from .ringcore import rational_str, parse_rational
-
-
-def _dot2(u, v):
-    return u[0] * v[0] + u[1] * v[1]
 
 
 def _cross2(u, v):
@@ -138,16 +134,18 @@ class Chart:
                 -a * self.m1[1] - b * self.m2[1])
 
 
-class ToricSurface:
+class ToricSurface(SurfaceData):
     """Smooth complete toric surface from counterclockwise rays.
 
     Derives the Neron-Severi basis (indices of basis rays supplied or
-    the first two), the intersection form, the canonical class and a
-    `SurfaceData` profile, all verified against Noether's formula.
+    the first two), the intersection form and the canonical class, and
+    from them its own numeric profile (chi(O) = 1, q = p_g = 0, Euler
+    number the number of rays), verified against Noether's formula.
+    Effectivity is exact: a class is effective when its section
+    polytope has a lattice point.
     """
 
     def __init__(self, name, rays, basis=None, basis_names=None):
-        self.name = name
         self.rays = [tuple(int(x) for x in r) for r in rays]
         n = len(self.rays)
         if n < 3:
@@ -204,41 +202,8 @@ class ToricSurface:
         K = [-sum(cl[c] for cl in self.ray_classes) for c in range(rank)]
         K2 = sum(K[a] * gram[a][b] * K[b]
                  for a in range(rank) for b in range(rank))
-        self.data = SurfaceData(name, 1, K2, n, 0, 0, gram, K,
-                                basis_names=basis_names,
-                                effective=self.is_effective)
-        self.K = self.data.K
-
-    # numeric-profile interface, delegated
-    @property
-    def chiO(self):
-        return self.data.chiO
-
-    @property
-    def rank(self):
-        return self.data.rank
-
-    @property
-    def sw_table(self):
-        return self.data.sw_table
-
-    def dot(self, a, b):
-        return self.data.dot(a, b)
-
-    def cls(self, a):
-        return self.data.cls(a)
-
-    def add(self, a, b):
-        return self.data.add(a, b)
-
-    def sub(self, a, b):
-        return self.data.sub(a, b)
-
-    def scale(self, c, a):
-        return self.data.scale(c, a)
-
-    def zero_class(self):
-        return self.data.zero_class()
+        super().__init__(name, 1, K2, n, 0, 0, gram, K,
+                         basis_names=basis_names)
 
     def ray_coeffs(self, beta):
         """An invariant divisor representing the class: the combination
@@ -299,9 +264,9 @@ class ToricSurface:
 def riemann_roch_chi(surface, beta):
     """Euler characteristic of the line bundle with first Chern class
     beta: chi(O) + beta.(beta - K)/2."""
-    data = surface.data if isinstance(surface, ToricSurface) else surface
-    beta = data.cls(beta)
-    val = data.chiO + Fraction(data.dot(beta, data.sub(beta, data.K)), 2)
+    beta = surface.cls(beta)
+    val = surface.chiO \
+        + Fraction(surface.dot(beta, surface.sub(beta, surface.K)), 2)
     if val.denominator != 1:
         raise ValueError("Riemann-Roch value is not an integer")
     return int(val)
@@ -310,20 +275,18 @@ def riemann_roch_chi(surface, beta):
 def vd_beta(surface, beta):
     """Expected dimension of the curve system in class beta:
     beta.(beta - K)/2."""
-    data = surface.data if isinstance(surface, ToricSurface) else surface
-    return riemann_roch_chi(surface, beta) - data.chiO
+    return riemann_roch_chi(surface, beta) - surface.chiO
 
 
 def twist_dim_d(surface, beta, A):
     """Dimension shift d = A.(2 beta + A - K)/2 from twisting the curve
     class by A; equal to chi(beta + A) - chi(beta)."""
-    data = surface.data if isinstance(surface, ToricSurface) else surface
-    beta, A = data.cls(beta), data.cls(A)
-    two = data.add(data.add(beta, beta), data.sub(A, data.K))
-    val = Fraction(data.dot(A, two), 2)
+    beta, A = surface.cls(beta), surface.cls(A)
+    two = surface.add(surface.add(beta, beta), surface.sub(A, surface.K))
+    val = Fraction(surface.dot(A, two), 2)
     if val.denominator != 1:
         raise ValueError("twist dimension is not an integer")
-    chk = riemann_roch_chi(surface, data.add(beta, A)) \
+    chk = riemann_roch_chi(surface, surface.add(beta, A)) \
         - riemann_roch_chi(surface, beta)
     if val != chk:
         raise AssertionError("twist dimension disagrees with Riemann-Roch")
@@ -425,18 +388,17 @@ def builtin_surface(name):
 
 def surface_to_json(surface):
     toric = isinstance(surface, ToricSurface)
-    data = surface.data if toric else surface
     doc = {
-        "name": data.name,
+        "name": surface.name,
         "rays": [list(r) for r in surface.rays] if toric else None,
-        "profile": {"chiO": data.chiO, "K2": data.K2, "e": data.e,
-                    "q": data.q, "pg": data.pg},
+        "profile": {"chiO": surface.chiO, "K2": surface.K2, "e": surface.e,
+                    "q": surface.q, "pg": surface.pg},
         "sw_table": [
             {"beta": [rational_str(x) for x in beta],
              "sw": rational_str(val[0] if isinstance(val, tuple) else val),
              "higher": [rational_str(h) for h in val[1]]
              if isinstance(val, tuple) else []}
-            for beta, val in sorted(data.sw_table.items())
+            for beta, val in sorted(surface.sw_table.items())
         ],
     }
     if toric:
@@ -444,35 +406,55 @@ def surface_to_json(surface):
     return doc
 
 
+def parse_sw_entries(surface, entries):
+    """Seiberg-Witten table of the surface from a list of entries
+    {"beta": class, "sw": invariant, "higher": [pairings]}, "higher"
+    optional: a map from class to the invariant, or to (invariant,
+    higher) when there are pairings.  Numbers are JSON numbers or "p/q"
+    strings.  A malformed entry, including a class of the wrong rank,
+    raises ValueError naming the entry."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError("Seiberg-Witten entries must be a list")
+    table = {}
+    for entry in entries:
+        try:
+            beta, higher = entry["beta"], entry.get("higher", [])
+            if not isinstance(beta, (list, tuple)) \
+                    or not isinstance(higher, (list, tuple)):
+                raise TypeError("beta and higher must be lists")
+            key = surface.cls([parse_rational(str(x)) for x in beta])
+            value = parse_rational(str(entry["sw"]))
+            higher = tuple(parse_rational(str(h)) for h in higher)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+            raise ValueError("malformed Seiberg-Witten entry %r: %s: %s"
+                             % (entry, type(err).__name__, err))
+        table[key] = (value, higher) if higher else value
+    return table
+
+
 def surface_from_json(doc):
     name = doc["name"]
     prof = doc.get("profile") or {}
-    sw = {}
-    for entry in doc.get("sw_table") or []:
-        beta = tuple(parse_rational(x) for x in entry["beta"])
-        val = parse_rational(entry["sw"])
-        higher = [parse_rational(h) for h in entry.get("higher") or []]
-        sw[beta] = (val, tuple(higher)) if higher else val
     if doc.get("rays"):
         surf = ToricSurface(name, doc["rays"], basis=doc.get("basis"))
         if prof:
-            got = surf.data
             want = (prof["chiO"], prof["K2"], prof["e"], prof["q"], prof["pg"])
-            have = (got.chiO, got.K2, got.e, got.q, got.pg)
-            if tuple(want) != have:
+            have = (surf.chiO, surf.K2, surf.e, surf.q, surf.pg)
+            if want != have:
                 raise ValueError("profile disagrees with the fan")
-        surf.data.sw_table.update(sw)
-        return surf
-    K2 = prof["K2"]
-    gram = [[K2]] if K2 != 0 else [[0]]
-    K = [1] if K2 != 0 else [0]
-    return SurfaceData(name, prof["chiO"], K2, prof["e"], prof["q"],
-                       prof["pg"], gram, K, sw_table=sw)
+    else:
+        K2 = prof["K2"]
+        gram = [[K2]] if K2 != 0 else [[0]]
+        K = [1] if K2 != 0 else [0]
+        surf = SurfaceData(name, prof["chiO"], K2, prof["e"], prof["q"],
+                           prof["pg"], gram, K)
+    surf.sw_table.update(parse_sw_entries(surf, doc.get("sw_table") or []))
+    return surf
 
 
 def load_surface(source):
     """Accept a built-in name, a JSON file path, or a parsed dict."""
-    if isinstance(source, (SurfaceData, ToricSurface)):
+    if isinstance(source, SurfaceData):
         return source
     if isinstance(source, dict):
         return surface_from_json(source)

@@ -65,10 +65,6 @@ class SWTable:
             self.higher[tuple(surface.cls(beta))] = \
                 tuple(Fraction(x) for x in extra)
 
-    @classmethod
-    def from_surface(cls, surface, higher=None, higher_mode=False):
-        return cls(surface, None, higher, higher_mode)
-
     def __contains__(self, beta):
         return tuple(self.surface.cls(beta)) in self.entries
 
@@ -154,15 +150,14 @@ class MonopoleResult:
 ROW_FIELDS = ("beta", "n", "n1", "n2", "value", "t_order")
 
 
-def monopole_integrand(n1, n2, beta=None, L=None, surface=None):
+def monopole_integrand(n1, n2):
     """Integrand of one splitting of the rank-two monopole
     contribution: the Chern class of minus the nesting complex times
     the Euler classes of the two positively-moving pair complexes over
     those of the three negatively-moving ones.
 
-    Twists are symbolic: the curve class binds at evaluation time, so
-    beta, L and surface are accepted only for job bookkeeping.  Every
-    Euler argument carries a nonzero circle weight, which is what
+    Twists are symbolic: the curve class binds at evaluation time.
+    Every Euler argument carries a nonzero circle weight, which is what
     makes the ratio well defined in localized cohomology.
     """
     n = n1 + n2
@@ -177,10 +172,6 @@ def monopole_integrand(n1, n2, beta=None, L=None, surface=None):
             rhom(2, 1, bc=-1, kc=2, tp=2))))
 
 
-def _surface_data(surface):
-    return surface.data if hasattr(surface, "data") else surface
-
-
 def point_contribution(surface, beta, n, refined=False, order=None,
                        seed=0, point_table=None):
     """Sum over splittings n = n1 + n2 of the monopole integrand
@@ -192,7 +183,6 @@ def point_contribution(surface, beta, n, refined=False, order=None,
     Non-toric profiles must supply the integrals through
     ``point_table`` keyed by (class, n1, n2).
     """
-    data = _surface_data(surface)
     key = tuple(surface.cls(beta))
     terms = {}
     total = RatFunc(())
@@ -210,7 +200,7 @@ def point_contribution(surface, beta, n, refined=False, order=None,
                              " or a supplied table")
         terms[(n1, n2)] = term
         total = total + _as_ratfunc(term)
-    meta = {"surface": data.name, "seed": seed, "order": order,
+    meta = {"surface": surface.name, "seed": seed, "order": order,
             "kind": "point"}
     return MonopoleResult(key, n, total, terms, refined, meta)
 
@@ -229,11 +219,10 @@ def monopole_contribution(surface, sw, beta, n, refined=False,
     zero by the definition of the invariant, with no table entry
     needed.
     """
-    data = _surface_data(surface)
     if not isinstance(sw, SWTable):
         sw = SWTable(surface, sw)
     key = tuple(surface.cls(beta))
-    meta = {"surface": data.name, "seed": seed, "order": order,
+    meta = {"surface": surface.name, "seed": seed, "order": order,
             "kind": "monopole"}
     if window is not None:
         deg_b, deg_k = window
@@ -242,7 +231,7 @@ def monopole_contribution(surface, sw, beta, n, refined=False,
             return MonopoleResult(key, n, Fraction(0), {}, refined, meta)
     if vd_beta(surface, key) != 0:
         return MonopoleResult(key, n, Fraction(0), {}, refined, meta)
-    weight = sw.invariant(key) * Fraction(4) ** data.q
+    weight = sw.invariant(key) * Fraction(4) ** surface.q
     if weight == 0:
         return MonopoleResult(key, n, Fraction(0), {}, refined, meta)
     point = point_contribution(surface, key, n, refined=True,
@@ -257,13 +246,12 @@ MONOMIALS = ("1", "c1sq", "c2", "betasq", "c1beta")
 
 def monomial_value(name, surface, beta):
     """One of the four intersection numbers (or the constant 1)."""
-    data = _surface_data(surface)
     if name == "1":
         return Fraction(1)
     if name == "c1sq":
-        return Fraction(data.K2)
+        return Fraction(surface.K2)
     if name == "c2":
-        return Fraction(data.e)
+        return Fraction(surface.e)
     if name == "betasq":
         return surface.dot(beta, beta)
     if name == "c1beta":
@@ -335,8 +323,7 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0):
         rows.append([monomial_value(name, surface, beta)
                      for name in names])
         values.append(value)
-        labels.append((_surface_data(surface).name,
-                       tuple(surface.cls(beta))))
+        labels.append((surface.name, tuple(surface.cls(beta))))
     seen = {}
     for row, value, label in zip(rows, values, labels):
         sig = tuple(row)
@@ -395,10 +382,9 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
     geometric information.  With ``swTable`` supplied the invariant
     leaves are resolved and the tree is returned in normal form.
     """
-    data = _surface_data(surface)
     n = n1 + n2
     if case == "pg>0":
-        if check and data.pg == 0:
+        if check and surface.pg == 0:
             raise ValueError("inconsistent flags: profile has p_g = 0")
         if i > 0:
             expr = ZERO_CLASS
@@ -408,7 +394,7 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
                 FormulaExpr.chern(n, FormulaExpr.neg(rhom(1, 2, bc=1))),
                 pic_point())
     elif case == "pg=0-effective":
-        if check and data.pg != 0:
+        if check and surface.pg != 0:
             raise ValueError("inconsistent flags: profile has p_g > 0")
         expr = FormulaExpr.add(*[
             FormulaExpr.mul(
@@ -417,13 +403,13 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
                 sw_factor(i + j, bc=1))
             for j in range(n + 1)])
     elif case == "pg=0-noneffective":
-        if check and data.pg != 0:
+        if check and surface.pg != 0:
             raise ValueError("inconsistent flags: profile has p_g > 0")
         dual_cls = surface.sub(surface.K, surface.cls(beta))
         if check and surface.is_effective(dual_cls):
             raise ValueError("inconsistent flags: dual class is"
                              " effective")
-        d = n + data.q - vd_beta(surface, beta)
+        d = n + surface.q - vd_beta(surface, beta)
         expr = FormulaExpr.chern(d + i, FormulaExpr.neg(rhom(1, 2, bc=1)))
     else:
         raise ValueError("unknown case %r" % (case,))
@@ -442,12 +428,11 @@ def virtual_class_route(n1, n2, surface, beta, A=None,
     class of a trivial obstruction piece of rank p_g, so any positive
     geometric genus forces the zero class.
     """
-    data = _surface_data(surface)
     if A is None:
         A = surface.zero_class()
     reduced, _ = nested_reduced_formula(n1, n2, surface, beta, A,
                                         h2_vanishing=h2_vanishing)
-    if data.pg > 0:
+    if surface.pg > 0:
         # top Chern class of a trivial rank-p_g bundle
         return ZERO_CLASS
     return reduced

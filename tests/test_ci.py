@@ -24,7 +24,8 @@ def test_workflow_runs_tier1():
     (job,) = doc["jobs"].values()
     # a hung run stops after 15 minutes, not GitHub's 6 h default
     assert job["timeout-minutes"] == 15
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["strategy"]["matrix"]["python-version"] \
+        == ["3.10", "3.11", "3.12", "3.13"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs == ['pip install -e ".[test]"', tier1_command()]
     setup = [step for step in job["steps"]

@@ -260,6 +260,15 @@ class TestMain:
         assert capsys.readouterr().out == ""
         assert target.read_text() == "0\n# seed 0\n"
 
+    def test_unwritable_out_is_schema_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "result.txt"
+        code = main(["integrate", "--surface", "P2", "--formula", "euler",
+                     "--n", "1", "--out", str(target)])
+        assert code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["code"] == EXIT_SCHEMA
+        assert captured.err == ""
+
     def test_schema_error_json(self, capsys):
         code = main(["integrate", "--surface", "P2", "--formula",
                      "euler"])
@@ -297,6 +306,19 @@ class TestMain:
          "params": {"window": [1]}},
         {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
          "sw": {"entries": 5}},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "sw": {"entries": [{"beta": [0], "sw": "1/0"}]}},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "sw": {"entries": [{"beta": ["1/0"], "sw": 1}]}},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "sw": {"entries": [{"beta": [0], "sw": 1, "higher": "12"}]}},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "sw": {"entries": [{"beta": [0, 1], "sw": 1}]}},
+        {"command": "vw", "beta": [0], "n": 0,
+         "surface": {"name": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
+                     "basis": [0],
+                     "sw_table": [{"beta": ["0", "1"], "sw": "1"}]}},
+        {"command": "fit", "n": 0, "params": {"monomials": []}},
     ])
     def test_malformed_params_and_sw_are_schema_errors(self, doc, tmp_path,
                                                        capsys):

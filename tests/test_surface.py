@@ -14,14 +14,14 @@ from nesthilb.surface import (SurfaceData, ToricSurface, p2, p1xp1, f1, f2,
 class TestBuiltinInvariants:
     def test_p2(self):
         S = p2()
-        assert (S.data.chiO, S.data.K2, S.data.e) == (1, 9, 3)
+        assert (S.chiO, S.K2, S.e) == (1, 9, 3)
         assert S.K == (-3,)
         assert S.dot((1,), (1,)) == 1
         assert all(cl == (1,) for cl in S.ray_classes)
 
     def test_p1xp1(self):
         S = p1xp1()
-        assert (S.data.K2, S.data.e) == (8, 4)
+        assert (S.K2, S.e) == (8, 4)
         assert S.K == (-2, -2)
         assert S.dot((1, 0), (0, 1)) == 1
         assert S.dot((1, 0), (1, 0)) == 0
@@ -30,7 +30,7 @@ class TestBuiltinInvariants:
     def test_hirzebruch(self):
         for a in (1, 2, 3):
             S = hirzebruch(a)
-            assert (S.data.K2, S.data.e) == (8, 4)
+            assert (S.K2, S.e) == (8, 4)
             f, e = (1, 0), (0, 1)
             assert S.dot(f, f) == 0
             assert S.dot(f, e) == 1
@@ -47,6 +47,11 @@ class TestBuiltinInvariants:
                 bf = (a + b, a)
                 assert Q.dot(bq, bq) == F.dot(bf, bf)
                 assert Q.dot(bq, Q.K) == F.dot(bf, F.K)
+
+    def test_toric_surface_is_a_profile(self):
+        S = p2()
+        assert isinstance(S, SurfaceData)
+        assert (S.q, S.pg, S.basis_names) == (0, 0, ("H",))
 
     def test_nonsmooth_fan_rejected(self):
         with pytest.raises(ValueError):
@@ -112,7 +117,7 @@ class TestRiemannRoch:
 class TestToricCharts:
     def test_dual_bases(self):
         for S in (p2(), p1xp1(), f1(), f2()):
-            assert len(S.charts) == S.data.e
+            assert len(S.charts) == S.e
             for ch in S.charts:
                 assert ch.m1[0] * ch.v[0] + ch.m1[1] * ch.v[1] == 1
                 assert ch.m1[0] * ch.w[0] + ch.m1[1] * ch.w[1] == 0
@@ -197,4 +202,4 @@ class TestJson:
         path.write_text(json.dumps(surface_to_json(p1xp1())))
         S = load_surface(str(path))
         assert S.name == "P1xP1"
-        assert S.data.K2 == 8
+        assert S.K2 == 8
