@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from math import comb
 
@@ -39,13 +40,15 @@ EXIT_RESIDUAL = 4
 
 COMMANDS = ("verify", "push", "integrate", "vw", "fit")
 FORMATS = ("json", "csv", "text")
-EVALUATORS = ("formal", "equivariant")
 SUITE_NAMES = ("porteous", "delta", "segre", "euler", "characters", "all")
-
-# the evaluator each command runs on; verify exercises both internally
-COMMAND_EVALUATOR = {"verify": None, "push": "formal",
-                     "integrate": "equivariant", "vw": "equivariant",
-                     "fit": "equivariant"}
+# the job fields that a command-line flag of the same name overrides
+FLAGS = ("suite", "surface", "beta", "A", "formula", "n", "n1", "n2",
+         "order", "threads", "seed", "format", "out")
+# the fields each command needs, and the formulas of those that take one
+REQUIRED = {"push": ("formula",), "integrate": ("surface", "formula", "n"),
+            "vw": ("surface", "beta", "n"), "fit": ("n",)}
+FORMULAS = {"push": ("porteous", "reduced"),
+            "integrate": ("euler", "one", "co", "custom")}
 
 DEFAULT_FIT_RUNS = (("P2", (1,)), ("P2", (2,)), ("P1xP1", (1, 1)),
                     ("P1xP1", (2, 2)), ("F2", (2, 1)), ("F2", (4, 2)))
@@ -93,6 +96,25 @@ def _parse_vector(value, name):
     return tuple(out)
 
 
+def _parse_class(value, name, surface):
+    """A lattice vector that, when there is a surface, fits its lattice."""
+    vec = _parse_vector(value, name)
+    if vec is not None and surface is not None:
+        try:
+            surface.cls(vec)
+        except ValueError:
+            raise SchemaError("field %r does not fit the surface lattice"
+                              % name)
+    return vec
+
+
+def _load_surface(source, what="bad surface"):
+    try:
+        return load_surface(source)
+    except (ValueError, OSError) as err:
+        raise SchemaError("%s: %s" % (what, err))
+
+
 def _parse_n(value):
     if value is None:
         return None
@@ -120,12 +142,46 @@ def _parse_window(value):
         raise SchemaError("params.window must be a pair of rationals")
 
 
+def _parse_flag(obj, key, name):
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaError("%s must be true or false" % name)
+    return value
+
+
+def _parse_runs(source):
+    """Fit runs as (surface, beta) or (surface, beta, value) tuples."""
+    if source is None:
+        source = DEFAULT_FIT_RUNS
+    if not isinstance(source, (list, tuple)) or not source:
+        raise SchemaError("field 'runs' must be a nonempty list")
+    runs = []
+    for item in source:
+        if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
+            raise SchemaError("each run is [surface, beta] or"
+                              " [surface, beta, value]")
+        surface = _load_surface(item[0], "bad surface in runs")
+        beta = _parse_class(item[1] or (), "runs.beta", surface)
+        if len(item) == 3:
+            try:
+                value = parse_rational(str(item[2]))
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError("run value %r is not rational"
+                                  % (item[2],))
+            runs.append((surface, beta, value))
+        else:
+            runs.append((surface, beta))
+    return runs
+
+
 class JobSpec:
-    """One validated batch job.
+    """One validated batch job: the only place a job is rejected.
 
     Collects the command, the geometric inputs (surface, curve classes,
-    lengths), the formula or suite to run, evaluator and output
-    options, and the seed that fixes the weight specialization.
+    lengths), the formula or suite to run, output options, and the seed
+    that fixes the weight specialization.  Every field is parsed once,
+    here (surfaces, formula, ``custom`` tree, fit runs, Seiberg-Witten
+    entries, boolean params); the handlers only compute.
 
     ``threads`` is accepted and validated (an integer from 1 to the CPU
     count) so that existing job files keep running, but nothing reads
@@ -133,9 +189,7 @@ class JobSpec:
     jobs side by side.
     """
 
-    FIELDS = ("command", "surface", "beta", "A", "n", "n1", "n2",
-              "formula", "suite", "evaluator", "format", "order",
-              "seed", "threads", "out", "runs", "sw", "params")
+    FIELDS = ("command", "runs", "sw", "params") + FLAGS
 
     def __init__(self, doc):
         if not isinstance(doc, dict):
@@ -149,23 +203,10 @@ class JobSpec:
             raise SchemaError("command must be one of %s"
                               % ", ".join(COMMANDS))
 
-        self.surface_ref = doc.get("surface")
-        self.surface = None
-        if self.surface_ref is not None:
-            try:
-                self.surface = load_surface(self.surface_ref)
-            except (ValueError, OSError, KeyError) as err:
-                raise SchemaError("bad surface: %s" % err)
-
-        self.beta = _parse_vector(doc.get("beta"), "beta")
-        self.A = _parse_vector(doc.get("A"), "A")
-        for name, vec in (("beta", self.beta), ("A", self.A)):
-            if vec is not None and self.surface is not None:
-                try:
-                    self.surface.cls(vec)
-                except (ValueError, TypeError, IndexError):
-                    raise SchemaError(
-                        "field %r does not fit the surface lattice" % name)
+        ref = doc.get("surface")
+        self.surface = None if ref is None else _load_surface(ref)
+        self.beta = _parse_class(doc.get("beta"), "beta", self.surface)
+        self.A = _parse_class(doc.get("A"), "A", self.surface)
 
         self.n_range = _parse_n(doc.get("n"))
         self.n1 = _require_int(doc.get("n1", 0), "n1", least=0)
@@ -176,29 +217,34 @@ class JobSpec:
         self.seed = _require_int(doc.get("seed", 0), "seed")
         self.threads = _require_int(doc.get("threads", 1), "threads",
                                     least=1)
-        import os
         cpus = os.cpu_count()
         if cpus is not None and self.threads > cpus:
             raise SchemaError("field 'threads' must be at most %d, the"
                               " number of CPUs" % cpus)
         self.out = doc.get("out")
-        self.runs = doc.get("runs")
-        self.sw = doc.get("sw")
+        if self.out is not None and not isinstance(self.out, str):
+            raise SchemaError("field 'out' must be a file path")
         self.params = doc.get("params") or {}
         if not isinstance(self.params, dict):
             raise SchemaError("field 'params' must be an object")
         monomials = self.params.get("monomials")
-        if monomials is not None and not (
-                isinstance(monomials, (list, tuple)) and monomials
+        if monomials is None:
+            monomials = DEFAULT_FIT_MONOMIALS
+        if not (isinstance(monomials, (list, tuple)) and monomials
                 and all(name in MONOMIALS for name in monomials)):
             raise SchemaError("params.monomials must be a nonempty list of"
                               " names from %s" % ", ".join(MONOMIALS))
+        self.monomials = list(monomials)
         self.window = _parse_window(self.params.get("window"))
+        self.h2_vanishing = _parse_flag(self.params, "h2_vanishing",
+                                        "params.h2_vanishing")
         self.sw_entries = None
-        if self.sw is not None:
-            if not isinstance(self.sw, dict):
+        self.higher_mode = False
+        sw = doc.get("sw")
+        if sw is not None:
+            if not isinstance(sw, dict):
                 raise SchemaError("field 'sw' must be an object")
-            entries = self.sw.get("entries") or []
+            entries = sw.get("entries") or []
             if not isinstance(entries, (list, tuple)):
                 raise SchemaError("field 'sw.entries' must be a list")
             if self.surface is not None:
@@ -206,53 +252,72 @@ class JobSpec:
                     self.sw_entries = parse_sw_entries(self.surface, entries)
                 except ValueError as err:
                     raise SchemaError("field 'sw.entries': %s" % err)
+            self.higher_mode = _parse_flag(sw, "higher_mode",
+                                           "field 'sw.higher_mode'")
 
         self.format = doc.get("format") or "text"
         if self.format not in FORMATS:
             raise SchemaError("format must be one of %s"
                               % ", ".join(FORMATS))
-        want = COMMAND_EVALUATOR[self.command]
-        self.evaluator = doc.get("evaluator") or want or "equivariant"
-        if self.evaluator not in EVALUATORS:
-            raise SchemaError("evaluator must be one of %s"
-                              % ", ".join(EVALUATORS))
-        if want is not None and self.evaluator != want:
-            raise SchemaError("command %r runs on the %s evaluator"
-                              % (self.command, want))
 
         self._check_required()
+        if self.command in FORMULAS:
+            self._check_formula()
+        if self.command == "fit":
+            self.runs = _parse_runs(doc.get("runs"))
 
     def _check_required(self):
-        need = []
-        if self.command == "verify":
-            if self.suite not in SUITE_NAMES:
-                raise SchemaError("suite must be one of %s"
-                                  % ", ".join(SUITE_NAMES))
-        elif self.command == "push":
-            if not self.formula:
-                need.append("formula")
-        elif self.command == "integrate":
-            if self.surface is None:
-                need.append("surface")
-            if not self.formula:
-                need.append("formula")
-            if self.n_range is None:
-                need.append("n")
-        elif self.command == "vw":
-            if self.surface is None:
-                need.append("surface")
-            if self.beta is None:
-                need.append("beta")
-            if self.n_range is None:
-                need.append("n")
-        elif self.command == "fit":
-            if self.n_range is None:
-                need.append("n")
-            elif len(self.n_range) != 1:
-                raise SchemaError("fit takes a single n")
-        if need:
-            raise SchemaError("command %r needs field %r"
-                              % (self.command, need[0]))
+        if self.command == "verify" and self.suite not in SUITE_NAMES:
+            raise SchemaError("suite must be one of %s"
+                              % ", ".join(SUITE_NAMES))
+        have = {"surface": self.surface, "beta": self.beta,
+                "formula": self.formula, "n": self.n_range}
+        for name in REQUIRED.get(self.command, ()):
+            if not have[name]:
+                raise SchemaError("command %r needs field %r"
+                                  % (self.command, name))
+        if self.command == "fit" and len(self.n_range) != 1:
+            raise SchemaError("fit takes a single n")
+
+    def _check_formula(self):
+        """Set formula_name, formula_args and the custom tree expr."""
+        if not isinstance(self.formula, str):
+            raise SchemaError("field 'formula' must be a string")
+        name, _, tail = self.formula.partition(":")
+        args = []
+        for piece in tail.split(",") if tail else ():
+            try:
+                args.append(int(piece))
+            except ValueError:
+                raise SchemaError("formula argument %r is not an integer"
+                                  % piece)
+        if name not in FORMULAS[self.command]:
+            raise SchemaError("unknown formula %r" % name)
+        self.formula_name, self.formula_args = name, args
+        if name == "porteous" and len(args) != 3:
+            raise SchemaError("formula 'porteous' takes r,e0,e1")
+        if name == "reduced" and (self.surface is None or self.beta is None):
+            raise SchemaError("formula 'reduced' needs surface and beta")
+        if name == "reduced" and self.format == "csv":
+            raise SchemaError("format 'csv' fits only polynomial output")
+        if name == "co" and len(args) != 1:
+            raise SchemaError("formula 'co' takes the shift i")
+        if name == "co" and self.beta is None:
+            raise SchemaError("formula 'co' needs beta")
+        if name == "custom":
+            if "expr" not in self.params:
+                raise SchemaError("formula 'custom' needs params.expr")
+            try:
+                self.expr = expr_from_json(self.params["expr"], "params.expr")
+            except ValueError as err:
+                raise SchemaError(str(err))
+        if self.command == "integrate" and (self.n1 or self.n2):
+            # rows are labelled by n, which S^[n1] x S^[n2] ignores
+            if name != "custom":
+                raise SchemaError("fields 'n1' and 'n2' apply only to"
+                                  " formula 'custom'")
+            if len(self.n_range) != 1:
+                raise SchemaError("fields 'n1' and 'n2' take a single n")
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +530,6 @@ def _handle_verify(job):
     return (EXIT_OK if ok else EXIT_MATH), doc
 
 
-def _parse_formula(spec):
-    name, _, tail = spec.partition(":")
-    args = []
-    if tail:
-        for piece in tail.split(","):
-            try:
-                args.append(int(piece))
-            except ValueError:
-                raise SchemaError("formula argument %r is not an integer"
-                                  % piece)
-    return name, args
-
-
 def _term_string(ring, mono):
     parts = []
     for name, power in zip(ring.names, mono):
@@ -495,11 +547,8 @@ def _class_terms(cls):
 
 
 def _handle_push(job):
-    name, args = _parse_formula(job.formula)
-    if name == "porteous":
-        if len(args) != 3:
-            raise SchemaError("formula 'porteous' takes r,e0,e1")
-        r, e0, e1 = args
+    if job.formula_name == "porteous":
+        r, e0, e1 = job.formula_args
         codim = r * (e1 - e0 + r)
         size = max(codim, 1)
         ring = Ring(["c%d" % i for i in range(1, size + 1)],
@@ -511,42 +560,27 @@ def _handle_push(job):
         doc = {"formula": job.formula, "codim": codim,
                "class": _class_terms(cls), "text": str(cls)}
         return EXIT_OK, doc
-    if name == "reduced":
-        if job.surface is None or job.beta is None:
-            raise SchemaError("formula 'reduced' needs surface and beta")
-        A = job.A if job.A is not None else job.surface.zero_class()
-        expr, info = nested_reduced_formula(
-            job.n1, job.n2, job.surface, job.beta, A,
-            h2_vanishing=bool(job.params.get("h2_vanishing")))
-        doc = {"formula": job.formula, "expr": expr_to_json(expr),
-               "info": {k: int(v) for k, v in info.items()}}
-        return EXIT_OK, doc
-    raise SchemaError("unknown formula %r" % name)
+    A = job.A if job.A is not None else job.surface.zero_class()
+    expr, info = nested_reduced_formula(
+        job.n1, job.n2, job.surface, job.beta, A,
+        h2_vanishing=job.h2_vanishing)
+    doc = {"formula": job.formula, "expr": expr_to_json(expr),
+           "info": {k: int(v) for k, v in info.items()}}
+    return EXIT_OK, doc
 
 
 def _integrand(job, n):
-    name, args = _parse_formula(job.formula)
-    if name == "euler":
+    """The integrand of the job at length n, with its (n1, n2)."""
+    if job.formula_name == "euler":
         return FormulaExpr.euler(FormulaExpr.leaf("tangent")), 0, n
-    if name == "one":
+    if job.formula_name == "one":
         return FormulaExpr.one(), 0, n
-    if name == "co":
-        if len(args) != 1:
-            raise SchemaError("formula 'co' takes the shift i")
-        if job.beta is None:
-            raise SchemaError("formula 'co' needs beta")
-        return FormulaExpr.chern(n + args[0], co_class(bc=1)), 0, n
-    if name == "custom":
-        if "expr" not in job.params:
-            raise SchemaError("formula 'custom' needs params.expr")
-        try:
-            expr = expr_from_json(job.params["expr"], "params.expr")
-        except ValueError as err:
-            raise SchemaError(str(err))
-        if job.n1 or job.n2:
-            return expr, job.n1, job.n2
-        return expr, 0, n
-    raise SchemaError("unknown formula %r" % name)
+    if job.formula_name == "co":
+        return FormulaExpr.chern(n + job.formula_args[0],
+                                 co_class(bc=1)), 0, n
+    if job.n1 or job.n2:
+        return job.expr, job.n1, job.n2
+    return job.expr, 0, n
 
 
 def _handle_integrate(job):
@@ -561,15 +595,9 @@ def _handle_integrate(job):
                      "surface": job.surface.name, "rows": rows}
 
 
-def _sw_table(job):
-    if job.sw is None:
-        return SWTable(job.surface)
-    return SWTable(job.surface, entries=job.sw_entries,
-                   higher_mode=bool(job.sw.get("higher_mode")))
-
-
 def _handle_vw(job):
-    table = _sw_table(job)
+    table = SWTable(job.surface, entries=job.sw_entries,
+                    higher_mode=job.higher_mode)
     rows = []
     for n in job.n_range:
         result = monopole_contribution(
@@ -581,32 +609,8 @@ def _handle_vw(job):
 
 
 def _handle_fit(job):
-    source = job.runs if job.runs is not None else [
-        [name, list(beta)] for name, beta in DEFAULT_FIT_RUNS]
-    runs = []
-    for item in source:
-        if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
-            raise SchemaError("each run is [surface, beta] or"
-                              " [surface, beta, value]")
-        try:
-            surface = load_surface(item[0])
-        except (ValueError, OSError) as err:
-            raise SchemaError("bad surface in runs: %s" % err)
-        beta = _parse_vector(item[1], "runs.beta")
-        if len(item) == 3:
-            try:
-                value = parse_rational(str(item[2]))
-            except (ValueError, ZeroDivisionError):
-                raise SchemaError("run value %r is not rational"
-                                  % (item[2],))
-            runs.append((surface, beta, value))
-        else:
-            runs.append((surface, beta))
-    monomials = job.params.get("monomials")
-    if monomials is None:
-        monomials = list(DEFAULT_FIT_MONOMIALS)
-    fit = universality_fit(job.n_range[0], runs, monomials=monomials,
-                           seed=job.seed)
+    fit = universality_fit(job.n_range[0], job.runs,
+                           monomials=job.monomials, seed=job.seed)
     return EXIT_OK, fit_report(fit, order=job.order or 4)
 
 
@@ -640,8 +644,6 @@ def _render_csv(job, doc):
                 for c in doc["checks"]]
         return head + _csv_text(["check", "status"], rows)
     if job.command == "push":
-        if "class" not in doc:
-            raise SchemaError("format 'csv' fits only polynomial output")
         return head + _csv_text(["term", "coeff"], doc["class"])
     if job.command == "integrate":
         rows = [[row["n"], row["value"]] for row in doc["rows"]]
@@ -701,8 +703,6 @@ def run(job):
     try:
         code, doc = HANDLERS[job.command](job)
         return code, _render(job, doc)
-    except SchemaError as err:
-        return EXIT_SCHEMA, _render_error(EXIT_SCHEMA, str(err))
     except UniversalityError as err:
         return EXIT_RESIDUAL, _render_error(EXIT_RESIDUAL, str(err))
     except ValueError as err:
@@ -719,20 +719,8 @@ def build_parser():
         description="batch runner for intersection-theory jobs")
     parser.add_argument("command")
     parser.add_argument("--job", help="JSON job file; flags override it")
-    parser.add_argument("--suite")
-    parser.add_argument("--surface")
-    parser.add_argument("--beta")
-    parser.add_argument("--A", dest="A")
-    parser.add_argument("--formula")
-    parser.add_argument("--evaluator")
-    parser.add_argument("--n")
-    parser.add_argument("--n1")
-    parser.add_argument("--n2")
-    parser.add_argument("--order")
-    parser.add_argument("--threads")
-    parser.add_argument("--seed")
-    parser.add_argument("--format", dest="format")
-    parser.add_argument("--out")
+    for name in FLAGS:
+        parser.add_argument("--" + name)
     return parser
 
 
@@ -744,13 +732,11 @@ def _merge_job(args):
                 doc = json.load(fh)
         except OSError as err:
             raise SchemaError("cannot read job file: %s" % err)
-        except json.JSONDecodeError as err:
+        except ValueError as err:
             raise SchemaError("job file is not valid JSON: %s" % err)
         if not isinstance(doc, dict):
             raise SchemaError("job file must hold a JSON object")
-    for name in ("suite", "surface", "beta", "A", "formula", "evaluator",
-                 "n", "n1", "n2", "order", "threads", "seed", "format",
-                 "out"):
+    for name in FLAGS:
         value = getattr(args, name)
         if value is not None:
             doc[name] = value

@@ -910,10 +910,12 @@ class PointEvaluator:
         self._tangent = None
 
     def tangent(self):
-        """The point's tangent character, built once and shared by its
-        tangent leaves and the localization denominator."""
+        """The point's tangent character and its specialized weights,
+        built once and shared by its tangent leaves and the
+        localization denominator."""
         if self._tangent is None:
-            self._tangent = full_tangent_character(self.ctx, self.point)
+            ch = full_tangent_character(self.ctx, self.point)
+            self._tangent = ch, specialize_weights(ch, self.spec)
         return self._tangent
 
     def parts(self, index):
@@ -943,7 +945,7 @@ class PointEvaluator:
         elif name == "taut":
             ch = self.ctx.taut(self.parts(e.attr("level")), e.attr("a"))
         elif name == "tangent":
-            ch = self.tangent()
+            ch = self.tangent()[0]
         elif name == "O1":
             u = self.pb_vertex()
             ch = EquivChar.monomial(-u[0], -u[1])
@@ -983,6 +985,8 @@ class PointEvaluator:
         raise ValueError("not a K-level node: %r" % e.kind)
 
     def weights(self, e):
+        if e.kind == "leaf" and e.params == ("tangent",) and not e.attrs:
+            return self.tangent()[1]
         return specialize_weights(self.kval(e), self.spec)
 
     def cval(self, e):
@@ -1081,7 +1085,7 @@ def _point_contribution(ctx, expr, point, spec):
     ev = PointEvaluator(ctx, point, spec)
     val = ev.cval(expr)
     den = list(val.den_ws)
-    for (w, mult) in specialize_weights(ev.tangent(), spec):
+    for (w, mult) in ev.tangent()[1]:
         if w == (0, 0) or mult < 0:
             raise ValueError("non-isolated or non-generic weights")
         den.extend([w] * mult)

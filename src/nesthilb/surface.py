@@ -433,31 +433,37 @@ def parse_sw_entries(surface, entries):
 
 
 def surface_from_json(doc):
-    name = doc["name"]
-    prof = doc.get("profile") or {}
-    if doc.get("rays"):
-        surf = ToricSurface(name, doc["rays"], basis=doc.get("basis"))
-        if prof:
-            want = (prof["chiO"], prof["K2"], prof["e"], prof["q"], prof["pg"])
-            have = (surf.chiO, surf.K2, surf.e, surf.q, surf.pg)
-            if want != have:
+    """Surface from its JSON form (see surface_to_json).  A malformed
+    document raises ValueError naming the document."""
+    try:
+        name, prof = doc["name"], doc.get("profile") or {}
+        if doc.get("rays"):
+            surf = ToricSurface(name, doc["rays"], basis=doc.get("basis"))
+            if prof and any(prof[key] != getattr(surf, key)
+                            for key in ("chiO", "K2", "e", "q", "pg")):
                 raise ValueError("profile disagrees with the fan")
-    else:
-        K2 = prof["K2"]
-        gram = [[K2]] if K2 != 0 else [[0]]
-        K = [1] if K2 != 0 else [0]
-        surf = SurfaceData(name, prof["chiO"], K2, prof["e"], prof["q"],
-                           prof["pg"], gram, K)
-    surf.sw_table.update(parse_sw_entries(surf, doc.get("sw_table") or []))
+        else:
+            K2 = prof["K2"]
+            surf = SurfaceData(name, prof["chiO"], K2, prof["e"], prof["q"],
+                               prof["pg"], [[K2]], [1 if K2 != 0 else 0])
+        entries = doc.get("sw_table") or []
+    except (KeyError, TypeError, IndexError) as err:
+        raise ValueError("malformed surface document %r: %s: %s"
+                         % (doc, type(err).__name__, err))
+    surf.sw_table.update(parse_sw_entries(surf, entries))
     return surf
 
 
 def load_surface(source):
-    """Accept a built-in name, a JSON file path, or a parsed dict."""
+    """Accept a built-in name, a JSON file path, or a parsed dict; any
+    other source raises ValueError."""
     if isinstance(source, SurfaceData):
         return source
     if isinstance(source, dict):
         return surface_from_json(source)
+    if not isinstance(source, str):
+        raise ValueError("a surface is a name, a file path or a JSON"
+                         " object, not %r" % (source,))
     try:
         return builtin_surface(source)
     except ValueError:

@@ -1,6 +1,6 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, on
-every supported interpreter, after installing the test extra, with a
-time limit."""
+every supported interpreter, after installing the test extra and
+running the installed console script once, with a time limit."""
 
 import re
 from pathlib import Path
@@ -27,7 +27,11 @@ def test_workflow_runs_tier1():
     assert job["strategy"]["matrix"]["python-version"] \
         == ["3.10", "3.11", "3.12", "3.13"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
-    assert runs == ['pip install -e ".[test]"', tier1_command()]
+    # the [project.scripts] entry point is what users run; no test
+    # imports it
+    console = ('test "$(nesthilb integrate --surface P2 --formula euler'
+               ' --n 2 | head -n 1)" = 9')
+    assert runs == ['pip install -e ".[test]"', console, tier1_command()]
     setup = [step for step in job["steps"]
              if step.get("uses", "").startswith("actions/setup-python")]
     assert setup[0]["with"]["python-version"] \

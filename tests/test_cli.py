@@ -1,10 +1,14 @@
 """Job schema, dispatch, exit codes, and output formats of the batch
 front-end."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nesthilb import cli
 from nesthilb.ringcore import parse_rational
@@ -68,11 +72,12 @@ class TestJobSpec:
             job(command="verify", suite="everything")
 
     def test_evaluator_pinning(self):
-        with pytest.raises(SchemaError, match="equivariant evaluator"):
+        # each command runs on one evaluator, so there is no field for it
+        with pytest.raises(SchemaError, match="unknown field 'evaluator'"):
             job(command="integrate", surface="P2", formula="euler",
-                n=1, evaluator="formal")
-        j = job(command="push", formula="porteous:1,1,1")
-        assert j.evaluator == "formal"
+                n=1, evaluator="equivariant")
+        assert main(["push", "--formula", "porteous:1,1,1",
+                     "--evaluator", "formal"]) == EXIT_SCHEMA
 
     def test_format_and_counts(self):
         with pytest.raises(SchemaError, match="format"):
@@ -218,10 +223,11 @@ class TestRun:
         assert code == EXIT_OK
         assert text.splitlines()[0] == "0"
 
-    def test_unknown_formula_exits_schema(self):
-        code, text = run(job(command="push", formula="mystery"))
+    def test_unknown_formula_exits_schema(self, capsys):
+        code = main(["push", "--formula", "mystery"])
         assert code == EXIT_SCHEMA
-        assert json.loads(text)["error"]["code"] == EXIT_SCHEMA
+        assert json.loads(capsys.readouterr().out)["error"]["code"] \
+            == EXIT_SCHEMA
 
     def test_byte_reproducible(self):
         spec = dict(command="fit", n=0, format="json", seed=3)
@@ -319,6 +325,22 @@ class TestMain:
                      "basis": [0],
                      "sw_table": [{"beta": ["0", "1"], "sw": "1"}]}},
         {"command": "fit", "n": 0, "params": {"monomials": []}},
+        {"command": "vw", "beta": [0], "n": 0,
+         "surface": {"name": "x", "rays": [[1], [0, 1], [-1, -1]]}},
+        {"command": "vw", "beta": [0], "n": 0,
+         "surface": {"name": "x", "rays": [[1, 0], [0, 1], [-1, -1]],
+                     "basis": 5}},
+        {"command": "vw", "beta": [0], "n": 0,
+         "surface": {"name": "x", "profile": {"chiO": 1, "K2": None,
+                                              "e": 3, "q": 0, "pg": 0}}},
+        {"command": "fit", "n": 0,
+         "runs": [[{"rays": [[1, 0], [0, 1], [-1, -1]]}, [1]]]},
+        {"command": "fit", "n": 0, "runs": [[5, [1]]]},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "sw": {"entries": [{"beta": [0], "sw": 1}],
+                "higher_mode": "no"}},
+        {"command": "push", "formula": "reduced", "surface": "P2",
+         "beta": [1], "n2": 1, "params": {"h2_vanishing": "no"}},
     ])
     def test_malformed_params_and_sw_are_schema_errors(self, doc, tmp_path,
                                                        capsys):
@@ -329,6 +351,36 @@ class TestMain:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("doc", [
+        # S^[1] x S^[1] would be printed once per n, labelled n = 0, 1, 2
+        {"n": "0:2", "n1": 1, "n2": 1, "formula": "custom",
+         "params": {"expr": {"kind": "one"}}},
+        {"n": 1, "n1": 1, "formula": "euler"},
+    ])
+    def test_integrate_n1_n2_need_custom_and_one_n(self, doc, tmp_path,
+                                                   capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(doc, surface="P2")))
+        code = main(["integrate", "--job", str(path)])
+        assert code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["code"] == EXIT_SCHEMA
+        assert "'n1' and 'n2'" in json.loads(captured.out)["error"]["message"]
+        assert captured.err == ""
+
+    def test_custom_expr_parsed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        parse = cli.expr_from_json
+        monkeypatch.setattr(cli, "expr_from_json",
+                            lambda *a: calls.append(a) or parse(*a))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(
+            {"command": "integrate", "surface": "P2", "formula": "custom",
+             "n": "0:3", "params": {"expr": {"kind": "one"}}}))
+        assert main(["integrate", "--job", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "1\n0\n0\n0\n# seed 0\n"
+        assert len(calls) == 1
+
     def test_malformed_job_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -336,3 +388,123 @@ class TestMain:
         assert code == EXIT_SCHEMA
         assert "not valid JSON" \
             in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on random job documents
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                 st.sampled_from(["", "x", "1/0", "0:1"]),
+                 st.lists(st.integers(-1, 2), max_size=2), st.just({}))
+SMALL = st.integers(-2, 3)
+VECTORS = st.one_of(st.lists(SMALL, min_size=1, max_size=3),
+                    st.sampled_from(["1", "0,1", "1,1", "1/2", "x"]), JUNK)
+FANS = st.one_of(
+    st.sampled_from([[[1, 0], [0, 1], [-1, -1]],
+                     [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                     [[1], [0, 1], [-1, -1]], [[1, 0], [0, 1]]]),
+    st.lists(st.lists(SMALL, max_size=3), max_size=5), JUNK)
+PROFILES = st.one_of(
+    st.sampled_from([{"chiO": 1, "K2": 9, "e": 3, "q": 0, "pg": 0},
+                     {"chiO": 2, "K2": 0, "e": 24, "q": 0, "pg": 1},
+                     {"chiO": 1, "K2": None, "e": 3, "q": 0, "pg": 0},
+                     {"chiO": 1}]), JUNK)
+SW_ENTRIES = st.one_of(
+    st.lists(st.fixed_dictionaries(
+        {"beta": VECTORS, "sw": st.one_of(SMALL, st.sampled_from(["1/0"]))},
+        optional={"higher": st.one_of(st.lists(SMALL, max_size=2), JUNK)}),
+        max_size=2), JUNK)
+SURFACES = st.one_of(
+    st.sampled_from(["P2", "P1xP1", "F1", "F2", "K3", "elliptic",
+                     "general_type:2,3", "general_type:x", "QX"]),
+    st.fixed_dictionaries({}, optional={
+        "name": st.one_of(st.just("S"), JUNK), "rays": FANS,
+        "basis": st.one_of(st.lists(st.integers(-1, 4), max_size=3), JUNK),
+        "profile": PROFILES, "sw_table": SW_ENTRIES}),
+    JUNK)
+EXPRS = st.sampled_from([
+    {"kind": "one"},
+    {"kind": "euler", "children": [{"kind": "leaf", "params": ["tangent"]}]},
+    {"kind": "leaf", "params": ["taut"]}, {"foo": 1}, "x"])
+FIELD_VALUES = {
+    "surface": SURFACES, "beta": VECTORS, "A": VECTORS,
+    "n": st.one_of(st.integers(-1, 1),
+                   st.sampled_from(["0:1", "1:0", "0", "x", [0, 1], [0]]),
+                   JUNK),
+    "n1": st.one_of(st.integers(-1, 1), JUNK),
+    "n2": st.one_of(st.integers(-1, 1), JUNK),
+    "formula": st.one_of(st.sampled_from(
+        ["euler", "one", "co", "co:0", "co:1", "co:x", "custom",
+         "porteous:1,1,1", "porteous:1,2,2", "porteous:1,1",
+         "porteous:0,0,0", "reduced", "mystery", ""]), JUNK),
+    "suite": st.one_of(st.sampled_from(["segre", "characters", "x"]), JUNK),
+    "format": st.one_of(st.sampled_from(["text", "csv", "json", "xml"]),
+                        JUNK),
+    "order": st.one_of(st.integers(-1, 2), JUNK),
+    "seed": st.one_of(st.integers(0, 3), JUNK),
+    "threads": st.one_of(st.just(1), JUNK),
+    # never a path or a small integer: the job would write a file or an
+    # open descriptor
+    "out": st.sampled_from([None, [], {}, 1.5]),
+    "runs": st.one_of(st.lists(st.one_of(
+        st.tuples(SURFACES, VECTORS).map(list),
+        st.tuples(SURFACES, VECTORS, st.one_of(SMALL, JUNK)).map(list),
+        JUNK), max_size=3), JUNK),
+    "sw": st.one_of(st.fixed_dictionaries({}, optional={
+        "entries": SW_ENTRIES,
+        "higher_mode": st.one_of(st.booleans(), JUNK)}), JUNK),
+    "params": st.one_of(st.fixed_dictionaries({}, optional={
+        "expr": EXPRS,
+        "monomials": st.one_of(st.lists(st.sampled_from(
+            ["1", "c1sq", "betasq", "c1beta", "c2", "foo"]), max_size=4),
+            JUNK),
+        "window": st.one_of(st.lists(st.sampled_from(["0", "1/2", "x"]),
+                                     max_size=3), JUNK),
+        "h2_vanishing": st.one_of(st.booleans(), JUNK)}), JUNK),
+    "evaluator": JUNK, "extra": JUNK,
+}
+# one well-formed job of each kind; an example overrides up to three of
+# its fields and may run it under another command
+BASES = [
+    ("verify", {"suite": "segre"}),
+    ("verify", {"suite": "characters"}),
+    ("push", {"formula": "porteous:1,1,1"}),
+    ("push", {"formula": "reduced", "surface": "P2", "beta": [1], "n2": 1,
+              "params": {"h2_vanishing": True}}),
+    ("integrate", {"surface": "P2", "formula": "euler", "n": 1}),
+    ("integrate", {"surface": "P1xP1", "formula": "co:0", "beta": [1, 0],
+                   "n": "0:1", "format": "csv"}),
+    ("integrate", {"surface": "P2", "formula": "custom", "n": 1,
+                   "params": {"expr": {"kind": "one"}}}),
+    ("vw", {"surface": "P2", "beta": [0], "n": "0:1", "format": "json",
+            "sw": {"entries": [{"beta": [0], "sw": 1}]}}),
+    ("vw", {"surface": "P1xP1", "beta": [1, 1], "n": 1, "order": 1}),
+    ("fit", {"n": 0, "runs": [["P2", [1], 1], ["P2", [2], 2],
+                              ["P1xP1", [1, 1], 3], ["F2", [2, 1], 2]]}),
+    ("fit", {"n": 0}),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_contract(data):
+    """Every job document ends in a documented exit code, with a JSON
+    error document on failure, and nothing on stderr."""
+    command, doc = data.draw(st.sampled_from(BASES))
+    command = data.draw(st.one_of(st.just(command),
+                                  st.sampled_from(cli.COMMANDS + ("x",))))
+    doc = dict(doc)
+    for key in data.draw(st.lists(st.sampled_from(sorted(FIELD_VALUES)),
+                                  max_size=3, unique=True)):
+        doc[key] = data.draw(FIELD_VALUES[key])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "job.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--job", path])
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_MATH, EXIT_RESIDUAL)
+    if code != EXIT_OK:
+        assert json.loads(out.getvalue())["error"]["code"] == code
+    assert err.getvalue() == ""

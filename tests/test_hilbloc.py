@@ -274,6 +274,18 @@ class TestIntegration:
                 == gottsche_coefficient(3, n)
         assert equivariant_integrate(EULER, p1xp1(), 0, 2) == 14
 
+    def test_tangent_specialized_once_per_point(self, monkeypatch):
+        # the tangent leaf under euler and the localization denominator
+        # share one specialization of the point's tangent character
+        calls = []
+        specialize = H.specialize_weights
+        monkeypatch.setattr(H, "specialize_weights",
+                            lambda *a: calls.append(a) or specialize(*a))
+        value, info = equivariant_integrate(EULER, p1xp1(), 0, 2,
+                                            return_info=True)
+        assert value == 14 and info["attempts"] == 1
+        assert len(calls) == info["points"] == 14
+
     def test_fundamental_class_integrates_to_zero(self):
         assert equivariant_integrate(1, p2(), 0, 1) == 0
         assert equivariant_integrate(1, p2(), 1, 1) == 0
