@@ -23,7 +23,7 @@ from math import comb
 from .ringcore import Ring, GradedClass, KClass, series_invert, \
     rational_str, parse_rational
 from .bundles import grassmann_split_pushforward
-from .surface import load_surface, parse_sw_entries
+from .surface import ToricSurface, load_surface, parse_sw_entries
 from .porteous import FormulaExpr, FormalEnv, eval_formal, expr_to_json, \
     expr_from_json, degeneracy_pushforward_X, degeneracy_pushforward_GrB, \
     nested_reduced_formula, co_class
@@ -169,6 +169,9 @@ def _parse_runs(source):
                 raise SchemaError("run value %r is not rational"
                                   % (item[2],))
             runs.append((surface, beta, value))
+        elif not isinstance(surface, ToricSurface):
+            raise SchemaError("point contributions need a toric surface"
+                              " or a supplied table")
         else:
             runs.append((surface, beta))
     return runs
@@ -278,6 +281,9 @@ class JobSpec:
                                   % (self.command, name))
         if self.command == "fit" and len(self.n_range) != 1:
             raise SchemaError("fit takes a single n")
+        if self.command == "integrate" \
+                and not isinstance(self.surface, ToricSurface):
+            raise SchemaError("localization needs a toric surface")
 
     def _check_formula(self):
         """Set formula_name, formula_args and the custom tree expr."""
@@ -294,8 +300,14 @@ class JobSpec:
         if name not in FORMULAS[self.command]:
             raise SchemaError("unknown formula %r" % name)
         self.formula_name, self.formula_args = name, args
-        if name == "porteous" and len(args) != 3:
-            raise SchemaError("formula 'porteous' takes r,e0,e1")
+        if name == "porteous":
+            if len(args) != 3:
+                raise SchemaError("formula 'porteous' takes r,e0,e1")
+            r, e0, e1 = args
+            if not 1 <= r <= e0:
+                raise SchemaError("kernel rank out of range")
+            if e1 - e0 + r < 0:
+                raise SchemaError("negative expected codimension")
         if name == "reduced" and (self.surface is None or self.beta is None):
             raise SchemaError("formula 'reduced' needs surface and beta")
         if name == "reduced" and self.format == "csv":

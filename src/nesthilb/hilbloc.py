@@ -25,10 +25,12 @@ the Rhom correction of (chart, mu, nu, twist vertex), the tautological
 term of (chart, lam, vertex).  The LocalizationContext of an integral
 builds each distinct piece once; a point's character is one dict sum of
 its pieces.  The tangent character of a point is built once and shared
-by its tangent leaves and the localization denominator.  Before the
-s-expansion, the weights that numerator and denominator share cancel as
-multisets, which is exact because each weight is a nonzero linear form
-k s + c t; the zero-weight and collision checks run before that.
+by its tangent leaves and the localization denominator.  A point's
+weights are one exponent map {(k, c): e}, the product of (k s + c t)^e:
+positive e in the numerator, negative e in the denominator.  Products
+add exponents, so a weight shared by numerator and denominator cancels
+as it arises, which is exact because each weight is a nonzero linear
+form k s + c t; the zero-weight and collision checks run before that.
 """
 
 import math
@@ -126,12 +128,7 @@ class EquivChar:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = self.terms.get(k, 0) + v
-            self.terms = {k: v for k, v in self.terms.items() if v}
+        self.terms = {k: v for k, v in terms.items() if v} if terms else {}
 
     @staticmethod
     def monomial(p, q, c=0, coef=1):
@@ -586,9 +583,6 @@ class RatFunc:
         with no negative power allowed."""
         return self.series(0)[0]
 
-    def __reduce__(self):
-        return (RatFunc, (self.terms,))
-
     def __repr__(self):
         return "RatFunc(%r)" % (self.terms,)
 
@@ -621,12 +615,6 @@ def pol_scale(a, c):
 POL_ONE = {(0, 0): 1}
 
 
-def weight_poly(w):
-    """The linear polynomial k s + c t of a specialized weight."""
-    k, c = w
-    return {key: v for key, v in (((1, 0), k), ((0, 1), c)) if v}
-
-
 def weight_power_poly(w, j):
     """(k s + c t)^j expanded exactly."""
     k, c = w
@@ -647,16 +635,16 @@ class _Collision(Exception):
 
 
 def specialize_weights(char, spec):
-    """Multiset of specialized weights [(k, c), multiplicity] of a
-    character under (p, q) -> p*a + q*b."""
+    """Exponent map {(k, c): multiplicity} of the specialized weights of
+    a character under (p, q) -> p*a + q*b, without zero entries."""
     a, b = spec
-    out = []
+    out = {}
     for (p, q, c), mult in char.terms.items():
         k = p * a + q * b
         if k == 0 and c == 0 and (p, q) != (0, 0):
             raise _Collision
-        out.append(((k, c), mult))
-    return out
+        out[k, c] = out.get((k, c), 0) + mult
+    return {w: m for w, m in out.items() if m}
 
 
 def chern_value(weights, k):
@@ -667,7 +655,7 @@ def chern_value(weights, k):
     if k == 0:
         return dict(POL_ONE)
     arr = [dict(POL_ONE)] + [{} for _ in range(k)]
-    for (w, mult) in weights:
+    for w, mult in weights.items():
         if w == (0, 0):
             continue
         fac = [dict(POL_ONE)]
@@ -688,16 +676,27 @@ def chern_value(weights, k):
     return arr[k]
 
 
+def _exps_sum(a, b, sign=1):
+    """Exponent map of the product of a and b (of a over b with sign
+    -1), without zero entries."""
+    out = dict(a)
+    for w, e in b.items():
+        out[w] = out.get(w, 0) + sign * e
+    return {w: e for w, e in out.items() if e}
+
+
 class PointValue:
-    """Class value at a fixed point: an exact polynomial in s and t
-    times a ratio of products of linear weights."""
+    """Class value at a fixed point: an exact polynomial ``poly`` in s
+    and t times the product of (k s + c t)^e over the exponent map
+    ``exps`` = {(k, c): e}.  A positive e is a numerator power, a
+    negative e a denominator power; no entry is 0, and the weight
+    (0, 0) never occurs."""
 
-    __slots__ = ("poly", "num_ws", "den_ws")
+    __slots__ = ("poly", "exps")
 
-    def __init__(self, poly, num_ws=(), den_ws=()):
+    def __init__(self, poly, exps=None):
         self.poly = poly
-        self.num_ws = list(num_ws)
-        self.den_ws = list(den_ws)
+        self.exps = {} if exps is None else exps
 
     @staticmethod
     def unit():
@@ -709,59 +708,64 @@ class PointValue:
 
     def times(self, other):
         return PointValue(pol_mul(self.poly, other.poly),
-                          self.num_ws + other.num_ws,
-                          self.den_ws + other.den_ws)
+                          _exps_sum(self.exps, other.exps))
 
     def scaled(self, c):
-        return PointValue(pol_scale(self.poly, c), self.num_ws, self.den_ws)
+        return PointValue(pol_scale(self.poly, c), self.exps)
 
     def plus(self, other):
-        pa = self.poly
-        for w in self.num_ws:
-            pa = pol_mul(pa, weight_poly(w))
-        pb = other.poly
-        for w in other.num_ws:
-            pb = pol_mul(pb, weight_poly(w))
-        for w in other.den_ws:
-            pa = pol_mul(pa, weight_poly(w))
-        for w in self.den_ws:
-            pb = pol_mul(pb, weight_poly(w))
-        return PointValue(pol_add(pa, pb), [],
-                          self.den_ws + other.den_ws)
+        """The sum over the least common denominator: each weight at
+        the least exponent either side has, capped at 0."""
+        den = {}
+        for w in {**self.exps, **other.exps}:
+            e = min(self.exps.get(w, 0), other.exps.get(w, 0))
+            if e < 0:
+                den[w] = e
+        polys = []
+        for pv in (self, other):
+            poly = pv.poly
+            for w, e in _exps_sum(pv.exps, den, -1).items():
+                poly = pol_mul(poly, weight_power_poly(w, e))
+            polys.append(poly)
+        return PointValue(pol_add(*polys), den)
 
 
 def point_value_laurent(pv):
     """Coefficients of a point value at s-degrees <= 0, exact, as
     {(s_power, t_power): coefficient}.
 
-    A weight k s with c = 0 divides by s (and k); a weight k s + c t
-    with c != 0 expands as (1/(c t)) sum_j (-k s/(c t))^j.  Their
-    product is t^-m times a power series in s/t, computed once.
+    Positive powers multiply the polynomial.  A weight k s with c = 0
+    divides by s (and k); a weight k s + c t with c != 0 expands as
+    (1/(c t)) sum_j (-k s/(c t))^j.  Their product is t^-m times a
+    power series in s/t, computed once.
     """
-    hard = [k for k, c in pv.den_ws if c == 0]
-    cutoff = len(hard)
+    hard = {k: -e for (k, c), e in pv.exps.items() if c == 0 and e < 0}
+    cutoff = sum(hard.values())
     poly = {key: v for key, v in pv.poly.items() if key[0] <= cutoff}
-    for w in pv.num_ws:
-        poly = {key: v for key, v in pol_mul(poly, weight_poly(w)).items()
-                if key[0] <= cutoff}
+    for w, e in pv.exps.items():
+        if e > 0:
+            poly = {key: v for key, v in
+                    pol_mul(poly, weight_power_poly(w, e)).items()
+                    if key[0] <= cutoff}
     if not poly:
         return {}
     if 0 in hard:
         raise ValueError("non-isolated or non-generic weights")
     scalar = Fraction(1)
-    for k in hard:
-        scalar /= k
+    for k, m in hard.items():
+        scalar /= k ** m
     # coefficients of u^j, u = s/t, in prod 1/(c + k u), scalar included
     series = [scalar] + [Fraction(0)] * cutoff
     soft = 0
-    for (k, c) in pv.den_ws:
-        if c == 0:
+    for (k, c), e in pv.exps.items():
+        if c == 0 or e > 0:
             continue
-        soft += 1
+        soft -= e
         r = Fraction(-k, c)
-        series[0] /= c
-        for j in range(1, cutoff + 1):
-            series[j] = series[j] / c + r * series[j - 1]
+        for _ in range(-e):
+            series[0] /= c
+            for j in range(1, cutoff + 1):
+                series[j] = series[j] / c + r * series[j - 1]
     out = {}
     for (i, j), v in poly.items():
         for n in range(cutoff - i + 1):
@@ -775,12 +779,11 @@ def point_value_laurent(pv):
 # evaluation of formula trees at a fixed point
 
 
-def _char_sum(base, pieces):
-    """The character with terms ``base`` plus every term dict in
-    ``pieces``, summed in one dict."""
-    out = dict(base)
-    for terms in pieces:
-        for k, v in terms.items():
+def _char_sum(pieces):
+    """The sum of the characters ``pieces``, in one dict."""
+    out = {}
+    for piece in pieces:
+        for k, v in piece.terms.items():
             out[k] = out.get(k, 0) + v
     return EquivChar(out)
 
@@ -799,6 +802,13 @@ def _taut_chart_piece(m1, m2, lam, u):
     return box_character(lam, m1, m2).shift(u[0], u[1])
 
 
+def _chart_vertices(surface, beta):
+    """Integer chart vertices of the class, one per chart."""
+    return [(int(u[0]), int(u[1]))
+            for u in (surface.chart_vertex(chart, beta)
+                      for chart in surface.charts)]
+
+
 def _context(surface, with_pb=None):
     if isinstance(surface, LocalizationContext):
         return surface
@@ -811,7 +821,11 @@ class LocalizationContext:
 
     A fixed-point character is a sum of chart pieces, each a function of
     one chart and its partitions (and twist vertex); the context builds
-    each distinct piece once and keeps it for the whole integral.
+    each distinct piece once and keeps it for the whole integral.  Its
+    one memo, keyed by builder and arguments, holds the tangent, Rhom,
+    tautological and section-line chart pieces, the chart vertices and
+    the chi(L) character of each class, and the twist class of each
+    leaf's (bc, ac, kc).
     """
 
     def __init__(self, surface, beta=None, A=None, with_pb=None):
@@ -827,27 +841,18 @@ class LocalizationContext:
                 (int(u[0]), int(u[1]))
                 for u in surface.polytope_points(with_pb))
         self._pieces = {}
-        self._vertices = {}
-        self._twists = {}
 
     def piece(self, build, *args):
-        """The terms of ``build(*args)``, built once per context."""
+        """``build(*args)``, built once per context."""
         key = (build,) + args
-        terms = self._pieces.get(key)
-        if terms is None:
-            terms = self._pieces[key] = build(*args).terms
-        return terms
+        value = self._pieces.get(key)
+        if value is None:
+            value = self._pieces[key] = build(*args)
+        return value
 
-    def vertices(self, beta):
-        """Integer chart vertices of the class, one per chart."""
-        key = tuple(beta)
-        verts = self._vertices.get(key)
-        if verts is None:
-            S = self.surface
-            verts = self._vertices[key] = [
-                (int(u[0]), int(u[1]))
-                for u in (S.chart_vertex(chart, beta) for chart in S.charts)]
-        return verts
+    def chi(self, beta):
+        """chi(L) character of the class."""
+        return self.piece(chi_line_character, self.surface, tuple(beta))
 
     def tangent(self, point):
         """Tangent character at a fixed point, from cached pieces."""
@@ -858,33 +863,29 @@ class LocalizationContext:
         if self.sections is not None and point.pb is not None:
             pieces.append(self.piece(_section_line_offsets, self.sections,
                                      point.pb))
-        return _char_sum({}, pieces)
+        return _char_sum(pieces)
 
     def rhom(self, parts_a, parts_b, beta):
         """Rhom character at a fixed point: chi(L) plus cached chart
         corrections."""
-        pieces = [self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu, nu, u)
-                  for chart, u, mu, nu in zip(self.surface.charts,
-                                              self.vertices(beta),
-                                              parts_a, parts_b)
-                  if mu or nu]
-        return _char_sum(chi_line_character(self.surface, beta).terms,
-                         pieces)
+        verts = self.piece(_chart_vertices, self.surface, tuple(beta))
+        return _char_sum([self.chi(beta)] + [
+            self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu, nu, u)
+            for chart, u, mu, nu in zip(self.surface.charts, verts,
+                                        parts_a, parts_b)
+            if mu or nu])
 
     def taut(self, lams, beta):
         """Tautological bundle of the class at one nesting level."""
-        return _char_sum({}, [
+        verts = self.piece(_chart_vertices, self.surface, tuple(beta))
+        return _char_sum([
             self.piece(_taut_chart_piece, chart.m1, chart.m2, lam, u)
-            for chart, u, lam in zip(self.surface.charts,
-                                     self.vertices(beta), lams)
+            for chart, u, lam in zip(self.surface.charts, verts, lams)
             if lam])
 
     def twist_class(self, leaf):
-        key = (leaf.attr("bc"), leaf.attr("ac"), leaf.attr("kc"))
-        cls = self._twists.get(key)
-        if cls is None:
-            cls = self._twists[key] = self._twist_class(*key)
-        return cls
+        return self.piece(self._twist_class, leaf.attr("bc"),
+                          leaf.attr("ac"), leaf.attr("kc"))
 
     def _twist_class(self, bc, ac, kc):
         S = self.surface
@@ -932,16 +933,15 @@ class PointEvaluator:
 
     def leaf_char(self, e):
         name = e.params[0]
-        S = self.ctx.surface
         if name in ("rhom", "rhom0"):
             cls = self.ctx.twist_class(e)
             ch = rhom_global_character(
                 self.ctx, self.parts(e.attr("i")), self.parts(e.attr("j")),
                 cls)
             if name == "rhom0":
-                ch = ch - chi_line_character(S, cls)
+                ch = ch - self.ctx.chi(cls)
         elif name == "pushO":
-            ch = chi_line_character(S, self.ctx.twist_class(e))
+            ch = self.ctx.chi(self.ctx.twist_class(e))
         elif name == "taut":
             ch = self.ctx.taut(self.parts(e.attr("level")), e.attr("a"))
         elif name == "tangent":
@@ -996,18 +996,12 @@ class PointEvaluator:
             return PointValue(chern_value(self.weights(e.children[0]),
                                           e.params[0]))
         if e.kind == "euler":
-            num_ws, den_ws = [], []
-            poly = dict(POL_ONE)
-            for (w, mult) in self.weights(e.children[0]):
-                if w == (0, 0):
-                    if mult > 0:
-                        return PointValue.zero()
-                    raise ValueError("non-isolated or non-generic weights")
-                if mult > 0:
-                    num_ws.extend([w] * mult)
-                else:
-                    den_ws.extend([w] * (-mult))
-            return PointValue(poly, num_ws, den_ws)
+            exps = self.weights(e.children[0])
+            if (0, 0) in exps:
+                if exps[0, 0] > 0:
+                    return PointValue.zero()
+                raise ValueError("non-isolated or non-generic weights")
+            return PointValue(dict(POL_ONE), exps)
         if e.kind == "delta":
             a, b = e.params
             ws = self.weights(e.children[0])
@@ -1063,34 +1057,15 @@ def _pol_det(rows):
 # the integral
 
 
-def _cancel_shared(num_ws, den_ws):
-    """Drop the weights that num_ws and den_ws share, as multisets.
-
-    Exact, since every weight k s + c t other than (0, 0) is a nonzero
-    linear form; (0, 0) is never cancelled, so point_value_laurent still
-    rejects it."""
-    left = {}
-    for w in den_ws:
-        left[w] = left.get(w, 0) + 1
-    num = []
-    for w in num_ws:
-        if left.get(w) and w != (0, 0):
-            left[w] -= 1
-        else:
-            num.append(w)
-    return num, [w for w, m in left.items() for _ in range(m)]
-
-
 def _point_contribution(ctx, expr, point, spec):
     ev = PointEvaluator(ctx, point, spec)
     val = ev.cval(expr)
-    den = list(val.den_ws)
-    for (w, mult) in ev.tangent()[1]:
+    tangent = ev.tangent()[1]
+    for w, mult in tangent.items():
         if w == (0, 0) or mult < 0:
             raise ValueError("non-isolated or non-generic weights")
-        den.extend([w] * mult)
-    num, den = _cancel_shared(val.num_ws, den)
-    return point_value_laurent(PointValue(val.poly, num, den))
+    return point_value_laurent(
+        PointValue(val.poly, _exps_sum(val.exps, tangent, -1)))
 
 
 def _draw_spec(rng):

@@ -242,6 +242,25 @@ class TestRun:
         assert json.loads(text)["seed"] == 5
 
 
+# jobs outside the math's domain, with the message the math would raise
+OUT_OF_DOMAIN = [
+    ({"command": "integrate", "surface": "K3", "formula": "euler", "n": 1},
+     "localization needs a toric surface"),
+    ({"command": "integrate", "surface": "elliptic", "formula": "co:0",
+      "beta": [0], "n": 1}, "localization needs a toric surface"),
+    ({"command": "push", "formula": "porteous:0,0,0"},
+     "kernel rank out of range"),
+    ({"command": "push", "formula": "porteous:2,0,1"},
+     "kernel rank out of range"),
+    ({"command": "push", "formula": "porteous:1,-1,0"},
+     "kernel rank out of range"),
+    ({"command": "push", "formula": "porteous:1,3,0"},
+     "negative expected codimension"),
+    ({"command": "fit", "n": 0, "runs": [["K3", [0]], ["P2", [1]]]},
+     "point contributions need a toric surface or a supplied table"),
+]
+
+
 class TestMain:
     def test_flag_example(self, capsys):
         code = main(["integrate", "--surface", "P2", "--formula",
@@ -341,7 +360,7 @@ class TestMain:
                 "higher_mode": "no"}},
         {"command": "push", "formula": "reduced", "surface": "P2",
          "beta": [1], "n2": 1, "params": {"h2_vanishing": "no"}},
-    ])
+    ] + [doc for doc, _ in OUT_OF_DOMAIN])
     def test_malformed_params_and_sw_are_schema_errors(self, doc, tmp_path,
                                                        capsys):
         path = tmp_path / "job.json"
@@ -350,6 +369,15 @@ class TestMain:
         assert code == EXIT_SCHEMA
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("doc,message", OUT_OF_DOMAIN)
+    def test_out_of_domain_jobs_keep_the_math_message(self, doc, message,
+                                                      tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        assert main([doc["command"], "--job", str(path)]) == EXIT_SCHEMA
+        assert json.loads(capsys.readouterr().out)["error"]["message"] \
+            == message
 
     @pytest.mark.parametrize("doc", [
         # S^[1] x S^[1] would be printed once per n, labelled n = 0, 1, 2

@@ -286,6 +286,20 @@ class TestIntegration:
         assert value == 14 and info["attempts"] == 1
         assert len(calls) == info["points"] == 14
 
+    def test_chi_built_once_per_class(self, monkeypatch):
+        # the context memo builds each twist class's chi(L) once for
+        # the whole integral, not once per rhom or pushO leaf per point
+        from nesthilb.vw import monopole_integrand
+        calls = []
+        chi = H.chi_line_character
+        monkeypatch.setattr(H, "chi_line_character",
+                            lambda S, beta: calls.append(beta) or chi(S, beta))
+        value, info = equivariant_integrate(
+            monopole_integrand(1, 1), p1xp1(), 1, 1, beta=(1, 1),
+            refined=True, return_info=True)
+        assert info["points"] == 16 and info["attempts"] == 1
+        assert len(calls) == len(set(calls)) == 5
+
     def test_fundamental_class_integrates_to_zero(self):
         assert equivariant_integrate(1, p2(), 0, 1) == 0
         assert equivariant_integrate(1, p2(), 1, 1) == 0

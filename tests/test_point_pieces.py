@@ -101,15 +101,64 @@ class UncachedContext(H.LocalizationContext):
                                  leaf.attr("kc"))
 
 
+def ref_weight_poly(w):
+    """The linear polynomial k s + c t of a specialized weight."""
+    k, c = w
+    return {key: v for key, v in (((1, 0), k), ((0, 1), c)) if v}
+
+
+def ref_point_value_laurent(poly, num_ws, den_ws):
+    """The s-degree <= 0 expansion of poly * prod(num_ws) / prod(den_ws)
+    from weight lists, one linear factor at a time and nothing
+    cancelled."""
+    hard = [k for k, c in den_ws if c == 0]
+    cutoff = len(hard)
+    poly = {key: v for key, v in poly.items() if key[0] <= cutoff}
+    for w in num_ws:
+        poly = {key: v for key, v in H.pol_mul(poly,
+                                                ref_weight_poly(w)).items()
+                if key[0] <= cutoff}
+    if not poly:
+        return {}
+    if 0 in hard:
+        raise ValueError("non-isolated or non-generic weights")
+    scalar = Fraction(1)
+    for k in hard:
+        scalar /= k
+    series = [scalar] + [Fraction(0)] * cutoff
+    soft = 0
+    for (k, c) in den_ws:
+        if c == 0:
+            continue
+        soft += 1
+        r = Fraction(-k, c)
+        series[0] /= c
+        for j in range(1, cutoff + 1):
+            series[j] = series[j] / c + r * series[j - 1]
+    out = {}
+    for (i, j), v in poly.items():
+        for n in range(cutoff - i + 1):
+            if series[n]:
+                key = (i + n - cutoff, j - soft - n)
+                out[key] = out.get(key, 0) + v * series[n]
+    return {k: v for k, v in out.items() if v}
+
+
+def weight_lists(exps):
+    """Numerator and denominator weight lists of an exponent map, each
+    weight repeated as often as its exponent says."""
+    return ([w for w, e in exps.items() for _ in range(e)],
+            [w for w, e in exps.items() for _ in range(-e)])
+
+
 def ref_point_contribution(ctx, expr, point, spec):
     val = H.PointEvaluator(ctx, point, spec).cval(expr)
-    den = []
-    for (w, mult) in H.specialize_weights(ctx.tangent(point), spec):
+    num, den = weight_lists(val.exps)
+    for w, mult in H.specialize_weights(ctx.tangent(point), spec).items():
         if w == (0, 0) or mult < 0:
             raise ValueError("non-isolated or non-generic weights")
         den.extend([w] * mult)
-    return H.point_value_laurent(
-        H.PointValue(val.poly, val.num_ws, val.den_ws + den))
+    return ref_point_value_laurent(val.poly, num, den)
 
 
 def ref_pol_det(rows):
@@ -271,11 +320,12 @@ class TestCollisions:
 
 
 class TestCancellation:
-    def test_shared_weights_cancel_as_multisets(self):
-        num, den = H._cancel_shared([(1, 0), (1, 0), (2, 1), (0, 0)],
-                                    [(1, 0), (2, 1), (2, 1), (0, 0)])
-        assert sorted(num) == [(0, 0), (1, 0)]
-        assert sorted(den) == [(0, 0), (2, 1)]
+    def test_weight_times_inverse_leaves_no_entry(self):
+        a = H.PointValue(dict(H.POL_ONE), {(2, 1): 1, (1, 0): -2})
+        b = H.PointValue({(0, 1): 3}, {(2, 1): -1, (1, 0): 1})
+        prod = a.times(b)
+        assert prod.exps == {(1, 0): -1}
+        assert prod.poly == {(0, 1): 3}
 
     def test_negative_s_powers_survive(self):
         # e(T) e(-T)^2 leaves 1/e(T)^2 at each point after cancelling
@@ -296,6 +346,79 @@ class TestCancellation:
 polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(-1, 2)),
     st.integers(-3, 3).filter(bool).map(Fraction), max_size=3)
+
+
+class RefPointValue:
+    """A point value as polynomial and weight lists, with the sum taken
+    over the product of both denominators."""
+
+    def __init__(self, poly, num_ws=(), den_ws=()):
+        self.poly = poly
+        self.num_ws = list(num_ws)
+        self.den_ws = list(den_ws)
+
+    def times(self, other):
+        return RefPointValue(H.pol_mul(self.poly, other.poly),
+                             self.num_ws + other.num_ws,
+                             self.den_ws + other.den_ws)
+
+    def scaled(self, c):
+        return RefPointValue(H.pol_scale(self.poly, c), self.num_ws,
+                             self.den_ws)
+
+    def plus(self, other):
+        pa, pb = self.poly, other.poly
+        for w in self.num_ws + other.den_ws:
+            pa = H.pol_mul(pa, ref_weight_poly(w))
+        for w in other.num_ws + self.den_ws:
+            pb = H.pol_mul(pb, ref_weight_poly(w))
+        return RefPointValue(H.pol_add(pa, pb), [],
+                             self.den_ws + other.den_ws)
+
+
+# a small pool, so that weights repeat across leaves; c = 0 included
+weights = st.sampled_from([(1, 0), (-2, 0), (3, 0), (0, 1), (0, -2),
+                           (1, 1), (2, -1), (-3, 2)])
+
+
+@st.composite
+def point_leaves(draw):
+    exps = draw(st.dictionaries(weights, st.integers(-2, 2).filter(bool),
+                                max_size=3))
+    return draw(polys), exps
+
+
+def point_trees():
+    return st.recursive(
+        point_leaves(),
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(["times", "plus"]), sub, sub),
+            st.tuples(st.just("scaled"),
+                      st.integers(-3, 3).map(Fraction), sub)),
+        max_leaves=5)
+
+
+def build(tree, make):
+    """The value of a tree of times, plus and scaled over leaves
+    (poly, exps), with make(poly, exps) building a leaf."""
+    if tree[0] == "scaled":
+        return build(tree[2], make).scaled(tree[1])
+    if tree[0] in ("times", "plus"):
+        a, b = build(tree[1], make), build(tree[2], make)
+        return getattr(a, tree[0])(b)
+    return make(*tree)
+
+
+class TestExponentMap:
+    @settings(max_examples=150, deadline=None)
+    @given(point_trees())
+    def test_laurent_matches_weight_lists(self, tree):
+        value = build(tree, H.PointValue)
+        ref = build(tree, lambda poly, exps:
+                    RefPointValue(poly, *weight_lists(exps)))
+        assert all(value.exps.values())
+        assert H.point_value_laurent(value) \
+            == ref_point_value_laurent(ref.poly, ref.num_ws, ref.den_ws)
 
 
 @st.composite

@@ -1,13 +1,21 @@
 """The benchmark's tracer patches named nesthilb functions from outside
-the package; every name it lists must still exist."""
+the package; every name it lists must still exist, and a traced job
+must still pass through the spans of the per-point loop."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from nesthilb import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -39,3 +47,32 @@ def test_hot_paths_listed():
                    ("hilbloc", "chern_value"),
                    ("hilbloc", "point_value_laurent")):
         assert target in TARGETS
+
+
+def test_traced_job_fires_per_point_spans(tmp_path, capsys):
+    # a refactor that bypassed a traced function would leave its span
+    # silent without changing any output
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"sw": {"entries": [{"beta": [0],
+                                                    "sw": 1}]}}))
+    argv = ["vw", "--surface", "P2", "--beta", "0", "--n", "1",
+            "--job", str(job)]
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "jobproc.py"), str(record), "1",
+         "trace-check", "cli"] + argv,
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == cli.EXIT_OK
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.splitlines()[0] == "-9/512"
+    doc = json.loads(record.read_text())
+    names = {span[0] for span in doc["spans"]}
+    for name in ("hilbloc.integrate", "hilbloc.tangent_char",
+                 "hilbloc.rhom_char", "hilbloc.chi", "hilbloc.chern_value",
+                 "hilbloc.laurent"):
+        assert name in names, name
+    # S^[n1] x S^[n2] over n1 + n2 = 1 on P2: 3 points for each split
+    assert doc["counts"]["hilbloc.fixed_points"] == 6
