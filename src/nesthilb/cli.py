@@ -49,6 +49,9 @@ REQUIRED = {"push": ("formula",), "integrate": ("surface", "formula", "n"),
             "vw": ("surface", "beta", "n"), "fit": ("n",)}
 FORMULAS = {"push": ("porteous", "reduced"),
             "integrate": ("euler", "one", "co", "custom")}
+# the keys the two nested objects of a job may hold
+PARAMS_KEYS = ("expr", "monomials", "window", "h2_vanishing")
+SW_KEYS = ("entries", "higher_mode")
 
 DEFAULT_FIT_RUNS = (("P2", (1,)), ("P2", (2,)), ("P1xP1", (1, 1)),
                     ("P1xP1", (2, 2)), ("F2", (2, 1)), ("F2", (4, 2)))
@@ -142,6 +145,12 @@ def _parse_window(value):
         raise SchemaError("params.window must be a pair of rationals")
 
 
+def _check_keys(obj, allowed, prefix=""):
+    for key in obj:
+        if key not in allowed:
+            raise SchemaError("unknown field %r" % (prefix + str(key)))
+
+
 def _parse_flag(obj, key, name):
     value = obj.get(key, False)
     if not isinstance(value, bool):
@@ -184,7 +193,8 @@ class JobSpec:
     lengths), the formula or suite to run, output options, and the seed
     that fixes the weight specialization.  Every field is parsed once,
     here (surfaces, formula, ``custom`` tree, fit runs, Seiberg-Witten
-    entries, boolean params); the handlers only compute.
+    entries, boolean params), and a ``vw`` job's Seiberg-Witten table
+    is built here; the handlers only compute.
 
     ``threads`` is accepted and validated (an integer from 1 to the CPU
     count) so that existing job files keep running, but nothing reads
@@ -197,9 +207,7 @@ class JobSpec:
     def __init__(self, doc):
         if not isinstance(doc, dict):
             raise SchemaError("job must be a JSON object")
-        for key in doc:
-            if key not in self.FIELDS:
-                raise SchemaError("unknown field %r" % key)
+        _check_keys(doc, self.FIELDS)
 
         self.command = doc.get("command")
         if self.command not in COMMANDS:
@@ -230,6 +238,7 @@ class JobSpec:
         self.params = doc.get("params") or {}
         if not isinstance(self.params, dict):
             raise SchemaError("field 'params' must be an object")
+        _check_keys(self.params, PARAMS_KEYS, "params.")
         monomials = self.params.get("monomials")
         if monomials is None:
             monomials = DEFAULT_FIT_MONOMIALS
@@ -241,22 +250,22 @@ class JobSpec:
         self.window = _parse_window(self.params.get("window"))
         self.h2_vanishing = _parse_flag(self.params, "h2_vanishing",
                                         "params.h2_vanishing")
-        self.sw_entries = None
-        self.higher_mode = False
+        sw_entries, higher_mode = None, False
         sw = doc.get("sw")
         if sw is not None:
             if not isinstance(sw, dict):
                 raise SchemaError("field 'sw' must be an object")
+            _check_keys(sw, SW_KEYS, "sw.")
             entries = sw.get("entries") or []
             if not isinstance(entries, (list, tuple)):
                 raise SchemaError("field 'sw.entries' must be a list")
             if self.surface is not None:
                 try:
-                    self.sw_entries = parse_sw_entries(self.surface, entries)
+                    sw_entries = parse_sw_entries(self.surface, entries)
                 except ValueError as err:
                     raise SchemaError("field 'sw.entries': %s" % err)
-            self.higher_mode = _parse_flag(sw, "higher_mode",
-                                           "field 'sw.higher_mode'")
+            higher_mode = _parse_flag(sw, "higher_mode",
+                                      "field 'sw.higher_mode'")
 
         self.format = doc.get("format") or "text"
         if self.format not in FORMATS:
@@ -268,6 +277,11 @@ class JobSpec:
             self._check_formula()
         if self.command == "fit":
             self.runs = _parse_runs(doc.get("runs"))
+        if self.command == "vw":
+            try:
+                self.sw_table = SWTable(self.surface, sw_entries, higher_mode)
+            except ValueError as err:
+                raise SchemaError(str(err))
 
     def _check_required(self):
         if self.command == "verify" and self.suite not in SUITE_NAMES:
@@ -310,6 +324,8 @@ class JobSpec:
                 raise SchemaError("negative expected codimension")
         if name == "reduced" and (self.surface is None or self.beta is None):
             raise SchemaError("formula 'reduced' needs surface and beta")
+        if name == "reduced" and not self.h2_vanishing:
+            raise SchemaError("reduced formula needs the H2-vanishing flag")
         if name == "reduced" and self.format == "csv":
             raise SchemaError("format 'csv' fits only polynomial output")
         if name == "co" and len(args) != 1:
@@ -608,12 +624,10 @@ def _handle_integrate(job):
 
 
 def _handle_vw(job):
-    table = SWTable(job.surface, entries=job.sw_entries,
-                    higher_mode=job.higher_mode)
     rows = []
     for n in job.n_range:
         result = monopole_contribution(
-            job.surface, table, job.beta, n, refined=job.order > 0,
+            job.surface, job.sw_table, job.beta, n, refined=job.order > 0,
             order=job.order or None, seed=job.seed, window=job.window)
         rows.extend(result.rows(job.order or None))
     return EXIT_OK, {"surface": job.surface.name,

@@ -382,113 +382,106 @@ def normalize(expr, surface=None, beta=None, sw_table=None, rank_env=None):
     classes of fully dualized arguments by c_k(V*) = (-1)^k c_k(V),
     expands chern-of-twist when the degree equals the argument's
     virtual rank (rank-level Manivel identity), resolves Seiberg-Witten
-    leaves against a table when surface and beta are supplied, flattens
+    leaves against a table (class -> (invariant, pairings), by default
+    the surface's own) when surface and beta are supplied, flattens
     and sorts commutative operations, and collects scales.
     """
-    expr = _serre_orient(expr)
-    expr = _push_dual(expr)
-    return _norm(expr, surface, beta, sw_table, rank_env)
+    resolve = surface is not None and beta is not None
+    if resolve and sw_table is None:
+        sw_table = surface.sw_table
 
+    def _norm(e):
+        e = FormulaExpr(e.kind, e.params, e.attrs,
+                        tuple(_norm(c) for c in e.children))
 
-def _resolve_sw(e, surface, beta, sw_table):
-    cls = surface.scale(e.attr("bc"), surface.cls(beta))
-    cls = surface.add(cls, surface.scale(e.attr("kc"), surface.K))
-    table = sw_table if sw_table is not None else surface.sw_table
-    entry = table.get(tuple(cls), 0)
-    j = e.attr("j")
-    if isinstance(entry, tuple):
-        value, higher = entry
-    else:
-        value, higher = entry, ()
-    if j == 0:
-        return Fraction(value)
-    if j - 1 < len(higher):
-        return Fraction(higher[j - 1])
-    return Fraction(0)
+        if e.kind == "leaf" and e.params[0] == "sw" and resolve:
+            val = _resolve_sw(e, surface, beta, sw_table)
+            return _norm(FormulaExpr.scale(val, FormulaExpr("mul")))
 
+        if e.kind == "chern":
+            (k,), (arg,) = e.params, e.children
+            if _all_dual(arg):
+                inner = _norm(FormulaExpr.chern(k, _strip_dual(arg)))
+                if k % 2:
+                    return _norm(FormulaExpr.scale(-1, inner))
+                return inner
+            if arg.kind == "twist" and rank_env is not None:
+                body, line = arg.children
+                m = arg.params[0]
+                if virtual_rank(body, rank_env) == k:
+                    h = FormulaExpr.chern(1, line)
+                    terms = []
+                    for j in range(k + 1):
+                        factors = [FormulaExpr.chern(k - j, body)] + [h] * j
+                        t = FormulaExpr.mul(*factors)
+                        if m != 1 and j:
+                            t = FormulaExpr.scale(Fraction(m) ** j, t)
+                        terms.append(t)
+                    return _norm(FormulaExpr.add(*terms))
+            if k == 0:
+                return FormulaExpr("mul")
+            return e
 
-def _norm(e, surface, beta, sw_table, rank_env):
-    kids = tuple(_norm(c, surface, beta, sw_table, rank_env)
-                 for c in e.children)
-    e = FormulaExpr(e.kind, e.params, e.attrs, kids)
+        if e.kind == "ksum":
+            flat = []
+            for c in e.children:
+                flat.extend(c.children if c.kind == "ksum" else [c])
+            return FormulaExpr("ksum",
+                               children=sorted(flat, key=lambda x: x.key()))
 
-    if e.kind == "leaf" and e.params[0] == "sw" and surface is not None \
-            and beta is not None:
-        val = _resolve_sw(e, surface, beta, sw_table)
-        return _norm(FormulaExpr.scale(val, FormulaExpr("mul")),
-                     surface, beta, sw_table, rank_env)
+        if e.kind == "add":
+            flat = []
+            for c in e.children:
+                flat.extend(c.children if c.kind == "add" else [c])
+            if len(flat) == 1:
+                return flat[0]
+            return FormulaExpr("add",
+                               children=sorted(flat, key=lambda x: x.key()))
 
-    if e.kind == "chern":
-        (k,), (arg,) = e.params, e.children
-        if _all_dual(arg):
-            inner = _norm(FormulaExpr.chern(k, _strip_dual(arg)),
-                          surface, beta, sw_table, rank_env)
-            if k % 2:
-                return _norm(FormulaExpr.scale(-1, inner),
-                             surface, beta, sw_table, rank_env)
-            return inner
-        if arg.kind == "twist" and rank_env is not None:
-            body, line = arg.children
-            m = arg.params[0]
-            if virtual_rank(body, rank_env) == k:
-                h = FormulaExpr.chern(1, line)
-                terms = []
-                for j in range(k + 1):
-                    factors = [FormulaExpr.chern(k - j, body)] + [h] * j
-                    t = FormulaExpr.mul(*factors)
-                    if m != 1 and j:
-                        t = FormulaExpr.scale(Fraction(m) ** j, t)
-                    terms.append(t)
-                return _norm(FormulaExpr.add(*terms),
-                             surface, beta, sw_table, rank_env)
-        if k == 0:
+        if e.kind in ("mul", "scale"):
+            coeff = Fraction(1)
+            factors = []
+            stack = [e]
+            while stack:
+                cur = stack.pop()
+                if cur.kind == "scale":
+                    coeff *= cur.params[0]
+                    stack.append(cur.children[0])
+                elif cur.kind in ("mul", "one"):
+                    stack.extend(cur.children)
+                else:
+                    factors.append(cur)
+            if any(f == ZERO_CLASS for f in factors):
+                return ZERO_CLASS
+            factors.sort(key=lambda x: x.key())
+            if len(factors) == 1:
+                body = factors[0]
+            else:
+                body = FormulaExpr("mul", children=factors)
+            if coeff == 1:
+                return body
+            if coeff == 0:
+                return ZERO_CLASS
+            return FormulaExpr.scale(coeff, body)
+
+        if e.kind == "one":
             return FormulaExpr("mul")
+
         return e
 
-    if e.kind == "ksum":
-        flat = []
-        for c in e.children:
-            flat.extend(c.children if c.kind == "ksum" else [c])
-        return FormulaExpr("ksum", children=sorted(flat, key=lambda x: x.key()))
+    return _norm(_push_dual(_serre_orient(expr)))
 
-    if e.kind == "add":
-        flat = []
-        for c in e.children:
-            flat.extend(c.children if c.kind == "add" else [c])
-        if len(flat) == 1:
-            return flat[0]
-        return FormulaExpr("add", children=sorted(flat, key=lambda x: x.key()))
 
-    if e.kind in ("mul", "scale"):
-        coeff = Fraction(1)
-        factors = []
-        stack = [e]
-        while stack:
-            cur = stack.pop()
-            if cur.kind == "scale":
-                coeff *= cur.params[0]
-                stack.append(cur.children[0])
-            elif cur.kind in ("mul", "one"):
-                stack.extend(cur.children)
-            else:
-                factors.append(cur)
-        if any(f == ZERO_CLASS for f in factors):
-            return ZERO_CLASS
-        factors.sort(key=lambda x: x.key())
-        if len(factors) == 1:
-            body = factors[0]
-        else:
-            body = FormulaExpr("mul", children=factors)
-        if coeff == 1:
-            return body
-        if coeff == 0:
-            return ZERO_CLASS
-        return FormulaExpr.scale(coeff, body)
-
-    if e.kind == "one":
-        return FormulaExpr("mul")
-
-    return e
+def _resolve_sw(e, surface, beta, table):
+    cls = surface.scale(e.attr("bc"), surface.cls(beta))
+    cls = surface.add(cls, surface.scale(e.attr("kc"), surface.K))
+    value, pairings = table.get(tuple(cls), (0, ()))
+    j = e.attr("j")
+    if j == 0:
+        return Fraction(value)
+    if j - 1 < len(pairings):
+        return Fraction(pairings[j - 1])
+    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +696,8 @@ def nested_vir_comparison(n1, n2, beta=None):
     capped against the product of the ambient cycle with the virtual
     cycle of the curve system.
     """
-    CO = FormulaExpr.kdiff(pushO(bc=1, o1=1), rhom(1, 2, bc=1, o1=1))
-    body = FormulaExpr.chern(n1 + n2, CO)
-    cycle = FormulaExpr.leaf("svir")
-    return FormulaExpr.cap(cycle, body)
+    body = FormulaExpr.chern(n1 + n2, co_class(bc=1, o1=1))
+    return FormulaExpr.cap(FormulaExpr.leaf("svir"), body)
 
 
 def co_class(bc=1, o1=0):
@@ -733,17 +724,11 @@ def ell_step_formula(n, beta, surface=None, A=None):
             d_i = twist_dim_d(surface, beta[i], A)
         else:
             d_i = 0
-        B1 = FormulaExpr.twist(
-            FormulaExpr.leaf("pushO", bc=1, ac=1, kc=0, o1=0, tp=0, lvl=i),
-            o1_line(lvl=i), 1)
-        R1 = FormulaExpr.leaf("rhom", i=i + 1, j=i + 2, bc=1, ac=0, kc=0,
-                              o1=1, tp=0, lvl=i)
+        B1 = FormulaExpr.twist(pushO(bc=1, ac=1, lvl=i), o1_line(lvl=i), 1)
+        R1 = rhom(i + 1, i + 2, bc=1, o1=1, lvl=i)
         reduced_factors.append(FormulaExpr.chern(
             n[i] + n[i + 1] + d_i, FormulaExpr.kdiff(B1, R1)))
-        CO = FormulaExpr.kdiff(
-            FormulaExpr.leaf("pushO", bc=1, ac=0, kc=0, o1=1, tp=0, lvl=i),
-            FormulaExpr.leaf("rhom", i=i + 1, j=i + 2, bc=1, ac=0, kc=0,
-                             o1=1, tp=0, lvl=i))
+        CO = FormulaExpr.kdiff(pushO(bc=1, o1=1, lvl=i), R1)
         co_factors.append(FormulaExpr.chern(n[i] + n[i + 1], CO))
     return FormulaExpr.mul(*reduced_factors), FormulaExpr.mul(*co_factors)
 

@@ -535,7 +535,7 @@ def delta_det(a, b, c):
     >>> R = Ring(["c1", "c2"], degrees=[1, 2], D=4)
     >>> c = R.one() + R.gen("c1") + R.gen("c2")
     >>> delta_det(2, 1, c)
-    c1^2 - c2
+    -c2 + c1^2
     """
     if a < 0:
         raise ValueError("invalid")

@@ -32,8 +32,7 @@ class SurfaceData:
 
     gram is the intersection matrix of the chosen Neron-Severi basis,
     K the canonical class in that basis, sw_table a map from class
-    tuples to Seiberg-Witten invariants (with optional lists of
-    higher pairings).
+    tuples to (Seiberg-Witten invariant, tuple of higher pairings).
     """
 
     def __init__(self, name, chiO, K2, e, q, pg, gram, K, sw_table=None,
@@ -335,7 +334,7 @@ def f2():
 def k3_profile():
     """Numeric profile of a K3 surface; rank-one lattice, K = 0."""
     return SurfaceData("K3", 2, 0, 24, 0, 1, [[0]], [0],
-                       sw_table={(Fraction(0),): Fraction(1)})
+                       sw_table={(Fraction(0),): (Fraction(1), ())})
 
 
 def general_type_profile(K2, chiO=2):
@@ -345,8 +344,8 @@ def general_type_profile(K2, chiO=2):
     invariants 1 and (-1)^chi(O)."""
     if K2 <= 0 or chiO < 2:
         raise ValueError("need K^2 > 0 and chi(O) >= 2")
-    sw = {(Fraction(0),): Fraction(1),
-          (Fraction(1),): Fraction((-1) ** chiO)}
+    sw = {(Fraction(0),): (Fraction(1), ()),
+          (Fraction(1),): (Fraction((-1) ** chiO), ())}
     return SurfaceData("general_type_K2_%d_chi_%d" % (K2, chiO),
                        chiO, K2, 12 * chiO - K2, 0, chiO - 1,
                        [[K2]], [1], sw_table=sw, basis_names=["K"],
@@ -357,7 +356,7 @@ def elliptic_profile():
     """A chi(O) = 0, K^2 = 0 profile (minimal properly elliptic or
     torus-like); every twist of the trivial class has chi = 0."""
     return SurfaceData("elliptic_0", 0, 0, 0, 1, 0, [[0]], [0],
-                       sw_table={(Fraction(0),): Fraction(1)})
+                       sw_table={(Fraction(0),): (Fraction(1), ())})
 
 
 BUILTIN_SURFACES = {
@@ -395,10 +394,9 @@ def surface_to_json(surface):
                     "q": surface.q, "pg": surface.pg},
         "sw_table": [
             {"beta": [rational_str(x) for x in beta],
-             "sw": rational_str(val[0] if isinstance(val, tuple) else val),
-             "higher": [rational_str(h) for h in val[1]]
-             if isinstance(val, tuple) else []}
-            for beta, val in sorted(surface.sw_table.items())
+             "sw": rational_str(sw),
+             "higher": [rational_str(h) for h in higher]}
+            for beta, (sw, higher) in sorted(surface.sw_table.items())
         ],
     }
     if toric:
@@ -409,10 +407,10 @@ def surface_to_json(surface):
 def parse_sw_entries(surface, entries):
     """Seiberg-Witten table of the surface from a list of entries
     {"beta": class, "sw": invariant, "higher": [pairings]}, "higher"
-    optional: a map from class to the invariant, or to (invariant,
-    higher) when there are pairings.  Numbers are JSON numbers or "p/q"
-    strings.  A malformed entry, including a class of the wrong rank,
-    raises ValueError naming the entry."""
+    optional: a map from class to (invariant, tuple of pairings).
+    Numbers are JSON numbers or "p/q" strings.  A malformed entry,
+    including a class of the wrong rank, raises ValueError naming the
+    entry."""
     if not isinstance(entries, (list, tuple)):
         raise ValueError("Seiberg-Witten entries must be a list")
     table = {}
@@ -428,7 +426,7 @@ def parse_sw_entries(surface, entries):
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
             raise ValueError("malformed Seiberg-Witten entry %r: %s: %s"
                              % (entry, type(err).__name__, err))
-        table[key] = (value, higher) if higher else value
+        table[key] = (value, higher)
     return table
 
 

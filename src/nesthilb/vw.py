@@ -32,38 +32,32 @@ def _as_ratfunc(x):
 
 
 class SWTable:
-    """Seiberg-Witten data of one surface: an integer invariant per
-    curve class, plus optional higher pairing numbers consumed by the
-    irregular-surface pushforward formula.
+    """Seiberg-Witten data of one surface: per curve class, the integer
+    invariant and the higher pairing numbers consumed by the
+    irregular-surface pushforward formula, kept in ``entries`` as
+    class -> (invariant, pairings).  ``entries`` defaults to the
+    surface's own table and takes the same form.
 
     The invariant is the degree of the zero-dimensional virtual curve
     locus and vanishes by definition whenever that locus has nonzero
     virtual dimension.  Entries breaking this are rejected unless the
-    table is opened in higher mode, where a stored number is read as a
-    pairing instead of a degree.
+    table is opened in higher mode, which only lifts that check: every
+    entry is read the same way in either mode.
     """
 
-    def __init__(self, surface, entries=None, higher=None,
-                 higher_mode=False):
+    def __init__(self, surface, entries=None, higher_mode=False):
         self.surface = surface
         self.entries = {}
-        self.higher = {}
         source = surface.sw_table if entries is None else entries
-        for beta, value in (source or {}).items():
+        for beta, (value, pairings) in source.items():
             key = tuple(surface.cls(beta))
-            if isinstance(value, tuple):
-                value, extra = value
-                self.higher[key] = tuple(Fraction(x) for x in extra)
             value = Fraction(value)
             if value and not higher_mode \
                     and vd_beta(surface, key) != 0:
                 raise ValueError(
                     "invariant must vanish at nonzero virtual dimension"
                     " (class %r)" % (key,))
-            self.entries[key] = value
-        for beta, extra in (higher or {}).items():
-            self.higher[tuple(surface.cls(beta))] = \
-                tuple(Fraction(x) for x in extra)
+            self.entries[key] = (value, tuple(Fraction(x) for x in pairings))
 
     def __contains__(self, beta):
         return tuple(self.surface.cls(beta)) in self.entries
@@ -72,23 +66,15 @@ class SWTable:
         key = tuple(self.surface.cls(beta))
         if key not in self.entries:
             raise ValueError("missing SW entry for class %r" % (key,))
-        return self.entries[key]
+        return self.entries[key][0]
 
     def pairing(self, beta, j):
         """The j-th pushforward pairing; j = 0 is the invariant."""
         if j == 0:
             return self.invariant(beta)
-        extra = self.higher.get(tuple(self.surface.cls(beta)), ())
-        return extra[j - 1] if j - 1 < len(extra) else Fraction(0)
-
-    def as_table(self):
-        """Leaf-resolution format: class -> (invariant, higher)."""
-        out = {}
-        for key, value in self.entries.items():
-            out[key] = (value, self.higher.get(key, ()))
-        for key, extra in self.higher.items():
-            out.setdefault(key, (Fraction(0), extra))
-        return out
+        _, pairings = self.entries.get(tuple(self.surface.cls(beta)),
+                                       (0, ()))
+        return pairings[j - 1] if j - 1 < len(pairings) else Fraction(0)
 
 
 def format_value(value, order=0):
@@ -212,15 +198,12 @@ def monopole_contribution(surface, sw, beta, n, refined=False,
 
         SW * 4^q * (sum of splitting integrals).
 
-    ``sw`` is an SWTable or a plain class-to-invariant map.  ``window``
-    is caller-supplied slope data (deg beta, deg K); a class outside
-    the stable range is excluded and contributes the zero result.  A
-    class whose curve locus has nonzero virtual dimension contributes
-    zero by the definition of the invariant, with no table entry
-    needed.
+    ``sw`` is the surface's SWTable.  ``window`` is caller-supplied
+    slope data (deg beta, deg K); a class outside the stable range is
+    excluded and contributes the zero result.  A class whose curve
+    locus has nonzero virtual dimension contributes zero by the
+    definition of the invariant, with no table entry needed.
     """
-    if not isinstance(sw, SWTable):
-        sw = SWTable(surface, sw)
     key = tuple(surface.cls(beta))
     meta = {"surface": surface.name, "seed": seed, "order": order,
             "kind": "monopole"}
@@ -379,8 +362,9 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
 
     ``check`` tests the case against the surface profile and the
     effectivity heuristic; disable it when the caller has better
-    geometric information.  With ``swTable`` supplied the invariant
-    leaves are resolved and the tree is returned in normal form.
+    geometric information.  With an SWTable ``swTable`` supplied the
+    invariant leaves are resolved and the tree is returned in normal
+    form.
     """
     n = n1 + n2
     if case == "pg>0":
@@ -414,9 +398,7 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
     else:
         raise ValueError("unknown case %r" % (case,))
     if swTable is not None:
-        table = swTable.as_table() if isinstance(swTable, SWTable) \
-            else swTable
-        return normalize(expr, surface, beta, sw_table=table)
+        return normalize(expr, surface, beta, sw_table=swTable.entries)
     return expr
 
 

@@ -37,6 +37,25 @@ class TestJobSpec:
         with pytest.raises(SchemaError, match="unknown field"):
             job(command="verify", suite="segre", extra=1)
 
+    def test_unknown_params_and_sw_keys(self):
+        with pytest.raises(SchemaError,
+                           match="unknown field 'params.monomial'"):
+            job(command="fit", n=0, params={"monomial": ["1"]})
+        with pytest.raises(SchemaError,
+                           match="unknown field 'sw.higher-mode'"):
+            job(command="vw", surface="P2", beta=[0], n=0,
+                sw={"higher-mode": True})
+
+    def test_sw_table_built_for_vw_only(self):
+        sw = {"entries": [{"beta": [1], "sw": 1}]}
+        lifted = job(command="vw", surface="P2", beta=[0], n=0,
+                     sw=dict(sw, higher_mode=True))
+        assert lifted.sw_table.invariant((1,)) == 1
+        # other commands check the entries but build no table
+        spec = job(command="integrate", surface="P2", formula="euler",
+                   n=1, sw=sw)
+        assert not hasattr(spec, "sw_table")
+
     def test_unknown_command(self):
         with pytest.raises(SchemaError, match="command"):
             job(command="solve")
@@ -211,12 +230,6 @@ class TestRun:
         assert doc["expr"]["kind"]
         assert set(doc["info"]) == {"d", "reduced_vd", "degree"}
 
-    def test_push_reduced_needs_flag(self):
-        code, text = run(job(command="push", formula="reduced",
-                             surface="P2", beta=[1], n2=1))
-        assert code == EXIT_MATH
-        assert "H2-vanishing" in json.loads(text)["error"]["message"]
-
     def test_integrate_co_vanishing(self):
         code, text = run(job(command="integrate", surface="P2",
                              formula="co:2", beta=[1], n=1))
@@ -258,6 +271,18 @@ OUT_OF_DOMAIN = [
      "negative expected codimension"),
     ({"command": "fit", "n": 0, "runs": [["K3", [0]], ["P2", [1]]]},
      "point contributions need a toric surface or a supplied table"),
+    ({"command": "push", "formula": "reduced", "surface": "P2",
+      "beta": [1], "n2": 1},
+     "reduced formula needs the H2-vanishing flag"),
+    ({"command": "vw", "surface": "P2", "beta": [0], "n": 1,
+      "sw": {"entries": [{"beta": [1], "sw": 1}]}},
+     "invariant must vanish at nonzero virtual dimension"
+     " (class (Fraction(1, 1),))"),
+    ({"command": "vw", "beta": [0], "n": 1,
+      "surface": {"name": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
+                  "basis": [0], "sw_table": [{"beta": [1], "sw": 1}]}},
+     "invariant must vanish at nonzero virtual dimension"
+     " (class (Fraction(1, 1),))"),
 ]
 
 
@@ -360,6 +385,10 @@ class TestMain:
                 "higher_mode": "no"}},
         {"command": "push", "formula": "reduced", "surface": "P2",
          "beta": [1], "n2": 1, "params": {"h2_vanishing": "no"}},
+        {"command": "fit", "n": 0, "params": {"monomial": ["1"]}},
+        {"command": "vw", "surface": "P2", "beta": [0], "n": 0,
+         "sw": {"entries": [{"beta": [0], "sw": 1}],
+                "higher-mode": True}},
     ] + [doc for doc, _ in OUT_OF_DOMAIN])
     def test_malformed_params_and_sw_are_schema_errors(self, doc, tmp_path,
                                                        capsys):

@@ -63,7 +63,7 @@ class TestBuiltinInvariants:
         G = general_type_profile(2)
         assert (G.chiO, G.pg, G.e) == (2, 1, 22)
         assert G.dot((1,), (1,)) == 2
-        assert G.sw_table[(Fraction(1),)] == 1
+        assert G.sw_table[(Fraction(1),)] == (1, ())
         E = elliptic_profile()
         assert (E.chiO, E.K2, E.e, E.q) == (0, 0, 0, 1)
 
@@ -164,7 +164,7 @@ class TestToricCharts:
 class TestJson:
     def test_toric_round_trip(self):
         S = f1()
-        S.sw_table[(Fraction(1), Fraction(0))] = Fraction(2)
+        S.sw_table[(Fraction(1), Fraction(0))] = (Fraction(2), ())
         doc = surface_to_json(S)
         T = surface_from_json(json.loads(json.dumps(doc)))
         assert isinstance(T, ToricSurface)

@@ -37,10 +37,10 @@ class TestSWTable:
 
     def test_rejects_nonzero_at_nonzero_dimension(self):
         with pytest.raises(ValueError, match="vanish"):
-            SWTable(p2(), entries={(1,): 1})
+            SWTable(p2(), entries={(1,): (1, ())})
 
     def test_higher_mode_override(self):
-        t = SWTable(p2(), entries={(1,): 1}, higher_mode=True)
+        t = SWTable(p2(), entries={(1,): (1, ())}, higher_mode=True)
         assert t.invariant((1,)) == 1
 
     def test_missing_entry(self):
@@ -49,12 +49,12 @@ class TestSWTable:
             t.invariant((0,))
 
     def test_pairings(self):
-        t = SWTable(p2(), entries={(1,): 0}, higher={(1,): (0, 1)})
+        t = SWTable(p2(), entries={(1,): (0, (0, 1))})
         assert t.pairing((1,), 0) == 0
         assert t.pairing((1,), 1) == 0
         assert t.pairing((1,), 2) == 1
         assert t.pairing((1,), 3) == 0
-        assert t.as_table()[(Fraction(1),)] == (0, (0, 1))
+        assert t.entries[(Fraction(1),)] == (0, (0, 1))
 
 
 class TestMonopoleIntegrand:
@@ -173,16 +173,16 @@ class TestMonopoleContribution:
             monopole_contribution(p2(), SWTable(p2(), {}), (0,), 0)
 
     def test_window_exclusion(self):
-        sw = SWTable(p2(), {(0,): 1})
+        sw = SWTable(p2(), {(0,): (1, ())})
         r = monopole_contribution(p2(), sw, (0,), 1, window=(0, -3))
         assert r.value == 0
         assert r.meta["excluded"] == "outside slope window"
 
     def test_weighted_values(self):
-        sw = SWTable(p2(), {(0,): 1})
+        sw = SWTable(p2(), {(0,): (1, ())})
         assert monopole_contribution(p2(), sw, (0,), 0).value \
             == Fraction(1, 1024)
-        doubled = SWTable(p2(), {(0,): 2}, higher_mode=True)
+        doubled = SWTable(p2(), {(0,): (2, ())}, higher_mode=True)
         assert monopole_contribution(p2(), doubled, (0,), 1).value \
             == Fraction(-9, 256)
 
@@ -201,7 +201,7 @@ class TestMonopoleContribution:
             point_contribution(p2(), (1,), 0)
 
     def test_result_rows(self):
-        sw = SWTable(p2(), {(0,): 1})
+        sw = SWTable(p2(), {(0,): (1, ())})
         r = monopole_contribution(p2(), sw, (0,), 1)
         rows = r.rows()
         assert [row["n1"] for row in rows] == [0, 1, ""]
@@ -325,14 +325,14 @@ class TestSWCoupledPushforward:
                                       swTable=SWTable(G))
         resolved = normalize(
             sw_coupled_pushforward("pg>0", 0, 0, 1, (1,), G),
-            G, (1,), sw_table=SWTable(G).as_table())
+            G, (1,), sw_table=SWTable(G).entries)
         assert expr == resolved
 
     def test_branch_collapse_on_rational_surface(self):
         # the irregular j-sum with pairings concentrated at the virtual
         # dimension reduces to the shifted single Chern class
         S = p2()
-        sw = SWTable(S, entries={(1,): 0}, higher={(1,): (0, 1)})
+        sw = SWTable(S, entries={(1,): (0, (0, 1))})
         cases = [
             (0, 1, 1, (taut((1,), 2), taut((1,), 2))),
             (1, 1, 1, (taut((1,), 1), taut((1,), 2), taut((1,), 2))),
