@@ -8,6 +8,7 @@ pushforward works purely with Chern roots and needs no ambient space at
 all; it reduces the localization sum to one exact polynomial division.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -132,37 +133,30 @@ def _as_generator(root):
     return j
 
 
-def _divide_linear(poly, j, i):
-    """Exact division of an exponent-dict polynomial by (x_j - x_i).
+def _divide_linear(nums, j, i):
+    """Exact division of an {exponent tuple: int} polynomial by
+    (x_j - x_i).
 
-    Synthetic division in the variable x_j; the remainder is the
-    substitution x_j -> x_i and must vanish.  Returns the quotient dict
-    or None if the remainder is nonzero.
+    Synthetic division in the variable x_j, on integers: the divisor is
+    monic, so the quotient has integer coefficients too.  The remainder
+    is the substitution x_j -> x_i and must vanish.  Returns the
+    quotient dict or None if the remainder is nonzero.
     """
     by_k = {}
-    for mono, c in poly.items():
-        k = mono[j]
-        key = mono[:j] + (0,) + mono[j + 1:]
-        level = by_k.setdefault(k, {})
-        level[key] = level.get(key, Fraction(0)) + c
-    deg = max(by_k) if by_k else 0
+    for mono, c in nums.items():
+        by_k.setdefault(mono[j], {})[mono[:j] + (0,) + mono[j + 1:]] = c
     quot = {}
     carry = {}
-    for k in range(deg, 0, -1):
-        new = dict(by_k.get(k, {}))
+    for k in range(max(by_k, default=0), -1, -1):
+        new = dict(by_k.get(k, ()))
         for m, c in carry.items():
             mi = m[:i] + (m[i] + 1,) + m[i + 1:]
-            new[mi] = new.get(mi, Fraction(0)) + c
-        carry = {m: c for m, c in new.items() if c != 0}
+            new[mi] = new.get(mi, 0) + c
+        carry = {m: c for m, c in new.items() if c}
+        if not k:
+            return None if carry else quot
         for m, c in carry.items():
             quot[m[:j] + (k - 1,) + m[j + 1:]] = c
-    rem = dict(by_k.get(0, {}))
-    for m, c in carry.items():
-        mi = m[:i] + (m[i] + 1,) + m[i + 1:]
-        rem[mi] = rem.get(mi, Fraction(0)) + c
-    if any(c != 0 for c in rem.values()):
-        return None
-    return quot
 
 
 def grassmann_split_pushforward(roots, r, F):
@@ -172,9 +166,9 @@ def grassmann_split_pushforward(roots, r, F):
     ``F`` is a function of r classes, symmetric in its arguments; the
     result is sum_S F(roots_S) / prod_{i in S, j not in S} (b_j - b_i)
     over size-r subsets S.  The sum is assembled over the common
-    denominator prod_{i<j} (b_j - b_i) and divided out exactly, so the
-    answer is a polynomial class; a nonzero remainder means F was not
-    symmetric and raises ValueError.
+    denominator prod_{i<j} (b_j - b_i) and divided out exactly, on
+    integer numerators, so the answer is a polynomial class; a nonzero
+    remainder means F was not symmetric and raises ValueError.
 
     The ring must be untruncated, since the intermediate numerator has
     higher degree than the result.
@@ -214,10 +208,12 @@ def grassmann_split_pushforward(roots, r, F):
                     term = term * (roots[j] - roots[i])
         numerator = numerator + term
 
-    poly = dict(numerator.poly)
+    poly = numerator.poly
+    den = math.lcm(*[c.denominator for c in poly.values()])
+    nums = {m: c.numerator * (den // c.denominator) for m, c in poly.items()}
     for i in range(e):
         for j in range(i + 1, e):
-            poly = _divide_linear(poly, idx[j], idx[i])
-            if poly is None:
+            nums = _divide_linear(nums, idx[j], idx[i])
+            if nums is None:
                 raise ValueError("non-symmetric input")
-    return GradedClass(ring, poly)
+    return GradedClass(ring, ring._reduce(nums, den), reduced=True)

@@ -256,14 +256,17 @@ class JobSpec:
             if not isinstance(sw, dict):
                 raise SchemaError("field 'sw' must be an object")
             _check_keys(sw, SW_KEYS, "sw.")
-            entries = sw.get("entries") or []
-            if not isinstance(entries, (list, tuple)):
-                raise SchemaError("field 'sw.entries' must be a list")
-            if self.surface is not None:
-                try:
-                    sw_entries = parse_sw_entries(self.surface, entries)
-                except ValueError as err:
-                    raise SchemaError("field 'sw.entries': %s" % err)
+            # no entries: the surface's own table; a list replaces it
+            entries = sw.get("entries")
+            if entries is not None:
+                if not isinstance(entries, (list, tuple)):
+                    raise SchemaError("field 'sw.entries' must be a list")
+                if self.surface is not None:
+                    try:
+                        sw_entries = parse_sw_entries(self.surface,
+                                                      entries)
+                    except ValueError as err:
+                        raise SchemaError("field 'sw.entries': %s" % err)
             higher_mode = _parse_flag(sw, "higher_mode",
                                       "field 'sw.higher_mode'")
 

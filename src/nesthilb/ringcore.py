@@ -9,17 +9,22 @@ series) are `KClass` objects.
 
 All arithmetic is exact.  Products silently truncate above the ring's
 bound D, mirroring the vanishing of cycle classes above the ambient
-dimension.  A product scales both factors to integer numerators over
-one common denominator, multiplies degree buckets whose degrees fit
-under D, and builds one Fraction per output term.  Relations are
-applied through normal forms of monomials, memoized on each `Ring`
-instance (never shared between rings), so every monomial is rewritten
-once per ring.
+dimension.  Every product, and every sum of products (determinant
+minors, series inversion, twists), goes through one fused kernel,
+`_dot`: it packs each monomial into one int with a bit field per
+variable, so multiplying monomials is one integer addition, sums the
+products as integer numerators over one common denominator, skips
+degree buckets above D, and builds one Fraction per output term.
+Relations are applied through normal forms of monomials, memoized on
+each `Ring` instance (never shared between rings), so every monomial is
+rewritten once per ring; a ring without relations only drops the
+monomials above D.
 """
 
 import math
 from fractions import Fraction
-from operator import add, mul
+from itertools import chain
+from operator import add, lshift, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,19 +88,67 @@ def _over(nums, den):
     return {m: Fraction(v, den) for m, v in nums.items() if v}
 
 
-def _scaled_buckets(poly, degrees):
-    """The terms of poly as integer numerators over one common
-    denominator, grouped by weighted degree.
-
-    Returns (den, {degree: [(monomial, numerator), ...]}).
-    """
+def _operand(poly, shifts, degrees, D):
+    """(den, {degree: [(packed monomial, numerator)]}) of one factor:
+    integer numerators over the least common denominator, grouped by
+    weighted degree when D bounds the ring (else all under 0)."""
     den = math.lcm(*[c.denominator for c in poly.values()])
     buckets = {}
     for m, c in poly.items():
-        d = sum(map(mul, m, degrees))
+        d = sum(map(mul, m, degrees)) if D is not None else 0
         buckets.setdefault(d, []).append(
-            (m, c.numerator * (den // c.denominator)))
+            (sum(map(lshift, m, shifts)), c.numerator * (den // c.denominator)))
     return den, buckets
+
+
+def _dot(ring, triples):
+    """The class sum(sign * a * b) over (sign, a, b) triples, sign an
+    int: the fused kernel behind every product of the ring.
+
+    A monomial is packed into one int, one bit field per variable, so
+    multiplying monomials is one integer addition.  A field is
+    D.bit_length() bits wide in a truncated ring, since no exponent of a
+    kept product exceeds D, and is sized from the operands' largest
+    exponents in an untruncated ring.  Pairs of degree buckets above D
+    are skipped whole.  Products are summed as integer numerators over
+    one common denominator; one Fraction is built per output term.
+    """
+    triples = [(s, a, b) for s, a, b in triples if s and a.poly and b.poly]
+    if not triples:
+        return ring.zero()
+    D, degrees, n = ring.D, ring.degrees, len(ring.names)
+    flat = chain.from_iterable
+    top = D if D is not None else max(
+        max(flat(a.poly), default=0) + max(flat(b.poly), default=0)
+        for _, a, b in triples)
+    width = max(top.bit_length(), 1)
+    shifts = tuple(range(0, n * width, width))
+    factors = []
+    common = 1
+    for s, a, b in triples:
+        den_a, terms_a = _operand(a.poly, shifts, degrees, D)
+        den_b, terms_b = _operand(b.poly, shifts, degrees, D)
+        factors.append((s, den_a * den_b, terms_a, terms_b))
+        common = math.lcm(common, den_a * den_b)
+    out = {}
+    get = out.get
+    for s, den, terms_a, terms_b in factors:
+        f = s * (common // den)
+        for d1, t1 in terms_a.items():
+            if f != 1:
+                t1 = [(m1, c1 * f) for m1, c1 in t1]
+            for d2, t2 in terms_b.items():
+                if D is not None and d1 + d2 > D:
+                    continue
+                for m1, c1 in t1:
+                    for m2, c2 in t2:
+                        m = m1 + m2
+                        out[m] = get(m, 0) + c1 * c2
+    mask = (1 << width) - 1
+    poly = {tuple([(m >> k) & mask for k in shifts]): c
+            for m, c in out.items() if c}
+    poly = ring._reduce(poly, common) if ring.rels else _over(poly, common)
+    return GradedClass(ring, poly, reduced=True)
 
 
 class Ring:
@@ -268,7 +321,13 @@ class Ring:
     def _reduce(self, poly, den=1):
         """Normal form of sum(c * m) / den over the items m: c of poly, as
         a {monomial: Fraction} dict without zero terms.  The c may be
-        ints (numerators) or Fractions."""
+        ints (numerators) or Fractions.  A ring without relations only
+        drops the monomials above D."""
+        if not self.rels:
+            if self.D is not None:
+                mdeg, D = self.mdeg, self.D
+                poly = {m: c for m, c in poly.items() if mdeg(m) <= D}
+            return _over(poly, den)
         memo = self._nf
         out = {}
         get = out.get
@@ -300,7 +359,9 @@ class GradedClass:
 
     The defining data is a dict {exponent tuple: Fraction}.  Components
     are recovered by weighted degree; every stored monomial has degree
-    at most the ring's bound D.
+    at most the ring's bound D.  A product of two classes is the fused
+    kernel `_dot` on one pair, so it never builds a Fraction per term
+    pair, only per output term.
     """
 
     __slots__ = ("ring", "poly")
@@ -349,26 +410,7 @@ class GradedClass:
             return GradedClass(self.ring,
                                {m: v * c for m, v in self.poly.items()},
                                reduced=True)
-        other = self._coerce(other)
-        ring = self.ring
-        D = ring.D
-        den1, buckets1 = _scaled_buckets(self.poly, ring.degrees)
-        den2, buckets2 = _scaled_buckets(other.poly, ring.degrees)
-        out = {}
-        get = out.get
-        for d1, terms1 in buckets1.items():
-            for d2, terms2 in buckets2.items():
-                if D is not None and d1 + d2 > D:
-                    continue
-                for m1, c1 in terms1:
-                    for m2, c2 in terms2:
-                        m = tuple(map(add, m1, m2))
-                        out[m] = get(m, 0) + c1 * c2
-        if ring.rels:
-            poly = ring._reduce(out, den1 * den2)
-        else:
-            poly = _over(out, den1 * den2)
-        return GradedClass(ring, poly, reduced=True)
+        return _dot(self.ring, [(1, self, self._coerce(other))])
 
     __rmul__ = __mul__
 
@@ -458,7 +500,8 @@ def series_invert(c):
     """Multiplicative inverse of a series with constant term 1.
 
     Returns s with s*c = 1 up to the ring truncation.  Raises ValueError
-    for series whose degree-0 part is not 1.
+    for series whose degree-0 part is not 1.  The component
+    s_k = -sum_j c_j s_{k-j} is one fused sum `_dot` per degree k.
 
     >>> R = Ring(["x"], D=4)
     >>> series_invert(R.one() + R.gen("x"))
@@ -473,22 +516,14 @@ def series_invert(c):
         raise ValueError("series inversion requires a truncated ring")
     parts = c.components()
     s = {0: ring.one()}
-    total = ring.one()
+    total = dict(s[0].poly)
     for k in range(1, ring.D + 1):
-        acc = ring.zero()
-        for j in range(1, k + 1):
-            cj = parts.get(j)
-            if cj is None:
-                continue
-            sj = s.get(k - j)
-            if sj is None or sj.is_zero():
-                continue
-            acc = acc + cj * sj
-        sk = -acc
-        if not sk.is_zero():
+        sk = _dot(ring, [(-1, cj, s[k - j]) for j, cj in parts.items()
+                         if 0 < j <= k and k - j in s])
+        if sk.poly:
             s[k] = sk
-            total = total + sk
-    return total
+            total.update(sk.poly)
+    return GradedClass(ring, total, reduced=True)
 
 
 def _det(rows):
@@ -497,12 +532,13 @@ def _det(rows):
     Laplace expansion along the rows, memoized over column subsets: the
     minor on the last k rows and a k-set of columns is computed once,
     so an a x a matrix needs at most a 2^(a-1) products, not a! terms.
-    It divides nowhere, so it is valid in truncated rings.
+    Each minor is one fused signed sum `_dot` over its first row.  It
+    divides nowhere, so it is valid in truncated rings.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    zero = rows[0][0].ring.zero()
+    ring = rows[0][0].ring
     memo = {}
 
     def minor(cols):
@@ -511,15 +547,10 @@ def _det(rows):
         value = memo.get(cols)
         if value is None:
             row = rows[n - len(cols)]
-            value = zero
-            for j, col in enumerate(cols):
-                if row[col].is_zero():
-                    continue
-                sub = minor(cols[:j] + cols[j + 1:])
-                if sub.is_zero():
-                    continue
-                term = row[col] * sub
-                value = value - term if j % 2 else value + term
+            value = _dot(ring, [(-1 if j % 2 else 1, row[col],
+                                 minor(cols[:j] + cols[j + 1:]))
+                                for j, col in enumerate(cols)
+                                if row[col].poly])
             memo[cols] = value
         return value
 
@@ -632,7 +663,7 @@ def k_twist(E, h, m=1):
     Implements c_k(E otimes l^m) = sum_i C(rank-i, k-i) c_i(E) (m h)^{k-i}
     with generalized binomial coefficients, which is the unique extension
     consistent with the splitting principle for arbitrary (also negative)
-    virtual rank.
+    virtual rank.  Each c_k is one fused sum `_dot` over i.
     """
     ring = E.ring
     if ring.D is None:
@@ -648,15 +679,9 @@ def k_twist(E, h, m=1):
     hp = {0: ring.one()}
     for k in range(1, ring.D + 1):
         hp[k] = hp[k - 1] * mh
-    total = ring.zero()
+    total = {}
     for k in range(0, ring.D + 1):
-        acc = ring.zero()
-        for i, ci in parts.items():
-            if i > k:
-                continue
-            b = binom_general(E.rank - i, k - i)
-            if b == 0:
-                continue
-            acc = acc + (ci * hp[k - i]) * b
-        total = total + acc
-    return KClass(E.rank, total)
+        total.update(_dot(ring, [(binom_general(E.rank - i, k - i), ci,
+                                  hp[k - i])
+                                 for i, ci in parts.items() if i <= k]).poly)
+    return KClass(E.rank, GradedClass(ring, total, reduced=True))

@@ -23,6 +23,11 @@ def job(**fields):
     return JobSpec(fields)
 
 
+# an inline P2 whose own Seiberg-Witten table holds class 0
+P2_SW_CLASS_ZERO = {"name": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
+                    "basis": [0], "sw_table": [{"beta": [0], "sw": 1}]}
+
+
 class TestJobSpec:
     def test_minimal_commands(self):
         assert job(command="verify", suite="segre").suite == "segre"
@@ -55,6 +60,24 @@ class TestJobSpec:
         spec = job(command="integrate", surface="P2", formula="euler",
                    n=1, sw=sw)
         assert not hasattr(spec, "sw_table")
+
+    @pytest.mark.parametrize("sw", [None, {}, {"higher_mode": True}])
+    def test_missing_sw_entries_keep_surface_table(self, sw, tmp_path,
+                                                   capsys):
+        # an sw object without entries still reads the surface's table
+        doc = {"surface": P2_SW_CLASS_ZERO}
+        if sw is not None:
+            doc["sw"] = sw
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        code = main(["vw", "--beta", "0", "--n", "0", "--job", str(path)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "1/1024"
+
+    def test_explicit_sw_entries_replace_surface_table(self):
+        fields = dict(command="vw", surface=P2_SW_CLASS_ZERO, beta=[0], n=0)
+        assert (0,) in job(sw={}, **fields).sw_table
+        assert (0,) not in job(sw={"entries": []}, **fields).sw_table
 
     def test_unknown_command(self):
         with pytest.raises(SchemaError, match="command"):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from nesthilb.ringcore import (Ring, GradedClass, KClass, series_invert,
                                delta_det, k_twist, k_dual, binom_general,
                                rational_str, parse_rational, _det)
-from nesthilb.bundles import free_model, projective_bundle
+from nesthilb.bundles import (free_model, projective_bundle,
+                              grassmann_split_pushforward)
 
 
 def ring3(D=6):
@@ -263,6 +265,15 @@ class TestNormalForm:
         assert (x**4).is_zero()
         assert not (x**3).is_zero()
 
+    def test_free_ring_only_truncates(self):
+        # without relations a class only drops the monomials above D,
+        # with no normal forms memoized
+        R = Ring(["x", "c2"], degrees=[1, 2], D=4)
+        cls = R.from_dict({(1, 2): 3, (2, 1): Fraction(1, 2), (0, 0): 0})
+        assert cls.poly == {(2, 1): Fraction(1, 2)}
+        assert all_fractions(cls)
+        assert not R._nf
+
 
 # -- products and normal forms against a schoolbook reference ------------
 
@@ -329,9 +340,9 @@ fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
 
 @st.composite
-def raw_poly(draw, ring):
+def raw_poly(draw, ring, top=3):
     n = draw(st.integers(min_value=0, max_value=6))
-    return {tuple(draw(st.integers(0, 3)) for _ in ring.names):
+    return {tuple(draw(st.integers(0, top)) for _ in ring.names):
             draw(fractions) for _ in range(n)}
 
 
@@ -339,6 +350,69 @@ def raw_poly(draw, ring):
 def ring_and_polys(draw):
     ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]()
     return ring, draw(raw_poly(ring)), draw(raw_poly(ring))
+
+
+# -- fused sums (determinants, inversion, twists, split pushforwards)
+# -- against schoolbook routes on raw dicts, reduced once at the end ----
+
+# rings of the product kernel plus generator degrees up to 3
+KERNEL_RINGS = dict(RINGS, **{
+    "weighted-D7": lambda: Ring(["u", "v", "w"], degrees=[1, 2, 3], D=7),
+    "weighted": lambda: Ring(["u", "v", "w"], degrees=[1, 2, 3]),
+})
+TRUNCATED = sorted(k for k, make in KERNEL_RINGS.items()
+                   if make().D is not None)
+
+
+def schoolbook_sum(terms):
+    """sum of sign * p * q over (sign, p, q) raw dicts."""
+    out = {}
+    for sign, p, q in terms:
+        for m, c in schoolbook_product(p, q).items():
+            out[m] = out.get(m, Fraction(0)) + sign * c
+    return out
+
+
+def unit(ring):
+    return {(0,) * len(ring.names): Fraction(1)}
+
+
+def leibniz_det(ring, rows):
+    """Determinant of raw dicts as a sum over all permutations."""
+    n = len(rows)
+    terms = []
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2)
+                         if perm[i] > perm[j])
+        prod = unit(ring)
+        for i, j in enumerate(perm):
+            prod = schoolbook_product(prod, rows[i][j])
+        terms.append(((-1) ** inversions, prod, unit(ring)))
+    return schoolbook_sum(terms)
+
+
+def unit_class(ring, raw):
+    """1 plus the terms of raw of positive degree."""
+    poly = {m: c for m, c in raw.items() if ring.mdeg(m) > 0}
+    poly.update(unit(ring))
+    return GradedClass(ring, poly)
+
+
+def all_fractions(cls):
+    return all(type(c) is Fraction for c in cls.poly.values())
+
+
+@st.composite
+def ring_and_matrix(draw, size=3):
+    ring = KERNEL_RINGS[draw(st.sampled_from(sorted(KERNEL_RINGS)))]()
+    return ring, [[draw(raw_poly(ring)) for _ in range(size)]
+                  for _ in range(size)]
+
+
+@st.composite
+def truncated_ring_and_poly(draw):
+    ring = KERNEL_RINGS[draw(st.sampled_from(TRUNCATED))]()
+    return ring, draw(raw_poly(ring))
 
 
 class TestProductKernel:
@@ -367,6 +441,111 @@ class TestProductKernel:
         R2 = Ring(["x", "y"], D=4, relations={"x": (2, {(1, 1): -1})})
         assert (R1.gen("x") ** 2).poly == {(1, 1): 1}
         assert (R2.gen("x") ** 2).poly == {(1, 1): -1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(ring_and_matrix())
+    def test_det_against_leibniz(self, data):
+        ring, raw = data
+        rows = [[GradedClass(ring, p) for p in row] for row in raw]
+        det = _det(rows)
+        assert det.poly == stack_reduce(
+            ring, leibniz_det(ring, [[e.poly for e in row] for row in rows]))
+        assert all_fractions(det)
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncated_ring_and_poly())
+    def test_series_invert_against_geometric_series(self, data):
+        ring, raw = data
+        c = unit_class(ring, raw)
+        # 1/c = sum_k (1 - c)^k; the k > D terms vanish
+        x = {m: -v for m, v in c.poly.items() if ring.mdeg(m) > 0}
+        power = inverse = unit(ring)
+        for _ in range(ring.D):
+            power = stack_reduce(ring, schoolbook_product(power, x))
+            inverse = stack_reduce(ring, schoolbook_sum(
+                [(1, inverse, unit(ring)), (1, power, unit(ring))]))
+        s = series_invert(c)
+        assert s.poly == inverse
+        assert all_fractions(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncated_ring_and_poly(), st.integers(-3, 3),
+           st.integers(-2, 2), fractions)
+    def test_k_twist_against_schoolbook(self, data, rank, m, q):
+        ring, raw = data
+        E = KClass(rank, unit_class(ring, raw))
+        j = ring.degrees.index(1)
+        h = GradedClass(ring, {tuple(int(i == j) for i in
+                                     range(len(ring.names))): q or 1})
+        mh = {k: m * v for k, v in h.poly.items()}
+        parts = E.chern.components()
+        terms = []
+        for k in range(ring.D + 1):
+            for i, ci in parts.items():
+                if i > k:
+                    continue
+                power = unit(ring)
+                for _ in range(k - i):
+                    power = schoolbook_product(power, mh)
+                terms.append((binom_general(rank - i, k - i), ci.poly,
+                              power))
+        tw = k_twist(E, h, m)
+        assert tw.chern.poly == stack_reduce(ring, schoolbook_sum(terms))
+        assert all_fractions(tw.chern)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_split_pushforward_multiplies_back(self, r):
+        # exponents above 64 and non-integral coefficients: the quotient
+        # times the Vandermonde product is the signed sum over subsets
+        R = Ring(["b0", "b1", "b2"])
+        roots = R.gens()
+
+        def F(*xs):
+            total = R.zero()
+            for x in xs:
+                total = total + Fraction(3, 7) * x ** 70
+            prod = R.one()
+            for x in xs:
+                prod = prod * x
+            return total + Fraction(-5, 2) * prod ** 33
+
+        push = grassmann_split_pushforward(roots, r, F)
+        assert all_fractions(push)
+        assert max(map(max, push.poly)) > 64
+        e = len(roots)
+        vandermonde = unit(R)
+        for i, j in combinations(range(e), 2):
+            vandermonde = schoolbook_product(
+                vandermonde, (roots[j] - roots[i]).poly)
+        numerator = []
+        for S in combinations(range(e), r):
+            sign = (-1) ** sum(1 for i in S for j in range(e)
+                               if j not in S and i > j)
+            term = F(*[roots[i] for i in S]).poly
+            for i, j in combinations(range(e), 2):
+                if (i in S) == (j in S):
+                    term = schoolbook_product(term,
+                                              (roots[j] - roots[i]).poly)
+            numerator.append((sign, term, unit(R)))
+        assert stack_reduce(R, schoolbook_product(push.poly, vandermonde)) \
+            == stack_reduce(R, schoolbook_sum(numerator))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_wide_exponents_untruncated(self, data):
+        # exponents up to 200 in the operands need fields wider than
+        # any truncated ring here uses
+        ring = Ring(["x", "y", "c2"], degrees=[1, 1, 2])
+        p = data.draw(raw_poly(ring, top=200))
+        q = data.draw(raw_poly(ring, top=200))
+        a, b = GradedClass(ring, p), GradedClass(ring, q)
+        prod = a * b
+        assert prod.poly == stack_reduce(
+            ring, schoolbook_product(a.poly, b.poly))
+        assert all_fractions(prod)
+        rows = [[a, b], [b, a * a]]
+        assert _det(rows).poly == stack_reduce(
+            ring, leibniz_det(ring, [[e.poly for e in row] for row in rows]))
 
 
 class TestSerialization:
