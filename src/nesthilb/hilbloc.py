@@ -31,6 +31,16 @@ positive e in the numerator, negative e in the denominator.  Products
 add exponents, so a weight shared by numerator and denominator cancels
 as it arises, which is exact because each weight is a nonzero linear
 form k s + c t; the zero-weight and collision checks run before that.
+
+A product stops at its first factor whose value at the point is zero,
+and such a point is dropped before its tangent character is built.
+The monopole integrand's first factor, c_n of the Carlsson-Okounkov
+bundle, is zero wherever that bundle holds the zero weight; at
+beta = 0 only the fixed points of the nested Hilbert scheme survive
+it.  The points are still listed over the whole ambient product and
+dropped one by one.  A surviving point expands over integers: the
+series of its soft denominator weights is one integer recurrence, and
+one Fraction is made per output coefficient.
 """
 
 import math
@@ -735,11 +745,21 @@ def point_value_laurent(pv):
     {(s_power, t_power): coefficient}.
 
     Positive powers multiply the polynomial.  A weight k s with c = 0
-    divides by s (and k); a weight k s + c t with c != 0 expands as
-    (1/(c t)) sum_j (-k s/(c t))^j.  Their product is t^-m times a
-    power series in s/t, computed once.
+    divides by s (and k).  The soft weights k s + c t with c != 0, m of
+    them with multiplicity, give t^-m / Q(u), u = s/t, where
+    Q(u) = prod (c + k u) is an integer polynomial truncated at the
+    s-cutoff.  With C = Q(0), 1/Q = sum_j A_j u^j / C^(j+1) by the
+    integer recurrence A_j = -sum_(i >= 1) q_i A_(j-i) C^(i-1).  Each
+    coefficient is summed as an integer over one common denominator,
+    and one Fraction is made per output key.
     """
-    hard = {k: -e for (k, c), e in pv.exps.items() if c == 0 and e < 0}
+    hard, soft = {}, 0
+    for (k, c), e in pv.exps.items():
+        if e < 0:
+            if c:
+                soft -= e
+            else:
+                hard[k] = -e
     cutoff = sum(hard.values())
     poly = {key: v for key, v in pv.poly.items() if key[0] <= cutoff}
     for w, e in pv.exps.items():
@@ -747,32 +767,38 @@ def point_value_laurent(pv):
             poly = {key: v for key, v in
                     pol_mul(poly, weight_power_poly(w, e)).items()
                     if key[0] <= cutoff}
-    if not poly:
-        return {}
+    if not poly or not (hard or soft):
+        return poly
     if 0 in hard:
         raise ValueError("non-isolated or non-generic weights")
-    scalar = Fraction(1)
-    for k, m in hard.items():
-        scalar /= k ** m
-    # coefficients of u^j, u = s/t, in prod 1/(c + k u), scalar included
-    series = [scalar] + [Fraction(0)] * cutoff
-    soft = 0
+    q = [1] + [0] * cutoff
     for (k, c), e in pv.exps.items():
-        if c == 0 or e > 0:
-            continue
-        soft -= e
-        r = Fraction(-k, c)
-        for _ in range(-e):
-            series[0] /= c
-            for j in range(1, cutoff + 1):
-                series[j] = series[j] / c + r * series[j - 1]
+        if c and e < 0:
+            for _ in range(-e):
+                for j in range(cutoff, 0, -1):
+                    q[j] = c * q[j] + k * q[j - 1]
+                q[0] *= c
+    cpow = [1]
+    for _ in range(cutoff + 1):
+        cpow.append(cpow[-1] * q[0])
+    series = [1]
+    for j in range(1, cutoff + 1):
+        series.append(-sum(q[i] * series[j - i] * cpow[i - 1]
+                           for i in range(1, j + 1)))
+    # u^n carries A_n C^(cutoff - n) over the common C^(cutoff + 1)
+    series = [a * cpow[cutoff - n] for n, a in enumerate(series)]
+    lcd = math.lcm(*(v.denominator for v in poly.values()))
     out = {}
     for (i, j), v in poly.items():
+        v = v.numerator * (lcd // v.denominator)
         for n in range(cutoff - i + 1):
             if series[n]:
                 key = (i + n - cutoff, j - soft - n)
                 out[key] = out.get(key, 0) + v * series[n]
-    return {k: v for k, v in out.items() if v}
+    den = lcd * cpow[cutoff + 1]
+    for k, m in hard.items():
+        den *= k ** m
+    return {key: Fraction(num, den) for key, num in out.items() if num}
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +851,8 @@ class LocalizationContext:
     one memo, keyed by builder and arguments, holds the tangent, Rhom,
     tautological and section-line chart pieces, the chart vertices and
     the chi(L) character of each class, and the twist class of each
-    leaf's (bc, ac, kc).
+    leaf's (bc, ac, kc).  ``visited`` counts the points whose class
+    value was nonzero, the ones whose tangent character was needed.
     """
 
     def __init__(self, surface, beta=None, A=None, with_pb=None):
@@ -841,6 +868,7 @@ class LocalizationContext:
                 (int(u[0]), int(u[1]))
                 for u in surface.polytope_points(with_pb))
         self._pieces = {}
+        self.visited = 0
 
     def piece(self, build, *args):
         """``build(*args)``, built once per context."""
@@ -1016,7 +1044,10 @@ class PointEvaluator:
         if e.kind == "mul":
             out = PointValue.unit()
             for c in e.children:
-                out = out.times(self.cval(c))
+                value = self.cval(c)
+                if not value.poly:
+                    return value
+                out = out.times(value)
             return out
         if e.kind == "scale":
             return self.cval(e.children[0]).scaled(e.params[0])
@@ -1058,8 +1089,14 @@ def _pol_det(rows):
 
 
 def _point_contribution(ctx, expr, point, spec):
+    """The point's s-expansion; {} for a point whose class value is
+    zero, before its tangent character is built.  Points past that
+    check are counted in ``ctx.visited``."""
     ev = PointEvaluator(ctx, point, spec)
     val = ev.cval(expr)
+    if not val.poly:
+        return {}
+    ctx.visited += 1
     tangent = ev.tangent()[1]
     for w, mult in tangent.items():
         if w == (0, 0) or mult < 0:
@@ -1088,6 +1125,10 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     direction breaks the torus to one dimension; collisions redraw
     deterministically.  The points are summed in this process, one
     after another; parallel work means running jobs side by side.
+
+    With ``return_info`` the value comes with a dict: the direction
+    ``spec``, the ``seed``, the number of ambient fixed ``points``, the
+    number ``visited`` past the zero check and the draw ``attempts``.
     """
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
@@ -1101,6 +1142,7 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
         attempts += 1
         try:
             totals = {}
+            ctx.visited = 0
             for p in points:
                 contrib = _point_contribution(ctx, expr, p, spec)
                 for key, coef in contrib.items():
@@ -1117,7 +1159,7 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     if not refined:
         value = value.as_fraction()
     info = {"spec": spec, "seed": seed, "points": len(points),
-            "attempts": attempts}
+            "visited": ctx.visited, "attempts": attempts}
     if return_info:
         return value, info
     return value

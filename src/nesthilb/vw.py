@@ -6,9 +6,10 @@ branches on, and exact universal-polynomial fits across surfaces.
 A monopole contribution at total length n is the invariant of the
 curve class times a torsion-counting power of two times the sum over
 splittings n = n1 + n2 of an integral over S^[n1] x S^[n2].  The
-integrand couples the Chern class of minus the nesting complex to a
-ratio of Euler classes of circle-weighted pair complexes; everything
-is built as one formula tree and handed to the equivariant evaluator.
+integrand couples the class of the nested locus, the top Chern class
+of the Carlsson-Okounkov bundle, to a ratio of Euler classes of
+circle-weighted pair complexes; everything is built as one formula
+tree and handed to the equivariant evaluator.
 """
 
 from fractions import Fraction
@@ -138,9 +139,21 @@ ROW_FIELDS = ("beta", "n", "n1", "n2", "value", "t_order")
 
 def monopole_integrand(n1, n2):
     """Integrand of one splitting of the rank-two monopole
-    contribution: the Chern class of minus the nesting complex times
-    the Euler classes of the two positively-moving pair complexes over
-    those of the three negatively-moving ones.
+    contribution: the class c_n(E_L) of the nested locus, n = n1 + n2,
+    times the Euler classes of the two positively-moving pair complexes
+    over those of the three negatively-moving ones.
+
+    E_L = chi(L) - Rhom(I_1, I_2 L) is the Carlsson-Okounkov class, an
+    honest rank-n bundle on S^[n1] x S^[n2].  The paper's degeneracy
+    class is c_n(-Rhom(I_1, I_2 L)), and the two integrals are equal:
+    c(-Rhom) = c(E_L) c(-chi(L)), and chi(L) carries no circle weight,
+    so c_i(-chi(L)) is s^i times a constant.  Each correction term is
+    therefore s^i (i >= 1) times the integral of a genuine class, the
+    Euler factors being invertible series in s/t, and none reaches s^0,
+    the only coefficient the integral keeps.  The rewrite pays at the
+    fixed points: c_n(E_L) is zero wherever E_L holds the zero weight
+    (at beta = 0, wherever nu is not inside mu in some chart), and the
+    evaluator stops there.
 
     Twists are symbolic: the curve class binds at evaluation time.
     Every Euler argument carries a nonzero circle weight, which is what
@@ -148,7 +161,8 @@ def monopole_integrand(n1, n2):
     """
     n = n1 + n2
     return FormulaExpr.mul(
-        FormulaExpr.chern(n, FormulaExpr.neg(rhom(1, 2, bc=1))),
+        FormulaExpr.chern(n, FormulaExpr.kdiff(pushO(bc=1),
+                                               rhom(1, 2, bc=1))),
         FormulaExpr.euler(rhom(2, 1, bc=-1, kc=1, tp=1)),
         FormulaExpr.euler(rhom(1, 2, bc=1, kc=-1, tp=-1)),
         FormulaExpr.euler(FormulaExpr.neg(
@@ -317,6 +331,13 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0):
                     "universality violated: %r and %r share invariants"
                     " but differ" % (other_label, label))
         seen[sig] = (value, label)
+    chis = {run[0].chiO for run in runs}
+    if {"1", "c1sq", "c2"} <= set(names) and len(chis) == 1:
+        # Noether's formula makes the columns 1, c1sq and c2 dependent
+        raise UniversalityError(
+            "insufficient surface spread: c1^2 + c2 = 12 chi(O) = %d on"
+            " every run, so the monomials 1, c1sq and c2 cannot be"
+            " separated" % (12 * chis.pop()))
     coefs = _solve_affine(rows, values)
     for row, value in zip(rows, values):
         fitted = _as_ratfunc(0)

@@ -232,6 +232,18 @@ class TestRun:
         assert code == EXIT_RESIDUAL
         assert json.loads(text)["error"]["code"] == EXIT_RESIDUAL
 
+    def test_fit_names_noether_when_c2_cannot_separate(self, tmp_path,
+                                                       capsys):
+        # every default run is toric, chi(O) = 1
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"monomials": [
+            "1", "c1sq", "c2", "betasq", "c1beta"]}}))
+        code = main(["fit", "--n", "0", "--job", str(path)])
+        assert code == EXIT_RESIDUAL
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message.startswith("insufficient surface spread")
+        assert "c1^2 + c2 = 12 chi(O) = 12 on every run" in message
+
     def test_push_porteous_class(self):
         code, text = run(job(command="push",
                              formula="porteous:2,2,3", format="json"))

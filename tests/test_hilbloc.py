@@ -53,6 +53,32 @@ def taylor_ideal_numerator(mu):
     return out
 
 
+def arm_leg_character(mu, nu, w):
+    """Carlsson-Okounkov E(mu, nu) in arm/leg form, with w the chart's
+    tangent weights: a box of mu gives (a_mu + 1) w1 - l_nu w2, a box of
+    nu gives -a_nu w1 + (l_mu + 1) w2.  Arm a and leg l are measured in
+    the partition named, where they can be negative."""
+    (x1, y1), (x2, y2) = w
+
+    def row(lam, i):
+        return lam[i] if i < len(lam) else 0
+
+    def arm_in(lam, a, b):
+        return row(lam, b) - a - 1
+
+    def leg_in(lam, a, b):
+        return row(conjugate(lam), a) - b - 1
+
+    out = EquivChar()
+    for a, b in cells(mu):
+        p, q = arm_in(mu, a, b) + 1, -leg_in(nu, a, b)
+        out = out + EquivChar.monomial(p * x1 + q * x2, p * y1 + q * y2)
+    for a, b in cells(nu):
+        p, q = -arm_in(nu, a, b), leg_in(mu, a, b) + 1
+        out = out + EquivChar.monomial(p * x1 + q * x2, p * y1 + q * y2)
+    return out
+
+
 class TestPartitions:
     def test_counts(self):
         assert [len(list(partitions(n))) for n in range(7)] \
@@ -229,6 +255,25 @@ class TestAssembly:
             tangent = chi_line_character(S, (0,)) - ch
             assert tangent == full_tangent_character(S, pt)
 
+    def test_rhom_chart_piece_is_arm_leg_form(self):
+        # each chart piece is -E(mu, nu): an honest character of rank
+        # |mu| + |nu| that holds the zero weight exactly when nu is not
+        # inside mu, which is where the monopole integrand vanishes
+        small = [lam for n in range(5) for lam in partitions(n)]
+        for S in (p2(), p1xp1(), f1(), f2()):
+            for chart in S.charts:
+                w = chart.tangent_weights()
+                for mu in small:
+                    for nu in small:
+                        piece = H._rhom_chart_piece(chart.m1, chart.m2,
+                                                    mu, nu, (0, 0))
+                        E = arm_leg_character(mu, nu, w)
+                        assert piece == -E
+                        assert min(E.terms.values(), default=1) > 0
+                        assert E.rank() == sum(mu) + sum(nu)
+                        assert ((0, 0, 0) in piece.terms) \
+                            == (not contains(mu, nu))
+
 
 class TestFixedPoints:
     def test_hilbert_counts(self):
@@ -262,6 +307,42 @@ class TestFixedPoints:
     def test_needs_toric(self):
         with pytest.raises(ValueError, match="toric"):
             list(enumerate_fixed_points(k3_profile(), 0, 1))
+
+
+def gottsche_betti(e, N):
+    """Poincare polynomials of S^[n], n <= N, for a toric surface with
+    Euler number e: a list of {i: b_2i}, from Goettsche's product
+    prod_k 1 / ((1 - z^(2k-2) q^k) (1 - z^(2k) q^k)^(e-2)
+    (1 - z^(2k+2) q^k)), with z^2 written as one step of i."""
+    series = [{0: 1}] + [{} for _ in range(N)]
+    for k in range(1, N + 1):
+        for shift, power in ((k - 1, 1), (k, e - 2), (k + 1, 1)):
+            for _ in range(power):
+                # times 1 / (1 - z^(2 shift) q^k), in place by rising n
+                for n in range(N + 1 - k):
+                    for i, b in list(series[n].items()):
+                        row = series[n + k]
+                        row[i + shift] = row.get(i + shift, 0) + b
+    return series
+
+
+class TestBettiNumbers:
+    @pytest.mark.parametrize("make,N", [(p2, 5), (p1xp1, 4), (f1, 4),
+                                        (f2, 4)])
+    def test_positive_tangent_weights_count_betti_numbers(self, make, N):
+        # Bialynicki-Birula: under a generic circle the fixed points of
+        # S^[n] with i positive tangent weights number b_2i(S^[n]); a
+        # wrong tangent weight moves a point between cells
+        S = make()
+        want = gottsche_betti(len(S.rays), N)
+        for n in range(N + 1):
+            got = {}
+            for pt in enumerate_fixed_points(S, 0, n):
+                exps = H.specialize_weights(full_tangent_character(S, pt),
+                                            (7, 3))
+                i = sum(m for (k, _), m in exps.items() if k > 0)
+                got[i] = got.get(i, 0) + 1
+            assert got == want[n]
 
 
 EULER = FE.euler(FE.leaf("tangent"))

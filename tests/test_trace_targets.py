@@ -76,3 +76,31 @@ def test_traced_job_fires_per_point_spans(tmp_path, capsys):
         assert name in names, name
     # S^[n1] x S^[n2] over n1 + n2 = 1 on P2: 3 points for each split
     assert doc["counts"]["hilbloc.fixed_points"] == 6
+
+
+def test_traced_job_visits_nested_points_only(tmp_path):
+    # the point stream stays whole (the closed-form ambient count), but
+    # only points where c_n(E_L) is nonzero build a tangent character
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"sw": {"entries": [{"beta": [0],
+                                                    "sw": 1}]}}))
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "jobproc.py"), str(record), "1",
+         "trace-visited", "cli", "vw", "--surface", "P2", "--beta", "0",
+         "--n", "0:3", "--job", str(job)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(record.read_text())
+    ambient = sum(workloads.colored_partitions(2 * workloads.CHARTS["P2"], n)
+                  for n in range(4))
+    assert doc["counts"]["hilbloc.fixed_points"] == ambient == 132
+    tangents = [span for span in doc["spans"]
+                if span[0] == "hilbloc.tangent_char"]
+    assert len(tangents) == 50

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from nesthilb.ringcore import Ring, KClass, parse_rational
-from nesthilb.surface import p2, p1xp1, f2, riemann_roch_chi, vd_beta, \
-    general_type_profile, elliptic_profile, k3_profile
-from nesthilb.porteous import FormulaExpr as FE, ZERO_CLASS, taut, \
+from nesthilb.surface import p2, p1xp1, f1, f2, riemann_roch_chi, \
+    vd_beta, general_type_profile, elliptic_profile, k3_profile, \
+    surface_from_json
+from nesthilb.porteous import FormulaExpr as FE, ZERO_CLASS, taut, rhom, \
     normalize, duality_rewrite, virtual_rank, eval_formal, FormalEnv, \
     nested_reduced_formula
 from nesthilb.hilbloc import RatFunc, equivariant_integrate
@@ -109,6 +110,57 @@ class TestMonopoleIntegrand:
         for leaf in leaves(expr):
             env.bind(leaf, KClass.trivial(ring, 0))
         assert eval_formal(expr, env) == ring.one()
+
+
+def degeneracy_integrand(n1, n2):
+    """The monopole integrand with the paper's degeneracy class
+    c_n(-Rhom(I_1, I_2 L)) as its first factor; the five Euler factors
+    are those of ``monopole_integrand``."""
+    return FE.mul(FE.chern(n1 + n2, FE.neg(rhom(1, 2, bc=1))),
+                  *monopole_integrand(n1, n2).children[1:])
+
+
+def json_f1():
+    """A user surface on the rays of F1."""
+    return surface_from_json({"name": "F1json",
+                              "rays": [list(r) for r in f1().rays],
+                              "basis": [0, 1]})
+
+
+NESTED_CASES = [(p2, (0,)), (p2, (1,)), (p1xp1, (0, 0)), (p1xp1, (1, 1)),
+                (f1, (0, 0)), (f1, (1, 0)), (f2, (0, 0)), (f2, (1, 1)),
+                (json_f1, (0, 0)), (json_f1, (1, 0))]
+
+# (surface, beta): (n_max, points visited, ambient points) over n <= n_max
+VISITS = {("P2", (0,)): (3, 50, 132), ("P1xP1", (0, 0)): (2, 23, 53),
+          ("P2", (1,)): (3, 86, 132), ("F1", (1, 0)): (3, 134, 245)}
+
+
+class TestNestedLocus:
+    @pytest.mark.parametrize("make,beta", NESTED_CASES)
+    def test_rewritten_integrand_matches_degeneracy_class(self, make,
+                                                          beta):
+        # c_n(E_L) skips the points where E_L holds the zero weight;
+        # c_n(-Rhom) is nonzero there, so its integral sums every point
+        S = make()
+        visited, points = [0] * 4, [0] * 4
+        for n in range(4):
+            for n1 in range(n + 1):
+                n2 = n - n1
+                value, info = equivariant_integrate(
+                    monopole_integrand(n1, n2), S, n1, n2, beta=beta,
+                    refined=True, return_info=True)
+                assert value == equivariant_integrate(
+                    degeneracy_integrand(n1, n2), S, n1, n2, beta=beta,
+                    refined=True)
+                if not any(beta) and n1 < n2:
+                    assert info["visited"] == 0
+                visited[n] += info["visited"]
+                points[n] += info["points"]
+        if (S.name, beta) in VISITS:
+            n_max, want_visited, want_points = VISITS[S.name, beta]
+            assert sum(visited[:n_max + 1]) == want_visited
+            assert sum(points[:n_max + 1]) == want_points
 
 
 class TestPointContribution:
