@@ -29,7 +29,7 @@ from .porteous import FormulaExpr, FormalEnv, eval_formal, expr_to_json, \
     nested_reduced_formula, co_class
 from .hilbloc import EquivChar, partitions, box_character, \
     tangent_character, rhom_character, structure_numerator, \
-    equivariant_integrate
+    equivariant_integrate, tangent_index_counts
 from .vw import SWTable, UniversalityError, monopole_contribution, \
     universality_fit, fit_report, format_value, MONOMIALS, ROW_FIELDS
 
@@ -369,6 +369,23 @@ def _series_coefficient(e, n):
     return coefs[n]
 
 
+def _gottsche_betti(e, N):
+    """Betti numbers of S^[n], n <= N, for a toric surface with Euler
+    number e: a list of {i: b_2i}, from Goettsche's product
+    prod_k 1 / ((1 - z^(2k-2) q^k) (1 - z^(2k) q^k)^(e-2)
+    (1 - z^(2k+2) q^k)), with z^2 counted as one step of i."""
+    series = [{0: 1}] + [{} for _ in range(N)]
+    for k in range(1, N + 1):
+        for shift, power in ((k - 1, 1), (k, e - 2), (k + 1, 1)):
+            for _ in range(power):
+                # times 1 / (1 - z^(2 shift) q^k), in place by rising n
+                for n in range(N + 1 - k):
+                    for i, b in list(series[n].items()):
+                        row = series[n + k]
+                        row[i + shift] = row.get(i + shift, 0) + b
+    return series
+
+
 def _split_class(ring, names):
     out = KClass(0, ring.one())
     for name in names:
@@ -510,6 +527,10 @@ def _suite_euler(nmax=3):
             value = equivariant_integrate(integrand, S, 0, n)
             checks.append(("euler %s n=%d" % (name, n),
                            value == _series_coefficient(e, n)))
+        betti = _gottsche_betti(e, nmax)
+        for n in range(nmax + 1):
+            checks.append(("betti %s n=%d" % (name, n),
+                           tangent_index_counts(S, n) == betti[n]))
     return checks
 
 

@@ -22,23 +22,27 @@ Per point, the work is assembly from chart pieces.  A fixed point is a
 tuple of per-chart partitions, and its characters are sums of pieces
 that depend on one chart only: the tangent character of (chart, lam),
 the Rhom correction of (chart, mu, nu, twist vertex), the tautological
-term of (chart, lam, vertex).  The LocalizationContext of an integral
-builds each distinct piece once; a point's character is one dict sum of
-its pieces.  The tangent character of a point is built once and shared
-by its tangent leaves and the localization denominator.  A point's
-weights are one exponent map {(k, c): e}, the product of (k s + c t)^e:
-positive e in the numerator, negative e in the denominator.  Products
-add exponents, so a weight shared by numerator and denominator cancels
-as it arises, which is exact because each weight is a nonzero linear
-form k s + c t; the zero-weight and collision checks run before that.
+term of (chart, lam, vertex), and chi(L).  A point's weights are one
+exponent map {(k, c): e}, the product of (k s + c t)^e: positive e in
+the numerator, negative e in the denominator.  Specialization is linear,
+so the LocalizationContext of an integral builds each distinct piece
+once, specializes it once per direction (after any shift by a lattice
+monomial, so the collision check sees every final weight), and a
+point's map is the merge of its pieces' maps; no character sum is built
+per point.  The tangent map of a point is built once and shared by its
+tangent leaves and the localization denominator.  Products add
+exponents, so a weight shared by numerator and denominator cancels as
+it arises, which is exact because each weight is a nonzero linear form
+k s + c t; the zero-weight and collision checks run before that.
 
 A product stops at its first factor whose value at the point is zero,
 and such a point is dropped before its tangent character is built.
 The monopole integrand's first factor, c_n of the Carlsson-Okounkov
-bundle, is zero wherever that bundle holds the zero weight; at
-beta = 0 only the fixed points of the nested Hilbert scheme survive
-it.  The points are still listed over the whole ambient product and
-dropped one by one.  A surviving point expands over integers: the
+bundle, is zero wherever that bundle holds the zero weight, which the
+merged map shows without a Chern class being expanded; at beta = 0
+only the fixed points of the nested Hilbert scheme survive it.  The
+points are still listed over the whole ambient product and dropped one
+by one.  A surviving point expands over integers: the
 series of its soft denominator weights is one integer recurrence, and
 one Fraction is made per output coefficient.
 """
@@ -131,6 +135,9 @@ def staircase_generators(mu):
 # Laurent characters
 
 
+NO_SHIFT = (0, 0, 0)
+
+
 class EquivChar:
     """Finite Laurent polynomial in t1, t2 and the auxiliary weight,
     stored as integer coefficients on exponent triples (p, q, c)."""
@@ -180,9 +187,6 @@ class EquivChar:
     def shift(self, p, q, c=0):
         return EquivChar({(p1 + p, q1 + q, c1 + c): v
                           for (p1, q1, c1), v in self.terms.items()})
-
-    def aux_shift(self, c):
-        return self.shift(0, 0, c) if c else self
 
     def rank(self):
         return sum(self.terms.values())
@@ -393,7 +397,8 @@ def _rhom_chart_piece(m1, m2, mu, nu, u):
     return piece.shift(u[0], u[1])
 
 
-def rhom_global_character(surface, parts_a, parts_b, beta):
+def rhom_global_character(surface, parts_a, parts_b, beta, spec=None,
+                          shift=NO_SHIFT):
     """Character of Rhom(I_A, I_B tensor L) at a fixed point, where
     parts_a and parts_b list one partition per chart.
 
@@ -401,9 +406,14 @@ def rhom_global_character(surface, parts_a, parts_b, beta):
     finite correction per chart, so no assembly is needed beyond the
     line bundle itself.  ``surface`` may also be the
     LocalizationContext of an integral, whose cached chart pieces are
-    then used.
+    then used.  With a direction ``spec`` the value is the exponent map
+    of the specialized weights of the character shifted by ``shift``,
+    merged from the context's per-piece maps.
     """
-    return _context(surface).rhom(parts_a, parts_b, beta)
+    ctx = _context(surface)
+    if spec is None:
+        return ctx.rhom(parts_a, parts_b, beta)
+    return ctx.weights(spec, shift, ctx.rhom_pieces(parts_a, parts_b, beta))
 
 
 def rhom_assembled(surface, parts_a, parts_b, beta):
@@ -429,8 +439,8 @@ class NestedFixedPoint:
     __slots__ = ("mu", "nu", "pb")
 
     def __init__(self, mu, nu, pb=None):
-        self.mu = tuple(tuple(m) for m in mu)
-        self.nu = tuple(tuple(n) for n in nu)
+        self.mu = tuple(map(tuple, mu))
+        self.nu = tuple(map(tuple, nu))
         self.pb = pb
 
     def __eq__(self, other):
@@ -445,21 +455,16 @@ class NestedFixedPoint:
 
 
 def _chart_tuples(num_charts, total):
-    """All ways to place partitions of given total size on the charts."""
-    def go(i, remaining):
-        if i == num_charts - 1:
-            for lam in partitions(remaining):
-                yield (lam,)
-            return
-        for here in range(remaining + 1):
-            for lam in partitions(here):
-                for rest in go(i + 1, remaining - here):
-                    yield (lam,) + rest
-    if num_charts == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from go(0, total)
+    """All ways to place partitions of given total size on the charts,
+    as a list built chart by chart from the last, each size's
+    partitions listed once."""
+    by_size = [list(partitions(m)) for m in range(total + 1)]
+    tails = [[()]] + [[]] * total
+    for _ in range(num_charts):
+        tails = [[(lam,) + rest for here in range(r + 1)
+                  for lam in by_size[here] for rest in tails[r - here]]
+                 for r in range(total + 1)]
+    return tails[total]
 
 
 def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
@@ -479,8 +484,9 @@ def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
         if npts != riemann_roch_chi(surface, with_pb):
             raise ValueError("sections do not span the pushforward fibre")
         pb_range = list(range(npts))
+    mus_list = _chart_tuples(k, n1)
     for nus in _chart_tuples(k, n2):
-        for mus in _chart_tuples(k, n1):
+        for mus in mus_list:
             if nested and not all(contains(nu, mu)
                                   for mu, nu in zip(mus, nus)):
                 continue
@@ -488,13 +494,18 @@ def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
                 yield NestedFixedPoint(mus, nus, pb)
 
 
-def full_tangent_character(surface, point, with_pb=None):
+def full_tangent_character(surface, point, with_pb=None, spec=None):
     """Tangent character of the ambient product at a fixed point: both
     Hilbert scheme factors plus, with a section bundle, the bundle of
     lines.  ``surface`` may also be the LocalizationContext of an
     integral; its cached chart pieces and section offsets are then used,
-    and its own ``with_pb``."""
-    return _context(surface, with_pb).tangent(point)
+    and its own ``with_pb``.  With a direction ``spec`` the value is the
+    exponent map of the specialized weights instead, merged from the
+    context's per-piece maps."""
+    ctx = _context(surface, with_pb)
+    if spec is None:
+        return ctx.tangent(point)
+    return ctx.weights(spec, NO_SHIFT, ctx.tangent_pieces(point))
 
 
 # ---------------------------------------------------------------------------
@@ -644,17 +655,30 @@ class _Collision(Exception):
     """The random direction annihilated a nonzero lattice weight."""
 
 
-def specialize_weights(char, spec):
+def specialize_weights(char, spec, shift=NO_SHIFT):
     """Exponent map {(k, c): multiplicity} of the specialized weights of
-    a character under (p, q) -> p*a + q*b, without zero entries."""
+    a character times the monomial ``shift`` = (p, q, c), under
+    (p, q) -> p*a + q*b, without zero entries.  The collision check
+    runs on each shifted lattice weight."""
     a, b = spec
+    dp, dq, dc = shift
     out = {}
     for (p, q, c), mult in char.terms.items():
+        p, q, c = p + dp, q + dq, c + dc
         k = p * a + q * b
         if k == 0 and c == 0 and (p, q) != (0, 0):
             raise _Collision
         out[k, c] = out.get((k, c), 0) + mult
     return {w: m for w, m in out.items() if m}
+
+
+def _merge_weights(maps):
+    """Exponent map of the sum of the characters whose maps are given.
+    No map is changed in place; a single map is returned as it is."""
+    out = maps[0] if maps else {}
+    for m in maps[1:]:
+        out = _exps_sum(out, m)
+    return out
 
 
 def chern_value(weights, k):
@@ -691,8 +715,12 @@ def _exps_sum(a, b, sign=1):
     -1), without zero entries."""
     out = dict(a)
     for w, e in b.items():
-        out[w] = out.get(w, 0) + sign * e
-    return {w: e for w, e in out.items() if e}
+        e = out.get(w, 0) + sign * e
+        if e:
+            out[w] = e
+        else:
+            del out[w]
+    return out
 
 
 class PointValue:
@@ -753,6 +781,8 @@ def point_value_laurent(pv):
     coefficient is summed as an integer over one common denominator,
     and one Fraction is made per output key.
     """
+    if not pv.exps:
+        return {key: v for key, v in pv.poly.items() if key[0] <= 0}
     hard, soft = {}, 0
     for (k, c), e in pv.exps.items():
         if e < 0:
@@ -805,15 +835,6 @@ def point_value_laurent(pv):
 # evaluation of formula trees at a fixed point
 
 
-def _char_sum(pieces):
-    """The sum of the characters ``pieces``, in one dict."""
-    out = {}
-    for piece in pieces:
-        for k, v in piece.terms.items():
-            out[k] = out.get(k, 0) + v
-    return EquivChar(out)
-
-
 def _section_line_offsets(sections, pb):
     """Tangent character of the bundle of section lines at the line of
     section ``pb``: the offsets u - u_pb of the other sections."""
@@ -848,11 +869,14 @@ class LocalizationContext:
     A fixed-point character is a sum of chart pieces, each a function of
     one chart and its partitions (and twist vertex); the context builds
     each distinct piece once and keeps it for the whole integral.  Its
-    one memo, keyed by builder and arguments, holds the tangent, Rhom,
+    memo, keyed by builder and arguments, holds the tangent, Rhom,
     tautological and section-line chart pieces, the chart vertices and
     the chi(L) character of each class, and the twist class of each
-    leaf's (bc, ac, kc).  ``visited`` counts the points whose class
-    value was nonzero, the ones whose tangent character was needed.
+    leaf's (bc, ac, kc).  A second memo holds the exponent map of each
+    piece times a shift monomial under the current direction; it is
+    emptied when the direction changes, so it lives for one draw.
+    ``visited`` counts the points whose class value was nonzero, the
+    ones whose tangent character was needed.
     """
 
     def __init__(self, surface, beta=None, A=None, with_pb=None):
@@ -867,7 +891,11 @@ class LocalizationContext:
             self.sections = tuple(
                 (int(u[0]), int(u[1]))
                 for u in surface.polytope_points(with_pb))
+        self._tangent_ws = tuple(chart.tangent_weights()
+                                 for chart in surface.charts)
         self._pieces = {}
+        self._spec = None
+        self._weights = {}
         self.visited = 0
 
     def piece(self, build, *args):
@@ -878,38 +906,75 @@ class LocalizationContext:
             value = self._pieces[key] = build(*args)
         return value
 
+    def weights(self, spec, shift, pieces):
+        """Exponent map of the sum of the pieces (build, *args) times
+        the monomial ``shift``: each piece's map is specialized once per
+        direction, and the maps are merged."""
+        if spec != self._spec:
+            self._spec, self._weights = spec, {}
+        memo = self._weights
+        maps = []
+        for piece in pieces:
+            value = memo.get((shift, piece))
+            if value is None:
+                value = memo[shift, piece] = specialize_weights(
+                    self.piece(*piece), spec, shift)
+            maps.append(value)
+        return _merge_weights(maps)
+
+    def char(self, pieces):
+        """The sum of the characters of the pieces, in one dict."""
+        out = {}
+        for piece in pieces:
+            for k, v in self.piece(*piece).terms.items():
+                out[k] = out.get(k, 0) + v
+        return EquivChar(out)
+
+    def chi_piece(self, beta):
+        return (chi_line_character, self.surface, tuple(beta))
+
     def chi(self, beta):
         """chi(L) character of the class."""
-        return self.piece(chi_line_character, self.surface, tuple(beta))
+        return self.piece(*self.chi_piece(beta))
 
     def tangent(self, point):
         """Tangent character at a fixed point, from cached pieces."""
-        pieces = [self.piece(tangent_character, lam, chart.tangent_weights())
-                  for chart, mu, nu in zip(self.surface.charts, point.mu,
-                                           point.nu)
+        return self.char(self.tangent_pieces(point))
+
+    def tangent_pieces(self, point):
+        pieces = [(tangent_character, lam, w)
+                  for w, mu, nu in zip(self._tangent_ws, point.mu, point.nu)
                   for lam in (mu, nu) if lam]
         if self.sections is not None and point.pb is not None:
-            pieces.append(self.piece(_section_line_offsets, self.sections,
-                                     point.pb))
-        return _char_sum(pieces)
+            pieces.append((_section_line_offsets, self.sections, point.pb))
+        return pieces
 
     def rhom(self, parts_a, parts_b, beta):
         """Rhom character at a fixed point: chi(L) plus cached chart
         corrections."""
+        return self.char(self.rhom_pieces(parts_a, parts_b, beta))
+
+    def rhom_pieces(self, parts_a, parts_b, beta, chi=True):
+        """The chart corrections of Rhom, and chi(L) unless ``chi`` is
+        false (the trace-free part)."""
         verts = self.piece(_chart_vertices, self.surface, tuple(beta))
-        return _char_sum([self.chi(beta)] + [
-            self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu, nu, u)
-            for chart, u, mu, nu in zip(self.surface.charts, verts,
-                                        parts_a, parts_b)
-            if mu or nu])
+        pieces = [(_rhom_chart_piece, chart.m1, chart.m2, mu, nu, u)
+                  for chart, u, mu, nu in zip(self.surface.charts, verts,
+                                              parts_a, parts_b)
+                  if mu or nu]
+        if chi:
+            pieces.append(self.chi_piece(beta))
+        return pieces
 
     def taut(self, lams, beta):
         """Tautological bundle of the class at one nesting level."""
+        return self.char(self.taut_pieces(lams, beta))
+
+    def taut_pieces(self, lams, beta):
         verts = self.piece(_chart_vertices, self.surface, tuple(beta))
-        return _char_sum([
-            self.piece(_taut_chart_piece, chart.m1, chart.m2, lam, u)
-            for chart, u, lam in zip(self.surface.charts, verts, lams)
-            if lam])
+        return [(_taut_chart_piece, chart.m1, chart.m2, lam, u)
+                for chart, u, lam in zip(self.surface.charts, verts, lams)
+                if lam]
 
     def twist_class(self, leaf):
         return self.piece(self._twist_class, leaf.attr("bc"),
@@ -931,7 +996,16 @@ class LocalizationContext:
         return cls
 
 
+_LEAVES = ("rhom", "rhom0", "pushO", "taut", "tangent", "O1")
+
+
 class PointEvaluator:
+    """Values of a formula tree at one fixed point under the direction
+    ``spec``.  chern, euler and delta nodes read a K-class as its
+    exponent map, ``weights``, merged from the context's per-piece maps.
+    Only a twist needs its line's lattice weight, so it alone builds the
+    character of its subtree (``kval``) and specializes that."""
+
     def __init__(self, ctx, point, spec):
         self.ctx = ctx
         self.point = point
@@ -939,12 +1013,11 @@ class PointEvaluator:
         self._tangent = None
 
     def tangent(self):
-        """The point's tangent character and its specialized weights,
-        built once and shared by its tangent leaves and the
-        localization denominator."""
+        """Exponent map of the point's tangent character, built once and
+        shared by its tangent leaves and the localization denominator."""
         if self._tangent is None:
-            ch = full_tangent_character(self.ctx, self.point)
-            self._tangent = ch, specialize_weights(ch, self.spec)
+            self._tangent = full_tangent_character(self.ctx, self.point,
+                                                   spec=self.spec)
         return self._tangent
 
     def parts(self, index):
@@ -959,7 +1032,20 @@ class PointEvaluator:
             raise ValueError("no projective bundle level in this problem")
         return self.ctx.sections[self.point.pb]
 
+    def leaf_shift(self, e):
+        """The monomial (p, q, c) a leaf is multiplied by: O(-o1) of the
+        section line and the auxiliary weight tp."""
+        name = e.params[0]
+        if name not in _LEAVES:
+            raise ValueError("leaf %r has no equivariant value" % name)
+        o1 = e.attr("o1")
+        if not o1:
+            return (0, 0, e.attr("tp"))
+        u = self.pb_vertex()
+        return (-o1 * u[0], -o1 * u[1], e.attr("tp"))
+
     def leaf_char(self, e):
+        shift = self.leaf_shift(e)
         name = e.params[0]
         if name in ("rhom", "rhom0"):
             cls = self.ctx.twist_class(e)
@@ -973,20 +1059,37 @@ class PointEvaluator:
         elif name == "taut":
             ch = self.ctx.taut(self.parts(e.attr("level")), e.attr("a"))
         elif name == "tangent":
-            ch = self.tangent()[0]
-        elif name == "O1":
+            ch = self.ctx.tangent(self.point)
+        else:
             u = self.pb_vertex()
             ch = EquivChar.monomial(-u[0], -u[1])
+        return ch.shift(*shift) if shift != NO_SHIFT else ch
+
+    def leaf_weights(self, e):
+        shift = self.leaf_shift(e)
+        name = e.params[0]
+        ctx = self.ctx
+        if name in ("rhom", "rhom0"):
+            parts_a = self.parts(e.attr("i"))
+            parts_b = self.parts(e.attr("j"))
+            cls = ctx.twist_class(e)
+            if name == "rhom":
+                return rhom_global_character(ctx, parts_a, parts_b, cls,
+                                             spec=self.spec, shift=shift)
+            pieces = ctx.rhom_pieces(parts_a, parts_b, cls, chi=False)
+        elif name == "pushO":
+            pieces = [ctx.chi_piece(ctx.twist_class(e))]
+        elif name == "taut":
+            pieces = ctx.taut_pieces(self.parts(e.attr("level")),
+                                     e.attr("a"))
+        elif name == "tangent":
+            if shift == NO_SHIFT:
+                return self.tangent()
+            pieces = ctx.tangent_pieces(self.point)
         else:
-            raise ValueError("leaf %r has no equivariant value" % name)
-        o1 = e.attr("o1")
-        if o1:
             u = self.pb_vertex()
-            ch = ch.shift(-o1 * u[0], -o1 * u[1])
-        tp = e.attr("tp")
-        if tp:
-            ch = ch.aux_shift(tp)
-        return ch
+            pieces = [(EquivChar.monomial, -u[0], -u[1])]
+        return ctx.weights(self.spec, shift, pieces)
 
     def kval(self, e):
         if e.kind == "leaf":
@@ -1013,16 +1116,33 @@ class PointEvaluator:
         raise ValueError("not a K-level node: %r" % e.kind)
 
     def weights(self, e):
-        if e.kind == "leaf" and e.params == ("tangent",) and not e.attrs:
-            return self.tangent()[1]
-        return specialize_weights(self.kval(e), self.spec)
+        """Exponent map {(k, c): m} of the specialized weights of the
+        K-class e at the point."""
+        if e.kind == "leaf":
+            return self.leaf_weights(e)
+        if e.kind == "ksum":
+            return _merge_weights([self.weights(c) for c in e.children])
+        if e.kind == "kdiff":
+            a, b = e.children
+            return _exps_sum(self.weights(a), self.weights(b), -1)
+        if e.kind == "dual":
+            return {(-k, -c): m
+                    for (k, c), m in self.weights(e.children[0]).items()}
+        if e.kind == "twist":
+            return specialize_weights(self.kval(e), self.spec)
+        raise ValueError("not a K-level node: %r" % e.kind)
 
     def cval(self, e):
         if e.kind == "one":
             return PointValue.unit()
         if e.kind == "chern":
-            return PointValue(chern_value(self.weights(e.children[0]),
-                                          e.params[0]))
+            n = e.params[0]
+            ws = self.weights(e.children[0])
+            if n > 0 and min(ws.values(), default=0) >= 0 \
+                    and sum(ws.values()) - ws.get((0, 0), 0) < n:
+                # an honest bundle with fewer than n nonzero weights
+                return PointValue.zero()
+            return PointValue(chern_value(ws, n))
         if e.kind == "euler":
             exps = self.weights(e.children[0])
             if (0, 0) in exps:
@@ -1097,12 +1217,12 @@ def _point_contribution(ctx, expr, point, spec):
     if not val.poly:
         return {}
     ctx.visited += 1
-    tangent = ev.tangent()[1]
-    for w, mult in tangent.items():
-        if w == (0, 0) or mult < 0:
-            raise ValueError("non-isolated or non-generic weights")
-    return point_value_laurent(
-        PointValue(val.poly, _exps_sum(val.exps, tangent, -1)))
+    tangent = ev.tangent()
+    if (0, 0) in tangent or min(tangent.values(), default=0) < 0:
+        raise ValueError("non-isolated or non-generic weights")
+    # euler(tangent) shares the tangent's map: the quotient is empty
+    exps = {} if val.exps is tangent else _exps_sum(val.exps, tangent, -1)
+    return point_value_laurent(PointValue(val.poly, exps))
 
 
 def _draw_spec(rng):
@@ -1111,6 +1231,19 @@ def _draw_spec(rng):
         b = rng.randrange(1, 1000)
         if a != b and math.gcd(a, b) == 1:
             return (a, b)
+
+
+def _first_direction(seed, attempt):
+    """``attempt(spec)`` under seeded directions drawn in turn until one
+    annihilates no lattice weight: (result, spec, attempts)."""
+    rng = random.Random(seed)
+    for attempts in range(1, 52):
+        spec = _draw_spec(rng)
+        try:
+            return attempt(spec), spec, attempts
+        except _Collision:
+            pass
+    raise ValueError("non-isolated or non-generic weights")
 
 
 def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
@@ -1135,23 +1268,16 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     ctx = LocalizationContext(surface, beta=beta, A=A, with_pb=with_pb)
     points = list(enumerate_fixed_points(surface, n1, n2, with_pb=with_pb,
                                          nested=False))
-    rng = random.Random(seed)
-    attempts = 0
-    while True:
-        spec = _draw_spec(rng)
-        attempts += 1
-        try:
-            totals = {}
-            ctx.visited = 0
-            for p in points:
-                contrib = _point_contribution(ctx, expr, p, spec)
-                for key, coef in contrib.items():
-                    totals[key] = totals.get(key, 0) + coef
-            break
-        except _Collision:
-            if attempts > 50:
-                raise ValueError("non-isolated or non-generic weights")
-            continue
+
+    def attempt(spec):
+        totals = {}
+        ctx.visited = 0
+        for p in points:
+            contrib = _point_contribution(ctx, expr, p, spec)
+            for key, coef in contrib.items():
+                totals[key] = totals.get(key, 0) + coef
+        return totals
+    totals, spec, attempts = _first_direction(seed, attempt)
     if any(coef and deg < 0 for (deg, _), coef in totals.items()):
         raise ValueError("integral not equivariantly constant")
     value = RatFunc({tp: coef for (deg, tp), coef in totals.items()
@@ -1163,6 +1289,24 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     if return_info:
         return value, info
     return value
+
+
+def tangent_index_counts(surface, n, seed=0):
+    """{i: number of fixed points of S^[n] with i positive tangent
+    weights} under a seeded direction, read from the per-chart maps an
+    integral uses.  By Bialynicki-Birula these are the Betti numbers
+    b_2i of S^[n]; a wrong tangent weight moves a point between cells."""
+    ctx = LocalizationContext(surface)
+    points = list(enumerate_fixed_points(surface, 0, n))
+
+    def attempt(spec):
+        counts = {}
+        for pt in points:
+            exps = full_tangent_character(ctx, pt, spec=spec)
+            i = sum(m for (k, _), m in exps.items() if k > 0)
+            counts[i] = counts.get(i, 0) + 1
+        return counts
+    return _first_direction(seed, attempt)[0]
 
 
 def nonequivariant_limit(x):

@@ -309,7 +309,19 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0):
     numbers; both are errors, never a best fit.
     """
     names = list(monomials) if monomials is not None else list(MONOMIALS)
-    rows, values, labels = [], [], []
+    rows = [[monomial_value(name, run[0], run[1]) for name in names]
+            for run in runs]
+    chis = {run[0].chiO for run in runs}
+    if {"1", "c1sq", "c2"} <= set(names) and len(chis) == 1:
+        # Noether's formula makes the columns 1, c1sq and c2 dependent
+        raise UniversalityError(
+            "insufficient surface spread: c1^2 + c2 = 12 chi(O) = %d on"
+            " every run, so the monomials 1, c1sq and c2 cannot be"
+            " separated" % (12 * chis.pop()))
+    # the design's rank needs the rows only, so a rank-deficient design
+    # is refused before any integral is computed
+    _solve_affine(rows, [Fraction(0)] * len(rows))
+    values, labels = [], []
     for run in runs:
         surface, beta = run[0], run[1]
         if len(run) > 2:
@@ -317,8 +329,6 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0):
         else:
             value = point_contribution(surface, beta, n, refined=refined,
                                        seed=seed).value
-        rows.append([monomial_value(name, surface, beta)
-                     for name in names])
         values.append(value)
         labels.append((surface.name, tuple(surface.cls(beta))))
     seen = {}
@@ -331,13 +341,6 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0):
                     "universality violated: %r and %r share invariants"
                     " but differ" % (other_label, label))
         seen[sig] = (value, label)
-    chis = {run[0].chiO for run in runs}
-    if {"1", "c1sq", "c2"} <= set(names) and len(chis) == 1:
-        # Noether's formula makes the columns 1, c1sq and c2 dependent
-        raise UniversalityError(
-            "insufficient surface spread: c1^2 + c2 = 12 chi(O) = %d on"
-            " every run, so the monomials 1, c1sq and c2 cannot be"
-            " separated" % (12 * chis.pop()))
     coefs = _solve_affine(rows, values)
     for row, value in zip(rows, values):
         fitted = _as_ratfunc(0)

@@ -244,6 +244,23 @@ class TestRun:
         assert message.startswith("insufficient surface spread")
         assert "c1^2 + c2 = 12 chi(O) = 12 on every run" in message
 
+    def test_fit_refuses_design_before_integrating(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the Noether and rank checks read the design rows only, so no
+        # point contribution is computed for a design they refuse
+        from nesthilb import vw
+        calls = []
+        monkeypatch.setattr(vw, "point_contribution",
+                            lambda *a, **k: calls.append(a))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"monomials": [
+            "1", "c1sq", "c2", "betasq", "c1beta"]}}))
+        code = main(["fit", "--n", "2", "--job", str(path)])
+        assert code == EXIT_RESIDUAL
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert "c1^2 + c2 = 12 chi(O) = 12 on every run" in message
+        assert calls == []
+
     def test_push_porteous_class(self):
         code, text = run(job(command="push",
                              formula="porteous:2,2,3", format="json"))

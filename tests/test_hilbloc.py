@@ -1,14 +1,16 @@
 """Localization layer: partitions, characters, assembly, fixed points,
 and the weighted fixed-point integral."""
 
+import importlib.util
 import pickle
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from nesthilb.surface import p2, p1xp1, f1, f2, k3_profile, vd_beta, \
-    surface_from_json
+    surface_from_json, load_surface
 from nesthilb.bundles import point_base, projective_bundle, integrate
 from nesthilb.ringcore import KClass
 from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, o1_line, \
@@ -308,6 +310,82 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match="toric"):
             list(enumerate_fixed_points(k3_profile(), 0, 1))
 
+    def test_chart_tuples_match_reference_recursion(self):
+        for k in range(5):
+            for n in range(6):
+                assert H._chart_tuples(k, n) \
+                    == list(ref_chart_tuples(k, n)), (k, n)
+
+    @pytest.mark.parametrize("make", [p2, p1xp1])
+    def test_stream_order_matches_reference_recursion(self, make):
+        # nu tuples outside, mu tuples inside, section lines innermost
+        S = make()
+        k = len(S.charts)
+        for n1 in range(6):
+            for n2 in range(6 - n1):
+                for nested in (True, False):
+                    want = [(mus, nus, None)
+                            for nus in ref_chart_tuples(k, n2)
+                            for mus in ref_chart_tuples(k, n1)
+                            if not nested or all(
+                                contains(nu, mu)
+                                for mu, nu in zip(mus, nus))]
+                    got = [(p.mu, p.nu, p.pb) for p in
+                           enumerate_fixed_points(S, n1, n2,
+                                                  nested=nested)]
+                    assert got == want, (n1, n2, nested)
+        beta = (1,) * len(S.basis)
+        got = [(p.mu, p.nu, p.pb)
+               for p in enumerate_fixed_points(S, 1, 1, with_pb=beta)]
+        sections = range(len(S.polytope_points(beta)))
+        assert got == [(mus, nus, pb) for nus in ref_chart_tuples(k, 1)
+                       for mus in ref_chart_tuples(k, 1)
+                       if all(contains(nu, mu) for mu, nu in zip(mus, nus))
+                       for pb in sections]
+
+
+def ref_chart_tuples(k, total):
+    """Partitions of the given total size placed on k charts, by the
+    plain recursion: chart by chart, smaller sizes first."""
+    def go(i, remaining):
+        if i == k - 1:
+            for lam in partitions(remaining):
+                yield (lam,)
+            return
+        for here in range(remaining + 1):
+            for lam in partitions(here):
+                for rest in go(i + 1, remaining - here):
+                    yield (lam,) + rest
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    yield from go(0, total)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("job", _load_workloads().WORKLOADS["euler-sweep"],
+                         ids=lambda job: job.name)
+def test_euler_sweep_points_match_closed_form(job):
+    # the benchmark's traced run checks that hilbloc.fixed_points equals
+    # the job's closed-form count; this checks the same in-process
+    argv = list(job.argv)
+    S = load_surface(argv[argv.index("--surface") + 1])
+    lo, hi = map(int, argv[argv.index("--n") + 1].split(":"))
+    points = 0
+    for n in range(lo, hi + 1):
+        _, info = equivariant_integrate(EULER, S, 0, n, return_info=True)
+        points += info["points"]
+    assert points == job.points
+
 
 def gottsche_betti(e, N):
     """Poincare polynomials of S^[n], n <= N, for a toric surface with
@@ -355,17 +433,22 @@ class TestIntegration:
                 == gottsche_coefficient(3, n)
         assert equivariant_integrate(EULER, p1xp1(), 0, 2) == 14
 
-    def test_tangent_specialized_once_per_point(self, monkeypatch):
-        # the tangent leaf under euler and the localization denominator
-        # share one specialization of the point's tangent character
+    def test_tangent_specialized_once_per_chart_piece(self, monkeypatch):
+        # each distinct (chart, partition) tangent piece is specialized
+        # once per integral, and the tangent leaf under euler and the
+        # localization denominator share the point's merged map
         calls = []
         specialize = H.specialize_weights
         monkeypatch.setattr(H, "specialize_weights",
                             lambda *a: calls.append(a) or specialize(*a))
-        value, info = equivariant_integrate(EULER, p1xp1(), 0, 2,
+        S = p1xp1()
+        value, info = equivariant_integrate(EULER, S, 0, 2,
                                             return_info=True)
         assert value == 14 and info["attempts"] == 1
-        assert len(calls) == info["points"] == 14
+        pieces = {(chart, lam) for chart in range(len(S.charts))
+                  for n in (1, 2) for lam in partitions(n)}
+        assert len(calls) == len(pieces) == 12
+        assert len(calls) < info["points"] == 14
 
     def test_chi_built_once_per_class(self, monkeypatch):
         # the context memo builds each twist class's chi(L) once for

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from nesthilb import hilbloc as H
 from nesthilb.hilbloc import EquivChar, cells, arm, leg, partitions
-from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, o1_line, taut
+from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, o1_line, \
+    taut, co_class
 from nesthilb.surface import p2, p1xp1, f1, f2, surface_from_json
 from nesthilb.vw import monopole_integrand
 
@@ -268,6 +269,151 @@ class TestChartPieces:
             H._point_contribution(ctx, EULER, pt, (7, 3))
         # one tangent piece per chart and partition of size 1 or 2
         assert len(ctx._pieces) == len(S.charts) * 3
+
+
+# ---------------------------------------------------------------------------
+# merged per-piece maps against the whole character, specialized at once
+
+
+class SumRouteEvaluator(H.PointEvaluator):
+    """A K-class's character built whole and then specialized, as one
+    map; the merged per-piece maps must give the same."""
+
+    def weights(self, e):
+        return H.specialize_weights(self.kval(e), self.spec)
+
+
+@st.composite
+def k_leaves(draw, rank, pb):
+    """A K-theory leaf of any kind, with its o1 and tp shifts set or
+    unset; o1 and O(1) only where there are section lines."""
+    o1 = draw(st.sampled_from([0, 1, -1])) if pb else 0
+    tp = draw(st.sampled_from([0, 1, -2]))
+    i, j = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    bc, kc = draw(st.sampled_from([0, 1, -1])), draw(st.sampled_from([0, 1]))
+    a = (draw(st.sampled_from([0, 1, 2])),) + (0,) * (rank - 1)
+    name = draw(st.sampled_from(["tangent", "rhom", "rhom0", "pushO",
+                                 "taut"] + (["O1"] if pb else [])))
+    if name == "rhom":
+        return rhom(i, j, bc=bc, kc=kc, o1=o1, tp=tp)
+    if name == "rhom0":
+        return rhom(i, i, bc=bc, kc=kc, o1=o1, tp=tp, trace_free=True)
+    if name == "pushO":
+        return pushO(bc=bc, kc=kc, o1=o1, tp=tp)
+    shifts = {k: v for k, v in (("o1", o1), ("tp", tp)) if v}
+    if name == "taut":
+        return FE.leaf("taut", a=a, level=i, **shifts)
+    return FE.leaf(name, **shifts)
+
+
+def k_trees(rank, pb):
+    lines = [pushO(tp=t) for t in (0, 1, -1)]
+    if pb:
+        lines += [o1_line(), pushO(o1=1)]
+    return st.recursive(
+        k_leaves(rank, pb),
+        lambda sub: st.one_of(
+            st.lists(sub, max_size=3).map(lambda xs: FE.ksum(*xs)),
+            st.tuples(sub, sub).map(lambda ab: FE.kdiff(*ab)),
+            sub.map(FE.dual),
+            st.tuples(sub, st.sampled_from(lines),
+                      st.sampled_from([1, -1, 2])).map(
+                lambda t: FE.twist(*t))),
+        max_leaves=4)
+
+
+def k_nodes(e):
+    """The K-theory nodes of a tree, the root first."""
+    yield e
+    if e.kind == "twist":
+        yield from k_nodes(e.children[0])
+        yield from k_nodes(e.children[1])
+    elif e.kind != "leaf":
+        for c in e.children:
+            yield from k_nodes(c)
+
+
+def weights_or_collision(weights, e):
+    try:
+        return weights(e)
+    except H._Collision:
+        return H._Collision
+
+
+def ref_integral(expr, S, n1, n2, spec, **kw):
+    """The refined integral by the whole-character route: every
+    character rebuilt at every point, specialized as one sum, and the
+    weight lists expanded as they are."""
+    ctx = UncachedContext(S, **kw)
+    totals = {}
+    for pt in H.enumerate_fixed_points(S, n1, n2, with_pb=kw.get("with_pb"),
+                                       nested=False):
+        val = SumRouteEvaluator(ctx, pt, spec).cval(expr)
+        num, den = weight_lists(val.exps)
+        tangent = H.specialize_weights(ctx.tangent(pt), spec)
+        den.extend(w for w, m in tangent.items() for _ in range(m))
+        for key, v in ref_point_value_laurent(val.poly, num, den).items():
+            totals[key] = totals.get(key, 0) + v
+    assert not any(v and s < 0 for (s, _), v in totals.items())
+    return H.RatFunc({t: v for (s, t), v in totals.items() if s == 0})
+
+
+class TestMergedWeights:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_merged_maps_match_whole_character(self, data):
+        make, beta = data.draw(st.sampled_from(SURFACES))
+        S = make()
+        pb = data.draw(st.booleans())
+        n1 = data.draw(st.integers(0, 2))
+        n2 = data.draw(st.integers(0, 3 - n1))
+        kw = {"beta": beta, "with_pb": beta if pb else None}
+        points = list(H.enumerate_fixed_points(S, n1, n2,
+                                               with_pb=kw["with_pb"],
+                                               nested=False))
+        pt = points[data.draw(st.integers(0, len(points) - 1))]
+        spec = H._draw_spec(random.Random(data.draw(st.integers(0, 10 ** 6))))
+        tree = data.draw(k_trees(S.rank, pb))
+        ev = H.PointEvaluator(H.LocalizationContext(S, **kw), pt, spec)
+        ref = SumRouteEvaluator(UncachedContext(S, **kw), pt, spec)
+        for e in k_nodes(tree):
+            assert weights_or_collision(ev.weights, e) \
+                == weights_or_collision(ref.weights, e)
+
+    def test_cancelling_term_forces_a_redraw(self):
+        # chi(L) cancels between the two terms of E_L, but each piece is
+        # specialized on its own: a direction annihilating a lattice
+        # weight of chi(L) is a collision for the merged route only
+        S = p2()
+        assert (-1, 1, 0) in H.chi_line_character(S, (1,)).terms
+        bad = (1, 1)
+        e = FE.kdiff(pushO(bc=1), rhom(1, 2, bc=1))
+        ctx = H.LocalizationContext(S, beta=(1,))
+        whole = []
+        for pt in H.enumerate_fixed_points(S, 0, 1, nested=False):
+            with pytest.raises(H._Collision):
+                H.PointEvaluator(ctx, pt, bad).weights(e)
+            whole.append(weights_or_collision(
+                SumRouteEvaluator(ctx, pt, bad).weights, e))
+        assert any(w is not H._Collision for w in whole)
+
+    @pytest.mark.parametrize("which", range(len(SURFACES)))
+    def test_integrals_match_whole_character_route(self, which):
+        make, beta = SURFACES[which]
+        S = make()
+        for n in range(4):
+            for n1 in range(n + 1):
+                n2 = n - n1
+                for expr, kw in (
+                        (EULER, {}),
+                        (FE.chern(n, co_class(bc=1)), {"beta": beta}),
+                        (monopole_integrand(n1, n2), {"beta": beta})):
+                    value, info = H.equivariant_integrate(
+                        expr, S, n1, n2, refined=True, return_info=True,
+                        **kw)
+                    assert value == ref_integral(expr, S, n1, n2,
+                                                 info["spec"], **kw)
 
 
 def annihilating_spec(S, points):

@@ -311,6 +311,19 @@ class TestUniversalityFit:
         with pytest.raises(UniversalityError, match="insufficient surface"):
             universality_fit(0, runs)
 
+    def test_rank_deficient_design_refused_before_integrating(
+            self, monkeypatch):
+        # c1^2 = 9 on both runs: the columns 1 and c1sq are dependent
+        import nesthilb.vw as vw
+        calls = []
+        monkeypatch.setattr(vw, "point_contribution",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(UniversalityError,
+                           match="^insufficient surface spread$"):
+            universality_fit(2, [(p2(), (1,)), (p2(), (2,))],
+                             monomials=["1", "c1sq"])
+        assert calls == []
+
     def test_matched_pair_constant_fit(self):
         fit = universality_fit(0, [(p1xp1(), (1, 1)), (f2(), (2, 1))],
                                monomials=["1"])
