@@ -8,11 +8,10 @@ pushforward works purely with Chern roots and needs no ambient space at
 all; it reduces the localization sum to one exact polynomial division.
 """
 
-import math
 from fractions import Fraction
 from itertools import combinations
 
-from .ringcore import Ring, GradedClass, KClass
+from .ringcore import Ring, GradedClass, KClass, _class
 
 
 class SpaceModel:
@@ -133,9 +132,9 @@ def _as_generator(root):
     return j
 
 
-def _divide_linear(nums, j, i):
-    """Exact division of an {exponent tuple: int} polynomial by
-    (x_j - x_i).
+def _divide_linear(nums, sj, si, mask):
+    """Exact division of a {packed monomial: int} polynomial by
+    (x_j - x_i), the fields of x_j and x_i at bit offsets sj and si.
 
     Synthetic division in the variable x_j, on integers: the divisor is
     monic, so the quotient has integer coefficients too.  The remainder
@@ -144,19 +143,20 @@ def _divide_linear(nums, j, i):
     """
     by_k = {}
     for mono, c in nums.items():
-        by_k.setdefault(mono[j], {})[mono[:j] + (0,) + mono[j + 1:]] = c
+        k = (mono >> sj) & mask
+        by_k.setdefault(k, {})[mono - (k << sj)] = c
     quot = {}
     carry = {}
+    xi = 1 << si
     for k in range(max(by_k, default=0), -1, -1):
         new = dict(by_k.get(k, ()))
         for m, c in carry.items():
-            mi = m[:i] + (m[i] + 1,) + m[i + 1:]
-            new[mi] = new.get(mi, 0) + c
+            new[m + xi] = new.get(m + xi, 0) + c
         carry = {m: c for m, c in new.items() if c}
         if not k:
             return None if carry else quot
         for m, c in carry.items():
-            quot[m[:j] + (k - 1,) + m[j + 1:]] = c
+            quot[m + ((k - 1) << sj)] = c
 
 
 def grassmann_split_pushforward(roots, r, F):
@@ -208,12 +208,14 @@ def grassmann_split_pushforward(roots, r, F):
                     term = term * (roots[j] - roots[i])
         numerator = numerator + term
 
-    poly = numerator.poly
-    den = math.lcm(*[c.denominator for c in poly.values()])
-    nums = {m: c.numerator * (den // c.denominator) for m, c in poly.items()}
+    # the divisors are homogeneous, so each degree bucket is divided
+    # on its own, one degree down per divisor
+    parts = numerator._fit()
     for i in range(e):
         for j in range(i + 1, e):
-            nums = _divide_linear(nums, idx[j], idx[i])
-            if nums is None:
+            sj, si = ring.shifts[idx[j]], ring.shifts[idx[i]]
+            parts = {d - 1: _divide_linear(b, sj, si, ring.mask)
+                     for d, b in parts.items()}
+            if None in parts.values():
                 raise ValueError("non-symmetric input")
-    return GradedClass(ring, ring._reduce(nums, den), reduced=True)
+    return _class(ring, numerator.den, parts)

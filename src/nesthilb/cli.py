@@ -763,8 +763,16 @@ def run(job):
 # argument handling
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises SchemaError where argparse would print its usage and exit
+    2, so a malformed command line also gets the JSON error document."""
+
+    def error(self, message):
+        raise SchemaError("command line: %s" % message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nesthilb",
         description="batch runner for intersection-theory jobs")
     parser.add_argument("command")
@@ -795,13 +803,11 @@ def _merge_job(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        job = JobSpec(_merge_job(build_parser().parse_args(argv)))
     except SystemExit as err:
+        # --help, after printing the usage
         return EXIT_SCHEMA if err.code else EXIT_OK
-    try:
-        job = JobSpec(_merge_job(args))
     except SchemaError as err:
         sys.stdout.write(_render_error(EXIT_SCHEMA, str(err)))
         return EXIT_SCHEMA

@@ -493,7 +493,10 @@ def eval_formal(expr, env):
     and returning its KClass (or GradedClass for cycle symbols); K-level
     nodes produce KClass, class-level nodes produce GradedClass.
     ``env.ring`` is the ambient ring, ``env.space(level)`` the bundle
-    level for push nodes.
+    level for push nodes.  A `FormalEnv` keeps the values of inner nodes
+    by `FormulaExpr.key()` until its next `bind`, so a subtree shared
+    between nodes or evaluations is evaluated once; other environments
+    share values within one call.
     """
     return _EvalFormal(env).k_or_class(expr)
 
@@ -502,13 +505,31 @@ class _EvalFormal:
     def __init__(self, env):
         self.env = env
         self.ring = env.ring
+        self.memo = env.memo if isinstance(env, FormalEnv) else {}
 
     def k_or_class(self, e):
         if e.kind in _KKINDS:
             return self.kval(e)
         return self.cval(e)
 
+    def _memoized(self, e, evaluate):
+        # a leaf's value is the environment's; inner K-level and
+        # class-level nodes have distinct kinds, so their keys differ
+        if e.kind == "leaf":
+            return evaluate(e)
+        key = e.key()
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = evaluate(e)
+        return value
+
     def kval(self, e):
+        return self._memoized(e, self._kval)
+
+    def cval(self, e):
+        return self._memoized(e, self._cval)
+
+    def _kval(self, e):
         if e.kind == "leaf":
             val = self.env(e)
             if not isinstance(val, KClass):
@@ -531,7 +552,7 @@ class _EvalFormal:
             return k_twist(self.kval(body), h, e.params[0])
         raise ValueError("not a K-level node: %r" % e.kind)
 
-    def cval(self, e):
+    def _cval(self, e):
         if e.kind == "one":
             return self.ring.one()
         if e.kind == "chern":
@@ -576,15 +597,19 @@ class _EvalFormal:
 
 class FormalEnv:
     """Leaf environment: explicit bindings keyed by leaf, with the
-    ambient ring and optional bundle levels for push nodes."""
+    ambient ring and optional bundle levels for push nodes.  ``memo``
+    holds the values of inner nodes evaluated under the current
+    bindings, keyed by `FormulaExpr.key()`."""
 
     def __init__(self, ring, bindings=None, spaces=None):
         self.ring = ring
         self.bindings = dict(bindings or {})
         self.spaces = dict(spaces or {})
+        self.memo = {}
 
     def bind(self, leaf, value):
         self.bindings[leaf.key()] = value
+        self.memo.clear()
         return self
 
     def __call__(self, leaf):

@@ -9,22 +9,33 @@ series) are `KClass` objects.
 
 All arithmetic is exact.  Products silently truncate above the ring's
 bound D, mirroring the vanishing of cycle classes above the ambient
-dimension.  Every product, and every sum of products (determinant
-minors, series inversion, twists), goes through one fused kernel,
-`_dot`: it packs each monomial into one int with a bit field per
-variable, so multiplying monomials is one integer addition, sums the
-products as integer numerators over one common denominator, skips
-degree buckets above D, and builds one Fraction per output term.
-Relations are applied through normal forms of monomials, memoized on
-each `Ring` instance (never shared between rings), so every monomial is
-rewritten once per ring; a ring without relations only drops the
-monomials above D.
+dimension.
+
+A `GradedClass` is stored packed: one positive denominator and, per
+weighted degree, a dict {packed monomial: int numerator}, normalized so
+that the denominator and the numerators have gcd 1.  A packed monomial
+is one int with a bit field per generator, so multiplying monomials is
+one integer addition.  The ring fixes the field width: D.bit_length()
+bits in a truncated ring, since no exponent of a kept monomial exceeds
+D; an untruncated ring widens its fields when a degree needs it, and a
+class packed at an older width is repacked when it is next used.
+`GradedClass.poly`, the {exponent tuple: Fraction} dict, is a read-only
+view built on first access.
+
+Every product, and every sum of products (determinant minors, series
+inversion, twists), goes through one fused kernel, `_dot`: it sums the
+products as integer numerators over one common denominator and skips
+pairs of degree buckets above D.  Relations are applied through normal
+forms of packed monomials in the generators they rewrite, memoized on
+each `Ring` instance (never shared between rings), so each such
+monomial is rewritten once per ring and a rewrite step is one integer
+subtraction; a ring without relations only drops the monomials above
+D.
 """
 
 import math
 from fractions import Fraction
-from itertools import chain
-from operator import add, lshift, mul
+from operator import lshift, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,74 +92,77 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _over(nums, den):
-    """{monomial: Fraction} dict of the nonzero numerators over den."""
-    if den == 1:
-        return {m: Fraction(v) for m, v in nums.items() if v}
-    return {m: Fraction(v, den) for m, v in nums.items() if v}
+def _integral(den, parts):
+    """(den, parts) with every numerator an int: buckets whose values
+    may be Fractions are scaled by the lcm of their denominators."""
+    scale = math.lcm(*[c.denominator for b in parts.values()
+                       for c in b.values()])
+    return den * scale, {d: {m: c.numerator * (scale // c.denominator)
+                             for m, c in b.items()}
+                         for d, b in parts.items()}
 
 
-def _operand(poly, shifts, degrees, D):
-    """(den, {degree: [(packed monomial, numerator)]}) of one factor:
-    integer numerators over the least common denominator, grouped by
-    weighted degree when D bounds the ring (else all under 0)."""
-    den = math.lcm(*[c.denominator for c in poly.values()])
-    buckets = {}
-    for m, c in poly.items():
-        d = sum(map(mul, m, degrees)) if D is not None else 0
-        buckets.setdefault(d, []).append(
-            (sum(map(lshift, m, shifts)), c.numerator * (den // c.denominator)))
-    return den, buckets
+def _class(ring, den, parts):
+    """The class of packed buckets over den, already in normal form."""
+    x = object.__new__(GradedClass)
+    x._set(ring, den, parts)
+    return x
+
+
+def _sum(ring, terms):
+    """sum(k * x) over (int k, class x) pairs, the numerators brought
+    over the lcm of the denominators."""
+    den = math.lcm(*[x.den for _, x in terms])
+    parts = {}
+    for k, x in terms:
+        f = k * (den // x.den)
+        for d, b in x._fit().items():
+            acc = parts.setdefault(d, {})
+            get = acc.get
+            for m, c in b.items():
+                acc[m] = get(m, 0) + c * f
+    return _class(ring, den, parts)
 
 
 def _dot(ring, triples):
     """The class sum(sign * a * b) over (sign, a, b) triples, sign an
     int: the fused kernel behind every product of the ring.
 
-    A monomial is packed into one int, one bit field per variable, so
-    multiplying monomials is one integer addition.  A field is
-    D.bit_length() bits wide in a truncated ring, since no exponent of a
-    kept product exceeds D, and is sized from the operands' largest
-    exponents in an untruncated ring.  Pairs of degree buckets above D
-    are skipped whole.  Products are summed as integer numerators over
-    one common denominator; one Fraction is built per output term.
+    No exponent of a product exceeds its degree, and pairs of degree
+    buckets above D are skipped whole, so a truncated ring's fields
+    never overflow; an untruncated ring first widens its fields to the
+    largest degree of a product.  Products are summed as integer
+    numerators over one common denominator, by degree bucket.
     """
-    triples = [(s, a, b) for s, a, b in triples if s and a.poly and b.poly]
+    triples = [(s, a, b) for s, a, b in triples if s and a.parts and b.parts]
     if not triples:
         return ring.zero()
-    D, degrees, n = ring.D, ring.degrees, len(ring.names)
-    flat = chain.from_iterable
-    top = D if D is not None else max(
-        max(flat(a.poly), default=0) + max(flat(b.poly), default=0)
-        for _, a, b in triples)
-    width = max(top.bit_length(), 1)
-    shifts = tuple(range(0, n * width, width))
-    factors = []
-    common = 1
-    for s, a, b in triples:
-        den_a, terms_a = _operand(a.poly, shifts, degrees, D)
-        den_b, terms_b = _operand(b.poly, shifts, degrees, D)
-        factors.append((s, den_a * den_b, terms_a, terms_b))
-        common = math.lcm(common, den_a * den_b)
+    D = ring.D
+    if D is None:
+        ring._widen(max(max(a.parts) + max(b.parts) for _, a, b in triples))
+    common = math.lcm(*[a.den * b.den for _, a, b in triples])
     out = {}
-    get = out.get
-    for s, den, terms_a, terms_b in factors:
-        f = s * (common // den)
-        for d1, t1 in terms_a.items():
-            if f != 1:
-                t1 = [(m1, c1 * f) for m1, c1 in t1]
-            for d2, t2 in terms_b.items():
-                if D is not None and d1 + d2 > D:
+    for s, a, b in triples:
+        f = s * (common // (a.den * b.den))
+        terms_b = [(d2, t2.items()) for d2, t2 in b._fit().items()]
+        for d1, t1 in a._fit().items():
+            t1 = t1.items() if f == 1 else [(m1, c1 * f)
+                                            for m1, c1 in t1.items()]
+            for d2, t2 in terms_b:
+                d = d1 + d2
+                if D is not None and d > D:
                     continue
+                acc = out.get(d)
+                if acc is None:
+                    acc = out[d] = {}
+                get = acc.get
                 for m1, c1 in t1:
                     for m2, c2 in t2:
                         m = m1 + m2
-                        out[m] = get(m, 0) + c1 * c2
-    mask = (1 << width) - 1
-    poly = {tuple([(m >> k) & mask for k in shifts]): c
-            for m, c in out.items() if c}
-    poly = ring._reduce(poly, common) if ring.rels else _over(poly, common)
-    return GradedClass(ring, poly, reduced=True)
+                        acc[m] = get(m, 0) + c1 * c2
+    if ring.rels:
+        common, out = ring._reduce(common, out)
+    return _class(ring, common, out)
 
 
 class Ring:
@@ -165,9 +179,10 @@ class Ring:
         Each replacement must be homogeneous of degree power*deg(gen) and
         must only involve the generator itself to exponents < power.
 
-    Normal forms of monomials are memoized on the instance as they are
-    needed; the memo depends only on the ring's own generators,
-    relations and D.
+    ``width`` is the bit width of one generator's field in a packed
+    monomial.  Normal forms of packed monomials are memoized on the
+    instance as they are needed; the memo depends only on the ring's
+    own generators, relations, D and width.
     """
 
     def __init__(self, names, degrees=None, D=None, relations=None):
@@ -186,7 +201,6 @@ class Ring:
         self.index = {n: i for i, n in enumerate(names)}
         self.D = None if D is None else int(D)
         self.rels = {}
-        self._nf = {}
         if relations:
             for name, (power, repl) in relations.items():
                 i = self.index[name]
@@ -199,21 +213,49 @@ class Ring:
                     if self.mdeg(m) != power * degrees[i]:
                         raise ValueError("relation is not homogeneous")
                 self.rels[i] = (int(power), repl)
+        # integral relations keep numerators integral
+        self._int_rels = all(type(c) is int for _, repl in self.rels.values()
+                             for c in repl.values())
+        self.width = 0
+        self._widen(self.D or 0)
+
+    def _widen(self, top):
+        """Widen the fields to hold exponents up to top.  Packed
+        relations and the normal-form memo follow the new layout; a
+        relation only rewrites monomials of at least its own degree, so
+        it is packed wide enough whenever it applies."""
+        width = max(top.bit_length(), 1)
+        if width <= self.width:
+            return
+        self.width = width
+        self.shifts = tuple(range(0, len(self.names) * width, width))
+        self.mask = (1 << width) - 1
+        self._nf = {}
+        self._rules = [(self.shifts[i], p, p << self.shifts[i],
+                        [(self.pack(m), c) for m, c in repl.items()])
+                       for i, (p, repl) in self.rels.items()]
+        # the fields of the generators that relations rewrite
+        self._bound = sum(self.mask << self.shifts[i] for i in self.rels)
+
+    def pack(self, mono):
+        return sum(map(lshift, mono, self.shifts))
+
+    def unpack(self, m):
+        mask = self.mask
+        return tuple([(m >> s) & mask for s in self.shifts])
 
     def mdeg(self, mono):
         return sum(map(mul, mono, self.degrees))
 
     def zero(self):
-        return GradedClass(self, {}, reduced=True)
+        return _class(self, 1, {})
 
     def one(self):
         return self.const(1)
 
     def const(self, c):
         c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return GradedClass(self, {(0,) * len(self.names): c}, reduced=True)
+        return _class(self, c.denominator, {0: {0: c.numerator}})
 
     def gen(self, name):
         i = self.index[name]
@@ -224,7 +266,7 @@ class Ring:
         return [self.gen(n) for n in self.names]
 
     def from_dict(self, poly):
-        return GradedClass(self, {tuple(m): Fraction(c) for m, c in poly.items()})
+        return GradedClass(self, {tuple(m): c for m, c in poly.items()})
 
     def extend(self, names, degrees=None, relations=None):
         """New ring with extra generators appended; relations may refer to
@@ -232,7 +274,6 @@ class Ring:
         Existing relations are carried over."""
         if degrees is None:
             degrees = [1] * len(names)
-        old_n = len(self.names)
         pad = len(names)
         rels = {}
         for i, (p, repl) in self.rels.items():
@@ -268,14 +309,15 @@ class Ring:
         return self.lift(x)
 
     def _normal_form(self, mono):
-        """Normal form of one monomial: a tuple of (monomial, coefficient)
-        pairs, coefficients int where the relations allow.
+        """Normal form of one packed monomial of degree at most D: a
+        tuple of (packed monomial, coefficient) pairs, coefficients int
+        where the relations allow.
 
         Filled through the relations depth first and memoized; a stack,
         not recursion, so a long rewrite chain (a high power in an
-        untruncated ring) cannot exhaust the interpreter's stack.  A
-        monomial above D has the empty normal form."""
+        untruncated ring) cannot exhaust the interpreter's stack."""
         memo = self._nf
+        mask = self.mask
         pending = {}
         todo = [mono]
         while todo:
@@ -285,19 +327,13 @@ class Ring:
                 continue
             terms = pending.pop(m, None)
             if terms is None:
-                if self.D is not None and self.mdeg(m) > self.D:
-                    memo[todo.pop()] = ()
-                    continue
-                hit = next(((i, p, repl) for i, (p, repl)
-                            in self.rels.items() if m[i] >= p), None)
+                hit = next(((step, repl) for s, p, step, repl in self._rules
+                            if (m >> s) & mask >= p), None)
                 if hit is None:
                     memo[todo.pop()] = ((m, 1),)
                     continue
-                i, p, repl = hit
-                rest = list(m)
-                rest[i] -= p
-                terms = [(tuple(map(add, rest, rm)), rc)
-                         for rm, rc in repl.items()]
+                rest = m - hit[0]
+                terms = [(rest + rm, rc) for rm, rc in hit[1]]
             acc = {}
             get = acc.get
             missing = []
@@ -318,26 +354,27 @@ class Ring:
                                           if k])
         return memo[mono]
 
-    def _reduce(self, poly, den=1):
-        """Normal form of sum(c * m) / den over the items m: c of poly, as
-        a {monomial: Fraction} dict without zero terms.  The c may be
-        ints (numerators) or Fractions.  A ring without relations only
-        drops the monomials above D."""
-        if not self.rels:
-            if self.D is not None:
-                mdeg, D = self.mdeg, self.D
-                poly = {m: c for m, c in poly.items() if mdeg(m) <= D}
-            return _over(poly, den)
-        memo = self._nf
+    def _reduce(self, den, parts):
+        """(den, parts) of the normal form of packed buckets over den,
+        every monomial of degree at most D.  Relations are homogeneous,
+        so each bucket keeps its degree, and no relation rewrites a
+        free generator, so a monomial's normal form is its free part
+        times the memoized normal form of its other part."""
+        memo, bound = self._nf, self._bound
         out = {}
-        get = out.get
-        for mono, c in poly.items():
-            nf = memo.get(mono)
-            if nf is None:
-                nf = self._normal_form(mono)
-            for m, k in nf:
-                out[m] = get(m, 0) + c * k
-        return _over(out, den)
+        for d, bucket in parts.items():
+            acc = out[d] = {}
+            get = acc.get
+            for mono, c in bucket.items():
+                r = mono & bound
+                nf = memo.get(r)
+                if nf is None:
+                    nf = self._normal_form(r)
+                free = mono - r
+                for m, k in nf:
+                    m += free
+                    acc[m] = get(m, 0) + c * k
+        return (den, out) if self._int_rels else _integral(den, out)
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.names == other.names
@@ -357,59 +394,101 @@ class Ring:
 class GradedClass:
     """Element of a Ring: sparse polynomial in normal form.
 
-    The defining data is a dict {exponent tuple: Fraction}.  Components
-    are recovered by weighted degree; every stored monomial has degree
-    at most the ring's bound D.  A product of two classes is the fused
-    kernel `_dot` on one pair, so it never builds a Fraction per term
-    pair, only per output term.
+    ``GradedClass(ring, poly)`` reduces a dict {exponent tuple:
+    rational} into the ring.  The stored form is packed (see the module
+    docstring): ``den`` and ``parts``, a dict {degree: {packed monomial:
+    int numerator}}, with ``width`` the field width it was packed at;
+    every stored monomial has degree at most the ring's bound D.
+    ``poly`` is the {exponent tuple: Fraction} view, built once.
     """
 
-    __slots__ = ("ring", "poly")
+    __slots__ = ("ring", "den", "parts", "width", "_poly")
 
-    def __init__(self, ring, poly, reduced=False):
-        self.ring = ring
-        if not reduced:
-            poly = ring._reduce(poly)
-        self.poly = poly
+    def __init__(self, ring, poly):
+        D, mdeg = ring.D, ring.mdeg
+        terms = [(d, m, c) for m, c in poly.items() if c
+                 for d in (mdeg(m),) if D is None or d <= D]
+        ring._widen(max([d for d, _, _ in terms], default=0))
+        parts = {}
+        for d, m, c in terms:
+            parts.setdefault(d, {})[ring.pack(m)] = Fraction(c)
+        den, parts = _integral(1, parts)
+        if ring.rels:
+            den, parts = ring._reduce(den, parts)
+        self._set(ring, den, parts)
+
+    def _set(self, ring, den, parts):
+        """Store packed buckets over den: zero terms and empty buckets
+        dropped, the gcd of den and the numerators divided out."""
+        out = {}
+        g = den
+        for d, bucket in parts.items():
+            bucket = {m: c for m, c in bucket.items() if c}
+            if bucket:
+                out[d] = bucket
+                if g != 1:
+                    g = math.gcd(g, *bucket.values())
+        if g != 1:
+            out = {d: {m: c // g for m, c in b.items()}
+                   for d, b in out.items()}
+        self.ring, self.den, self.parts = ring, den // g, out
+        self.width, self._poly = ring.width, None
+
+    def _fit(self):
+        """The buckets in the ring's current layout: a class packed
+        before its untruncated ring widened is repacked once."""
+        ring = self.ring
+        if self.width != ring.width:
+            w = self.width
+            old = range(0, len(ring.names) * w, w)
+            mask = (1 << w) - 1
+            pack = ring.pack
+            self.parts = {d: {pack([(m >> s) & mask for s in old]): c
+                              for m, c in b.items()}
+                          for d, b in self.parts.items()}
+            self.width = ring.width
+        return self.parts
+
+    @property
+    def poly(self):
+        """Read-only {exponent tuple: Fraction} view of the class."""
+        if self._poly is None:
+            unpack, den = self.ring.unpack, self.den
+            self._poly = {unpack(m): Fraction(c, den)
+                          for b in self._fit().values()
+                          for m, c in b.items()}
+        return self._poly
 
     def _coerce(self, other):
         if isinstance(other, GradedClass):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is self.ring:
+                return other
+            if other.ring != self.ring:
                 raise ValueError("classes from different rings")
-            return other
+            return self.ring.cast(other)
         return self.ring.const(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        poly = dict(self.poly)
-        for m, c in other.poly.items():
-            v = poly.get(m, ZERO) + c
-            if v:
-                poly[m] = v
-            else:
-                poly.pop(m, None)
-        return GradedClass(self.ring, poly, reduced=True)
+        return _sum(self.ring, ((1, self), (1, self._coerce(other))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedClass(self.ring, {m: -c for m, c in self.poly.items()},
-                           reduced=True)
+        return _sum(self.ring, ((-1, self),))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return _sum(self.ring, ((1, self), (-1, self._coerce(other))))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _sum(self.ring, ((-1, self), (1, self._coerce(other))))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if c == 0:
-                return self.ring.zero()
-            return GradedClass(self.ring,
-                               {m: v * c for m, v in self.poly.items()},
-                               reduced=True)
+            p = c.numerator
+            return _class(self.ring, self.den * c.denominator,
+                          {d: {m: v * p for m, v in b.items()}
+                           for d, b in self._fit().items()})
         return _dot(self.ring, [(1, self, self._coerce(other))])
 
     __rmul__ = __mul__
@@ -431,41 +510,35 @@ class GradedClass:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        return isinstance(other, GradedClass) and self.ring == other.ring \
-            and self.poly == other.poly
+        if not isinstance(other, GradedClass) or (
+                other.ring is not self.ring and other.ring != self.ring):
+            return False
+        other = self._coerce(other)
+        return self.den == other.den and self._fit() == other._fit()
 
     def __hash__(self):
         return hash(frozenset(self.poly.items()))
 
     def is_zero(self):
-        return not self.poly
+        return not self.parts
 
     def constant(self):
-        key = (0,) * len(self.ring.names)
-        return self.poly.get(key, ZERO)
+        unit = self.parts.get(0)
+        return Fraction(unit[0], self.den) if unit else ZERO
 
     def component(self, k):
         """Homogeneous piece of weighted degree k (zero class for k < 0
         or k above the truncation bound)."""
-        ring = self.ring
-        if k < 0 or (ring.D is not None and k > ring.D):
-            return ring.zero()
-        poly = {m: c for m, c in self.poly.items() if ring.mdeg(m) == k}
-        return GradedClass(ring, poly, reduced=True)
+        return _class(self.ring, self.den, {k: self._fit().get(k, {})})
 
     def components(self):
         """Dict degree -> homogeneous GradedClass, only nonzero pieces."""
-        ring = self.ring
-        parts = {}
-        for m, c in self.poly.items():
-            parts.setdefault(ring.mdeg(m), {})[m] = c
-        return {k: GradedClass(ring, p, reduced=True)
-                for k, p in sorted(parts.items())}
+        ring, den = self.ring, self.den
+        return {k: _class(ring, den, {k: b})
+                for k, b in sorted(self._fit().items())}
 
     def max_degree(self):
-        if not self.poly:
-            return -1
-        return max(self.ring.mdeg(m) for m in self.poly)
+        return max(self.parts, default=-1)
 
     def coefficient(self, mono):
         return self.poly.get(tuple(mono), ZERO)
@@ -516,14 +589,12 @@ def series_invert(c):
         raise ValueError("series inversion requires a truncated ring")
     parts = c.components()
     s = {0: ring.one()}
-    total = dict(s[0].poly)
     for k in range(1, ring.D + 1):
         sk = _dot(ring, [(-1, cj, s[k - j]) for j, cj in parts.items()
                          if 0 < j <= k and k - j in s])
-        if sk.poly:
+        if sk.parts:
             s[k] = sk
-            total.update(sk.poly)
-    return GradedClass(ring, total, reduced=True)
+    return _sum(ring, [(1, sk) for sk in s.values()])
 
 
 def _det(rows):
@@ -550,7 +621,7 @@ def _det(rows):
             value = _dot(ring, [(-1 if j % 2 else 1, row[col],
                                  minor(cols[:j] + cols[j + 1:]))
                                 for j, col in enumerate(cols)
-                                if row[col].poly])
+                                if row[col].parts])
             memo[cols] = value
         return value
 
@@ -649,12 +720,10 @@ class KClass:
 
 def k_dual(E):
     """Dual K-class: rank unchanged, c_i picks up the sign (-1)^i."""
-    ring = E.ring
-    poly = {}
-    for m, c in E.chern.poly.items():
-        d = ring.mdeg(m)
-        poly[m] = c if d % 2 == 0 else -c
-    return KClass(E.rank, GradedClass(ring, poly, reduced=True))
+    ch = E.chern
+    return KClass(E.rank, _class(ch.ring, ch.den, {
+        d: b if d % 2 == 0 else {m: -c for m, c in b.items()}
+        for d, b in ch._fit().items()}))
 
 
 def k_twist(E, h, m=1):
@@ -670,7 +739,7 @@ def k_twist(E, h, m=1):
         raise ValueError("k_twist requires a truncated ring")
     if not isinstance(h, GradedClass) or h.ring != ring:
         raise ValueError("twist class must live in the same ring")
-    if not h.is_zero() and set(h.components()) != {1}:
+    if not h.is_zero() and set(h.parts) != {1}:
         raise ValueError("twist class must be homogeneous of degree 1")
     if m == 0 or h.is_zero():
         return E
@@ -679,9 +748,7 @@ def k_twist(E, h, m=1):
     hp = {0: ring.one()}
     for k in range(1, ring.D + 1):
         hp[k] = hp[k - 1] * mh
-    total = {}
-    for k in range(0, ring.D + 1):
-        total.update(_dot(ring, [(binom_general(E.rank - i, k - i), ci,
-                                  hp[k - i])
-                                 for i, ci in parts.items() if i <= k]).poly)
-    return KClass(E.rank, GradedClass(ring, total, reduced=True))
+    total = [(1, _dot(ring, [(binom_general(E.rank - i, k - i), ci, hp[k - i])
+                             for i, ci in parts.items() if i <= k]))
+             for k in range(0, ring.D + 1)]
+    return KClass(E.rank, _sum(ring, total))

@@ -28,10 +28,14 @@ def test_workflow_runs_tier1():
         == ["3.10", "3.11", "3.12", "3.13"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the [project.scripts] entry point is what users run; no test
-    # imports it
+    # imports it.  One job localizes, one runs the formal rings.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 2 | head -n 1)" = 9')
-    assert runs == ['pip install -e ".[test]"', console, tier1_command()]
+    # verify ends with its "# seed" line, after the verdict
+    formal = ('test "$(nesthilb verify --suite porteous'
+              ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
+    assert runs == ['pip install -e ".[test]"', console, formal,
+                    tier1_command()]
     setup = [step for step in job["steps"]
              if step.get("uses", "").startswith("actions/setup-python")]
     assert setup[0]["with"]["python-version"] \

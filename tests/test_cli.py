@@ -113,13 +113,40 @@ class TestJobSpec:
         with pytest.raises(SchemaError, match="suite"):
             job(command="verify", suite="everything")
 
-    def test_evaluator_pinning(self):
+    def test_evaluator_pinning(self, capsys):
         # each command runs on one evaluator, so there is no field for it
         with pytest.raises(SchemaError, match="unknown field 'evaluator'"):
             job(command="integrate", surface="P2", formula="euler",
                 n=1, evaluator="equivariant")
         assert main(["push", "--formula", "porteous:1,1,1",
                      "--evaluator", "formal"]) == EXIT_SCHEMA
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["error"]["code"] == EXIT_SCHEMA
+        assert "--evaluator" in doc["error"]["message"]
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, words", [
+        (["vw", "--surface", "P2", "--beta", "1", "--n", "0:1",
+          "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "required: command"),
+        (["vw", "--surface", "P2", "--beta"],
+         "--beta: expected one argument"),
+    ])
+    def test_command_line_errors_write_the_error_document(
+            self, capsys, argv, words):
+        assert main(argv) == EXIT_SCHEMA
+        out, err = capsys.readouterr()
+        error = json.loads(out)["error"]
+        assert error["code"] == EXIT_SCHEMA
+        assert error["message"].startswith("command line: ")
+        assert words in error["message"]
+        assert err == ""
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: nesthilb") and err == ""
 
     def test_format_and_counts(self):
         with pytest.raises(SchemaError, match="format"):

@@ -185,6 +185,32 @@ class TestEvalFormal:
         assert n != e
         assert eval_formal(e, env) == eval_formal(n, env)
 
+    def test_shared_subtree_evaluated_once_per_binding(self):
+        ring, V, W, _ = split_env()
+
+        class CountingEnv(FormalEnv):
+            lookups = 0
+
+            def __call__(self, leaf):
+                self.lookups += 1
+                return FormalEnv.__call__(self, leaf)
+
+        env = CountingEnv(ring).bind(V_leaf(), V).bind(W_leaf(), W)
+        C = FE.kdiff(FE.ksum(V_leaf(), W_leaf()), W_leaf())
+        e = FE.mul(FE.chern(1, C), FE.chern(2, C))
+        assert eval_formal(e, env) == V.c(1) * V.c(2)
+        # C is evaluated once, so each of its three leaves is read once
+        assert env.lookups == 3
+        assert eval_formal(FE.chern(1, C), env) == V.c(1)
+        assert env.lookups == 3
+        # a new binding empties the memo
+        h = ring.gen("h")
+        V2 = KClass(3, ring.one() + h + h * h)
+        env.bind(V_leaf(), V2)
+        assert not env.memo
+        assert eval_formal(e, env) == h ** 3
+        assert env.lookups == 6
+
     def test_push_node_segre(self):
         base = free_model(["c1", "c2", "c3"], degrees=[1, 2, 3], D=8)
         B = KClass(3, base.ring.one() + base.ring.gen("c1")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -546,6 +547,143 @@ class TestProductKernel:
         rows = [[a, b], [b, a * a]]
         assert _det(rows).poly == stack_reduce(
             ring, leibniz_det(ring, [[e.poly for e in row] for row in rows]))
+
+
+# -- the packed stored form: integer numerators by degree over one
+# -- denominator, against the schoolbook routes on its .poly view ------
+
+
+def assert_packed(x):
+    """The stored form of x is canonical: a positive denominator, no
+    zero numerator, gcd 1, every monomial in its degree's bucket; and
+    its view holds Fractions only."""
+    ring = x.ring
+    nums = [c for b in x._fit().values() for c in b.values()]
+    assert x.den > 0 and 0 not in nums
+    assert math.gcd(x.den, *nums) == 1
+    for d, bucket in x.parts.items():
+        assert bucket
+        assert all(ring.mdeg(ring.unpack(m)) == d for m in bucket)
+    assert all_fractions(x)
+
+
+def split_numerator(R, roots, r, F):
+    """sum over r-subsets S of sign(S) F(roots_S) times the Vandermonde
+    factors within S and within its complement, as raw dicts."""
+    e = len(roots)
+    terms = []
+    for S in combinations(range(e), r):
+        sign = (-1) ** sum(1 for i in S for j in range(e)
+                           if j not in S and i > j)
+        term = F(*[roots[i] for i in S]).poly
+        for i, j in combinations(range(e), 2):
+            if (i in S) == (j in S):
+                term = schoolbook_product(term, (roots[j] - roots[i]).poly)
+        terms.append((sign, term, unit(R)))
+    return schoolbook_sum(terms)
+
+
+class TestPackedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(ring_and_polys(), fractions)
+    def test_linear_operations_against_schoolbook(self, data, q):
+        ring, p, r = data
+        a, b = GradedClass(ring, p), GradedClass(ring, r)
+        one = unit(ring)
+        assert (a + b).poly == stack_reduce(
+            ring, schoolbook_sum([(1, p, one), (1, r, one)]))
+        assert (a - b).poly == stack_reduce(
+            ring, schoolbook_sum([(1, p, one), (-1, r, one)]))
+        assert (-a).poly == {m: -c for m, c in a.poly.items()}
+        assert (a * q).poly == stack_reduce(
+            ring, {m: c * q for m, c in p.items()})
+        assert a.constant() == a.poly.get((0,) * len(ring.names), 0)
+        assert a.is_zero() == (not a.poly)
+        parts = a.components()
+        assert set(parts) == {ring.mdeg(m) for m in a.poly}
+        for k, part in parts.items():
+            assert part.poly == {m: c for m, c in a.poly.items()
+                                 if ring.mdeg(m) == k}
+            assert part == a.component(k)
+            assert_packed(part)
+        for x in (a, b, a + b, a - b, -a, a * q, a * b):
+            assert_packed(x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(truncated_ring_and_poly(), st.integers(-3, 3))
+    def test_invert_twist_dual_stay_canonical(self, data, rank):
+        ring, raw = data
+        c = unit_class(ring, raw)
+        E = KClass(rank, c)
+        j = ring.degrees.index(1)
+        h = ring.gen(ring.names[j])
+        for x in (series_invert(c), k_twist(E, h, 2).chern,
+                  k_dual(E).chern):
+            assert_packed(x)
+        assert k_dual(E).chern.poly == {
+            m: (-v if ring.mdeg(m) % 2 else v) for m, v in c.poly.items()}
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_split_pushforward_in_relation_ring(self, r):
+        # the roots are free; h^2 = b0 h / 2 rewrites the integrand
+        R = Ring(["b0", "b1", "b2", "h"],
+                 relations={"h": (2, {(1, 0, 0, 1): Fraction(1, 2)})})
+        roots, h = R.gens()[:3], R.gen("h")
+
+        def F(*xs):
+            total = R.zero()
+            for x in xs:
+                total = total + x ** 3 * h * h + Fraction(2, 3) * x ** 5
+            return total
+
+        push = grassmann_split_pushforward(roots, r, F)
+        assert_packed(push)
+        vandermonde = unit(R)
+        for i, j in combinations(range(3), 2):
+            vandermonde = schoolbook_product(
+                vandermonde, (roots[j] - roots[i]).poly)
+        assert stack_reduce(R, schoolbook_product(push.poly, vandermonde)) \
+            == stack_reduce(R, split_numerator(R, roots, r, F))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Ring(["x", "y", "c2"], degrees=[1, 1, 2]),
+        lambda: fractional_ring(None)])
+    def test_class_packed_before_its_ring_widens(self, make):
+        R = make()
+        p = {(1, 0, 0): Fraction(1, 3), (0, 1, 1): 2}
+        a = GradedClass(R, p)
+        width = R.width
+        big = R.gen(R.names[1]) ** 300
+        assert R.width > width and a.width == width
+        prod = a * big
+        assert a.width == R.width
+        assert prod.poly == stack_reduce(
+            R, schoolbook_product(a.poly, big.poly))
+        assert (a + big).poly == stack_reduce(
+            R, schoolbook_sum([(1, p, unit(R)), (1, big.poly, unit(R))]))
+        # an equal ring that never widened holds the same class
+        twin = GradedClass(make(), p)
+        assert twin.ring.width < R.width
+        assert twin == a and a == twin
+        assert (twin + a).poly == (a * 2).poly
+        for x in (a, prod, twin):
+            assert_packed(x)
+
+    def test_lift_and_cast_across_layouts(self):
+        small = Ring(["x", "y"], D=3)
+        big = Ring(["y", "z", "x"], D=40)
+        free = Ring(["x", "y"])
+        assert len({small.width, big.width}) == 2
+        a = GradedClass(small, {(2, 1): Fraction(-1, 2), (1, 0): 3})
+        up = big.lift(a)
+        assert up.poly == {(1, 0, 2): Fraction(-1, 2), (0, 0, 1): 3}
+        assert up * big.gen("z") ** 30 == big.from_dict(
+            {(1, 30, 2): Fraction(-1, 2), (0, 30, 1): 3})
+        # x^3 y has degree 4 > 3 and drops on the way back
+        back = small.cast(free.cast(a) * free.gen("x"))
+        assert back.poly == {(2, 0): 3}
+        for x in (up, back):
+            assert_packed(x)
 
 
 class TestSerialization:
