@@ -1,7 +1,7 @@
 """Symbolic intersection theory and equivariant localization for nested
 Hilbert schemes of points and curves on surfaces.
 
-Subpackages:
+Modules, each loaded on first use:
 
 - ringcore: exact graded ring model, Chern/Segre series, determinantal
   expressions, K-class arithmetic
@@ -11,7 +11,36 @@ Subpackages:
 - hilbloc: torus fixed points, characters, Atiyah-Bott integration
 - vw: rank-2 monopole contributions and universality fits
 - cli: batch front-end
+
+``import nesthilb`` loads ringcore, whose names it re-exports, and
+registers bundles, surface, porteous, hilbloc and vw as lazy modules:
+each is in ``sys.modules`` from the start but runs (and, without
+bytecode, compiles) only when one of its attributes is first read.  A
+job thus pays only for the modules its command uses.  The modules
+refer to each other through the module object, read at call time
+(``hilbloc.equivariant_integrate(...)``), or import names only from a
+module they need anyway.
 """
+
+import importlib.util
+import sys
+
+
+def _register_lazy(name):
+    fullname = "%s.%s" % (__name__, name)
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+# registered before anything else is imported: a module imported
+# eagerly first would be replaced here by a second copy
+for _name in ("surface", "bundles", "porteous", "hilbloc", "vw"):
+    _register_lazy(_name)
+del _name
 
 from .ringcore import (Ring, GradedClass, KClass, series_invert, delta_det,
                        k_twist, k_dual, rational_str, parse_rational)

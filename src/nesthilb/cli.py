@@ -22,16 +22,14 @@ from math import comb
 
 from .ringcore import Ring, GradedClass, KClass, series_invert, \
     rational_str, parse_rational
-from .bundles import grassmann_split_pushforward
-from .surface import ToricSurface, load_surface, parse_sw_entries
 from .porteous import FormulaExpr, FormalEnv, eval_formal, expr_to_json, \
     expr_from_json, degeneracy_pushforward_X, degeneracy_pushforward_GrB, \
     nested_reduced_formula, co_class
-from .hilbloc import EquivChar, partitions, box_character, \
-    tangent_character, rhom_character, structure_numerator, \
-    equivariant_integrate, tangent_index_counts
-from .vw import SWTable, UniversalityError, monopole_contribution, \
-    universality_fit, fit_report, format_value, MONOMIALS, ROW_FIELDS
+# lazy modules (see the package docstring), reached through the module
+# at call time, so that a job loads only what its command runs; the
+# alias keeps the module apart from the many locals named surface
+from . import bundles, hilbloc, vw
+from . import surface as surfaces
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -113,7 +111,7 @@ def _parse_class(value, name, surface):
 
 def _load_surface(source, what="bad surface"):
     try:
-        return load_surface(source)
+        return surfaces.load_surface(source)
     except (ValueError, OSError) as err:
         raise SchemaError("%s: %s" % (what, err))
 
@@ -178,7 +176,7 @@ def _parse_runs(source):
                 raise SchemaError("run value %r is not rational"
                                   % (item[2],))
             runs.append((surface, beta, value))
-        elif not isinstance(surface, ToricSurface):
+        elif not isinstance(surface, surfaces.ToricSurface):
             raise SchemaError("point contributions need a toric surface"
                               " or a supplied table")
         else:
@@ -242,10 +240,10 @@ class JobSpec:
         monomials = self.params.get("monomials")
         if monomials is None:
             monomials = DEFAULT_FIT_MONOMIALS
-        if not (isinstance(monomials, (list, tuple)) and monomials
-                and all(name in MONOMIALS for name in monomials)):
+        elif not (isinstance(monomials, (list, tuple)) and monomials
+                  and all(name in vw.MONOMIALS for name in monomials)):
             raise SchemaError("params.monomials must be a nonempty list of"
-                              " names from %s" % ", ".join(MONOMIALS))
+                              " names from %s" % ", ".join(vw.MONOMIALS))
         self.monomials = list(monomials)
         self.window = _parse_window(self.params.get("window"))
         self.h2_vanishing = _parse_flag(self.params, "h2_vanishing",
@@ -263,8 +261,8 @@ class JobSpec:
                     raise SchemaError("field 'sw.entries' must be a list")
                 if self.surface is not None:
                     try:
-                        sw_entries = parse_sw_entries(self.surface,
-                                                      entries)
+                        sw_entries = surfaces.parse_sw_entries(
+                            self.surface, entries)
                     except ValueError as err:
                         raise SchemaError("field 'sw.entries': %s" % err)
             higher_mode = _parse_flag(sw, "higher_mode",
@@ -282,7 +280,8 @@ class JobSpec:
             self.runs = _parse_runs(doc.get("runs"))
         if self.command == "vw":
             try:
-                self.sw_table = SWTable(self.surface, sw_entries, higher_mode)
+                self.sw_table = vw.SWTable(self.surface, sw_entries,
+                                           higher_mode)
             except ValueError as err:
                 raise SchemaError(str(err))
 
@@ -299,7 +298,7 @@ class JobSpec:
         if self.command == "fit" and len(self.n_range) != 1:
             raise SchemaError("fit takes a single n")
         if self.command == "integrate" \
-                and not isinstance(self.surface, ToricSurface):
+                and not isinstance(self.surface, surfaces.ToricSurface):
             raise SchemaError("localization needs a toric surface")
 
     def _check_formula(self):
@@ -423,7 +422,7 @@ def porteous_two_routes(r, e0, e1, D=None):
                 acc = acc * (b - u)
         return acc
 
-    push = grassmann_split_pushforward(aroots, r, top_chern)
+    push = bundles.grassmann_split_pushforward(aroots, r, top_chern)
     return det_route, GradedClass(ring, dict(push.poly))
 
 
@@ -502,7 +501,7 @@ def segre_two_routes(b, k):
             acc = acc * (-u)
         return acc
 
-    push = grassmann_split_pushforward(roots, 1, h_power)
+    push = bundles.grassmann_split_pushforward(roots, 1, h_power)
     ring = Ring(names, degrees=[1] * b, D=k)
     total = _split_class(ring, names).chern
     segre = series_invert(total).component(k)
@@ -522,15 +521,15 @@ def _suite_euler(nmax=3):
     integrand = FormulaExpr.euler(FormulaExpr.leaf("tangent"))
     checks = []
     for name, e in (("P2", 3), ("P1xP1", 4)):
-        S = load_surface(name)
+        S = surfaces.load_surface(name)
         for n in range(nmax + 1):
-            value = equivariant_integrate(integrand, S, 0, n)
+            value = hilbloc.equivariant_integrate(integrand, S, 0, n)
             checks.append(("euler %s n=%d" % (name, n),
                            value == _series_coefficient(e, n)))
         betti = _gottsche_betti(e, nmax)
         for n in range(nmax + 1):
             checks.append(("betti %s n=%d" % (name, n),
-                           tangent_index_counts(S, n) == betti[n]))
+                           hilbloc.tangent_index_counts(S, n) == betti[n]))
     return checks
 
 
@@ -538,23 +537,23 @@ def _suite_characters(nmax=3):
     checks = []
     m1, m2 = (1, 0), (0, 1)
     w = ((-1, 0), (0, -1))
-    d = (EquivChar.one() - EquivChar.monomial(*m1)) \
-        * (EquivChar.one() - EquivChar.monomial(*m2))
+    one = hilbloc.EquivChar.one()
+    d = (one - hilbloc.EquivChar.monomial(*m1)) \
+        * (one - hilbloc.EquivChar.monomial(*m2))
     dbar = d.conj()
     for n in range(1, nmax + 1):
-        for mu in partitions(n):
-            q = box_character(mu, m1, m2)
+        for mu in hilbloc.partitions(n):
+            q = hilbloc.box_character(mu, m1, m2)
             vertex = q + q.conj().shift(-1, -1) - dbar * q.conj() * q
             checks.append(("tangent vertex mu=%r" % (mu,),
-                           vertex == tangent_character(mu, w)))
-    one = EquivChar.one()
+                           vertex == hilbloc.tangent_character(mu, w)))
     for na in range(0, nmax):
-        for mu in partitions(na):
+        for mu in hilbloc.partitions(na):
             for nb in range(0, nmax):
-                for nu in partitions(nb):
-                    smb = structure_numerator(mu).conj()
-                    sn = structure_numerator(nu)
-                    closed = rhom_character(mu, nu).num
+                for nu in hilbloc.partitions(nb):
+                    smb = hilbloc.structure_numerator(mu).conj()
+                    sn = hilbloc.structure_numerator(nu)
+                    closed = hilbloc.rhom_character(mu, nu).num
                     checks.append(
                         ("rhom four-term mu=%r nu=%r" % (mu, nu),
                          closed == one - sn - smb + smb * sn))
@@ -639,10 +638,11 @@ def _handle_integrate(job):
     rows = []
     for n in job.n_range:
         expr, n1, n2 = _integrand(job, n)
-        value = equivariant_integrate(
+        value = hilbloc.equivariant_integrate(
             expr, job.surface, n1, n2, beta=job.beta, A=job.A,
             refined=job.order > 0, seed=job.seed)
-        rows.append({"n": n, "value": format_value(value, job.order)})
+        rows.append({"n": n,
+                     "value": hilbloc.format_value(value, job.order)})
     return EXIT_OK, {"formula": job.formula,
                      "surface": job.surface.name, "rows": rows}
 
@@ -650,18 +650,18 @@ def _handle_integrate(job):
 def _handle_vw(job):
     rows = []
     for n in job.n_range:
-        result = monopole_contribution(
+        result = vw.monopole_contribution(
             job.surface, job.sw_table, job.beta, n, refined=job.order > 0,
             order=job.order or None, seed=job.seed, window=job.window)
         rows.extend(result.rows(job.order or None))
     return EXIT_OK, {"surface": job.surface.name,
-                     "columns": list(ROW_FIELDS), "rows": rows}
+                     "columns": list(vw.ROW_FIELDS), "rows": rows}
 
 
 def _handle_fit(job):
-    fit = universality_fit(job.n_range[0], job.runs,
-                           monomials=job.monomials, seed=job.seed)
-    return EXIT_OK, fit_report(fit, order=job.order or 4)
+    fit = vw.universality_fit(job.n_range[0], job.runs,
+                              monomials=job.monomials, seed=job.seed)
+    return EXIT_OK, vw.fit_report(fit, order=job.order or 4)
 
 
 HANDLERS = {"verify": _handle_verify, "push": _handle_push,
@@ -753,7 +753,7 @@ def run(job):
     try:
         code, doc = HANDLERS[job.command](job)
         return code, _render(job, doc)
-    except UniversalityError as err:
+    except vw.UniversalityError as err:
         return EXIT_RESIDUAL, _render_error(EXIT_RESIDUAL, str(err))
     except ValueError as err:
         return EXIT_MATH, _render_error(EXIT_MATH, str(err))

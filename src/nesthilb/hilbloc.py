@@ -51,7 +51,7 @@ import math
 import random
 from fractions import Fraction
 
-from .ringcore import binom_general
+from .ringcore import binom_general, rational_str
 from .surface import ToricSurface, riemann_roch_chi
 from .porteous import FormulaExpr
 
@@ -229,21 +229,36 @@ def _denominator_char(w1, w2):
     return f1 * f2
 
 
+def ext_character(mu, nu, w):
+    """Carlsson-Okounkov character E(mu, nu) of one chart, in arm/leg
+    form, with w = (w1, w2) the chart's tangent weights: a box of mu
+    gives t^((a_mu + 1) w1 - l_nu w2) and a box of nu gives
+    t^(-a_nu w1 + (l_mu + 1) w2).  Arm a and leg l are measured in the
+    partition named, where they can be negative.  E(mu, nu) has rank
+    |mu| + |nu| and only positive multiplicities."""
+    (x1, y1), (x2, y2) = w
+    out = {}
+    # a box of nu has weight w1 + w2 minus that of a box of mu with
+    # the roles of mu and nu swapped
+    for lam, other, swapped in ((mu, nu, False), (nu, mu, True)):
+        cols = conjugate(other) + (0,) * max(lam, default=0)
+        for b, row in enumerate(lam):
+            for a in range(row):
+                p, q = row - a, b + 1 - cols[a]
+                if swapped:
+                    p, q = 1 - p, 1 - q
+                key = (p * x1 + q * x2, p * y1 + q * y2, 0)
+                out[key] = out.get(key, 0) + 1
+    return EquivChar(out)
+
+
 def tangent_character(mu, w):
     """Tangent character of the punctual Hilbert scheme at a monomial
     ideal, in terms of the chart's tangent weight vectors w = (w1, w2):
-    sum over cells of t^((arm+1) w1 - leg w2) + t^(-arm w1 + (leg+1) w2).
+    E(mu, mu), the sum over cells of t^((arm+1) w1 - leg w2) +
+    t^(-arm w1 + (leg+1) w2).
     """
-    (x1, y1), (x2, y2) = w
-    cols = conjugate(mu)
-    out = {}
-    for b, row in enumerate(mu):
-        for a in range(row):
-            r, l = row - a - 1, cols[a] - b - 1
-            for key in (((r + 1) * x1 - l * x2, (r + 1) * y1 - l * y2, 0),
-                        (-r * x1 + (l + 1) * x2, -r * y1 + (l + 1) * y2, 0)):
-                out[key] = out.get(key, 0) + 1
-    return EquivChar(out)
+    return ext_character(mu, mu, w)
 
 
 class LocalChar:
@@ -384,17 +399,10 @@ def chi_line_character(surface, beta):
 
 def _rhom_chart_piece(m1, m2, mu, nu, u):
     """Finite correction of one chart, with coordinate weights m1, m2
-    and twist vertex u, to the character of Rhom(I_mu, I_nu tensor L)."""
-    piece = EquivChar()
-    if nu:
-        piece = piece - box_character(nu, m1, m2)
-    if mu:
-        qbar = box_character(mu, m1, m2).conj()
-        piece = piece - qbar.shift(-m1[0] - m2[0], -m1[1] - m2[1])
-        if nu:
-            dbar = _denominator_char((-m1[0], -m1[1]), (-m2[0], -m2[1]))
-            piece = piece + dbar * qbar * box_character(nu, m1, m2)
-    return piece.shift(u[0], u[1])
+    and twist vertex u, to the character of Rhom(I_mu, I_nu tensor L):
+    -E(mu, nu) over the chart's tangent weights -m1, -m2, times t^u."""
+    w = ((-m1[0], -m1[1]), (-m2[0], -m2[1]))
+    return -ext_character(mu, nu, w).shift(u[0], u[1])
 
 
 def rhom_global_character(surface, parts_a, parts_b, beta, spec=None,
@@ -606,6 +614,16 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(%r)" % (self.terms,)
+
+
+def format_value(value, order=0):
+    """Loss-free text for a rational number; for a weight-dependent
+    Laurent polynomial, space-separated expansion coefficients."""
+    if isinstance(value, RatFunc):
+        if value.is_constant():
+            return rational_str(value.as_fraction())
+        return " ".join(rational_str(c) for c in value.series(order))
+    return rational_str(Fraction(value))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ from fractions import Fraction
 
 from .ringcore import Ring, GradedClass, KClass, delta_det, k_twist, k_dual, \
     rational_str, parse_rational
-from .surface import riemann_roch_chi, vd_beta, twist_dim_d
+# lazy modules (see the package docstring): a formal job never loads
+# surface, and only a push node loads bundles
+from . import bundles
+from . import surface as surfaces
 
 
 TWIST_KEYS = ("bc", "ac", "kc", "o1", "tp")
@@ -114,9 +117,20 @@ class FormulaExpr:
     # -- identity ---------------------------------------------------------
 
     def key(self):
+        """``expr_to_json`` of the tree, dumped with sorted keys and no
+        spaces.  Built from the children's cached keys, so keying every
+        node of a tree takes time linear in its size."""
         if self._key is None:
-            object.__setattr__(self, "_key", json.dumps(
-                expr_to_json(self), sort_keys=True, separators=(",", ":")))
+            doc = _node_json(self)
+            if self.children:
+                fields = {k: _dump(v) for k, v in doc.items()}
+                fields["children"] = "[%s]" % ",".join(
+                    c.key() for c in self.children)
+                key = "{%s}" % ",".join(
+                    '"%s":%s' % (k, fields[k]) for k in sorted(fields))
+            else:
+                key = _dump(doc)
+            object.__setattr__(self, "_key", key)
         return self._key
 
     def __eq__(self, other):
@@ -188,13 +202,23 @@ def _attr_json(v):
     return v
 
 
-def expr_to_json(e):
+# the canonical dump of a JSON form: sorted keys, no spaces
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _node_json(e):
+    """The JSON form of one node, without its children."""
     doc = {"kind": e.kind}
     if e.params:
         doc["params"] = [rational_str(p) if isinstance(p, Fraction) else p
                          for p in e.params]
     if e.attrs:
         doc["attrs"] = {k: _attr_json(v) for k, v in e.attrs}
+    return doc
+
+
+def expr_to_json(e):
+    doc = _node_json(e)
     if e.children:
         doc["children"] = [expr_to_json(c) for c in e.children]
     return doc
@@ -585,8 +609,8 @@ class _EvalFormal:
             return self.cval(body) * cyc
         if e.kind == "push":
             space = self.env.space(e.params[0])
-            from .bundles import proj_pushforward
-            return proj_pushforward(space, self.cval(e.children[0]))
+            return bundles.proj_pushforward(space,
+                                            self.cval(e.children[0]))
         if e.kind == "leaf":
             val = self.env(e)
             if isinstance(val, KClass):
@@ -701,8 +725,8 @@ def nested_reduced_formula(n1, n2, surface, beta, A, h2_vanishing=False):
     """
     if not h2_vanishing:
         raise ValueError("reduced formula needs the H2-vanishing flag")
-    d = twist_dim_d(surface, beta, A)
-    chi = riemann_roch_chi(surface, beta)
+    d = surfaces.twist_dim_d(surface, beta, A)
+    chi = surfaces.riemann_roch_chi(surface, beta)
     B1 = FormulaExpr.twist(pushO(bc=1, ac=1), o1_line(), 1)
     R1 = rhom(1, 2, bc=1, o1=1)
     expr = FormulaExpr.chern(n1 + n2 + d, FormulaExpr.kdiff(B1, R1))
@@ -746,7 +770,7 @@ def ell_step_formula(n, beta, surface=None, A=None):
     co_factors = []
     for i in range(ell - 1):
         if surface is not None and A is not None:
-            d_i = twist_dim_d(surface, beta[i], A)
+            d_i = surfaces.twist_dim_d(surface, beta[i], A)
         else:
             d_i = 0
         B1 = FormulaExpr.twist(pushO(bc=1, ac=1, lvl=i), o1_line(lvl=i), 1)
@@ -799,5 +823,5 @@ def duality_rewrite(expr, n1, n2, beta, surface):
         return FormulaExpr(e.kind, e.params, e.attrs,
                            tuple(walk(c) for c in e.children))
 
-    s = n1 + n2 - surface.chiO - vd_beta(surface, beta)
+    s = n1 + n2 - surface.chiO - surfaces.vd_beta(surface, beta)
     return walk(expr), s

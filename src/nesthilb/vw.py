@@ -18,7 +18,7 @@ from .ringcore import rational_str
 from .surface import ToricSurface, vd_beta
 from .porteous import FormulaExpr, ZERO_CLASS, rhom, pushO, sw_factor, \
     pic_point, normalize, nested_reduced_formula
-from .hilbloc import RatFunc, equivariant_integrate
+from .hilbloc import RatFunc, equivariant_integrate, format_value
 
 
 class UniversalityError(ValueError):
@@ -76,16 +76,6 @@ class SWTable:
         _, pairings = self.entries.get(tuple(self.surface.cls(beta)),
                                        (0, ()))
         return pairings[j - 1] if j - 1 < len(pairings) else Fraction(0)
-
-
-def format_value(value, order=0):
-    """Loss-free text for a rational number; for a weight-dependent
-    Laurent polynomial, space-separated expansion coefficients."""
-    if isinstance(value, RatFunc):
-        if value.is_constant():
-            return rational_str(value.as_fraction())
-        return " ".join(rational_str(c) for c in value.series(order))
-    return rational_str(Fraction(value))
 
 
 class MonopoleResult:

@@ -1,6 +1,7 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, on
-every supported interpreter, after installing the test extra and
-running the installed console script once, with a time limit."""
+every supported interpreter, after installing the test extra, running
+the installed console script once and, on one interpreter, the traced
+benchmark, with a time limit."""
 
 import re
 from pathlib import Path
@@ -34,8 +35,16 @@ def test_workflow_runs_tier1():
     # verify ends with its "# seed" line, after the verdict
     formal = ('test "$(nesthilb verify --suite porteous'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
-    assert runs == ['pip install -e ".[test]"', console, formal,
+    # the traced benchmark checks every workload's outputs, on one
+    # interpreter only; it prints one result line per workload
+    bench = ("test \"$(python3 perfbench/run.py --workload all --seed 1"
+             " --seconds 1 --trace 1 | grep -cF '\"correct\": true')\""
+             " = 4\n")
+    assert runs == ['pip install -e ".[test]"', console, formal, bench,
                     tier1_command()]
+    (bench_step,) = [step for step in job["steps"]
+                     if step.get("run") == bench]
+    assert bench_step["if"] == "matrix.python-version == '3.11'"
     setup = [step for step in job["steps"]
              if step.get("uses", "").startswith("actions/setup-python")]
     assert setup[0]["with"]["python-version"] \

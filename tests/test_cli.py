@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from nesthilb import cli
 from nesthilb.ringcore import parse_rational
+from nesthilb.vw import MONOMIALS
 from nesthilb.cli import (
     JobSpec, SchemaError, run, main, porteous_two_routes,
     delta_euler_forms, segre_two_routes, _series_coefficient,
@@ -252,6 +253,11 @@ class TestRun:
         assert doc["runs"] == 6 and doc["seed"] == 0
         assert set(doc["monomials"]) \
             == {"1", "c1sq", "betasq", "c1beta"}
+
+    def test_default_monomials_are_known(self):
+        # JobSpec checks only the monomials a job supplies, against the
+        # one list in vw; the default must come from that list
+        assert set(cli.DEFAULT_FIT_MONOMIALS) <= set(MONOMIALS)
 
     def test_fit_rank_deficient_design_exits_residual(self):
         params = {"monomials": ["1", "c1sq", "c2", "betasq", "c1beta"]}

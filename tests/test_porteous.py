@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nesthilb.ringcore import Ring, KClass, k_twist
 from nesthilb.bundles import free_model, projective_bundle, proj_pushforward
@@ -14,8 +15,9 @@ from nesthilb.porteous import (
     pic_point, co_class, expr_to_json, expr_from_json, normalize,
     eval_formal, FormalEnv, virtual_rank, degeneracy_pushforward_X,
     degeneracy_pushforward_GrB, comparison_factor, nested_reduced_formula,
-    nested_vir_comparison, ell_step_formula, duality_rewrite,
+    nested_vir_comparison, ell_step_formula, duality_rewrite, taut,
 )
+from nesthilb.vw import monopole_integrand, sw_coupled_pushforward
 
 
 def rank_from_attr(leaf):
@@ -55,6 +57,94 @@ class TestTree:
         assert virtual_rank(e, rank_from_attr) == 2
         with pytest.raises(ValueError):
             virtual_rank(FE.chern(1, V), rank_from_attr)
+
+
+def dumped_key(e):
+    """The key as it was first defined: the whole tree's JSON form."""
+    return json.dumps(expr_to_json(e), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def subtrees(e):
+    yield e
+    for c in e.children:
+        yield from subtrees(c)
+
+
+def builder_trees():
+    """The trees of every formula builder of porteous and vw."""
+    S, G = p2(), general_type_profile(1)
+    E0, E1, B = (FE.leaf(name, rank=r) for name, r in
+                 (("E0", 1), ("E1", 2), ("B", 3)))
+    roots = [FE.leaf("u%d" % i, rank=1) for i in (1, 2)]
+    pg_positive = sw_coupled_pushforward("pg>0", 0, 1, 1, (1,), G)
+    trees = [
+        rhom(1, 2, bc=1, o1=1), rhom(1, 1, kc=1, tp=1, trace_free=True),
+        pushO(kc=1), o1_line(lvl=1), taut((2, 0), 1), sw_factor(1, kc=1),
+        pic_point(), co_class(bc=1, o1=1), ZERO_CLASS,
+        degeneracy_pushforward_GrB(E0, E1, B, 1),
+        *degeneracy_pushforward_GrB(E0, E1, B, 2, esurj2=True,
+                                    roots=roots),
+        comparison_factor(E1, 1, 2, u_line=o1_line()),
+        nested_reduced_formula(1, 2, S, (1,), (0,), h2_vanishing=True)[0],
+        nested_vir_comparison(1, 2),
+        *ell_step_formula((1, 2, 1), ((1,), (2,))),
+        duality_rewrite(pg_positive, 1, 1, (1,), G)[0],
+        normalize(FE.scale(Fraction(-3, 4), FE.mul(
+            FE.chern(3, FE.dual(rhom(2, 1, bc=1))), pushO(bc=1)))),
+        monopole_integrand(2, 1), pg_positive,
+        sw_coupled_pushforward("pg=0-effective", 1, 1, 1, (1,), S,
+                               check=False),
+    ]
+    return trees
+
+
+attr_values = st.one_of(st.integers(-3, 3),
+                        st.fractions(max_denominator=4),
+                        st.tuples(st.integers(-2, 2), st.integers(0, 2)))
+expr_leaves = st.one_of(
+    st.just(FE.one()),
+    st.builds(lambda name, attrs: FE.leaf(name, **attrs),
+              st.sampled_from(["rhom", "pushO", "taut", "V", "svir"]),
+              st.dictionaries(st.sampled_from(["i", "bc", "kc", "a"]),
+                              attr_values, max_size=3)))
+
+
+def expr_trees():
+    return st.recursive(
+        expr_leaves,
+        lambda sub: st.one_of(
+            st.lists(sub, max_size=3).map(lambda xs: FE.ksum(*xs)),
+            st.lists(sub, max_size=3).map(lambda xs: FE.add(*xs)),
+            st.lists(sub, max_size=3).map(lambda xs: FE.mul(*xs)),
+            st.tuples(sub, sub).map(lambda ab: FE.kdiff(*ab)),
+            st.tuples(sub, sub).map(lambda ab: FE.cap(*ab)),
+            sub.map(FE.dual), sub.map(FE.euler),
+            st.tuples(sub, sub, st.integers(-2, 2)).map(
+                lambda t: FE.twist(*t)),
+            st.tuples(st.integers(0, 4), sub).map(lambda t: FE.chern(*t)),
+            st.tuples(st.integers(0, 3), st.integers(-1, 3), sub).map(
+                lambda t: FE.delta(*t)),
+            st.tuples(st.integers(0, 2), sub).map(lambda t: FE.push(*t)),
+            st.tuples(st.fractions(max_denominator=5), sub).map(
+                lambda t: FE.scale(*t))),
+        max_leaves=8)
+
+
+class TestKey:
+    # normalize sorts children by key, so a key built another way must
+    # keep the same string
+
+    def test_builder_trees(self):
+        for tree in builder_trees():
+            for e in subtrees(tree):
+                assert e.key() == dumped_key(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(expr_trees())
+    def test_random_trees(self, tree):
+        for e in subtrees(tree):
+            assert e.key() == dumped_key(e)
 
 
 class TestNormalize:

@@ -104,3 +104,22 @@ def test_traced_job_visits_nested_points_only(tmp_path):
     tangents = [span for span in doc["spans"]
                 if span[0] == "hilbloc.tangent_char"]
     assert len(tangents) == 50
+
+
+def test_traced_formal_job(tmp_path, capsys):
+    # a formal job executes neither hilbloc nor surface, yet the tracer
+    # patches their functions too; the spans of the formal layer fire
+    # (the determinant runs on the fused kernel, not GradedClass.__mul__)
+    argv = ["push", "--formula", "porteous:3,3,5"]
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "jobproc.py"), str(record), "1",
+         "trace-formal", "cli"] + argv,
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == cli.EXIT_OK
+    assert proc.stdout == capsys.readouterr().out
+    names = {span[0] for span in json.loads(record.read_text())["spans"]}
+    assert {"porteous.degeneracy", "ringcore.delta_det"} <= names
