@@ -13,10 +13,14 @@ coprime pair (a, b) and reads off the s^0 coefficient of the fixed
 point sum; surviving negative powers of s mean the input was not the
 lift of a global class.
 
-Since every specialized weight is linear in s and t, each point value
-expands in s with coefficients that are Laurent polynomials in t.  All
-of it is one exact sparse dict {(s_power, t_power): coefficient}; the
-s^0 part of the sum becomes a RatFunc, the Laurent polynomial in t.
+Since every specialized weight is linear in s and t, a class value at
+a point is a short list of terms, each a homogeneous integer polynomial
+in s and t times a product of weight powers over one integer
+denominator: sums join the lists, products convolve the integer
+coefficients.  Each term expands in s with coefficients that are
+Laurent polynomials in t, summed into one dict {(s_power, t_power):
+coefficient}; the s^0 part of the sum over points becomes a RatFunc,
+the Laurent polynomial in t.
 
 Per point, the work is assembly from chart pieces.  A fixed point is a
 tuple of per-chart partitions, and its characters are sums of pieces
@@ -44,14 +48,15 @@ only the fixed points of the nested Hilbert scheme survive it.  The
 points are still listed over the whole ambient product and dropped one
 by one.  A surviving point expands over integers: the
 series of its soft denominator weights is one integer recurrence, and
-one Fraction is made per output coefficient.
+a Fraction is made per output coefficient only where a term's
+denominator is not 1.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from .ringcore import binom_general, rational_str
+from .ringcore import Ring, delta_det, rational_str
 from .surface import ToricSurface, riemann_roch_chi
 from .porteous import FormulaExpr
 
@@ -358,13 +363,13 @@ def assemble(local_terms):
     for _, counts in prepared:
         for v, m in counts.items():
             common[v] = max(common.get(v, 0), m)
+    factors = {v: EquivChar({(0, 0, 0): 1, (v[0], v[1], 0): -1})
+               for v in common}
     total = EquivChar()
     for num, counts in prepared:
         for v, m in common.items():
-            missing = m - counts.get(v, 0)
-            factor = EquivChar.one() - EquivChar.monomial(v[0], v[1])
-            for _ in range(missing):
-                num = num * factor
+            for _ in range(m - counts.get(v, 0)):
+                num = num * factors[v]
         total = total + num
     for v, m in common.items():
         for _ in range(m):
@@ -372,19 +377,12 @@ def assemble(local_terms):
     return total
 
 
-_CHI_CACHE = {}
-
-
 def chi_line_character(surface, beta):
     """Global Euler characteristic character of the line bundle with the
-    given class, assembled from the chart vertices."""
+    given class, assembled from the chart vertices.  An integral keeps
+    it in its LocalizationContext; nothing is kept between integrals."""
     if not isinstance(surface, ToricSurface):
         raise ValueError("equivariant characters need a toric surface")
-    key = (tuple(surface.rays), tuple(surface.basis),
-           tuple(surface.cls(beta)))
-    hit = _CHI_CACHE.get(key)
-    if hit is not None:
-        return hit
     terms = []
     for chart in surface.charts:
         u = surface.chart_vertex(chart, beta)
@@ -393,7 +391,6 @@ def chi_line_character(surface, beta):
     out = assemble(terms)
     if out.rank() != riemann_roch_chi(surface, beta):
         raise ValueError("assembly failure")
-    _CHI_CACHE[key] = out
     return out
 
 
@@ -627,45 +624,6 @@ def format_value(value, order=0):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in the localization variable s and the auxiliary weight t:
-# sparse dicts {(s_power, t_power): coefficient}, t_power possibly negative
-
-
-def pol_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def pol_mul(a, b):
-    out = {}
-    for (i1, j1), x in a.items():
-        for (i2, j2), y in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + x * y
-    return {k: v for k, v in out.items() if v}
-
-
-def pol_scale(a, c):
-    return {k: v * c for k, v in a.items()} if c else {}
-
-
-POL_ONE = {(0, 0): 1}
-
-
-def weight_power_poly(w, j):
-    """(k s + c t)^j expanded exactly."""
-    k, c = w
-    out = {}
-    for i in range(j + 1):
-        v = binom_general(j, i) * k ** i * c ** (j - i)
-        if v:
-            out[(i, j - i)] = v
-    return out
-
-
-# ---------------------------------------------------------------------------
 # specialization and per-point values
 
 
@@ -699,35 +657,6 @@ def _merge_weights(maps):
     return out
 
 
-def chern_value(weights, k):
-    """k-th Chern class of a virtual sum of weight lines, as an exact
-    polynomial in s and t."""
-    if k < 0:
-        return {}
-    if k == 0:
-        return dict(POL_ONE)
-    arr = [dict(POL_ONE)] + [{} for _ in range(k)]
-    for w, mult in weights.items():
-        if w == (0, 0):
-            continue
-        fac = [dict(POL_ONE)]
-        for j in range(1, k + 1):
-            coef = binom_general(mult, j)
-            if coef == 0:
-                fac.append({})
-                continue
-            fac.append(pol_scale(weight_power_poly(w, j), coef))
-        new = [{} for _ in range(k + 1)]
-        for i in range(k + 1):
-            if not arr[i]:
-                continue
-            for j in range(k + 1 - i):
-                if fac[j]:
-                    new[i + j] = pol_add(new[i + j], pol_mul(arr[i], fac[j]))
-        arr = new
-    return arr[k]
-
-
 def _exps_sum(a, b, sign=1):
     """Exponent map of the product of a and b (of a over b with sign
     -1), without zero entries."""
@@ -741,86 +670,101 @@ def _exps_sum(a, b, sign=1):
     return out
 
 
+def _times_weight(coefs, w):
+    """The coefficients of a homogeneous polynomial times k s + c t,
+    each list indexed by the power of s."""
+    k, c = w
+    return [k * a + c * b for a, b in zip([0] + coefs, coefs + [0])]
+
+
+def chern_value(weights, top):
+    """Chern classes c_0 ... c_top of a virtual sum of weight lines, c_j
+    as the integer coefficients of s^i t^(j-i), i = 0 ... j.  A line
+    k s + c t of multiplicity m > 0 multiplies the total class by
+    1 + k s + c t, m times; one of multiplicity m < 0 divides it by
+    that, -m times.  No binomial coefficient is needed."""
+    total = [[1]] + [[0] * (j + 1) for j in range(1, top + 1)]
+    for (k, c), m in weights.items():
+        if (k, c) == (0, 0):
+            continue
+        if m > 0:
+            # c_j += w c_(j-1), from the top, with c_(j-1) not yet updated
+            steps, w = range(top, 0, -1), (k, c)
+        else:
+            # c_j -= w c_(j-1), from the bottom, with c_(j-1) already new
+            steps, w = range(1, top + 1), (-k, -c)
+        for _ in range(abs(m)):
+            for j in steps:
+                total[j] = [x + y for x, y in
+                            zip(total[j], _times_weight(total[j - 1], w))]
+    return total
+
+
 class PointValue:
-    """Class value at a fixed point: an exact polynomial ``poly`` in s
-    and t times the product of (k s + c t)^e over the exponent map
-    ``exps`` = {(k, c): e}.  A positive e is a numerator power, a
-    negative e a denominator power; no entry is 0, and the weight
-    (0, 0) never occurs."""
+    """Class value at a fixed point: a sum of terms (d, coefs, exps,
+    den).  A term is the homogeneous integer polynomial
+    sum_i coefs[i] s^i t^(d-i) times the product of (k s + c t)^e over
+    the exponent map ``exps`` = {(k, c): e}, over the nonzero integer
+    ``den``.  A positive e is a numerator power, a negative e a
+    denominator power; no entry is 0, and the weight (0, 0) never
+    occurs.  No term has only zero coefficients, so the value zero is
+    the empty list."""
 
-    __slots__ = ("poly", "exps")
+    __slots__ = ("terms",)
 
-    def __init__(self, poly, exps=None):
-        self.poly = poly
-        self.exps = {} if exps is None else exps
+    def __init__(self, terms):
+        self.terms = terms
 
     @staticmethod
     def unit():
-        return PointValue(dict(POL_ONE))
+        return PointValue([(0, [1], {}, 1)])
 
     @staticmethod
     def zero():
-        return PointValue({})
+        return PointValue([])
 
     def times(self, other):
-        return PointValue(pol_mul(self.poly, other.poly),
-                          _exps_sum(self.exps, other.exps))
+        out = []
+        for d1, c1, e1, n1 in self.terms:
+            for d2, c2, e2, n2 in other.terms:
+                coefs = [0] * (d1 + d2 + 1)
+                for i, x in enumerate(c1):
+                    if x:
+                        for j, y in enumerate(c2):
+                            coefs[i + j] += x * y
+                out.append((d1 + d2, coefs, _exps_sum(e1, e2), n1 * n2))
+        return PointValue(out)
 
     def scaled(self, c):
-        return PointValue(pol_scale(self.poly, c), self.exps)
+        c = Fraction(c)
+        if not c:
+            return PointValue([])
+        return PointValue([(d, [x * c.numerator for x in coefs], exps,
+                            den * c.denominator)
+                           for d, coefs, exps, den in self.terms])
 
     def plus(self, other):
-        """The sum over the least common denominator: each weight at
-        the least exponent either side has, capped at 0."""
-        den = {}
-        for w in {**self.exps, **other.exps}:
-            e = min(self.exps.get(w, 0), other.exps.get(w, 0))
-            if e < 0:
-                den[w] = e
-        polys = []
-        for pv in (self, other):
-            poly = pv.poly
-            for w, e in _exps_sum(pv.exps, den, -1).items():
-                poly = pol_mul(poly, weight_power_poly(w, e))
-            polys.append(poly)
-        return PointValue(pol_add(*polys), den)
+        return PointValue(self.terms + other.terms)
 
 
-def point_value_laurent(pv):
-    """Coefficients of a point value at s-degrees <= 0, exact, as
-    {(s_power, t_power): coefficient}.
-
-    Positive powers multiply the polynomial.  A weight k s with c = 0
-    divides by s (and k).  The soft weights k s + c t with c != 0, m of
-    them with multiplicity, give t^-m / Q(u), u = s/t, where
-    Q(u) = prod (c + k u) is an integer polynomial truncated at the
-    s-cutoff.  With C = Q(0), 1/Q = sum_j A_j u^j / C^(j+1) by the
-    integer recurrence A_j = -sum_(i >= 1) q_i A_(j-i) C^(i-1).  Each
-    coefficient is summed as an integer over one common denominator,
-    and one Fraction is made per output key.
-    """
-    if not pv.exps:
-        return {key: v for key, v in pv.poly.items() if key[0] <= 0}
+def _term_laurent(d, coefs, exps, den):
+    """Coefficients of one term at s-degrees <= 0 as integer numerators
+    {(s_power, t_power): numerator} over one integer denominator."""
     hard, soft = {}, 0
-    for (k, c), e in pv.exps.items():
+    for (k, c), e in exps.items():
         if e < 0:
             if c:
                 soft -= e
             else:
                 hard[k] = -e
     cutoff = sum(hard.values())
-    poly = {key: v for key, v in pv.poly.items() if key[0] <= cutoff}
-    for w, e in pv.exps.items():
-        if e > 0:
-            poly = {key: v for key, v in
-                    pol_mul(poly, weight_power_poly(w, e)).items()
-                    if key[0] <= cutoff}
-    if not poly or not (hard or soft):
-        return poly
-    if 0 in hard:
-        raise ValueError("non-isolated or non-generic weights")
+    poly = coefs[:cutoff + 1]
+    for w, e in exps.items():
+        for _ in range(e):
+            poly = _times_weight(poly, w)[:cutoff + 1]
+            d += 1
     q = [1] + [0] * cutoff
-    for (k, c), e in pv.exps.items():
+    for (k, c), e in exps.items():
         if c and e < 0:
             for _ in range(-e):
                 for j in range(cutoff, 0, -1):
@@ -835,18 +779,42 @@ def point_value_laurent(pv):
                            for i in range(1, j + 1)))
     # u^n carries A_n C^(cutoff - n) over the common C^(cutoff + 1)
     series = [a * cpow[cutoff - n] for n, a in enumerate(series)]
-    lcd = math.lcm(*(v.denominator for v in poly.values()))
     out = {}
-    for (i, j), v in poly.items():
-        v = v.numerator * (lcd // v.denominator)
-        for n in range(cutoff - i + 1):
-            if series[n]:
-                key = (i + n - cutoff, j - soft - n)
-                out[key] = out.get(key, 0) + v * series[n]
-    den = lcd * cpow[cutoff + 1]
+    for i, v in enumerate(poly):
+        if v:
+            for n in range(cutoff - i + 1):
+                if series[n]:
+                    key = (i + n - cutoff, d - i - soft - n)
+                    out[key] = out.get(key, 0) + v * series[n]
+    den *= cpow[cutoff + 1]
     for k, m in hard.items():
         den *= k ** m
-    return {key: Fraction(num, den) for key, num in out.items() if num}
+    return out, den
+
+
+def point_value_laurent(pv):
+    """Coefficients of a point value at s-degrees <= 0, exact, as
+    {(s_power, t_power): coefficient}, summed over its terms.
+
+    In a term, positive powers multiply the polynomial.  A weight k s
+    with c = 0 divides by s (and k).  The soft weights k s + c t with
+    c != 0, m of them with multiplicity, give t^-m / Q(u), u = s/t,
+    where Q(u) = prod (c + k u) is an integer polynomial truncated at
+    the s-cutoff.  With C = Q(0), 1/Q = sum_j A_j u^j / C^(j+1) by the
+    integer recurrence A_j = -sum_(i >= 1) q_i A_(j-i) C^(i-1).  A
+    term's coefficients are summed as integers over one denominator; a
+    Fraction is made per output key only when that denominator is not
+    1.
+    """
+    out = {}
+    for d, coefs, exps, den in pv.terms:
+        if exps:
+            nums, den = _term_laurent(d, coefs, exps, den)
+        else:
+            nums = {(0, d): coefs[0]}
+        for key, v in nums.items():
+            out[key] = out.get(key, 0) + (v if den == 1 else Fraction(v, den))
+    return {key: v for key, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +985,12 @@ class LocalizationContext:
 _LEAVES = ("rhom", "rhom0", "pushO", "taut", "tangent", "O1")
 
 
+def _homogeneous(d, coefs):
+    """The point value sum_i coefs[i] s^i t^(d-i), zero when every
+    coefficient is."""
+    return PointValue([(d, coefs, {}, 1)] if any(coefs) else [])
+
+
 class PointEvaluator:
     """Values of a formula tree at one fixed point under the direction
     ``spec``.  chern, euler and delta nodes read a K-class as its
@@ -1156,24 +1130,30 @@ class PointEvaluator:
         if e.kind == "chern":
             n = e.params[0]
             ws = self.weights(e.children[0])
-            if n > 0 and min(ws.values(), default=0) >= 0 \
+            if n < 0 or n > 0 and min(ws.values(), default=0) >= 0 \
                     and sum(ws.values()) - ws.get((0, 0), 0) < n:
-                # an honest bundle with fewer than n nonzero weights
+                # c_n with n < 0, or of an honest bundle with fewer
+                # than n nonzero weights
                 return PointValue.zero()
-            return PointValue(chern_value(ws, n))
+            return _homogeneous(n, chern_value(ws, n)[n])
         if e.kind == "euler":
             exps = self.weights(e.children[0])
             if (0, 0) in exps:
                 if exps[0, 0] > 0:
                     return PointValue.zero()
                 raise ValueError("non-isolated or non-generic weights")
-            return PointValue(dict(POL_ONE), exps)
+            return PointValue([(0, [1], exps, 1)])
         if e.kind == "delta":
             a, b = e.params
-            ws = self.weights(e.children[0])
-            rows = [[chern_value(ws, b + j - i) for j in range(a)]
-                    for i in range(a)]
-            return PointValue(_pol_det(rows))
+            ring = Ring(["s", "t"])
+            chern = chern_value(self.weights(e.children[0]),
+                                max(a + b - 1, 0))
+            total = ring.from_dict({(i, j - i): x
+                                    for j, cj in enumerate(chern)
+                                    for i, x in enumerate(cj)})
+            det = delta_det(a, b, total).poly
+            return _homogeneous(a * b, [int(det.get((i, a * b - i), 0))
+                                        for i in range(a * b + 1)])
         if e.kind == "add":
             out = PointValue.zero()
             for c in e.children:
@@ -1183,43 +1163,13 @@ class PointEvaluator:
             out = PointValue.unit()
             for c in e.children:
                 value = self.cval(c)
-                if not value.poly:
+                if not value.terms:
                     return value
                 out = out.times(value)
             return out
         if e.kind == "scale":
             return self.cval(e.children[0]).scaled(e.params[0])
         raise ValueError("node %r has no equivariant value" % e.kind)
-
-
-def _pol_det(rows):
-    """Determinant of a square matrix of {(s, t): c} polynomials, by
-    Laplace expansion along the rows memoized over column subsets, as
-    in ``ringcore._det``: division-free, at most a 2^(a-1) products."""
-    n = len(rows)
-    if n == 0:
-        return dict(POL_ONE)
-    memo = {}
-
-    def minor(cols):
-        if len(cols) == 1:
-            return rows[n - 1][cols[0]]
-        value = memo.get(cols)
-        if value is None:
-            row = rows[n - len(cols)]
-            value = {}
-            for j, col in enumerate(cols):
-                if not row[col]:
-                    continue
-                sub = minor(cols[:j] + cols[j + 1:])
-                if sub:
-                    term = pol_mul(row[col], sub)
-                    value = pol_add(value, pol_scale(term, -1) if j % 2
-                                    else term)
-            memo[cols] = value
-        return value
-
-    return minor(tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -1232,15 +1182,16 @@ def _point_contribution(ctx, expr, point, spec):
     check are counted in ``ctx.visited``."""
     ev = PointEvaluator(ctx, point, spec)
     val = ev.cval(expr)
-    if not val.poly:
+    if not val.terms:
         return {}
     ctx.visited += 1
     tangent = ev.tangent()
     if (0, 0) in tangent or min(tangent.values(), default=0) < 0:
         raise ValueError("non-isolated or non-generic weights")
     # euler(tangent) shares the tangent's map: the quotient is empty
-    exps = {} if val.exps is tangent else _exps_sum(val.exps, tangent, -1)
-    return point_value_laurent(PointValue(val.poly, exps))
+    return point_value_laurent(PointValue(
+        [(d, coefs, {} if exps is tangent else _exps_sum(exps, tangent, -1),
+          den) for d, coefs, exps, den in val.terms]))
 
 
 def _draw_spec(rng):

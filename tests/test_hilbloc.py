@@ -203,8 +203,8 @@ class TestAssembly:
                 assert ch.rank() == H.riemann_roch_chi(S, c), (S.name, c)
 
     def test_chi_cache_keyed_by_fan_not_name(self):
-        # a user surface named "P1xP1" on the rays of F1 must not reuse
-        # the characters cached for the builtin P1xP1
+        # a user surface named "P1xP1" on the rays of F1 gets the
+        # character of its own fan, not that of the builtin P1xP1
         fake = surface_from_json({"name": "P1xP1",
                                   "rays": [list(r) for r in f1().rays],
                                   "basis": [0, 1]})
@@ -543,6 +543,52 @@ class TestIntegration:
         ev = PointEvaluator(ctx, pt, (7, 3))
         ch = ev.kval(rhom(2, 2, trace_free=True))
         assert ch.rank() == -4
+
+
+class TestCarlssonOkounkov:
+    """Carlsson-Okounkov (arXiv 0801.2565, Cor. 1): the top Chern class
+    of E_L = chi(L) - RHom(I, I L) on S^[n] integrates to the q^n
+    coefficient of prod_k (1 - q^k)^-(e(S) + L.(L - K)).  c_2n at
+    n = 4 reaches Chern classes of degree 8 of the weights."""
+
+    @pytest.mark.parametrize("make, beta, exponent", [
+        (p2, (1,), 7), (p2, (-1,), 1), (p1xp1, (1, 1), 10),
+        (f1, (1, 0), 6)])
+    def test_top_chern_class_of_ext_bundle(self, make, beta, exponent):
+        S = make()
+        assert S.e + S.dot(beta, S.sub(beta, S.K)) == exponent
+        for n in range(5):
+            expr = FE.chern(2 * n, FE.kdiff(pushO(bc=1), rhom(1, 1, bc=1)))
+            assert equivariant_integrate(expr, S, n, 0, beta=beta) \
+                == gottsche_coefficient(exponent, n), n
+
+
+def jacobi_trudi(a, b, x):
+    """delta(a, b, x) expanded by hand into chern, mul, add and scale."""
+    c = lambda k: FE.chern(k, x)  # noqa: E731
+    if (a, b) == (2, 1):
+        return FE.add(FE.mul(c(1), c(1)), FE.scale(-1, c(2)))
+    if (a, b) == (1, 2):
+        return c(2)
+    if (a, b) == (2, 2):
+        return FE.add(FE.mul(c(2), c(2)), FE.scale(-1, FE.mul(c(1), c(3))))
+    raise ValueError((a, b))
+
+
+class TestDeltaNode:
+    @pytest.mark.parametrize("make, beta", [(p2, (1,)), (p1xp1, (1, 1))])
+    @pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (2, 2)])
+    def test_delta_matches_jacobi_trudi(self, make, beta, a, b):
+        S = make()
+        n = a * b // 2
+        for x, (n1, n2) in (
+                (FE.leaf("tangent"), (0, n)),
+                (FE.kdiff(pushO(bc=1), rhom(1, 1, bc=1, tp=1)), (n, 0))):
+            got = equivariant_integrate(FE.delta(a, b, x), S, n1, n2,
+                                        beta=beta, refined=True)
+            assert got == equivariant_integrate(
+                jacobi_trudi(a, b, x), S, n1, n2, beta=beta, refined=True)
+            assert not got.is_zero()
 
 
 class TestRatFunc:

@@ -1,7 +1,10 @@
 """Per-point contributions assembled from cached chart pieces, with
 shared weights cancelled, against the uncached reference: every chart
 term rebuilt at every point, the tangent character built twice and
-the weight lists expanded as they are."""
+the weight lists expanded as they are.  The reference computes with
+polynomials in s and t as sparse dicts {(s_power, t_power):
+coefficient}, independently of the integer terms of hilbloc's point
+values."""
 
 import math
 import random
@@ -15,8 +18,62 @@ from nesthilb import hilbloc as H
 from nesthilb.hilbloc import EquivChar, cells, arm, leg, partitions
 from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, o1_line, \
     taut, co_class
+from nesthilb.ringcore import binom_general
 from nesthilb.surface import p2, p1xp1, f1, f2, surface_from_json
 from nesthilb.vw import monopole_integrand
+
+
+# ---------------------------------------------------------------------------
+# polynomials in s and t: sparse dicts {(s_power, t_power): coefficient},
+# t_power possibly negative
+
+
+def pol_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def pol_mul(a, b):
+    out = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def pol_scale(a, c):
+    return {k: v * c for k, v in a.items()} if c else {}
+
+
+POL_ONE = {(0, 0): 1}
+
+
+# ---------------------------------------------------------------------------
+# adapter between point values and dicts
+
+
+def as_point_value(poly, exps):
+    """The point value of a dict times an exponent map: one term per
+    monomial, a negative power of t carried by the weight t = (0, 1)."""
+    terms = []
+    for (i, j), v in poly.items():
+        v = Fraction(v)
+        if j >= 0:
+            terms.append((i + j, [0] * i + [v.numerator] + [0] * j, exps,
+                          v.denominator))
+        else:
+            terms.append((i, [0] * i + [v.numerator],
+                          H._exps_sum(exps, {(0, 1): j}), v.denominator))
+    return H.PointValue(terms)
+
+
+def as_dicts(pv):
+    """The terms of a point value as (dict, exponent map) pairs."""
+    return [({(i, d - i): Fraction(c, den) for i, c in enumerate(coefs) if c},
+             exps) for d, coefs, exps, den in pv.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +173,8 @@ def ref_point_value_laurent(poly, num_ws, den_ws):
     cutoff = len(hard)
     poly = {key: v for key, v in poly.items() if key[0] <= cutoff}
     for w in num_ws:
-        poly = {key: v for key, v in H.pol_mul(poly,
-                                                ref_weight_poly(w)).items()
+        poly = {key: v for key, v in pol_mul(poly,
+                                             ref_weight_poly(w)).items()
                 if key[0] <= cutoff}
     if not poly:
         return {}
@@ -152,21 +209,33 @@ def weight_lists(exps):
             [w for w, e in exps.items() for _ in range(-e)])
 
 
+def ref_value_laurent(val, tangent_ws):
+    """The s-degree <= 0 expansion of a point value over the tangent
+    weight list, summed term by term."""
+    out = {}
+    for poly, exps in as_dicts(val):
+        num, den = weight_lists(exps)
+        for key, v in ref_point_value_laurent(poly, num,
+                                              den + tangent_ws).items():
+            out[key] = out.get(key, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
 def ref_point_contribution(ctx, expr, point, spec):
     val = H.PointEvaluator(ctx, point, spec).cval(expr)
-    num, den = weight_lists(val.exps)
+    den = []
     for w, mult in H.specialize_weights(ctx.tangent(point), spec).items():
         if w == (0, 0) or mult < 0:
             raise ValueError("non-isolated or non-generic weights")
         den.extend([w] * mult)
-    return ref_point_value_laurent(val.poly, num, den)
+    return ref_value_laurent(val, den)
 
 
 def ref_pol_det(rows):
     """Cofactor expansion along the first column: a! terms."""
     n = len(rows)
     if n == 0:
-        return dict(H.POL_ONE)
+        return dict(POL_ONE)
     if n == 1:
         return rows[0][0]
     acc = {}
@@ -174,10 +243,10 @@ def ref_pol_det(rows):
         if not rows[i][0]:
             continue
         minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = H.pol_mul(rows[i][0], ref_pol_det(minor))
+        term = pol_mul(rows[i][0], ref_pol_det(minor))
         if i % 2:
-            term = H.pol_scale(term, -1)
-        acc = H.pol_add(acc, term)
+            term = pol_scale(term, -1)
+        acc = pol_add(acc, term)
     return acc
 
 
@@ -349,10 +418,9 @@ def ref_integral(expr, S, n1, n2, spec, **kw):
     for pt in H.enumerate_fixed_points(S, n1, n2, with_pb=kw.get("with_pb"),
                                        nested=False):
         val = SumRouteEvaluator(ctx, pt, spec).cval(expr)
-        num, den = weight_lists(val.exps)
         tangent = H.specialize_weights(ctx.tangent(pt), spec)
-        den.extend(w for w, m in tangent.items() for _ in range(m))
-        for key, v in ref_point_value_laurent(val.poly, num, den).items():
+        den = [w for w, m in tangent.items() for _ in range(m)]
+        for key, v in ref_value_laurent(val, den).items():
             totals[key] = totals.get(key, 0) + v
     assert not any(v and s < 0 for (s, _), v in totals.items())
     return H.RatFunc({t: v for (s, t), v in totals.items() if s == 0})
@@ -467,11 +535,9 @@ class TestCollisions:
 
 class TestCancellation:
     def test_weight_times_inverse_leaves_no_entry(self):
-        a = H.PointValue(dict(H.POL_ONE), {(2, 1): 1, (1, 0): -2})
-        b = H.PointValue({(0, 1): 3}, {(2, 1): -1, (1, 0): 1})
-        prod = a.times(b)
-        assert prod.exps == {(1, 0): -1}
-        assert prod.poly == {(0, 1): 3}
+        a = as_point_value(POL_ONE, {(2, 1): 1, (1, 0): -2})
+        b = as_point_value({(0, 1): 3}, {(2, 1): -1, (1, 0): 1})
+        assert as_dicts(a.times(b)) == [({(0, 1): 3}, {(1, 0): -1})]
 
     def test_negative_s_powers_survive(self):
         # e(T) e(-T)^2 leaves 1/e(T)^2 at each point after cancelling
@@ -504,21 +570,21 @@ class RefPointValue:
         self.den_ws = list(den_ws)
 
     def times(self, other):
-        return RefPointValue(H.pol_mul(self.poly, other.poly),
+        return RefPointValue(pol_mul(self.poly, other.poly),
                              self.num_ws + other.num_ws,
                              self.den_ws + other.den_ws)
 
     def scaled(self, c):
-        return RefPointValue(H.pol_scale(self.poly, c), self.num_ws,
+        return RefPointValue(pol_scale(self.poly, c), self.num_ws,
                              self.den_ws)
 
     def plus(self, other):
         pa, pb = self.poly, other.poly
         for w in self.num_ws + other.den_ws:
-            pa = H.pol_mul(pa, ref_weight_poly(w))
+            pa = pol_mul(pa, ref_weight_poly(w))
         for w in other.num_ws + self.den_ws:
-            pb = H.pol_mul(pb, ref_weight_poly(w))
-        return RefPointValue(H.pol_add(pa, pb), [],
+            pb = pol_mul(pb, ref_weight_poly(w))
+        return RefPointValue(pol_add(pa, pb), [],
                              self.den_ws + other.den_ws)
 
 
@@ -559,25 +625,64 @@ class TestExponentMap:
     @settings(max_examples=150, deadline=None)
     @given(point_trees())
     def test_laurent_matches_weight_lists(self, tree):
-        value = build(tree, H.PointValue)
+        value = build(tree, as_point_value)
         ref = build(tree, lambda poly, exps:
                     RefPointValue(poly, *weight_lists(exps)))
-        assert all(value.exps.values())
+        assert all(all(exps.values()) for _, exps in as_dicts(value))
         assert H.point_value_laurent(value) \
             == ref_point_value_laurent(ref.poly, ref.num_ws, ref.den_ws)
 
 
-@st.composite
-def square_matrices(draw):
-    n = draw(st.integers(1, 5))
-    return [[draw(polys) for _ in range(n)] for _ in range(n)]
+def ref_chern_classes(weights, top):
+    """c_0 ... c_top of a weight map as dicts: the product of the
+    binomial series (1 + k s + c t)^m, truncated above degree top."""
+    total = [dict(POL_ONE)] + [{} for _ in range(top)]
+    for w, m in weights.items():
+        if w == (0, 0):
+            continue
+        power, fac = dict(POL_ONE), [dict(POL_ONE)]
+        for j in range(1, top + 1):
+            power = pol_mul(power, ref_weight_poly(w))
+            fac.append(pol_scale(power, binom_general(m, j)))
+        new = []
+        for n in range(top + 1):
+            acc = {}
+            for i in range(n + 1):
+                acc = pol_add(acc, pol_mul(total[i], fac[n - i]))
+            new.append(acc)
+        total = new
+    return total
 
 
-class TestPolDet:
+class FixedWeights(H.PointEvaluator):
+    """Every K-class at the point has the same exponent map."""
+
+    def __init__(self, ws):
+        self.ws = ws
+
+    def weights(self, e):
+        return self.ws
+
+
+class TestDeltaValue:
     @settings(max_examples=60, deadline=None)
-    @given(square_matrices())
-    def test_laplace_matches_cofactor(self, rows):
-        assert H._pol_det(rows) == ref_pol_det(rows)
+    @given(st.dictionaries(weights, st.integers(-3, 3).filter(bool),
+                           max_size=4),
+           st.integers(1, 4), st.integers(-1, 3))
+    def test_delta_matches_cofactor(self, ws, a, b):
+        ev = FixedWeights(ws)
+        x = FE.leaf("tangent")
+        chern = ref_chern_classes(ws, max(a + b - 1, 0))
+        for k, ck in enumerate(chern):
+            assert as_dicts(ev.cval(FE.chern(k, x))) \
+                == ([(ck, {})] if ck else [])
+        rows = [[chern[b + j - i] if 0 <= b + j - i < len(chern) else {}
+                 for j in range(a)] for i in range(a)]
+        det = ref_pol_det(rows)
+        assert as_dicts(ev.cval(FE.delta(a, b, x))) \
+            == ([(det, {})] if det else [])
 
-    def test_empty_matrix(self):
-        assert H._pol_det([]) == H.POL_ONE
+    def test_empty_delta_is_one(self):
+        ev = FixedWeights({(1, 0): 2, (2, -1): -1})
+        assert as_dicts(ev.cval(FE.delta(0, 3, FE.leaf("tangent")))) \
+            == [(POL_ONE, {})]
