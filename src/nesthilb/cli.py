@@ -521,15 +521,15 @@ def _suite_euler(nmax=3):
     integrand = FormulaExpr.euler(FormulaExpr.leaf("tangent"))
     checks = []
     for name, e in (("P2", 3), ("P1xP1", 4)):
-        S = surfaces.load_surface(name)
+        ctx = hilbloc.LocalizationContext(surfaces.load_surface(name))
         for n in range(nmax + 1):
-            value = hilbloc.equivariant_integrate(integrand, S, 0, n)
+            value = hilbloc.equivariant_integrate(integrand, ctx, 0, n)
             checks.append(("euler %s n=%d" % (name, n),
                            value == _series_coefficient(e, n)))
         betti = _gottsche_betti(e, nmax)
         for n in range(nmax + 1):
             checks.append(("betti %s n=%d" % (name, n),
-                           hilbloc.tangent_index_counts(S, n) == betti[n]))
+                           hilbloc.tangent_index_counts(ctx, n) == betti[n]))
     return checks
 
 
@@ -636,11 +636,12 @@ def _integrand(job, n):
 
 def _handle_integrate(job):
     rows = []
+    # one context for the job: every n shares its chart pieces and maps
+    ctx = hilbloc.LocalizationContext(job.surface, beta=job.beta, A=job.A)
     for n in job.n_range:
         expr, n1, n2 = _integrand(job, n)
         value = hilbloc.equivariant_integrate(
-            expr, job.surface, n1, n2, beta=job.beta, A=job.A,
-            refined=job.order > 0, seed=job.seed)
+            expr, ctx, n1, n2, refined=job.order > 0, seed=job.seed)
         rows.append({"n": n,
                      "value": hilbloc.format_value(value, job.order)})
     return EXIT_OK, {"formula": job.formula,
@@ -649,10 +650,16 @@ def _handle_integrate(job):
 
 def _handle_vw(job):
     rows = []
+    # one context for every n and splitting of the job; a profile
+    # surface has none and fails in vw without a point table
+    ctx = None
+    if isinstance(job.surface, surfaces.ToricSurface):
+        ctx = hilbloc.LocalizationContext(job.surface, beta=job.beta)
     for n in job.n_range:
         result = vw.monopole_contribution(
             job.surface, job.sw_table, job.beta, n, refined=job.order > 0,
-            order=job.order or None, seed=job.seed, window=job.window)
+            order=job.order or None, seed=job.seed, window=job.window,
+            context=ctx)
         rows.extend(result.rows(job.order or None))
     return EXIT_OK, {"surface": job.surface.name,
                      "columns": list(vw.ROW_FIELDS), "rows": rows}

@@ -29,15 +29,19 @@ the Rhom correction of (chart, mu, nu, twist vertex), the tautological
 term of (chart, lam, vertex), and chi(L).  A point's weights are one
 exponent map {(k, c): e}, the product of (k s + c t)^e: positive e in
 the numerator, negative e in the denominator.  Specialization is linear,
-so the LocalizationContext of an integral builds each distinct piece
-once, specializes it once per direction (after any shift by a lattice
-monomial, so the collision check sees every final weight), and a
-point's map is the merge of its pieces' maps; no character sum is built
-per point.  The tangent map of a point is built once and shared by its
-tangent leaves and the localization denominator.  Products add
-exponents, so a weight shared by numerator and denominator cancels as
-it arises, which is exact because each weight is a nonzero linear form
-k s + c t; the zero-weight and collision checks run before that.
+so the LocalizationContext of a job (all its integrals over one surface
+and class: an n range, the splittings n1 + n2 = n of a monopole
+contribution) builds each distinct piece once, specializes it once per
+direction (after its shift by the twist vertex and the leaf's
+monomial, so the collision check sees every final weight) and keeps
+the maps in one table per chart, keyed by partition(s) and vertex.  A
+point's map is one lookup per chart and one merge; no character sum
+is built per point.  The tangent map of a point is built once and
+shared by its tangent leaves and the localization denominator.
+Products add exponents, so a weight shared by numerator and
+denominator cancels as it arises, which is exact because each weight
+is a nonzero linear form k s + c t; the zero-weight and collision
+checks run before that.
 
 A product stops at its first factor whose value at the point is zero,
 and such a point is dropped before its tangent character is built.
@@ -379,16 +383,14 @@ def assemble(local_terms):
 
 def chi_line_character(surface, beta):
     """Global Euler characteristic character of the line bundle with the
-    given class, assembled from the chart vertices.  An integral keeps
-    it in its LocalizationContext; nothing is kept between integrals."""
+    given class, assembled from the chart vertices.  A job builds it
+    once per class and keeps it in its LocalizationContext; nothing is
+    kept between jobs."""
     if not isinstance(surface, ToricSurface):
         raise ValueError("equivariant characters need a toric surface")
-    terms = []
-    for chart in surface.charts:
-        u = surface.chart_vertex(chart, beta)
-        num = EquivChar.monomial(int(u[0]), int(u[1]))
-        terms.append((num, (chart.m1, chart.m2)))
-    out = assemble(terms)
+    out = assemble([(EquivChar.monomial(*u), (chart.m1, chart.m2))
+                    for chart, u in zip(surface.charts,
+                                        surface.chart_vertices(beta))])
     if out.rank() != riemann_roch_chi(surface, beta):
         raise ValueError("assembly failure")
     return out
@@ -410,24 +412,23 @@ def rhom_global_character(surface, parts_a, parts_b, beta, spec=None,
     The rational chart sums collapse to the twist characteristic plus a
     finite correction per chart, so no assembly is needed beyond the
     line bundle itself.  ``surface`` may also be the
-    LocalizationContext of an integral, whose cached chart pieces are
-    then used.  With a direction ``spec`` the value is the exponent map
-    of the specialized weights of the character shifted by ``shift``,
-    merged from the context's per-piece maps.
+    LocalizationContext of a job, whose cached chart pieces are then
+    used.  With a direction ``spec`` the value is the exponent map of
+    the specialized weights of the character shifted by ``shift``,
+    merged from the context's per-chart maps.
     """
     ctx = _context(surface)
     if spec is None:
         return ctx.rhom(parts_a, parts_b, beta)
-    return ctx.weights(spec, shift, ctx.rhom_pieces(parts_a, parts_b, beta))
+    return ctx.rhom_weights(spec, shift, parts_a, parts_b, beta)
 
 
 def rhom_assembled(surface, parts_a, parts_b, beta):
     """Assembly route for the same character, as an independent check."""
-    terms = []
-    for chart, mu, nu in zip(surface.charts, parts_a, parts_b):
-        u = surface.chart_vertex(chart, beta)
-        terms.append(rhom_character(mu, nu, chart, u))
-    return assemble(terms)
+    return assemble([rhom_character(mu, nu, chart, u)
+                     for chart, u, mu, nu in zip(
+                         surface.charts, surface.chart_vertices(beta),
+                         parts_a, parts_b)])
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +438,15 @@ def rhom_assembled(surface, parts_a, parts_b, beta):
 class NestedFixedPoint:
     """A torus-fixed point of S^[n1] x S^[n2] (times a weight line of a
     section bundle when pb is set): per-chart partitions mu for the
-    first factor and nu for the second, with mu_sigma inside nu_sigma
-    demanded only by the incidence subscheme, not by the ambient
-    product."""
+    first factor and nu for the second, each a tuple of partition
+    tuples, with mu_sigma inside nu_sigma demanded only by the incidence
+    subscheme, not by the ambient product."""
 
     __slots__ = ("mu", "nu", "pb")
 
     def __init__(self, mu, nu, pb=None):
-        self.mu = tuple(map(tuple, mu))
-        self.nu = tuple(map(tuple, nu))
+        self.mu = mu
+        self.nu = nu
         self.pb = pb
 
     def __eq__(self, other):
@@ -502,15 +503,15 @@ def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
 def full_tangent_character(surface, point, with_pb=None, spec=None):
     """Tangent character of the ambient product at a fixed point: both
     Hilbert scheme factors plus, with a section bundle, the bundle of
-    lines.  ``surface`` may also be the LocalizationContext of an
-    integral; its cached chart pieces and section offsets are then used,
-    and its own ``with_pb``.  With a direction ``spec`` the value is the
-    exponent map of the specialized weights instead, merged from the
-    context's per-piece maps."""
-    ctx = _context(surface, with_pb)
+    lines.  ``surface`` may also be the LocalizationContext of a job;
+    its cached chart pieces and section offsets are then used, and a
+    ``with_pb`` other than its own is an error.  With a direction
+    ``spec`` the value is the exponent map of the specialized weights
+    instead, merged from the context's per-chart maps."""
+    ctx = _context(surface, with_pb=with_pb)
     if spec is None:
         return ctx.tangent(point)
-    return ctx.weights(spec, NO_SHIFT, ctx.tangent_pieces(point))
+    return ctx.tangent_weights(spec, NO_SHIFT, point)
 
 
 # ---------------------------------------------------------------------------
@@ -829,40 +830,36 @@ def _section_line_offsets(sections, pb):
                       for i, (p, q) in enumerate(sections) if i != pb})
 
 
-def _taut_chart_piece(m1, m2, lam, u):
-    """Chart term of a tautological bundle: the boxes of lam twisted by
-    the chart vertex u."""
-    return box_character(lam, m1, m2).shift(u[0], u[1])
-
-
-def _chart_vertices(surface, beta):
-    """Integer chart vertices of the class, one per chart."""
-    return [(int(u[0]), int(u[1]))
-            for u in (surface.chart_vertex(chart, beta)
-                      for chart in surface.charts)]
-
-
-def _context(surface, with_pb=None):
+def _context(surface, beta=None, A=None, with_pb=None):
+    """``surface`` itself when it is a LocalizationContext, which must
+    agree with each of beta, A and with_pb that is given; else a new
+    context for them."""
     if isinstance(surface, LocalizationContext):
+        if beta is not None or A is not None or with_pb is not None:
+            surface.check(beta, A, with_pb)
         return surface
-    return LocalizationContext(surface, with_pb=with_pb)
+    return LocalizationContext(surface, beta=beta, A=A, with_pb=with_pb)
 
 
 class LocalizationContext:
-    """Shared data for evaluating formulas at the fixed points of one
-    localization problem.
+    """Shared data of the localization problems of one job: a surface,
+    curve class ``beta``, polarization ``A`` and section bundle
+    ``with_pb``.  A caller that runs several integrals over them (an n
+    range, the splittings of a monopole contribution) makes one context
+    and passes it to each; it lives no longer than that job.
 
-    A fixed-point character is a sum of chart pieces, each a function of
-    one chart and its partitions (and twist vertex); the context builds
-    each distinct piece once and keeps it for the whole integral.  Its
-    memo, keyed by builder and arguments, holds the tangent, Rhom,
-    tautological and section-line chart pieces, the chart vertices and
-    the chi(L) character of each class, and the twist class of each
-    leaf's (bc, ac, kc).  A second memo holds the exponent map of each
-    piece times a shift monomial under the current direction; it is
-    emptied when the direction changes, so it lives for one draw.
-    ``visited`` counts the points whose class value was nonzero, the
-    ones whose tangent character was needed.
+    A fixed-point character sums chart pieces, each a character of one
+    chart and its partitions times the monomial of a twist vertex (the
+    tangent piece of (chart, lam), the Rhom correction of (chart, mu,
+    nu), the tautological piece of (chart, lam)), and chi(L) and the
+    section lines.  ``piece`` builds each distinct character once.
+    Under the current direction, the maps of the pieces times vertex
+    and shift are kept per kind and shift in one table per chart, keyed
+    by partition(s) and vertex, so a point's map is one lookup per chart
+    and one merge; the tables are emptied when the direction changes.
+    A class's vertices, and a leaf's shift and twist class, are
+    resolved once.  ``visited`` counts the points of the current
+    integral whose class value was nonzero.
     """
 
     def __init__(self, surface, beta=None, A=None, with_pb=None):
@@ -880,9 +877,22 @@ class LocalizationContext:
         self._tangent_ws = tuple(chart.tangent_weights()
                                  for chart in surface.charts)
         self._pieces = {}
+        self._vertices = {}
+        self._leaves = {}
         self._spec = None
-        self._weights = {}
+        self._maps = {}
         self.visited = 0
+
+    def check(self, beta=None, A=None, with_pb=None):
+        """Raise ValueError unless every class given is the context's."""
+        S = self.surface
+        for name, given, own in (("beta", beta, self.beta),
+                                 ("A", A, self.A),
+                                 ("with_pb", with_pb, self.with_pb)):
+            if given is not None and (own is None
+                                      or S.cls(given) != S.cls(own)):
+                raise ValueError("%s %r conflicts with the localization"
+                                 " context's %r" % (name, given, own))
 
     def piece(self, build, *args):
         """``build(*args)``, built once per context."""
@@ -892,79 +902,149 @@ class LocalizationContext:
             value = self._pieces[key] = build(*args)
         return value
 
-    def weights(self, spec, shift, pieces):
-        """Exponent map of the sum of the pieces (build, *args) times
-        the monomial ``shift``: each piece's map is specialized once per
-        direction, and the maps are merged."""
-        if spec != self._spec:
-            self._spec, self._weights = spec, {}
-        memo = self._weights
-        maps = []
-        for piece in pieces:
-            value = memo.get((shift, piece))
-            if value is None:
-                value = memo[shift, piece] = specialize_weights(
-                    self.piece(*piece), spec, shift)
-            maps.append(value)
-        return _merge_weights(maps)
-
-    def char(self, pieces):
-        """The sum of the characters of the pieces, in one dict."""
-        out = {}
-        for piece in pieces:
-            for k, v in self.piece(*piece).terms.items():
-                out[k] = out.get(k, 0) + v
-        return EquivChar(out)
-
-    def chi_piece(self, beta):
-        return (chi_line_character, self.surface, tuple(beta))
+    def vertices(self, beta):
+        """Integer chart vertices of the class, one per chart."""
+        beta = tuple(beta)
+        verts = self._vertices.get(beta)
+        if verts is None:
+            verts = self._vertices[beta] = self.surface.chart_vertices(beta)
+        return verts
 
     def chi(self, beta):
         """chi(L) character of the class."""
-        return self.piece(*self.chi_piece(beta))
+        return self.piece(chi_line_character, self.surface, tuple(beta))
+
+    def _table(self, spec, kind, shift, per_chart=True):
+        """Maps of one kind of piece times ``shift`` under the direction
+        ``spec``, in one dict per chart or in one dict."""
+        if spec != self._spec:
+            self._spec, self._maps = spec, {}
+        table = self._maps.get((kind, shift))
+        if table is None:
+            table = self._maps[kind, shift] = \
+                [{} for _ in self._tangent_ws] if per_chart else {}
+        return table
+
+    def _specialize(self, spec, u, shift, build, *args):
+        """Map of a cached piece times t^u and ``shift``."""
+        return specialize_weights(self.piece(build, *args), spec,
+                                  (u[0] + shift[0], u[1] + shift[1],
+                                   shift[2]))
 
     def tangent(self, point):
         """Tangent character at a fixed point, from cached pieces."""
-        return self.char(self.tangent_pieces(point))
-
-    def tangent_pieces(self, point):
-        pieces = [(tangent_character, lam, w)
-                  for w, mu, nu in zip(self._tangent_ws, point.mu, point.nu)
-                  for lam in (mu, nu) if lam]
+        chars = [self.piece(tangent_character, lam, w)
+                 for w, mu, nu in zip(self._tangent_ws, point.mu, point.nu)
+                 for lam in (mu, nu) if lam]
         if self.sections is not None and point.pb is not None:
-            pieces.append((_section_line_offsets, self.sections, point.pb))
-        return pieces
+            chars.append(self.piece(_section_line_offsets, self.sections,
+                                    point.pb))
+        return sum(chars, EquivChar())
+
+    def tangent_weights(self, spec, shift, point):
+        """Exponent map of the tangent character times ``shift``."""
+        maps = []
+        # each chart's table serves its partition in mu and in nu
+        for table, w, lam in zip(self._table(spec, "tangent", shift) * 2,
+                                 self._tangent_ws * 2, point.mu + point.nu):
+            if lam:
+                m = table.get(lam)
+                if m is None:
+                    m = table[lam] = self._specialize(
+                        spec, (0, 0), shift, tangent_character, lam, w)
+                maps.append(m)
+        if self.sections is not None and point.pb is not None:
+            table = self._table(spec, "sections", shift, False)
+            m = table.get(point.pb)
+            if m is None:
+                m = table[point.pb] = self._specialize(
+                    spec, (0, 0), shift, _section_line_offsets,
+                    self.sections, point.pb)
+            maps.append(m)
+        return _merge_weights(maps)
 
     def rhom(self, parts_a, parts_b, beta):
-        """Rhom character at a fixed point: chi(L) plus cached chart
-        corrections."""
-        return self.char(self.rhom_pieces(parts_a, parts_b, beta))
+        """Rhom character at a fixed point: chart corrections, each
+        cached without its vertex u, plus chi(L)."""
+        return sum([self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu,
+                               nu, (0, 0)).shift(*u)
+                    for chart, u, mu, nu in zip(self.surface.charts,
+                                                self.vertices(beta),
+                                                parts_a, parts_b)
+                    if mu or nu], self.chi(beta))
 
-    def rhom_pieces(self, parts_a, parts_b, beta, chi=True):
-        """The chart corrections of Rhom, and chi(L) unless ``chi`` is
-        false (the trace-free part)."""
-        verts = self.piece(_chart_vertices, self.surface, tuple(beta))
-        pieces = [(_rhom_chart_piece, chart.m1, chart.m2, mu, nu, u)
-                  for chart, u, mu, nu in zip(self.surface.charts, verts,
-                                              parts_a, parts_b)
-                  if mu or nu]
+    def rhom_weights(self, spec, shift, parts_a, parts_b, beta, chi=True):
+        """Exponent map of the Rhom character times ``shift``; without
+        chi(L) when ``chi`` is false (the trace-free part)."""
+        maps = []
+        for table, chart, u, mu, nu in zip(
+                self._table(spec, "rhom", shift), self.surface.charts,
+                self.vertices(beta), parts_a, parts_b):
+            if mu or nu:
+                key = (mu, nu, u)
+                m = table.get(key)
+                if m is None:
+                    m = table[key] = self._specialize(
+                        spec, u, shift, _rhom_chart_piece, chart.m1,
+                        chart.m2, mu, nu, (0, 0))
+                maps.append(m)
         if chi:
-            pieces.append(self.chi_piece(beta))
-        return pieces
+            maps.append(self.chi_weights(spec, shift, beta))
+        return _merge_weights(maps)
+
+    def chi_weights(self, spec, shift, beta):
+        """Exponent map of chi(L) times ``shift``."""
+        beta = tuple(beta)
+        table = self._table(spec, "chi", shift, False)
+        m = table.get(beta)
+        if m is None:
+            m = table[beta] = specialize_weights(self.chi(beta), spec, shift)
+        return m
 
     def taut(self, lams, beta):
         """Tautological bundle of the class at one nesting level."""
-        return self.char(self.taut_pieces(lams, beta))
+        return sum([self.piece(box_character, lam, chart.m1,
+                               chart.m2).shift(*u)
+                    for chart, u, lam in zip(self.surface.charts,
+                                             self.vertices(beta), lams)
+                    if lam], EquivChar())
 
-    def taut_pieces(self, lams, beta):
-        verts = self.piece(_chart_vertices, self.surface, tuple(beta))
-        return [(_taut_chart_piece, chart.m1, chart.m2, lam, u)
-                for chart, u, lam in zip(self.surface.charts, verts, lams)
-                if lam]
+    def taut_weights(self, spec, shift, lams, beta):
+        """Exponent map of the tautological bundle times ``shift``."""
+        maps = []
+        for table, chart, u, lam in zip(
+                self._table(spec, "taut", shift), self.surface.charts,
+                self.vertices(beta), lams):
+            if lam:
+                key = (lam, u)
+                m = table.get(key)
+                if m is None:
+                    m = table[key] = self._specialize(
+                        spec, u, shift, box_character, lam, chart.m1,
+                        chart.m2)
+                maps.append(m)
+        return _merge_weights(maps)
+
+    def leaf(self, e):
+        """(name, o1, (0, 0, tp)) of a leaf, keyed by its ``key()``."""
+        key = e.key()
+        out = self._leaves.get(key)
+        if out is None:
+            name = e.params[0]
+            if name not in _LEAVES:
+                raise ValueError("leaf %r has no equivariant value" % name)
+            out = self._leaves[key] = (name, e.attr("o1"),
+                                       (0, 0, e.attr("tp")))
+        return out
 
     def twist_class(self, leaf):
-        return self.piece(self._twist_class, leaf.attr("bc"),
-                          leaf.attr("ac"), leaf.attr("kc"))
+        """The leaf's class bc beta + ac A + kc K as integers."""
+        key = ("twist", leaf.key())
+        cls = self._leaves.get(key)
+        if cls is None:
+            cls = self._leaves[key] = self._twist_class(
+                leaf.attr("bc"), leaf.attr("ac"), leaf.attr("kc"))
+        return cls
 
     def _twist_class(self, bc, ac, kc):
         S = self.surface
@@ -979,7 +1059,10 @@ class LocalizationContext:
             cls = S.add(cls, S.scale(ac, S.cls(self.A)))
         if kc:
             cls = S.add(cls, S.scale(kc, S.K))
-        return cls
+        # chart vertices need integer coordinates
+        if any(x.denominator != 1 for x in cls):
+            raise ValueError("divisor coefficients must be integers")
+        return tuple(map(int, cls))
 
 
 _LEAVES = ("rhom", "rhom0", "pushO", "taut", "tangent", "O1")
@@ -1025,20 +1108,16 @@ class PointEvaluator:
         return self.ctx.sections[self.point.pb]
 
     def leaf_shift(self, e):
-        """The monomial (p, q, c) a leaf is multiplied by: O(-o1) of the
-        section line and the auxiliary weight tp."""
-        name = e.params[0]
-        if name not in _LEAVES:
-            raise ValueError("leaf %r has no equivariant value" % name)
-        o1 = e.attr("o1")
-        if not o1:
-            return (0, 0, e.attr("tp"))
-        u = self.pb_vertex()
-        return (-o1 * u[0], -o1 * u[1], e.attr("tp"))
+        """The leaf's name and the monomial (p, q, c) it is multiplied
+        by: O(-o1) of the section line and the auxiliary weight tp."""
+        name, o1, shift = self.ctx.leaf(e)
+        if o1:
+            u = self.pb_vertex()
+            shift = (-o1 * u[0], -o1 * u[1], shift[2])
+        return name, shift
 
     def leaf_char(self, e):
-        shift = self.leaf_shift(e)
-        name = e.params[0]
+        name, shift = self.leaf_shift(e)
         if name in ("rhom", "rhom0"):
             cls = self.ctx.twist_class(e)
             ch = rhom_global_character(
@@ -1058,30 +1137,29 @@ class PointEvaluator:
         return ch.shift(*shift) if shift != NO_SHIFT else ch
 
     def leaf_weights(self, e):
-        shift = self.leaf_shift(e)
-        name = e.params[0]
-        ctx = self.ctx
+        name, shift = self.leaf_shift(e)
+        ctx, spec = self.ctx, self.spec
         if name in ("rhom", "rhom0"):
             parts_a = self.parts(e.attr("i"))
             parts_b = self.parts(e.attr("j"))
             cls = ctx.twist_class(e)
             if name == "rhom":
                 return rhom_global_character(ctx, parts_a, parts_b, cls,
-                                             spec=self.spec, shift=shift)
-            pieces = ctx.rhom_pieces(parts_a, parts_b, cls, chi=False)
-        elif name == "pushO":
-            pieces = [ctx.chi_piece(ctx.twist_class(e))]
-        elif name == "taut":
-            pieces = ctx.taut_pieces(self.parts(e.attr("level")),
-                                     e.attr("a"))
-        elif name == "tangent":
+                                             spec=spec, shift=shift)
+            return ctx.rhom_weights(spec, shift, parts_a, parts_b, cls,
+                                    chi=False)
+        if name == "pushO":
+            return ctx.chi_weights(spec, shift, ctx.twist_class(e))
+        if name == "taut":
+            return ctx.taut_weights(spec, shift,
+                                    self.parts(e.attr("level")), e.attr("a"))
+        if name == "tangent":
             if shift == NO_SHIFT:
                 return self.tangent()
-            pieces = ctx.tangent_pieces(self.point)
-        else:
-            u = self.pb_vertex()
-            pieces = [(EquivChar.monomial, -u[0], -u[1])]
-        return ctx.weights(self.spec, shift, pieces)
+            return ctx.tangent_weights(spec, shift, self.point)
+        u = self.pb_vertex()
+        return specialize_weights(EquivChar.monomial(-u[0], -u[1]), spec,
+                                  shift)
 
     def kval(self, e):
         if e.kind == "leaf":
@@ -1228,15 +1306,20 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     deterministically.  The points are summed in this process, one
     after another; parallel work means running jobs side by side.
 
+    ``surface`` may also be the LocalizationContext of the job, which
+    the integral then shares with the job's other integrals; ``beta``,
+    ``A`` and ``with_pb`` default to the context's, and one that
+    differs from it is a ValueError.
+
     With ``return_info`` the value comes with a dict: the direction
     ``spec``, the ``seed``, the number of ambient fixed ``points``, the
     number ``visited`` past the zero check and the draw ``attempts``.
     """
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
-    ctx = LocalizationContext(surface, beta=beta, A=A, with_pb=with_pb)
-    points = list(enumerate_fixed_points(surface, n1, n2, with_pb=with_pb,
-                                         nested=False))
+    ctx = _context(surface, beta, A, with_pb)
+    points = list(enumerate_fixed_points(ctx.surface, n1, n2,
+                                         with_pb=ctx.with_pb, nested=False))
 
     def attempt(spec):
         totals = {}
@@ -1264,9 +1347,10 @@ def tangent_index_counts(surface, n, seed=0):
     """{i: number of fixed points of S^[n] with i positive tangent
     weights} under a seeded direction, read from the per-chart maps an
     integral uses.  By Bialynicki-Birula these are the Betti numbers
-    b_2i of S^[n]; a wrong tangent weight moves a point between cells."""
-    ctx = LocalizationContext(surface)
-    points = list(enumerate_fixed_points(surface, 0, n))
+    b_2i of S^[n]; a wrong tangent weight moves a point between cells.
+    ``surface`` may also be a LocalizationContext."""
+    ctx = _context(surface)
+    points = list(enumerate_fixed_points(ctx.surface, 0, n))
 
     def attempt(spec):
         counts = {}

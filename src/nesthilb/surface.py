@@ -215,11 +215,15 @@ class ToricSurface(SurfaceData):
             raise ValueError("divisor coefficients must be integers")
         return [int(x) for x in coeffs]
 
-    def chart_vertex(self, chart, beta):
+    def chart_vertices(self, beta):
+        """Integer trivializing weights u_sigma of the class, one per
+        chart in chart order, from one set of ray coefficients."""
         coeffs = self.ray_coeffs(beta)
-        n = len(self.rays)
-        i = chart.index
-        return chart.vertex((coeffs[i], coeffs[(i + 1) % n]))
+        return tuple(chart.vertex((a, b)) for chart, a, b in
+                     zip(self.charts, coeffs, coeffs[1:] + coeffs[:1]))
+
+    def chart_vertex(self, chart, beta):
+        return self.chart_vertices(beta)[chart.index]
 
     def polytope_points(self, beta):
         """Lattice points of the section polytope of the divisor."""
@@ -297,7 +301,7 @@ def toric_line_weights(surface, beta):
     vector u_sigma for each fixed point, in chart order."""
     if not isinstance(surface, ToricSurface):
         raise ValueError("line weights need a toric surface")
-    return [surface.chart_vertex(ch, beta) for ch in surface.charts]
+    return list(surface.chart_vertices(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from .ringcore import rational_str
 from .surface import ToricSurface, vd_beta
 from .porteous import FormulaExpr, ZERO_CLASS, rhom, pushO, sw_factor, \
     pic_point, normalize, nested_reduced_formula
-from .hilbloc import RatFunc, equivariant_integrate, format_value
+from .hilbloc import LocalizationContext, RatFunc, \
+    equivariant_integrate, format_value
 
 
 class UniversalityError(ValueError):
@@ -163,14 +164,16 @@ def monopole_integrand(n1, n2):
 
 
 def point_contribution(surface, beta, n, refined=False, order=None,
-                       seed=0, point_table=None):
+                       seed=0, point_table=None, context=None):
     """Sum over splittings n = n1 + n2 of the monopole integrand
     integral, without the Seiberg-Witten weight or the torsion
     prefactor.  These are the numbers the universality statement is
     about: they depend on the surface only through c1^2, c2, beta^2
     and c1.beta.
 
-    Non-toric profiles must supply the integrals through
+    The splittings share one LocalizationContext of the surface and
+    class: ``context`` when the caller passes the job's, else a new
+    one.  Non-toric profiles must supply the integrals through
     ``point_table`` keyed by (class, n1, n2).
     """
     key = tuple(surface.cls(beta))
@@ -182,8 +185,10 @@ def point_contribution(surface, beta, n, refined=False, order=None,
                 and (key, n1, n2) in point_table:
             term = point_table[(key, n1, n2)]
         elif isinstance(surface, ToricSurface):
+            if context is None:
+                context = LocalizationContext(surface, beta=key)
             term = equivariant_integrate(
-                monopole_integrand(n1, n2), surface, n1, n2, beta=key,
+                monopole_integrand(n1, n2), context, n1, n2, beta=key,
                 refined=True, seed=seed)
         else:
             raise ValueError("point contributions need a toric surface"
@@ -197,7 +202,7 @@ def point_contribution(surface, beta, n, refined=False, order=None,
 
 def monopole_contribution(surface, sw, beta, n, refined=False,
                           order=None, seed=0, window=None,
-                          point_table=None):
+                          point_table=None, context=None):
     """Weighted contribution of one curve class at total length n:
 
         SW * 4^q * (sum of splitting integrals).
@@ -207,6 +212,7 @@ def monopole_contribution(surface, sw, beta, n, refined=False,
     excluded and contributes the zero result.  A class whose curve
     locus has nonzero virtual dimension contributes zero by the
     definition of the invariant, with no table entry needed.
+    ``context`` is passed on to ``point_contribution``.
     """
     key = tuple(surface.cls(beta))
     meta = {"surface": surface.name, "seed": seed, "order": order,
@@ -223,7 +229,7 @@ def monopole_contribution(surface, sw, beta, n, refined=False,
         return MonopoleResult(key, n, Fraction(0), {}, refined, meta)
     point = point_contribution(surface, key, n, refined=True,
                                order=order, seed=seed,
-                               point_table=point_table)
+                               point_table=point_table, context=context)
     value = _as_ratfunc(point.value) * weight
     return MonopoleResult(key, n, value, point.terms, refined, meta)
 

@@ -29,9 +29,10 @@ def test_workflow_runs_tier1():
         == ["3.10", "3.11", "3.12", "3.13"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the [project.scripts] entry point is what users run; no test
-    # imports it.  One job localizes, one runs the formal rings.
+    # imports it.  One job localizes an n range in one shared context,
+    # one runs the formal rings.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
-               ' --n 2 | head -n 1)" = 9')
+               ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # verify ends with its "# seed" line, after the verdict
     formal = ('test "$(nesthilb verify --suite porteous'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
