@@ -9,6 +9,8 @@ Modules, each loaded on first use:
 - surface: surface numerics and toric fixed-point data
 - porteous: expression trees for virtual-cycle pushforward formulas
 - hilbloc: torus fixed points, characters, Atiyah-Bott integration
+- chartfactors: the Euler-product integrals of hilbloc as products of
+  per-chart factors; hilbloc imports it at the first such integral
 - vw: rank-2 monopole contributions and universality fits
 - cli: batch front-end
 

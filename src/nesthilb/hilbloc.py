@@ -37,7 +37,10 @@ monomial, so the collision check sees every final weight) and keeps
 the maps in one table per chart, keyed by partition(s) and vertex.  A
 point's map is one lookup per chart and one merge; no character sum
 is built per point.  The tangent map of a point is built once and
-shared by its tangent leaves and the localization denominator.
+shared by its tangent leaves and the localization denominator.  An
+Euler product with no circle weight skips the merge: each chart's
+factor is one integer fraction, and a point multiplies them (see
+``chartfactors``).
 Products add exponents, so a weight shared by numerator and
 denominator cancels as it arises, which is exact because each weight
 is a nonzero linear form k s + c t; the zero-weight and collision
@@ -108,9 +111,10 @@ def cells(mu):
 
 
 def conjugate(mu):
-    if not mu:
-        return ()
-    return tuple(sum(1 for r in mu if r > a) for a in range(mu[0]))
+    cols = [0] * (mu[0] if mu else 0)
+    for height, row in enumerate(mu, 1):
+        cols[:row] = [height] * row
+    return tuple(cols)
 
 
 def arm(mu, cell):
@@ -247,17 +251,25 @@ def ext_character(mu, nu, w):
     |mu| + |nu| and only positive multiplicities."""
     (x1, y1), (x2, y2) = w
     out = {}
-    # a box of nu has weight w1 + w2 minus that of a box of mu with
-    # the roles of mu and nu swapped
-    for lam, other, swapped in ((mu, nu, False), (nu, mu, True)):
+
+    # a box of nu has weight w1 + w2 minus that of a box of mu with the
+    # roles of mu and nu swapped, so for mu = nu one walk gives both
+    def walk(lam, other, ours, theirs):
         cols = conjugate(other) + (0,) * max(lam, default=0)
         for b, row in enumerate(lam):
             for a in range(row):
                 p, q = row - a, b + 1 - cols[a]
-                if swapped:
-                    p, q = 1 - p, 1 - q
-                key = (p * x1 + q * x2, p * y1 + q * y2, 0)
-                out[key] = out.get(key, 0) + 1
+                x, y = p * x1 + q * x2, p * y1 + q * y2
+                if ours:
+                    out[x, y, 0] = out.get((x, y, 0), 0) + 1
+                if theirs:
+                    key = (x1 + x2 - x, y1 + y2 - y, 0)
+                    out[key] = out.get(key, 0) + 1
+    if mu == nu:
+        walk(mu, mu, True, True)
+    else:
+        walk(mu, nu, True, False)
+        walk(nu, mu, False, True)
     return EquivChar(out)
 
 
@@ -460,17 +472,26 @@ class NestedFixedPoint:
             self.mu, self.nu, self.pb)
 
 
-def _chart_tuples(num_charts, total):
+def _chart_tuples(num_charts, total, levels=None):
     """All ways to place partitions of given total size on the charts,
     as a list built chart by chart from the last, each size's
-    partitions listed once."""
-    by_size = [list(partitions(m)) for m in range(total + 1)]
-    tails = [[()]] + [[]] * total
-    for _ in range(num_charts):
-        tails = [[(lam,) + rest for here in range(r + 1)
-                  for lam in by_size[here] for rest in tails[r - here]]
-                 for r in range(total + 1)]
-    return tails[total]
+    partitions listed once.  ``levels`` holds what is listed so far:
+    the partitions of each size, then the tuples of each size on the
+    last j charts for j = 0 ... num_charts.  It is extended in place,
+    so a caller that keeps it lists each size once."""
+    if levels is None:
+        levels = []
+    if not levels:
+        levels += [[] for _ in range(num_charts + 2)]
+    by_size, tails = levels[0], levels[1:]
+    for r in range(len(by_size), total + 1):
+        by_size.append(list(partitions(r)))
+        tails[0].append([] if r else [()])
+        for prev, longer in zip(tails, tails[1:]):
+            longer.append([(lam,) + rest for here in range(r + 1)
+                           for lam in by_size[here]
+                           for rest in prev[r - here]])
+    return tails[-1][total]
 
 
 def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
@@ -479,8 +500,13 @@ def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
     with the projective bundle of sections of the class ``with_pb``.
 
     With ``nested=False`` the stream covers the whole ambient product,
-    which is what localization sums run over.
+    which is what localization sums run over.  ``surface`` may also be
+    the LocalizationContext of a job, which keeps the chart tuples of
+    every size once listed.
     """
+    levels = None
+    if isinstance(surface, LocalizationContext):
+        surface, levels = surface.surface, surface.chart_levels
     if not isinstance(surface, ToricSurface):
         raise ValueError("fixed points need a toric surface")
     k = len(surface.charts)
@@ -490,8 +516,8 @@ def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
         if npts != riemann_roch_chi(surface, with_pb):
             raise ValueError("sections do not span the pushforward fibre")
         pb_range = list(range(npts))
-    mus_list = _chart_tuples(k, n1)
-    for nus in _chart_tuples(k, n2):
+    mus_list = _chart_tuples(k, n1, levels)
+    for nus in _chart_tuples(k, n2, levels):
         for mus in mus_list:
             if nested and not all(contains(nu, mu)
                                   for mu, nu in zip(mus, nus)):
@@ -857,7 +883,11 @@ class LocalizationContext:
     and shift are kept per kind and shift in one table per chart, keyed
     by partition(s) and vertex, so a point's map is one lookup per chart
     and one merge; the tables are emptied when the direction changes.
-    A class's vertices, and a leaf's shift and twist class, are
+    The chart factors of the Euler products that take the chart-factor
+    path are kept in the same way, one table per chart and tree, keyed
+    by the chart's partitions (see ``chartfactors``).  A class's
+    vertices, a leaf's shift and twist class, and the chart tuples of
+    each size (``chart_levels``, see ``enumerate_fixed_points``) are
     resolved once.  ``visited`` counts the points of the current
     integral whose class value was nonzero.
     """
@@ -881,6 +911,7 @@ class LocalizationContext:
         self._leaves = {}
         self._spec = None
         self._maps = {}
+        self.chart_levels = []
         self.visited = 0
 
     def check(self, beta=None, A=None, with_pb=None):
@@ -914,7 +945,7 @@ class LocalizationContext:
         """chi(L) character of the class."""
         return self.piece(chi_line_character, self.surface, tuple(beta))
 
-    def _table(self, spec, kind, shift, per_chart=True):
+    def table(self, spec, kind, shift, per_chart=True):
         """Maps of one kind of piece times ``shift`` under the direction
         ``spec``, in one dict per chart or in one dict."""
         if spec != self._spec:
@@ -925,11 +956,30 @@ class LocalizationContext:
                 [{} for _ in self._tangent_ws] if per_chart else {}
         return table
 
-    def _specialize(self, spec, u, shift, build, *args):
-        """Map of a cached piece times t^u and ``shift``."""
-        return specialize_weights(self.piece(build, *args), spec,
-                                  (u[0] + shift[0], u[1] + shift[1],
-                                   shift[2]))
+    def chart_map(self, spec, kind, shift, c, key, table=None):
+        """Map of chart c's piece of one kind times ``shift``, from the
+        chart's ``table`` (looked up when not given; the per-point
+        loops look it up themselves and call this on a miss): the
+        tangent piece of key = lam, the Rhom correction of key = (mu,
+        nu, u), the tautological piece of key = (lam, u)."""
+        if table is None:
+            table = self.table(spec, kind, shift)[c]
+        m = table.get(key)
+        if m is None:
+            chart, u = self.surface.charts[c], (0, 0)
+            if kind == "tangent":
+                char = self.piece(tangent_character, key,
+                                  self._tangent_ws[c])
+            elif kind == "rhom":
+                mu, nu, u = key
+                char = self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu,
+                                  nu, (0, 0))
+            else:
+                lam, u = key
+                char = self.piece(box_character, lam, chart.m1, chart.m2)
+            m = table[key] = specialize_weights(
+                char, spec, (u[0] + shift[0], u[1] + shift[1], shift[2]))
+        return m
 
     def tangent(self, point):
         """Tangent character at a fixed point, from cached pieces."""
@@ -943,23 +993,21 @@ class LocalizationContext:
 
     def tangent_weights(self, spec, shift, point):
         """Exponent map of the tangent character times ``shift``."""
-        maps = []
+        k, maps = len(self._tangent_ws), []
         # each chart's table serves its partition in mu and in nu
-        for table, w, lam in zip(self._table(spec, "tangent", shift) * 2,
-                                 self._tangent_ws * 2, point.mu + point.nu):
+        for i, (table, lam) in enumerate(zip(
+                self.table(spec, "tangent", shift) * 2, point.mu + point.nu)):
             if lam:
                 m = table.get(lam)
-                if m is None:
-                    m = table[lam] = self._specialize(
-                        spec, (0, 0), shift, tangent_character, lam, w)
-                maps.append(m)
+                maps.append(m if m is not None else self.chart_map(
+                    spec, "tangent", shift, i % k, lam, table))
         if self.sections is not None and point.pb is not None:
-            table = self._table(spec, "sections", shift, False)
+            table = self.table(spec, "sections", shift, False)
             m = table.get(point.pb)
             if m is None:
-                m = table[point.pb] = self._specialize(
-                    spec, (0, 0), shift, _section_line_offsets,
-                    self.sections, point.pb)
+                m = table[point.pb] = specialize_weights(
+                    self.piece(_section_line_offsets, self.sections,
+                               point.pb), spec, shift)
             maps.append(m)
         return _merge_weights(maps)
 
@@ -977,17 +1025,13 @@ class LocalizationContext:
         """Exponent map of the Rhom character times ``shift``; without
         chi(L) when ``chi`` is false (the trace-free part)."""
         maps = []
-        for table, chart, u, mu, nu in zip(
-                self._table(spec, "rhom", shift), self.surface.charts,
-                self.vertices(beta), parts_a, parts_b):
+        for c, (table, u, mu, nu) in enumerate(zip(
+                self.table(spec, "rhom", shift), self.vertices(beta),
+                parts_a, parts_b)):
             if mu or nu:
-                key = (mu, nu, u)
-                m = table.get(key)
-                if m is None:
-                    m = table[key] = self._specialize(
-                        spec, u, shift, _rhom_chart_piece, chart.m1,
-                        chart.m2, mu, nu, (0, 0))
-                maps.append(m)
+                m = table.get((mu, nu, u))
+                maps.append(m if m is not None else self.chart_map(
+                    spec, "rhom", shift, c, (mu, nu, u), table))
         if chi:
             maps.append(self.chi_weights(spec, shift, beta))
         return _merge_weights(maps)
@@ -995,7 +1039,7 @@ class LocalizationContext:
     def chi_weights(self, spec, shift, beta):
         """Exponent map of chi(L) times ``shift``."""
         beta = tuple(beta)
-        table = self._table(spec, "chi", shift, False)
+        table = self.table(spec, "chi", shift, False)
         m = table.get(beta)
         if m is None:
             m = table[beta] = specialize_weights(self.chi(beta), spec, shift)
@@ -1012,17 +1056,12 @@ class LocalizationContext:
     def taut_weights(self, spec, shift, lams, beta):
         """Exponent map of the tautological bundle times ``shift``."""
         maps = []
-        for table, chart, u, lam in zip(
-                self._table(spec, "taut", shift), self.surface.charts,
-                self.vertices(beta), lams):
+        for c, (table, u, lam) in enumerate(zip(
+                self.table(spec, "taut", shift), self.vertices(beta), lams)):
             if lam:
-                key = (lam, u)
-                m = table.get(key)
-                if m is None:
-                    m = table[key] = self._specialize(
-                        spec, u, shift, box_character, lam, chart.m1,
-                        chart.m2)
-                maps.append(m)
+                m = table.get((lam, u))
+                maps.append(m if m is not None else self.chart_map(
+                    spec, "taut", shift, c, (lam, u), table))
         return _merge_weights(maps)
 
     def leaf(self, e):
@@ -1065,7 +1104,8 @@ class LocalizationContext:
         return tuple(map(int, cls))
 
 
-_LEAVES = ("rhom", "rhom0", "pushO", "taut", "tangent", "O1")
+_CHART_LOCAL = ("rhom", "rhom0", "pushO", "taut", "tangent")
+_LEAVES = _CHART_LOCAL + ("O1",)
 
 
 def _homogeneous(d, coefs):
@@ -1254,6 +1294,26 @@ class PointEvaluator:
 # the integral
 
 
+def _euler_product(e):
+    """Whether e is a product (mul, scale, one) of euler nodes over
+    chart-local K-classes: the trees whose integrals take the
+    chart-factor path when there are no section lines."""
+    if e.kind == "euler":
+        return _chart_local(e.children[0])
+    return e.kind in ("mul", "scale", "one") \
+        and all(map(_euler_product, e.children))
+
+
+def _chart_local(e):
+    """Whether the K-class e is a ksum, kdiff or dual of chart-local
+    leaves with no circle weight (tp) and no section line (o1)."""
+    if e.kind == "leaf":
+        return e.params[0] in _CHART_LOCAL and not e.attr("tp") \
+            and not e.attr("o1")
+    return e.kind in ("ksum", "kdiff", "dual") \
+        and all(map(_chart_local, e.children))
+
+
 def _point_contribution(ctx, expr, point, spec):
     """The point's s-expansion; {} for a point whose class value is
     zero, before its tangent character is built.  Points past that
@@ -1311,6 +1371,14 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     ``A`` and ``with_pb`` default to the context's, and one that
     differs from it is a ValueError.
 
+    A product (mul, scale, one) of euler nodes over ksum, kdiff and
+    dual of chart-local leaves (tangent, taut, rhom, rhom0, pushO) with
+    no tp or o1 shift, without section lines, takes the chart-factor
+    path of ``chartfactors``: a point multiplies one cached factor per
+    chart, with the value, visited points and errors of the per-point
+    path.  Every other tree (chern, delta, twist, add, circle weights,
+    section lines) is evaluated point by point.
+
     With ``return_info`` the value comes with a dict: the direction
     ``spec``, the ``seed``, the number of ambient fixed ``points``, the
     number ``visited`` past the zero check and the draw ``attempts``.
@@ -1318,17 +1386,21 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
     ctx = _context(surface, beta, A, with_pb)
-    points = list(enumerate_fixed_points(ctx.surface, n1, n2,
-                                         with_pb=ctx.with_pb, nested=False))
-
-    def attempt(spec):
-        totals = {}
-        ctx.visited = 0
-        for p in points:
-            contrib = _point_contribution(ctx, expr, p, spec)
-            for key, coef in contrib.items():
-                totals[key] = totals.get(key, 0) + coef
-        return totals
+    points = list(enumerate_fixed_points(ctx, n1, n2, with_pb=ctx.with_pb,
+                                         nested=False))
+    attempt = None
+    if ctx.with_pb is None and _euler_product(expr):
+        from . import chartfactors
+        attempt = chartfactors.attempt(ctx, expr, points)
+    if attempt is None:
+        def attempt(spec):
+            totals = {}
+            ctx.visited = 0
+            for p in points:
+                contrib = _point_contribution(ctx, expr, p, spec)
+                for key, coef in contrib.items():
+                    totals[key] = totals.get(key, 0) + coef
+            return totals
     totals, spec, attempts = _first_direction(seed, attempt)
     if any(coef and deg < 0 for (deg, _), coef in totals.items()):
         raise ValueError("integral not equivariantly constant")
@@ -1350,7 +1422,7 @@ def tangent_index_counts(surface, n, seed=0):
     b_2i of S^[n]; a wrong tangent weight moves a point between cells.
     ``surface`` may also be a LocalizationContext."""
     ctx = _context(surface)
-    points = list(enumerate_fixed_points(ctx.surface, 0, n))
+    points = list(enumerate_fixed_points(ctx, 0, n))
 
     def attempt(spec):
         counts = {}
