@@ -3,23 +3,27 @@ circle weight, as products of cached per-chart values.
 
 ``hilbloc.equivariant_integrate`` sends here the integrals whose
 integrand is a product (mul, scale, one) of euler nodes over K-classes
-(leaf, ksum, kdiff, dual) of chart-local leaves (tangent, taut, rhom,
-rhom0, pushO) with no tp or o1 shift, in a problem without section
-lines; this module is imported by the first such integral only.  Every
-specialized weight is then k s, with no t part, so a node's value at a
-fixed point is a rational times a power of s.  Its K-class is a sum of
-pieces: one per chart, which depends on that chart's partitions only,
-and the chi(L) terms, which depend on no point (the vertex
-factorization of Carlsson-Okounkov).  A product of weights is
-multiplicative in the exponent map, so the node's value is the product
-of the values of its pieces.
+(leaf, ksum, kdiff, dual) of chart-local leaves with no tp or o1 shift,
+in a problem without section lines; this module is imported by the
+first such integral only.  Every specialized weight is then k s, with
+no t part, so a node's value at a fixed point is a rational times a
+power of s.  Its K-class is a sum of pieces: one per chart, which
+depends on that chart's partitions only, and the chi(L) terms, which
+depend on no point (the vertex factorization of Carlsson-Okounkov).  A
+product of weights is multiplicative in the exponent map, so the
+node's value is the product of the values of its pieces.
 
-Under a direction, the factor of a chart and its partitions holds the
-zero-weight multiplicity of each Euler node on the chart, and the
-product of the nodes' nonzero weights over those of the chart's
-tangent piece as one reduced integer fraction with its s-degree.  It
-is built once from the context's per-chart maps and kept in the
-context; a point multiplies the factors of its charts.
+The pieces are read through ``hilbloc.PointEvaluator``, which alone
+resolves the leaves: a node's chi(L) part is its exponent map at the
+empty point, every chart empty, and chart c's part for partitions
+(mu, nu) is its map at the one-chart point, those partitions on chart
+c and none elsewhere, over the empty point's map.  Under a direction,
+the factor of a chart and its partitions holds the zero-weight
+multiplicity of each Euler node on the chart, and the product of the
+nodes' nonzero weights over those of the one-chart point's tangent map
+as one reduced integer fraction with its s-degree.  It is built once,
+with one evaluator of its one-chart point, and kept in the context; a
+point multiplies the factors of its charts.
 
 The points are checked in the order and with the errors of the
 per-point path (``hilbloc._point_contribution``): node by node in
@@ -35,23 +39,26 @@ node, so a direction collides where the per-point path's does.
 from fractions import Fraction
 from math import gcd
 
-from .hilbloc import NO_SHIFT
+from .hilbloc import NO_SHIFT, NestedFixedPoint, PointEvaluator, \
+    _exps_sum, _merge_weights
 
 
 class _Factor:
     """Factor of one chart and its partitions ``parts`` = (mu, nu)
-    under one direction.  ``zs`` holds the zero-weight multiplicity of
-    each node done so far; ``num`` / ``den`` and ``deg`` are the product
-    of those nodes' nonzero weights and, once ``ready``, over the
-    tangent piece's, reduced.  ``bad`` marks a tangent piece with a zero
-    or negative weight; a ``clean`` factor is ready, not bad, and has no
+    under one direction, read through ``ev``, the evaluator of its
+    one-chart point.  ``zs`` holds the zero-weight multiplicity of each
+    node done so far; ``num`` / ``den`` and ``deg`` are the product of
+    those nodes' nonzero weights and, once ``ready``, over the tangent
+    map's, reduced.  ``bad`` marks a tangent map with a zero or
+    negative weight; a ``clean`` factor is ready, not bad, and has no
     zero weight in any node."""
 
-    __slots__ = ("parts", "zs", "num", "den", "deg", "ready", "bad",
+    __slots__ = ("parts", "ev", "zs", "num", "den", "deg", "ready", "bad",
                  "clean")
 
-    def __init__(self, parts):
+    def __init__(self, parts, ev):
         self.parts = parts
+        self.ev = ev
         self.zs = []
         self.num = self.den = 1
         self.deg = 0
@@ -64,12 +71,11 @@ class _Factor:
         self.deg += deg
         self.zs.append(z)
 
-    def finish(self, tangent_maps):
-        den = self.den
-        for m in tangent_maps:
-            if (0, 0) in m or min(m.values(), default=0) < 0:
-                self.bad = True
-                continue
+    def finish(self):
+        den, m = self.den, self.ev.tangent()
+        if (0, 0) in m or min(m.values(), default=0) < 0:
+            self.bad = True
+        else:
             for (k, _), e in m.items():
                 den *= k ** e
                 self.deg -= e
@@ -78,10 +84,9 @@ class _Factor:
         self.clean = not self.bad and not any(self.zs)
 
 
-def _value(m, sign, dual):
+def _value(m):
     """(num, den, deg, zero multiplicity) of the product of the weights
-    k s of an exponent map, of its dual when ``dual``, inverted when
-    ``sign`` is -1.  The weight (0, 0) is counted apart."""
+    k s of an exponent map.  The weight (0, 0) is counted apart."""
     num = den = 1
     deg = z = 0
     for (k, _), e in m.items():
@@ -93,69 +98,20 @@ def _value(m, sign, dual):
         else:
             den *= k ** -e
             deg += e
-    if dual and deg % 2:
-        num = -num
-    return (num, den, deg, z) if sign > 0 else (den, num, -deg, -z)
-
-
-def _times(values):
-    num = den = 1
-    deg = z = 0
-    for n, d, e, y in values:
-        num, den, deg, z = num * n, den * d, deg + e, z + y
     return num, den, deg, z
 
 
-def _side(index):
-    """Position of a nesting index in a chart's (mu, nu)."""
-    if index not in (1, 2):
-        raise ValueError("nesting index out of range for localization")
-    return index - 1
-
-
-def _leaf(ctx, e, sign, dual):
-    """A leaf as (kind of its chart pieces, sign, dual, sides, chart
-    vertices, chi(L) class or None)."""
-    name = e.params[0]
-    if name == "tangent":
-        return ("tangent", sign, dual, (0, 1), None, None)
-    if name == "taut":
-        return ("taut", sign, dual, (_side(e.attr("level")),),
-                ctx.vertices(e.attr("a")), None)
-    cls = ctx.twist_class(e)
-    chi = None if name == "rhom0" else cls
-    if name == "pushO":
-        return (None, sign, dual, (), None, chi)
-    return ("rhom", sign, dual, (_side(e.attr("i")), _side(e.attr("j"))),
-            ctx.vertices(cls), chi)
-
-
-def _flatten(ctx, e, sign, dual, out):
-    """The leaves of a K-class in evaluation order, each with the sign
-    of the kdiffs and the parity of the duals above it."""
-    if e.kind == "leaf":
-        out.append(_leaf(ctx, e, sign, dual))
-    elif e.kind == "dual":
-        _flatten(ctx, e.children[0], sign, not dual, out)
-    else:
-        for i, c in enumerate(e.children):
-            # the second child of a kdiff is subtracted
-            _flatten(ctx, c, -sign if e.kind == "kdiff" and i else sign,
-                     dual, out)
-
-
-def _plan(ctx, expr):
+def _plan(expr):
     """(scale, nodes, zero) of an integrand: the product of its scales,
-    its euler nodes in evaluation order up to the first scale by 0, each
-    as the list of its leaves, and whether there is such a scale."""
+    the K-classes of its euler nodes in evaluation order up to the first
+    scale by 0, and whether there is such a scale."""
     nodes, scale = [], Fraction(1)
 
     def walk(e):
         """False once a scale by 0 is reached."""
         nonlocal scale
         if e.kind == "euler":
-            nodes.append([])
-            _flatten(ctx, e.children[0], 1, False, nodes[-1])
+            nodes.append(e.children[0])
             return True
         if e.kind == "scale":
             if not walk(e.children[0]) or not e.params[0]:
@@ -167,50 +123,22 @@ def _plan(ctx, expr):
     return scale, nodes, zero
 
 
-def _keys(kind, sides, verts, c, parts):
-    """Keys of a leaf's pieces on chart c with partitions ``parts``."""
-    if kind == "tangent":
-        return [lam for lam in parts if lam]
-    if kind == "taut":
-        lam = parts[sides[0]]
-        return [(lam, verts[c])] if lam else []
-    if kind == "rhom":
-        a, b = parts[sides[0]], parts[sides[1]]
-        return [(a, b, verts[c])] if a or b else []
-    return []
-
-
-def _node_at(ctx, spec, node, c, parts):
-    """Value of a node's pieces on chart c with partitions ``parts``."""
-    return _times(
-        _value(ctx.chart_map(spec, kind, NO_SHIFT, c, key), sign, dual)
-        for kind, sign, dual, sides, verts, _ in node
-        for key in _keys(kind, sides, verts, c, parts))
-
-
-def _node_chi(ctx, spec, node):
-    """Value of a node's chi(L) terms."""
-    return _times(_value(ctx.chi_weights(spec, NO_SHIFT, chi), sign, dual)
-                  for _, sign, dual, _, _, chi in node if chi is not None)
-
-
 def attempt(ctx, expr, points):
     """The function of a direction that ``hilbloc._first_direction``
     tries for the integral of ``expr`` over ``points``: the integral's
     s-expansion {(s_power, 0): coefficient} at s-powers <= 0, with
-    ``ctx.visited`` counted.  None when a leaf of ``expr`` cannot be
-    resolved: the per-point path then raises its error where it
-    arises."""
-    try:
-        scale, nodes, zero = _plan(ctx, expr)
-    except Exception:
-        # whatever resolving a leaf raises, the per-point path raises
-        # too, at the point and node where it meets the leaf
-        return None
+    ``ctx.visited`` counted.  A leaf that cannot be resolved raises its
+    error at the point and node where the per-point path meets it."""
+    scale, nodes, zero = _plan(expr)
     kind = ("factors", expr.key())
+    empty = ((),) * len(ctx.surface.charts)
+
+    def one_chart(c, lam):
+        return empty[:c] + (lam,) + empty[c + 1:]
 
     def run(spec):
         tables = ctx.table(spec, kind, NO_SHIFT)
+        at_empty = PointEvaluator(ctx, NestedFixedPoint(empty, empty), spec)
         chis, totals = [], {}
         const, fast = None, False
         ctx.visited = 0
@@ -218,19 +146,23 @@ def attempt(ctx, expr, points):
         def visit(p):
             """The point's factors, or None where its value is zero."""
             factors = []
-            for table, parts in zip(tables, zip(p.mu, p.nu)):
+            for c, (table, parts) in enumerate(zip(tables, zip(p.mu, p.nu))):
                 f = table.get(parts)
                 if f is None:
-                    f = table[parts] = _Factor(parts)
+                    point = NestedFixedPoint(*(one_chart(c, lam)
+                                               for lam in parts))
+                    f = table[parts] = _Factor(
+                        parts, PointEvaluator(ctx, point, spec))
                 factors.append(f)
             z = 0
             for i, node in enumerate(nodes):
                 if i == len(chis):
-                    chis.append(_node_chi(ctx, spec, node))
-                z = chis[i][3]
-                for c, f in enumerate(factors):
+                    chis.append(at_empty.weights(node))
+                z = chis[i].get((0, 0), 0)
+                for f in factors:
                     if len(f.zs) == i:
-                        f.add(_node_at(ctx, spec, node, c, f.parts))
+                        f.add(_value(_exps_sum(f.ev.weights(node), chis[i],
+                                               -1)))
                     z += f.zs[i]
                 if z:
                     break
@@ -239,10 +171,9 @@ def attempt(ctx, expr, points):
             if z or zero:
                 return None
             ctx.visited += 1
-            for c, f in enumerate(factors):
+            for f in factors:
                 if not f.ready:
-                    f.finish([ctx.chart_map(spec, "tangent", NO_SHIFT, c,
-                                            lam) for lam in f.parts if lam])
+                    f.finish()
             for f in factors:
                 if f.bad:
                     raise ValueError("non-isolated or non-generic weights")
@@ -272,10 +203,10 @@ def attempt(ctx, expr, points):
             if factors is None:
                 continue
             if const is None:
-                num, den, deg, _ = _times(chis)
+                num, den, deg, _ = _value(_merge_weights(chis))
                 const = (num * scale.numerator, den * scale.denominator,
                          deg)
-                fast = not any(chi[3] for chi in chis)
+                fast = not any((0, 0) in chi for chi in chis)
             num, den, deg = const
             for f in factors:
                 num, den, deg = num * f.num, den * f.den, deg + f.deg

@@ -39,8 +39,9 @@ point's map is one lookup per chart and one merge; no character sum
 is built per point.  The tangent map of a point is built once and
 shared by its tangent leaves and the localization denominator.  An
 Euler product with no circle weight skips the merge: each chart's
-factor is one integer fraction, and a point multiplies them (see
-``chartfactors``).
+factor is one integer fraction, read through the PointEvaluator at the
+point with that chart's partitions and no others over the value at the
+empty point, and a point multiplies them (see ``chartfactors``).
 Products add exponents, so a weight shared by numerator and
 denominator cancels as it arises, which is exact because each weight
 is a nonzero linear form k s + c t; the zero-weight and collision
@@ -59,6 +60,7 @@ a Fraction is made per output coefficient only where a term's
 denominator is not 1.
 """
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -447,29 +449,13 @@ def rhom_assembled(surface, parts_a, parts_b, beta):
 # fixed points
 
 
-class NestedFixedPoint:
-    """A torus-fixed point of S^[n1] x S^[n2] (times a weight line of a
-    section bundle when pb is set): per-chart partitions mu for the
-    first factor and nu for the second, each a tuple of partition
-    tuples, with mu_sigma inside nu_sigma demanded only by the incidence
-    subscheme, not by the ambient product."""
-
-    __slots__ = ("mu", "nu", "pb")
-
-    def __init__(self, mu, nu, pb=None):
-        self.mu = mu
-        self.nu = nu
-        self.pb = pb
-
-    def __eq__(self, other):
-        return (self.mu, self.nu, self.pb) == (other.mu, other.nu, other.pb)
-
-    def __hash__(self):
-        return hash((self.mu, self.nu, self.pb))
-
-    def __repr__(self):
-        return "NestedFixedPoint(mu=%r, nu=%r, pb=%r)" % (
-            self.mu, self.nu, self.pb)
+NestedFixedPoint = collections.namedtuple("NestedFixedPoint", "mu nu pb",
+                                          defaults=(None,))
+NestedFixedPoint.__doc__ = """A torus-fixed point of S^[n1] x S^[n2]
+(times a weight line of a section bundle when pb is set): per-chart
+partitions mu for the first factor and nu for the second, each a tuple
+of partition tuples, with mu_sigma inside nu_sigma demanded only by the
+incidence subscheme, not by the ambient product."""
 
 
 def _chart_tuples(num_charts, total, levels=None):
@@ -884,12 +870,14 @@ class LocalizationContext:
     by partition(s) and vertex, so a point's map is one lookup per chart
     and one merge; the tables are emptied when the direction changes.
     The chart factors of the Euler products that take the chart-factor
-    path are kept in the same way, one table per chart and tree, keyed
-    by the chart's partitions (see ``chartfactors``).  A class's
-    vertices, a leaf's shift and twist class, and the chart tuples of
-    each size (``chart_levels``, see ``enumerate_fixed_points``) are
-    resolved once.  ``visited`` counts the points of the current
-    integral whose class value was nonzero.
+    path, each read from the maps of its one-chart point (the chart's
+    partitions, no others) and of the empty point, are kept in the same
+    way, one table per chart and tree, keyed by the chart's partitions
+    (see ``chartfactors``).  A class's vertices, a leaf's shift and
+    twist class, and the chart tuples of each size (``chart_levels``,
+    see ``enumerate_fixed_points``) are resolved once.  ``visited``
+    counts the points of the current integral whose class value was
+    nonzero.
     """
 
     def __init__(self, surface, beta=None, A=None, with_pb=None):
@@ -956,29 +944,24 @@ class LocalizationContext:
                 [{} for _ in self._tangent_ws] if per_chart else {}
         return table
 
-    def chart_map(self, spec, kind, shift, c, key, table=None):
-        """Map of chart c's piece of one kind times ``shift``, from the
-        chart's ``table`` (looked up when not given; the per-point
-        loops look it up themselves and call this on a miss): the
-        tangent piece of key = lam, the Rhom correction of key = (mu,
-        nu, u), the tautological piece of key = (lam, u)."""
-        if table is None:
-            table = self.table(spec, kind, shift)[c]
-        m = table.get(key)
-        if m is None:
-            chart, u = self.surface.charts[c], (0, 0)
-            if kind == "tangent":
-                char = self.piece(tangent_character, key,
-                                  self._tangent_ws[c])
-            elif kind == "rhom":
-                mu, nu, u = key
-                char = self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu,
-                                  nu, (0, 0))
-            else:
-                lam, u = key
-                char = self.piece(box_character, lam, chart.m1, chart.m2)
-            m = table[key] = specialize_weights(
-                char, spec, (u[0] + shift[0], u[1] + shift[1], shift[2]))
+    def chart_map(self, spec, kind, shift, c, key, table):
+        """Map of chart c's piece of one kind times ``shift``, stored in
+        the chart's ``table``: the tangent piece of key = lam, the Rhom
+        correction of key = (mu, nu, u), the tautological piece of key =
+        (lam, u).  The per-point loops look the key up in the table
+        themselves and call this on a miss."""
+        chart, u = self.surface.charts[c], (0, 0)
+        if kind == "tangent":
+            char = self.piece(tangent_character, key, self._tangent_ws[c])
+        elif kind == "rhom":
+            mu, nu, u = key
+            char = self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu, nu,
+                              (0, 0))
+        else:
+            lam, u = key
+            char = self.piece(box_character, lam, chart.m1, chart.m2)
+        m = table[key] = specialize_weights(
+            char, spec, (u[0] + shift[0], u[1] + shift[1], shift[2]))
         return m
 
     def tangent(self, point):
@@ -1375,9 +1358,11 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     dual of chart-local leaves (tangent, taut, rhom, rhom0, pushO) with
     no tp or o1 shift, without section lines, takes the chart-factor
     path of ``chartfactors``: a point multiplies one cached factor per
-    chart, with the value, visited points and errors of the per-point
-    path.  Every other tree (chern, delta, twist, add, circle weights,
-    section lines) is evaluated point by point.
+    chart, the node values at the point with that chart's partitions and
+    no others over those at the empty point, with the value, visited
+    points and errors of the per-point path.  Every other tree (chern,
+    delta, twist, add, circle weights, section lines) is evaluated
+    point by point.
 
     With ``return_info`` the value comes with a dict: the direction
     ``spec``, the ``seed``, the number of ambient fixed ``points``, the
@@ -1388,11 +1373,10 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     ctx = _context(surface, beta, A, with_pb)
     points = list(enumerate_fixed_points(ctx, n1, n2, with_pb=ctx.with_pb,
                                          nested=False))
-    attempt = None
     if ctx.with_pb is None and _euler_product(expr):
         from . import chartfactors
         attempt = chartfactors.attempt(ctx, expr, points)
-    if attempt is None:
+    else:
         def attempt(spec):
             totals = {}
             ctx.visited = 0

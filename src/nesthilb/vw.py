@@ -33,6 +33,11 @@ def _as_ratfunc(x):
     return RatFunc.const(x)
 
 
+def _class_str(key):
+    """A curve class as its p/q coordinates, e.g. (0) or (1, -1/2)."""
+    return "(%s)" % ", ".join(rational_str(x) for x in key)
+
+
 class SWTable:
     """Seiberg-Witten data of one surface: per curve class, the integer
     invariant and the higher pairing numbers consumed by the
@@ -58,7 +63,7 @@ class SWTable:
                     and vd_beta(surface, key) != 0:
                 raise ValueError(
                     "invariant must vanish at nonzero virtual dimension"
-                    " (class %r)" % (key,))
+                    " (class %s)" % _class_str(key))
             self.entries[key] = (value, tuple(Fraction(x) for x in pairings))
 
     def __contains__(self, beta):
@@ -67,7 +72,8 @@ class SWTable:
     def invariant(self, beta):
         key = tuple(self.surface.cls(beta))
         if key not in self.entries:
-            raise ValueError("missing SW entry for class %r" % (key,))
+            raise ValueError("missing SW entry for class %s"
+                             % _class_str(key))
         return self.entries[key][0]
 
     def pairing(self, beta, j):

@@ -202,6 +202,46 @@ class TestAgainstPerPointPath:
                                   draws=draws)
             assert euler[0][1]["attempts"] > 1
 
+    @pytest.mark.parametrize("tree,n1,n2", [
+        # collides under the first small directions
+        (lambda L: FE.mul(FE.euler(FE.kdiff(pushO(bc=1), rhom(1, 2, bc=1))),
+                          EULER), 0, 3),
+        # zero at the first node: nothing behind it is specialized
+        (lambda L: FE.mul(FE.euler(pushO()), EULER,
+                          FE.euler(rhom(1, 2, bc=1))), 0, 3),
+        (lambda L: FE.mul(FE.euler(FE.dual(taut(L, 2))),
+                          FE.euler(taut(L, 1)), FE.scale(3, EULER)), 1, 2),
+        (lambda L: FE.euler(FE.kdiff(FE.dual(rhom(1, 1, trace_free=True)),
+                                     rhom(2, 1, kc=1))), 1, 2),
+        # a scale by 0 after a node that is zero at some points
+        (lambda L: FE.mul(FE.euler(FE.kdiff(pushO(bc=-1), rhom(1, 2))),
+                          FE.scale(0, FE.euler(taut(L, 2))), EULER), 1, 2),
+    ], ids=["collides", "zero-node", "dual-taut", "dual-rhom0", "scale-0"])
+    @pytest.mark.parametrize("which", [0, 1, 3])
+    def test_same_pieces_specialized(self, which, tree, n1, n2):
+        # the chart path specializes the pieces the per-point path does,
+        # which is why both paths collide at the same draws
+        make, beta = SURFACES[which]
+        S = make()
+        expr = tree(beta)
+        seen = []
+        for e in (expr, FE.add(expr)):
+            ctx = H.LocalizationContext(S, beta=beta)
+            draws = iter(SMALL_DIRECTIONS + [(101, 37)])
+            with mock.patch.object(H, "_draw_spec",
+                                   lambda rng: next(draws)):
+                try:
+                    H.equivariant_integrate(e, ctx, n1, n2, refined=True)
+                except ValueError:
+                    pass
+            keys = {kind: [set(t) for t in ctx.table(ctx._spec, kind,
+                                                     H.NO_SHIFT)]
+                    for kind in ("tangent", "rhom", "taut")}
+            keys["chi"] = set(ctx.table(ctx._spec, "chi", H.NO_SHIFT,
+                                        False))
+            seen.append((ctx._spec, keys))
+        assert seen[0] == seen[1]
+
     @pytest.mark.parametrize("which", range(len(SURFACES)))
     def test_dual_of_odd_rank(self, which):
         # e(L^[n] dual) = (-1)^n e(L^[n]): the sign shows at odd n

@@ -30,23 +30,20 @@ def test_workflow_runs_tier1():
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the [project.scripts] entry point is what users run; no test
     # imports it.  One job localizes an n range in one shared context,
-    # one runs the formal rings, one the Euler and Betti checks.
+    # one runs every verify suite: the formal rings, the Euler
+    # integrals of the chart-factor path and the Betti counts.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # verify ends with its "# seed" line, after the verdict
-    formal = ('test "$(nesthilb verify --suite porteous'
+    verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
-    # the Euler integrals of the euler suite take the chart-factor
-    # path; its Betti counts read the tangent maps
-    euler = ('test "$(nesthilb verify --suite euler'
-             ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
     # the traced benchmark checks every workload's outputs, on one
     # interpreter only; it prints one result line per workload
     bench = ("test \"$(python3 perfbench/run.py --workload all --seed 1"
              " --seconds 1 --trace 1 | grep -cF '\"correct\": true')\""
              " = 4\n")
-    assert runs == ['pip install -e ".[test]"', console, formal, euler,
-                    bench, tier1_command()]
+    assert runs == ['pip install -e ".[test]"', console, verify, bench,
+                    tier1_command()]
     (bench_step,) = [step for step in job["steps"]
                      if step.get("run") == bench]
     assert bench_step["if"] == "matrix.python-version == '3.11'"

@@ -361,13 +361,11 @@ OUT_OF_DOMAIN = [
      "reduced formula needs the H2-vanishing flag"),
     ({"command": "vw", "surface": "P2", "beta": [0], "n": 1,
       "sw": {"entries": [{"beta": [1], "sw": 1}]}},
-     "invariant must vanish at nonzero virtual dimension"
-     " (class (Fraction(1, 1),))"),
+     "invariant must vanish at nonzero virtual dimension (class (1))"),
     ({"command": "vw", "beta": [0], "n": 1,
       "surface": {"name": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
                   "basis": [0], "sw_table": [{"beta": [1], "sw": 1}]}},
-     "invariant must vanish at nonzero virtual dimension"
-     " (class (Fraction(1, 1),))"),
+     "invariant must vanish at nonzero virtual dimension (class (1))"),
 ]
 
 
@@ -377,6 +375,14 @@ class TestMain:
                      "euler", "--n", "2"])
         assert code == EXIT_OK
         assert capsys.readouterr().out == "9\n# seed 0\n"
+
+    def test_missing_sw_entry_names_the_class_in_p_q(self, capsys):
+        # P2's own table has no entry for class 0
+        code = main(["vw", "--surface", "P2", "--beta", "0", "--n", "0:1"])
+        assert code == EXIT_MATH
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == "missing SW entry for class (0)"
+        assert "Fraction(" not in message
 
     def test_job_file_with_override(self, tmp_path, capsys):
         path = tmp_path / "job.json"
