@@ -547,16 +547,20 @@ def _suite_characters(nmax=3):
             vertex = q + q.conj().shift(-1, -1) - dbar * q.conj() * q
             checks.append(("tangent vertex mu=%r" % (mu,),
                            vertex == hilbloc.tangent_character(mu, w)))
-    for na in range(0, nmax):
-        for mu in hilbloc.partitions(na):
-            for nb in range(0, nmax):
-                for nu in hilbloc.partitions(nb):
-                    smb = hilbloc.structure_numerator(mu).conj()
-                    sn = hilbloc.structure_numerator(nu)
-                    closed = hilbloc.rhom_character(mu, nu).num
-                    checks.append(
-                        ("rhom four-term mu=%r nu=%r" % (mu, nu),
-                         closed == one - sn - smb + smb * sn))
+    # the cached arm/leg pieces of Rhom against the assembled rational
+    # chart characters, at every ambient fixed point
+    for name, beta in (("P2", (1,)), ("P1xP1", (1, 1))):
+        ctx = hilbloc.LocalizationContext(surfaces.load_surface(name))
+        for n1 in range(3):
+            for n2 in range(3):
+                checks.append((
+                    "rhom pieces %s beta=%s n1=%d n2=%d"
+                    % (name, ",".join(map(str, beta)), n1, n2),
+                    all(hilbloc.rhom_global_character(ctx, p.mu, p.nu, beta)
+                        == hilbloc.rhom_assembled(ctx.surface, p.mu, p.nu,
+                                                  beta)
+                        for p in hilbloc.enumerate_fixed_points(
+                            ctx, n1, n2, nested=False))))
     return checks
 
 
@@ -799,6 +803,8 @@ def _merge_job(args):
             raise SchemaError("cannot read job file: %s" % err)
         except ValueError as err:
             raise SchemaError("job file is not valid JSON: %s" % err)
+        except RecursionError:
+            raise SchemaError("job file nests too deeply")
         if not isinstance(doc, dict):
             raise SchemaError("job file must hold a JSON object")
     for name in FLAGS:

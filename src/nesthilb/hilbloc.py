@@ -38,10 +38,10 @@ the maps in one table per chart, keyed by partition(s) and vertex.  A
 point's map is one lookup per chart and one merge; no character sum
 is built per point.  The tangent map of a point is built once and
 shared by its tangent leaves and the localization denominator.  An
-Euler product with no circle weight skips the merge: each chart's
-factor is one integer fraction, read through the PointEvaluator at the
-point with that chart's partitions and no others over the value at the
-empty point, and a point multiplies them (see ``chartfactors``).
+Euler product with no circle weight mostly skips the merge: the
+per-point path decides every point it meets first, and chart factors,
+each one integer fraction, are learned from the points it visited; a
+point whose charts all hold one multiplies them (see ``chartfactors``).
 Products add exponents, so a weight shared by numerator and
 denominator cancels as it arises, which is exact because each weight
 is a nonzero linear form k s + c t; the zero-weight and collision
@@ -870,10 +870,12 @@ class LocalizationContext:
     by partition(s) and vertex, so a point's map is one lookup per chart
     and one merge; the tables are emptied when the direction changes.
     The chart factors of the Euler products that take the chart-factor
-    path, each read from the maps of its one-chart point (the chart's
-    partitions, no others) and of the empty point, are kept in the same
-    way, one table per chart and tree, keyed by the chart's partitions
-    (see ``chartfactors``).  A class's vertices, a leaf's shift and
+    path are kept in the same way, one table per chart and tree, keyed
+    by the chart's partitions: each is learned from a point the
+    per-point path visited, which decides every point it meets first,
+    and read from the maps of its one-chart point (the chart's
+    partitions, no others) and of the empty point (see
+    ``chartfactors``).  A class's vertices, a leaf's shift and
     twist class, and the chart tuples of each size (``chart_levels``,
     see ``enumerate_fixed_points``) are resolved once.  ``visited``
     counts the points of the current integral whose class value was
@@ -1357,12 +1359,14 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     A product (mul, scale, one) of euler nodes over ksum, kdiff and
     dual of chart-local leaves (tangent, taut, rhom, rhom0, pushO) with
     no tp or o1 shift, without section lines, takes the chart-factor
-    path of ``chartfactors``: a point multiplies one cached factor per
-    chart, the node values at the point with that chart's partitions and
-    no others over those at the empty point, with the value, visited
-    points and errors of the per-point path.  Every other tree (chern,
-    delta, twist, add, circle weights, section lines) is evaluated
-    point by point.
+    path of ``chartfactors``.  The per-point path decides every point
+    it meets first, and chart factors (the node values at the point
+    with one chart's partitions and no others over those at the empty
+    point) are learned from the points it visited; a point whose charts
+    all hold a factor multiplies them.  So values, visited points and
+    errors are the per-point path's.  Every other tree (chern, delta,
+    twist, add, circle weights, section lines) is evaluated point by
+    point.
 
     With ``return_info`` the value comes with a dict: the direction
     ``spec``, the ``seed``, the number of ambient fixed ``points``, the

@@ -234,6 +234,10 @@ _GRAMMAR = {
     "mul": (None, ()), "scale": (1, ("rational",)),
 }
 _NODE_KEYS = {"kind", "params", "attrs", "children"}
+# nodes on the longest root-to-leaf path of a tree read from JSON: every
+# recursive walk of such a tree (keys, normalization, both evaluators)
+# stays far inside the interpreter's recursion limit
+MAX_DEPTH = 200
 
 
 def _is_int(x):
@@ -261,14 +265,17 @@ _PARAM_TYPES = {
 }
 
 
-def expr_from_json(doc, path="expr"):
+def expr_from_json(doc, path="expr", depth=1):
     """Tree from its JSON form (see expr_to_json).
 
     Checks the node grammar: known kind and keys, number of children
     and params, param types, and attrs (on leaves only) holding
-    integers or rational strings, or lists of them.  A breach raises
-    ValueError naming the node's path.
+    integers or rational strings, or lists of them, and a depth of at
+    most MAX_DEPTH nodes (``depth`` is the node's, the root's being 1).
+    A breach raises ValueError naming the node's path.
     """
+    if depth > MAX_DEPTH:
+        raise ValueError("%s: tree deeper than %d nodes" % (path, MAX_DEPTH))
     if not isinstance(doc, dict):
         raise ValueError("%s: node must be an object" % path)
     extra = sorted(set(doc) - _NODE_KEYS)
@@ -306,7 +313,7 @@ def expr_from_json(doc, path="expr"):
         raise ValueError("%s: %s takes %s children"
                          % (path, kind, "a list of" if arity is None
                             else arity))
-    children = [expr_from_json(c, "%s.children[%d]" % (path, i))
+    children = [expr_from_json(c, "%s.children[%d]" % (path, i), depth + 1)
                 for i, c in enumerate(children)]
     return FormulaExpr(kind, params=params, attrs=attrs.items(),
                        children=children)

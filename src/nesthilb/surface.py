@@ -471,4 +471,8 @@ def load_surface(source):
     except ValueError:
         pass
     with open(source) as fh:
-        return surface_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("surface file nests too deeply")
+    return surface_from_json(doc)

@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesthilb import cli
+from nesthilb import cli, porteous
 from nesthilb.ringcore import parse_rational
 from nesthilb.vw import MONOMIALS
 from nesthilb.cli import (
@@ -536,6 +536,55 @@ class TestMain:
         assert code == EXIT_SCHEMA
         assert "not valid JSON" \
             in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    @staticmethod
+    def dual_chain(duals, wrap):
+        """euler(dual^duals(tangent)), inside a one-child add if wrap."""
+        node = {"kind": "leaf", "params": ["tangent"]}
+        for _ in range(duals):
+            node = {"kind": "dual", "children": [node]}
+        node = {"kind": "euler", "children": [node]}
+        return {"kind": "add", "children": [node]} if wrap else node
+
+    @pytest.mark.parametrize("args,message", [
+        (["integrate", "--job", "{path}"], "job file nests too deeply"),
+        (["integrate", "--surface", "{path}", "--formula", "euler", "--n",
+          "0:1"], "bad surface: surface file nests too deeply"),
+    ])
+    def test_deep_json_documents_are_schema_errors(self, args, message,
+                                                   tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        code = main([a.format(path=path) for a in args])
+        assert code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == {
+            "code": EXIT_SCHEMA, "message": message}
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("duals,wrap,ok", [
+        # euler, 198 duals and the leaf: exactly MAX_DEPTH nodes deep, on
+        # the chart-factor path and, one dual fewer, on the per-point one
+        (198, False, True), (197, True, True),
+        (199, False, False), (198, True, False), (450, False, False)])
+    def test_custom_expr_depth_bounded(self, duals, wrap, ok, tmp_path,
+                                       capsys):
+        assert porteous.MAX_DEPTH == 200
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(
+            {"command": "integrate", "surface": "P2", "formula": "custom",
+             "n": "0:2", "params": {"expr": self.dual_chain(duals, wrap)}}))
+        code = main(["integrate", "--job", str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if ok:
+            # e(T dual) = e(T) on even-dimensional S^[n]
+            assert (code, captured.out) == (EXIT_OK, "1\n3\n9\n# seed 0\n")
+        else:
+            assert code == EXIT_SCHEMA
+            message = json.loads(captured.out)["error"]["message"]
+            assert message.startswith("params.expr.children[0]")
+            assert message.endswith(": tree deeper than 200 nodes")
 
 
 # ---------------------------------------------------------------------------
