@@ -18,17 +18,13 @@ import io
 import json
 import os
 import sys
-from math import comb
 
-from .ringcore import Ring, GradedClass, KClass, series_invert, \
+from .expr import FormulaExpr, expr_to_json, expr_from_json, co_class, \
     rational_str, parse_rational
-from .porteous import FormulaExpr, FormalEnv, eval_formal, expr_to_json, \
-    expr_from_json, degeneracy_pushforward_X, degeneracy_pushforward_GrB, \
-    nested_reduced_formula, co_class
 # lazy modules (see the package docstring), reached through the module
 # at call time, so that a job loads only what its command runs; the
 # alias keeps the module apart from the many locals named surface
-from . import bundles, hilbloc, vw
+from . import bundles, checks, hilbloc, porteous, ringcore, vw
 from . import surface as surfaces
 
 EXIT_OK = 0
@@ -351,45 +347,9 @@ class JobSpec:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-
-def _series_coefficient(e, n):
-    """Coefficient of q^n in prod_m (1 - q^m)^(-e)."""
-    coefs = [0] * (n + 1)
-    coefs[0] = 1
-    for m in range(1, n + 1):
-        new = [0] * (n + 1)
-        for j in range(n // m + 1):
-            c = comb(e + j - 1, j)
-            for i in range(n + 1 - m * j):
-                new[i + m * j] += coefs[i] * c
-        coefs = new
-    return coefs[n]
-
-
-def _gottsche_betti(e, N):
-    """Betti numbers of S^[n], n <= N, for a toric surface with Euler
-    number e: a list of {i: b_2i}, from Goettsche's product
-    prod_k 1 / ((1 - z^(2k-2) q^k) (1 - z^(2k) q^k)^(e-2)
-    (1 - z^(2k+2) q^k)), with z^2 counted as one step of i."""
-    series = [{0: 1}] + [{} for _ in range(N)]
-    for k in range(1, N + 1):
-        for shift, power in ((k - 1, 1), (k, e - 2), (k + 1, 1)):
-            for _ in range(power):
-                # times 1 / (1 - z^(2 shift) q^k), in place by rising n
-                for n in range(N + 1 - k):
-                    for i, b in list(series[n].items()):
-                        row = series[n + k]
-                        row[i + shift] = row.get(i + shift, 0) + b
-    return series
-
-
-def _split_class(ring, names):
-    out = KClass(0, ring.one())
-    for name in names:
-        out = out + KClass.line(ring.gen(name))
-    return out
+# the two Thom-Porteous routes, which the ``porteous`` suite of checks
+# compares; the benchmark's library jobs (perfbench/jobproc.py) call
+# them here
 
 
 def porteous_two_routes(r, e0, e1, D=None):
@@ -407,11 +367,12 @@ def porteous_two_routes(r, e0, e1, D=None):
     bnames = ["b%d" % k for k in range(1, e1 + 1)]
     names = anames + bnames
     degrees = [1] * len(names)
-    ring = Ring(names, degrees=degrees, D=D)
-    E = _split_class(ring, bnames) - _split_class(ring, anames)
-    det_route, _ = degeneracy_pushforward_X(e0, e1, r, E.chern, dimX=D)
+    ring = ringcore.Ring(names, degrees=degrees, D=D)
+    E = checks._split_class(ring, bnames) - checks._split_class(ring, anames)
+    det_route, _ = porteous.degeneracy_pushforward_X(e0, e1, r, E.chern,
+                                                     dimX=D)
 
-    free = Ring(names, degrees=degrees)
+    free = ringcore.Ring(names, degrees=degrees)
     aroots = [free.gen(n) for n in anames]
     broots = [free.gen(n) for n in bnames]
 
@@ -423,150 +384,7 @@ def porteous_two_routes(r, e0, e1, D=None):
         return acc
 
     push = bundles.grassmann_split_pushforward(aroots, r, top_chern)
-    return det_route, GradedClass(ring, dict(push.poly))
-
-
-def _suite_porteous(emax=3):
-    checks = []
-    for r in (1, 2):
-        for e0 in range(r, emax + 1):
-            for e1 in range(0, emax + 1):
-                if e1 - e0 + r < 0:
-                    continue
-                det_route, loc_route = porteous_two_routes(r, e0, e1)
-                checks.append(("porteous r=%d e0=%d e1=%d" % (r, e0, e1),
-                               det_route == loc_route))
-    return checks
-
-
-def delta_euler_forms(r, b, e0, e1):
-    """The determinantal and Euler forms of the degeneracy class over
-    the Grassmann bundle, evaluated in a fully split environment.
-
-    The Euler form needs the surjection hypothesis, so the split model
-    realizes it: E0 is bound to the first e0 roots of B + E1, making
-    the inner class an honest bundle spanned by the leftover roots.
-    """
-    N = b + e1 - e0
-    xnames = ["x%d" % i for i in range(1, b + 1)]
-    fnames = ["f%d" % i for i in range(1, e1 + 1)]
-    unames = ["u%d" % i for i in range(1, r + 1)]
-    names = xnames + fnames + unames
-    ring = Ring(names, degrees=[1] * len(names), D=r * N + 1)
-    env = FormalEnv(ring)
-    B = FormulaExpr.leaf("B", rank=b)
-    E1 = FormulaExpr.leaf("E1", rank=e1)
-    E0 = FormulaExpr.leaf("E0", rank=e0)
-    env.bind(B, _split_class(ring, xnames))
-    env.bind(E1, _split_class(ring, fnames))
-    env.bind(E0, _split_class(ring, (xnames + fnames)[:e0]))
-    env.bind(FormulaExpr.leaf("U", rank=r), _split_class(ring, unames))
-    roots = None
-    if r > 1:
-        roots = [FormulaExpr.leaf(n, rank=1) for n in unames]
-        for leaf, n in zip(roots, unames):
-            env.bind(leaf, KClass.line(ring.gen(n)))
-    det_form, euler_form = degeneracy_pushforward_GrB(
-        E0, E1, B, r, esurj2=True, roots=roots)
-    return eval_formal(det_form, env), eval_formal(euler_form, env)
-
-
-def _suite_delta(bmax=4, Nmax=5):
-    checks = []
-    for r in (1, 2):
-        for b in range(r, bmax + 1):
-            for e0 in (0, 1, 2):
-                for e1 in (0, 1, 2):
-                    N = b + e1 - e0
-                    if not 0 <= N <= Nmax:
-                        continue
-                    det_val, euler_val = delta_euler_forms(r, b, e0, e1)
-                    checks.append(
-                        ("delta r=%d b=%d e0=%d e1=%d" % (r, b, e0, e1),
-                         det_val == euler_val))
-    return checks
-
-
-def segre_two_routes(b, k):
-    """Pushforward of h^(b-1+k) from the split projective bundle of
-    sub-lines next to the degree-k Segre component of the base bundle.
-    """
-    names = ["a%d" % i for i in range(1, b + 1)]
-    free = Ring(names, degrees=[1] * b)
-    roots = [free.gen(n) for n in names]
-
-    def h_power(u):
-        acc = free.one()
-        for _ in range(b - 1 + k):
-            acc = acc * (-u)
-        return acc
-
-    push = bundles.grassmann_split_pushforward(roots, 1, h_power)
-    ring = Ring(names, degrees=[1] * b, D=k)
-    total = _split_class(ring, names).chern
-    segre = series_invert(total).component(k)
-    return GradedClass(ring, dict(push.poly)), segre
-
-
-def _suite_segre(bmax=4, extra=3):
-    checks = []
-    for b in range(1, bmax + 1):
-        for k in range(0, b + extra + 1):
-            push, segre = segre_two_routes(b, k)
-            checks.append(("segre b=%d k=%d" % (b, k), push == segre))
-    return checks
-
-
-def _suite_euler(nmax=3):
-    integrand = FormulaExpr.euler(FormulaExpr.leaf("tangent"))
-    checks = []
-    for name, e in (("P2", 3), ("P1xP1", 4)):
-        ctx = hilbloc.LocalizationContext(surfaces.load_surface(name))
-        for n in range(nmax + 1):
-            value = hilbloc.equivariant_integrate(integrand, ctx, 0, n)
-            checks.append(("euler %s n=%d" % (name, n),
-                           value == _series_coefficient(e, n)))
-        betti = _gottsche_betti(e, nmax)
-        for n in range(nmax + 1):
-            checks.append(("betti %s n=%d" % (name, n),
-                           hilbloc.tangent_index_counts(ctx, n) == betti[n]))
-    return checks
-
-
-def _suite_characters(nmax=3):
-    checks = []
-    m1, m2 = (1, 0), (0, 1)
-    w = ((-1, 0), (0, -1))
-    one = hilbloc.EquivChar.one()
-    d = (one - hilbloc.EquivChar.monomial(*m1)) \
-        * (one - hilbloc.EquivChar.monomial(*m2))
-    dbar = d.conj()
-    for n in range(1, nmax + 1):
-        for mu in hilbloc.partitions(n):
-            q = hilbloc.box_character(mu, m1, m2)
-            vertex = q + q.conj().shift(-1, -1) - dbar * q.conj() * q
-            checks.append(("tangent vertex mu=%r" % (mu,),
-                           vertex == hilbloc.tangent_character(mu, w)))
-    # the cached arm/leg pieces of Rhom against the assembled rational
-    # chart characters, at every ambient fixed point
-    for name, beta in (("P2", (1,)), ("P1xP1", (1, 1))):
-        ctx = hilbloc.LocalizationContext(surfaces.load_surface(name))
-        for n1 in range(3):
-            for n2 in range(3):
-                checks.append((
-                    "rhom pieces %s beta=%s n1=%d n2=%d"
-                    % (name, ",".join(map(str, beta)), n1, n2),
-                    all(hilbloc.rhom_global_character(ctx, p.mu, p.nu, beta)
-                        == hilbloc.rhom_assembled(ctx.surface, p.mu, p.nu,
-                                                  beta)
-                        for p in hilbloc.enumerate_fixed_points(
-                            ctx, n1, n2, nested=False))))
-    return checks
-
-
-SUITES = {"porteous": _suite_porteous, "delta": _suite_delta,
-          "segre": _suite_segre, "euler": _suite_euler,
-          "characters": _suite_characters}
+    return det_route, ringcore.GradedClass(ring, dict(push.poly))
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +393,12 @@ SUITES = {"porteous": _suite_porteous, "delta": _suite_delta,
 
 def _handle_verify(job):
     names = SUITE_NAMES[:-1] if job.suite == "all" else (job.suite,)
-    checks = []
+    results = []
     for name in names:
-        checks.extend(SUITES[name]())
-    ok = all(flag for _, flag in checks)
+        results.extend(checks.SUITES[name]())
+    ok = all(flag for _, flag in results)
     doc = {"suite": job.suite,
-           "checks": [{"name": name, "ok": flag} for name, flag in checks],
+           "checks": [{"name": name, "ok": flag} for name, flag in results],
            "ok": ok}
     return (EXIT_OK if ok else EXIT_MATH), doc
 
@@ -606,17 +424,18 @@ def _handle_push(job):
         r, e0, e1 = job.formula_args
         codim = r * (e1 - e0 + r)
         size = max(codim, 1)
-        ring = Ring(["c%d" % i for i in range(1, size + 1)],
-                    degrees=list(range(1, size + 1)), D=size)
+        ring = ringcore.Ring(["c%d" % i for i in range(1, size + 1)],
+                             degrees=list(range(1, size + 1)), D=size)
         total = ring.one()
         for i in range(1, size + 1):
             total = total + ring.gen("c%d" % i)
-        cls, _ = degeneracy_pushforward_X(e0, e1, r, total, dimX=codim)
+        cls, _ = porteous.degeneracy_pushforward_X(e0, e1, r, total,
+                                                   dimX=codim)
         doc = {"formula": job.formula, "codim": codim,
                "class": _class_terms(cls), "text": str(cls)}
         return EXIT_OK, doc
     A = job.A if job.A is not None else job.surface.zero_class()
-    expr, info = nested_reduced_formula(
+    expr, info = porteous.nested_reduced_formula(
         job.n1, job.n2, job.surface, job.beta, A,
         h2_vanishing=job.h2_vanishing)
     doc = {"formula": job.formula, "expr": expr_to_json(expr),

@@ -60,14 +60,14 @@ a Fraction is made per output coefficient only where a term's
 denominator is not 1.
 """
 
-import collections
 import math
 import random
 from fractions import Fraction
 
-from .ringcore import Ring, delta_det, rational_str
+from .expr import FormulaExpr, rational_str
 from .surface import ToricSurface, riemann_roch_chi
-from .porteous import FormulaExpr
+# lazy (see the package docstring): only a delta node loads the ring model
+from . import ringcore
 
 
 # ---------------------------------------------------------------------------
@@ -85,26 +85,6 @@ def partitions(n, max_part=None):
     for first in range(cap, 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
-
-
-def sub_partitions(nu, size):
-    """Partitions mu of the given size contained in nu row by row."""
-    def rows(i, remaining, prev):
-        if remaining == 0:
-            yield ()
-            return
-        if i >= len(nu):
-            return
-        cap = min(nu[i], prev, remaining)
-        for r in range(cap, 0, -1):
-            for rest in rows(i + 1, remaining - r, r):
-                yield (r,) + rest
-    if size < 0 or size > sum(nu):
-        return
-    if size == 0:
-        yield ()
-        return
-    yield from rows(0, size, size)
 
 
 def cells(mu):
@@ -131,19 +111,6 @@ def leg(mu, cell):
 
 def contains(nu, mu):
     return len(mu) <= len(nu) and all(m <= n for m, n in zip(mu, nu))
-
-
-def staircase_generators(mu):
-    """Exponents (a, b) of the minimal monomial generators of the
-    monomial ideal with staircase mu."""
-    gens = []
-    rows = len(mu)
-    for b in range(rows + 1):
-        width = mu[b] if b < rows else 0
-        above = mu[b - 1] if b > 0 else None
-        if above is None or width < above:
-            gens.append((width, b))
-    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +416,31 @@ def rhom_assembled(surface, parts_a, parts_b, beta):
 # fixed points
 
 
-NestedFixedPoint = collections.namedtuple("NestedFixedPoint", "mu nu pb",
-                                          defaults=(None,))
-NestedFixedPoint.__doc__ = """A torus-fixed point of S^[n1] x S^[n2]
-(times a weight line of a section bundle when pb is set): per-chart
-partitions mu for the first factor and nu for the second, each a tuple
-of partition tuples, with mu_sigma inside nu_sigma demanded only by the
-incidence subscheme, not by the ambient product."""
+class NestedFixedPoint:
+    """A torus-fixed point of S^[n1] x S^[n2] (times a weight line of a
+    section bundle when pb is set): per-chart partitions mu for the
+    first factor and nu for the second, each a tuple of partition
+    tuples, with mu_sigma inside nu_sigma demanded only by the incidence
+    subscheme, not by the ambient product.  Slotted, not a tuple: the
+    integrals build one per ambient point."""
+
+    __slots__ = ("mu", "nu", "pb")
+
+    def __init__(self, mu, nu, pb=None):
+        self.mu = mu
+        self.nu = nu
+        self.pb = pb
+
+    def __eq__(self, other):
+        return isinstance(other, NestedFixedPoint) \
+            and (self.mu, self.nu, self.pb) == (other.mu, other.nu, other.pb)
+
+    def __hash__(self):
+        return hash((self.mu, self.nu, self.pb))
+
+    def __repr__(self):
+        return "NestedFixedPoint(mu=%r, nu=%r, pb=%r)" % (
+            self.mu, self.nu, self.pb)
 
 
 def _chart_tuples(num_charts, total, levels=None):
@@ -1248,13 +1233,13 @@ class PointEvaluator:
             return PointValue([(0, [1], exps, 1)])
         if e.kind == "delta":
             a, b = e.params
-            ring = Ring(["s", "t"])
+            ring = ringcore.Ring(["s", "t"])
             chern = chern_value(self.weights(e.children[0]),
                                 max(a + b - 1, 0))
             total = ring.from_dict({(i, j - i): x
                                     for j, cj in enumerate(chern)
                                     for i, x in enumerate(cj)})
-            det = delta_det(a, b, total).poly
+            det = ringcore.delta_det(a, b, total).poly
             return _homogeneous(a * b, [int(det.get((i, a * b - i), 0))
                                         for i in range(a * b + 1)])
         if e.kind == "add":
@@ -1420,14 +1405,3 @@ def tangent_index_counts(surface, n, seed=0):
             counts[i] = counts.get(i, 0) + 1
         return counts
     return _first_direction(seed, attempt)[0]
-
-
-def nonequivariant_limit(x):
-    """Value of an integral after switching off the auxiliary weight."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, RatFunc):
-        return x.at_zero()
-    raise TypeError("expected a localized integral value")

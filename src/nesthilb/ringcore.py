@@ -37,27 +37,10 @@ import math
 from fractions import Fraction
 from operator import lshift, mul
 
+from .expr import rational_str
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def rational_str(x):
-    """Serialize a rational number as "p/q", or "p" when q = 1.
-
-    >>> rational_str(Fraction(-3, 7))
-    '-3/7'
-    >>> rational_str(Fraction(5))
-    '5'
-    """
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
-
-
-def parse_rational(s):
-    """Inverse of rational_str; accepts "p" and "p/q" strings."""
-    return Fraction(s)
 
 
 def binom_general(n, k):

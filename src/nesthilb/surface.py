@@ -20,7 +20,7 @@ Sections of the line bundle are the lattice points u with
 import json
 from fractions import Fraction
 
-from .ringcore import rational_str, parse_rational
+from .expr import rational_str, parse_rational
 
 
 def _cross2(u, v):
@@ -294,14 +294,6 @@ def twist_dim_d(surface, beta, A):
     if val != chk:
         raise AssertionError("twist dimension disagrees with Riemann-Roch")
     return int(val)
-
-
-def toric_line_weights(surface, beta):
-    """Per-chart trivializing weights of the line bundle: one lattice
-    vector u_sigma for each fixed point, in chart order."""
-    if not isinstance(surface, ToricSurface):
-        raise ValueError("line weights need a toric surface")
-    return list(surface.chart_vertices(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Seiberg-Witten coupled layer: the rank-two monopole integrand over
 pairs of Hilbert schemes, curve-class contributions weighted by
-Seiberg-Witten invariants, the pushforward formulas the evaluation
-branches on, and exact universal-polynomial fits across surfaces.
+Seiberg-Witten invariants, and exact universal-polynomial fits across
+surfaces.
 
 A monopole contribution at total length n is the invariant of the
 curve class times a torsion-counting power of two times the sum over
@@ -14,10 +14,8 @@ tree and handed to the equivariant evaluator.
 
 from fractions import Fraction
 
-from .ringcore import rational_str
+from .expr import FormulaExpr, rhom, pushO, rational_str
 from .surface import ToricSurface, vd_beta
-from .porteous import FormulaExpr, ZERO_CLASS, rhom, pushO, sw_factor, \
-    pic_point, normalize, nested_reduced_formula
 from .hilbloc import LocalizationContext, RatFunc, \
     equivariant_integrate, format_value
 
@@ -369,78 +367,3 @@ def fit_report(fit, order=4):
             "residual": format_value(fit["residual"]),
             "degree_bound": fit["degree_bound"],
             "runs": fit["runs"]}
-
-
-CASES = ("pg>0", "pg=0-effective", "pg=0-noneffective")
-
-
-def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
-                           check=True):
-    """Pushforward of h^i capped with the nested virtual class, as a
-    formula tree in the branch selected by ``case``.
-
-    pg>0: the invariant times the Chern class of minus the nesting
-    complex over the point class of the Picard torus; the zero class
-    for positive i.  pg=0-effective: the general irregular form, a
-    j-sum of Chern classes coupled to higher pairings.
-    pg=0-noneffective: a single shifted-degree Chern class, valid when
-    the dual curve class carries no curves.
-
-    ``check`` tests the case against the surface profile and the
-    effectivity heuristic; disable it when the caller has better
-    geometric information.  With an SWTable ``swTable`` supplied the
-    invariant leaves are resolved and the tree is returned in normal
-    form.
-    """
-    n = n1 + n2
-    if case == "pg>0":
-        if check and surface.pg == 0:
-            raise ValueError("inconsistent flags: profile has p_g = 0")
-        if i > 0:
-            expr = ZERO_CLASS
-        else:
-            expr = FormulaExpr.mul(
-                sw_factor(0, bc=1),
-                FormulaExpr.chern(n, FormulaExpr.neg(rhom(1, 2, bc=1))),
-                pic_point())
-    elif case == "pg=0-effective":
-        if check and surface.pg != 0:
-            raise ValueError("inconsistent flags: profile has p_g > 0")
-        expr = FormulaExpr.add(*[
-            FormulaExpr.mul(
-                FormulaExpr.chern(n - j, FormulaExpr.kdiff(
-                    pushO(bc=1), rhom(1, 2, bc=1))),
-                sw_factor(i + j, bc=1))
-            for j in range(n + 1)])
-    elif case == "pg=0-noneffective":
-        if check and surface.pg != 0:
-            raise ValueError("inconsistent flags: profile has p_g > 0")
-        dual_cls = surface.sub(surface.K, surface.cls(beta))
-        if check and surface.is_effective(dual_cls):
-            raise ValueError("inconsistent flags: dual class is"
-                             " effective")
-        d = n + surface.q - vd_beta(surface, beta)
-        expr = FormulaExpr.chern(d + i, FormulaExpr.neg(rhom(1, 2, bc=1)))
-    else:
-        raise ValueError("unknown case %r" % (case,))
-    if swTable is not None:
-        return normalize(expr, surface, beta, sw_table=swTable.entries)
-    return expr
-
-
-def virtual_class_route(n1, n2, surface, beta, A=None,
-                        h2_vanishing=False):
-    """Pushforward class of the plain virtual cycle through the
-    section-bundle route.  The reduced cycle needs the caller-certified
-    vanishing flag; the virtual class then differs from it by the Euler
-    class of a trivial obstruction piece of rank p_g, so any positive
-    geometric genus forces the zero class.
-    """
-    if A is None:
-        A = surface.zero_class()
-    reduced, _ = nested_reduced_formula(n1, n2, surface, beta, A,
-                                        h2_vanishing=h2_vanishing)
-    if surface.pg > 0:
-        # top Chern class of a trivial rank-p_g bundle
-        return ZERO_CLASS
-    return reduced

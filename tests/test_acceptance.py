@@ -11,15 +11,15 @@ import pytest
 from nesthilb.ringcore import Ring, GradedClass, KClass, series_invert
 from nesthilb.bundles import grassmann_split_pushforward
 from nesthilb.surface import p2, p1xp1, f2, general_type_profile, vd_beta
-from nesthilb.porteous import FormulaExpr as FE, FormalEnv, eval_formal, \
-    normalize, duality_rewrite, degeneracy_pushforward_X, \
-    degeneracy_pushforward_GrB, rhom, pushO, o1_line, taut, co_class, \
-    ZERO_CLASS
+from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
+    co_class, ZERO_CLASS
+from nesthilb.porteous import FormalEnv, eval_formal, normalize, \
+    duality_rewrite, degeneracy_pushforward_X, degeneracy_pushforward_GrB
 from nesthilb.hilbloc import partitions, EquivChar, tangent_character, \
-    rhom_character, staircase_generators, enumerate_fixed_points, \
-    equivariant_integrate, nonequivariant_limit
+    rhom_character, enumerate_fixed_points, equivariant_integrate
 from nesthilb.vw import SWTable, point_contribution, \
-    monopole_contribution, universality_fit, monomial_value, \
+    monopole_contribution, universality_fit, monomial_value
+from support import staircase_generators, nonequivariant_limit, \
     sw_coupled_pushforward, virtual_class_route
 
 

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesthilb import hilbloc as H
-from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, taut, \
-    o1_line
+from nesthilb.expr import FormulaExpr as FE, rhom, pushO, taut, o1_line
 from nesthilb.surface import p2, p1xp1, f1, f2, surface_from_json
+from support import nonequivariant_limit
 
 
 def five_rays():
@@ -162,7 +162,7 @@ class TestAgainstPerPointPath:
                 if isinstance(want, str):
                     assert result[0] is ValueError and want in result[1]
                 elif want is not None:
-                    assert H.nonequivariant_limit(result[0]) == want
+                    assert nonequivariant_limit(result[0]) == want
 
     def test_negative_s_powers(self):
         # e(T) e(-T)^2 leaves 1/e(T)^2 at each point, which does not sum

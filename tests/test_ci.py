@@ -1,7 +1,7 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, on
 every supported interpreter, after installing the test extra, running
-the installed console script and, on one interpreter, the traced
-benchmark, with a time limit."""
+the installed console script and, on one interpreter, the benchmark
+traced and untraced, with a time limit."""
 
 import re
 from pathlib import Path
@@ -54,16 +54,20 @@ def test_workflow_runs_tier1():
     # verify ends with its "# seed" line, after the verdict
     verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
-    # the traced benchmark checks every workload's outputs, on one
-    # interpreter only; it prints one result line per workload
+    # the benchmark checks every workload's outputs, on one interpreter
+    # only; it prints one result line per workload.  It runs traced and
+    # untraced: the tracer loads every lazy module, so only the
+    # untraced run sees a job that reaches a module it never loaded.
     bench = ("test \"$(python3 perfbench/run.py --workload all --seed 1"
-             " --seconds 1 --trace 1 | grep -cF '\"correct\": true')\""
+             " --seconds 1 --trace %d | grep -cF '\"correct\": true')\""
              " = 4\n")
+    traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, agree, verify,
-                    bench, tier1_command()]
-    (bench_step,) = [step for step in job["steps"]
-                     if step.get("run") == bench]
-    assert bench_step["if"] == "matrix.python-version == '3.11'"
+                    traced, untraced, tier1_command()]
+    for run in (traced, untraced):
+        (bench_step,) = [step for step in job["steps"]
+                         if step.get("run") == run]
+        assert bench_step["if"] == "matrix.python-version == '3.11'"
     setup = [step for step in job["steps"]
              if step.get("uses", "").startswith("actions/setup-python")]
     assert setup[0]["with"]["python-version"] \

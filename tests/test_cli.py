@@ -10,12 +10,13 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesthilb import cli, porteous
-from nesthilb.ringcore import parse_rational
+from nesthilb import cli
+from nesthilb.expr import parse_rational, MAX_DEPTH
 from nesthilb.vw import MONOMIALS
+from nesthilb.checks import delta_euler_forms, segre_two_routes, \
+    _series_coefficient
 from nesthilb.cli import (
     JobSpec, SchemaError, run, main, porteous_two_routes,
-    delta_euler_forms, segre_two_routes, _series_coefficient,
     EXIT_OK, EXIT_SCHEMA, EXIT_MATH, EXIT_RESIDUAL,
 )
 
@@ -569,7 +570,7 @@ class TestMain:
         (199, False, False), (198, True, False), (450, False, False)])
     def test_custom_expr_depth_bounded(self, duals, wrap, ok, tmp_path,
                                        capsys):
-        assert porteous.MAX_DEPTH == 200
+        assert MAX_DEPTH == 200
         path = tmp_path / "job.json"
         path.write_text(json.dumps(
             {"command": "integrate", "surface": "P2", "formula": "custom",
@@ -585,6 +586,22 @@ class TestMain:
             message = json.loads(captured.out)["error"]["message"]
             assert message.startswith("params.expr.children[0]")
             assert message.endswith(": tree deeper than 200 nodes")
+
+    def test_depth_error_names_the_path_briefly(self, tmp_path, capsys):
+        # a 201-node chain of duals: the message names the root, the
+        # first and last segments and the depth, not all 200 segments
+        node = {"kind": "leaf", "params": ["tangent"]}
+        for _ in range(200):
+            node = {"kind": "dual", "children": [node]}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"expr": node}}))
+        code = main(["integrate", "--surface", "P2", "--formula", "custom",
+                     "--n", "0:1", "--job", str(path)])
+        assert code == EXIT_SCHEMA
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == ("params.expr.children[0]...children[0]"
+                           " (depth 201): tree deeper than 200 nodes")
+        assert len(message) < 300
 
 
 # ---------------------------------------------------------------------------

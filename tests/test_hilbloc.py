@@ -13,17 +13,19 @@ from nesthilb.surface import p2, p1xp1, f1, f2, k3_profile, vd_beta, \
     surface_from_json, load_surface
 from nesthilb.bundles import point_base, projective_bundle, integrate
 from nesthilb.ringcore import KClass
-from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, o1_line, \
-    taut, co_class
+from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
+    co_class
 from nesthilb import hilbloc as H
 from nesthilb.hilbloc import (
-    partitions, sub_partitions, cells, conjugate, arm, leg, contains,
-    staircase_generators, EquivChar, box_character, ideal_numerator,
+    partitions, cells, conjugate, arm, leg, contains,
+    EquivChar, box_character, ideal_numerator,
     structure_numerator, tangent_character, rhom_character,
     rhom_global_character, rhom_assembled, assemble, chi_line_character,
     enumerate_fixed_points, full_tangent_character, equivariant_integrate,
-    nonequivariant_limit, RatFunc, LocalChar,
+    RatFunc, LocalChar,
 )
+from support import sub_partitions, staircase_generators, \
+    nonequivariant_limit
 
 
 def gottsche_coefficient(e, n):

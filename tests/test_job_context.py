@@ -13,7 +13,7 @@ import pytest
 
 from nesthilb import cli, vw
 from nesthilb import hilbloc as H
-from nesthilb.porteous import FormulaExpr as FE, co_class
+from nesthilb.expr import FormulaExpr as FE, co_class
 from nesthilb.surface import p2
 
 EULER = FE.euler(FE.leaf("tangent"))

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from nesthilb import hilbloc as H
 from nesthilb.hilbloc import EquivChar, cells, arm, leg, partitions
-from nesthilb.porteous import FormulaExpr as FE, rhom, pushO, o1_line, \
-    taut, co_class
+from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
+    co_class
 from nesthilb.ringcore import binom_general
 from nesthilb.surface import p2, p1xp1, f1, f2, surface_from_json
 from nesthilb.vw import monopole_integrand

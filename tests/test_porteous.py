@@ -10,14 +10,18 @@ from hypothesis import given, settings, strategies as st
 from nesthilb.ringcore import Ring, KClass, k_twist
 from nesthilb.bundles import free_model, projective_bundle, proj_pushforward
 from nesthilb.surface import p2, general_type_profile, vd_beta
-from nesthilb.porteous import (
+from nesthilb.expr import (
     FormulaExpr as FE, ZERO_CLASS, rhom, pushO, o1_line, sw_factor,
-    pic_point, co_class, expr_to_json, expr_from_json, normalize,
-    eval_formal, FormalEnv, virtual_rank, degeneracy_pushforward_X,
-    degeneracy_pushforward_GrB, comparison_factor, nested_reduced_formula,
-    nested_vir_comparison, ell_step_formula, duality_rewrite, taut,
+    pic_point, co_class, expr_to_json, expr_from_json, taut,
 )
-from nesthilb.vw import monopole_integrand, sw_coupled_pushforward
+from nesthilb.porteous import (
+    normalize, eval_formal, FormalEnv, virtual_rank,
+    degeneracy_pushforward_X, degeneracy_pushforward_GrB, comparison_factor,
+    nested_reduced_formula, nested_vir_comparison, ell_step_formula,
+    duality_rewrite,
+)
+from nesthilb.vw import monopole_integrand
+from support import sw_coupled_pushforward
 
 
 def rank_from_attr(leaf):

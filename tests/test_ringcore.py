@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from nesthilb.ringcore import (Ring, GradedClass, KClass, series_invert,
                                delta_det, k_twist, k_dual, binom_general,
-                               rational_str, parse_rational, _det)
+                               _det)
+from nesthilb.expr import rational_str, parse_rational
 from nesthilb.bundles import (free_model, projective_bundle,
                               grassmann_split_pushforward)
 

@@ -7,8 +7,9 @@ from nesthilb.surface import (SurfaceData, ToricSurface, p2, p1xp1, f1, f2,
                               hirzebruch, k3_profile, general_type_profile,
                               elliptic_profile, builtin_surface,
                               riemann_roch_chi, vd_beta, twist_dim_d,
-                              toric_line_weights, surface_to_json,
-                              surface_from_json, load_surface)
+                              surface_to_json, surface_from_json,
+                              load_surface)
+from support import toric_line_weights
 
 
 class TestBuiltinInvariants:

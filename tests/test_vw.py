@@ -5,20 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from nesthilb.ringcore import Ring, KClass, parse_rational
+from nesthilb.ringcore import Ring, KClass
+from nesthilb.expr import FormulaExpr as FE, ZERO_CLASS, taut, rhom, \
+    parse_rational
 from nesthilb.surface import p2, p1xp1, f1, f2, riemann_roch_chi, \
     vd_beta, general_type_profile, elliptic_profile, k3_profile, \
     surface_from_json
-from nesthilb.porteous import FormulaExpr as FE, ZERO_CLASS, taut, rhom, \
-    normalize, duality_rewrite, virtual_rank, eval_formal, FormalEnv, \
-    nested_reduced_formula
+from nesthilb.porteous import normalize, duality_rewrite, virtual_rank, \
+    eval_formal, FormalEnv, nested_reduced_formula
 from nesthilb.hilbloc import RatFunc, equivariant_integrate
 from nesthilb.vw import (
     SWTable, MonopoleResult, monopole_integrand, monopole_contribution,
     point_contribution, universality_fit, fit_report, format_value,
-    sw_coupled_pushforward, virtual_class_route, monomial_value,
-    UniversalityError,
+    monomial_value, UniversalityError,
 )
+from support import sw_coupled_pushforward, virtual_class_route
 
 
 def leaves(expr):
