@@ -2,7 +2,9 @@
 routes must agree on.
 
 - porteous: the Thom-Porteous determinant against the split Grassmann
-  pushforward of a top Chern class (``cli.porteous_two_routes``);
+  pushforward of a top Chern class (``porteous_two_routes``, defined
+  here; ``nesthilb.cli`` also offers the name and loads this module
+  only when it is read, so this module never imports cli);
 - delta: the determinantal and Euler forms of a degeneracy class;
 - segre: a projective-bundle pushforward against a Segre class;
 - euler: Euler numbers and Betti numbers of S^[n] by localization
@@ -20,7 +22,7 @@ from math import comb
 
 from .expr import FormulaExpr
 # lazy modules (see the package docstring)
-from . import bundles, cli, hilbloc, porteous, ringcore
+from . import bundles, hilbloc, porteous, ringcore
 from . import surface as surfaces
 
 
@@ -62,6 +64,41 @@ def _split_class(ring, names):
     return out
 
 
+def porteous_two_routes(r, e0, e1, D=None):
+    """Determinantal class of the rank-r kernel locus next to the
+    direct sum-over-subsets pushforward of the top Chern class of
+    Hom(U, E1) from the split Grassmann bundle of subs of E0.
+
+    Returns (determinant route, localization route) in a common
+    truncated root ring.
+    """
+    codim = r * (e1 - e0 + r)
+    if D is None:
+        D = codim + r + 1
+    anames = ["a%d" % i for i in range(1, e0 + 1)]
+    bnames = ["b%d" % k for k in range(1, e1 + 1)]
+    names = anames + bnames
+    degrees = [1] * len(names)
+    ring = ringcore.Ring(names, degrees=degrees, D=D)
+    E = _split_class(ring, bnames) - _split_class(ring, anames)
+    det_route, _ = porteous.degeneracy_pushforward_X(e0, e1, r, E.chern,
+                                                     dimX=D)
+
+    free = ringcore.Ring(names, degrees=degrees)
+    aroots = [free.gen(n) for n in anames]
+    broots = [free.gen(n) for n in bnames]
+
+    def top_chern(*subs):
+        acc = free.one()
+        for u in subs:
+            for b in broots:
+                acc = acc * (b - u)
+        return acc
+
+    push = bundles.grassmann_split_pushforward(aroots, r, top_chern)
+    return det_route, ringcore.GradedClass(ring, dict(push.poly))
+
+
 def _suite_porteous(emax=3):
     checks = []
     for r in (1, 2):
@@ -69,7 +106,7 @@ def _suite_porteous(emax=3):
             for e1 in range(0, emax + 1):
                 if e1 - e0 + r < 0:
                     continue
-                det_route, loc_route = cli.porteous_two_routes(r, e0, e1)
+                det_route, loc_route = porteous_two_routes(r, e0, e1)
                 checks.append(("porteous r=%d e0=%d e1=%d" % (r, e0, e1),
                                det_route == loc_route))
     return checks

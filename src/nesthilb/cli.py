@@ -24,7 +24,7 @@ from .expr import FormulaExpr, expr_to_json, expr_from_json, co_class, \
 # lazy modules (see the package docstring), reached through the module
 # at call time, so that a job loads only what its command runs; the
 # alias keeps the module apart from the many locals named surface
-from . import bundles, checks, hilbloc, porteous, ringcore, vw
+from . import checks, hilbloc, porteous, ringcore, vw
 from . import surface as surfaces
 
 EXIT_OK = 0
@@ -50,6 +50,14 @@ SW_KEYS = ("entries", "higher_mode")
 DEFAULT_FIT_RUNS = (("P2", (1,)), ("P2", (2,)), ("P1xP1", (1, 1)),
                     ("P1xP1", (2, 2)), ("F2", (2, 1)), ("F2", (4, 2)))
 DEFAULT_FIT_MONOMIALS = ("1", "c1sq", "betasq", "c1beta")
+
+
+def __getattr__(name):
+    # PEP 562: porteous_two_routes lives in checks (the benchmark's
+    # library jobs call it here), which then loads on first read
+    if name == "porteous_two_routes":
+        return checks.porteous_two_routes
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class SchemaError(ValueError):
@@ -347,47 +355,6 @@ class JobSpec:
 
 
 # ---------------------------------------------------------------------------
-# the two Thom-Porteous routes, which the ``porteous`` suite of checks
-# compares; the benchmark's library jobs (perfbench/jobproc.py) call
-# them here
-
-
-def porteous_two_routes(r, e0, e1, D=None):
-    """Determinantal class of the rank-r kernel locus next to the
-    direct sum-over-subsets pushforward of the top Chern class of
-    Hom(U, E1) from the split Grassmann bundle of subs of E0.
-
-    Returns (determinant route, localization route) in a common
-    truncated root ring.
-    """
-    codim = r * (e1 - e0 + r)
-    if D is None:
-        D = codim + r + 1
-    anames = ["a%d" % i for i in range(1, e0 + 1)]
-    bnames = ["b%d" % k for k in range(1, e1 + 1)]
-    names = anames + bnames
-    degrees = [1] * len(names)
-    ring = ringcore.Ring(names, degrees=degrees, D=D)
-    E = checks._split_class(ring, bnames) - checks._split_class(ring, anames)
-    det_route, _ = porteous.degeneracy_pushforward_X(e0, e1, r, E.chern,
-                                                     dimX=D)
-
-    free = ringcore.Ring(names, degrees=degrees)
-    aroots = [free.gen(n) for n in anames]
-    broots = [free.gen(n) for n in bnames]
-
-    def top_chern(*subs):
-        acc = free.one()
-        for u in subs:
-            for b in broots:
-                acc = acc * (b - u)
-        return acc
-
-    push = bundles.grassmann_split_pushforward(aroots, r, top_chern)
-    return det_route, ringcore.GradedClass(ring, dict(push.poly))
-
-
-# ---------------------------------------------------------------------------
 # command handlers
 
 
@@ -480,10 +447,9 @@ def _handle_vw(job):
         ctx = hilbloc.LocalizationContext(job.surface, beta=job.beta)
     for n in job.n_range:
         result = vw.monopole_contribution(
-            job.surface, job.sw_table, job.beta, n, refined=job.order > 0,
-            order=job.order or None, seed=job.seed, window=job.window,
-            context=ctx)
-        rows.extend(result.rows(job.order or None))
+            job.surface, job.sw_table, job.beta, n, seed=job.seed,
+            window=job.window, context=ctx)
+        rows.extend(result.rows(job.order))
     return EXIT_OK, {"surface": job.surface.name,
                      "columns": list(vw.ROW_FIELDS), "rows": rows}
 

@@ -255,6 +255,8 @@ _NODE_KEYS = {"kind", "params", "attrs", "children"}
 # recursive walk of such a tree (keys, normalization, both evaluators)
 # stays far inside the interpreter's recursion limit
 MAX_DEPTH = 200
+# nodes deeper than this are named in errors by a shortened path
+SHORT_PATH_DEPTH = 8
 
 
 def _is_int(x):
@@ -296,48 +298,50 @@ def expr_from_json(doc, path="expr", depth=1):
     and params, param types, and attrs (on leaves only) holding
     integers or rational strings, or lists of them, and a depth of at
     most MAX_DEPTH nodes (``depth`` is the node's, the root's being 1).
-    A breach raises ValueError naming the node's path; past MAX_DEPTH
-    the path is shortened to its first and last segments and the depth.
+    A breach raises ValueError naming the node's path; past
+    SHORT_PATH_DEPTH the path is shortened to its first and last
+    segments and the depth.
     """
+    where = path if depth <= SHORT_PATH_DEPTH \
+        else "%s (depth %d)" % (_short_path(path), depth)
     if depth > MAX_DEPTH:
-        raise ValueError("%s (depth %d): tree deeper than %d nodes"
-                         % (_short_path(path), depth, MAX_DEPTH))
+        raise ValueError("%s: tree deeper than %d nodes" % (where, MAX_DEPTH))
     if not isinstance(doc, dict):
-        raise ValueError("%s: node must be an object" % path)
+        raise ValueError("%s: node must be an object" % where)
     extra = sorted(set(doc) - _NODE_KEYS)
     if extra:
-        raise ValueError("%s: unknown key %r" % (path, extra[0]))
+        raise ValueError("%s: unknown key %r" % (where, extra[0]))
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _GRAMMAR:
-        raise ValueError("%s: unknown kind %r" % (path, kind))
+        raise ValueError("%s: unknown kind %r" % (where, kind))
     arity, types = _GRAMMAR[kind]
     params = doc.get("params", [])
     if not isinstance(params, list) or len(params) != len(types):
         raise ValueError("%s: %s takes %d param%s"
-                         % (path, kind, len(types), "" if len(types) == 1
+                         % (where, kind, len(types), "" if len(types) == 1
                             else "s"))
     for p, t in zip(params, types):
         check, what = _PARAM_TYPES[t]
         if not check(p):
             raise ValueError("%s: %s param %r is not %s"
-                             % (path, kind, p, what))
+                             % (where, kind, p, what))
     if kind == "scale":
         params = [parse_rational(params[0])]
     attrs = doc.get("attrs", {})
     if not isinstance(attrs, dict):
-        raise ValueError("%s: attrs must be an object" % path)
+        raise ValueError("%s: attrs must be an object" % where)
     if attrs and kind != "leaf":
-        raise ValueError("%s: only leaves carry attrs" % path)
+        raise ValueError("%s: only leaves carry attrs" % where)
     for k, v in attrs.items():
         if not (_is_rational(v) or isinstance(v, list)
                 and all(_is_rational(x) for x in v)):
             raise ValueError("%s: attr %r must be a rational or a list of"
-                             " rationals" % (path, k))
+                             " rationals" % (where, k))
     children = doc.get("children", [])
     if not isinstance(children, list) \
             or arity is not None and len(children) != arity:
         raise ValueError("%s: %s takes %s children"
-                         % (path, kind, "a list of" if arity is None
+                         % (where, kind, "a list of" if arity is None
                             else arity))
     children = [expr_from_json(c, "%s.children[%d]" % (path, i), depth + 1)
                 for i, c in enumerate(children)]

@@ -521,31 +521,20 @@ class RatFunc:
 
     Every specialized weight is a linear form k s + c t, so the s^0
     coefficient of a fixed point sum is a Laurent polynomial in t and
-    no other denominator occurs.  ``RatFunc(num, den)`` takes ascending
-    coefficient tuples with a monomial ``den``; ``num`` may also be a
-    {t_power: coefficient} dict.
+    no other denominator occurs.  ``RatFunc(coefs)`` takes a
+    {t_power: coefficient} dict, or an ascending tuple of the
+    coefficients of t^0, t^1, ...; a negative power needs the dict.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, num, den=(1,)):
-        lead = [(d, Fraction(x)) for d, x in enumerate(den) if x]
-        if not lead:
-            raise ZeroDivisionError("zero denominator")
-        if len(lead) > 1:
-            raise ValueError("denominator is not a monomial in t")
-        (d, c), = lead
-        items = num.items() if isinstance(num, dict) else enumerate(num)
-        self.terms = {i - d: Fraction(x) / c for i, x in items if x}
+    def __init__(self, coefs):
+        items = coefs.items() if isinstance(coefs, dict) else enumerate(coefs)
+        self.terms = {i: Fraction(x) for i, x in items if x}
 
     @staticmethod
     def const(x):
         return RatFunc((x,))
-
-    @staticmethod
-    def linear(c0, c1):
-        """c0 + c1 * t."""
-        return RatFunc((c0, c1))
 
     def is_zero(self):
         return not self.terms
@@ -601,11 +590,6 @@ class RatFunc:
         if any(k < 0 for k in self.terms):
             raise ValueError("integral not equivariantly constant")
         return [self.terms.get(k, Fraction(0)) for k in range(order + 1)]
-
-    def at_zero(self):
-        """Limit at vanishing auxiliary weight: the t^0 coefficient,
-        with no negative power allowed."""
-        return self.series(0)[0]
 
     def __repr__(self):
         return "RatFunc(%r)" % (self.terms,)

@@ -10,6 +10,11 @@ integrand couples the class of the nested locus, the top Chern class
 of the Carlsson-Okounkov bundle, to a ratio of Euler classes of
 circle-weighted pair complexes; everything is built as one formula
 tree and handed to the equivariant evaluator.
+
+The integrand has degree 2(n1 + n2) + vd(beta) and S^[n1] x S^[n2] has
+dimension 2(n1 + n2), so every splitting integral is c t^vd(beta) in
+the circle weight t, for a rational c.  A monopole contribution
+integrates only classes with vd(beta) = 0: it is an exact rational.
 """
 
 from fractions import Fraction
@@ -84,36 +89,23 @@ class SWTable:
 
 
 class MonopoleResult:
-    """One curve class contribution with its per-splitting terms.
+    """One curve class contribution with its per-splitting terms: an
+    exact rational number (a monopole contribution) or a Laurent
+    polynomial in the circle weight (a point contribution)."""
 
-    The value is an exact rational number, or an exact Laurent
-    polynomial in the circle weight in refined mode.  Construction
-    enforces weight independence whenever the refinement flag is off.
-    """
+    __slots__ = ("beta", "n", "value", "terms", "meta")
 
-    __slots__ = ("beta", "n", "value", "terms", "refined", "meta")
-
-    def __init__(self, beta, n, value, terms=None, refined=False,
-                 meta=None):
+    def __init__(self, beta, n, value, terms=None, meta=None):
         self.beta = tuple(beta)
         self.n = n
-        self.refined = refined
+        self.value = value
         self.terms = dict(terms or {})
         self.meta = dict(meta or {})
-        if not refined:
-            if isinstance(value, RatFunc):
-                value = value.as_fraction()
-            value = Fraction(value)
-        self.value = value
 
-    def series(self, order):
-        return _as_ratfunc(self.value).series(order)
-
-    def rows(self, order=None):
+    def rows(self, order=0):
         """CSV-ready dictionaries, one per splitting plus a total row
-        with blank splitting columns."""
-        if order is None:
-            order = self.meta.get("order") or 0
+        with blank splitting columns; a value that depends on the
+        circle weight prints its coefficients up to ``order``."""
         out = [self._row(n1, n2, self.terms[(n1, n2)], order)
                for (n1, n2) in sorted(self.terms)]
         out.append(self._row("", "", self.value, order))
@@ -167,13 +159,17 @@ def monopole_integrand(n1, n2):
             rhom(2, 1, bc=-1, kc=2, tp=2))))
 
 
-def point_contribution(surface, beta, n, refined=False, order=None,
-                       seed=0, point_table=None, context=None):
+def point_contribution(surface, beta, n, seed=0, point_table=None,
+                       context=None):
     """Sum over splittings n = n1 + n2 of the monopole integrand
     integral, without the Seiberg-Witten weight or the torsion
     prefactor.  These are the numbers the universality statement is
     about: they depend on the surface only through c1^2, c2, beta^2
     and c1.beta.
+
+    The value is a RatFunc, c t^vd(beta) for a rational c (see the
+    module docstring); the terms are as the integrals or the table give
+    them.
 
     The splittings share one LocalizationContext of the surface and
     class: ``context`` when the caller passes the job's, else a new
@@ -199,17 +195,19 @@ def point_contribution(surface, beta, n, refined=False, order=None,
                              " or a supplied table")
         terms[(n1, n2)] = term
         total = total + _as_ratfunc(term)
-    meta = {"surface": surface.name, "seed": seed, "order": order,
-            "kind": "point"}
-    return MonopoleResult(key, n, total, terms, refined, meta)
+    meta = {"surface": surface.name, "seed": seed, "kind": "point"}
+    return MonopoleResult(key, n, total, terms, meta)
 
 
-def monopole_contribution(surface, sw, beta, n, refined=False,
-                          order=None, seed=0, window=None,
+def monopole_contribution(surface, sw, beta, n, seed=0, window=None,
                           point_table=None, context=None):
     """Weighted contribution of one curve class at total length n:
 
         SW * 4^q * (sum of splitting integrals).
+
+    The value is an exact rational: only classes with vd(beta) = 0 are
+    integrated, and their integrals carry no circle weight.  A total
+    that depends on the weight is refused with a ValueError.
 
     ``sw`` is the surface's SWTable.  ``window`` is caller-supplied
     slope data (deg beta, deg K); a class outside the stable range is
@@ -219,23 +217,21 @@ def monopole_contribution(surface, sw, beta, n, refined=False,
     ``context`` is passed on to ``point_contribution``.
     """
     key = tuple(surface.cls(beta))
-    meta = {"surface": surface.name, "seed": seed, "order": order,
-            "kind": "monopole"}
+    meta = {"surface": surface.name, "seed": seed, "kind": "monopole"}
     if window is not None:
         deg_b, deg_k = window
         if not deg_b < deg_k:
             meta["excluded"] = "outside slope window"
-            return MonopoleResult(key, n, Fraction(0), {}, refined, meta)
+            return MonopoleResult(key, n, Fraction(0), {}, meta)
     if vd_beta(surface, key) != 0:
-        return MonopoleResult(key, n, Fraction(0), {}, refined, meta)
+        return MonopoleResult(key, n, Fraction(0), {}, meta)
     weight = sw.invariant(key) * Fraction(4) ** surface.q
     if weight == 0:
-        return MonopoleResult(key, n, Fraction(0), {}, refined, meta)
-    point = point_contribution(surface, key, n, refined=True,
-                               order=order, seed=seed,
+        return MonopoleResult(key, n, Fraction(0), {}, meta)
+    point = point_contribution(surface, key, n, seed=seed,
                                point_table=point_table, context=context)
-    value = _as_ratfunc(point.value) * weight
-    return MonopoleResult(key, n, value, point.terms, refined, meta)
+    value = (point.value * weight).as_fraction()
+    return MonopoleResult(key, n, value, point.terms, meta)
 
 
 MONOMIALS = ("1", "c1sq", "c2", "betasq", "c1beta")
@@ -298,7 +294,7 @@ def _solve_affine(rows, values):
     return coefs
 
 
-def universality_fit(n, runs, monomials=None, refined=True, seed=0):
+def universality_fit(n, runs, monomials=None, seed=0):
     """Fit point contributions at fixed total length n by an exact
     affine polynomial in the intersection numbers.
 
@@ -327,8 +323,7 @@ def universality_fit(n, runs, monomials=None, refined=True, seed=0):
         if len(run) > 2:
             value = run[2]
         else:
-            value = point_contribution(surface, beta, n, refined=refined,
-                                       seed=seed).value
+            value = point_contribution(surface, beta, n, seed=seed).value
         values.append(value)
         labels.append((surface.name, tuple(surface.cls(beta))))
     seen = {}

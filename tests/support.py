@@ -136,5 +136,5 @@ def nonequivariant_limit(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, RatFunc):
-        return x.at_zero()
+        return x.series(0)[0]
     raise TypeError("expected a localized integral value")

@@ -310,10 +310,8 @@ def test_criterion_08_universality():
                (B, (2, 1)), (B, (4, 2))]
     for n in range(3):
         for ab, fb in matched:
-            va = point_contribution(A, ab, n, refined=True,
-                                    seed=11).value
-            vb = point_contribution(B, fb, n, refined=True,
-                                    seed=23).value
+            va = point_contribution(A, ab, n, seed=11).value
+            vb = point_contribution(B, fb, n, seed=23).value
             assert va == vb, (ab, fb, n)
         fit = universality_fit(
             n, configs, monomials=["1", "c1sq", "betasq", "c1beta"])

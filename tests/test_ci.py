@@ -51,6 +51,18 @@ def test_workflow_runs_tier1():
         "test \"$(tr '\\n' ' ' < %s)\" = \"1 4 14 40 105 252 # seed 0 \""
         % (tmp % "chart.txt"),
         ""])
+    # vw prints the same exact rationals at --order 0 and --order 3
+    vw = "\n".join([
+        "echo '%s' > %s" % ('{"sw": {"entries": [{"beta": [0, 0],'
+                            ' "sw": 1}]}}', tmp % "vw.json")]
+        + ["nesthilb vw --surface P1xP1 --beta 0,0 --n 0:2 --order %d"
+           " --job %s > %s" % (order, tmp % "vw.json",
+                               tmp % ("vw%d.txt" % order))
+           for order in (0, 3)]
+        + ["cmp %s %s" % (tmp % "vw0.txt", tmp % "vw3.txt"),
+           "test \"$(tr '\\n' ' ' < %s)\" = \"-1/512 1/32 -27/128"
+           " # seed 0 \"" % (tmp % "vw0.txt"),
+           ""])
     # verify ends with its "# seed" line, after the verdict
     verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
@@ -62,8 +74,8 @@ def test_workflow_runs_tier1():
              " --seconds 1 --trace %d | grep -cF '\"correct\": true')\""
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
-    assert runs == ['pip install -e ".[test]"', console, agree, verify,
-                    traced, untraced, tier1_command()]
+    assert runs == ['pip install -e ".[test]"', console, agree, vw,
+                    verify, traced, untraced, tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]
                          if step.get("run") == run]

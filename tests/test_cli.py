@@ -5,7 +5,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +183,19 @@ class TestJobSpec:
 
 
 class TestSuiteRoutes:
+    def test_checks_do_not_import_cli(self, tmp_path):
+        # the suites live in checks; cli only hands porteous_two_routes
+        # on, so ``python -m nesthilb.cli verify`` imports cli once
+        source = ("import sys, nesthilb.checks\n"
+                  "assert nesthilb.checks.SUITES\n"
+                  "assert 'nesthilb.cli' not in sys.modules\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", source], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert porteous_two_routes is cli.checks.porteous_two_routes
+
     def test_porteous_routes_agree(self):
         det_route, loc_route = porteous_two_routes(2, 2, 3)
         assert det_route == loc_route
@@ -238,6 +254,16 @@ class TestRun:
         assert values == ["1/1024", "-9/512", "69/512"]
         for ln in lines[2:]:
             parse_rational(ln.split(",")[4])
+
+    def test_vw_text_same_at_every_order(self):
+        # the contributions integrate only vd(beta) = 0 classes, exact
+        # rationals: --order sets the t_order column, which text omits
+        sw = {"entries": [{"beta": [0, 0], "sw": 1}]}
+        outputs = [run(job(command="vw", surface="P1xP1", beta=[0, 0],
+                           n=[0, 2], sw=sw, order=order))
+                   for order in (0, 3)]
+        assert outputs[0] == outputs[1] \
+            == (EXIT_OK, "-1/512\n1/32\n-27/128\n# seed 0\n")
 
     def test_vw_missing_entry_exits_math(self):
         code, text = run(job(command="vw", surface="P2", beta=[0], n=0))
@@ -601,6 +627,23 @@ class TestMain:
         message = json.loads(capsys.readouterr().out)["error"]["message"]
         assert message == ("params.expr.children[0]...children[0]"
                            " (depth 201): tree deeper than 200 nodes")
+        assert len(message) < 300
+
+    def test_deep_grammar_error_names_the_path_briefly(self, tmp_path,
+                                                       capsys):
+        # 198 duals ending in an unknown kind, inside the depth bound:
+        # the grammar error is named like the depth error
+        node = {"kind": "bogus"}
+        for _ in range(198):
+            node = {"kind": "dual", "children": [node]}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"expr": node}}))
+        code = main(["integrate", "--surface", "P2", "--formula", "custom",
+                     "--n", "0:1", "--job", str(path)])
+        assert code == EXIT_SCHEMA
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == ("params.expr.children[0]...children[0]"
+                           " (depth 199): unknown kind 'bogus'")
         assert len(message) < 300
 
 

@@ -168,15 +168,13 @@ class TestPointContribution:
     def test_matched_surfaces_agree(self):
         A, B = p1xp1(), f2()
         for (a, b), n in (((1, 1), 0), ((1, 1), 1), ((2, 1), 0)):
-            va = point_contribution(A, (a, b), n, refined=True,
-                                    seed=1).value
-            vb = point_contribution(B, (a + b, a), n, refined=True,
-                                    seed=2).value
+            va = point_contribution(A, (a, b), n, seed=1).value
+            vb = point_contribution(B, (a + b, a), n, seed=2).value
             assert va == vb
             assert isinstance(va, RatFunc)
 
     def test_terms_cover_splittings(self):
-        r = point_contribution(p2(), (0,), 2, refined=True)
+        r = point_contribution(p2(), (0,), 2)
         assert sorted(r.terms) == [(0, 2), (1, 1), (2, 0)]
 
     def test_profile_needs_table(self):
@@ -189,14 +187,15 @@ class TestPointContribution:
         key = (Fraction(1),)
         table = {(key, 0, 1): Fraction(5), (key, 1, 0): Fraction(7)}
         r = point_contribution(G, (1,), 1, point_table=table)
-        assert r.value == 12
+        assert r.value == RatFunc.const(12)
 
     def test_points_only_values(self):
         S = p2()
         values = {0: Fraction(1, 1024), 1: Fraction(-9, 512),
                   2: Fraction(69, 512)}
         for n, expected in values.items():
-            assert point_contribution(S, (0,), n).value == expected
+            assert point_contribution(S, (0,), n).value \
+                == RatFunc.const(expected)
 
     def test_seed_independent(self):
         S = p2()
@@ -206,12 +205,16 @@ class TestPointContribution:
 
 
 class TestMonopoleResult:
-    def test_weight_dependent_value_needs_refined(self):
-        with pytest.raises(ValueError, match="auxiliary weight"):
-            MonopoleResult((0,), 1, RatFunc((0, 1)), refined=False)
-
-    def test_constant_value_becomes_fraction(self):
-        r = MonopoleResult((0,), 1, RatFunc.const(3), refined=False)
+    def test_constant_value_becomes_fraction(self, monkeypatch):
+        # the point contribution is a RatFunc; the weighted monopole
+        # value built from it is an exact Fraction
+        import nesthilb.vw as vw
+        monkeypatch.setattr(
+            vw, "point_contribution",
+            lambda S, beta, n, **kw: MonopoleResult(beta, n,
+                                                    RatFunc.const(3)))
+        sw = SWTable(p2(), {(0,): (1, ())})
+        r = monopole_contribution(p2(), sw, (0,), 1)
         assert r.value == 3 and isinstance(r.value, Fraction)
 
 
@@ -248,10 +251,28 @@ class TestMonopoleContribution:
         assert r.value == 12
         assert r.meta["surface"] == G.name
 
-    def test_unrefined_requires_weight_free_total(self):
-        # positive virtual dimension leaves a pure circle-weight factor
+    @pytest.mark.parametrize("make,beta", [
+        (p2, (0,)), (p2, (1,)), (p1xp1, (1, 1)), (f1, (1, 0)),
+        (f2, (2, 1))])
+    def test_values_are_one_power_of_weight(self, make, beta):
+        # the integrand has degree 2 n + vd(beta) on a space of
+        # dimension 2 n, so each integral is c t^vd(beta)
+        S = make()
+        vd = vd_beta(S, S.cls(beta))
+        for n in range(3):
+            r = point_contribution(S, beta, n)
+            for value in list(r.terms.values()) + [r.value]:
+                assert set(value.terms) <= {vd}, (n, value)
+
+    def test_weight_dependent_total_refused(self, monkeypatch):
+        import nesthilb.vw as vw
+        monkeypatch.setattr(
+            vw, "point_contribution",
+            lambda S, beta, n, **kw: MonopoleResult(beta, n,
+                                                    RatFunc({1: 1})))
+        sw = SWTable(p2(), {(0,): (1, ())})
         with pytest.raises(ValueError, match="auxiliary weight"):
-            point_contribution(p2(), (1,), 0)
+            monopole_contribution(p2(), sw, (0,), 1)
 
     def test_result_rows(self):
         sw = SWTable(p2(), {(0,): (1, ())})
@@ -463,5 +484,5 @@ class TestFormatting:
         assert format_value(RatFunc.const(Fraction(5, 2))) == "5/2"
 
     def test_series_cell(self):
-        v = RatFunc((Fraction(1), Fraction(1)), (Fraction(1),))
+        v = RatFunc({0: Fraction(1), 1: Fraction(1)})
         assert format_value(v, 2) == "1 1 0"
