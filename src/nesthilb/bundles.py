@@ -35,11 +35,6 @@ class SpaceModel:
         return "SpaceModel(dim=%d, ring=%r)" % (self.dim, self.ring)
 
 
-def point_base(D=None):
-    """The model of a point: empty ring, dimension zero."""
-    return SpaceModel(Ring([], D=D), 0)
-
-
 def free_model(names, degrees=None, dim=0, D=None):
     """A root model carrying formal classes, for identities on an
     unspecified base."""

@@ -430,8 +430,8 @@ def _handle_integrate(job):
     ctx = hilbloc.LocalizationContext(job.surface, beta=job.beta, A=job.A)
     for n in job.n_range:
         expr, n1, n2 = _integrand(job, n)
-        value = hilbloc.equivariant_integrate(
-            expr, ctx, n1, n2, refined=job.order > 0, seed=job.seed)
+        value = hilbloc.equivariant_integrate(expr, ctx, n1, n2,
+                                              seed=job.seed)
         rows.append({"n": n,
                      "value": hilbloc.format_value(value, job.order)})
     return EXIT_OK, {"formula": job.formula,

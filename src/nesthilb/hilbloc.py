@@ -19,8 +19,8 @@ in s and t times a product of weight powers over one integer
 denominator: sums join the lists, products convolve the integer
 coefficients.  Each term expands in s with coefficients that are
 Laurent polynomials in t, summed into one dict {(s_power, t_power):
-coefficient}; the s^0 part of the sum over points becomes a RatFunc,
-the Laurent polynomial in t.
+coefficient}; the s^0 part of the sum over points is a Fraction, or a
+RatFunc, the Laurent polynomial in t, when it depends on t.
 
 Per point, the work is assembly from chart pieces.  A fixed point is a
 tuple of per-chart partitions, and its characters are sums of pieces
@@ -516,14 +516,16 @@ def full_tangent_character(surface, point, with_pb=None, spec=None):
 
 
 class RatFunc:
-    """Refined integral value: a Laurent polynomial in the auxiliary
-    weight t, stored as {t_power: Fraction} without zero coefficients.
+    """Integral value that depends on the auxiliary weight t: a Laurent
+    polynomial in t, stored as {t_power: Fraction} without zero
+    coefficients.
 
     Every specialized weight is a linear form k s + c t, so the s^0
     coefficient of a fixed point sum is a Laurent polynomial in t and
     no other denominator occurs.  ``RatFunc(coefs)`` takes a
     {t_power: coefficient} dict, or an ascending tuple of the
     coefficients of t^0, t^1, ...; a negative power needs the dict.
+    Values are only summed, scaled by rationals, compared and printed.
     """
 
     __slots__ = ("terms",)
@@ -535,9 +537,6 @@ class RatFunc:
     @staticmethod
     def const(x):
         return RatFunc((x,))
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return set(self.terms) <= {0}
@@ -553,31 +552,9 @@ class RatFunc:
             out[k] = out.get(k, 0) + v
         return RatFunc(out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RatFunc({k: -v for k, v in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc({k: v * other for k, v in self.terms.items()})
-        out = {}
-        for i, x in self.terms.items():
-            for j, y in other.terms.items():
-                out[i + j] = out.get(i + j, 0) + x * y
-        return RatFunc(out)
-
-    def __truediv__(self, other):
-        """Division by a nonzero number or monomial."""
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        if not other.terms:
-            raise ZeroDivisionError("division by zero")
-        if len(other.terms) != 1:
-            raise ValueError("divisor is not a monomial in t")
-        (d, c), = other.terms.items()
-        return RatFunc({k - d: v / c for k, v in self.terms.items()})
+        """Scaling by a rational number."""
+        return RatFunc({k: v * other for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, RatFunc) and self.terms == other.terms
@@ -596,13 +573,15 @@ class RatFunc:
 
 
 def format_value(value, order=0):
-    """Loss-free text for a rational number; for a weight-dependent
-    Laurent polynomial, space-separated expansion coefficients."""
-    if isinstance(value, RatFunc):
-        if value.is_constant():
-            return rational_str(value.as_fraction())
-        return " ".join(rational_str(c) for c in value.series(order))
-    return rational_str(Fraction(value))
+    """Loss-free text for an integral value.  A rational number prints
+    as itself.  A weight-dependent Laurent polynomial prints its Taylor
+    coefficients up to ``order`` > 0, space-separated; at ``order`` 0
+    it has no loss-free text, and is refused with a ValueError."""
+    if not isinstance(value, RatFunc):
+        return rational_str(Fraction(value))
+    if order == 0 or value.is_constant():
+        return rational_str(value.as_fraction())
+    return " ".join(rational_str(c) for c in value.series(order))
 
 
 # ---------------------------------------------------------------------------
@@ -1308,17 +1287,17 @@ def _first_direction(seed, attempt):
 
 
 def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
-                          with_pb=None, refined=False, seed=0,
-                          return_info=False):
+                          with_pb=None, seed=0, return_info=False):
     """Integrate a formula over S^[n1] x S^[n2] (times the bundle of
     section lines of ``with_pb`` when given) by summing fixed point
     contributions.
 
-    Exact: the result is a Fraction, or with ``refined`` a RatFunc,
-    the Laurent polynomial in the auxiliary weight.  A seeded random
-    direction breaks the torus to one dimension; collisions redraw
-    deterministically.  The points are summed in this process, one
-    after another; parallel work means running jobs side by side.
+    Exact: the result is a Fraction when the integral is a number, and
+    a RatFunc, the Laurent polynomial in the auxiliary weight, only
+    when it depends on that weight.  A seeded random direction breaks
+    the torus to one dimension; collisions redraw deterministically.
+    The points are summed in this process, one after another; parallel
+    work means running jobs side by side.
 
     ``surface`` may also be the LocalizationContext of the job, which
     the integral then shares with the job's other integrals; ``beta``,
@@ -1363,7 +1342,7 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
         raise ValueError("integral not equivariantly constant")
     value = RatFunc({tp: coef for (deg, tp), coef in totals.items()
                      if deg == 0})
-    if not refined:
+    if value.is_constant():
         value = value.as_fraction()
     info = {"spec": spec, "seed": seed, "points": len(points),
             "visited": ctx.visited, "attempts": attempts}

@@ -11,7 +11,7 @@ model.
 from fractions import Fraction
 
 from .ringcore import KClass, delta_det, k_twist, k_dual
-from .expr import FormulaExpr, ZERO_CLASS, rhom, pushO, o1_line, co_class
+from .expr import FormulaExpr, ZERO_CLASS, rhom, pushO, o1_line
 # bound here too: the benchmark's tracer (perfbench/tracing.py) spans
 # the JSON grammar under these porteous names
 from .expr import expr_to_json, expr_from_json  # noqa: F401
@@ -405,23 +405,6 @@ def degeneracy_pushforward_GrB(E0, E1, B, r, esurj2=False, roots=None):
     return delta_form, FormulaExpr.mul(*factors)
 
 
-def comparison_factor(G, r, g, u_line=None):
-    """Multiplier converting one virtual degeneracy cycle into another
-    differing by a rank-g bundle G: c_{rg}(U^* G).  With ``u_line``
-    (rank one U, r = 1) the twist is explicit; otherwise U is taken
-    trivialized, leaving c_{rg}(G).
-    """
-    if g < 0:
-        raise ValueError("rank must be nonnegative")
-    if g == 0:
-        return FormulaExpr.one()
-    if u_line is not None:
-        if r != 1:
-            raise ValueError("explicit twist only for rank-one U")
-        return FormulaExpr.chern(g, FormulaExpr.twist(G, u_line, 1))
-    return FormulaExpr.chern(r * g, G)
-
-
 def nested_reduced_formula(n1, n2, surface, beta, A, h2_vanishing=False):
     """Pushforward of the reduced cycle of the nested Hilbert scheme to
     the projective bundle P(B), B = pi_*(L_beta(A)):
@@ -443,19 +426,6 @@ def nested_reduced_formula(n1, n2, surface, beta, A, h2_vanishing=False):
             "reduced_vd": chi + n1 + n2 + surface.q - 1,
             "degree": n1 + n2 + d}
     return expr, info
-
-
-def nested_vir_comparison(n1, n2, beta=None):
-    """Pushforward of the virtual cycle through the inclusion into
-    S^[n1] x S^[n2] x S_beta: the Carlsson-Okounkov factor
-
-        c_{n1+n2}( Rpi_* L_beta(1) - Rhom_pi(I1, I2 L_beta(1)) )
-
-    capped against the product of the ambient cycle with the virtual
-    cycle of the curve system.
-    """
-    body = FormulaExpr.chern(n1 + n2, co_class(bc=1, o1=1))
-    return FormulaExpr.cap(FormulaExpr.leaf("svir"), body)
 
 
 def ell_step_formula(n, beta, surface=None, A=None):

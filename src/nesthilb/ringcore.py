@@ -520,9 +520,6 @@ class GradedClass:
         return {k: _class(ring, den, {k: b})
                 for k, b in sorted(self._fit().items())}
 
-    def max_degree(self):
-        return max(self.parts, default=-1)
-
     def coefficient(self, mono):
         return self.poly.get(tuple(mono), ZERO)
 

@@ -189,7 +189,7 @@ def point_contribution(surface, beta, n, seed=0, point_table=None,
                 context = LocalizationContext(surface, beta=key)
             term = equivariant_integrate(
                 monopole_integrand(n1, n2), context, n1, n2, beta=key,
-                refined=True, seed=seed)
+                seed=seed)
         else:
             raise ValueError("point contributions need a toric surface"
                              " or a supplied table")
@@ -253,31 +253,24 @@ def monomial_value(name, surface, beta):
 
 
 def _solve_affine(rows, values):
-    """Exact elimination for an overdetermined linear system; returns
-    the coefficient list.  Values may be rational numbers or Laurent
-    polynomials in the circle weight; the arithmetic follows the
-    values.  The design rows are rational, so every pivot is a
-    constant."""
-    refined = any(isinstance(v, RatFunc) for v in values)
-    lift = _as_ratfunc if refined else Fraction
-
-    def is_zero(x):
-        return x.is_zero() if refined else x == 0
+    """Exact elimination over the rationals for an overdetermined
+    linear system; returns the coefficient list.  A rank below the
+    column count and a nonzero residual row are UniversalityErrors."""
     m = len(rows[0])
-    aug = [[lift(x) for x in row] + [lift(v)]
+    aug = [[Fraction(x) for x in row] + [Fraction(v)]
            for row, v in zip(rows, values)]
     pivots = []
     rank = 0
     for col in range(m):
         pivot = next((i for i in range(rank, len(aug))
-                      if not is_zero(aug[i][col])), None)
+                      if aug[i][col] != 0), None)
         if pivot is None:
             continue
         aug[rank], aug[pivot] = aug[pivot], aug[rank]
         head = aug[rank][col]
         aug[rank] = [x / head for x in aug[rank]]
         for i in range(len(aug)):
-            if i != rank and not is_zero(aug[i][col]):
+            if i != rank and aug[i][col] != 0:
                 factor = aug[i][col]
                 aug[i] = [a - factor * b
                           for a, b in zip(aug[i], aug[rank])]
@@ -286,9 +279,9 @@ def _solve_affine(rows, values):
     if rank < m:
         raise UniversalityError("insufficient surface spread")
     for i in range(rank, len(aug)):
-        if not is_zero(aug[i][m]):
+        if aug[i][m] != 0:
             raise UniversalityError("universality violated")
-    coefs = [lift(0)] * m
+    coefs = [Fraction(0)] * m
     for r, col in enumerate(pivots):
         coefs[col] = aug[r][m]
     return coefs
@@ -299,10 +292,14 @@ def universality_fit(n, runs, monomials=None, seed=0):
     affine polynomial in the intersection numbers.
 
     Each run is (surface, beta), optionally with a precomputed value as
-    third component.  The solve is exact: a rank-deficient design
-    means the runs cannot separate the monomials, and any nonzero
-    residual means the integrals are not a function of the four
-    numbers; both are errors, never a best fit.
+    third component: a rational number, or a Laurent polynomial in the
+    circle weight.  The design is rational, so the fit solves once per
+    power of the weight present in the values, over the rationals; a
+    coefficient is a RatFunc only when it depends on the weight.  The
+    solve is exact: a rank-deficient design means the runs cannot
+    separate the monomials, and any nonzero residual means the
+    integrals are not a function of the four numbers; both are errors,
+    never a best fit.
     """
     names = list(monomials) if monomials is not None else list(MONOMIALS)
     rows = [[monomial_value(name, run[0], run[1]) for name in names]
@@ -324,25 +321,23 @@ def universality_fit(n, runs, monomials=None, seed=0):
             value = run[2]
         else:
             value = point_contribution(surface, beta, n, seed=seed).value
-        values.append(value)
+        values.append(_as_ratfunc(value))
         labels.append((surface.name, tuple(surface.cls(beta))))
     seen = {}
     for row, value, label in zip(rows, values, labels):
         sig = tuple(row)
         if sig in seen:
             other_value, other_label = seen[sig]
-            if _as_ratfunc(other_value) != _as_ratfunc(value):
+            if other_value != value:
                 raise UniversalityError(
                     "universality violated: %r and %r share invariants"
                     " but differ" % (other_label, label))
         seen[sig] = (value, label)
-    coefs = _solve_affine(rows, values)
-    for row, value in zip(rows, values):
-        fitted = _as_ratfunc(0)
-        for c, x in zip(coefs, row):
-            fitted = fitted + _as_ratfunc(c) * x
-        if fitted != _as_ratfunc(value):
-            raise UniversalityError("universality violated")
+    solved = {k: _solve_affine(rows, [v.terms.get(k, 0) for v in values])
+              for k in {k for v in values for k in v.terms}}
+    coefs = [RatFunc({k: col[i] for k, col in solved.items()})
+             for i in range(len(names))]
+    coefs = [c.as_fraction() if c.is_constant() else c for c in coefs]
     return {"n": n,
             "monomials": names,
             "coefficients": dict(zip(names, coefs)),
@@ -353,7 +348,8 @@ def universality_fit(n, runs, monomials=None, seed=0):
 
 def fit_report(fit, order=4):
     """JSON-ready form of a fit: coefficients keyed by monomial, each
-    a loss-free string (expansion coefficients when refined)."""
+    a loss-free string (expansion coefficients up to ``order`` when it
+    depends on the circle weight)."""
     return {"n": fit["n"],
             "monomials": list(fit["monomials"]),
             "coefficients": {name: format_value(value, order)

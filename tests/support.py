@@ -1,14 +1,17 @@
 """Builders and small combinatorics that only the tests use: the
 Seiberg-Witten coupled pushforward trees of each geometric case, the
-section-bundle route to the virtual class, partitions inside a
+section-bundle route to the virtual class, the comparison factors
+between virtual cycles, the model of a point, partitions inside a
 partition, staircase generators, per-chart line weights and the
 non-equivariant limit of an integral."""
 
 from fractions import Fraction
 
+from nesthilb.bundles import SpaceModel
 from nesthilb.expr import FormulaExpr, ZERO_CLASS, rhom, pushO, \
-    sw_factor, pic_point
+    sw_factor, pic_point, co_class
 from nesthilb.hilbloc import RatFunc
+from nesthilb.ringcore import Ring
 from nesthilb.porteous import normalize, nested_reduced_formula
 from nesthilb.surface import ToricSurface, vd_beta
 
@@ -138,3 +141,38 @@ def nonequivariant_limit(x):
     if isinstance(x, RatFunc):
         return x.series(0)[0]
     raise TypeError("expected a localized integral value")
+
+
+def point_base(D=None):
+    """The model of a point: empty ring, dimension zero."""
+    return SpaceModel(Ring([], D=D), 0)
+
+
+def comparison_factor(G, r, g, u_line=None):
+    """Multiplier converting one virtual degeneracy cycle into another
+    differing by a rank-g bundle G: c_{rg}(U^* G).  With ``u_line``
+    (rank one U, r = 1) the twist is explicit; otherwise U is taken
+    trivialized, leaving c_{rg}(G).
+    """
+    if g < 0:
+        raise ValueError("rank must be nonnegative")
+    if g == 0:
+        return FormulaExpr.one()
+    if u_line is not None:
+        if r != 1:
+            raise ValueError("explicit twist only for rank-one U")
+        return FormulaExpr.chern(g, FormulaExpr.twist(G, u_line, 1))
+    return FormulaExpr.chern(r * g, G)
+
+
+def nested_vir_comparison(n1, n2, beta=None):
+    """Pushforward of the virtual cycle through the inclusion into
+    S^[n1] x S^[n2] x S_beta: the Carlsson-Okounkov factor
+
+        c_{n1+n2}( Rpi_* L_beta(1) - Rhom_pi(I1, I2 L_beta(1)) )
+
+    capped against the product of the ambient cycle with the virtual
+    cycle of the curve system.
+    """
+    body = FormulaExpr.chern(n1 + n2, co_class(bc=1, o1=1))
+    return FormulaExpr.cap(FormulaExpr.leaf("svir"), body)

@@ -287,7 +287,7 @@ def test_criterion_07_carlsson_okounkov_vanishing():
                     cls = FE.chern(n + i, co_class(bc=1))
                     expr = cls if tau is None else FE.mul(tau, cls)
                     value = equivariant_integrate(
-                        expr, S, n1, n2, beta=(d,), refined=True)
+                        expr, S, n1, n2, beta=(d,))
                     assert nonequivariant_limit(value) == 0, \
                         (n1, n2, d, i, degree)
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from nesthilb.ringcore import Ring, KClass, series_invert
-from nesthilb.bundles import (SpaceModel, point_base, free_model,
-                              projective_bundle, proj_pushforward,
-                              integrate, grassmann_split_pushforward)
+from nesthilb.bundles import (SpaceModel, free_model, projective_bundle,
+                              proj_pushforward, integrate,
+                              grassmann_split_pushforward)
+from support import point_base
 
 
 def projective_space(n):

@@ -80,7 +80,7 @@ def euler_products(rank):
         max_leaves=4)
 
 
-def outcome(expr, S, n1, n2, beta, refined, seed, draws=None):
+def outcome(expr, S, n1, n2, beta, seed, draws=None):
     """(value and info, or error type and message; points visited;
     per-point evaluations) of the integral in a fresh context.  With
     ``draws`` the directions are drawn from that list in turn."""
@@ -96,8 +96,7 @@ def outcome(expr, S, n1, n2, beta, refined, seed, draws=None):
             stack.enter_context(mock.patch.object(H, "_draw_spec",
                                                   lambda rng: next(it)))
         try:
-            result = H.equivariant_integrate(expr, ctx, n1, n2,
-                                             refined=refined, seed=seed,
+            result = H.equivariant_integrate(expr, ctx, n1, n2, seed=seed,
                                              return_info=True)
         except ValueError as err:
             result = (type(err), str(err))
@@ -121,12 +120,10 @@ class TestAgainstPerPointPath:
         if len(S.charts) > 4:
             n2 = min(n2, 3 - n1)
         expr = data.draw(euler_products(S.rank))
-        refined = data.draw(st.booleans())
         seed = data.draw(st.integers(0, 10 ** 6))
         draws = SMALL_DIRECTIONS + [(101, 37)] * 50 \
             if data.draw(st.booleans()) else None
-        fast, slow = both_paths(expr, S, n1, n2, beta, refined, seed,
-                                draws=draws)
+        fast, slow = both_paths(expr, S, n1, n2, beta, seed, draws=draws)
         # the same result and info, or error and message, after the
         # same points were visited; no more points evaluated one by one
         assert fast[:2] == slow[:2]
@@ -155,21 +152,20 @@ class TestAgainstPerPointPath:
         make, beta = SURFACES[which]
         S = make()
         for n1, n2 in ((0, 0), (0, 1), (0, 2), (1, 1), (0, 3)):
-            for refined in (False, True):
-                fast, slow = both_paths(expr, S, n1, n2, beta, refined, 5)
-                assert fast[:2] == slow[:2], (n1, n2, refined)
-                result = fast[0]
-                if isinstance(want, str):
-                    assert result[0] is ValueError and want in result[1]
-                elif want is not None:
-                    assert nonequivariant_limit(result[0]) == want
+            fast, slow = both_paths(expr, S, n1, n2, beta, 5)
+            assert fast[:2] == slow[:2], (n1, n2)
+            result = fast[0]
+            if isinstance(want, str):
+                assert result[0] is ValueError and want in result[1]
+            elif want is not None:
+                assert nonequivariant_limit(result[0]) == want
 
     def test_negative_s_powers(self):
         # e(T) e(-T)^2 leaves 1/e(T)^2 at each point, which does not sum
         # to a constant
         inverse = FE.euler(FE.neg(FE.leaf("tangent")))
         expr = FE.mul(EULER, inverse, inverse)
-        fast, slow = both_paths(expr, p2(), 0, 1, (1,), False, 0)
+        fast, slow = both_paths(expr, p2(), 0, 1, (1,), 0)
         assert fast[:2] == slow[:2]
         assert fast[0] == (ValueError, "integral not equivariantly constant")
         assert fast[1] == 3 and fast[2] <= slow[2]
@@ -179,7 +175,7 @@ class TestAgainstPerPointPath:
         expr = FE.mul(FE.euler(FE.kdiff(pushO(bc=1), rhom(1, 2, bc=1))),
                       EULER)
         for make, beta in SURFACES:
-            fast, slow = both_paths(expr, make(), 0, 3, beta, True, 0,
+            fast, slow = both_paths(expr, make(), 0, 3, beta, 0,
                                     draws=SMALL_DIRECTIONS + [(101, 37)])
             assert fast[:2] == slow[:2]
             assert fast[0][1]["attempts"] > 1
@@ -194,12 +190,10 @@ class TestAgainstPerPointPath:
                       FE.euler(rhom(1, 2, bc=1)))
         for make, beta in SURFACES:
             S = make()
-            fast, slow = both_paths(expr, S, 0, 3, beta, False, 0,
-                                    draws=draws)
+            fast, slow = both_paths(expr, S, 0, 3, beta, 0, draws=draws)
             assert fast[:2] == slow[:2]
             assert (fast[0][0], fast[0][1]["attempts"], fast[1]) == (0, 1, 0)
-            euler, _ = both_paths(EULER, S, 0, 3, beta, False, 0,
-                                  draws=draws)
+            euler, _ = both_paths(EULER, S, 0, 3, beta, 0, draws=draws)
             assert euler[0][1]["attempts"] > 1
 
     @pytest.mark.parametrize("tree,n1,n2", [
@@ -231,7 +225,7 @@ class TestAgainstPerPointPath:
             with mock.patch.object(H, "_draw_spec",
                                    lambda rng: next(draws)):
                 try:
-                    H.equivariant_integrate(e, ctx, n1, n2, refined=True)
+                    H.equivariant_integrate(e, ctx, n1, n2)
                 except ValueError:
                     pass
             keys = {kind: [set(t) for t in ctx.table(ctx._spec, kind,
@@ -251,7 +245,7 @@ class TestAgainstPerPointPath:
         expr = FE.mul(FE.euler(FE.dual(L)), FE.euler(L))
         values = []
         for n in (1, 2, 3):
-            fast, slow = both_paths(expr, S, 0, n, beta, False, 0)
+            fast, slow = both_paths(expr, S, 0, n, beta, 0)
             assert fast[:2] == slow[:2]
             values.append(fast[0][0])
         # -L.L at n = 1
@@ -275,8 +269,7 @@ class TestRouting:
         with mock.patch.object(H, "_point_contribution",
                                lambda *a: calls.append(1) or point(*a)):
             try:
-                H.equivariant_integrate(expr, p2(), 0, 1, refined=True,
-                                        **kw)
+                H.equivariant_integrate(expr, p2(), 0, 1, **kw)
             except ValueError:
                 pass
         assert calls

@@ -63,6 +63,23 @@ def test_workflow_runs_tier1():
            "test \"$(tr '\\n' ' ' < %s)\" = \"-1/512 1/32 -27/128"
            " # seed 0 \"" % (tmp % "vw0.txt"),
            ""])
+    # a weight-dependent integral exits 3 at --order 0 and prints its
+    # coefficients at --order 2; the expected exit is captured, since
+    # the step's bash runs with -e
+    weighted = "\n".join([
+        "echo '%s' > %s" % (
+            '{"params": {"expr": {"kind": "chern", "params": [1],'
+            ' "children": [{"kind": "leaf", "params": ["pushO"],'
+            ' "attrs": {"tp": 1}}]}}}', tmp % "weighted.json"),
+        "code=0",
+        "nesthilb integrate --surface P2 --formula custom --n 0:1"
+        " --order 0 --job %s > /dev/null || code=$?" % (
+            tmp % "weighted.json"),
+        'test "$code" = 3',
+        "test \"$(nesthilb integrate --surface P2 --formula custom"
+        " --n 0:1 --order 2 --job %s | tr '\\n' ' ')\" = \"0 1 0 0"
+        " # seed 0 \"" % (tmp % "weighted.json"),
+        ""])
     # verify ends with its "# seed" line, after the verdict
     verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
@@ -75,7 +92,7 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, agree, vw,
-                    verify, traced, untraced, tier1_command()]
+                    weighted, verify, traced, untraced, tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]
                          if step.get("run") == run]

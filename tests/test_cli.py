@@ -265,6 +265,19 @@ class TestRun:
         assert outputs[0] == outputs[1] \
             == (EXIT_OK, "-1/512\n1/32\n-27/128\n# seed 0\n")
 
+    def test_weight_dependent_integral_needs_order(self):
+        # c_1 of a line with circle weight integrates to t at n = 0: no
+        # exact rational at --order 0, its coefficients at --order 2
+        tree = {"kind": "chern", "params": [1], "children": [
+            {"kind": "leaf", "params": ["pushO"], "attrs": {"tp": 1}}]}
+        spec = dict(command="integrate", surface="P2", formula="custom",
+                    n=[0, 1], params={"expr": tree})
+        code, text = run(job(order=0, **spec))
+        assert code == EXIT_MATH
+        assert json.loads(text)["error"]["message"] \
+            == "result depends on the auxiliary weight"
+        assert run(job(order=2, **spec)) == (EXIT_OK, "0 1 0\n0\n# seed 0\n")
+
     def test_vw_missing_entry_exits_math(self):
         code, text = run(job(command="vw", surface="P2", beta=[0], n=0))
         assert code == EXIT_MATH

@@ -16,12 +16,12 @@ from nesthilb.expr import (
 )
 from nesthilb.porteous import (
     normalize, eval_formal, FormalEnv, virtual_rank,
-    degeneracy_pushforward_X, degeneracy_pushforward_GrB, comparison_factor,
-    nested_reduced_formula, nested_vir_comparison, ell_step_formula,
-    duality_rewrite,
+    degeneracy_pushforward_X, degeneracy_pushforward_GrB,
+    nested_reduced_formula, ell_step_formula, duality_rewrite,
 )
 from nesthilb.vw import monopole_integrand
-from support import sw_coupled_pushforward
+from support import sw_coupled_pushforward, comparison_factor, \
+    nested_vir_comparison
 
 
 def rank_from_attr(leaf):
