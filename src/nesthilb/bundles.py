@@ -11,7 +11,8 @@ all; it reduces the localization sum to one exact polynomial division.
 from fractions import Fraction
 from itertools import combinations
 
-from .ringcore import Ring, GradedClass, KClass, _class
+from .ringcore import Ring, GradedClass, KClass, _class, _moved, \
+    _generator_indices
 
 
 class SpaceModel:
@@ -58,13 +59,12 @@ def projective_bundle(space, B, name="h"):
         raise ValueError("generator name %r already in use" % name)
 
     base_ring = space.ring
-    rel_poly = {}
-    for i in range(1, b + 1):
-        ci = B.c(i)
-        for mono, coeff in ci.poly.items():
-            key = mono + (b - i,)
-            rel_poly[key] = rel_poly.get(key, Fraction(0)) - coeff
-    rel_poly = {m: c for m, c in rel_poly.items() if c != 0}
+    # sum_{i >= 1} c_i(B) h^(b-i), read off the packed degree-i buckets
+    ch = B.chern
+    unpack, den = base_ring.unpack, ch.den
+    rel_poly = {unpack(m) + (b - i,): -c if den == 1 else Fraction(-c, den)
+                for i, bucket in ch._fit().items() if 0 < i <= b
+                for m, c in bucket.items()}
 
     D_new = None if base_ring.D is None else base_ring.D + (b - 1)
     ring = base_ring.extend([name], degrees=[1], relations={name: (b, rel_poly)})
@@ -95,15 +95,17 @@ def proj_pushforward(space, cls):
     if not isinstance(cls, GradedClass) or cls.ring is not space.ring:
         raise ValueError("class does not live on this level")
     b = space.fiber_rank
-    j = space.h_index
+    ring = space.ring
+    shift, mask = ring.shifts[space.h_index], ring.mask
     out = {}
-    for mono, coeff in cls.poly.items():
-        if mono[j] >= b:
-            raise ValueError("class not in normal form")
-        if mono[j] == b - 1:
-            key = mono[:j] + mono[j + 1:]
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return GradedClass(space.base.ring, out)
+    for d, bucket in cls._fit().items():
+        for m, c in bucket.items():
+            e = (m >> shift) & mask
+            if e >= b:
+                raise ValueError("class not in normal form")
+            if e == b - 1:
+                out.setdefault(d - e, {})[m - (e << shift)] = c
+    return _moved(space.base.ring, ring, ring.width, cls.den, out)
 
 
 def integrate(space, cls):
@@ -112,19 +114,6 @@ def integrate(space, cls):
         cls = proj_pushforward(space, cls)
         space = space.base
     return cls
-
-
-def _as_generator(root):
-    """Index of a class that is a single generator with coefficient 1."""
-    if not isinstance(root, GradedClass) or len(root.poly) != 1:
-        raise ValueError("roots must be single generators")
-    (mono, coeff), = root.poly.items()
-    if coeff != 1 or sum(mono) != 1:
-        raise ValueError("roots must be single generators")
-    j = mono.index(1)
-    if root.ring.degrees[j] != 1:
-        raise ValueError("roots must have degree 1")
-    return j
 
 
 def _divide_linear(nums, sj, si, mask):
@@ -170,31 +159,27 @@ def grassmann_split_pushforward(roots, r, F):
     """
     if not roots:
         raise ValueError("need at least one root")
-    ring = roots[0].ring
+    ring, idx = _generator_indices(roots)
     if ring.D is not None:
         raise ValueError("split pushforward requires an untruncated ring")
-    idx = []
-    for root in roots:
-        if root.ring is not ring:
-            raise ValueError("roots must share a ring")
-        j = _as_generator(root)
-        if j in ring.rels:
-            raise ValueError("roots must be free generators")
-        idx.append(j)
-    if len(set(idx)) != len(idx):
-        raise ValueError("roots must be distinct generators")
+    if any(j in ring.rels for j in idx):
+        raise ValueError("roots must be free generators")
     e = len(roots)
     if not 0 <= r <= e:
         raise ValueError("subspace rank out of range")
 
     numerator = ring.zero()
     for S in combinations(range(e), r):
-        in_S = set(S)
-        inversions = sum(1 for i in S for j in range(e)
-                         if j not in in_S and i > j)
         term = F(*[roots[i] for i in S])
         if not isinstance(term, GradedClass) or term.ring is not ring:
             raise ValueError("F must return classes in the root ring")
+        if r in (0, e):
+            # the one subset: no pair of roots straddles it, so the
+            # denominator is the empty product
+            return term
+        in_S = set(S)
+        inversions = sum(1 for i in S for j in range(e)
+                         if j not in in_S and i > j)
         if inversions % 2:
             term = -term
         for i in range(e):

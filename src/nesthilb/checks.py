@@ -58,10 +58,12 @@ def _gottsche_betti(e, N):
 
 
 def _split_class(ring, names):
-    out = ringcore.KClass(0, ring.one())
-    for name in names:
-        out = out + ringcore.KClass.line(ring.gen(name))
-    return out
+    """The sum of the lines whose first Chern classes are the named
+    generators of the ring."""
+    if not names or ring.D == 0:
+        # no roots, or a ring in which every generator is zero
+        return ringcore.KClass.trivial(ring, len(names))
+    return ringcore.KClass.from_roots([ring.gen(n) for n in names])
 
 
 def porteous_two_routes(r, e0, e1, D=None):
@@ -80,9 +82,11 @@ def porteous_two_routes(r, e0, e1, D=None):
     names = anames + bnames
     degrees = [1] * len(names)
     ring = ringcore.Ring(names, degrees=degrees, D=D)
-    E = _split_class(ring, bnames) - _split_class(ring, anames)
-    det_route, _ = porteous.degeneracy_pushforward_X(e0, e1, r, E.chern,
-                                                     dimX=D)
+    # the determinant reads c_k(E) for k < e1 - e0 + 2r only
+    low = ring.truncated(min(D, e1 - e0 + 2 * r - 1))
+    E = _split_class(low, bnames) - _split_class(low, anames)
+    det_route, _ = porteous.degeneracy_pushforward_X(
+        e0, e1, r, ring.lift(E.chern), dimX=D)
 
     free = ringcore.Ring(names, degrees=degrees)
     aroots = [free.gen(n) for n in anames]
@@ -96,7 +100,7 @@ def porteous_two_routes(r, e0, e1, D=None):
         return acc
 
     push = bundles.grassmann_split_pushforward(aroots, r, top_chern)
-    return det_route, ringcore.GradedClass(ring, dict(push.poly))
+    return det_route, ring.cast(push)
 
 
 def _suite_porteous(emax=3):
@@ -179,7 +183,7 @@ def segre_two_routes(b, k):
     ring = ringcore.Ring(names, degrees=[1] * b, D=k)
     total = _split_class(ring, names).chern
     segre = ringcore.series_invert(total).component(k)
-    return ringcore.GradedClass(ring, dict(push.poly)), segre
+    return ring.cast(push), segre
 
 
 def _suite_segre(bmax=4, extra=3):

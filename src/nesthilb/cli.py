@@ -20,7 +20,7 @@ import os
 import sys
 
 from .expr import FormulaExpr, expr_to_json, expr_from_json, co_class, \
-    rational_str, parse_rational
+    parse_rational
 # lazy modules (see the package docstring), reached through the module
 # at call time, so that a job loads only what its command runs; the
 # alias keeps the module apart from the many locals named surface
@@ -370,20 +370,12 @@ def _handle_verify(job):
     return (EXIT_OK if ok else EXIT_MATH), doc
 
 
-def _term_string(ring, mono):
-    parts = []
-    for name, power in zip(ring.names, mono):
-        if power == 1:
-            parts.append(name)
-        elif power > 1:
-            parts.append("%s^%d" % (name, power))
-    return "*".join(parts) if parts else "1"
-
-
 def _class_terms(cls):
-    return [[_term_string(cls.ring, mono), rational_str(coeff)]
-            for mono, coeff in sorted(cls.poly.items())
-            if coeff != 0]
+    """[monomial, coefficient] string pairs, sorted by exponent tuple."""
+    names, den = cls.ring.names, cls.den
+    return [[ringcore.monomial_str(names, mono) or "1",
+             ringcore.ratio_str(c, den)]
+            for mono, c in sorted((mono, c) for _, mono, c in cls.terms())]
 
 
 def _handle_push(job):

@@ -1202,8 +1202,8 @@ class PointEvaluator:
             total = ring.from_dict({(i, j - i): x
                                     for j, cj in enumerate(chern)
                                     for i, x in enumerate(cj)})
-            det = ringcore.delta_det(a, b, total).poly
-            return _homogeneous(a * b, [int(det.get((i, a * b - i), 0))
+            det = {m: c for _, m, c in ringcore.delta_det(a, b, total).terms()}
+            return _homogeneous(a * b, [det.get((i, a * b - i), 0)
                                         for i in range(a * b + 1)])
         if e.kind == "add":
             out = PointValue.zero()

@@ -19,8 +19,11 @@ one integer addition.  The ring fixes the field width: D.bit_length()
 bits in a truncated ring, since no exponent of a kept monomial exceeds
 D; an untruncated ring widens its fields when a degree needs it, and a
 class packed at an older width is repacked when it is next used.
+Printing, lifting and casting between rings, and the bundle maps of
+`nesthilb.bundles` read these integer buckets over the denominator.
 `GradedClass.poly`, the {exponent tuple: Fraction} dict, is a read-only
-view built on first access.
+view for tests, `GradedClass.coefficient` and hashing, built on first
+access.
 
 Every product, and every sum of products (determinant minors, series
 inversion, twists), goes through one fused kernel, `_dot`: it sums the
@@ -35,12 +38,10 @@ D.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from operator import lshift, mul
 
-from .expr import rational_str
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def binom_general(n, k):
@@ -71,8 +72,27 @@ def binom_general(n, k):
 
 def _exact(c):
     """A rational as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def ratio_str(c, den):
+    """The rational c / den, c an int and den a positive int, as
+    ``expr.rational_str`` writes it: "p/q", or "p" when q = 1.
+
+    >>> ratio_str(-4, 6), ratio_str(6, 3)
+    ('-2/3', '2')
+    """
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else "%d/%d" % (c // g, den // g)
+
+
+def monomial_str(names, mono):
+    """A monomial as "x^2*y" from its exponent tuple; "" for 1."""
+    return "*".join([name if e == 1 else "%s^%d" % (name, e)
+                     for name, e in zip(names, mono) if e])
 
 
 def _integral(den, parts):
@@ -90,6 +110,61 @@ def _class(ring, den, parts):
     x = object.__new__(GradedClass)
     x._set(ring, den, parts)
     return x
+
+
+def _moved(ring, src, width, den, parts):
+    """The class in ``ring`` of packed buckets over den laid out as in
+    ring ``src`` at field width ``width``: each generator moves to the
+    field of its name in ``ring``, and the fields of names ``ring``
+    lacks must be zero.  Buckets above D drop, an untruncated ring
+    first widens to the top degree, and a ring with relations reduces
+    the result."""
+    D = ring.D
+    if D is None:
+        ring._widen(max(parts, default=0))
+    else:
+        parts = {d: b for d, b in parts.items() if d <= D}
+    pairs = [(i, ring.index[n]) for i, n in enumerate(src.names)
+             if n in ring.index]
+    if any(src.degrees[i] != ring.degrees[j] for i, j in pairs):
+        raise ValueError("generator degrees differ between the rings")
+    moves = [(i * width, ring.shifts[j]) for i, j in pairs]
+    if width != ring.width or any(s != t for s, t in moves):
+        mask = (1 << width) - 1
+        parts = {d: {sum([((m >> s) & mask) << t for s, t in moves]): c
+                     for m, c in b.items()}
+                 for d, b in parts.items()}
+    if ring.rels:
+        den, parts = ring._reduce(den, parts)
+    return _class(ring, den, parts)
+
+
+def _generator_indices(roots):
+    """The common ring of the roots and the generator index of each.
+    Every root must be one degree-1 generator with coefficient 1 and
+    no two alike; anything else raises ValueError."""
+    ring = getattr(roots[0], "ring", None)
+    idx = []
+    for root in roots:
+        terms = [(d, m, c) for d, b in root._fit().items()
+                 for m, c in b.items()] \
+            if isinstance(root, GradedClass) else ()
+        if len(terms) != 1 or root.den != 1:
+            raise ValueError("roots must be single generators")
+        if root.ring is not ring:
+            raise ValueError("roots must share a ring")
+        (d, m, c), = terms
+        # a generator is one field holding 1: a power of two whose bit
+        # starts a field
+        j, rest = divmod(m.bit_length() - 1, ring.width)
+        if c != 1 or m <= 0 or m & (m - 1) or rest:
+            raise ValueError("roots must be single generators")
+        if d != 1:
+            raise ValueError("roots must have degree 1")
+        idx.append(j)
+    if len(set(idx)) != len(idx):
+        raise ValueError("roots must be distinct generators")
+    return ring, idx
 
 
 def _sum(ring, terms):
@@ -242,8 +317,14 @@ class Ring:
 
     def gen(self, name):
         i = self.index[name]
-        mono = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return GradedClass(self, {mono: ONE})
+        d = self.degrees[i]
+        if self.D is not None and d > self.D:
+            return self.zero()
+        self._widen(d)
+        den, parts = 1, {d: {1 << self.shifts[i]: 1}}
+        if self.rels:
+            den, parts = self._reduce(den, parts)
+        return _class(self, den, parts)
 
     def gens(self):
         return [self.gen(n) for n in self.names]
@@ -274,17 +355,14 @@ class Ring:
 
     def lift(self, x):
         """Map a class from a ring whose generators are a prefix of (or are
-        contained, by name, in) this ring's generators."""
-        src = x.ring
-        pos = [self.index[n] for n in src.names]
-        n = len(self.names)
-        poly = {}
-        for m, c in x.poly.items():
-            mono = [0] * n
-            for p, e in zip(pos, m):
-                mono[p] = e
-            poly[tuple(mono)] = c
-        return GradedClass(self, poly)
+        contained, by name, in) this ring's generators, of the same
+        degrees.  The packed monomials are repacked field by field;
+        terms above this ring's bound D drop and its relations apply."""
+        missing = [n for n in x.ring.names if n not in self.index]
+        if missing:
+            raise ValueError("generators %s are not in the ring"
+                             % ", ".join(missing))
+        return _moved(self, x.ring, x.width, x.den, x.parts)
 
     def cast(self, x):
         """Re-interpret a class from another ring with identical generator
@@ -382,7 +460,9 @@ class GradedClass:
     docstring): ``den`` and ``parts``, a dict {degree: {packed monomial:
     int numerator}}, with ``width`` the field width it was packed at;
     every stored monomial has degree at most the ring's bound D.
-    ``poly`` is the {exponent tuple: Fraction} view, built once.
+    ``poly`` is the {exponent tuple: Fraction} view, built once, for
+    tests and ``coefficient``; ``terms`` lists the packed form by
+    exponent tuple.
     """
 
     __slots__ = ("ring", "den", "parts", "width", "_poly")
@@ -394,7 +474,7 @@ class GradedClass:
         ring._widen(max([d for d, _, _ in terms], default=0))
         parts = {}
         for d, m, c in terms:
-            parts.setdefault(d, {})[ring.pack(m)] = Fraction(c)
+            parts.setdefault(d, {})[ring.pack(m)] = _exact(c)
         den, parts = _integral(1, parts)
         if ring.rels:
             den, parts = ring._reduce(den, parts)
@@ -523,30 +603,28 @@ class GradedClass:
     def coefficient(self, mono):
         return self.poly.get(tuple(mono), ZERO)
 
+    def terms(self):
+        """The (degree, exponent tuple, numerator) triples of the class,
+        sorted by degree, then exponent tuple; each coefficient is the
+        numerator over ``den``."""
+        unpack = self.ring.unpack
+        return [(d, mono, c) for d, b in sorted(self._fit().items())
+                for mono, c in sorted([(unpack(m), c) for m, c in b.items()])]
+
     def __repr__(self):
-        if not self.poly:
-            return "0"
-        ring = self.ring
-        terms = []
-        for m in sorted(self.poly, key=lambda m: (ring.mdeg(m), m)):
-            c = self.poly[m]
-            factors = []
-            for name, e in zip(ring.names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            body = "*".join(factors)
+        names, den = self.ring.names, self.den
+        out = []
+        for _, mono, c in self.terms():
+            body, coef = monomial_str(names, mono), ratio_str(c, den)
             if not body:
-                terms.append(rational_str(c))
-            elif c == 1:
-                terms.append(body)
-            elif c == -1:
-                terms.append("-" + body)
+                out.append(coef)
+            elif coef == "1":
+                out.append(body)
+            elif coef == "-1":
+                out.append("-" + body)
             else:
-                terms.append(rational_str(c) + "*" + body)
-        s = " + ".join(terms)
-        return s.replace("+ -", "- ")
+                out.append(coef + "*" + body)
+        return " + ".join(out).replace("+ -", "- ") if out else "0"
 
 
 def series_invert(c):
@@ -626,7 +704,10 @@ def delta_det(a, b, c):
         return ring.one()
     parts = c.components()
     zero = ring.zero()
-    rows = [[parts.get(b + j - i, zero) for j in range(a)] for i in range(a)]
+    # _det expands along the first row; that of the transpose
+    # (c_{b+i-j}), c_b .. c_{b-a+1}, holds the lowest indices and so the
+    # fewest terms
+    rows = [[parts.get(b + i - j, zero) for j in range(a)] for i in range(a)]
     return _det(rows)
 
 
@@ -662,14 +743,33 @@ class KClass:
 
     @classmethod
     def from_roots(cls, roots):
-        """Sum of line bundles with the given degree-1 Chern roots."""
+        """Sum of the line bundles whose first Chern classes are the
+        given roots.
+
+        Each root must be a degree-1 generator of one common ring, with
+        coefficient 1, and no generator may repeat: a multiple, a
+        negative, a sum or a repeated generator raises ValueError.  The
+        total Chern class prod_i (1 + x_i) is then written directly as
+        the sum of the elementary symmetric polynomials e_k of the
+        roots, up to the ring's bound D: one packed monomial, one
+        ``sum`` of the roots' fields, per subset.
+
+        >>> R = Ring(["x", "y", "z"], D=2)
+        >>> KClass.from_roots(R.gens())
+        KClass(rank=3, c=1 + z + y + x + y*z + x*z + x*y)
+        """
         if not roots:
             raise ValueError("need at least one root (use trivial instead)")
-        ring = roots[0].ring
-        c = ring.one()
-        for r in roots:
-            c = c * (ring.one() + r)
-        return cls(len(roots), c)
+        ring, idx = _generator_indices(roots)
+        top = len(idx) if ring.D is None else min(len(idx), ring.D)
+        ring._widen(top)
+        # a root in normal form has no relation of power 1, so a
+        # product of distinct roots, every exponent 0 or 1, is in
+        # normal form too
+        fields = [1 << ring.shifts[j] for j in idx]
+        return cls(len(idx), _class(ring, 1, {
+            k: dict.fromkeys(map(sum, combinations(fields, k)), 1)
+            for k in range(top + 1)}))
 
     def __add__(self, other):
         return KClass(self.rank + other.rank, self.chern * other.chern)

@@ -167,9 +167,10 @@ def point_contribution(surface, beta, n, seed=0, point_table=None,
     about: they depend on the surface only through c1^2, c2, beta^2
     and c1.beta.
 
-    The value is a RatFunc, c t^vd(beta) for a rational c (see the
-    module docstring); the terms are as the integrals or the table give
-    them.
+    The value is c t^vd(beta) for a rational c (see the module
+    docstring): a Fraction when every splitting term is one, and a
+    RatFunc only when a term depends on t.  The terms are as the
+    integrals or the table give them.
 
     The splittings share one LocalizationContext of the surface and
     class: ``context`` when the caller passes the job's, else a new
@@ -178,7 +179,6 @@ def point_contribution(surface, beta, n, seed=0, point_table=None,
     """
     key = tuple(surface.cls(beta))
     terms = {}
-    total = RatFunc(())
     for n1 in range(n + 1):
         n2 = n - n1
         if point_table is not None \
@@ -194,7 +194,11 @@ def point_contribution(surface, beta, n, seed=0, point_table=None,
             raise ValueError("point contributions need a toric surface"
                              " or a supplied table")
         terms[(n1, n2)] = term
-        total = total + _as_ratfunc(term)
+    total = sum((x for x in terms.values() if not isinstance(x, RatFunc)),
+                Fraction(0))
+    weighted = [x for x in terms.values() if isinstance(x, RatFunc)]
+    if weighted:
+        total = sum(weighted, RatFunc.const(total))
     meta = {"surface": surface.name, "seed": seed, "kind": "point"}
     return MonopoleResult(key, n, total, terms, meta)
 
@@ -230,7 +234,10 @@ def monopole_contribution(surface, sw, beta, n, seed=0, window=None,
         return MonopoleResult(key, n, Fraction(0), {}, meta)
     point = point_contribution(surface, key, n, seed=seed,
                                point_table=point_table, context=context)
-    value = (point.value * weight).as_fraction()
+    value = point.value * weight
+    if isinstance(value, RatFunc):
+        # a table may supply weighted terms; only a constant total passes
+        value = value.as_fraction()
     return MonopoleResult(key, n, value, point.terms, meta)
 
 

@@ -1,17 +1,22 @@
 """Builders and small combinatorics that only the tests use: the
 Seiberg-Witten coupled pushforward trees of each geometric case, the
-section-bundle route to the virtual class, the comparison factors
+section-bundle route to the virtual class, the flag-tower route of a
+Grassmann pushforward, the comparison factors
 between virtual cycles, the model of a point, partitions inside a
-partition, staircase generators, per-chart line weights and the
-non-equivariant limit of an integral."""
+partition, staircase generators, per-chart line weights, the
+non-equivariant limit of an integral, and references for the packed
+ring paths read through the {exponent tuple: Fraction} view
+``GradedClass.poly``: printing, lifting, the projective-bundle relation
+and pushforward, and the cofactor determinant."""
 
 from fractions import Fraction
 
-from nesthilb.bundles import SpaceModel
+from nesthilb.bundles import SpaceModel, free_model, projective_bundle, \
+    proj_pushforward, grassmann_split_pushforward
 from nesthilb.expr import FormulaExpr, ZERO_CLASS, rhom, pushO, \
     sw_factor, pic_point, co_class
 from nesthilb.hilbloc import RatFunc
-from nesthilb.ringcore import Ring
+from nesthilb.ringcore import Ring, GradedClass, KClass
 from nesthilb.porteous import normalize, nested_reduced_formula
 from nesthilb.surface import ToricSurface, vd_beta
 
@@ -143,6 +148,24 @@ def nonequivariant_limit(x):
     raise TypeError("expected a localized integral value")
 
 
+def flag_tower_routes(e, F):
+    """F(x, y) pushed off Gr(2, B), B of rank e, two ways: the split
+    formula, and the flag bundle P(Q_1) -> P(B) -> point with the
+    integrand F(-h1, -h2) h1 pushed one level at a time (the extra h1
+    accounts for the fibre P^1 of the flag over the Grassmannian).
+    Returns (split route, tower route) in the base ring."""
+    names = ["b%d" % i for i in range(e)]
+    split = grassmann_split_pushforward(Ring(names).gens(), 2, F)
+    base = free_model(names, D=12)
+    P1 = projective_bundle(base, KClass.from_roots(base.ring.gens()),
+                           name="h1")
+    P2 = projective_bundle(P1, P1.taut["Q"], name="h2")
+    h1 = P2.ring.lift(P1.taut["h"])
+    h2 = P2.taut["h"]
+    tower = proj_pushforward(P1, proj_pushforward(P2, F(-h1, -h2) * h1))
+    return base.ring.cast(split), tower
+
+
 def point_base(D=None):
     """The model of a point: empty ring, dimension zero."""
     return SpaceModel(Ring([], D=D), 0)
@@ -176,3 +199,85 @@ def nested_vir_comparison(n1, n2, beta=None):
     """
     body = FormulaExpr.chern(n1 + n2, co_class(bc=1, o1=1))
     return FormulaExpr.cap(FormulaExpr.leaf("svir"), body)
+
+
+# -- references for the packed ring paths, through the Fraction view ----
+
+
+def poly_repr(x):
+    """The text of a class: its terms sorted by degree, then exponent
+    tuple, each "c*x^2*y" with c dropped when it is 1 and written "-"
+    when it is -1."""
+    if not x.poly:
+        return "0"
+    ring = x.ring
+    terms = []
+    for m in sorted(x.poly, key=lambda m: (ring.mdeg(m), m)):
+        c = x.poly[m]
+        body = "*".join(name if e == 1 else "%s^%d" % (name, e)
+                        for name, e in zip(ring.names, m) if e)
+        coef = str(c.numerator) if c.denominator == 1 else \
+            "%d/%d" % (c.numerator, c.denominator)
+        if not body:
+            terms.append(coef)
+        elif c == 1:
+            terms.append(body)
+        elif c == -1:
+            terms.append("-" + body)
+        else:
+            terms.append(coef + "*" + body)
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def poly_lift(ring, x):
+    """x in ``ring``, each generator moved to the position of its name
+    and the dict reduced by the ring's constructor."""
+    pos = [ring.index[n] for n in x.ring.names]
+    poly = {}
+    for m, c in x.poly.items():
+        mono = [0] * len(ring.names)
+        for p, e in zip(pos, m):
+            mono[p] = e
+        poly[tuple(mono)] = c
+    return GradedClass(ring, poly)
+
+
+def poly_bundle_relation(B, b):
+    """The relation h^b = -sum_{i >= 1} c_i(B) h^(b-i) of P(B), as
+    {exponent tuple with h last: Fraction}."""
+    rel = {}
+    for i in range(1, b + 1):
+        for mono, coeff in B.c(i).poly.items():
+            key = mono + (b - i,)
+            rel[key] = rel.get(key, Fraction(0)) - coeff
+    return {m: c for m, c in rel.items() if c}
+
+
+def poly_proj_pushforward(space, cls):
+    """The coefficient of h^(b-1), h the level's generator, as a class
+    on the base."""
+    b, j = space.fiber_rank, space.h_index
+    out = {}
+    for mono, coeff in cls.poly.items():
+        assert mono[j] < b, "class not in normal form"
+        if mono[j] == b - 1:
+            key = mono[:j] + mono[j + 1:]
+            out[key] = out.get(key, Fraction(0)) + coeff
+    return GradedClass(space.base.ring, out)
+
+
+def cofactor_det(rows):
+    """Reference determinant: cofactor expansion along the first column
+    (a! terms)."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = rows[0][0].ring.zero()
+    for i in range(n):
+        entry = rows[i][0]
+        if entry.is_zero():
+            continue
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = entry * cofactor_det(minor)
+        acc = acc + term if i % 2 == 0 else acc - term
+    return acc

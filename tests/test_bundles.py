@@ -6,7 +6,7 @@ from nesthilb.ringcore import Ring, KClass, series_invert
 from nesthilb.bundles import (SpaceModel, free_model, projective_bundle,
                               proj_pushforward, integrate,
                               grassmann_split_pushforward)
-from support import point_base
+from support import flag_tower_routes, point_base
 
 
 def projective_space(n):
@@ -131,44 +131,17 @@ class TestSplitPushforward:
 
     def test_rank_two_against_flag_tower(self):
         # push F(x1, x2) off Gr(2, B) two ways: the split formula, and
-        # the flag bundle P(Q_1) -> P(B) -> point with an explicit
-        # integrand.  For the tower route use F(-h1, -h2) h1 pushed one
-        # level at a time; the extra h1 accounts for the fibre P^1 of
-        # the flag over the Grassmannian.
-        e = 4
-        R, bs = self.roots(e)
-
+        # the flag bundle P(Q_1) -> P(B) -> point
         def F(x, y):
             return (x + y) ** 2 * x * y + x**3 * y**3
 
-        split = grassmann_split_pushforward(bs, 2, F)
-
-        base = free_model(["b%d" % i for i in range(e)], D=12)
-        B = KClass.from_roots(base.ring.gens())
-        P1 = projective_bundle(base, B, name="h1")
-        Q1 = P1.taut["Q"]
-        P2 = projective_bundle(P1, Q1, name="h2")
-        h1 = P2.ring.lift(P1.taut["h"])
-        h2 = P2.taut["h"]
-        integrand = F(-h1, -h2) * h1
-        tower = proj_pushforward(P1, proj_pushforward(P2, integrand))
-        assert base.ring.cast(split) == tower
+        split, tower = flag_tower_routes(4, F)
+        assert split == tower
 
     def test_rank_two_symmetric_powers(self):
         # same comparison on power sums over a rank-3 bundle
-        e = 3
-        R, bs = self.roots(e)
-
         def F(x, y):
             return x**2 * y**2 * (x**2 + y**2)
 
-        split = grassmann_split_pushforward(bs, 2, F)
-
-        base = free_model(["b%d" % i for i in range(e)], D=12)
-        B = KClass.from_roots(base.ring.gens())
-        P1 = projective_bundle(base, B, name="h1")
-        P2 = projective_bundle(P1, P1.taut["Q"], name="h2")
-        h1 = P2.ring.lift(P1.taut["h"])
-        h2 = P2.taut["h"]
-        tower = proj_pushforward(P1, proj_pushforward(P2, F(-h1, -h2) * h1))
-        assert base.ring.cast(split) == tower
+        split, tower = flag_tower_routes(3, F)
+        assert split == tower

@@ -1,6 +1,7 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, on
 every supported interpreter, after installing the test extra, running
-the installed console script and, on one interpreter, the benchmark
+the installed console script (one of its outputs checked against the
+benchmark's recorded digest) and, on one interpreter, the benchmark
 traced and untraced, with a time limit."""
 
 import re
@@ -83,6 +84,15 @@ def test_workflow_runs_tier1():
     # verify ends with its "# seed" line, after the verdict
     verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
+    # the push output, without its "# seed" line, hashes to the digest
+    # the benchmark records for the same job, read from its file
+    push = "\n".join([
+        "digest=\"$(python3 -c 'import json; print(json.load(open("
+        "\"perfbench/expected.json\"))[\"push-3-3-5\"])')\"",
+        "test \"$(nesthilb push --formula porteous:3,3,5"
+        " | grep -v '^# seed' | sha256sum | cut -d ' ' -f 1)\""
+        " = \"$digest\"",
+        ""])
     # the benchmark checks every workload's outputs, on one interpreter
     # only; it prints one result line per workload.  It runs traced and
     # untraced: the tracer loads every lazy module, so only the
@@ -92,7 +102,8 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, agree, vw,
-                    weighted, verify, traced, untraced, tier1_command()]
+                    weighted, verify, push, traced, untraced,
+                    tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]
                          if step.get("run") == run]

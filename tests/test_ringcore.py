@@ -9,8 +9,11 @@ from nesthilb.ringcore import (Ring, GradedClass, KClass, series_invert,
                                delta_det, k_twist, k_dual, binom_general,
                                _det)
 from nesthilb.expr import rational_str, parse_rational
-from nesthilb.bundles import (free_model, projective_bundle,
-                              grassmann_split_pushforward)
+from nesthilb.bundles import (SpaceModel, free_model, projective_bundle,
+                              proj_pushforward, grassmann_split_pushforward)
+
+from support import (cofactor_det, poly_repr, poly_lift,
+                     poly_bundle_relation, poly_proj_pushforward)
 
 
 def ring3(D=6):
@@ -93,23 +96,6 @@ class TestDeltaDet:
         rows = [[c1, c2], [R.one(), x]]
         swapped = [rows[1], rows[0]]
         assert _det(rows) == -_det(swapped)
-
-
-def cofactor_det(rows):
-    """Reference determinant: cofactor expansion along the first column
-    (a! terms)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = rows[0][0].ring.zero()
-    for i in range(n):
-        entry = rows[i][0]
-        if entry.is_zero():
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = entry * cofactor_det(minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
 
 
 class TestLaplaceDet:
@@ -234,6 +220,33 @@ class TestKClassArithmetic:
         assert E.rank == 2
         assert E.c(1) == R.gen("x") + R.gen("y")
         assert E.c(2) == R.gen("x") * R.gen("y")
+        # against prod (1 + x_i) for 1 to 6 generators, taken in reverse
+        # order beside a generator of degree 2, truncated and not
+        names = ["x%d" % i for i in range(6)]
+        for D in (None, 1, 3, 8):
+            R = Ring(names + ["c"], degrees=[1] * 6 + [2], D=D)
+            for k in range(1, 7):
+                roots = R.gens()[:k][::-1]
+                product = R.one()
+                for x in roots:
+                    product = product * (1 + x)
+                E = KClass.from_roots(roots)
+                assert E.rank == k and E.chern == product
+
+    def test_from_roots_rejects_non_generators(self):
+        R = Ring(["h", "x", "y", "c"], degrees=[1, 1, 1, 2], D=4)
+        h, x, y, c = R.gens()
+        for roots, message in (([-h], "single generators"),
+                               ([2 * x], "single generators"),
+                               ([x + y], "single generators"),
+                               ([Fraction(1, 2) * x], "single generators"),
+                               ([R.one()], "single generators"),
+                               ([c], "degree 1"),
+                               ([x, y, x], "distinct generators"),
+                               ([x, Ring(["y"], D=4).gen("y")],
+                                "share a ring")):
+            with pytest.raises(ValueError, match=message):
+                KClass.from_roots(roots)
 
 
 class TestNormalForm:
@@ -705,3 +718,91 @@ def test_binom_general_negative():
     assert binom_general(4, 2) == 6
     assert binom_general(3, 0) == 1
     assert binom_general(2, 5) == 0
+
+
+# -- the packed paths against references read through the Fraction view
+# -- (tests/support.py) ------------------------------------------------
+
+
+def lift_target(D, relation):
+    """The generators x, y, c2 of a source ring in another order, with
+    an extra generator z; with ``relation``, x^2 = x y / 2 - 3 c2 / 4."""
+    rels = None
+    if relation:
+        rels = {"x": (2, {(0, 0, 1, 1): Fraction(1, 2),
+                          (1, 0, 0, 0): Fraction(-3, 4)})}
+    return Ring(["c2", "z", "y", "x"], degrees=[2, 1, 1, 1], D=D,
+                relations=rels)
+
+
+class TestPackedAgainstFractionView:
+    @settings(max_examples=60, deadline=None)
+    @given(ring_and_polys(), st.booleans())
+    def test_repr(self, data, widen):
+        ring, p, q = data
+        a = GradedClass(ring, p)
+        prod = a * GradedClass(ring, q)
+        if widen and ring.D is None:
+            # the classes were packed before the ring widened
+            ring.gen(ring.names[-1]) ** 40
+        for x in (a, prod, -a, a * Fraction(3, 2)):
+            assert repr(x) == poly_repr(x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_lift_and_cast(self, data):
+        src = Ring(["x", "y", "c2"], degrees=[1, 1, 2],
+                   D=data.draw(st.sampled_from([None, 3, 5])))
+        x = GradedClass(src, data.draw(raw_poly(src)))
+        D = data.draw(st.sampled_from([None, 2, 4, 6]))
+        targets = [lift_target(D, data.draw(st.booleans())),
+                   Ring(["x", "y", "c2"], degrees=[1, 1, 2], D=D)]
+        if src.D is None and data.draw(st.booleans()):
+            src.gen("y") ** 40
+        for ring in targets:
+            if D is None and data.draw(st.booleans()):
+                ring.gen("y") ** 40
+            up = ring.lift(x)
+            ref = poly_lift(ring, x)
+            assert up == ref and up.poly == ref.poly
+            assert ring.cast(x) == ref
+            assert_packed(up)
+
+    def test_lift_needs_every_generator_and_degree(self):
+        x = Ring(["x", "w"]).gen("x")
+        with pytest.raises(ValueError, match="w are not in the ring"):
+            Ring(["x", "y"]).lift(x)
+        with pytest.raises(ValueError, match="degrees differ"):
+            Ring(["x", "w"], degrees=[2, 1]).lift(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_projective_bundle_and_pushforward(self, data):
+        # a bundle level needs a truncated base, for its quotient class
+        kind = data.draw(st.sampled_from(
+            ["free-D5", "fractional-relation-D6", "tower-D2", "tower-D4"]))
+        base = SpaceModel(RINGS[kind](), 3)
+        b = data.draw(st.integers(1, 3))
+        B = KClass(b, unit_class(base.ring, data.draw(raw_poly(base.ring))))
+        P = projective_bundle(base, B, name="g")
+        assert P.ring.rels[P.h_index] == (b, poly_bundle_relation(B, b))
+        assert P.taut["B"].chern == poly_lift(P.ring, B.chern)
+        g = P.taut["h"]
+        cls = GradedClass(P.ring, data.draw(raw_poly(P.ring)))
+        for x in (cls, cls * g ** data.draw(st.integers(0, 3))):
+            push = proj_pushforward(P, x)
+            ref = poly_proj_pushforward(P, x)
+            assert push == ref and push.poly == ref.poly
+            assert_packed(push)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ring_and_polys(), st.integers(0, 4), st.integers(-1, 3))
+    def test_delta_det_against_cofactor(self, data, a, b):
+        ring, raw, _ = data
+        c = unit_class(ring, raw)
+        parts = c.components()
+        rows = [[parts.get(b + j - i, ring.zero()) for j in range(a)]
+                for i in range(a)]
+        det = delta_det(a, b, c)
+        assert det == (cofactor_det(rows) if a else ring.one())
+        assert_packed(det)

@@ -166,11 +166,14 @@ class TestNestedLocus:
 class TestPointContribution:
     def test_matched_surfaces_agree(self):
         A, B = p1xp1(), f2()
-        for (a, b), n in (((1, 1), 0), ((1, 1), 1), ((2, 1), 0)):
+        for (a, b), n in (((1, 1), 0), ((1, 1), 1), ((2, 1), 0),
+                          ((0, 0), 1)):
             va = point_contribution(A, (a, b), n, seed=1).value
             vb = point_contribution(B, (a + b, a), n, seed=2).value
             assert va == vb
-            assert isinstance(va, RatFunc)
+            # the value is c t^vd(beta): a Fraction exactly at vd = 0
+            vd = vd_beta(A, A.cls((a, b)))
+            assert isinstance(va, Fraction if vd == 0 else RatFunc)
 
     def test_terms_cover_splittings(self):
         r = point_contribution(p2(), (0,), 2)
@@ -186,15 +189,28 @@ class TestPointContribution:
         key = (Fraction(1),)
         table = {(key, 0, 1): Fraction(5), (key, 1, 0): Fraction(7)}
         r = point_contribution(G, (1,), 1, point_table=table)
-        assert r.value == RatFunc.const(12)
+        assert r.value == 12 and isinstance(r.value, Fraction)
+
+    def test_weighted_table_term_gives_ratfunc(self):
+        # a term that depends on t makes the total a RatFunc, which
+        # monopole_contribution refuses
+        G = general_type_profile(1)
+        key = (Fraction(1),)
+        table = {(key, 0, 1): Fraction(5),
+                 (key, 1, 0): RatFunc({0: 7, 1: 2})}
+        r = point_contribution(G, (1,), 1, point_table=table)
+        assert r.value == RatFunc({0: 12, 1: 2})
+        sw = SWTable(G, {key: (1, ())})
+        with pytest.raises(ValueError, match="auxiliary weight"):
+            monopole_contribution(G, sw, (1,), 1, point_table=table)
 
     def test_points_only_values(self):
         S = p2()
         values = {0: Fraction(1, 1024), 1: Fraction(-9, 512),
                   2: Fraction(69, 512)}
         for n, expected in values.items():
-            assert point_contribution(S, (0,), n).value \
-                == RatFunc.const(expected)
+            value = point_contribution(S, (0,), n).value
+            assert value == expected and isinstance(value, Fraction)
 
     def test_seed_independent(self):
         S = p2()
