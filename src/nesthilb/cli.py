@@ -2,9 +2,14 @@
 
 A job is a single JSON object (a command plus its inputs), optionally
 layered under command-line flag overrides; flags win.  No environment
-variables are consulted.  Output is a deterministic function of the
-job and its seed, every number is emitted in loss-free p/q form, and
-failures exit with a machine-readable error document:
+variables are consulted.  ``parse_command_line`` reads the command
+line in one pass over ``FLAGS``, as argparse would (``--name value`` or
+``--name=value``, unique prefixes, the last repeat winning, the command
+anywhere), except that a value may start with "-" unless it is a flag;
+so a job loads no argparse, and csv only for CSV output.  Output is a
+deterministic function of the job and its seed, every number is emitted
+in loss-free p/q form, and failures exit with a machine-readable error
+document:
 
     0  success
     2  malformed job (schema)
@@ -12,11 +17,10 @@ failures exit with a machine-readable error document:
     4  universality failure (nonzero residual or bad design)
 """
 
-import argparse
-import csv
 import io
 import json
 import os
+import re
 import sys
 
 from .expr import FormulaExpr, expr_to_json, expr_from_json, co_class, \
@@ -469,6 +473,8 @@ def _render_json(job, doc):
 
 
 def _csv_text(columns, rows):
+    # only a --format csv job loads csv
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows([columns] + rows)
@@ -551,30 +557,99 @@ def run(job):
 # argument handling
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises SchemaError where argparse would print its usage and exit
-    2, so a malformed command line also gets the JSON error document."""
+# the options of the command line, in argparse's order for its
+# ambiguity message: --help, --job, then the job fields
+OPTIONS = ("help", "job") + FLAGS
 
-    def error(self, message):
-        raise SchemaError("command line: %s" % message)
+USAGE = """usage: nesthilb [-h] [--job FILE] [--FIELD VALUE ...] command
+
+Run one batch job and print its result.
+
+  command      %s
+  --job FILE   a JSON job file; a --FIELD flag overrides its field
+  FIELD        %s
+  -h, --help   print this text
+
+Write --FIELD VALUE or --FIELD=VALUE.  A unique prefix names its flag,
+the last of a repeated flag wins, and a value may start with -.
+""" % (" | ".join(COMMANDS), ", ".join(FLAGS))
 
 
-def build_parser():
-    parser = _Parser(
-        prog="nesthilb",
-        description="batch runner for intersection-theory jobs")
-    parser.add_argument("command")
-    parser.add_argument("--job", help="JSON job file; flags override it")
-    for name in FLAGS:
-        parser.add_argument("--" + name)
-    return parser
+def _option(token):
+    """(name, value) of an option token: a name of OPTIONS, and the
+    value written after its "=" (None when there is none); (None, None)
+    for any other token.  A unique prefix of a name names it."""
+    if token == "-h":
+        return "help", None
+    if not token.startswith("--") or token == "--":
+        return None, None
+    name, eq, value = token[2:].partition("=")
+    if name not in OPTIONS:
+        matches = [full for full in OPTIONS if full.startswith(name)]
+        if len(matches) > 1:
+            raise SchemaError("command line: ambiguous option: %s could"
+                              " match %s" % (token, ", ".join(
+                                  "--" + full for full in matches)))
+        if not matches:
+            return None, None
+        name = matches[0]
+    if name == "help" and eq:
+        raise SchemaError("command line: argument -h/--help: ignored"
+                          " explicit argument %r" % value)
+    return name, (value if eq else None)
+
+
+def parse_command_line(argv):
+    """The fields of a command line, read in one pass over ``argv``: a
+    dict of the command and of each option given, by name, or None
+    for -h/--help.  An option takes the next token as its value unless
+    that token is an option itself or "--", after which every token is
+    positional.  Raises SchemaError, in argparse's words, for a line
+    with no command, an option without its value, an ambiguous prefix
+    or tokens left over."""
+    args, extras = {}, []
+    tokens = iter(argv)
+    options = True
+    for token in tokens:
+        name = None
+        if options:
+            if token == "--":
+                options = False
+                continue
+            name, value = _option(token)
+        if name == "help":
+            return None
+        if name is not None:
+            if value is None:
+                value = next(tokens, None)
+                if value in (None, "--") or _option(value)[0] is not None:
+                    raise SchemaError("command line: argument --%s:"
+                                      " expected one argument" % name)
+            args[name] = value
+        else:
+            # argparse reads "-" and negative numbers as positionals,
+            # any other token that starts with "-" as an unknown option
+            unknown = options and token.startswith("-") and token != "-" \
+                and not re.match(r"-\d+$|-\d*\.\d+$", token)
+            if unknown or "command" in args:
+                extras.append(token)
+            else:
+                args["command"] = token
+    if "command" not in args:
+        raise SchemaError("command line: the following arguments are"
+                          " required: command")
+    if extras:
+        raise SchemaError("command line: unrecognized arguments: %s"
+                          % " ".join(extras))
+    return args
 
 
 def _merge_job(args):
     doc = {}
-    if args.job is not None:
+    path = args.pop("job", None)
+    if path is not None:
         try:
-            with open(args.job) as fh:
+            with open(path) as fh:
                 doc = json.load(fh)
         except OSError as err:
             raise SchemaError("cannot read job file: %s" % err)
@@ -584,20 +659,17 @@ def _merge_job(args):
             raise SchemaError("job file nests too deeply")
         if not isinstance(doc, dict):
             raise SchemaError("job file must hold a JSON object")
-    for name in FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            doc[name] = value
-    doc["command"] = args.command
+    doc.update(args)
     return doc
 
 
 def main(argv=None):
     try:
-        job = JobSpec(_merge_job(build_parser().parse_args(argv)))
-    except SystemExit as err:
-        # --help, after printing the usage
-        return EXIT_SCHEMA if err.code else EXIT_OK
+        args = parse_command_line(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(USAGE)
+            return EXIT_OK
+        job = JobSpec(_merge_job(args))
     except SchemaError as err:
         sys.stdout.write(_render_error(EXIT_SCHEMA, str(err)))
         return EXIT_SCHEMA

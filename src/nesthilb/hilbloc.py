@@ -849,6 +849,7 @@ class LocalizationContext:
         self._leaves = {}
         self._spec = None
         self._maps = {}
+        self._st_ring = None
         self.chart_levels = []
         self.visited = 0
 
@@ -862,6 +863,20 @@ class LocalizationContext:
                                       or S.cls(given) != S.cls(own)):
                 raise ValueError("%s %r conflicts with the localization"
                                  " context's %r" % (name, given, own))
+
+    def st_class(self, chern):
+        """The class sum_j sum_i chern[j][i] s^i t^(j - i), integer
+        coefficients as ``chern_value`` lists them, in the ring Q[s, t]
+        that the context builds on first use: a delta node expands its
+        determinant there."""
+        ring = self._st_ring
+        if ring is None:
+            ring = self._st_ring = ringcore.Ring(["s", "t"])
+        ring._widen(len(chern) - 1)
+        pack = ring.pack
+        return ringcore._class(ring, 1, {
+            j: {pack((i, j - i)): x for i, x in enumerate(cj)}
+            for j, cj in enumerate(chern)})
 
     def piece(self, build, *args):
         """``build(*args)``, built once per context."""
@@ -1196,12 +1211,9 @@ class PointEvaluator:
             return PointValue([(0, [1], exps, 1)])
         if e.kind == "delta":
             a, b = e.params
-            ring = ringcore.Ring(["s", "t"])
             chern = chern_value(self.weights(e.children[0]),
                                 max(a + b - 1, 0))
-            total = ring.from_dict({(i, j - i): x
-                                    for j, cj in enumerate(chern)
-                                    for i, x in enumerate(cj)})
+            total = self.ctx.st_class(chern)
             det = {m: c for _, m, c in ringcore.delta_det(a, b, total).terms()}
             return _homogeneous(a * b, [det.get((i, a * b - i), 0)
                                         for i in range(a * b + 1)])

@@ -31,14 +31,30 @@ def test_workflow_runs_tier1():
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # the [project.scripts] entry point is what users run; no test
     # imports it.  One step localizes an n range in one shared context,
-    # one compares the chart-factor and per-point paths, one runs every
+    # one reads malformed and abbreviated command lines, one compares
+    # the chart-factor and per-point paths, one runs every
     # verify suite: the formal rings, the Euler integrals of the
     # chart-factor path and the Betti counts.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
+    # the command line: --help exits 0 and prints the usage, a flag
+    # without its value exits 2 with a JSON error document, a unique
+    # prefix names its flag
+    tmp = '"$RUNNER_TEMP/%s"'
+    errors = "\n".join([
+        "nesthilb --help > " + tmp % "help.txt",
+        "head -n 1 %s | grep -q '^usage: nesthilb'" % (tmp % "help.txt"),
+        "code=0",
+        "nesthilb vw --surface P2 --beta > %s || code=$?"
+        % (tmp % "error.json"),
+        'test "$code" = 2',
+        "test \"$(python3 -c 'import json, sys; print(json.load(sys.stdin)"
+        "[\"error\"][\"code\"])' < %s)\" = 2" % (tmp % "error.json"),
+        "test \"$(nesthilb integrate --sur P2 --formula euler --n 0:3"
+        " | head -n 4 | tr '\\n' ' ')\" = \"1 3 9 22 \"",
+        ""])
     # the same n range on the chart-factor path and, inside a one-child
     # add, on the per-point path, byte for byte
-    tmp = '"$RUNNER_TEMP/%s"'
     agree = "\n".join([
         "echo '%s' > %s" % (
             '{"params": {"expr": {"kind": "add", "children": [{"kind":'
@@ -101,7 +117,7 @@ def test_workflow_runs_tier1():
              " --seconds 1 --trace %d | grep -cF '\"correct\": true')\""
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
-    assert runs == ['pip install -e ".[test]"', console, agree, vw,
+    assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
                     weighted, verify, push, traced, untraced,
                     tier1_command()]
     for run in (traced, untraced):

@@ -33,6 +33,107 @@ P2_SW_CLASS_ZERO = {"name": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
                     "basis": [0], "sw_table": [{"beta": [0], "sw": 1}]}
 
 
+# the job files that the command lines below read
+PER_POINT = {"params": {"expr": {"kind": "add", "children": [
+    {"kind": "euler", "children": [{"kind": "leaf", "params": ["tangent"]}]}
+]}}}
+WEIGHTED = {"params": {"expr": {"kind": "chern", "params": [1], "children": [
+    {"kind": "leaf", "params": ["pushO"], "attrs": {"tp": 1}}]}}}
+SW_P2 = {"sw": {"entries": [{"beta": [0], "sw": 1}]}}
+SW_RANK2 = {"sw": {"entries": [{"beta": [0, 0], "sw": 1}]}}
+JOB_FILES = {"per_point.json": PER_POINT, "weighted.json": WEIGHTED,
+             "vw1.json": SW_P2, "vw2.json": SW_RANK2,
+             "fit.json": {"n": 1, "seed": 1}}
+
+# (command line, merged job document): the command lines of README's
+# "Command line" section and of the CI workflow, then the other forms
+# of a flag, then the jobs of the benchmark's workloads
+COMMAND_LINES = [
+    (["verify", "--suite", "porteous"],
+     {"command": "verify", "suite": "porteous"}),
+    (["integrate", "--surface", "P2", "--formula", "euler", "--n", "2"],
+     {"command": "integrate", "surface": "P2", "formula": "euler",
+      "n": "2"}),
+    (["vw", "--surface", "P2", "--beta", "1", "--n", "0"],
+     {"command": "vw", "surface": "P2", "beta": "1", "n": "0"}),
+    (["integrate", "--surface", "P2", "--formula", "euler", "--n", "0:3"],
+     {"command": "integrate", "surface": "P2", "formula": "euler",
+      "n": "0:3"}),
+    (["integrate", "--surface", "P1xP1", "--formula", "euler", "--n",
+      "0:5"],
+     {"command": "integrate", "surface": "P1xP1", "formula": "euler",
+      "n": "0:5"}),
+    (["integrate", "--surface", "P1xP1", "--formula", "custom", "--n",
+      "0:5", "--job", "per_point.json"],
+     {"command": "integrate", "surface": "P1xP1", "formula": "custom",
+      "n": "0:5", "params": PER_POINT["params"]}),
+    (["vw", "--surface", "P1xP1", "--beta", "0,0", "--n", "0:2", "--order",
+      "0", "--job", "vw2.json"],
+     {"command": "vw", "surface": "P1xP1", "beta": "0,0", "n": "0:2",
+      "order": "0", "sw": SW_RANK2["sw"]}),
+    (["vw", "--surface", "P1xP1", "--beta", "0,0", "--n", "0:2", "--order",
+      "3", "--job", "vw2.json"],
+     {"command": "vw", "surface": "P1xP1", "beta": "0,0", "n": "0:2",
+      "order": "3", "sw": SW_RANK2["sw"]}),
+    (["integrate", "--surface", "P2", "--formula", "custom", "--n", "0:1",
+      "--order", "0", "--job", "weighted.json"],
+     {"command": "integrate", "surface": "P2", "formula": "custom",
+      "n": "0:1", "order": "0", "params": WEIGHTED["params"]}),
+    (["integrate", "--surface", "P2", "--formula", "custom", "--n", "0:1",
+      "--order", "2", "--job", "weighted.json"],
+     {"command": "integrate", "surface": "P2", "formula": "custom",
+      "n": "0:1", "order": "2", "params": WEIGHTED["params"]}),
+    (["verify", "--suite", "all"], {"command": "verify", "suite": "all"}),
+    (["push", "--formula", "porteous:3,3,5"],
+     {"command": "push", "formula": "porteous:3,3,5"}),
+    (["integrate", "--sur", "P2", "--formula", "euler", "--n", "0:3"],
+     {"command": "integrate", "surface": "P2", "formula": "euler",
+      "n": "0:3"}),
+    # --name=value, an empty value, a repeated flag, flags before the
+    # command, values that start with "-", a flag over its job file's
+    # field, a bare "--"
+    (["vw", "--surface=P2", "--beta=1", "--n=0", "--out="],
+     {"command": "vw", "surface": "P2", "beta": "1", "n": "0", "out": ""}),
+    (["fit", "--n", "1", "--n", "2", "--n=3"], {"command": "fit", "n": "3"}),
+    (["--surface", "P2", "--formula", "euler", "integrate", "--n", "2"],
+     {"command": "integrate", "surface": "P2", "formula": "euler",
+      "n": "2"}),
+    (["integrate", "--n", "-1", "--beta", "-1,0", "--A", "-x"],
+     {"command": "integrate", "n": "-1", "beta": "-1,0", "A": "-x"}),
+    (["fit", "--job", "fit.json", "--seed", "2"],
+     {"command": "fit", "n": 1, "seed": "2"}),
+    (["--n", "2", "--", "integrate"], {"command": "integrate", "n": "2"}),
+]
+# the benchmark's jobs, each with its --seed
+COMMAND_LINES += [
+    (["integrate", "--formula", "euler", "--surface", surface, "--n", n,
+      "--seed", "17"],
+     {"command": "integrate", "formula": "euler", "surface": surface,
+      "n": n, "seed": "17"})
+    for surface, n in (("P2", "0:8"), ("P1xP1", "0:7"), ("F1", "0:6"),
+                       ("F2", "0:6"))]
+COMMAND_LINES += [
+    (["verify", "--suite", suite, "--seed", "1"],
+     {"command": "verify", "suite": suite, "seed": "1"})
+    for suite in ("porteous", "delta", "segre")]
+COMMAND_LINES += [
+    (["push", "--formula", formula, "--seed", "1"],
+     {"command": "push", "formula": formula, "seed": "1"})
+    for formula in ("porteous:3,3,5", "porteous:4,4,5")]
+for threads in ([], ["--threads", "2"]):
+    extra = {"threads": "2"} if threads else {}
+    COMMAND_LINES.append((["fit", "--n", "1"] + threads + ["--seed", "5"],
+                          dict(command="fit", n="1", seed="5", **extra)))
+    COMMAND_LINES += [
+        (["vw", "--order", "4", "--surface", surface, "--beta", beta,
+          "--n", n] + threads + ["--seed", "9", "--job", job],
+         dict(command="vw", order="4", surface=surface, beta=beta, n=n,
+              seed="9", sw=JOB_FILES[job]["sw"], **extra))
+        for surface, beta, n, job in (("P2", "0", "0:3", "vw1.json"),
+                                      ("P1xP1", "0,0", "0:2", "vw2.json"),
+                                      ("F2", "0,0", "0:2", "vw2.json"))]
+
+
 class TestJobSpec:
     def test_minimal_commands(self):
         assert job(command="verify", suite="segre").suite == "segre"
@@ -134,24 +235,66 @@ class TestJobSpec:
     @pytest.mark.parametrize("argv, words", [
         (["vw", "--surface", "P2", "--beta", "1", "--n", "0:1",
           "--bogus", "1"], "unrecognized arguments: --bogus 1"),
-        ([], "required: command"),
-        (["vw", "--surface", "P2", "--beta"],
-         "--beta: expected one argument"),
+        # these two keep the ids of their shorter first wording
+        pytest.param([], "the following arguments are required: command",
+                     id="argv1-required: command"),
+        pytest.param(["vw", "--surface", "P2", "--beta"],
+                     "argument --beta: expected one argument",
+                     id="argv2---beta: expected one argument"),
+        (["--surface", "P2", "--n", "1"],
+         "the following arguments are required: command"),
+        # a value may start with "-", but not be a flag
+        (["integrate", "--surface", "--formula", "euler"],
+         "argument --surface: expected one argument"),
+        (["integrate", "--surface", "-h"],
+         "argument --surface: expected one argument"),
+        (["integrate", "--surface", "--"],
+         "argument --surface: expected one argument"),
+        (["integrate", "--s", "P2"],
+         "ambiguous option: --s could match --suite, --surface, --seed"),
+        (["integrate", "--fo=euler"],
+         "ambiguous option: --fo=euler could match --formula, --format"),
+        (["integrate", "vw"], "unrecognized arguments: vw"),
+        (["-x", "integrate", "-1", "-"],
+         "unrecognized arguments: -x -1 -"),
+        (["integrate", "--", "--n", "2"], "unrecognized arguments: --n 2"),
+        (["integrate", "--help=x"],
+         "argument -h/--help: ignored explicit argument 'x'"),
     ])
     def test_command_line_errors_write_the_error_document(
             self, capsys, argv, words):
         assert main(argv) == EXIT_SCHEMA
         out, err = capsys.readouterr()
         error = json.loads(out)["error"]
-        assert error["code"] == EXIT_SCHEMA
-        assert error["message"].startswith("command line: ")
-        assert words in error["message"]
+        assert error == {"code": EXIT_SCHEMA,
+                         "message": "command line: " + words}
         assert err == ""
 
+    def test_values_may_start_with_a_dash(self, capsys):
+        outputs = []
+        for beta in (["--beta", "-1,0"], ["--beta=-1,0"]):
+            assert main(["integrate", "--formula", "co:1", "--surface",
+                         "P1xP1"] + beta + ["--n", "0:2"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == "0\n0\n0\n# seed 0\n"
+
+    @pytest.mark.parametrize("argv, doc", COMMAND_LINES,
+                             ids=[" ".join(a) for a, _ in COMMAND_LINES])
+    def test_command_lines_merge_to_jobs(self, tmp_path, monkeypatch, argv,
+                                         doc):
+        # the job files are read relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        for name, body in JOB_FILES.items():
+            (tmp_path / name).write_text(json.dumps(body))
+        assert cli._merge_job(cli.parse_command_line(argv)) == doc
+
     def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == EXIT_OK
-        out, err = capsys.readouterr()
-        assert out.startswith("usage: nesthilb") and err == ""
+        for argv in (["--help"], ["-h"], ["--he"],
+                     ["vw", "--bogus", "-h", "--beta"]):
+            assert main(argv) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert out.startswith("usage: nesthilb") and err == ""
+            assert ", ".join(cli.FLAGS) in out
 
     def test_format_and_counts(self):
         with pytest.raises(SchemaError, match="format"):

@@ -1,8 +1,10 @@
 """Each nesthilb module but expr and cli is loaded on first use, so a
-job executes only the modules its command runs.  Every check runs in
-a fresh interpreter, and reads ``type(module)``: a lazy module that has
-not been executed is not a plain module, and ``type`` does not trigger
-the load that ``module.__dict__`` or any attribute would."""
+job executes only the modules its command runs; of the standard
+library, no job loads argparse, and only CSV output loads csv.  Every
+check runs in a fresh interpreter, and reads ``type(module)``: a lazy
+module that has not been executed is not a plain module, and ``type``
+does not trigger the load that ``module.__dict__`` or any attribute
+would."""
 
 import importlib.util
 import json
@@ -15,8 +17,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# prints, as JSON, the nesthilb modules registered and executed after
-# ``import nesthilb.cli`` and after running the job of its arguments
+# the standard modules a job leaves out: argparse (with gettext and
+# locale) since the command line is read by hand, and csv but for CSV
+# output
+STDLIB = ("argparse", "gettext", "locale", "csv")
+
+# prints, as JSON, the nesthilb modules registered and executed and the
+# STDLIB modules loaded after ``import nesthilb.cli`` and after running
+# the job of its arguments
 PROBE = """
 import contextlib, io, json, sys, types
 import nesthilb.cli as cli
@@ -27,13 +35,18 @@ def modules(executed):
                   if name.startswith("nesthilb.")
                   and (type(mod) is types.ModuleType or not executed))
 
-doc = {"registered": modules(False), "imported": modules(True)}
+def stdlib():
+    return [name for name in %r if name in sys.modules]
+
+doc = {"registered": modules(False), "imported": modules(True),
+       "stdlib": stdlib()}
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         doc["code"] = cli.main(sys.argv[1:])
     doc["ran"] = modules(True)
+    doc["ran_stdlib"] = stdlib()
 print(json.dumps(doc))
-"""
+""" % (STDLIB,)
 
 
 def run_python(tmp_path, source, *argv):
@@ -67,6 +80,7 @@ def test_import_registers_every_module_and_executes_few(tmp_path):
                                       "surface", "porteous", "hilbloc", "vw",
                                       "checks", "cli"}
     assert doc["imported"] == ["cli", "expr"]
+    assert doc["stdlib"] == []
 
 
 VW_JOB = {"sw": {"entries": [{"beta": [0], "sw": 1}]}}
@@ -105,6 +119,20 @@ def test_command_footprint(tmp_path, argv, runs, idle):
     assert doc["code"] == 0
     assert runs <= set(doc["ran"]), doc["ran"]
     assert not idle & set(doc["ran"]), doc["ran"]
+    assert doc["ran_stdlib"] == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["integrate", "--surface", "P2", "--formula", "euler", "--n", "0:2",
+      "--format", "csv"], ["csv"]),
+    (["integrate", "--surface", "P2", "--formula", "euler", "--n", "0:2",
+      "--format", "json"], []),
+    (["vw", "--surface", "P2", "--beta"], []),
+    (["--help"], []),
+])
+def test_only_csv_output_loads_csv(tmp_path, argv, loaded):
+    doc = probe(tmp_path, *argv)
+    assert doc["ran_stdlib"] == loaded
 
 
 def test_euler_integral_executes_only_the_localization(tmp_path):

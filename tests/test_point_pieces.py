@@ -656,9 +656,11 @@ def ref_chern_classes(weights, top):
 
 
 class FixedWeights(H.PointEvaluator):
-    """Every K-class at the point has the same exponent map."""
+    """Every K-class at the point has the same exponent map; the context
+    holds only the ring of delta nodes."""
 
     def __init__(self, ws):
+        self.ctx = H.LocalizationContext(p2())
         self.ws = ws
 
     def weights(self, e):
