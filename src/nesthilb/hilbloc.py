@@ -251,31 +251,18 @@ def tangent_character(mu, w):
     return ext_character(mu, mu, w)
 
 
-class LocalChar:
-    """A chart-local rational character: numerator over a product of
-    binomial factors (1 - t^v), one per denominator direction."""
-
-    __slots__ = ("num", "dens")
-
-    def __init__(self, num, dens):
-        self.num = num
-        self.dens = tuple(tuple(v) for v in dens)
-
-    def __repr__(self):
-        return "LocalChar(%r, dens=%r)" % (self.num, self.dens)
-
-
 def rhom_character(mu, nu, chart=None, vertex=(0, 0)):
     """Chart-local character of Rhom(I_mu, I_nu tensor L) as a rational
-    form: conj(P_mu) P_nu t^u over the chart denominator.  With no
-    chart the abstract coordinate axes are used."""
+    form (num, dens): conj(P_mu) P_nu t^u over the product of the
+    binomials (1 - t^v), v in dens, of the chart's coordinate weights.
+    With no chart the abstract coordinate axes are used."""
     if chart is None:
         m1, m2 = (1, 0), (0, 1)
     else:
         m1, m2 = chart.m1, chart.m2
     num = ideal_numerator(mu, m1, m2).conj() * ideal_numerator(nu, m1, m2)
     num = num.shift(int(vertex[0]), int(vertex[1]))
-    return LocalChar(num, (m1, m2))
+    return num, (m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +316,12 @@ def _divide_binomial(num, v):
 
 
 def assemble(local_terms):
-    """Sum of chart-local rational characters into a global finite
-    character.  Raises "assembly failure" when the sum is not a Laurent
-    polynomial."""
+    """Sum of chart-local rational characters, each a pair (num, dens)
+    of a numerator over the binomials (1 - t^v), v in dens, into a
+    global finite character.  Raises "assembly failure" when the sum is
+    not a Laurent polynomial."""
     prepared = []
-    for term in local_terms:
-        num, dens = (term.num, term.dens) if isinstance(term, LocalChar) \
-            else term
+    for num, dens in local_terms:
         canon = []
         for v in dens:
             v, num = _canonical_direction(v, num)
@@ -385,20 +371,19 @@ def _rhom_chart_piece(m1, m2, mu, nu, u):
     return -ext_character(mu, nu, w).shift(u[0], u[1])
 
 
-def rhom_global_character(surface, parts_a, parts_b, beta, spec=None,
+def rhom_global_character(ctx, parts_a, parts_b, beta, spec=None,
                           shift=NO_SHIFT):
     """Character of Rhom(I_A, I_B tensor L) at a fixed point, where
-    parts_a and parts_b list one partition per chart.
+    parts_a and parts_b list one partition per chart and L has the class
+    ``beta``, from the cached chart pieces of the job's
+    LocalizationContext ``ctx``.
 
     The rational chart sums collapse to the twist characteristic plus a
     finite correction per chart, so no assembly is needed beyond the
-    line bundle itself.  ``surface`` may also be the
-    LocalizationContext of a job, whose cached chart pieces are then
-    used.  With a direction ``spec`` the value is the exponent map of
-    the specialized weights of the character shifted by ``shift``,
-    merged from the context's per-chart maps.
+    line bundle itself.  With a direction ``spec`` the value is the
+    exponent map of the specialized weights of the character shifted by
+    ``shift``, merged from the context's per-chart maps.
     """
-    ctx = _context(surface)
     if spec is None:
         return ctx.rhom(parts_a, parts_b, beta)
     return ctx.rhom_weights(spec, shift, parts_a, parts_b, beta)
@@ -443,15 +428,13 @@ class NestedFixedPoint:
             self.mu, self.nu, self.pb)
 
 
-def _chart_tuples(num_charts, total, levels=None):
+def _chart_tuples(num_charts, total, levels):
     """All ways to place partitions of given total size on the charts,
     as a list built chart by chart from the last, each size's
     partitions listed once.  ``levels`` holds what is listed so far:
     the partitions of each size, then the tuples of each size on the
     last j charts for j = 0 ... num_charts.  It is extended in place,
     so a caller that keeps it lists each size once."""
-    if levels is None:
-        levels = []
     if not levels:
         levels += [[] for _ in range(num_charts + 2)]
     by_size, tails = levels[0], levels[1:]
@@ -465,30 +448,25 @@ def _chart_tuples(num_charts, total, levels=None):
     return tails[-1][total]
 
 
-def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
+def enumerate_fixed_points(ctx, n1, n2, nested=True):
     """Fixed points of the nested incidence scheme inside
-    S^[n1] x S^[n2]: chartwise nested pairs mu <= nu, optionally crossed
-    with the projective bundle of sections of the class ``with_pb``.
+    S^[n1] x S^[n2] over the surface of the job's LocalizationContext
+    ``ctx``: chartwise nested pairs mu <= nu, crossed with the
+    projective bundle of sections of the context's class ``with_pb``
+    when it has one.  The context keeps the chart tuples of every size
+    once listed.
 
     With ``nested=False`` the stream covers the whole ambient product,
-    which is what localization sums run over.  ``surface`` may also be
-    the LocalizationContext of a job, which keeps the chart tuples of
-    every size once listed.
+    which is what localization sums run over.
     """
-    levels = None
-    if isinstance(surface, LocalizationContext):
-        surface, levels = surface.surface, surface.chart_levels
-    if not isinstance(surface, ToricSurface):
-        raise ValueError("fixed points need a toric surface")
-    k = len(surface.charts)
+    k = len(ctx.surface.charts)
     pb_range = [None]
-    if with_pb is not None:
-        npts = len(surface.polytope_points(with_pb))
-        if npts != riemann_roch_chi(surface, with_pb):
+    if ctx.sections is not None:
+        if len(ctx.sections) != riemann_roch_chi(ctx.surface, ctx.with_pb):
             raise ValueError("sections do not span the pushforward fibre")
-        pb_range = list(range(npts))
-    mus_list = _chart_tuples(k, n1, levels)
-    for nus in _chart_tuples(k, n2, levels):
+        pb_range = range(len(ctx.sections))
+    mus_list = _chart_tuples(k, n1, ctx.chart_levels)
+    for nus in _chart_tuples(k, n2, ctx.chart_levels):
         for mus in mus_list:
             if nested and not all(contains(nu, mu)
                                   for mu, nu in zip(mus, nus)):
@@ -497,15 +475,13 @@ def enumerate_fixed_points(surface, n1, n2, with_pb=None, nested=True):
                 yield NestedFixedPoint(mus, nus, pb)
 
 
-def full_tangent_character(surface, point, with_pb=None, spec=None):
+def full_tangent_character(ctx, point, spec=None):
     """Tangent character of the ambient product at a fixed point: both
-    Hilbert scheme factors plus, with a section bundle, the bundle of
-    lines.  ``surface`` may also be the LocalizationContext of a job;
-    its cached chart pieces and section offsets are then used, and a
-    ``with_pb`` other than its own is an error.  With a direction
-    ``spec`` the value is the exponent map of the specialized weights
-    instead, merged from the context's per-chart maps."""
-    ctx = _context(surface, with_pb=with_pb)
+    Hilbert scheme factors plus, when the job's LocalizationContext
+    ``ctx`` has a section bundle, the bundle of lines, from the
+    context's cached chart pieces and section offsets.  With a
+    direction ``spec`` the value is the exponent map of the specialized
+    weights instead, merged from the context's per-chart maps."""
     if spec is None:
         return ctx.tangent(point)
     return ctx.tangent_weights(spec, NO_SHIFT, point)
@@ -790,23 +766,16 @@ def _section_line_offsets(sections, pb):
                       for i, (p, q) in enumerate(sections) if i != pb})
 
 
-def _context(surface, beta=None, A=None, with_pb=None):
-    """``surface`` itself when it is a LocalizationContext, which must
-    agree with each of beta, A and with_pb that is given; else a new
-    context for them."""
-    if isinstance(surface, LocalizationContext):
-        if beta is not None or A is not None or with_pb is not None:
-            surface.check(beta, A, with_pb)
-        return surface
-    return LocalizationContext(surface, beta=beta, A=A, with_pb=with_pb)
-
-
 class LocalizationContext:
     """Shared data of the localization problems of one job: a surface,
     curve class ``beta``, polarization ``A`` and section bundle
-    ``with_pb``.  A caller that runs several integrals over them (an n
-    range, the splittings of a monopole contribution) makes one context
-    and passes it to each; it lives no longer than that job.
+    ``with_pb``.  It is the one way into localization: the entry points
+    (``equivariant_integrate``, ``enumerate_fixed_points``,
+    ``full_tangent_character``, ``rhom_global_character``,
+    ``tangent_index_counts``) take it, and a job that runs several
+    integrals (an n range, the splittings of a monopole contribution)
+    makes one context and passes it to each; it lives no longer than
+    that job.
 
     A fixed-point character sums chart pieces, each a character of one
     chart and its partitions times the monomial of a twist vertex (the
@@ -825,9 +794,13 @@ class LocalizationContext:
     partitions, no others) and of the empty point (see
     ``chartfactors``).  A class's vertices, a leaf's shift and
     twist class, and the chart tuples of each size (``chart_levels``,
-    see ``enumerate_fixed_points``) are resolved once.  ``visited``
-    counts the points of the current integral whose class value was
-    nonzero.
+    see ``enumerate_fixed_points``) are resolved once.
+
+    Each integral, once it has summed its points under a direction,
+    leaves its counters here: the direction ``spec``, the number of
+    directions drawn (``attempts``, one more per weight collision), the
+    number of ambient fixed ``points`` listed and the number
+    ``visited`` whose class value was nonzero.
     """
 
     def __init__(self, surface, beta=None, A=None, with_pb=None):
@@ -851,18 +824,8 @@ class LocalizationContext:
         self._maps = {}
         self._st_ring = None
         self.chart_levels = []
-        self.visited = 0
-
-    def check(self, beta=None, A=None, with_pb=None):
-        """Raise ValueError unless every class given is the context's."""
-        S = self.surface
-        for name, given, own in (("beta", beta, self.beta),
-                                 ("A", A, self.A),
-                                 ("with_pb", with_pb, self.with_pb)):
-            if given is not None and (own is None
-                                      or S.cls(given) != S.cls(own)):
-                raise ValueError("%s %r conflicts with the localization"
-                                 " context's %r" % (name, given, own))
+        self.spec = None
+        self.attempts = self.points = self.visited = 0
 
     def st_class(self, chern):
         """The class sum_j sum_i chern[j][i] s^i t^(j - i), integer
@@ -1298,11 +1261,13 @@ def _first_direction(seed, attempt):
     raise ValueError("non-isolated or non-generic weights")
 
 
-def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
-                          with_pb=None, seed=0, return_info=False):
-    """Integrate a formula over S^[n1] x S^[n2] (times the bundle of
-    section lines of ``with_pb`` when given) by summing fixed point
-    contributions.
+def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
+    """Integrate a formula over S^[n1] x S^[n2] of the surface of the
+    job's LocalizationContext ``ctx`` (times the bundle of section lines
+    of its ``with_pb`` when it has one) by summing fixed point
+    contributions.  The integral leaves its direction, draws, points
+    and visited points on the context (``ctx.spec``, ``ctx.attempts``,
+    ``ctx.points``, ``ctx.visited``).
 
     Exact: the result is a Fraction when the integral is a number, and
     a RatFunc, the Laurent polynomial in the auxiliary weight, only
@@ -1310,11 +1275,6 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     the torus to one dimension; collisions redraw deterministically.
     The points are summed in this process, one after another; parallel
     work means running jobs side by side.
-
-    ``surface`` may also be the LocalizationContext of the job, which
-    the integral then shares with the job's other integrals; ``beta``,
-    ``A`` and ``with_pb`` default to the context's, and one that
-    differs from it is a ValueError.
 
     A product (mul, scale, one) of euler nodes over ksum, kdiff and
     dual of chart-local leaves (tangent, taut, rhom, rhom0, pushO) with
@@ -1327,16 +1287,10 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
     errors are the per-point path's.  Every other tree (chern, delta,
     twist, add, circle weights, section lines) is evaluated point by
     point.
-
-    With ``return_info`` the value comes with a dict: the direction
-    ``spec``, the ``seed``, the number of ambient fixed ``points``, the
-    number ``visited`` past the zero check and the draw ``attempts``.
     """
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
-    ctx = _context(surface, beta, A, with_pb)
-    points = list(enumerate_fixed_points(ctx, n1, n2, with_pb=ctx.with_pb,
-                                         nested=False))
+    points = list(enumerate_fixed_points(ctx, n1, n2, nested=False))
     if ctx.with_pb is None and _euler_product(expr):
         from . import chartfactors
         attempt = chartfactors.attempt(ctx, expr, points)
@@ -1349,27 +1303,23 @@ def equivariant_integrate(expr, surface, n1=0, n2=0, beta=None, A=None,
                 for key, coef in contrib.items():
                     totals[key] = totals.get(key, 0) + coef
             return totals
-    totals, spec, attempts = _first_direction(seed, attempt)
+    totals, ctx.spec, ctx.attempts = _first_direction(seed, attempt)
+    ctx.points = len(points)
     if any(coef and deg < 0 for (deg, _), coef in totals.items()):
         raise ValueError("integral not equivariantly constant")
     value = RatFunc({tp: coef for (deg, tp), coef in totals.items()
                      if deg == 0})
     if value.is_constant():
-        value = value.as_fraction()
-    info = {"spec": spec, "seed": seed, "points": len(points),
-            "visited": ctx.visited, "attempts": attempts}
-    if return_info:
-        return value, info
+        return value.as_fraction()
     return value
 
 
-def tangent_index_counts(surface, n, seed=0):
+def tangent_index_counts(ctx, n, seed=0):
     """{i: number of fixed points of S^[n] with i positive tangent
-    weights} under a seeded direction, read from the per-chart maps an
-    integral uses.  By Bialynicki-Birula these are the Betti numbers
-    b_2i of S^[n]; a wrong tangent weight moves a point between cells.
-    ``surface`` may also be a LocalizationContext."""
-    ctx = _context(surface)
+    weights} over the surface of the job's LocalizationContext ``ctx``
+    under a seeded direction, read from the per-chart maps an integral
+    uses.  By Bialynicki-Birula these are the Betti numbers b_2i of
+    S^[n]; a wrong tangent weight moves a point between cells."""
     points = list(enumerate_fixed_points(ctx, 0, n))
 
     def attempt(spec):

@@ -188,8 +188,7 @@ def point_contribution(surface, beta, n, seed=0, point_table=None,
             if context is None:
                 context = LocalizationContext(surface, beta=key)
             term = equivariant_integrate(
-                monopole_integrand(n1, n2), context, n1, n2, beta=key,
-                seed=seed)
+                monopole_integrand(n1, n2), context, n1, n2, seed=seed)
         else:
             raise ValueError("point contributions need a toric surface"
                              " or a supplied table")

@@ -4,7 +4,8 @@ section-bundle route to the virtual class, the flag-tower route of a
 Grassmann pushforward, the comparison factors
 between virtual cycles, the model of a point, partitions inside a
 partition, staircase generators, per-chart line weights, the
-non-equivariant limit of an integral, and references for the packed
+non-equivariant limit of an integral and the counters it leaves on its
+localization context, and references for the packed
 ring paths read through the {exponent tuple: Fraction} view
 ``GradedClass.poly``: printing, lifting, the projective-bundle relation
 and pushforward, and the cofactor determinant."""
@@ -146,6 +147,13 @@ def nonequivariant_limit(x):
     if isinstance(x, RatFunc):
         return x.series(0)[0]
     raise TypeError("expected a localized integral value")
+
+
+def integral_info(ctx):
+    """The counters the last integral left on its LocalizationContext:
+    direction, draws, ambient fixed points and visited points."""
+    return {"spec": ctx.spec, "attempts": ctx.attempts,
+            "points": ctx.points, "visited": ctx.visited}
 
 
 def flag_tower_routes(e, F):

@@ -16,7 +16,8 @@ from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
 from nesthilb.porteous import FormalEnv, eval_formal, normalize, \
     duality_rewrite, degeneracy_pushforward_X, degeneracy_pushforward_GrB
 from nesthilb.hilbloc import partitions, EquivChar, tangent_character, \
-    rhom_character, enumerate_fixed_points, equivariant_integrate
+    rhom_character, enumerate_fixed_points, equivariant_integrate, \
+    LocalizationContext
 from nesthilb.vw import SWTable, point_contribution, \
     monopole_contribution, universality_fit, monomial_value
 from support import staircase_generators, nonequivariant_limit, \
@@ -188,13 +189,15 @@ def test_criterion_04_fixed_points_and_euler_characteristics():
     start = time.monotonic()
     integrand = FE.euler(FE.leaf("tangent"))
     for surface, e in ((p2(), 3), (p1xp1(), 4)):
+        ctx = LocalizationContext(surface)
         for n in range(5):
             expected = partition_series_coefficient(e, n)
-            count = len(list(enumerate_fixed_points(surface, 0, n)))
+            count = len(list(enumerate_fixed_points(ctx, 0, n)))
             assert count == expected, (surface.name, n)
-            chi = equivariant_integrate(integrand, surface, 0, n)
+            chi = equivariant_integrate(integrand, ctx, 0, n)
             assert chi == expected, (surface.name, n)
-    assert equivariant_integrate(integrand, p2(), 0, 2) == 9
+    assert equivariant_integrate(integrand, LocalizationContext(p2()),
+                                 0, 2) == 9
     assert time.monotonic() - start < 120
 
 
@@ -207,7 +210,7 @@ def test_criterion_05_character_closed_forms():
     pairs = [(mu, nu) for na in range(4) for mu in partitions(na)
              for nb in range(4) for nu in partitions(nb)]
     for mu, nu in pairs:
-        closed = rhom_character(mu, nu).num
+        closed, _ = rhom_character(mu, nu)
         oracle = taylor_ideal_numerator(mu).conj() \
             * taylor_ideal_numerator(nu)
         assert closed == oracle, (mu, nu)
@@ -224,7 +227,7 @@ def test_criterion_05_character_closed_forms():
     box = lambda ch: EquivChar(
         {k: v for k, v in ch.terms.items()
          if 0 <= k[0] + 2 < D - 2 and 0 <= k[1] + 2 < D - 2})
-    closed = rhom_character(mu, nu).num * quadrant
+    closed = rhom_character(mu, nu)[0] * quadrant
     oracle = (taylor_ideal_numerator(mu).conj()
               * taylor_ideal_numerator(nu)) * quadrant
     assert box(closed) == box(oracle)
@@ -242,6 +245,8 @@ def test_criterion_06_two_route_pushforward():
         for d in (1, 2, 3):
             beta = (d,)
             vd = vd_beta(S, beta)
+            ctx_a = LocalizationContext(S, beta=beta, with_pb=beta)
+            ctx_b = LocalizationContext(S, beta=beta)
             for i in (0, 1, 2):
                 cap = max(0, 2 * n - (n - vd + i))
                 taus = taut_monomials(levels, cap)
@@ -255,16 +260,15 @@ def test_criterion_06_two_route_pushforward():
                     cls_a = FE.chern(n, FE.kdiff(B1, R1))
                     parts = ([tau] if tau is not None else []) \
                         + [FE.chern(1, o1_line())] * i + [cls_a]
-                    va = equivariant_integrate(
-                        FE.mul(*parts), S, n1, n2, beta=beta,
-                        with_pb=beta)
+                    va = equivariant_integrate(FE.mul(*parts), ctx_a,
+                                               n1, n2)
                     cls_b = FE.chern(n - vd + i,
                                      FE.kdiff(FE.ksum(),
                                               rhom(1, 2, bc=1)))
                     parts = ([tau] if tau is not None else []) \
                         + [cls_b]
-                    vb = equivariant_integrate(FE.mul(*parts), S,
-                                               n1, n2, beta=beta)
+                    vb = equivariant_integrate(FE.mul(*parts), ctx_b,
+                                               n1, n2)
                     assert va == vb, (n1, n2, d, i, degree)
                     checked += 1
                     substantive += va != 0
@@ -281,13 +285,13 @@ def test_criterion_07_carlsson_okounkov_vanishing():
         n = n1 + n2
         levels = [lvl for lvl, size in ((1, n1), (2, n2)) if size]
         for d in (1, 2):
+            ctx = LocalizationContext(S, beta=(d,))
             for i in (1, 2):
                 cap = max(0, n - i) + 1
                 for degree, tau in taut_monomials(levels, cap):
                     cls = FE.chern(n + i, co_class(bc=1))
                     expr = cls if tau is None else FE.mul(tau, cls)
-                    value = equivariant_integrate(
-                        expr, S, n1, n2, beta=(d,))
+                    value = equivariant_integrate(expr, ctx, n1, n2)
                     assert nonequivariant_limit(value) == 0, \
                         (n1, n2, d, i, degree)
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from nesthilb import hilbloc as H
 from nesthilb.expr import FormulaExpr as FE, rhom, pushO, taut, o1_line
 from nesthilb.surface import p2, p1xp1, f1, f2, surface_from_json
-from support import nonequivariant_limit
+from support import integral_info, nonequivariant_limit
 
 
 def five_rays():
@@ -81,7 +81,7 @@ def euler_products(rank):
 
 
 def outcome(expr, S, n1, n2, beta, seed, draws=None):
-    """(value and info, or error type and message; points visited;
+    """(value and counters, or error type and message; points visited;
     per-point evaluations) of the integral in a fresh context.  With
     ``draws`` the directions are drawn from that list in turn."""
     ctx = H.LocalizationContext(S, beta=beta)
@@ -96,8 +96,8 @@ def outcome(expr, S, n1, n2, beta, seed, draws=None):
             stack.enter_context(mock.patch.object(H, "_draw_spec",
                                                   lambda rng: next(it)))
         try:
-            result = H.equivariant_integrate(expr, ctx, n1, n2, seed=seed,
-                                             return_info=True)
+            result = (H.equivariant_integrate(expr, ctx, n1, n2, seed=seed),
+                      integral_info(ctx))
         except ValueError as err:
             result = (type(err), str(err))
     return result, ctx.visited, len(calls)
@@ -269,7 +269,8 @@ class TestRouting:
         with mock.patch.object(H, "_point_contribution",
                                lambda *a: calls.append(1) or point(*a)):
             try:
-                H.equivariant_integrate(expr, p2(), 0, 1, **kw)
+                H.equivariant_integrate(
+                    expr, H.LocalizationContext(p2(), **kw), 0, 1)
             except ValueError:
                 pass
         assert calls
@@ -320,10 +321,9 @@ class TestRouting:
         with mock.patch.object(H, "_point_contribution",
                                lambda ctx, expr, p, spec:
                                calls.append(p) or point(ctx, expr, p, spec)):
-            value, info = H.equivariant_integrate(EULER, ctx, 0, 3,
-                                                  return_info=True)
+            value = H.equivariant_integrate(EULER, ctx, 0, 3)
         assert (value, calls) == (want, points[:1])
-        assert info["visited"] == info["points"] == len(points)
+        assert ctx.visited == ctx.points == len(points)
 
 
 class TestChartTuples:
@@ -353,19 +353,19 @@ class TestChartTuples:
         # the size-2 list was kept, not rebuilt, when size 4 was listed
         assert H._chart_tuples(3, 2, ctx.chart_levels) is first
         assert [(p.mu, p.nu) for p in pts] == [
-            (p.mu, p.nu)
-            for p in H.enumerate_fixed_points(S, 1, 4, nested=False)]
+            (p.mu, p.nu) for p in H.enumerate_fixed_points(
+                H.LocalizationContext(S), 1, 4, nested=False)]
 
-    def test_context_stream_matches_surface_stream(self):
+    def test_shared_context_stream_matches_fresh_context_stream(self):
         for make, beta in SURFACES:
             S = make()
-            ctx = H.LocalizationContext(S)
-            for n1, n2 in itertools.product(range(3), range(3)):
-                for nested in (True, False):
-                    # the five-ray surface's class is not spanned
-                    for pb in (None, beta)[:2 if make is not five_rays
-                                           else 1]:
+            # the five-ray surface's class is not spanned
+            for pb in (None, beta)[:2 if make is not five_rays else 1]:
+                ctx = H.LocalizationContext(S, with_pb=pb)
+                for n1, n2 in itertools.product(range(3), range(3)):
+                    for nested in (True, False):
                         got = list(H.enumerate_fixed_points(
-                            ctx, n1, n2, with_pb=pb, nested=nested))
+                            ctx, n1, n2, nested=nested))
                         assert got == list(H.enumerate_fixed_points(
-                            S, n1, n2, with_pb=pb, nested=nested))
+                            H.LocalizationContext(S, with_pb=pb), n1, n2,
+                            nested=nested))

@@ -34,7 +34,8 @@ def test_workflow_runs_tier1():
     # one reads malformed and abbreviated command lines, one compares
     # the chart-factor and per-point paths, one runs every
     # verify suite: the formal rings, the Euler integrals of the
-    # chart-factor path and the Betti counts.
+    # chart-factor path and the Betti counts; one reads the CSV header
+    # of every command.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # the command line: --help exits 0 and prints the usage, a flag
@@ -100,6 +101,20 @@ def test_workflow_runs_tier1():
     # verify ends with its "# seed" line, after the verdict
     verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
+    # every command's CSV header after its "# seed" line, and the one
+    # row of a push
+    csv = "\n".join([
+        "test \"$(nesthilb verify --suite porteous --format csv"
+        " | sed -n 2p)\" = \"check,status\"",
+        "test \"$(nesthilb push --formula porteous:1,1,2 --format csv"
+        " | tail -n +2 | tr '\\n' ' ')\" = \"term,coeff c2,1 \"",
+        "test \"$(nesthilb integrate --surface P2 --formula euler --n 0:1"
+        " --format csv | sed -n 2p)\" = \"n,value\"",
+        "test \"$(nesthilb vw --surface P2 --beta 1 --n 0 --format csv"
+        " | sed -n 2p)\" = \"beta,n,n1,n2,value,t_order\"",
+        "test \"$(nesthilb fit --n 1 --format csv | sed -n 2p)\""
+        " = \"monomial,coefficient\"",
+        ""])
     # the push output, without its "# seed" line, hashes to the digest
     # the benchmark records for the same job, read from its file
     push = "\n".join([
@@ -118,7 +133,7 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    weighted, verify, push, traced, untraced,
+                    weighted, verify, csv, push, traced, untraced,
                     tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]

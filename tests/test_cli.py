@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesthilb import cli
-from nesthilb.expr import parse_rational, MAX_DEPTH
+from nesthilb.expr import FormulaExpr as FE, parse_rational, MAX_DEPTH, \
+    expr_to_json, pushO, rhom
 from nesthilb.vw import MONOMIALS
 from nesthilb.checks import delta_euler_forms, segre_two_routes, \
     _series_coefficient
@@ -523,6 +524,67 @@ class TestRun:
         assert json.loads(text)["seed"] == 5
 
 
+class TestOutputForms:
+    """CSV output of every command, the fundamental class over an n
+    range, and a vw window given on the command line's job file."""
+
+    @pytest.mark.parametrize("argv,header,row", [
+        (["verify", "--suite", "porteous"], "check,status", None),
+        (["push", "--formula", "porteous:1,1,2"], "term,coeff", "c2,1"),
+        (["fit", "--n", "1"], "monomial,coefficient", None),
+    ])
+    def test_csv_header(self, argv, header, row, capsys):
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["# seed 0", header]
+        assert len(lines) > 2
+        if row is not None:
+            assert lines[2:] == [row]
+
+    def test_fundamental_class_over_a_range(self, capsys):
+        assert main(["integrate", "--surface", "P2", "--formula", "one",
+                     "--n", "0:2"]) == EXIT_OK
+        assert capsys.readouterr().out == "1\n0\n0\n# seed 0\n"
+
+    def test_vw_window_from_job_file(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"window": ["1/2", 3]},
+                                    "sw": SW_P2["sw"]}))
+        assert main(["vw", "--surface", "P2", "--beta", "0", "--n", "0:1",
+                     "--job", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "1/1024\n-9/512\n# seed 0\n"
+
+
+class TestPolarizationTwist:
+    """c_2k of chi(L) - Rhom(I, I L) on (P1xP1)^[k] with L twisted by
+    the polarization A = (1, 1), through a custom tree and the n1/n2
+    flags.  Carlsson-Okounkov: its integral is the q^k coefficient of
+    prod_m (1 - q^m)^-(e + L.(L - K)), with e + L.(L - K) = 4 + 6."""
+
+    @staticmethod
+    def integrate(tmp_path, k, attr, flags):
+        tree = FE.chern(2 * k, FE.kdiff(pushO(**{attr: 1}),
+                                        rhom(1, 1, **{attr: 1})))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"expr": expr_to_json(tree)}}))
+        return main(["integrate", "--formula", "custom", "--surface",
+                     "P1xP1", "--n", str(k), "--n1", str(k), "--n2", "0",
+                     "--job", str(path)] + flags)
+
+    @pytest.mark.parametrize("k,want", [(1, 10), (2, 65), (3, 330)])
+    def test_twist_by_polarization(self, k, want, tmp_path, capsys):
+        assert want == _series_coefficient(10, k)
+        # the same class as the curve class beta gives the same number
+        for attr, flags in (("ac", ["--A", "1,1"]), ("bc", ["--beta", "1,1"])):
+            assert self.integrate(tmp_path, k, attr, flags) == EXIT_OK
+            assert capsys.readouterr().out == "%d\n# seed 0\n" % want
+
+    def test_unbound_polarization_is_a_math_error(self, tmp_path, capsys):
+        assert self.integrate(tmp_path, 1, "ac", []) == EXIT_MATH
+        assert json.loads(capsys.readouterr().out)["error"]["message"] \
+            == "twist references an unbound polarization"
+
+
 # jobs outside the math's domain, with the message the math would raise
 OUT_OF_DOMAIN = [
     ({"command": "integrate", "surface": "K3", "formula": "euler", "n": 1},
@@ -711,6 +773,47 @@ class TestMain:
         assert main(["integrate", "--job", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == "1\n0\n0\n0\n# seed 0\n"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv,doc,message", [
+        (["integrate", "--surface", "P2", "--formula", "euler", "--n",
+          "0:1:2"], None, "field 'n' range must be a pair"),
+        (["fit", "--n", "1"], {"runs": 5},
+         "field 'runs' must be a nonempty list"),
+        (["fit", "--n", "1"], {"runs": [["P2"]]},
+         "each run is [surface, beta] or [surface, beta, value]"),
+        (["fit", "--n", "1"], {"runs": [["P2", [1], "x"]]},
+         "run value 'x' is not rational"),
+        (["fit", "--n", "1"], [1, 2], "job file must hold a JSON object"),
+        (["push"], {"formula": 5}, "field 'formula' must be a string"),
+        (["push", "--formula", "porteous:1,x,2"], None,
+         "formula argument 'x' is not an integer"),
+        (["push", "--formula", "porteous:1,2"], None,
+         "formula 'porteous' takes r,e0,e1"),
+        (["push", "--formula", "reduced", "--surface", "P2"], None,
+         "formula 'reduced' needs surface and beta"),
+        (["integrate", "--formula", "co", "--surface", "P2", "--beta", "1",
+          "--n", "1"], None, "formula 'co' takes the shift i"),
+        (["integrate", "--formula", "co:0", "--surface", "P2", "--n", "1"],
+         None, "formula 'co' needs beta"),
+        (["push", "--formula", "reduced", "--surface", "P2", "--beta", "1",
+          "--format", "csv"], {"params": {"h2_vanishing": True}},
+         "format 'csv' fits only polynomial output"),
+    ])
+    def test_schema_boundary_messages(self, argv, doc, message, tmp_path,
+                                      capsys):
+        if doc is not None:
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + ["--job", str(path)]
+        assert main(argv) == EXIT_SCHEMA
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["code"], error["message"]) == (EXIT_SCHEMA, message)
+
+    def test_missing_job_file(self, tmp_path, capsys):
+        code = main(["vw", "--job", str(tmp_path / "missing.json")])
+        assert code == EXIT_SCHEMA
+        assert json.loads(capsys.readouterr().out)["error"]["message"] \
+            .startswith("cannot read job file:")
 
     def test_malformed_job_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -22,7 +22,7 @@ from nesthilb.hilbloc import (
     structure_numerator, tangent_character, rhom_character,
     rhom_global_character, rhom_assembled, assemble, chi_line_character,
     enumerate_fixed_points, full_tangent_character, equivariant_integrate,
-    RatFunc, LocalChar,
+    RatFunc, LocalizationContext,
 )
 from support import sub_partitions, staircase_generators, \
     nonequivariant_limit, point_base
@@ -163,7 +163,7 @@ class TestCharacters:
             for mu in partitions(na):
                 for nb in range(0, 4):
                     for nu in partitions(nb):
-                        closed = rhom_character(mu, nu).num
+                        closed, _ = rhom_character(mu, nu)
                         oracle = taylor_ideal_numerator(mu).conj() \
                             * taylor_ideal_numerator(nu)
                         assert closed == oracle, (mu, nu)
@@ -171,7 +171,7 @@ class TestCharacters:
     def test_four_term_decomposition(self):
         # conj(P_mu) P_nu = 1 - dQ_nu - conj(dQ_mu) + conj(dQ_mu) dQ_nu
         mu, nu = (2,), (2, 1)
-        lhs = rhom_character(mu, nu).num
+        lhs, _ = rhom_character(mu, nu)
         one = EquivChar.one()
         sn = structure_numerator(nu)
         smb = structure_numerator(mu).conj()
@@ -180,7 +180,7 @@ class TestCharacters:
     def test_truncated_expansion_agrees(self):
         # expand num / d in the coordinate quadrant and compare routes
         mu, nu = (1, 1), (2,)
-        closed = rhom_character(mu, nu).num
+        closed, _ = rhom_character(mu, nu)
         oracle = taylor_ideal_numerator(mu).conj() \
             * taylor_ideal_numerator(nu)
         D = 6
@@ -241,23 +241,26 @@ class TestAssembly:
 
     def test_rhom_closed_form_matches_assembly(self):
         S = p1xp1()
-        for pt in enumerate_fixed_points(S, 1, 1, nested=False):
-            a = rhom_global_character(S, pt.mu, pt.nu, (1, 1))
+        ctx = LocalizationContext(S)
+        for pt in enumerate_fixed_points(ctx, 1, 1, nested=False):
+            a = rhom_global_character(ctx, pt.mu, pt.nu, (1, 1))
             b = rhom_assembled(S, pt.mu, pt.nu, (1, 1))
             assert a == b
 
     def test_rhom_rank_is_riemann_roch(self):
         S = p2()
-        for pt in enumerate_fixed_points(S, 1, 2, nested=False):
-            ch = rhom_global_character(S, pt.mu, pt.nu, (2,))
+        ctx = LocalizationContext(S)
+        for pt in enumerate_fixed_points(ctx, 1, 2, nested=False):
+            ch = rhom_global_character(ctx, pt.mu, pt.nu, (2,))
             assert ch.rank() == H.riemann_roch_chi(S, (2,)) - 3
 
     def test_tangent_from_rhom(self):
         S = p2()
-        for pt in enumerate_fixed_points(S, 0, 2):
-            ch = rhom_global_character(S, pt.nu, pt.nu, (0,))
+        ctx = LocalizationContext(S)
+        for pt in enumerate_fixed_points(ctx, 0, 2):
+            ch = rhom_global_character(ctx, pt.nu, pt.nu, (0,))
             tangent = chi_line_character(S, (0,)) - ch
-            assert tangent == full_tangent_character(S, pt)
+            assert tangent == full_tangent_character(ctx, pt)
 
     def test_rhom_chart_piece_is_arm_leg_form(self):
         # each chart piece is -E(mu, nu): an honest character of rank
@@ -281,47 +284,51 @@ class TestAssembly:
 
 class TestFixedPoints:
     def test_hilbert_counts(self):
+        P2, P1xP1 = LocalizationContext(p2()), LocalizationContext(p1xp1())
         for n in range(5):
-            assert len(list(enumerate_fixed_points(p2(), 0, n))) \
+            assert len(list(enumerate_fixed_points(P2, 0, n))) \
                 == gottsche_coefficient(3, n)
-            assert len(list(enumerate_fixed_points(p1xp1(), 0, n))) \
+            assert len(list(enumerate_fixed_points(P1xP1, 0, n))) \
                 == gottsche_coefficient(4, n)
 
     def test_nested_counts(self):
-        pts = list(enumerate_fixed_points(p2(), 1, 2))
+        pts = list(enumerate_fixed_points(LocalizationContext(p2()), 1, 2))
         assert len(pts) == 12
         assert all(all(contains(nu, mu) for mu, nu in zip(p.mu, p.nu))
                    for p in pts)
 
     def test_ambient_counts(self):
-        pts = list(enumerate_fixed_points(p2(), 1, 2, nested=False))
+        pts = list(enumerate_fixed_points(LocalizationContext(p2()), 1, 2,
+                                          nested=False))
         assert len(pts) == 27
 
     def test_with_pb_stream(self):
-        pts = list(enumerate_fixed_points(p2(), 0, 1, with_pb=(1,)))
+        ctx = LocalizationContext(p2(), with_pb=(1,))
+        pts = list(enumerate_fixed_points(ctx, 0, 1))
         assert len(pts) == 9
         assert {p.pb for p in pts} == {0, 1, 2}
 
     def test_with_pb_needs_spanning_sections(self):
-        S = f2()
         # the negative-self-intersection section: effective but chi = 0
+        ctx = LocalizationContext(f2(), with_pb=(0, 1))
         with pytest.raises(ValueError, match="sections"):
-            list(enumerate_fixed_points(S, 0, 0, with_pb=(0, 1)))
+            list(enumerate_fixed_points(ctx, 0, 0))
 
     def test_needs_toric(self):
         with pytest.raises(ValueError, match="toric"):
-            list(enumerate_fixed_points(k3_profile(), 0, 1))
+            LocalizationContext(k3_profile())
 
     def test_chart_tuples_match_reference_recursion(self):
         for k in range(5):
             for n in range(6):
-                assert H._chart_tuples(k, n) \
+                assert H._chart_tuples(k, n, []) \
                     == list(ref_chart_tuples(k, n)), (k, n)
 
     @pytest.mark.parametrize("make", [p2, p1xp1])
     def test_stream_order_matches_reference_recursion(self, make):
         # nu tuples outside, mu tuples inside, section lines innermost
         S = make()
+        ctx = LocalizationContext(S)
         k = len(S.charts)
         for n1 in range(6):
             for n2 in range(6 - n1):
@@ -333,12 +340,12 @@ class TestFixedPoints:
                                 contains(nu, mu)
                                 for mu, nu in zip(mus, nus))]
                     got = [(p.mu, p.nu, p.pb) for p in
-                           enumerate_fixed_points(S, n1, n2,
+                           enumerate_fixed_points(ctx, n1, n2,
                                                   nested=nested)]
                     assert got == want, (n1, n2, nested)
         beta = (1,) * len(S.basis)
-        got = [(p.mu, p.nu, p.pb)
-               for p in enumerate_fixed_points(S, 1, 1, with_pb=beta)]
+        got = [(p.mu, p.nu, p.pb) for p in enumerate_fixed_points(
+            LocalizationContext(S, with_pb=beta), 1, 1)]
         sections = range(len(S.polytope_points(beta)))
         assert got == [(mus, nus, pb) for nus in ref_chart_tuples(k, 1)
                        for mus in ref_chart_tuples(k, 1)
@@ -380,12 +387,12 @@ def test_euler_sweep_points_match_closed_form(job):
     # the benchmark's traced run checks that hilbloc.fixed_points equals
     # the job's closed-form count; this checks the same in-process
     argv = list(job.argv)
-    S = load_surface(argv[argv.index("--surface") + 1])
+    ctx = LocalizationContext(load_surface(argv[argv.index("--surface") + 1]))
     lo, hi = map(int, argv[argv.index("--n") + 1].split(":"))
     points = 0
     for n in range(lo, hi + 1):
-        _, info = equivariant_integrate(EULER, S, 0, n, return_info=True)
-        points += info["points"]
+        equivariant_integrate(EULER, ctx, 0, n)
+        points += ctx.points
     assert points == job.points
 
 
@@ -414,11 +421,12 @@ class TestBettiNumbers:
         # S^[n] with i positive tangent weights number b_2i(S^[n]); a
         # wrong tangent weight moves a point between cells
         S = make()
+        ctx = LocalizationContext(S)
         want = gottsche_betti(len(S.rays), N)
         for n in range(N + 1):
             got = {}
-            for pt in enumerate_fixed_points(S, 0, n):
-                exps = H.specialize_weights(full_tangent_character(S, pt),
+            for pt in enumerate_fixed_points(ctx, 0, n):
+                exps = H.specialize_weights(full_tangent_character(ctx, pt),
                                             (7, 3))
                 i = sum(m for (k, _), m in exps.items() if k > 0)
                 got[i] = got.get(i, 0) + 1
@@ -430,10 +438,12 @@ EULER = FE.euler(FE.leaf("tangent"))
 
 class TestIntegration:
     def test_euler_counts(self):
+        ctx = LocalizationContext(p2())
         for n in range(4):
-            assert equivariant_integrate(EULER, p2(), 0, n) \
+            assert equivariant_integrate(EULER, ctx, 0, n) \
                 == gottsche_coefficient(3, n)
-        assert equivariant_integrate(EULER, p1xp1(), 0, 2) == 14
+        assert equivariant_integrate(EULER, LocalizationContext(p1xp1()),
+                                     0, 2) == 14
 
     def test_tangent_specialized_once_per_chart_piece(self, monkeypatch):
         # each distinct (chart, partition) tangent piece is specialized
@@ -444,13 +454,13 @@ class TestIntegration:
         monkeypatch.setattr(H, "specialize_weights",
                             lambda *a: calls.append(a) or specialize(*a))
         S = p1xp1()
-        value, info = equivariant_integrate(EULER, S, 0, 2,
-                                            return_info=True)
-        assert value == 14 and info["attempts"] == 1
+        ctx = LocalizationContext(S)
+        assert equivariant_integrate(EULER, ctx, 0, 2) == 14
+        assert ctx.attempts == 1
         pieces = {(chart, lam) for chart in range(len(S.charts))
                   for n in (1, 2) for lam in partitions(n)}
         assert len(calls) == len(pieces) == 12
-        assert len(calls) < info["points"] == 14
+        assert len(calls) < ctx.points == 14
 
     def test_chi_built_once_per_class(self, monkeypatch):
         # the context memo builds each twist class's chi(L) once for
@@ -460,24 +470,24 @@ class TestIntegration:
         chi = H.chi_line_character
         monkeypatch.setattr(H, "chi_line_character",
                             lambda S, beta: calls.append(beta) or chi(S, beta))
-        value, info = equivariant_integrate(
-            monopole_integrand(1, 1), p1xp1(), 1, 1, beta=(1, 1),
-            return_info=True)
-        assert info["points"] == 16 and info["attempts"] == 1
+        ctx = LocalizationContext(p1xp1(), beta=(1, 1))
+        equivariant_integrate(monopole_integrand(1, 1), ctx, 1, 1)
+        assert ctx.points == 16 and ctx.attempts == 1
         assert len(calls) == len(set(calls)) == 5
 
     def test_fundamental_class_integrates_to_zero(self):
-        assert equivariant_integrate(1, p2(), 0, 1) == 0
-        assert equivariant_integrate(1, p2(), 1, 1) == 0
+        ctx = LocalizationContext(p2())
+        assert equivariant_integrate(1, ctx, 0, 1) == 0
+        assert equivariant_integrate(1, ctx, 1, 1) == 0
 
     def test_point_case(self):
-        assert equivariant_integrate(7, p2(), 0, 0) == 7
+        assert equivariant_integrate(7, LocalizationContext(p2()), 0, 0) == 7
 
     def test_projective_bundle_cross_evaluator(self):
         # the same number through the formal Segre route
-        S = p2()
+        ctx = LocalizationContext(p2(), with_pb=(1,))
         h = FE.chern(1, o1_line())
-        val = equivariant_integrate(FE.mul(h, h), S, 0, 0, with_pb=(1,))
+        val = equivariant_integrate(FE.mul(h, h), ctx, 0, 0)
         base = point_base(D=2)
         B = KClass.trivial(base.ring, 3)
         level = projective_bundle(base, B)
@@ -487,28 +497,26 @@ class TestIntegration:
 
     def test_euler_class_of_taut_line(self):
         # c_1(O(1)^[1])^2 over S^[1] = P2 is the self-intersection 1
-        S = p2()
+        ctx = LocalizationContext(p2())
         t1 = FE.chern(1, taut((1,), 2))
-        assert equivariant_integrate(FE.mul(t1, t1), S, 0, 1) == 1
+        assert equivariant_integrate(FE.mul(t1, t1), ctx, 0, 1) == 1
         t2 = FE.chern(1, taut((2,), 2))
-        assert equivariant_integrate(FE.mul(t2, t2), S, 0, 1) == 4
+        assert equivariant_integrate(FE.mul(t2, t2), ctx, 0, 1) == 4
 
     def test_co_pairing_vanishes(self):
-        S = p2()
+        ctx = LocalizationContext(p2(), beta=(1,))
         co = co_class(bc=1)
-        assert equivariant_integrate(FE.chern(2, co), S, 0, 1,
-                                     beta=(1,)) == 0
+        assert equivariant_integrate(FE.chern(2, co), ctx, 0, 1) == 0
         t1 = FE.chern(1, taut((1,), 2))
         expr = FE.mul(t1, FE.chern(3, co))
-        assert equivariant_integrate(expr, S, 0, 2, beta=(1,)) == 0
+        assert equivariant_integrate(expr, ctx, 0, 2) == 0
 
     def test_refined_twisted_euler(self):
         # int of c(T tensor aux)^2 degree parts: 15 t^2 exactly
-        S = p2()
         aux = pushO(tp=1)
         cls = FE.twist(FE.leaf("tangent"), aux, 1)
         expr = FE.mul(FE.euler(cls), FE.euler(cls))
-        val = equivariant_integrate(expr, S, 0, 1)
+        val = equivariant_integrate(expr, LocalizationContext(p2()), 0, 1)
         assert isinstance(val, RatFunc)
         assert val == RatFunc((0, 0, 15))
         with pytest.raises(ValueError, match="auxiliary weight"):
@@ -516,33 +524,27 @@ class TestIntegration:
         assert nonequivariant_limit(val) == 0
 
     def test_seed_determinism(self):
-        S = p2()
-        _, i1 = equivariant_integrate(EULER, S, 0, 2, seed=5,
-                                      return_info=True)
-        _, i2 = equivariant_integrate(EULER, S, 0, 2, seed=5,
-                                      return_info=True)
-        assert i1["spec"] == i2["spec"]
+        first, second = LocalizationContext(p2()), LocalizationContext(p2())
+        equivariant_integrate(EULER, first, 0, 2, seed=5)
+        equivariant_integrate(EULER, second, 0, 2, seed=5)
+        assert first.spec == second.spec
 
     def test_not_constant_error(self):
-        S = p2()
         bad = FE.euler(FE.kdiff(FE.ksum(), FE.leaf("tangent")))
         with pytest.raises(ValueError,
                            match="integral not equivariantly constant"):
-            equivariant_integrate(bad, S, 0, 1)
+            equivariant_integrate(bad, LocalizationContext(p2()), 0, 1)
 
     def test_degenerate_weight_error(self):
-        S = p2()
         bad = FE.euler(FE.kdiff(FE.ksum(), pushO()))
         with pytest.raises(ValueError,
                            match="non-isolated or non-generic weights"):
-            equivariant_integrate(bad, S, 0, 1)
+            equivariant_integrate(bad, LocalizationContext(p2()), 0, 1)
 
     def test_trace_free_rank(self):
-        S = p2()
-        pt = next(enumerate_fixed_points(S, 0, 2))
-        from nesthilb.hilbloc import LocalizationContext, PointEvaluator
-        ctx = LocalizationContext(S, beta=(0,))
-        ev = PointEvaluator(ctx, pt, (7, 3))
+        ctx = LocalizationContext(p2(), beta=(0,))
+        pt = next(enumerate_fixed_points(ctx, 0, 2))
+        ev = H.PointEvaluator(ctx, pt, (7, 3))
         ch = ev.kval(rhom(2, 2, trace_free=True))
         assert ch.rank() == -4
 
@@ -559,9 +561,10 @@ class TestCarlssonOkounkov:
     def test_top_chern_class_of_ext_bundle(self, make, beta, exponent):
         S = make()
         assert S.e + S.dot(beta, S.sub(beta, S.K)) == exponent
+        ctx = LocalizationContext(S, beta=beta)
         for n in range(5):
             expr = FE.chern(2 * n, FE.kdiff(pushO(bc=1), rhom(1, 1, bc=1)))
-            assert equivariant_integrate(expr, S, n, 0, beta=beta) \
+            assert equivariant_integrate(expr, ctx, n, 0) \
                 == gottsche_coefficient(exponent, n), n
 
 
@@ -581,15 +584,14 @@ class TestDeltaNode:
     @pytest.mark.parametrize("make, beta", [(p2, (1,)), (p1xp1, (1, 1))])
     @pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (2, 2)])
     def test_delta_matches_jacobi_trudi(self, make, beta, a, b):
-        S = make()
+        ctx = LocalizationContext(make(), beta=beta)
         n = a * b // 2
         for x, (n1, n2) in (
                 (FE.leaf("tangent"), (0, n)),
                 (FE.kdiff(pushO(bc=1), rhom(1, 1, bc=1, tp=1)), (n, 0))):
-            got = equivariant_integrate(FE.delta(a, b, x), S, n1, n2,
-                                        beta=beta)
+            got = equivariant_integrate(FE.delta(a, b, x), ctx, n1, n2)
             assert got == equivariant_integrate(
-                jacobi_trudi(a, b, x), S, n1, n2, beta=beta)
+                jacobi_trudi(a, b, x), ctx, n1, n2)
             assert got != 0
 
 
@@ -637,12 +639,14 @@ class TestRouteAgreement:
         cls_a = FE.chern(n1 + n2, FE.kdiff(B1, R1))
         hs = [FE.chern(1, o1_line())] * i
         factors = ([tau] if tau is not None else []) + hs + [cls_a]
-        va = equivariant_integrate(FE.mul(*factors), S, n1, n2,
-                                   beta=beta, with_pb=beta)
+        va = equivariant_integrate(
+            FE.mul(*factors), LocalizationContext(S, beta=beta, with_pb=beta),
+            n1, n2)
         k = n1 + n2 - vd + i
         cls_b = FE.chern(k, FE.kdiff(FE.ksum(), rhom(1, 2, bc=1)))
         fb = ([tau] if tau is not None else []) + [cls_b]
-        vb = equivariant_integrate(FE.mul(*fb), S, n1, n2, beta=beta)
+        vb = equivariant_integrate(
+            FE.mul(*fb), LocalizationContext(S, beta=beta), n1, n2)
         assert va == vb
         return va
 

@@ -1,12 +1,12 @@
 """One LocalizationContext per job: the integrals of an n range, of the
 splittings of a monopole contribution and of one fit run share it, and
-each of them gives the value and the info of an integral in a context
-of its own."""
+each of them gives the value and leaves the counters of an integral in
+a context of its own."""
 
 import itertools
 import json
 import math
-from fractions import Fraction
+import random
 from unittest import mock
 
 import pytest
@@ -15,6 +15,7 @@ from nesthilb import cli, vw
 from nesthilb import hilbloc as H
 from nesthilb.expr import FormulaExpr as FE, co_class
 from nesthilb.surface import p2
+from support import integral_info
 
 EULER = FE.euler(FE.leaf("tangent"))
 INTEGRATE = H.equivariant_integrate
@@ -22,24 +23,22 @@ INTEGRATE = H.equivariant_integrate
 
 def recording(calls):
     """equivariant_integrate that records each call with its value and
-    info."""
-    def integrate(expr, surface, n1=0, n2=0, **kw):
-        value, info = INTEGRATE(expr, surface, n1, n2, return_info=True,
-                                **kw)
-        calls.append((expr, surface, n1, n2, kw, value, info))
+    the counters it left on the context."""
+    def integrate(expr, ctx, n1=0, n2=0, **kw):
+        value = INTEGRATE(expr, ctx, n1, n2, **kw)
+        calls.append((expr, ctx, n1, n2, kw, value, integral_info(ctx)))
         return value
     return integrate
 
 
 def assert_matches_fresh(calls):
     """Each recorded integral ran in a shared context and equals the
-    same integral in a new context of its own, info included."""
+    same integral in a new context of its own, counters included."""
     for expr, ctx, n1, n2, kw, value, info in calls:
-        assert isinstance(ctx, H.LocalizationContext)
-        kw = dict(kw, beta=ctx.beta, A=ctx.A, with_pb=ctx.with_pb)
-        fresh = INTEGRATE(expr, ctx.surface, n1, n2, return_info=True, **kw)
-        assert (value, info) == fresh
-        assert set(info) >= {"spec", "attempts", "visited", "points"}
+        fresh = H.LocalizationContext(ctx.surface, beta=ctx.beta, A=ctx.A,
+                                      with_pb=ctx.with_pb)
+        assert INTEGRATE(expr, fresh, n1, n2, **kw) == value
+        assert integral_info(fresh) == info
 
 
 def sw_job(tmp_path, beta):
@@ -89,10 +88,10 @@ def test_fit_runs_each_share_one_context(monkeypatch, capsys):
     assert_matches_fresh(calls)
 
 
-def _collides(S, points, spec):
+def _collides(ctx, points, spec):
     return any(k == 0 and c == 0 and (p, q) != (0, 0)
                for pt in points
-               for p, q, c in H.full_tangent_character(S, pt).terms
+               for p, q, c in H.full_tangent_character(ctx, pt).terms
                for k in [p * spec[0] + q * spec[1]])
 
 
@@ -104,24 +103,29 @@ def test_redraw_resets_the_shared_direction_memo():
     # integral needs the tangent pieces of size 3 again, first
     # specialized under the redrawn direction.
     S = p2()
-    low = [pt for n in range(3) for pt in H.enumerate_fixed_points(S, 0, n)]
-    three = list(H.enumerate_fixed_points(S, 0, 3))
+    ctx = H.LocalizationContext(S)
+    low = [pt for n in range(3) for pt in H.enumerate_fixed_points(ctx, 0, n)]
+    three = list(H.enumerate_fixed_points(ctx, 0, 3))
     bad = next(spec for spec in itertools.product(range(2, 40), range(1, 40))
                if math.gcd(*spec) == 1 and spec[0] != spec[1]
-               and _collides(S, three, spec) and not _collides(S, low, spec))
-    integrals = [(EULER, 0, n, {}) for n in range(5)] \
-        + [(FE.chern(n, co_class(bc=1)), 0, n, {"beta": (1,)})
-           for n in range(4)]
+               and _collides(ctx, three, spec)
+               and not _collides(ctx, low, spec))
+    integrals = [(EULER, 0, n, None) for n in range(5)] \
+        + [(FE.chern(n, co_class(bc=1)), 0, n, (1,)) for n in range(4)]
     draws = [(7, 3)] * 3 + [bad, (11, 4)] + [(7, 3)] * 5
 
     def run(shared):
+        # one context of the class for every integral, or a new one for
+        # each with the class it needs
         script = iter(draws)
         out = []
         ctx = H.LocalizationContext(S, beta=(1,))
         with mock.patch.object(H, "_draw_spec", lambda rng: next(script)):
-            for expr, n1, n2, kw in integrals:
-                out.append(INTEGRATE(expr, ctx if shared else S, n1, n2,
-                                     return_info=True, **kw))
+            for expr, n1, n2, beta in integrals:
+                if not shared:
+                    ctx = H.LocalizationContext(S, beta=beta)
+                value = INTEGRATE(expr, ctx, n1, n2)
+                out.append((value, integral_info(ctx)))
         return out
     shared, fresh = run(True), run(False)
     assert shared == fresh
@@ -131,23 +135,17 @@ def test_redraw_resets_the_shared_direction_memo():
     assert [value for value, _ in shared[:5]] == [1, 3, 9, 22, 51]
 
 
-def test_conflicting_classes_are_rejected():
-    S = p2()
-    ctx = H.LocalizationContext(S, beta=(1,))
-    pt = next(H.enumerate_fixed_points(S, 0, 1))
-    # the context's own class, as integers or Fractions, is no conflict
-    assert INTEGRATE(EULER, ctx, 0, 1, beta=(1,)) == 3
-    assert INTEGRATE(EULER, ctx, 0, 1, beta=(Fraction(1),)) == 3
-    with pytest.raises(ValueError, match="beta .* conflicts"):
-        INTEGRATE(EULER, ctx, 0, 1, beta=(2,))
-    with pytest.raises(ValueError, match="A .* conflicts"):
-        INTEGRATE(EULER, ctx, 0, 1, A=(1,))
-    with pytest.raises(ValueError, match="with_pb .* conflicts"):
-        INTEGRATE(EULER, ctx, 0, 1, with_pb=(1,))
-    with pytest.raises(ValueError, match="with_pb .* conflicts"):
-        H.full_tangent_character(ctx, pt, with_pb=(1,))
-    with pytest.raises(ValueError, match="beta .* conflicts"):
-        INTEGRATE(EULER, H.LocalizationContext(S), 0, 1, beta=(1,))
+def test_integral_leaves_its_counters_on_the_context():
+    ctx = H.LocalizationContext(p2(), beta=(0,))
+    assert (ctx.spec, ctx.attempts, ctx.points, ctx.visited) \
+        == (None, 0, 0, 0)
+    assert INTEGRATE(EULER, ctx, 0, 2, seed=3) == 9
+    assert ctx.spec == H._draw_spec(random.Random(3))
+    assert (ctx.attempts, ctx.points, ctx.visited) == (1, 9, 9)
+    # the next integral replaces them: at beta = 0 the monopole
+    # integrand is zero at each of the three points of P2^[0] x P2^[1]
+    assert INTEGRATE(vw.monopole_integrand(0, 1), ctx, 0, 1, seed=3) == 0
+    assert (ctx.attempts, ctx.points, ctx.visited) == (1, 3, 0)
 
 
 def test_integrate_range_specializes_each_chart_piece_once(monkeypatch,

@@ -321,12 +321,12 @@ class TestChartPieces:
         make, beta = SURFACES[which]
         n1, n2 = sizes
         S, expr, kw = problem(kind, make, beta, n1, n2)
-        points = list(H.enumerate_fixed_points(
-            S, n1, n2, with_pb=kw.get("with_pb"), nested=False))
-        spec = H._draw_spec(random.Random(seed))
         # one context for all points, so later points hit cached pieces
-        cached = contributions(H.LocalizationContext(S, **kw), expr,
-                               points, spec, H._point_contribution)
+        ctx = H.LocalizationContext(S, **kw)
+        points = list(H.enumerate_fixed_points(ctx, n1, n2, nested=False))
+        spec = H._draw_spec(random.Random(seed))
+        cached = contributions(ctx, expr, points, spec,
+                               H._point_contribution)
         ref = contributions(UncachedContext(S, **kw), expr, points, spec,
                             ref_point_contribution)
         assert cached == ref
@@ -334,7 +334,7 @@ class TestChartPieces:
     def test_each_piece_built_once(self):
         S = p1xp1()
         ctx = H.LocalizationContext(S)
-        for pt in H.enumerate_fixed_points(S, 0, 2):
+        for pt in H.enumerate_fixed_points(ctx, 0, 2):
             H._point_contribution(ctx, EULER, pt, (7, 3))
         # one tangent piece per chart and partition of size 1 or 2
         assert len(ctx._pieces) == len(S.charts) * 3
@@ -416,8 +416,7 @@ def ref_integral(expr, S, n1, n2, spec, **kw):
     does not depend on the circle weight."""
     ctx = UncachedContext(S, **kw)
     totals = {}
-    for pt in H.enumerate_fixed_points(S, n1, n2, with_pb=kw.get("with_pb"),
-                                       nested=False):
+    for pt in H.enumerate_fixed_points(ctx, n1, n2, nested=False):
         val = SumRouteEvaluator(ctx, pt, spec).cval(expr)
         tangent = H.specialize_weights(ctx.tangent(pt), spec)
         den = [w for w, m in tangent.items() for _ in range(m)]
@@ -439,13 +438,12 @@ class TestMergedWeights:
         n1 = data.draw(st.integers(0, 2))
         n2 = data.draw(st.integers(0, 3 - n1))
         kw = {"beta": beta, "with_pb": beta if pb else None}
-        points = list(H.enumerate_fixed_points(S, n1, n2,
-                                               with_pb=kw["with_pb"],
-                                               nested=False))
+        ctx = H.LocalizationContext(S, **kw)
+        points = list(H.enumerate_fixed_points(ctx, n1, n2, nested=False))
         pt = points[data.draw(st.integers(0, len(points) - 1))]
         spec = H._draw_spec(random.Random(data.draw(st.integers(0, 10 ** 6))))
         tree = data.draw(k_trees(S.rank, pb))
-        ev = H.PointEvaluator(H.LocalizationContext(S, **kw), pt, spec)
+        ev = H.PointEvaluator(ctx, pt, spec)
         ref = SumRouteEvaluator(UncachedContext(S, **kw), pt, spec)
         for e in k_nodes(tree):
             assert weights_or_collision(ev.weights, e) \
@@ -461,7 +459,7 @@ class TestMergedWeights:
         e = FE.kdiff(pushO(bc=1), rhom(1, 2, bc=1))
         ctx = H.LocalizationContext(S, beta=(1,))
         whole = []
-        for pt in H.enumerate_fixed_points(S, 0, 1, nested=False):
+        for pt in H.enumerate_fixed_points(ctx, 0, 1, nested=False):
             with pytest.raises(H._Collision):
                 H.PointEvaluator(ctx, pt, bad).weights(e)
             whole.append(weights_or_collision(
@@ -479,10 +477,10 @@ class TestMergedWeights:
                         (EULER, {}),
                         (FE.chern(n, co_class(bc=1)), {"beta": beta}),
                         (monopole_integrand(n1, n2), {"beta": beta})):
-                    value, info = H.equivariant_integrate(
-                        expr, S, n1, n2, return_info=True, **kw)
+                    ctx = H.LocalizationContext(S, **kw)
+                    value = H.equivariant_integrate(expr, ctx, n1, n2)
                     assert value == ref_integral(expr, S, n1, n2,
-                                                 info["spec"], **kw)
+                                                 ctx.spec, **kw)
 
 
 def annihilating_spec(S, points):
@@ -499,11 +497,11 @@ def annihilating_spec(S, points):
 class TestCollisions:
     def test_collision_with_and_without_cached_piece(self):
         S = p2()
-        points = list(H.enumerate_fixed_points(S, 0, 3))
+        ctx = H.LocalizationContext(S)
+        points = list(H.enumerate_fixed_points(ctx, 0, 3))
         pt, bad = annihilating_spec(S, points)
         with pytest.raises(H._Collision):
             H._point_contribution(H.LocalizationContext(S), EULER, pt, bad)
-        ctx = H.LocalizationContext(S)
         assert H._point_contribution(ctx, EULER, pt, (7, 3)) \
             == {(0, 0): 1}
         with pytest.raises(H._Collision):
@@ -512,16 +510,17 @@ class TestCollisions:
     @pytest.mark.parametrize("kind", ["euler", "monopole"])
     def test_redraw_after_collision(self, kind):
         S, expr, kw = problem(kind, p2, (1,), 0, 3)
-        points = list(H.enumerate_fixed_points(S, 0, 3, nested=False))
+        points = list(H.enumerate_fixed_points(
+            H.LocalizationContext(S, **kw), 0, 3, nested=False))
         _, bad = annihilating_spec(S, points)
         for first in (bad, (7, 3)):
             draws = iter([first, (11, 4)])
+            ctx = H.LocalizationContext(S, **kw)
             with mock.patch.object(H, "_draw_spec",
                                    lambda rng: next(draws)):
-                value, info = H.equivariant_integrate(
-                    expr, S, 0, 3, return_info=True, **kw)
+                value = H.equivariant_integrate(expr, ctx, 0, 3)
             want = (11, 4) if first == bad else (7, 3)
-            assert (info["spec"], info["attempts"]) \
+            assert (ctx.spec, ctx.attempts) \
                 == (want, 2 if first == bad else 1)
             # the value does not depend on the direction drawn
             ref = {}
@@ -546,14 +545,14 @@ class TestCancellation:
         expr = FE.mul(EULER, inverse, inverse)
         S = p2()
         ctx, ref_ctx = H.LocalizationContext(S), UncachedContext(S)
-        for pt in H.enumerate_fixed_points(S, 0, 1):
+        for pt in H.enumerate_fixed_points(ctx, 0, 1):
             value = H._point_contribution(ctx, expr, pt, (7, 3))
             assert value == ref_point_contribution(ref_ctx, expr, pt,
                                                    (7, 3))
             assert min(s for s, _ in value) == -4
         with pytest.raises(ValueError,
                            match="integral not equivariantly constant"):
-            H.equivariant_integrate(expr, S, 0, 1)
+            H.equivariant_integrate(expr, H.LocalizationContext(S), 0, 1)
 
 
 polys = st.dictionaries(

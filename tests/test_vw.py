@@ -13,7 +13,8 @@ from nesthilb.surface import p2, p1xp1, f1, f2, riemann_roch_chi, \
     surface_from_json
 from nesthilb.porteous import normalize, duality_rewrite, virtual_rank, \
     eval_formal, FormalEnv, nested_reduced_formula
-from nesthilb.hilbloc import RatFunc, equivariant_integrate
+from nesthilb.hilbloc import LocalizationContext, RatFunc, \
+    equivariant_integrate
 from nesthilb.vw import (
     SWTable, MonopoleResult, monopole_integrand, monopole_contribution,
     point_contribution, universality_fit, fit_report, format_value,
@@ -144,19 +145,20 @@ class TestNestedLocus:
         # c_n(E_L) skips the points where E_L holds the zero weight;
         # c_n(-Rhom) is nonzero there, so its integral sums every point
         S = make()
+        ctx = LocalizationContext(S, beta=beta)
+        other = LocalizationContext(S, beta=beta)
         visited, points = [0] * 4, [0] * 4
         for n in range(4):
             for n1 in range(n + 1):
                 n2 = n - n1
-                value, info = equivariant_integrate(
-                    monopole_integrand(n1, n2), S, n1, n2, beta=beta,
-                    return_info=True)
+                value = equivariant_integrate(monopole_integrand(n1, n2),
+                                              ctx, n1, n2)
                 assert value == equivariant_integrate(
-                    degeneracy_integrand(n1, n2), S, n1, n2, beta=beta)
+                    degeneracy_integrand(n1, n2), other, n1, n2)
                 if not any(beta) and n1 < n2:
-                    assert info["visited"] == 0
-                visited[n] += info["visited"]
-                points[n] += info["points"]
+                    assert ctx.visited == 0
+                visited[n] += ctx.visited
+                points[n] += ctx.points
         if (S.name, beta) in VISITS:
             n_max, want_visited, want_points = VISITS[S.name, beta]
             assert sum(visited[:n_max + 1]) == want_visited
@@ -460,10 +462,9 @@ class TestSWCoupledPushforward:
             non = sw_coupled_pushforward("pg=0-noneffective", i, n1, n2,
                                          (1,), S)
             tau = FE.mul(*[FE.chern(1, t) for t in taus])
-            va = equivariant_integrate(FE.mul(tau, gen), S, n1, n2,
-                                       beta=(1,))
-            vb = equivariant_integrate(FE.mul(tau, non), S, n1, n2,
-                                       beta=(1,))
+            ctx = LocalizationContext(S, beta=(1,))
+            va = equivariant_integrate(FE.mul(tau, gen), ctx, n1, n2)
+            vb = equivariant_integrate(FE.mul(tau, non), ctx, n1, n2)
             assert va == vb
 
 
