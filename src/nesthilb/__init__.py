@@ -8,8 +8,8 @@ Modules:
   expressions, K-class arithmetic
 - bundles: projective and Grassmann bundle models with pushforwards
 - surface: surface numerics and toric fixed-point data
-- porteous: normalization and formal evaluation of expression trees,
-  and the formula emitters
+- porteous: formal evaluation of expression trees, and the formula
+  emitters
 - hilbloc: torus fixed points, characters, Atiyah-Bott integration
 - chartfactors: the Euler-product integrals of hilbloc as products of
   per-chart factors; hilbloc imports it at the first such integral

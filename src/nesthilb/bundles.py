@@ -108,14 +108,6 @@ def proj_pushforward(space, cls):
     return _moved(space.base.ring, ring, ring.width, cls.den, out)
 
 
-def integrate(space, cls):
-    """Push a class down through every bundle level to the root."""
-    while space.base is not None:
-        cls = proj_pushforward(space, cls)
-        space = space.base
-    return cls
-
-
 def _divide_linear(nums, sj, si, mask):
     """Exact division of a {packed monomial: int} polynomial by
     (x_j - x_i), the fields of x_j and x_i at bit offsets sj and si.

@@ -89,8 +89,8 @@ def attempt(ctx, expr, points):
     """The function of a direction that ``hilbloc._first_direction``
     tries for the integral of ``expr`` over ``points``: the integral's
     s-expansion {(s_power, t_power): coefficient} at s-powers <= 0,
-    with ``ctx.visited`` counted.  Values, visited points and errors
-    are the per-point path's."""
+    with ``ctx.visited`` counted up from the zero each attempt starts
+    at.  Values, visited points and errors are the per-point path's."""
     scale, nodes = _plan(expr)
     kind = ("factors", expr.key())
     empty = ((),) * len(ctx.surface.charts)
@@ -98,7 +98,6 @@ def attempt(ctx, expr, points):
     def run(spec):
         tables = ctx.table(spec, kind, NO_SHIFT)
         totals, chis, const = {}, None, None
-        ctx.visited = 0
         for p in points:
             charts = list(zip(tables, zip(p.mu, p.nu)))
             if const is not None:

@@ -14,9 +14,7 @@ vector of integer coefficients (bc, ac, kc, o1, tp) meaning the line
 
     L_beta^bc (A)^ac K_S^kc O(1)^o1 t^tp,
 
-with beta and A bound at evaluation time.  The duality rewrite acts on
-these coefficients symbolically: beta -> K - beta sends (bc, kc) to
-(-bc, kc + bc).
+with beta and A bound at evaluation time.
 """
 
 import json
@@ -190,17 +188,6 @@ def taut(k_abs, level):
     return FormulaExpr.leaf("taut", a=k_abs, level=level)
 
 
-def sw_factor(j=0, bc=1, kc=0):
-    """Seiberg-Witten invariant (or j-th higher pairing) of the class
-    bc*beta + kc*K, resolved against a table at normalization time."""
-    return FormulaExpr.leaf("sw", j=j, bc=bc, kc=kc)
-
-
-def pic_point():
-    """The point class [L] of Pic_beta(S)."""
-    return FormulaExpr.leaf("picpoint")
-
-
 def co_class(bc=1, o1=0):
     """The Carlsson-Okounkov K-class Rpi_* xi - Rhom_pi(I1, I2 xi)."""
     return FormulaExpr.kdiff(pushO(bc=bc, o1=o1), rhom(1, 2, bc=bc, o1=o1))
@@ -252,8 +239,8 @@ _GRAMMAR = {
 }
 _NODE_KEYS = {"kind", "params", "attrs", "children"}
 # nodes on the longest root-to-leaf path of a tree read from JSON: every
-# recursive walk of such a tree (keys, normalization, both evaluators)
-# stays far inside the interpreter's recursion limit
+# recursive walk of such a tree (keys and both evaluators) stays far
+# inside the interpreter's recursion limit
 MAX_DEPTH = 200
 # nodes deeper than this are named in errors by a shortened path
 SHORT_PATH_DEPTH = 8

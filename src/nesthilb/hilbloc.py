@@ -1250,12 +1250,12 @@ def _draw_spec(rng):
 
 def _first_direction(seed, attempt):
     """``attempt(spec)`` under seeded directions drawn in turn until one
-    annihilates no lattice weight: (result, spec, attempts)."""
+    annihilates no lattice weight: its result."""
     rng = random.Random(seed)
-    for attempts in range(1, 52):
+    for _ in range(51):
         spec = _draw_spec(rng)
         try:
-            return attempt(spec), spec, attempts
+            return attempt(spec)
         except _Collision:
             pass
     raise ValueError("non-isolated or non-generic weights")
@@ -1267,7 +1267,7 @@ def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
     of its ``with_pb`` when it has one) by summing fixed point
     contributions.  The integral leaves its direction, draws, points
     and visited points on the context (``ctx.spec``, ``ctx.attempts``,
-    ``ctx.points``, ``ctx.visited``).
+    ``ctx.points``, ``ctx.visited``), also when it raises.
 
     Exact: the result is a Fraction when the integral is a number, and
     a RatFunc, the Laurent polynomial in the auxiliary weight, only
@@ -1293,18 +1293,24 @@ def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
     points = list(enumerate_fixed_points(ctx, n1, n2, nested=False))
     if ctx.with_pb is None and _euler_product(expr):
         from . import chartfactors
-        attempt = chartfactors.attempt(ctx, expr, points)
+        run = chartfactors.attempt(ctx, expr, points)
     else:
-        def attempt(spec):
+        def run(spec):
             totals = {}
-            ctx.visited = 0
             for p in points:
                 contrib = _point_contribution(ctx, expr, p, spec)
                 for key, coef in contrib.items():
                     totals[key] = totals.get(key, 0) + coef
             return totals
-    totals, ctx.spec, ctx.attempts = _first_direction(seed, attempt)
-    ctx.points = len(points)
+
+    def attempt(spec):
+        # set before the attempt runs, so an integral that raises
+        # leaves its own counters
+        ctx.spec, ctx.visited = spec, 0
+        ctx.attempts += 1
+        return run(spec)
+    ctx.points, ctx.attempts = len(points), 0
+    totals = _first_direction(seed, attempt)
     if any(coef and deg < 0 for (deg, _), coef in totals.items()):
         raise ValueError("integral not equivariantly constant")
     value = RatFunc({tp: coef for (deg, tp), coef in totals.items()
@@ -1329,4 +1335,4 @@ def tangent_index_counts(ctx, n, seed=0):
             i = sum(m for (k, _), m in exps.items() if k > 0)
             counts[i] = counts.get(i, 0) + 1
         return counts
-    return _first_direction(seed, attempt)[0]
+    return _first_direction(seed, attempt)

@@ -1,17 +1,15 @@
-"""The formal side of the pushforward formulas: normalization of
-`FormulaExpr` trees (see `expr`), their evaluation over graded rings
-and K-classes (`eval_formal`, `FormalEnv`), and the formula emitters
-that build the trees.
+"""The formal side of the pushforward formulas: the evaluation of
+`FormulaExpr` trees (see `expr`) over graded rings and K-classes
+(`eval_formal`, `FormalEnv`), and the formula emitters that build the
+trees.
 
 The tree and its JSON form live in `expr`, which the equivariant
 evaluator of `hilbloc` reads without loading this module or the ring
 model.
 """
 
-from fractions import Fraction
-
 from .ringcore import KClass, delta_det, k_twist, k_dual
-from .expr import FormulaExpr, ZERO_CLASS, rhom, pushO, o1_line
+from .expr import FormulaExpr, rhom, pushO, o1_line
 # bound here too: the benchmark's tracer (perfbench/tracing.py) spans
 # the JSON grammar under these porteous names
 from .expr import expr_to_json, expr_from_json  # noqa: F401
@@ -22,203 +20,9 @@ from . import surface as surfaces
 
 
 # ---------------------------------------------------------------------------
-# virtual rank
-
-
-def virtual_rank(expr, rank_env):
-    """Virtual rank of a K-valued node.  ``rank_env`` maps a leaf to an
-    integer rank."""
-    if expr.kind == "leaf":
-        return rank_env(expr)
-    if expr.kind == "ksum":
-        return sum(virtual_rank(c, rank_env) for c in expr.children)
-    if expr.kind == "kdiff":
-        a, b = expr.children
-        return virtual_rank(a, rank_env) - virtual_rank(b, rank_env)
-    if expr.kind in ("dual", "twist"):
-        return virtual_rank(expr.children[0], rank_env)
-    raise ValueError("node %r has no virtual rank" % expr.kind)
-
-
-# ---------------------------------------------------------------------------
-# normalization
+# formal evaluation
 
 _KKINDS = ("leaf", "ksum", "kdiff", "dual", "twist")
-
-
-def _serre_orient(e):
-    """Rewrite rhom leaves with (i,j) = (2,1) through relative Serre
-    duality: Rhom(I_2, I_1 xi) = dual Rhom(I_1, I_2 (K - xi))."""
-    if e.kind == "leaf" and e.params[0] == "rhom" \
-            and (e.attr("i"), e.attr("j")) == (2, 1):
-        flipped = rhom(1, 2, bc=-e.attr("bc"), ac=-e.attr("ac"),
-                       kc=1 - e.attr("kc"), o1=-e.attr("o1"),
-                       tp=-e.attr("tp"), lvl=e.attr("lvl"))
-        return FormulaExpr.dual(flipped)
-    if e.children:
-        return FormulaExpr(e.kind, e.params, e.attrs,
-                           tuple(_serre_orient(c) for c in e.children))
-    return e
-
-
-def _push_dual(e, flip=False):
-    """Push dual markers down to the leaves."""
-    if e.kind == "dual":
-        return _push_dual(e.children[0], not flip)
-    if e.kind in ("ksum", "kdiff", "twist"):
-        kids = [_push_dual(c, flip) for c in e.children]
-        if e.kind == "twist":
-            # dual(X tensor l^m) = dual(X) tensor l^(-m); the line child
-            # itself keeps its orientation
-            kids[1] = _push_dual(e.children[1], False)
-            m = -e.params[0] if flip else e.params[0]
-            return FormulaExpr("twist", (m,), e.attrs, tuple(kids))
-        return FormulaExpr(e.kind, e.params, e.attrs, tuple(kids))
-    if e.kind == "leaf":
-        return FormulaExpr.dual(e) if flip else e
-    if e.children:
-        return FormulaExpr(e.kind, e.params, e.attrs,
-                           tuple(_push_dual(c, flip) for c in e.children))
-    return e
-
-
-def _all_dual(e):
-    if e.kind == "dual":
-        return True
-    if e.kind == "leaf":
-        return False
-    if e.kind == "ksum":
-        return all(_all_dual(c) for c in e.children)
-    if e.kind == "kdiff":
-        return all(_all_dual(c) for c in e.children)
-    if e.kind == "twist":
-        return _all_dual(e.children[0])
-    return False
-
-
-def _strip_dual(e):
-    if e.kind == "dual":
-        return e.children[0]
-    if e.kind in ("ksum", "kdiff"):
-        return FormulaExpr(e.kind, e.params, e.attrs,
-                           tuple(_strip_dual(c) for c in e.children))
-    if e.kind == "twist":
-        return FormulaExpr("twist", (-e.params[0],), e.attrs,
-                           (_strip_dual(e.children[0]), e.children[1]))
-    return e
-
-
-def normalize(expr, surface=None, beta=None, sw_table=None, rank_env=None):
-    """Canonical form of an expression tree.
-
-    Orients rhom leaves to (1,2) via Serre duality, converts Chern
-    classes of fully dualized arguments by c_k(V*) = (-1)^k c_k(V),
-    expands chern-of-twist when the degree equals the argument's
-    virtual rank (rank-level Manivel identity), resolves Seiberg-Witten
-    leaves against a table (class -> (invariant, pairings), by default
-    the surface's own) when surface and beta are supplied, flattens
-    and sorts commutative operations, and collects scales.
-    """
-    resolve = surface is not None and beta is not None
-    if resolve and sw_table is None:
-        sw_table = surface.sw_table
-
-    def _norm(e):
-        e = FormulaExpr(e.kind, e.params, e.attrs,
-                        tuple(_norm(c) for c in e.children))
-
-        if e.kind == "leaf" and e.params[0] == "sw" and resolve:
-            val = _resolve_sw(e, surface, beta, sw_table)
-            return _norm(FormulaExpr.scale(val, FormulaExpr("mul")))
-
-        if e.kind == "chern":
-            (k,), (arg,) = e.params, e.children
-            if _all_dual(arg):
-                inner = _norm(FormulaExpr.chern(k, _strip_dual(arg)))
-                if k % 2:
-                    return _norm(FormulaExpr.scale(-1, inner))
-                return inner
-            if arg.kind == "twist" and rank_env is not None:
-                body, line = arg.children
-                m = arg.params[0]
-                if virtual_rank(body, rank_env) == k:
-                    h = FormulaExpr.chern(1, line)
-                    terms = []
-                    for j in range(k + 1):
-                        factors = [FormulaExpr.chern(k - j, body)] + [h] * j
-                        t = FormulaExpr.mul(*factors)
-                        if m != 1 and j:
-                            t = FormulaExpr.scale(Fraction(m) ** j, t)
-                        terms.append(t)
-                    return _norm(FormulaExpr.add(*terms))
-            if k == 0:
-                return FormulaExpr("mul")
-            return e
-
-        if e.kind == "ksum":
-            flat = []
-            for c in e.children:
-                flat.extend(c.children if c.kind == "ksum" else [c])
-            return FormulaExpr("ksum",
-                               children=sorted(flat, key=lambda x: x.key()))
-
-        if e.kind == "add":
-            flat = []
-            for c in e.children:
-                flat.extend(c.children if c.kind == "add" else [c])
-            if len(flat) == 1:
-                return flat[0]
-            return FormulaExpr("add",
-                               children=sorted(flat, key=lambda x: x.key()))
-
-        if e.kind in ("mul", "scale"):
-            coeff = Fraction(1)
-            factors = []
-            stack = [e]
-            while stack:
-                cur = stack.pop()
-                if cur.kind == "scale":
-                    coeff *= cur.params[0]
-                    stack.append(cur.children[0])
-                elif cur.kind in ("mul", "one"):
-                    stack.extend(cur.children)
-                else:
-                    factors.append(cur)
-            if any(f == ZERO_CLASS for f in factors):
-                return ZERO_CLASS
-            factors.sort(key=lambda x: x.key())
-            if len(factors) == 1:
-                body = factors[0]
-            else:
-                body = FormulaExpr("mul", children=factors)
-            if coeff == 1:
-                return body
-            if coeff == 0:
-                return ZERO_CLASS
-            return FormulaExpr.scale(coeff, body)
-
-        if e.kind == "one":
-            return FormulaExpr("mul")
-
-        return e
-
-    return _norm(_push_dual(_serre_orient(expr)))
-
-
-def _resolve_sw(e, surface, beta, table):
-    cls = surface.scale(e.attr("bc"), surface.cls(beta))
-    cls = surface.add(cls, surface.scale(e.attr("kc"), surface.K))
-    value, pairings = table.get(tuple(cls), (0, ()))
-    j = e.attr("j")
-    if j == 0:
-        return Fraction(value)
-    if j - 1 < len(pairings):
-        return Fraction(pairings[j - 1])
-    return Fraction(0)
-
-
-# ---------------------------------------------------------------------------
-# formal evaluation
 
 
 def eval_formal(expr, env):
@@ -426,76 +230,3 @@ def nested_reduced_formula(n1, n2, surface, beta, A, h2_vanishing=False):
             "reduced_vd": chi + n1 + n2 + surface.q - 1,
             "degree": n1 + n2 + d}
     return expr, info
-
-
-def ell_step_formula(n, beta, surface=None, A=None):
-    """Multi-step pushforward: the product over consecutive pairs of
-    the reduced one-step factors, each on its own projective bundle
-    level, plus the matching product of Carlsson-Okounkov factors.
-
-    ``n`` has length ell >= 2 and ``beta`` length ell - 1; each factor
-    i carries degree n_i + n_{i+1} + d_i with d_i the twist dimension
-    of (beta_i, A).
-    """
-    ell = len(n)
-    if ell < 2 or len(beta) != ell - 1:
-        raise ValueError("need ell >= 2 sizes and ell - 1 curve classes")
-    reduced_factors = []
-    co_factors = []
-    for i in range(ell - 1):
-        if surface is not None and A is not None:
-            d_i = surfaces.twist_dim_d(surface, beta[i], A)
-        else:
-            d_i = 0
-        B1 = FormulaExpr.twist(pushO(bc=1, ac=1, lvl=i), o1_line(lvl=i), 1)
-        R1 = rhom(i + 1, i + 2, bc=1, o1=1, lvl=i)
-        reduced_factors.append(FormulaExpr.chern(
-            n[i] + n[i + 1] + d_i, FormulaExpr.kdiff(B1, R1)))
-        CO = FormulaExpr.kdiff(pushO(bc=1, o1=1, lvl=i), R1)
-        co_factors.append(FormulaExpr.chern(n[i] + n[i + 1], CO))
-    return FormulaExpr.mul(*reduced_factors), FormulaExpr.mul(*co_factors)
-
-
-def _dual_twist_attrs(e):
-    out = dict(e.attrs)
-    bc, kc = out.get("bc", 0), out.get("kc", 0)
-    out["bc"], out["kc"] = -bc, kc + bc
-    out["o1"] = out.get("o1", 0)
-    out["tp"] = out.get("tp", 0)
-    return out
-
-
-def _swap_nesting(i):
-    return {1: 2, 2: 1}.get(i, i)
-
-
-def duality_rewrite(expr, n1, n2, beta, surface):
-    """The beta <-> K - beta, n1 <-> n2 rewrite of a pushforward
-    formula, together with the predicted comparison sign exponent
-    s = n1 + n2 - chi(O) - vd_beta.
-
-    Twist descriptors transform symbolically (bc, kc) -> (-bc, kc+bc);
-    nesting indices swap; Seiberg-Witten leaves move to the dual class.
-    A-twists are outside the duality statement and are rejected.
-    """
-    def walk(e):
-        if e.kind == "leaf":
-            name = e.params[0]
-            if name in ("rhom", "rhom0", "pushO", "sw"):
-                if e.attr("ac"):
-                    raise ValueError("unrecognized shape: A-twisted leaf")
-                attrs = _dual_twist_attrs(e)
-                if name in ("rhom", "rhom0"):
-                    attrs["i"] = _swap_nesting(e.attr("i"))
-                    attrs["j"] = _swap_nesting(e.attr("j"))
-                    attrs["lvl"] = e.attr("lvl")
-                if name == "sw":
-                    attrs = {"j": e.attr("j"), "bc": -e.attr("bc"),
-                             "kc": e.attr("kc") + e.attr("bc")}
-                return FormulaExpr("leaf", (name,), attrs.items(), ())
-            return e
-        return FormulaExpr(e.kind, e.params, e.attrs,
-                           tuple(walk(c) for c in e.children))
-
-    s = n1 + n2 - surface.chiO - surfaces.vd_beta(surface, beta)
-    return walk(expr), s

@@ -22,8 +22,7 @@ class packed at an older width is repacked when it is next used.
 Printing, lifting and casting between rings, and the bundle maps of
 `nesthilb.bundles` read these integer buckets over the denominator.
 `GradedClass.poly`, the {exponent tuple: Fraction} dict, is a read-only
-view for tests, `GradedClass.coefficient` and hashing, built on first
-access.
+view for tests and hashing, built on first access.
 
 Every product, and every sum of products (determinant minors, series
 inversion, twists), goes through one fused kernel, `_dot`: it sums the
@@ -329,9 +328,6 @@ class Ring:
     def gens(self):
         return [self.gen(n) for n in self.names]
 
-    def from_dict(self, poly):
-        return GradedClass(self, {tuple(m): c for m, c in poly.items()})
-
     def extend(self, names, degrees=None, relations=None):
         """New ring with extra generators appended; relations may refer to
         old and new generators (monomials in the extended arity).
@@ -461,8 +457,8 @@ class GradedClass:
     int numerator}}, with ``width`` the field width it was packed at;
     every stored monomial has degree at most the ring's bound D.
     ``poly`` is the {exponent tuple: Fraction} view, built once, for
-    tests and ``coefficient``; ``terms`` lists the packed form by
-    exponent tuple.
+    tests and hashing; ``terms`` lists the packed form by exponent
+    tuple.
     """
 
     __slots__ = ("ring", "den", "parts", "width", "_poly")
@@ -599,9 +595,6 @@ class GradedClass:
         ring, den = self.ring, self.den
         return {k: _class(ring, den, {k: b})
                 for k, b in sorted(self._fit().items())}
-
-    def coefficient(self, mono):
-        return self.poly.get(tuple(mono), ZERO)
 
     def terms(self):
         """The (degree, exponent tuple, numerator) triples of the class,

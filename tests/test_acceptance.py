@@ -11,17 +11,18 @@ import pytest
 from nesthilb.ringcore import Ring, GradedClass, KClass, series_invert
 from nesthilb.bundles import grassmann_split_pushforward
 from nesthilb.surface import p2, p1xp1, f2, general_type_profile, vd_beta
-from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
-    co_class, ZERO_CLASS
-from nesthilb.porteous import FormalEnv, eval_formal, normalize, \
-    duality_rewrite, degeneracy_pushforward_X, degeneracy_pushforward_GrB
+from nesthilb.expr import FormulaExpr as FE, o1_line, taut, co_class, \
+    ZERO_CLASS
+from nesthilb.porteous import FormalEnv, eval_formal, \
+    degeneracy_pushforward_X, degeneracy_pushforward_GrB, \
+    nested_reduced_formula
 from nesthilb.hilbloc import partitions, EquivChar, tangent_character, \
     rhom_character, enumerate_fixed_points, equivariant_integrate, \
     LocalizationContext
 from nesthilb.vw import SWTable, point_contribution, \
     monopole_contribution, universality_fit, monomial_value
 from support import staircase_generators, nonequivariant_limit, \
-    sw_coupled_pushforward, virtual_class_route
+    sw_coupled_pushforward, virtual_class_route, normalize, duality_rewrite
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,11 @@ def test_criterion_06_two_route_pushforward():
         for d in (1, 2, 3):
             beta = (d,)
             vd = vd_beta(S, beta)
-            ctx_a = LocalizationContext(S, beta=beta, with_pb=beta)
+            # the reduced formula's pushO carries ac=1, so A = 0
+            ctx_a = LocalizationContext(S, beta=beta, A=(0,), with_pb=beta)
             ctx_b = LocalizationContext(S, beta=beta)
+            cls_a, _ = nested_reduced_formula(n1, n2, S, beta, (0,),
+                                              h2_vanishing=True)
             for i in (0, 1, 2):
                 cap = max(0, 2 * n - (n - vd + i))
                 taus = taut_monomials(levels, cap)
@@ -254,17 +258,14 @@ def test_criterion_06_two_route_pushforward():
                     # the shifted degree is negative, so both routes
                     # must vanish; two insertions witness that
                     taus = taus[:2]
+                # on P2, q = 0: the shifted degree is n - vd + i
+                cls_b = sw_coupled_pushforward("pg=0-noneffective", i, n1,
+                                               n2, beta, S)
                 for degree, tau in taus:
-                    B1 = FE.twist(pushO(bc=1), o1_line(), 1)
-                    R1 = rhom(1, 2, bc=1, o1=1)
-                    cls_a = FE.chern(n, FE.kdiff(B1, R1))
                     parts = ([tau] if tau is not None else []) \
                         + [FE.chern(1, o1_line())] * i + [cls_a]
                     va = equivariant_integrate(FE.mul(*parts), ctx_a,
                                                n1, n2)
-                    cls_b = FE.chern(n - vd + i,
-                                     FE.kdiff(FE.ksum(),
-                                              rhom(1, 2, bc=1)))
                     parts = ([tau] if tau is not None else []) \
                         + [cls_b]
                     vb = equivariant_integrate(FE.mul(*parts), ctx_b,

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from nesthilb.ringcore import Ring, KClass, series_invert
-from nesthilb.bundles import (SpaceModel, free_model, projective_bundle,
-                              proj_pushforward, integrate,
-                              grassmann_split_pushforward)
-from support import flag_tower_routes, point_base
+from nesthilb.bundles import (free_model, projective_bundle,
+                              proj_pushforward, grassmann_split_pushforward)
+from support import flag_tower_routes, point_base, integrate
 
 
 def projective_space(n):

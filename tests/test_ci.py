@@ -124,6 +124,16 @@ def test_workflow_runs_tier1():
         " | grep -v '^# seed' | sha256sum | cut -d ' ' -f 1)\""
         " = \"$digest\"",
         ""])
+    # the reduced formula's push, with the H^2-vanishing flag from a job
+    # file: line 2 holds its twist dimension, degree and reduced
+    # virtual dimension
+    reduced = "\n".join([
+        "echo '%s' > %s" % ('{"params": {"h2_vanishing": true}}',
+                            tmp % "reduced.json"),
+        "test \"$(nesthilb push --formula reduced --surface P2 --beta 1"
+        " --n1 1 --n2 1 --job %s | sed -n 2p)\" = '%s'"
+        % (tmp % "reduced.json", '{"d": 0, "degree": 2, "reduced_vd": 4}'),
+        ""])
     # the benchmark checks every workload's outputs, on one interpreter
     # only; it prints one result line per workload.  It runs traced and
     # untraced: the tracer loads every lazy module, so only the
@@ -133,7 +143,7 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    weighted, verify, csv, push, traced, untraced,
+                    weighted, verify, csv, push, reduced, traced, untraced,
                     tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]

@@ -683,6 +683,29 @@ class TestMain:
         assert doc["error"]["code"] == EXIT_SCHEMA
         assert doc["error"]["message"].startswith("params.expr")
 
+    @pytest.mark.parametrize("expr,message", [
+        ({"kind": "euler", "children": [{"kind": "leaf", "params": ["sw"]}]},
+         "leaf 'sw' has no equivariant value"),
+        ({"kind": "euler", "children": [
+            {"kind": "leaf", "params": ["picpoint"]}]},
+         "leaf 'picpoint' has no equivariant value"),
+        ({"kind": "push", "params": [0], "children": [{"kind": "one"}]},
+         "node 'push' has no equivariant value"),
+    ])
+    def test_tree_without_equivariant_value_is_math_error(
+            self, expr, message, tmp_path, capsys):
+        # well-formed trees that localization cannot evaluate: formal
+        # leaves and bundle pushforwards exit 3, with nothing on stderr
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"expr": expr}}))
+        code = main(["integrate", "--surface", "P2", "--formula", "custom",
+                     "--n", "1", "--job", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_MATH
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] \
+            == {"code": EXIT_MATH, "message": message}
+
     @pytest.mark.parametrize("doc", [
         {"command": "fit", "n": 1, "params": {"monomials": 5}},
         {"command": "fit", "n": 1, "params": {"monomials": ["foo"]}},

@@ -11,7 +11,7 @@ import pytest
 
 from nesthilb.surface import p2, p1xp1, f1, f2, k3_profile, vd_beta, \
     surface_from_json, load_surface
-from nesthilb.bundles import projective_bundle, integrate
+from nesthilb.bundles import projective_bundle
 from nesthilb.ringcore import KClass
 from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
     co_class
@@ -25,7 +25,7 @@ from nesthilb.hilbloc import (
     RatFunc, LocalizationContext,
 )
 from support import sub_partitions, staircase_generators, \
-    nonequivariant_limit, point_base
+    nonequivariant_limit, point_base, integrate
 
 
 def gottsche_coefficient(e, n):

@@ -13,7 +13,7 @@ import pytest
 
 from nesthilb import cli, vw
 from nesthilb import hilbloc as H
-from nesthilb.expr import FormulaExpr as FE, co_class
+from nesthilb.expr import FormulaExpr as FE, co_class, pushO
 from nesthilb.surface import p2
 from support import integral_info
 
@@ -146,6 +146,22 @@ def test_integral_leaves_its_counters_on_the_context():
     # integrand is zero at each of the three points of P2^[0] x P2^[1]
     assert INTEGRATE(vw.monopole_integrand(0, 1), ctx, 0, 1, seed=3) == 0
     assert (ctx.attempts, ctx.points, ctx.visited) == (1, 3, 0)
+
+
+@pytest.mark.parametrize("wrap", [lambda e: e, FE.add],
+                         ids=["chart-factor", "per-point"])
+def test_integral_that_raises_leaves_its_own_counters(wrap):
+    # euler(-O) holds the zero weight of chi(O) at every point, so the
+    # first direction of the second integral raises; the counters are
+    # then that integral's, not those the first integral left
+    ctx = H.LocalizationContext(p2())
+    assert INTEGRATE(wrap(EULER), ctx, 0, 2) == 9
+    assert integral_info(ctx) == {"spec": (866, 395), "attempts": 1,
+                                  "points": 9, "visited": 9}
+    with pytest.raises(ValueError, match="non-isolated or non-generic"):
+        INTEGRATE(wrap(FE.euler(FE.neg(pushO()))), ctx, 0, 1, seed=5)
+    assert integral_info(ctx) == {"spec": (639, 262), "attempts": 1,
+                                  "points": 3, "visited": 0}
 
 
 def test_integrate_range_specializes_each_chart_piece_once(monkeypatch,

@@ -11,17 +11,17 @@ from nesthilb.ringcore import Ring, KClass, k_twist
 from nesthilb.bundles import free_model, projective_bundle, proj_pushforward
 from nesthilb.surface import p2, general_type_profile, vd_beta
 from nesthilb.expr import (
-    FormulaExpr as FE, ZERO_CLASS, rhom, pushO, o1_line, sw_factor,
-    pic_point, co_class, expr_to_json, expr_from_json, taut,
+    FormulaExpr as FE, ZERO_CLASS, rhom, pushO, o1_line, co_class,
+    expr_to_json, expr_from_json, taut,
 )
 from nesthilb.porteous import (
-    normalize, eval_formal, FormalEnv, virtual_rank,
-    degeneracy_pushforward_X, degeneracy_pushforward_GrB,
-    nested_reduced_formula, ell_step_formula, duality_rewrite,
+    eval_formal, FormalEnv, degeneracy_pushforward_X,
+    degeneracy_pushforward_GrB, nested_reduced_formula,
 )
 from nesthilb.vw import monopole_integrand
 from support import sw_coupled_pushforward, comparison_factor, \
-    nested_vir_comparison
+    nested_vir_comparison, sw_factor, pic_point, normalize, virtual_rank, \
+    ell_step_formula, duality_rewrite
 
 
 def rank_from_attr(leaf):

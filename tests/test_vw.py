@@ -11,8 +11,7 @@ from nesthilb.expr import FormulaExpr as FE, ZERO_CLASS, taut, rhom, \
 from nesthilb.surface import p2, p1xp1, f1, f2, riemann_roch_chi, \
     vd_beta, general_type_profile, elliptic_profile, k3_profile, \
     surface_from_json
-from nesthilb.porteous import normalize, duality_rewrite, virtual_rank, \
-    eval_formal, FormalEnv, nested_reduced_formula
+from nesthilb.porteous import eval_formal, FormalEnv, nested_reduced_formula
 from nesthilb.hilbloc import LocalizationContext, RatFunc, \
     equivariant_integrate
 from nesthilb.vw import (
@@ -20,7 +19,8 @@ from nesthilb.vw import (
     point_contribution, universality_fit, fit_report, format_value,
     monomial_value, UniversalityError, _as_ratfunc,
 )
-from support import sw_coupled_pushforward, virtual_class_route
+from support import sw_coupled_pushforward, virtual_class_route, \
+    normalize, duality_rewrite, virtual_rank
 
 
 def leaves(expr):
