@@ -36,12 +36,17 @@ direction (after its shift by the twist vertex and the leaf's
 monomial, so the collision check sees every final weight) and keeps
 the maps in one table per chart, keyed by partition(s) and vertex.  A
 point's map is one lookup per chart and one merge; no character sum
-is built per point.  The tangent map of a point is built once and
-shared by its tangent leaves and the localization denominator.  An
-Euler product with no circle weight mostly skips the merge: the
-per-point path decides every point it meets first, and chart factors,
-each one integer fraction, are learned from the points it visited; a
-point whose charts all hold one multiplies them (see ``chartfactors``).
+is built per point.  A twist by a line is a shift too: the line's
+monomial, read with no direction, is passed down its body to the
+leaves, which add it to their own.  With no direction the same lookups
+give the shifted characters' terms {(p, q, c): m}, merged the same
+way, so a point's character is read from the maps as well.  The
+tangent map of a point is built once and shared by its tangent leaves
+and the localization denominator.  An Euler product with no circle
+weight mostly skips the merge: the per-point path decides every point
+it meets first, and chart factors, each one integer fraction, are
+learned from the points it visited; a point whose charts all hold one
+multiplies them (see ``chartfactors``).
 Products add exponents, so a weight shared by numerator and
 denominator cancels as it arises, which is exact because each weight
 is a nonzero linear form k s + c t; the zero-weight and collision
@@ -153,8 +158,6 @@ class EquivChar:
         return EquivChar({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return EquivChar({k: v * other for k, v in self.terms.items()})
         out = {}
         for (p1, q1, c1), v1 in self.terms.items():
             for (p2, q2, c2), v2 in other.terms.items():
@@ -172,9 +175,6 @@ class EquivChar:
 
     def rank(self):
         return sum(self.terms.values())
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, EquivChar) and self.terms == other.terms
@@ -380,13 +380,13 @@ def rhom_global_character(ctx, parts_a, parts_b, beta, spec=None,
 
     The rational chart sums collapse to the twist characteristic plus a
     finite correction per chart, so no assembly is needed beyond the
-    line bundle itself.  With a direction ``spec`` the value is the
-    exponent map of the specialized weights of the character shifted by
-    ``shift``, merged from the context's per-chart maps.
+    line bundle itself.  The context's per-chart maps of the character
+    shifted by ``shift`` are merged: with a direction ``spec`` the value
+    is the exponent map of the specialized weights, with none the
+    character itself.
     """
-    if spec is None:
-        return ctx.rhom(parts_a, parts_b, beta)
-    return ctx.rhom_weights(spec, shift, parts_a, parts_b, beta)
+    ws = ctx.rhom_weights(spec, shift, parts_a, parts_b, beta)
+    return ws if spec else EquivChar(ws)
 
 
 def rhom_assembled(surface, parts_a, parts_b, beta):
@@ -479,12 +479,11 @@ def full_tangent_character(ctx, point, spec=None):
     """Tangent character of the ambient product at a fixed point: both
     Hilbert scheme factors plus, when the job's LocalizationContext
     ``ctx`` has a section bundle, the bundle of lines, from the
-    context's cached chart pieces and section offsets.  With a
-    direction ``spec`` the value is the exponent map of the specialized
-    weights instead, merged from the context's per-chart maps."""
-    if spec is None:
-        return ctx.tangent(point)
-    return ctx.tangent_weights(spec, NO_SHIFT, point)
+    context's per-chart maps of the pieces and section offsets, merged:
+    with a direction ``spec`` the exponent map of the specialized
+    weights, with none the character itself."""
+    ws = ctx.tangent_weights(spec, NO_SHIFT, point)
+    return ws if spec else EquivChar(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +571,13 @@ def specialize_weights(char, spec, shift=NO_SHIFT):
     """Exponent map {(k, c): multiplicity} of the specialized weights of
     a character times the monomial ``shift`` = (p, q, c), under
     (p, q) -> p*a + q*b, without zero entries.  The collision check
-    runs on each shifted lattice weight."""
-    a, b = spec
+    runs on each shifted lattice weight.  With no direction (``spec``
+    None) the map is the shifted character's terms {(p, q, c): m}."""
     dp, dq, dc = shift
+    if spec is None:
+        return {(p + dp, q + dq, c + dc): m
+                for (p, q, c), m in char.terms.items()}
+    a, b = spec
     out = {}
     for (p, q, c), mult in char.terms.items():
         p, q, c = p + dp, q + dq, c + dc
@@ -786,6 +789,9 @@ class LocalizationContext:
     and shift are kept per kind and shift in one table per chart, keyed
     by partition(s) and vertex, so a point's map is one lookup per chart
     and one merge; the tables are emptied when the direction changes.
+    The shifted characters themselves (the maps with no direction, which
+    a twist's line and the character wrappers read) are kept in tables
+    of their own, which no direction change empties.
     The chart factors of the Euler products that take the chart-factor
     path are kept in the same way, one table per chart and tree, keyed
     by the chart's partitions: each is learned from a point the
@@ -822,24 +828,24 @@ class LocalizationContext:
         self._leaves = {}
         self._spec = None
         self._maps = {}
-        self._st_ring = None
+        self._lattice = {}
+        self._st_rings = {}
         self.chart_levels = []
         self.spec = None
         self.attempts = self.points = self.visited = 0
 
-    def st_class(self, chern):
+    def st_class(self, chern, D):
         """The class sum_j sum_i chern[j][i] s^i t^(j - i), integer
         coefficients as ``chern_value`` lists them, in the ring Q[s, t]
-        that the context builds on first use: a delta node expands its
-        determinant there."""
-        ring = self._st_ring
+        truncated above degree D, one ring per D built on first use: a
+        delta node of degree D expands its determinant there, exactly,
+        since no minor has a larger degree."""
+        ring = self._st_rings.get(D)
         if ring is None:
-            ring = self._st_ring = ringcore.Ring(["s", "t"])
-        ring._widen(len(chern) - 1)
-        pack = ring.pack
-        return ringcore._class(ring, 1, {
-            j: {pack((i, j - i)): x for i, x in enumerate(cj)}
-            for j, cj in enumerate(chern)})
+            ring = self._st_rings[D] = ringcore.Ring(["s", "t"], D=D)
+        return ringcore.GradedClass(ring, {
+            (i, j - i): x for j, cj in enumerate(chern)
+            for i, x in enumerate(cj)})
 
     def piece(self, build, *args):
         """``build(*args)``, built once per context."""
@@ -863,12 +869,17 @@ class LocalizationContext:
 
     def table(self, spec, kind, shift, per_chart=True):
         """Maps of one kind of piece times ``shift`` under the direction
-        ``spec``, in one dict per chart or in one dict."""
-        if spec != self._spec:
-            self._spec, self._maps = spec, {}
-        table = self._maps.get((kind, shift))
+        ``spec``, or of its characters with no direction, in one dict per
+        chart or in one dict."""
+        if spec is None:
+            maps = self._lattice
+        else:
+            if spec != self._spec:
+                self._spec, self._maps = spec, {}
+            maps = self._maps
+        table = maps.get((kind, shift))
         if table is None:
-            table = self._maps[kind, shift] = \
+            table = maps[kind, shift] = \
                 [{} for _ in self._tangent_ws] if per_chart else {}
         return table
 
@@ -892,16 +903,6 @@ class LocalizationContext:
             char, spec, (u[0] + shift[0], u[1] + shift[1], shift[2]))
         return m
 
-    def tangent(self, point):
-        """Tangent character at a fixed point, from cached pieces."""
-        chars = [self.piece(tangent_character, lam, w)
-                 for w, mu, nu in zip(self._tangent_ws, point.mu, point.nu)
-                 for lam in (mu, nu) if lam]
-        if self.sections is not None and point.pb is not None:
-            chars.append(self.piece(_section_line_offsets, self.sections,
-                                    point.pb))
-        return sum(chars, EquivChar())
-
     def tangent_weights(self, spec, shift, point):
         """Exponent map of the tangent character times ``shift``."""
         k, maps = len(self._tangent_ws), []
@@ -921,16 +922,6 @@ class LocalizationContext:
                                point.pb), spec, shift)
             maps.append(m)
         return _merge_weights(maps)
-
-    def rhom(self, parts_a, parts_b, beta):
-        """Rhom character at a fixed point: chart corrections, each
-        cached without its vertex u, plus chi(L)."""
-        return sum([self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu,
-                               nu, (0, 0)).shift(*u)
-                    for chart, u, mu, nu in zip(self.surface.charts,
-                                                self.vertices(beta),
-                                                parts_a, parts_b)
-                    if mu or nu], self.chi(beta))
 
     def rhom_weights(self, spec, shift, parts_a, parts_b, beta, chi=True):
         """Exponent map of the Rhom character times ``shift``; without
@@ -955,14 +946,6 @@ class LocalizationContext:
         if m is None:
             m = table[beta] = specialize_weights(self.chi(beta), spec, shift)
         return m
-
-    def taut(self, lams, beta):
-        """Tautological bundle of the class at one nesting level."""
-        return sum([self.piece(box_character, lam, chart.m1,
-                               chart.m2).shift(*u)
-                    for chart, u, lam in zip(self.surface.charts,
-                                             self.vertices(beta), lams)
-                    if lam], EquivChar())
 
     def taut_weights(self, spec, shift, lams, beta):
         """Exponent map of the tautological bundle times ``shift``."""
@@ -1029,8 +1012,12 @@ class PointEvaluator:
     """Values of a formula tree at one fixed point under the direction
     ``spec``.  chern, euler and delta nodes read a K-class as its
     exponent map, ``weights``, merged from the context's per-piece maps.
-    Only a twist needs its line's lattice weight, so it alone builds the
-    character of its subtree (``kval``) and specializes that."""
+    A twist reads its line with no direction (``spec`` None, whose maps
+    are characters), where it must be one monomial, and passes that
+    monomial times its power down its body as a shift; a leaf adds the
+    shift it inherits to its own.  The body's pieces are so specialized
+    one by one: a lattice weight that cancels inside the body can still
+    force a redraw, as in a kdiff."""
 
     def __init__(self, ctx, point, spec):
         self.ctx = ctx
@@ -1058,99 +1045,70 @@ class PointEvaluator:
             raise ValueError("no projective bundle level in this problem")
         return self.ctx.sections[self.point.pb]
 
-    def leaf_shift(self, e):
+    def leaf_shift(self, e, shift):
         """The leaf's name and the monomial (p, q, c) it is multiplied
-        by: O(-o1) of the section line and the auxiliary weight tp."""
-        name, o1, shift = self.ctx.leaf(e)
+        by: the inherited ``shift`` times O(-o1) of the section line and
+        the auxiliary weight tp."""
+        name, o1, own = self.ctx.leaf(e)
         if o1:
             u = self.pb_vertex()
-            shift = (-o1 * u[0], -o1 * u[1], shift[2])
-        return name, shift
+            own = (-o1 * u[0], -o1 * u[1], own[2])
+        return name, (own[0] + shift[0], own[1] + shift[1],
+                      own[2] + shift[2])
 
-    def leaf_char(self, e):
-        name, shift = self.leaf_shift(e)
-        if name in ("rhom", "rhom0"):
-            cls = self.ctx.twist_class(e)
-            ch = rhom_global_character(
-                self.ctx, self.parts(e.attr("i")), self.parts(e.attr("j")),
-                cls)
-            if name == "rhom0":
-                ch = ch - self.ctx.chi(cls)
-        elif name == "pushO":
-            ch = self.ctx.chi(self.ctx.twist_class(e))
-        elif name == "taut":
-            ch = self.ctx.taut(self.parts(e.attr("level")), e.attr("a"))
-        elif name == "tangent":
-            ch = self.ctx.tangent(self.point)
-        else:
-            u = self.pb_vertex()
-            ch = EquivChar.monomial(-u[0], -u[1])
-        return ch.shift(*shift) if shift != NO_SHIFT else ch
-
-    def leaf_weights(self, e):
-        name, shift = self.leaf_shift(e)
+    def leaf_weights(self, e, shift):
+        name, shift = self.leaf_shift(e, shift)
         ctx, spec = self.ctx, self.spec
         if name in ("rhom", "rhom0"):
             parts_a = self.parts(e.attr("i"))
             parts_b = self.parts(e.attr("j"))
             cls = ctx.twist_class(e)
-            if name == "rhom":
+            # with no direction the wrapper gives an EquivChar, not a map
+            if name == "rhom" and spec:
                 return rhom_global_character(ctx, parts_a, parts_b, cls,
                                              spec=spec, shift=shift)
             return ctx.rhom_weights(spec, shift, parts_a, parts_b, cls,
-                                    chi=False)
+                                    chi=name == "rhom")
         if name == "pushO":
             return ctx.chi_weights(spec, shift, ctx.twist_class(e))
         if name == "taut":
             return ctx.taut_weights(spec, shift,
                                     self.parts(e.attr("level")), e.attr("a"))
         if name == "tangent":
-            if shift == NO_SHIFT:
+            if shift == NO_SHIFT and spec:
                 return self.tangent()
             return ctx.tangent_weights(spec, shift, self.point)
         u = self.pb_vertex()
         return specialize_weights(EquivChar.monomial(-u[0], -u[1]), spec,
                                   shift)
 
-    def kval(self, e):
+    def weights(self, e, shift=NO_SHIFT):
+        """Exponent map {(k, c): m} of the specialized weights of the
+        K-class e times the monomial ``shift`` at the point; with no
+        direction, the terms {(p, q, c): m} of its character.  A twist
+        by a line of character t^l passes m l on as a shift, and a dual
+        reads its child at the opposite shift."""
         if e.kind == "leaf":
-            return self.leaf_char(e)
+            return self.leaf_weights(e, shift)
         if e.kind == "ksum":
-            out = EquivChar()
-            for c in e.children:
-                out = out + self.kval(c)
-            return out
+            return _merge_weights([self.weights(c, shift)
+                                   for c in e.children])
         if e.kind == "kdiff":
             a, b = e.children
-            return self.kval(a) - self.kval(b)
+            return _exps_sum(self.weights(a, shift), self.weights(b, shift),
+                             -1)
         if e.kind == "dual":
-            return self.kval(e.children[0]).conj()
+            ws = self.weights(e.children[0], tuple(-x for x in shift))
+            return {tuple(-x for x in w): m for w, m in ws.items()}
         if e.kind == "twist":
             body, line = e.children
-            ch = self.kval(body)
-            lch = self.kval(line)
-            if len(lch.terms) != 1 or set(lch.terms.values()) != {1}:
+            terms = PointEvaluator(self.ctx, self.point, None).weights(line)
+            if len(terms) != 1 or set(terms.values()) != {1}:
                 raise ValueError("twist by a non-line character")
-            (p, q, c), = lch.terms.keys()
+            (line,) = terms
             m = e.params[0]
-            return ch.shift(m * p, m * q, m * c)
-        raise ValueError("not a K-level node: %r" % e.kind)
-
-    def weights(self, e):
-        """Exponent map {(k, c): m} of the specialized weights of the
-        K-class e at the point."""
-        if e.kind == "leaf":
-            return self.leaf_weights(e)
-        if e.kind == "ksum":
-            return _merge_weights([self.weights(c) for c in e.children])
-        if e.kind == "kdiff":
-            a, b = e.children
-            return _exps_sum(self.weights(a), self.weights(b), -1)
-        if e.kind == "dual":
-            return {(-k, -c): m
-                    for (k, c), m in self.weights(e.children[0]).items()}
-        if e.kind == "twist":
-            return specialize_weights(self.kval(e), self.spec)
+            return self.weights(body, tuple(x + m * y
+                                            for x, y in zip(shift, line)))
         raise ValueError("not a K-level node: %r" % e.kind)
 
     def cval(self, e):
@@ -1176,7 +1134,7 @@ class PointEvaluator:
             a, b = e.params
             chern = chern_value(self.weights(e.children[0]),
                                 max(a + b - 1, 0))
-            total = self.ctx.st_class(chern)
+            total = self.ctx.st_class(chern, a * b)
             det = {m: c for _, m, c in ringcore.delta_det(a, b, total).terms()}
             return _homogeneous(a * b, [det.get((i, a * b - i), 0)
                                         for i in range(a * b + 1)])

@@ -98,6 +98,18 @@ def test_workflow_runs_tier1():
         " --n 0:1 --order 2 --job %s | tr '\\n' ' ')\" = \"0 1 0 0"
         " # seed 0 \"" % (tmp % "weighted.json"),
         ""])
+    # the tangent bundle twisted by a line of circle weight keeps the
+    # Euler numbers
+    twist = "\n".join([
+        "echo '%s' > %s" % (
+            '{"params": {"expr": {"kind": "euler", "children": [{"kind":'
+            ' "twist", "params": [1], "children": [{"kind": "leaf",'
+            ' "params": ["tangent"]}, {"kind": "leaf", "params": ["pushO"],'
+            ' "attrs": {"tp": 1}}]}]}}}', tmp % "twist.json"),
+        "test \"$(nesthilb integrate --surface P2 --formula custom"
+        " --n 0:4 --job %s | tr '\\n' ' ')\" = \"1 3 9 22 51"
+        " # seed 0 \"" % (tmp % "twist.json"),
+        ""])
     # verify ends with its "# seed" line, after the verdict
     verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
@@ -143,8 +155,8 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    weighted, verify, csv, push, reduced, traced, untraced,
-                    tier1_command()]
+                    weighted, twist, verify, csv, push, reduced, traced,
+                    untraced, tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]
                          if step.get("run") == run]

@@ -462,6 +462,25 @@ class TestIntegration:
         assert len(calls) == len(pieces) == 12
         assert len(calls) < ctx.points == 14
 
+    def test_character_reads_keep_the_direction_tables(self, monkeypatch):
+        # characters with no direction are read from tables of their
+        # own: reading them between two integrals leaves the direction's
+        # maps in place, so the second integral specializes nothing
+        S = p1xp1()
+        ctx = LocalizationContext(S)
+        assert equivariant_integrate(EULER, ctx, 0, 2) == 14
+        spec, tangent = ctx._spec, ctx.table(ctx._spec, "tangent", H.NO_SHIFT)
+        for pt in enumerate_fixed_points(ctx, 0, 2):
+            assert full_tangent_character(ctx, pt).rank() == 4
+        assert ctx._spec == spec \
+            and ctx.table(spec, "tangent", H.NO_SHIFT) is tangent
+        calls = []
+        specialize = H.specialize_weights
+        monkeypatch.setattr(H, "specialize_weights",
+                            lambda *a: calls.append(a) or specialize(*a))
+        assert equivariant_integrate(EULER, ctx, 0, 2) == 14
+        assert calls == []
+
     def test_chi_built_once_per_class(self, monkeypatch):
         # the context memo builds each twist class's chi(L) once for
         # the whole integral, not once per rhom or pushO leaf per point
@@ -544,9 +563,10 @@ class TestIntegration:
     def test_trace_free_rank(self):
         ctx = LocalizationContext(p2(), beta=(0,))
         pt = next(enumerate_fixed_points(ctx, 0, 2))
-        ev = H.PointEvaluator(ctx, pt, (7, 3))
-        ch = ev.kval(rhom(2, 2, trace_free=True))
-        assert ch.rank() == -4
+        # with no direction the map holds the character's terms
+        ev = H.PointEvaluator(ctx, pt, None)
+        ch = ev.weights(rhom(2, 2, trace_free=True))
+        assert sum(ch.values()) == -4
 
 
 class TestCarlssonOkounkov:
@@ -566,6 +586,54 @@ class TestCarlssonOkounkov:
             expr = FE.chern(2 * n, FE.kdiff(pushO(bc=1), rhom(1, 1, bc=1)))
             assert equivariant_integrate(expr, ctx, n, 0) \
                 == gottsche_coefficient(exponent, n), n
+
+
+class TestTwists:
+    """A twist passes its line's weight down as a shift.  Twisted by a
+    trivial line, or by one of circle weight, the tangent bundle's Euler
+    class still integrates to the Euler number; twists by one line
+    compose, and a dual turns a twist by m into one by -m."""
+
+    SURFACES = [(p2, (1,), 3), (p1xp1, (1, 1), 4), (f1, (1, 1), 4)]
+
+    @pytest.mark.parametrize("make, beta, e", SURFACES)
+    def test_twisted_tangent_keeps_euler_numbers(self, make, beta, e):
+        ctx = LocalizationContext(make())
+        T = FE.leaf("tangent")
+        for n in range(4):
+            for line, m in ((pushO(), 1), (pushO(), -2), (pushO(tp=1), 1)):
+                assert equivariant_integrate(
+                    FE.euler(FE.twist(T, line, m)), ctx, 0, n) \
+                    == gottsche_coefficient(e, n)
+
+    @pytest.mark.parametrize("make, beta, e", SURFACES)
+    @pytest.mark.parametrize("pb", [False, True])
+    def test_twists_compose_and_dualize(self, make, beta, e, pb):
+        # O(1) of the section lines shifts lattice weights, the circle
+        # line only the circle weight; both classes are integrated in
+        # the top degree and one above, where the circle twist shows
+        S = make()
+        L = o1_line() if pb else pushO(tp=1)
+        x = FE.ksum(taut(beta, 2), FE.dual(rhom(1, 2, bc=1)))
+        ctx = LocalizationContext(S, beta=beta, with_pb=beta if pb else None)
+        dim = H.riemann_roch_chi(S, beta) - 1 if pb else 0
+        moved = False
+        for n in range(4):
+            for n1 in range(min(n, 1) + 1):
+                for d in (2 * n + dim, 2 * n + dim + 1):
+                    def integral(k):
+                        return equivariant_integrate(FE.chern(d, k), ctx,
+                                                     n1, n - n1)
+                    by = {m: integral(FE.twist(x, L, m)) for m in (0, 1, 3)}
+                    moved |= len(set(by.values())) > 1
+                    assert integral(FE.twist(FE.twist(x, L, 1), L, 2)) \
+                        == by[3]
+                    assert integral(FE.twist(FE.twist(x, L, -1), L, 1)) \
+                        == by[0]
+                    for m in (1, 3):
+                        assert integral(FE.dual(FE.twist(x, L, m))) \
+                            == integral(FE.twist(FE.dual(x), L, -m))
+        assert moved
 
 
 def jacobi_trudi(a, b, x):

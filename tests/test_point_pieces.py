@@ -4,7 +4,13 @@ term rebuilt at every point, the tangent character built twice and
 the weight lists expanded as they are.  The reference computes with
 polynomials in s and t as sparse dicts {(s_power, t_power):
 coefficient}, independently of the integer terms of hilbloc's point
-values."""
+values.
+
+A K-class's merged map, where a twist passes its line's monomial down
+as a shift and that line is read from the maps with no direction, is
+checked against the whole character: every leaf's character rebuilt
+from scratch, summed, twisted and dualized as a character, and
+specialized once (``SumRouteEvaluator``)."""
 
 import math
 import random
@@ -345,8 +351,48 @@ class TestChartPieces:
 
 
 class SumRouteEvaluator(H.PointEvaluator):
-    """A K-class's character built whole and then specialized, as one
-    map; the merged per-piece maps must give the same."""
+    """A K-class's character built whole over an UncachedContext, every
+    leaf's character rebuilt from scratch and a twist applied to its
+    body's character, then specialized as one map; the merged per-piece
+    maps, with a twist passed down as a shift, must give the same."""
+
+    def leaf_char(self, e):
+        name, shift = self.leaf_shift(e, H.NO_SHIFT)
+        ctx = self.ctx
+        if name in ("rhom", "rhom0"):
+            cls = ctx.twist_class(e)
+            ch = ctx.rhom(self.parts(e.attr("i")), self.parts(e.attr("j")),
+                          cls)
+            if name == "rhom0":
+                ch = ch - H.chi_line_character(ctx.surface, cls)
+        elif name == "pushO":
+            ch = H.chi_line_character(ctx.surface, ctx.twist_class(e))
+        elif name == "taut":
+            ch = ctx.taut(self.parts(e.attr("level")), e.attr("a"))
+        elif name == "tangent":
+            ch = ctx.tangent(self.point)
+        else:
+            u = self.pb_vertex()
+            ch = EquivChar.monomial(-u[0], -u[1])
+        return ch.shift(*shift)
+
+    def kval(self, e):
+        if e.kind == "leaf":
+            return self.leaf_char(e)
+        if e.kind == "ksum":
+            return sum(map(self.kval, e.children), EquivChar())
+        if e.kind == "kdiff":
+            a, b = e.children
+            return self.kval(a) - self.kval(b)
+        if e.kind == "dual":
+            return self.kval(e.children[0]).conj()
+        body, line = e.children
+        lch = self.kval(line)
+        if len(lch.terms) != 1 or set(lch.terms.values()) != {1}:
+            raise ValueError("twist by a non-line character")
+        (p, q, c), = lch.terms
+        m = e.params[0]
+        return self.kval(body).shift(m * p, m * q, m * c)
 
     def weights(self, e):
         return H.specialize_weights(self.kval(e), self.spec)
@@ -463,7 +509,8 @@ class TestMergedWeights:
             with pytest.raises(H._Collision):
                 H.PointEvaluator(ctx, pt, bad).weights(e)
             whole.append(weights_or_collision(
-                SumRouteEvaluator(ctx, pt, bad).weights, e))
+                SumRouteEvaluator(UncachedContext(S, beta=(1,)), pt,
+                                  bad).weights, e))
         assert any(w is not H._Collision for w in whole)
 
     @pytest.mark.parametrize("which", range(len(SURFACES)))
