@@ -215,14 +215,17 @@ def _suite_characters(nmax=3):
     checks = []
     m1, m2 = (1, 0), (0, 1)
     w = ((-1, 0), (0, -1))
-    one = hilbloc.EquivChar.one()
-    d = (one - hilbloc.EquivChar.monomial(*m1)) \
-        * (one - hilbloc.EquivChar.monomial(*m2))
-    dbar = d.conj()
+    dbar = hilbloc.dual(hilbloc._denominator_char(m1, m2))
     for n in range(1, nmax + 1):
         for mu in hilbloc.partitions(n):
+            # q + conj(q) t^(-1,-1) - conj(d q) q, q the box character
             q = hilbloc.box_character(mu, m1, m2)
-            vertex = q + q.conj().shift(-1, -1) - dbar * q.conj() * q
+            qbar = hilbloc.dual(q)
+            vertex = hilbloc._exps_sum(
+                hilbloc._exps_sum(
+                    q, hilbloc.specialize_weights(qbar, None, (-1, -1, 0))),
+                hilbloc._char_product(hilbloc._char_product(dbar, qbar), q),
+                -1)
             checks.append(("tangent vertex mu=%r" % (mu,),
                            vertex == hilbloc.tangent_character(mu, w)))
     # the cached arm/leg pieces of Rhom against the assembled rational

@@ -193,9 +193,6 @@ def co_class(bc=1, o1=0):
     return FormulaExpr.kdiff(pushO(bc=bc, o1=o1), rhom(1, 2, bc=bc, o1=o1))
 
 
-ZERO_CLASS = FormulaExpr.add()
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

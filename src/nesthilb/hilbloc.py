@@ -6,12 +6,17 @@ leaf of a formula tree evaluates at a fixed point to a finite Laurent
 character in the surface torus (t1, t2) and an auxiliary circle t; the
 integral is then the classical weighted sum over fixed points.
 
-Characters carry three integer exponents (p, q, c): the lattice
-character t^(p,q) times the auxiliary weight c.  Integration
-specializes (p, q, c) to (p*a + q*b) s + c*t for a seeded generic
-coprime pair (a, b) and reads off the s^0 coefficient of the fixed
-point sum; surviving negative powers of s mean the input was not the
-lift of a global class.
+A character is its exponent map {(p, q, c): m}: the multiplicity m of
+the lattice character t^(p,q) times the auxiliary weight c, with no
+zero entry, so two characters are equal exactly when their maps are.
+Sums and differences are ``_exps_sum``, a shift is
+``specialize_weights`` with no direction, the rank is the sum of the
+multiplicities, ``dual`` negates the exponents, and only the assembly
+route multiplies (``_char_product``).  Integration specializes
+(p, q, c) to (p*a + q*b) s + c*t for a seeded generic coprime pair
+(a, b) and reads off the s^0 coefficient of the fixed point sum;
+surviving negative powers of s mean the input was not the lift of a
+global class.
 
 Since every specialized weight is linear in s and t, a class value at
 a point is a short list of terms, each a homogeneous integer polynomial
@@ -39,14 +44,14 @@ point's map is one lookup per chart and one merge; no character sum
 is built per point.  A twist by a line is a shift too: the line's
 monomial, read with no direction, is passed down its body to the
 leaves, which add it to their own.  With no direction the same lookups
-give the shifted characters' terms {(p, q, c): m}, merged the same
-way, so a point's character is read from the maps as well.  The
-tangent map of a point is built once and shared by its tangent leaves
-and the localization denominator.  An Euler product with no circle
-weight mostly skips the merge: the per-point path decides every point
-it meets first, and chart factors, each one integer fraction, are
-learned from the points it visited; a point whose charts all hold one
-multiplies them (see ``chartfactors``).
+give the shifted characters, merged the same way, so a point's
+character is read from the maps as well.  The tangent map of a point
+is built once and shared by its tangent leaves and the localization
+denominator.  An Euler product with no circle weight mostly skips the
+merge: the per-point path decides every point it meets first, and
+chart factors, each one integer fraction, are learned from the points
+it visited; a point whose charts all hold one multiplies them (see
+``chartfactors``).
 Products add exponents, so a weight shared by numerator and
 denominator cancels as it arises, which is exact because each weight
 is a nonzero linear form k s + c t; the zero-weight and collision
@@ -125,62 +130,24 @@ def contains(nu, mu):
 NO_SHIFT = (0, 0, 0)
 
 
-class EquivChar:
-    """Finite Laurent polynomial in t1, t2 and the auxiliary weight,
-    stored as integer coefficients on exponent triples (p, q, c)."""
+def _char_product(a, b):
+    """Product of two characters."""
+    out = {}
+    for (p1, q1, c1), v1 in a.items():
+        for (p2, q2, c2), v2 in b.items():
+            k = (p1 + p2, q1 + q2, c1 + c2)
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in terms.items() if v} if terms else {}
+def dual(char):
+    """The dual: every exponent, or specialized weight, negated."""
+    return {tuple(-x for x in w): m for w, m in char.items()}
 
-    @staticmethod
-    def monomial(p, q, c=0, coef=1):
-        e = EquivChar()
-        if coef:
-            e.terms[(p, q, c)] = coef
-        return e
 
-    @staticmethod
-    def one():
-        return EquivChar.monomial(0, 0, 0)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return EquivChar({k: v for k, v in out.items() if v})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return EquivChar({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (p1, q1, c1), v1 in self.terms.items():
-            for (p2, q2, c2), v2 in other.terms.items():
-                k = (p1 + p2, q1 + q2, c1 + c2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return EquivChar({k: v for k, v in out.items() if v})
-
-    def conj(self):
-        return EquivChar({(-p, -q, -c): v
-                          for (p, q, c), v in self.terms.items()})
-
-    def shift(self, p, q, c=0):
-        return EquivChar({(p1 + p, q1 + q, c1 + c): v
-                          for (p1, q1, c1), v in self.terms.items()})
-
-    def rank(self):
-        return sum(self.terms.values())
-
-    def __eq__(self, other):
-        return isinstance(other, EquivChar) and self.terms == other.terms
-
-    def __repr__(self):
-        return "EquivChar(%r)" % (self.terms,)
+def _binomial(v):
+    """The character 1 - t^v."""
+    return {NO_SHIFT: 1, (v[0], v[1], 0): -1}
 
 
 def box_character(mu, w1=(1, 0), w2=(0, 1)):
@@ -189,26 +156,23 @@ def box_character(mu, w1=(1, 0), w2=(0, 1)):
     for a, b in cells(mu):
         key = (a * w1[0] + b * w2[0], a * w1[1] + b * w2[1], 0)
         out[key] = out.get(key, 0) + 1
-    return EquivChar(out)
+    return out
 
 
 def structure_numerator(mu, w1=(1, 0), w2=(0, 1)):
     """Resolution numerator of the length-|mu| quotient: d * Q_mu with
     d = (1 - t^w1)(1 - t^w2)."""
-    d = _denominator_char(w1, w2)
-    return d * box_character(mu, w1, w2)
+    return _char_product(_denominator_char(w1, w2),
+                         box_character(mu, w1, w2))
 
 
 def ideal_numerator(mu, w1=(1, 0), w2=(0, 1)):
     """Resolution numerator of the ideal sheaf: 1 - d * Q_mu."""
-    return EquivChar.one() - structure_numerator(mu, w1, w2)
+    return _exps_sum({NO_SHIFT: 1}, structure_numerator(mu, w1, w2), -1)
 
 
 def _denominator_char(w1, w2):
-    one = EquivChar.one()
-    f1 = one - EquivChar.monomial(*w1)
-    f2 = one - EquivChar.monomial(*w2)
-    return f1 * f2
+    return _char_product(_binomial(w1), _binomial(w2))
 
 
 def ext_character(mu, nu, w):
@@ -239,7 +203,7 @@ def ext_character(mu, nu, w):
     else:
         walk(mu, nu, True, False)
         walk(nu, mu, False, True)
-    return EquivChar(out)
+    return out
 
 
 def tangent_character(mu, w):
@@ -260,9 +224,10 @@ def rhom_character(mu, nu, chart=None, vertex=(0, 0)):
         m1, m2 = (1, 0), (0, 1)
     else:
         m1, m2 = chart.m1, chart.m2
-    num = ideal_numerator(mu, m1, m2).conj() * ideal_numerator(nu, m1, m2)
-    num = num.shift(int(vertex[0]), int(vertex[1]))
-    return num, (m1, m2)
+    num = _char_product(dual(ideal_numerator(mu, m1, m2)),
+                        ideal_numerator(nu, m1, m2))
+    return specialize_weights(
+        num, None, (int(vertex[0]), int(vertex[1]), 0)), (m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +242,8 @@ def _canonical_direction(v, num):
     if (p, q) == (0, 0):
         raise ValueError("assembly failure")
     if p < 0 or (p == 0 and q < 0):
-        w = (-p, -q)
-        return w, -num.shift(w[0], w[1])
+        return (-p, -q), {(a - p, b - q, c): -m
+                          for (a, b, c), m in num.items()}
     return (p, q), num
 
 
@@ -293,7 +258,7 @@ def _divide_binomial(num, v):
     p, q = v
     norm = p * p + q * q
     groups = {}
-    for (a, b, c), coef in num.terms.items():
+    for (a, b, c), coef in num.items():
         key = (a * q - b * p, c)
         groups.setdefault(key, []).append((a * p + b * q, a, b, coef))
     out = {}
@@ -310,9 +275,9 @@ def _divide_binomial(num, v):
         for s in range(0, smax):
             acc += positions.get(s, 0)
             if acc:
-                expo = (a0 + s * p, b0 + s * q, c)
-                out[expo] = out.get(expo, 0) + acc
-    return EquivChar(out)
+                # one exponent per group and step: none is met twice
+                out[a0 + s * p, b0 + s * q, c] = acc
+    return out
 
 
 def assemble(local_terms):
@@ -334,14 +299,12 @@ def assemble(local_terms):
     for _, counts in prepared:
         for v, m in counts.items():
             common[v] = max(common.get(v, 0), m)
-    factors = {v: EquivChar({(0, 0, 0): 1, (v[0], v[1], 0): -1})
-               for v in common}
-    total = EquivChar()
+    total = {}
     for num, counts in prepared:
         for v, m in common.items():
             for _ in range(m - counts.get(v, 0)):
-                num = num * factors[v]
-        total = total + num
+                num = _char_product(num, _binomial(v))
+        total = _exps_sum(total, num)
     for v, m in common.items():
         for _ in range(m):
             total = _divide_binomial(total, v)
@@ -355,20 +318,20 @@ def chi_line_character(surface, beta):
     kept between jobs."""
     if not isinstance(surface, ToricSurface):
         raise ValueError("equivariant characters need a toric surface")
-    out = assemble([(EquivChar.monomial(*u), (chart.m1, chart.m2))
+    out = assemble([({(u[0], u[1], 0): 1}, (chart.m1, chart.m2))
                     for chart, u in zip(surface.charts,
                                         surface.chart_vertices(beta))])
-    if out.rank() != riemann_roch_chi(surface, beta):
+    if sum(out.values()) != riemann_roch_chi(surface, beta):
         raise ValueError("assembly failure")
     return out
 
 
-def _rhom_chart_piece(m1, m2, mu, nu, u):
-    """Finite correction of one chart, with coordinate weights m1, m2
-    and twist vertex u, to the character of Rhom(I_mu, I_nu tensor L):
-    -E(mu, nu) over the chart's tangent weights -m1, -m2, times t^u."""
+def _rhom_chart_piece(m1, m2, mu, nu):
+    """Finite correction of one chart, with coordinate weights m1, m2,
+    to the character of Rhom(I_mu, I_nu tensor L) before its twist
+    vertex: -E(mu, nu) over the chart's tangent weights -m1, -m2."""
     w = ((-m1[0], -m1[1]), (-m2[0], -m2[1]))
-    return -ext_character(mu, nu, w).shift(u[0], u[1])
+    return {k: -m for k, m in ext_character(mu, nu, w).items()}
 
 
 def rhom_global_character(ctx, parts_a, parts_b, beta, spec=None,
@@ -383,10 +346,9 @@ def rhom_global_character(ctx, parts_a, parts_b, beta, spec=None,
     line bundle itself.  The context's per-chart maps of the character
     shifted by ``shift`` are merged: with a direction ``spec`` the value
     is the exponent map of the specialized weights, with none the
-    character itself.
+    character, which is its exponent map {(p, q, c): m}.
     """
-    ws = ctx.rhom_weights(spec, shift, parts_a, parts_b, beta)
-    return ws if spec else EquivChar(ws)
+    return ctx.rhom_weights(spec, shift, parts_a, parts_b, beta)
 
 
 def rhom_assembled(surface, parts_a, parts_b, beta):
@@ -481,9 +443,9 @@ def full_tangent_character(ctx, point, spec=None):
     ``ctx`` has a section bundle, the bundle of lines, from the
     context's per-chart maps of the pieces and section offsets, merged:
     with a direction ``spec`` the exponent map of the specialized
-    weights, with none the character itself."""
-    ws = ctx.tangent_weights(spec, NO_SHIFT, point)
-    return ws if spec else EquivChar(ws)
+    weights, with none the character, which is its exponent map
+    {(p, q, c): m}."""
+    return ctx.tangent_weights(spec, NO_SHIFT, point)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +538,10 @@ def specialize_weights(char, spec, shift=NO_SHIFT):
     dp, dq, dc = shift
     if spec is None:
         return {(p + dp, q + dq, c + dc): m
-                for (p, q, c), m in char.terms.items()}
+                for (p, q, c), m in char.items()}
     a, b = spec
     out = {}
-    for (p, q, c), mult in char.terms.items():
+    for (p, q, c), mult in char.items():
         p, q, c = p + dp, q + dq, c + dc
         k = p * a + q * b
         if k == 0 and c == 0 and (p, q) != (0, 0):
@@ -599,7 +561,8 @@ def _merge_weights(maps):
 
 def _exps_sum(a, b, sign=1):
     """Exponent map of the product of a and b (of a over b with sign
-    -1), without zero entries."""
+    -1), without zero entries: of two characters, their sum (their
+    difference)."""
     out = dict(a)
     for w, e in b.items():
         e = out.get(w, 0) + sign * e
@@ -765,8 +728,8 @@ def _section_line_offsets(sections, pb):
     """Tangent character of the bundle of section lines at the line of
     section ``pb``: the offsets u - u_pb of the other sections."""
     (p0, q0) = sections[pb]
-    return EquivChar({(p - p0, q - q0, 0): 1
-                      for i, (p, q) in enumerate(sections) if i != pb})
+    return {(p - p0, q - q0, 0): 1
+            for i, (p, q) in enumerate(sections) if i != pb}
 
 
 class LocalizationContext:
@@ -789,9 +752,11 @@ class LocalizationContext:
     and shift are kept per kind and shift in one table per chart, keyed
     by partition(s) and vertex, so a point's map is one lookup per chart
     and one merge; the tables are emptied when the direction changes.
-    The shifted characters themselves (the maps with no direction, which
-    a twist's line and the character wrappers read) are kept in tables
-    of their own, which no direction change empties.
+    The shifted characters themselves, each its exponent map
+    {(p, q, c): m} (the maps with no direction, which a twist's line and
+    the wrappers ``full_tangent_character`` and ``rhom_global_character``
+    read), are kept in tables of their own, which no direction change
+    empties.
     The chart factors of the Euler products that take the chart-factor
     path are kept in the same way, one table per chart and tree, keyed
     by the chart's partitions: each is learned from a point the
@@ -894,8 +859,7 @@ class LocalizationContext:
             char = self.piece(tangent_character, key, self._tangent_ws[c])
         elif kind == "rhom":
             mu, nu, u = key
-            char = self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu, nu,
-                              (0, 0))
+            char = self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu, nu)
         else:
             lam, u = key
             char = self.piece(box_character, lam, chart.m1, chart.m2)
@@ -1063,24 +1027,22 @@ class PointEvaluator:
             parts_a = self.parts(e.attr("i"))
             parts_b = self.parts(e.attr("j"))
             cls = ctx.twist_class(e)
-            # with no direction the wrapper gives an EquivChar, not a map
-            if name == "rhom" and spec:
+            if name == "rhom":
                 return rhom_global_character(ctx, parts_a, parts_b, cls,
                                              spec=spec, shift=shift)
             return ctx.rhom_weights(spec, shift, parts_a, parts_b, cls,
-                                    chi=name == "rhom")
+                                    chi=False)
         if name == "pushO":
             return ctx.chi_weights(spec, shift, ctx.twist_class(e))
         if name == "taut":
             return ctx.taut_weights(spec, shift,
                                     self.parts(e.attr("level")), e.attr("a"))
         if name == "tangent":
-            if shift == NO_SHIFT and spec:
+            if shift == NO_SHIFT:
                 return self.tangent()
             return ctx.tangent_weights(spec, shift, self.point)
         u = self.pb_vertex()
-        return specialize_weights(EquivChar.monomial(-u[0], -u[1]), spec,
-                                  shift)
+        return specialize_weights({(-u[0], -u[1], 0): 1}, spec, shift)
 
     def weights(self, e, shift=NO_SHIFT):
         """Exponent map {(k, c): m} of the specialized weights of the
@@ -1098,8 +1060,7 @@ class PointEvaluator:
             return _exps_sum(self.weights(a, shift), self.weights(b, shift),
                              -1)
         if e.kind == "dual":
-            ws = self.weights(e.children[0], tuple(-x for x in shift))
-            return {tuple(-x for x in w): m for w, m in ws.items()}
+            return dual(self.weights(e.children[0], tuple(-x for x in shift)))
         if e.kind == "twist":
             body, line = e.children
             terms = PointEvaluator(self.ctx, self.point, None).weights(line)

@@ -36,7 +36,7 @@ class SurfaceData:
     """
 
     def __init__(self, name, chiO, K2, e, q, pg, gram, K, sw_table=None,
-                 basis_names=None, effective=None):
+                 basis_names=None):
         self.name = name
         self.chiO = int(chiO)
         self.K2 = int(K2)
@@ -62,7 +62,6 @@ class SurfaceData:
         self.sw_table = dict(sw_table or {})
         self.basis_names = tuple(basis_names) if basis_names else \
             tuple("B%d" % i for i in range(self.rank))
-        self._effective = effective
 
     def dot(self, a, b):
         """Intersection pairing of two classes in the chosen basis."""
@@ -88,20 +87,6 @@ class SurfaceData:
 
     def zero_class(self):
         return (Fraction(0),) * self.rank
-
-    def is_effective(self, beta):
-        """Whether the class should be treated as effective.
-
-        Profile surfaces fall back to a crude test (nonnegative pairing
-        with K and with itself admits the zero class and positive parts
-        of K); pass ``effective`` at construction to override.
-        """
-        beta = self.cls(beta)
-        if self._effective is not None:
-            return self._effective(beta)
-        if all(x == 0 for x in beta):
-            return True
-        return all(x >= 0 for x in beta) and self.dot(beta, self.K) >= 0
 
     def __repr__(self):
         return "SurfaceData(%r)" % (self.name,)
@@ -140,8 +125,6 @@ class ToricSurface(SurfaceData):
     the first two), the intersection form and the canonical class, and
     from them its own numeric profile (chi(O) = 1, q = p_g = 0, Euler
     number the number of rays), verified against Noether's formula.
-    Effectivity is exact: a class is effective when its section
-    polytope has a lattice point.
     """
 
     def __init__(self, name, rays, basis=None, basis_names=None):
@@ -257,9 +240,6 @@ class ToricSurface(SurfaceData):
     def h0(self, beta):
         return len(self.polytope_points(beta))
 
-    def is_effective(self, beta):
-        return self.h0(beta) > 0
-
     def __repr__(self):
         return "ToricSurface(%r, rays=%r)" % (self.name, self.rays)
 
@@ -344,8 +324,7 @@ def general_type_profile(K2, chiO=2):
           (Fraction(1),): (Fraction((-1) ** chiO), ())}
     return SurfaceData("general_type_K2_%d_chi_%d" % (K2, chiO),
                        chiO, K2, 12 * chiO - K2, 0, chiO - 1,
-                       [[K2]], [1], sw_table=sw, basis_names=["K"],
-                       effective=lambda b: b[0] >= 0)
+                       [[K2]], [1], sw_table=sw, basis_names=["K"])
 
 
 def elliptic_profile():

@@ -1,8 +1,9 @@
-"""Builders and small combinatorics that only the tests use: the
-Seiberg-Witten coupled pushforward trees of each geometric case and
-their invariant and Picard point leaves, the section-bundle route to the
-virtual class, the flag-tower route of a Grassmann pushforward, the push
-of a class down a bundle tower, the comparison factors between virtual
+"""Builders and small combinatorics that only the tests use: the zero
+class and the effectivity of a class, the Seiberg-Witten coupled
+pushforward trees of each geometric case and their invariant and Picard
+point leaves, the section-bundle route to the virtual class, the
+flag-tower route of a Grassmann pushforward, the push of a class down a
+bundle tower, the comparison factors between virtual
 cycles, the model of a point, partitions inside a partition, staircase
 generators, per-chart line weights, the non-equivariant limit of an
 integral and the counters it leaves on its localization context; the
@@ -17,12 +18,28 @@ from fractions import Fraction
 
 from nesthilb.bundles import SpaceModel, free_model, projective_bundle, \
     proj_pushforward, grassmann_split_pushforward
-from nesthilb.expr import FormulaExpr, ZERO_CLASS, rhom, pushO, o1_line, \
-    co_class
+from nesthilb.expr import FormulaExpr, rhom, pushO, o1_line, co_class
 from nesthilb.hilbloc import RatFunc
 from nesthilb.ringcore import Ring, GradedClass, KClass
 from nesthilb.porteous import nested_reduced_formula
 from nesthilb.surface import ToricSurface, twist_dim_d, vd_beta
+
+
+# the empty sum
+ZERO_CLASS = FormulaExpr.add()
+
+
+def is_effective(surface, beta):
+    """Whether the class should be treated as effective: exactly, on a
+    toric surface, when its section polytope has a lattice point; on a
+    profile by a crude test (nonnegative coefficients and pairing with
+    K, which admits the zero class and positive parts of K)."""
+    if isinstance(surface, ToricSurface):
+        return surface.h0(beta) > 0
+    beta = surface.cls(beta)
+    if all(x == 0 for x in beta):
+        return True
+    return all(x >= 0 for x in beta) and surface.dot(beta, surface.K) >= 0
 
 
 CASES = ("pg>0", "pg=0-effective", "pg=0-noneffective")
@@ -81,7 +98,7 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
         if check and surface.pg != 0:
             raise ValueError("inconsistent flags: profile has p_g > 0")
         dual_cls = surface.sub(surface.K, surface.cls(beta))
-        if check and surface.is_effective(dual_cls):
+        if check and is_effective(surface, dual_cls):
             raise ValueError("inconsistent flags: dual class is"
                              " effective")
         d = n + surface.q - vd_beta(surface, beta)

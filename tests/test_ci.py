@@ -34,8 +34,8 @@ def test_workflow_runs_tier1():
     # one reads malformed and abbreviated command lines, one compares
     # the chart-factor and per-point paths, one runs every
     # verify suite: the formal rings, the Euler integrals of the
-    # chart-factor path and the Betti counts; one reads the CSV header
-    # of every command.
+    # chart-factor path and the Betti counts; one counts the checks of
+    # the characters suite; one reads the CSV header of every command.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # the command line: --help exits 0 and prints the usage, a flag
@@ -113,6 +113,15 @@ def test_workflow_runs_tier1():
     # verify ends with its "# seed" line, after the verdict
     verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
+    # the characters suite prints its 24 checks, then its verdict just
+    # before the "# seed" line
+    characters = "\n".join([
+        "nesthilb verify --suite characters > " + tmp % "characters.txt",
+        "test \"$(grep -c '^ok ' %s)\" = 24" % (tmp % "characters.txt"),
+        "test \"$(tail -n 2 %s | head -n 1)\" = \"all green\""
+        % (tmp % "characters.txt"),
+        "tail -n 1 %s | grep -q '^# seed'" % (tmp % "characters.txt"),
+        ""])
     # every command's CSV header after its "# seed" line, and the one
     # row of a push
     csv = "\n".join([
@@ -155,8 +164,8 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    weighted, twist, verify, csv, push, reduced, traced,
-                    untraced, tier1_command()]
+                    weighted, twist, verify, characters, csv, push, reduced,
+                    traced, untraced, tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]
                          if step.get("run") == run]

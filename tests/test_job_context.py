@@ -91,7 +91,7 @@ def test_fit_runs_each_share_one_context(monkeypatch, capsys):
 def _collides(ctx, points, spec):
     return any(k == 0 and c == 0 and (p, q) != (0, 0)
                for pt in points
-               for p, q, c in H.full_tangent_character(ctx, pt).terms
+               for p, q, c in H.full_tangent_character(ctx, pt)
                for k in [p * spec[0] + q * spec[1]])
 
 

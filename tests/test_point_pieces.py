@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesthilb import hilbloc as H
-from nesthilb.hilbloc import EquivChar, cells, arm, leg, partitions
+from nesthilb.hilbloc import cells, arm, leg, partitions
 from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
     co_class
 from nesthilb.ringcore import binom_general
@@ -86,24 +86,24 @@ def as_dicts(pv):
 # uncached reference
 
 
+def monomials(exponents):
+    """The character sum of t^(p, q) over the listed exponents."""
+    return H._merge_weights([{(p, q, 0): 1} for p, q in exponents])
+
+
 def ref_box_character(mu, w1, w2):
-    out = EquivChar()
-    for a, b in cells(mu):
-        out = out + EquivChar.monomial(a * w1[0] + b * w2[0],
-                                       a * w1[1] + b * w2[1])
-    return out
+    return monomials((a * w1[0] + b * w2[0], a * w1[1] + b * w2[1])
+                     for a, b in cells(mu))
 
 
 def ref_tangent_character(mu, w):
     w1, w2 = w
-    out = EquivChar()
+    out = []
     for cell in cells(mu):
         a, l = arm(mu, cell), leg(mu, cell)
-        out = out + EquivChar.monomial((a + 1) * w1[0] - l * w2[0],
-                                       (a + 1) * w1[1] - l * w2[1])
-        out = out + EquivChar.monomial(-a * w1[0] + (l + 1) * w2[0],
-                                       -a * w1[1] + (l + 1) * w2[1])
-    return out
+        out += [((a + 1) * w1[0] - l * w2[0], (a + 1) * w1[1] - l * w2[1]),
+                (-a * w1[0] + (l + 1) * w2[0], -a * w1[1] + (l + 1) * w2[1])]
+    return monomials(out)
 
 
 class UncachedContext(H.LocalizationContext):
@@ -112,21 +112,16 @@ class UncachedContext(H.LocalizationContext):
 
     def tangent(self, point):
         S = self.surface
-        out = EquivChar()
+        out = []
         for chart, mu, nu in zip(S.charts, point.mu, point.nu):
             w = chart.tangent_weights()
-            if mu:
-                out = out + ref_tangent_character(mu, w)
-            if nu:
-                out = out + ref_tangent_character(nu, w)
+            out += [ref_tangent_character(lam, w) for lam in (mu, nu) if lam]
         if self.with_pb is not None and point.pb is not None:
             pts = S.polytope_points(self.with_pb)
             u0 = pts[point.pb]
-            for u in pts:
-                if u != u0:
-                    out = out + EquivChar.monomial(u[0] - u0[0],
-                                                   u[1] - u0[1])
-        return out
+            out.append(monomials((u[0] - u0[0], u[1] - u0[1])
+                                 for u in pts if u != u0))
+        return H._merge_weights(out)
 
     def rhom(self, parts_a, parts_b, beta):
         S = self.surface
@@ -136,29 +131,34 @@ class UncachedContext(H.LocalizationContext):
                 continue
             m1, m2 = chart.m1, chart.m2
             u = S.chart_vertex(chart, beta)
-            piece = EquivChar()
+            u = (int(u[0]), int(u[1]), 0)
             if nu:
-                piece = piece - ref_box_character(nu, m1, m2)
+                out = H._exps_sum(out, H.specialize_weights(
+                    ref_box_character(nu, m1, m2), None, u), -1)
             if mu:
-                qbar = ref_box_character(mu, m1, m2).conj()
-                piece = piece - qbar.shift(-m1[0] - m2[0], -m1[1] - m2[1])
+                qbar = H.dual(ref_box_character(mu, m1, m2))
+                out = H._exps_sum(out, H.specialize_weights(
+                    qbar, None,
+                    (u[0] - m1[0] - m2[0], u[1] - m1[1] - m2[1], 0)), -1)
                 if nu:
                     dbar = H._denominator_char(
                         (-m1[0], -m1[1]), (-m2[0], -m2[1]))
-                    piece = piece + dbar * qbar * ref_box_character(
-                        nu, m1, m2)
-            out = out + piece.shift(int(u[0]), int(u[1]))
+                    out = H._exps_sum(out, H.specialize_weights(
+                        H._char_product(H._char_product(dbar, qbar),
+                                        ref_box_character(nu, m1, m2)),
+                        None, u))
         return out
 
     def taut(self, lams, beta):
         S = self.surface
-        ch = EquivChar()
+        ch = []
         for chart, lam in zip(S.charts, lams):
             if lam:
                 u = S.chart_vertex(chart, S.cls(beta))
-                ch = ch + ref_box_character(lam, chart.m1, chart.m2).shift(
-                    int(u[0]), int(u[1]))
-        return ch
+                ch.append(H.specialize_weights(
+                    ref_box_character(lam, chart.m1, chart.m2), None,
+                    (int(u[0]), int(u[1]), 0)))
+        return H._merge_weights(ch)
 
     def twist_class(self, leaf):
         return self._twist_class(leaf.attr("bc"), leaf.attr("ac"),
@@ -364,7 +364,8 @@ class SumRouteEvaluator(H.PointEvaluator):
             ch = ctx.rhom(self.parts(e.attr("i")), self.parts(e.attr("j")),
                           cls)
             if name == "rhom0":
-                ch = ch - H.chi_line_character(ctx.surface, cls)
+                ch = H._exps_sum(ch, H.chi_line_character(ctx.surface, cls),
+                                 -1)
         elif name == "pushO":
             ch = H.chi_line_character(ctx.surface, ctx.twist_class(e))
         elif name == "taut":
@@ -373,26 +374,27 @@ class SumRouteEvaluator(H.PointEvaluator):
             ch = ctx.tangent(self.point)
         else:
             u = self.pb_vertex()
-            ch = EquivChar.monomial(-u[0], -u[1])
-        return ch.shift(*shift)
+            ch = {(-u[0], -u[1], 0): 1}
+        return H.specialize_weights(ch, None, shift)
 
     def kval(self, e):
         if e.kind == "leaf":
             return self.leaf_char(e)
         if e.kind == "ksum":
-            return sum(map(self.kval, e.children), EquivChar())
+            return H._merge_weights(list(map(self.kval, e.children)))
         if e.kind == "kdiff":
             a, b = e.children
-            return self.kval(a) - self.kval(b)
+            return H._exps_sum(self.kval(a), self.kval(b), -1)
         if e.kind == "dual":
-            return self.kval(e.children[0]).conj()
+            return H.dual(self.kval(e.children[0]))
         body, line = e.children
         lch = self.kval(line)
-        if len(lch.terms) != 1 or set(lch.terms.values()) != {1}:
+        if len(lch) != 1 or set(lch.values()) != {1}:
             raise ValueError("twist by a non-line character")
-        (p, q, c), = lch.terms
+        (p, q, c), = lch
         m = e.params[0]
-        return self.kval(body).shift(m * p, m * q, m * c)
+        return H.specialize_weights(self.kval(body), None,
+                                    (m * p, m * q, m * c))
 
     def weights(self, e):
         return H.specialize_weights(self.kval(e), self.spec)
@@ -500,7 +502,7 @@ class TestMergedWeights:
         # specialized on its own: a direction annihilating a lattice
         # weight of chi(L) is a collision for the merged route only
         S = p2()
-        assert (-1, 1, 0) in H.chi_line_character(S, (1,)).terms
+        assert (-1, 1, 0) in H.chi_line_character(S, (1,))
         bad = (1, 1)
         e = FE.kdiff(pushO(bc=1), rhom(1, 2, bc=1))
         ctx = H.LocalizationContext(S, beta=(1,))
@@ -533,7 +535,7 @@ class TestMergedWeights:
 def annihilating_spec(S, points):
     """A drawable direction (a, b) killing some tangent weight."""
     for pt in points:
-        for (p, q, _) in UncachedContext(S).tangent(pt).terms:
+        for (p, q, _) in UncachedContext(S).tangent(pt):
             if p * q < 0:
                 a, b = abs(q), abs(p)
                 if a >= 2 and a != b and math.gcd(a, b) == 1:

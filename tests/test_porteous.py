@@ -11,7 +11,7 @@ from nesthilb.ringcore import Ring, KClass, k_twist
 from nesthilb.bundles import free_model, projective_bundle, proj_pushforward
 from nesthilb.surface import p2, general_type_profile, vd_beta
 from nesthilb.expr import (
-    FormulaExpr as FE, ZERO_CLASS, rhom, pushO, o1_line, co_class,
+    FormulaExpr as FE, rhom, pushO, o1_line, co_class,
     expr_to_json, expr_from_json, taut,
 )
 from nesthilb.porteous import (
@@ -19,7 +19,7 @@ from nesthilb.porteous import (
     degeneracy_pushforward_GrB, nested_reduced_formula,
 )
 from nesthilb.vw import monopole_integrand
-from support import sw_coupled_pushforward, comparison_factor, \
+from support import ZERO_CLASS, sw_coupled_pushforward, comparison_factor, \
     nested_vir_comparison, sw_factor, pic_point, normalize, virtual_rank, \
     ell_step_formula, duality_rewrite
 

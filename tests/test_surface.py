@@ -9,7 +9,7 @@ from nesthilb.surface import (SurfaceData, ToricSurface, p2, p1xp1, f1, f2,
                               riemann_roch_chi, vd_beta, twist_dim_d,
                               surface_to_json, surface_from_json,
                               load_surface)
-from support import toric_line_weights
+from support import toric_line_weights, is_effective
 
 
 class TestBuiltinInvariants:
@@ -157,9 +157,14 @@ class TestToricCharts:
     def test_effectivity(self):
         F = f1()
         # the exceptional class e is effective despite e.e < 0
-        assert F.is_effective((0, 1))
-        assert not F.is_effective((-1, 0))
-        assert F.is_effective((1, 1))
+        assert is_effective(F, (0, 1))
+        assert not is_effective(F, (-1, 0))
+        assert is_effective(F, (1, 1))
+        # on a general type profile (gram [[K2]], K = (1,), K2 > 0) the
+        # crude test reads b[0] >= 0
+        G = general_type_profile(3)
+        assert [is_effective(G, (b,)) for b in (-2, -1, 0, 1, 4)] \
+            == [False, False, True, True, True]
 
 
 class TestJson:

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nesthilb.ringcore import Ring, KClass
-from nesthilb.expr import FormulaExpr as FE, ZERO_CLASS, taut, rhom, \
-    parse_rational
+from nesthilb.expr import FormulaExpr as FE, taut, rhom, parse_rational
 from nesthilb.surface import p2, p1xp1, f1, f2, riemann_roch_chi, \
     vd_beta, general_type_profile, elliptic_profile, k3_profile, \
     surface_from_json
@@ -19,8 +18,8 @@ from nesthilb.vw import (
     point_contribution, universality_fit, fit_report, format_value,
     monomial_value, UniversalityError, _as_ratfunc,
 )
-from support import sw_coupled_pushforward, virtual_class_route, \
-    normalize, duality_rewrite, virtual_rank
+from support import ZERO_CLASS, sw_coupled_pushforward, \
+    virtual_class_route, normalize, duality_rewrite, virtual_rank
 
 
 def leaves(expr):
