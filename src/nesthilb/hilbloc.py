@@ -36,22 +36,23 @@ exponent map {(k, c): e}, the product of (k s + c t)^e: positive e in
 the numerator, negative e in the denominator.  Specialization is linear,
 so the LocalizationContext of a job (all its integrals over one surface
 and class: an n range, the splittings n1 + n2 = n of a monopole
-contribution) builds each distinct piece once, specializes it once per
-direction (after its shift by the twist vertex and the leaf's
-monomial, so the collision check sees every final weight) and keeps
-the maps in one table per chart, keyed by partition(s) and vertex.  A
-point's map is one lookup per chart and one merge; no character sum
-is built per point.  A twist by a line is a shift too: the line's
-monomial, read with no direction, is passed down its body to the
-leaves, which add it to their own.  With no direction the same lookups
-give the shifted characters, merged the same way, so a point's
-character is read from the maps as well.  The tangent map of a point
-is built once and shared by its tangent leaves and the localization
-denominator.  An Euler product with no circle weight mostly skips the
-merge: the per-point path decides every point it meets first, and
-chart factors, each one integer fraction, are learned from the points
-it visited; a point whose charts all hold one multiplies them (see
-``chartfactors``).
+contribution) keeps one memo, which builds each distinct piece once,
+and one map table, which holds its specializations (after its shift by
+the twist vertex and the leaf's monomial, so the collision check sees
+every final weight), one table per direction, kind and shift, keyed
+per chart by partition(s) and vertex.  Maps are kept for the whole
+job, also across redraws.  A point's map is one lookup per chart and
+one merge; no character sum is built per point.  A twist by a line is
+a shift too: the line's monomial, read with no direction, is passed
+down its body to the leaves, which add it to their own.  With no
+direction the same lookups give the shifted characters, merged the
+same way, so a point's character is read from the maps as well.  The
+tangent map of a point is built once and shared by its tangent leaves
+and the localization denominator.  An Euler product with no circle
+weight mostly skips the merge: the per-point path decides every point
+it meets first, and chart factors, each one integer fraction, are
+learned from the points it visited; a point whose charts all hold one
+multiplies them (see ``chartfactors``).
 Products add exponents, so a weight shared by numerator and
 denominator cancels as it arises, which is exact because each weight
 is a nonzero linear form k s + c t; the zero-weight and collision
@@ -747,25 +748,21 @@ class LocalizationContext:
     chart and its partitions times the monomial of a twist vertex (the
     tangent piece of (chart, lam), the Rhom correction of (chart, mu,
     nu), the tautological piece of (chart, lam)), and chi(L) and the
-    section lines.  ``piece`` builds each distinct character once.
-    Under the current direction, the maps of the pieces times vertex
-    and shift are kept per kind and shift in one table per chart, keyed
-    by partition(s) and vertex, so a point's map is one lookup per chart
-    and one merge; the tables are emptied when the direction changes.
-    The shifted characters themselves, each its exponent map
-    {(p, q, c): m} (the maps with no direction, which a twist's line and
-    the wrappers ``full_tangent_character`` and ``rhom_global_character``
-    read), are kept in tables of their own, which no direction change
-    empties.
-    The chart factors of the Euler products that take the chart-factor
-    path are kept in the same way, one table per chart and tree, keyed
-    by the chart's partitions: each is learned from a point the
-    per-point path visited, which decides every point it meets first,
-    and read from the maps of its one-chart point (the chart's
-    partitions, no others) and of the empty point (see
-    ``chartfactors``).  A class's vertices, a leaf's shift and
-    twist class, and the chart tuples of each size (``chart_levels``,
-    see ``enumerate_fixed_points``) are resolved once.
+    section lines.  The context keeps one memo and one map table.  The
+    memo, ``piece``, builds once each distinct character, a class's
+    chart vertices, a leaf's resolution with the class it twists by, and
+    the ring of a delta node.  The table, ``table``, holds the maps of
+    the pieces times vertex and shift, one table per direction, kind and
+    shift (per chart, keyed by partition(s) and vertex), so a point's
+    map is one lookup per chart and one merge.  No direction (``spec``
+    None) gives the shifted characters, each its exponent map, which a
+    twist's line and the wrappers ``full_tangent_character`` and
+    ``rhom_global_character`` read.  Maps are kept for the whole job,
+    also across redraws.  The same table keeps the chart factors of the
+    Euler products that take the chart-factor path, one per direction
+    and tree, keyed by the chart's partitions (see ``chartfactors``).
+    The chart tuples of each size (``chart_levels``, see
+    ``enumerate_fixed_points``) are listed once.
 
     Each integral, once it has summed its points under a direction,
     leaves its counters here: the direction ``spec``, the number of
@@ -789,181 +786,144 @@ class LocalizationContext:
         self._tangent_ws = tuple(chart.tangent_weights()
                                  for chart in surface.charts)
         self._pieces = {}
-        self._vertices = {}
-        self._leaves = {}
-        self._spec = None
         self._maps = {}
-        self._lattice = {}
-        self._st_rings = {}
         self.chart_levels = []
         self.spec = None
         self.attempts = self.points = self.visited = 0
 
-    def st_class(self, chern, D):
-        """The class sum_j sum_i chern[j][i] s^i t^(j - i), integer
-        coefficients as ``chern_value`` lists them, in the ring Q[s, t]
-        truncated above degree D, one ring per D built on first use: a
-        delta node of degree D expands its determinant there, exactly,
-        since no minor has a larger degree."""
-        ring = self._st_rings.get(D)
-        if ring is None:
-            ring = self._st_rings[D] = ringcore.Ring(["s", "t"], D=D)
-        return ringcore.GradedClass(ring, {
-            (i, j - i): x for j, cj in enumerate(chern)
-            for i, x in enumerate(cj)})
-
-    def piece(self, build, *args):
-        """``build(*args)``, built once per context."""
-        key = (build,) + args
+    def piece(self, build, *args, key=None):
+        """``build(*args)``, built once per context under the key
+        (build,) + args, or (build, key) when ``key`` determines the
+        arguments: a leaf's ``key()`` hashes faster than the leaf and
+        keeps the context it is resolved in out of the memo."""
+        key = (build,) + args if key is None else (build, key)
         value = self._pieces.get(key)
         if value is None:
             value = self._pieces[key] = build(*args)
         return value
 
-    def vertices(self, beta):
-        """Integer chart vertices of the class, one per chart."""
-        beta = tuple(beta)
-        verts = self._vertices.get(beta)
-        if verts is None:
-            verts = self._vertices[beta] = self.surface.chart_vertices(beta)
-        return verts
-
-    def chi(self, beta):
-        """chi(L) character of the class."""
-        return self.piece(chi_line_character, self.surface, tuple(beta))
+    def st_class(self, chern, D):
+        """The class sum_j sum_i chern[j][i] s^i t^(j - i), integer
+        coefficients as ``chern_value`` lists them, in the ring Q[s, t]
+        truncated above degree D: a delta node of degree D expands its
+        determinant there, exactly, since no minor has a larger
+        degree."""
+        return ringcore.GradedClass(
+            self.piece(ringcore.Ring, ("s", "t"), None, D),
+            {(i, j - i): x for j, cj in enumerate(chern)
+             for i, x in enumerate(cj)})
 
     def table(self, spec, kind, shift, per_chart=True):
         """Maps of one kind of piece times ``shift`` under the direction
         ``spec``, or of its characters with no direction, in one dict per
         chart or in one dict."""
-        if spec is None:
-            maps = self._lattice
-        else:
-            if spec != self._spec:
-                self._spec, self._maps = spec, {}
-            maps = self._maps
-        table = maps.get((kind, shift))
+        table = self._maps.get((spec, kind, shift))
         if table is None:
-            table = maps[kind, shift] = \
+            table = self._maps[spec, kind, shift] = \
                 [{} for _ in self._tangent_ws] if per_chart else {}
         return table
 
-    def chart_map(self, spec, kind, shift, c, key, table):
-        """Map of chart c's piece of one kind times ``shift``, stored in
-        the chart's ``table``: the tangent piece of key = lam, the Rhom
-        correction of key = (mu, nu, u), the tautological piece of key =
-        (lam, u).  The per-point loops look the key up in the table
-        themselves and call this on a miss."""
-        chart, u = self.surface.charts[c], (0, 0)
-        if kind == "tangent":
-            char = self.piece(tangent_character, key, self._tangent_ws[c])
-        elif kind == "rhom":
-            mu, nu, u = key
-            char = self.piece(_rhom_chart_piece, chart.m1, chart.m2, mu, nu)
-        else:
-            lam, u = key
-            char = self.piece(box_character, lam, chart.m1, chart.m2)
-        m = table[key] = specialize_weights(
-            char, spec, (u[0] + shift[0], u[1] + shift[1], shift[2]))
+    def chart_maps(self, spec, kind, shift, keys):
+        """Maps of chart pieces of one kind times ``shift``, one per
+        (c, key) pair, each specialized on its first use: chart c's
+        tangent piece of key = lam, its Rhom correction of key = (mu, nu,
+        u) or its tautological piece of key = (lam, u), u the vertex."""
+        tables, maps = self.table(spec, kind, shift), []
+        for c, key in keys:
+            m = tables[c].get(key)
+            if m is None:
+                chart, u = self.surface.charts[c], (0, 0)
+                if kind == "tangent":
+                    char = self.piece(tangent_character, key,
+                                      self._tangent_ws[c])
+                elif kind == "rhom":
+                    mu, nu, u = key
+                    char = self.piece(_rhom_chart_piece, chart.m1, chart.m2,
+                                      mu, nu)
+                else:
+                    lam, u = key
+                    char = self.piece(box_character, lam, chart.m1, chart.m2)
+                m = tables[c][key] = specialize_weights(
+                    char, spec, (u[0] + shift[0], u[1] + shift[1], shift[2]))
+            maps.append(m)
+        return maps
+
+    def global_map(self, spec, shift, build, *args):
+        """Map of the piece ``build(*args)`` of no chart (chi(L), the
+        section lines) times ``shift``, in the table of kind ``build``."""
+        table = self.table(spec, build, shift, False)
+        m = table.get(args)
+        if m is None:
+            m = table[args] = specialize_weights(self.piece(build, *args),
+                                                 spec, shift)
         return m
 
     def tangent_weights(self, spec, shift, point):
         """Exponent map of the tangent character times ``shift``."""
-        k, maps = len(self._tangent_ws), []
+        k = len(self._tangent_ws)
         # each chart's table serves its partition in mu and in nu
-        for i, (table, lam) in enumerate(zip(
-                self.table(spec, "tangent", shift) * 2, point.mu + point.nu)):
-            if lam:
-                m = table.get(lam)
-                maps.append(m if m is not None else self.chart_map(
-                    spec, "tangent", shift, i % k, lam, table))
+        maps = self.chart_maps(spec, "tangent", shift, [
+            (i % k, lam) for i, lam in enumerate(point.mu + point.nu) if lam])
         if self.sections is not None and point.pb is not None:
-            table = self.table(spec, "sections", shift, False)
-            m = table.get(point.pb)
-            if m is None:
-                m = table[point.pb] = specialize_weights(
-                    self.piece(_section_line_offsets, self.sections,
-                               point.pb), spec, shift)
-            maps.append(m)
+            maps.append(self.global_map(spec, shift, _section_line_offsets,
+                                        self.sections, point.pb))
         return _merge_weights(maps)
 
     def rhom_weights(self, spec, shift, parts_a, parts_b, beta, chi=True):
         """Exponent map of the Rhom character times ``shift``; without
         chi(L) when ``chi`` is false (the trace-free part)."""
-        maps = []
-        for c, (table, u, mu, nu) in enumerate(zip(
-                self.table(spec, "rhom", shift), self.vertices(beta),
-                parts_a, parts_b)):
-            if mu or nu:
-                m = table.get((mu, nu, u))
-                maps.append(m if m is not None else self.chart_map(
-                    spec, "rhom", shift, c, (mu, nu, u), table))
-        if chi:
-            maps.append(self.chi_weights(spec, shift, beta))
-        return _merge_weights(maps)
-
-    def chi_weights(self, spec, shift, beta):
-        """Exponent map of chi(L) times ``shift``."""
         beta = tuple(beta)
-        table = self.table(spec, "chi", shift, False)
-        m = table.get(beta)
-        if m is None:
-            m = table[beta] = specialize_weights(self.chi(beta), spec, shift)
-        return m
+        u = self.piece(self.surface.chart_vertices, beta)
+        maps = self.chart_maps(spec, "rhom", shift, [
+            (c, (parts_a[c], parts_b[c], u[c])) for c in range(len(u))
+            if parts_a[c] or parts_b[c]])
+        if chi:
+            maps.append(self.global_map(spec, shift, chi_line_character,
+                                        self.surface, beta))
+        return _merge_weights(maps)
 
     def taut_weights(self, spec, shift, lams, beta):
         """Exponent map of the tautological bundle times ``shift``."""
-        maps = []
-        for c, (table, u, lam) in enumerate(zip(
-                self.table(spec, "taut", shift), self.vertices(beta), lams)):
-            if lam:
-                m = table.get((lam, u))
-                maps.append(m if m is not None else self.chart_map(
-                    spec, "taut", shift, c, (lam, u), table))
-        return _merge_weights(maps)
-
-    def leaf(self, e):
-        """(name, o1, (0, 0, tp)) of a leaf, keyed by its ``key()``."""
-        key = e.key()
-        out = self._leaves.get(key)
-        if out is None:
-            name = e.params[0]
-            if name not in _LEAVES:
-                raise ValueError("leaf %r has no equivariant value" % name)
-            out = self._leaves[key] = (name, e.attr("o1"),
-                                       (0, 0, e.attr("tp")))
-        return out
-
-    def twist_class(self, leaf):
-        """The leaf's class bc beta + ac A + kc K as integers."""
-        key = ("twist", leaf.key())
-        cls = self._leaves.get(key)
-        if cls is None:
-            cls = self._leaves[key] = self._twist_class(
-                leaf.attr("bc"), leaf.attr("ac"), leaf.attr("kc"))
-        return cls
-
-    def _twist_class(self, bc, ac, kc):
-        S = self.surface
-        cls = S.zero_class()
-        if bc:
-            if self.beta is None:
-                raise ValueError("twist references an unbound curve class")
-            cls = S.add(cls, S.scale(bc, S.cls(self.beta)))
-        if ac:
-            if self.A is None:
-                raise ValueError("twist references an unbound polarization")
-            cls = S.add(cls, S.scale(ac, S.cls(self.A)))
-        if kc:
-            cls = S.add(cls, S.scale(kc, S.K))
-        # chart vertices need integer coordinates
-        if any(x.denominator != 1 for x in cls):
-            raise ValueError("divisor coefficients must be integers")
-        return tuple(map(int, cls))
+        u = self.piece(self.surface.chart_vertices, tuple(beta))
+        return _merge_weights(self.chart_maps(spec, "taut", shift, [
+            (c, (lams[c], u[c])) for c in range(len(u)) if lams[c]]))
 
 
 _CHART_LOCAL = ("rhom", "rhom0", "pushO", "taut", "tangent")
 _LEAVES = _CHART_LOCAL + ("O1",)
+
+
+def _resolve_leaf(e, ctx):
+    """A leaf's name, which must have an equivariant value, its
+    attributes as a dict, and the class bc beta + ac A + kc K that a
+    rhom, rhom0 or pushO leaf twists by (None for other leaves)."""
+    name = e.params[0]
+    if name not in _LEAVES:
+        raise ValueError("leaf %r has no equivariant value" % name)
+    attrs, cls = dict(e.attrs), None
+    if name in ("rhom", "rhom0", "pushO"):
+        cls = _twist_class(ctx.surface, ctx.beta, ctx.A, attrs.get("bc", 0),
+                           attrs.get("ac", 0), attrs.get("kc", 0))
+    return name, attrs, cls
+
+
+def _twist_class(S, beta, A, bc, ac, kc):
+    """The class bc beta + ac A + kc K on the surface S as integers."""
+    cls = S.zero_class()
+    if bc:
+        if beta is None:
+            raise ValueError("twist references an unbound curve class")
+        cls = S.add(cls, S.scale(bc, S.cls(beta)))
+    if ac:
+        if A is None:
+            raise ValueError("twist references an unbound polarization")
+        cls = S.add(cls, S.scale(ac, S.cls(A)))
+    if kc:
+        cls = S.add(cls, S.scale(kc, S.K))
+    # chart vertices need integer coordinates
+    if any(x.denominator != 1 for x in cls):
+        raise ValueError("divisor coefficients must be integers")
+    return tuple(map(int, cls))
 
 
 def _homogeneous(d, coefs):
@@ -1010,33 +970,36 @@ class PointEvaluator:
         return self.ctx.sections[self.point.pb]
 
     def leaf_shift(self, e, shift):
-        """The leaf's name and the monomial (p, q, c) it is multiplied
-        by: the inherited ``shift`` times O(-o1) of the section line and
-        the auxiliary weight tp."""
-        name, o1, own = self.ctx.leaf(e)
-        if o1:
+        """The leaf's resolution (see ``_resolve_leaf``), built once per
+        job, and the monomial (p, q, c) it is multiplied by: the
+        inherited ``shift`` times O(-o1) of the section line and the
+        auxiliary weight tp."""
+        leaf = self.ctx.piece(_resolve_leaf, e, self.ctx, key=e.key())
+        attrs, p, q = leaf[1], 0, 0
+        if attrs.get("o1"):
             u = self.pb_vertex()
-            own = (-o1 * u[0], -o1 * u[1], own[2])
-        return name, (own[0] + shift[0], own[1] + shift[1],
-                      own[2] + shift[2])
+            p, q = -attrs["o1"] * u[0], -attrs["o1"] * u[1]
+        return leaf, (p + shift[0], q + shift[1],
+                      attrs.get("tp", 0) + shift[2])
 
     def leaf_weights(self, e, shift):
-        name, shift = self.leaf_shift(e, shift)
+        (name, attrs, cls), shift = self.leaf_shift(e, shift)
         ctx, spec = self.ctx, self.spec
         if name in ("rhom", "rhom0"):
-            parts_a = self.parts(e.attr("i"))
-            parts_b = self.parts(e.attr("j"))
-            cls = ctx.twist_class(e)
+            parts_a = self.parts(attrs.get("i", 0))
+            parts_b = self.parts(attrs.get("j", 0))
             if name == "rhom":
                 return rhom_global_character(ctx, parts_a, parts_b, cls,
                                              spec=spec, shift=shift)
             return ctx.rhom_weights(spec, shift, parts_a, parts_b, cls,
                                     chi=False)
         if name == "pushO":
-            return ctx.chi_weights(spec, shift, ctx.twist_class(e))
+            return ctx.global_map(spec, shift, chi_line_character,
+                                  ctx.surface, cls)
         if name == "taut":
             return ctx.taut_weights(spec, shift,
-                                    self.parts(e.attr("level")), e.attr("a"))
+                                    self.parts(attrs.get("level", 0)),
+                                    attrs.get("a", 0))
         if name == "tangent":
             if shift == NO_SHIFT:
                 return self.tangent()

@@ -237,9 +237,6 @@ class ToricSurface(SurfaceData):
         out.sort()
         return out
 
-    def h0(self, beta):
-        return len(self.polytope_points(beta))
-
     def __repr__(self):
         return "ToricSurface(%r, rays=%r)" % (self.name, self.rays)
 

@@ -35,7 +35,7 @@ def is_effective(surface, beta):
     profile by a crude test (nonnegative coefficients and pairing with
     K, which admits the zero class and positive parts of K)."""
     if isinstance(surface, ToricSurface):
-        return surface.h0(beta) > 0
+        return len(surface.polytope_points(beta)) > 0
     beta = surface.cls(beta)
     if all(x == 0 for x in beta):
         return True

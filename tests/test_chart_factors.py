@@ -228,12 +228,12 @@ class TestAgainstPerPointPath:
                     H.equivariant_integrate(e, ctx, n1, n2)
                 except ValueError:
                     pass
-            keys = {kind: [set(t) for t in ctx.table(ctx._spec, kind,
+            keys = {kind: [set(t) for t in ctx.table(ctx.spec, kind,
                                                      H.NO_SHIFT)]
                     for kind in ("tangent", "rhom", "taut")}
-            keys["chi"] = set(ctx.table(ctx._spec, "chi", H.NO_SHIFT,
-                                        False))
-            seen.append((ctx._spec, keys))
+            keys["chi"] = set(ctx.table(ctx.spec, H.chi_line_character,
+                                        H.NO_SHIFT, False))
+            seen.append((ctx.spec, keys))
         assert seen[0] == seen[1]
 
     @pytest.mark.parametrize("which", range(len(SURFACES)))
@@ -282,12 +282,12 @@ class TestRouting:
         ctx = H.LocalizationContext(S)
         for n in range(4):
             H.equivariant_integrate(EULER, ctx, 0, n)
-        tables = ctx.table(ctx._spec, ("factors", EULER.key()), H.NO_SHIFT)
+        tables = ctx.table(ctx.spec, ("factors", EULER.key()), H.NO_SHIFT)
         # one factor per chart and partition of size at most 3
         assert [len(t) for t in tables] == [1 + 1 + 2 + 3] * len(S.charts)
         other = FE.mul(EULER, EULER)
         H.equivariant_integrate(other, ctx, 0, 2)
-        assert len(ctx.table(ctx._spec, ("factors", other.key()),
+        assert len(ctx.table(ctx.spec, ("factors", other.key()),
                              H.NO_SHIFT)[0]) == 1 + 1 + 2
 
     @pytest.mark.parametrize("make,n_max", [(p2, 8), (p1xp1, 7), (f1, 6),

@@ -32,10 +32,11 @@ def test_workflow_runs_tier1():
     # the [project.scripts] entry point is what users run; no test
     # imports it.  One step localizes an n range in one shared context,
     # one reads malformed and abbreviated command lines, one compares
-    # the chart-factor and per-point paths, one runs every
-    # verify suite: the formal rings, the Euler integrals of the
-    # chart-factor path and the Betti counts; one counts the checks of
-    # the characters suite; one reads the CSV header of every command.
+    # the chart-factor and per-point paths, one integrates delta
+    # nodes, one runs every verify suite: the formal rings, the Euler
+    # integrals of the chart-factor path and the Betti counts; one
+    # counts the checks of the characters suite; one reads the CSV
+    # header of every command.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # the command line: --help exits 0 and prints the usage, a flag
@@ -110,6 +111,19 @@ def test_workflow_runs_tier1():
         " --n 0:4 --job %s | tr '\\n' ' ')\" = \"1 3 9 22 51"
         " # seed 0 \"" % (tmp % "twist.json"),
         ""])
+    # a delta node expands its determinant in the ring of s and t:
+    # delta(1, 4) = c_4 and delta(2, 2) of the tangent bundle of P2^[2]
+    delta = "\n".join(
+        ["echo '%s' > %s" % (
+            '{"params": {"expr": {"kind": "delta", "params": [%d, %d],'
+            ' "children": [{"kind": "leaf", "params": ["tangent"]}]}}}'
+            % ab, tmp % ("delta%d%d.json" % ab))
+         for ab in ((1, 4), (2, 2))]
+        + ["test \"$(nesthilb integrate --surface P2 --formula custom"
+           " --n 2 --job %s | tr '\\n' ' ')\" = \"%s # seed 0 \""
+           % (tmp % ("delta%d%d.json" % ab), value)
+           for ab, value in (((1, 4), 9), ((2, 2), 36))]
+        + [""])
     # verify ends with its "# seed" line, after the verdict
     verify = ('test "$(nesthilb verify --suite all'
               ' | grep -v \'^# seed\' | tail -n 1)" = "all green"')
@@ -164,8 +178,8 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    weighted, twist, verify, characters, csv, push, reduced,
-                    traced, untraced, tier1_command()]
+                    weighted, twist, delta, verify, characters, csv, push,
+                    reduced, traced, untraced, tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]
                          if step.get("run") == run]

@@ -484,16 +484,17 @@ class TestIntegration:
         assert len(calls) < ctx.points == 14
 
     def test_character_reads_keep_the_direction_tables(self, monkeypatch):
-        # characters with no direction are read from tables of their
-        # own: reading them between two integrals leaves the direction's
-        # maps in place, so the second integral specializes nothing
+        # characters are the maps of no direction, kept apart from a
+        # direction's: reading them between two integrals leaves the
+        # direction's maps in place, so the second integral specializes
+        # nothing
         S = p1xp1()
         ctx = LocalizationContext(S)
         assert equivariant_integrate(EULER, ctx, 0, 2) == 14
-        spec, tangent = ctx._spec, ctx.table(ctx._spec, "tangent", H.NO_SHIFT)
+        spec, tangent = ctx.spec, ctx.table(ctx.spec, "tangent", H.NO_SHIFT)
         for pt in enumerate_fixed_points(ctx, 0, 2):
             assert sum(full_tangent_character(ctx, pt).values()) == 4
-        assert ctx._spec == spec \
+        assert ctx.spec == spec \
             and ctx.table(spec, "tangent", H.NO_SHIFT) is tangent
         calls = []
         specialize = H.specialize_weights

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -176,6 +177,35 @@ def test_integrate_range_specializes_each_chart_piece_once(monkeypatch,
     assert capsys.readouterr().out.split()[:5] == ["1", "4", "14", "40",
                                                    "105"]
     assert len(calls) == 4 * 11 == 44
+
+
+def test_redraw_keeps_a_directions_maps(monkeypatch):
+    # seed 1 draws another direction than seed 0; the maps of seed 0's
+    # direction outlive it, so the third integral specializes nothing
+    # and still gives the value and counters of a context of its own
+    assert H._draw_spec(random.Random(1)) != H._draw_spec(random.Random(0))
+    ctx = H.LocalizationContext(p2())
+    assert INTEGRATE(EULER, ctx, 0, 2, seed=0) == 9
+    assert INTEGRATE(EULER, ctx, 0, 2, seed=1) == 9
+    calls = []
+    specialize = H.specialize_weights
+    monkeypatch.setattr(H, "specialize_weights",
+                        lambda *a: calls.append(a) or specialize(*a))
+    value = INTEGRATE(EULER, ctx, 0, 2, seed=0)
+    assert calls == []
+    fresh = H.LocalizationContext(p2())
+    assert INTEGRATE(EULER, fresh, 0, 2, seed=0) == value
+    assert integral_info(fresh) == integral_info(ctx)
+
+
+def test_context_freed_with_its_job():
+    # no memo key or map holds the context, so the job's last reference
+    # frees it at once with everything it built
+    ctx = H.LocalizationContext(p2(), beta=(1,))
+    assert INTEGRATE(vw.monopole_integrand(1, 1), ctx, 1, 1) is not None
+    ref = weakref.ref(ctx)
+    del ctx
+    assert ref() is None
 
 
 def test_vw_builds_chi_once_per_twist_class(tmp_path, monkeypatch, capsys):

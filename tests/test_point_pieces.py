@@ -160,9 +160,10 @@ class UncachedContext(H.LocalizationContext):
                     (int(u[0]), int(u[1]), 0)))
         return H._merge_weights(ch)
 
-    def twist_class(self, leaf):
-        return self._twist_class(leaf.attr("bc"), leaf.attr("ac"),
-                                 leaf.attr("kc"))
+    def twist_class(self, attrs):
+        return H._twist_class(self.surface, self.beta, self.A,
+                              attrs.get("bc", 0), attrs.get("ac", 0),
+                              attrs.get("kc", 0))
 
 
 def ref_weight_poly(w):
@@ -343,7 +344,8 @@ class TestChartPieces:
         for pt in H.enumerate_fixed_points(ctx, 0, 2):
             H._point_contribution(ctx, EULER, pt, (7, 3))
         # one tangent piece per chart and partition of size 1 or 2
-        assert len(ctx._pieces) == len(S.charts) * 3
+        assert sum(key[0] is H.tangent_character
+                   for key in ctx._pieces) == len(S.charts) * 3
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +359,17 @@ class SumRouteEvaluator(H.PointEvaluator):
     maps, with a twist passed down as a shift, must give the same."""
 
     def leaf_char(self, e):
-        name, shift = self.leaf_shift(e, H.NO_SHIFT)
+        (name, attrs, _), shift = self.leaf_shift(e, H.NO_SHIFT)
         ctx = self.ctx
         if name in ("rhom", "rhom0"):
-            cls = ctx.twist_class(e)
+            cls = ctx.twist_class(attrs)
             ch = ctx.rhom(self.parts(e.attr("i")), self.parts(e.attr("j")),
                           cls)
             if name == "rhom0":
                 ch = H._exps_sum(ch, H.chi_line_character(ctx.surface, cls),
                                  -1)
         elif name == "pushO":
-            ch = H.chi_line_character(ctx.surface, ctx.twist_class(e))
+            ch = H.chi_line_character(ctx.surface, ctx.twist_class(attrs))
         elif name == "taut":
             ch = ctx.taut(self.parts(e.attr("level")), e.attr("a"))
         elif name == "tangent":

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesthilb.ringcore import Ring, KClass, k_twist
-from nesthilb.bundles import free_model, projective_bundle, proj_pushforward
+from nesthilb.bundles import free_model, projective_bundle
 from nesthilb.surface import p2, general_type_profile, vd_beta
 from nesthilb.expr import (
     FormulaExpr as FE, rhom, pushO, o1_line, co_class,
