@@ -211,6 +211,17 @@ def _suite_euler(nmax=3):
     return checks
 
 
+def rhom_by_assembly(surface, parts_a, parts_b, beta):
+    """The assembly route for the global Rhom character: the chart
+    characters summed by ``hilbloc.assemble``, as an independent check
+    of ``hilbloc.rhom_global_character``."""
+    return hilbloc.assemble([
+        hilbloc.rhom_character(mu, nu, chart, u)
+        for chart, u, mu, nu in zip(surface.charts,
+                                    surface.chart_vertices(beta),
+                                    parts_a, parts_b)])
+
+
 def _suite_characters(nmax=3):
     checks = []
     m1, m2 = (1, 0), (0, 1)
@@ -238,8 +249,7 @@ def _suite_characters(nmax=3):
                     "rhom pieces %s beta=%s n1=%d n2=%d"
                     % (name, ",".join(map(str, beta)), n1, n2),
                     all(hilbloc.rhom_global_character(ctx, p.mu, p.nu, beta)
-                        == hilbloc.rhom_assembled(ctx.surface, p.mu, p.nu,
-                                                  beta)
+                        == rhom_by_assembly(ctx.surface, p.mu, p.nu, beta)
                         for p in hilbloc.enumerate_fixed_points(
                             ctx, n1, n2, nested=False))))
     return checks

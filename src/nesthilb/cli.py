@@ -49,7 +49,7 @@ FORMULAS = {"push": ("porteous", "reduced"),
             "integrate": ("euler", "one", "co", "custom")}
 # the keys the two nested objects of a job may hold
 PARAMS_KEYS = ("expr", "monomials", "window", "h2_vanishing")
-SW_KEYS = ("entries", "higher_mode")
+SW_KEYS = ("entries",)
 
 DEFAULT_FIT_RUNS = (("P2", (1,)), ("P2", (2,)), ("P1xP1", (1, 1)),
                     ("P1xP1", (2, 2)), ("F2", (2, 1)), ("F2", (4, 2)))
@@ -186,7 +186,7 @@ def _parse_runs(source):
             runs.append((surface, beta, value))
         elif not isinstance(surface, surfaces.ToricSurface):
             raise SchemaError("point contributions need a toric surface"
-                              " or a supplied table")
+                              " or a value in the run")
         else:
             runs.append((surface, beta))
     return runs
@@ -256,7 +256,7 @@ class JobSpec:
         self.window = _parse_window(self.params.get("window"))
         self.h2_vanishing = _parse_flag(self.params, "h2_vanishing",
                                         "params.h2_vanishing")
-        sw_entries, higher_mode = None, False
+        sw_entries = None
         sw = doc.get("sw")
         if sw is not None:
             if not isinstance(sw, dict):
@@ -273,8 +273,6 @@ class JobSpec:
                             self.surface, entries)
                     except ValueError as err:
                         raise SchemaError("field 'sw.entries': %s" % err)
-            higher_mode = _parse_flag(sw, "higher_mode",
-                                      "field 'sw.higher_mode'")
 
         self.format = doc.get("format") or "text"
         if self.format not in FORMATS:
@@ -288,8 +286,7 @@ class JobSpec:
             self.runs = _parse_runs(doc.get("runs"))
         if self.command == "vw":
             try:
-                self.sw_table = vw.SWTable(self.surface, sw_entries,
-                                           higher_mode)
+                self.sw_table = vw.SWTable(self.surface, sw_entries)
             except ValueError as err:
                 raise SchemaError(str(err))
 
@@ -437,7 +434,7 @@ def _handle_integrate(job):
 def _handle_vw(job):
     rows = []
     # one context for every n and splitting of the job; a profile
-    # surface has none and fails in vw without a point table
+    # surface has none, and its point contributions fail in vw
     ctx = None
     if isinstance(job.surface, surfaces.ToricSurface):
         ctx = hilbloc.LocalizationContext(job.surface, beta=job.beta)

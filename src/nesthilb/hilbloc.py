@@ -110,16 +110,6 @@ def conjugate(mu):
     return tuple(cols)
 
 
-def arm(mu, cell):
-    a, b = cell
-    return mu[b] - a - 1
-
-
-def leg(mu, cell):
-    a, b = cell
-    return conjugate(mu)[a] - b - 1
-
-
 def contains(nu, mu):
     return len(mu) <= len(nu) and all(m <= n for m, n in zip(mu, nu))
 
@@ -350,14 +340,6 @@ def rhom_global_character(ctx, parts_a, parts_b, beta, spec=None,
     character, which is its exponent map {(p, q, c): m}.
     """
     return ctx.rhom_weights(spec, shift, parts_a, parts_b, beta)
-
-
-def rhom_assembled(surface, parts_a, parts_b, beta):
-    """Assembly route for the same character, as an independent check."""
-    return assemble([rhom_character(mu, nu, chart, u)
-                     for chart, u, mu, nu in zip(
-                         surface.charts, surface.chart_vertices(beta),
-                         parts_a, parts_b)])
 
 
 # ---------------------------------------------------------------------------

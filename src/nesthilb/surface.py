@@ -20,7 +20,7 @@ Sections of the line bundle are the lattice points u with
 import json
 from fractions import Fraction
 
-from .expr import rational_str, parse_rational
+from .expr import parse_rational
 
 
 def _cross2(u, v):
@@ -32,7 +32,7 @@ class SurfaceData:
 
     gram is the intersection matrix of the chosen Neron-Severi basis,
     K the canonical class in that basis, sw_table a map from class
-    tuples to (Seiberg-Witten invariant, tuple of higher pairings).
+    tuples to Seiberg-Witten invariants (Fractions).
     """
 
     def __init__(self, name, chiO, K2, e, q, pg, gram, K, sw_table=None,
@@ -307,7 +307,7 @@ def f2():
 def k3_profile():
     """Numeric profile of a K3 surface; rank-one lattice, K = 0."""
     return SurfaceData("K3", 2, 0, 24, 0, 1, [[0]], [0],
-                       sw_table={(Fraction(0),): (Fraction(1), ())})
+                       sw_table={(Fraction(0),): Fraction(1)})
 
 
 def general_type_profile(K2, chiO=2):
@@ -317,8 +317,8 @@ def general_type_profile(K2, chiO=2):
     invariants 1 and (-1)^chi(O)."""
     if K2 <= 0 or chiO < 2:
         raise ValueError("need K^2 > 0 and chi(O) >= 2")
-    sw = {(Fraction(0),): (Fraction(1), ()),
-          (Fraction(1),): (Fraction((-1) ** chiO), ())}
+    sw = {(Fraction(0),): Fraction(1),
+          (Fraction(1),): Fraction((-1) ** chiO)}
     return SurfaceData("general_type_K2_%d_chi_%d" % (K2, chiO),
                        chiO, K2, 12 * chiO - K2, 0, chiO - 1,
                        [[K2]], [1], sw_table=sw, basis_names=["K"])
@@ -328,7 +328,7 @@ def elliptic_profile():
     """A chi(O) = 0, K^2 = 0 profile (minimal properly elliptic or
     torus-like); every twist of the trivial class has chi = 0."""
     return SurfaceData("elliptic_0", 0, 0, 0, 1, 0, [[0]], [0],
-                       sw_table={(Fraction(0),): (Fraction(1), ())})
+                       sw_table={(Fraction(0),): Fraction(1)})
 
 
 BUILTIN_SURFACES = {
@@ -357,54 +357,37 @@ def builtin_surface(name):
 # JSON interchange
 
 
-def surface_to_json(surface):
-    toric = isinstance(surface, ToricSurface)
-    doc = {
-        "name": surface.name,
-        "rays": [list(r) for r in surface.rays] if toric else None,
-        "profile": {"chiO": surface.chiO, "K2": surface.K2, "e": surface.e,
-                    "q": surface.q, "pg": surface.pg},
-        "sw_table": [
-            {"beta": [rational_str(x) for x in beta],
-             "sw": rational_str(sw),
-             "higher": [rational_str(h) for h in higher]}
-            for beta, (sw, higher) in sorted(surface.sw_table.items())
-        ],
-    }
-    if toric:
-        doc["basis"] = list(surface.basis)
-    return doc
-
-
 def parse_sw_entries(surface, entries):
     """Seiberg-Witten table of the surface from a list of entries
-    {"beta": class, "sw": invariant, "higher": [pairings]}, "higher"
-    optional: a map from class to (invariant, tuple of pairings).
+    {"beta": class, "sw": invariant}: a map from class to invariant.
     Numbers are JSON numbers or "p/q" strings.  A malformed entry,
-    including a class of the wrong rank, raises ValueError naming the
-    entry."""
+    including a class of the wrong rank or a key other than "beta" and
+    "sw", raises ValueError naming the entry."""
     if not isinstance(entries, (list, tuple)):
         raise ValueError("Seiberg-Witten entries must be a list")
     table = {}
     for entry in entries:
         try:
-            beta, higher = entry["beta"], entry.get("higher", [])
-            if not isinstance(beta, (list, tuple)) \
-                    or not isinstance(higher, (list, tuple)):
-                raise TypeError("beta and higher must be lists")
+            beta = entry["beta"]
+            unknown = [k for k in entry if k not in ("beta", "sw")]
+            if unknown:
+                raise ValueError("unknown key %r" % (unknown[0],))
+            if not isinstance(beta, (list, tuple)):
+                raise TypeError("beta must be a list")
             key = surface.cls([parse_rational(str(x)) for x in beta])
             value = parse_rational(str(entry["sw"]))
-            higher = tuple(parse_rational(str(h)) for h in higher)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
             raise ValueError("malformed Seiberg-Witten entry %r: %s: %s"
                              % (entry, type(err).__name__, err))
-        table[key] = (value, higher)
+        table[key] = value
     return table
 
 
 def surface_from_json(doc):
-    """Surface from its JSON form (see surface_to_json).  A malformed
-    document raises ValueError naming the document."""
+    """Surface from its JSON form: "name", "rays" and "basis" of a
+    toric surface or the "profile" of another, and the Seiberg-Witten
+    entries "sw_table" (see parse_sw_entries).  A malformed document
+    raises ValueError naming the document."""
     try:
         name, prof = doc["name"], doc.get("profile") or {}
         if doc.get("rays"):

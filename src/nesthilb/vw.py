@@ -42,32 +42,27 @@ def _class_str(key):
 
 
 class SWTable:
-    """Seiberg-Witten data of one surface: per curve class, the integer
-    invariant and the higher pairing numbers consumed by the
-    irregular-surface pushforward formula, kept in ``entries`` as
-    class -> (invariant, pairings).  ``entries`` defaults to the
-    surface's own table and takes the same form.
+    """Seiberg-Witten data of one surface: per curve class, the
+    invariant, kept in ``entries`` as class -> Fraction.  ``entries``
+    defaults to the surface's own table and takes the same form.
 
     The invariant is the degree of the zero-dimensional virtual curve
     locus and vanishes by definition whenever that locus has nonzero
-    virtual dimension.  Entries breaking this are rejected unless the
-    table is opened in higher mode, which only lifts that check: every
-    entry is read the same way in either mode.
+    virtual dimension; an entry breaking this is rejected.
     """
 
-    def __init__(self, surface, entries=None, higher_mode=False):
+    def __init__(self, surface, entries=None):
         self.surface = surface
         self.entries = {}
         source = surface.sw_table if entries is None else entries
-        for beta, (value, pairings) in source.items():
+        for beta, value in source.items():
             key = tuple(surface.cls(beta))
             value = Fraction(value)
-            if value and not higher_mode \
-                    and vd_beta(surface, key) != 0:
+            if value and vd_beta(surface, key) != 0:
                 raise ValueError(
                     "invariant must vanish at nonzero virtual dimension"
                     " (class %s)" % _class_str(key))
-            self.entries[key] = (value, tuple(Fraction(x) for x in pairings))
+            self.entries[key] = value
 
     def __contains__(self, beta):
         return tuple(self.surface.cls(beta)) in self.entries
@@ -77,15 +72,7 @@ class SWTable:
         if key not in self.entries:
             raise ValueError("missing SW entry for class %s"
                              % _class_str(key))
-        return self.entries[key][0]
-
-    def pairing(self, beta, j):
-        """The j-th pushforward pairing; j = 0 is the invariant."""
-        if j == 0:
-            return self.invariant(beta)
-        _, pairings = self.entries.get(tuple(self.surface.cls(beta)),
-                                       (0, ()))
-        return pairings[j - 1] if j - 1 < len(pairings) else Fraction(0)
+        return self.entries[key]
 
 
 class MonopoleResult:
@@ -159,8 +146,7 @@ def monopole_integrand(n1, n2):
             rhom(2, 1, bc=-1, kc=2, tp=2))))
 
 
-def point_contribution(surface, beta, n, seed=0, point_table=None,
-                       context=None):
+def point_contribution(surface, beta, n, seed=0, context=None):
     """Sum over splittings n = n1 + n2 of the monopole integrand
     integral, without the Seiberg-Witten weight or the torsion
     prefactor.  These are the numbers the universality statement is
@@ -170,29 +156,22 @@ def point_contribution(surface, beta, n, seed=0, point_table=None,
     The value is c t^vd(beta) for a rational c (see the module
     docstring): a Fraction when every splitting term is one, and a
     RatFunc only when a term depends on t.  The terms are as the
-    integrals or the table give them.
+    integrals give them.
 
-    The splittings share one LocalizationContext of the surface and
-    class: ``context`` when the caller passes the job's, else a new
-    one.  Non-toric profiles must supply the integrals through
-    ``point_table`` keyed by (class, n1, n2).
+    The integrals come from localization, so the surface must be
+    toric.  The splittings share one LocalizationContext of the surface
+    and class: ``context`` when the caller passes the job's, else a new
+    one.
     """
     key = tuple(surface.cls(beta))
-    terms = {}
-    for n1 in range(n + 1):
-        n2 = n - n1
-        if point_table is not None \
-                and (key, n1, n2) in point_table:
-            term = point_table[(key, n1, n2)]
-        elif isinstance(surface, ToricSurface):
-            if context is None:
-                context = LocalizationContext(surface, beta=key)
-            term = equivariant_integrate(
-                monopole_integrand(n1, n2), context, n1, n2, seed=seed)
-        else:
-            raise ValueError("point contributions need a toric surface"
-                             " or a supplied table")
-        terms[(n1, n2)] = term
+    if not isinstance(surface, ToricSurface):
+        raise ValueError("point contributions need a toric surface")
+    if context is None:
+        context = LocalizationContext(surface, beta=key)
+    terms = {(n1, n - n1): equivariant_integrate(
+                 monopole_integrand(n1, n - n1), context, n1, n - n1,
+                 seed=seed)
+             for n1 in range(n + 1)}
     total = sum((x for x in terms.values() if not isinstance(x, RatFunc)),
                 Fraction(0))
     weighted = [x for x in terms.values() if isinstance(x, RatFunc)]
@@ -203,7 +182,7 @@ def point_contribution(surface, beta, n, seed=0, point_table=None,
 
 
 def monopole_contribution(surface, sw, beta, n, seed=0, window=None,
-                          point_table=None, context=None):
+                          context=None):
     """Weighted contribution of one curve class at total length n:
 
         SW * 4^q * (sum of splitting integrals).
@@ -217,7 +196,8 @@ def monopole_contribution(surface, sw, beta, n, seed=0, window=None,
     excluded and contributes the zero result.  A class whose curve
     locus has nonzero virtual dimension contributes zero by the
     definition of the invariant, with no table entry needed.
-    ``context`` is passed on to ``point_contribution``.
+    ``context`` is passed on to ``point_contribution``, which needs a
+    toric surface.
     """
     key = tuple(surface.cls(beta))
     meta = {"surface": surface.name, "seed": seed, "kind": "monopole"}
@@ -231,11 +211,11 @@ def monopole_contribution(surface, sw, beta, n, seed=0, window=None,
     weight = sw.invariant(key) * Fraction(4) ** surface.q
     if weight == 0:
         return MonopoleResult(key, n, Fraction(0), {}, meta)
-    point = point_contribution(surface, key, n, seed=seed,
-                               point_table=point_table, context=context)
+    point = point_contribution(surface, key, n, seed=seed, context=context)
     value = point.value * weight
     if isinstance(value, RatFunc):
-        # a table may supply weighted terms; only a constant total passes
+        # vd(beta) = 0 makes every term constant, so a total that
+        # depends on the weight is a fault, refused here
         value = value.as_fraction()
     return MonopoleResult(key, n, value, point.terms, meta)
 

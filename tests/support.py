@@ -1,6 +1,6 @@
 """Builders and small combinatorics that only the tests use: the zero
-class and the effectivity of a class, the Seiberg-Witten coupled
-pushforward trees of each geometric case and their invariant and Picard
+class and the effectivity of a class, the JSON form of a surface, the
+arm and leg of a cell, the Seiberg-Witten coupled pushforward trees of each geometric case and their invariant and Picard
 point leaves, the section-bundle route to the virtual class, the
 flag-tower route of a Grassmann pushforward, the push of a class down a
 bundle tower, the comparison factors between virtual
@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from nesthilb.bundles import SpaceModel, free_model, projective_bundle, \
     proj_pushforward, grassmann_split_pushforward
-from nesthilb.expr import FormulaExpr, rhom, pushO, o1_line, co_class
-from nesthilb.hilbloc import RatFunc
+from nesthilb.expr import FormulaExpr, rhom, pushO, o1_line, co_class, \
+    rational_str
+from nesthilb.hilbloc import RatFunc, conjugate
 from nesthilb.ringcore import Ring, GradedClass, KClass
 from nesthilb.porteous import nested_reduced_formula
 from nesthilb.surface import ToricSurface, twist_dim_d, vd_beta
@@ -40,6 +41,37 @@ def is_effective(surface, beta):
     if all(x == 0 for x in beta):
         return True
     return all(x >= 0 for x in beta) and surface.dot(beta, surface.K) >= 0
+
+
+def surface_to_json(surface):
+    """The JSON form of a surface that ``surface_from_json`` reads."""
+    toric = isinstance(surface, ToricSurface)
+    doc = {
+        "name": surface.name,
+        "rays": [list(r) for r in surface.rays] if toric else None,
+        "profile": {"chiO": surface.chiO, "K2": surface.K2, "e": surface.e,
+                    "q": surface.q, "pg": surface.pg},
+        "sw_table": [
+            {"beta": [rational_str(x) for x in beta],
+             "sw": rational_str(sw)}
+            for beta, sw in sorted(surface.sw_table.items())
+        ],
+    }
+    if toric:
+        doc["basis"] = list(surface.basis)
+    return doc
+
+
+def arm(mu, cell):
+    """Cells of mu to the right of the cell (a, b) in its row."""
+    a, b = cell
+    return mu[b] - a - 1
+
+
+def leg(mu, cell):
+    """Cells of mu above the cell (a, b) in its column."""
+    a, b = cell
+    return conjugate(mu)[a] - b - 1
 
 
 CASES = ("pg>0", "pg=0-effective", "pg=0-noneffective")
@@ -70,9 +102,9 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
 
     ``check`` tests the case against the surface profile and the
     effectivity heuristic; disable it when the caller has better
-    geometric information.  With an SWTable ``swTable`` supplied the
-    invariant leaves are resolved and the tree is returned in normal
-    form.
+    geometric information.  With a table ``swTable`` supplied, a map
+    from class to (invariant, tuple of higher pairings), the invariant
+    leaves are resolved and the tree is returned in normal form.
     """
     n = n1 + n2
     if case == "pg>0":
@@ -106,7 +138,7 @@ def sw_coupled_pushforward(case, i, n1, n2, beta, surface, swTable=None,
     else:
         raise ValueError("unknown case %r" % (case,))
     if swTable is not None:
-        return normalize(expr, surface, beta, sw_table=swTable.entries)
+        return normalize(expr, surface, beta, sw_table=swTable)
     return expr
 
 
@@ -334,12 +366,13 @@ def normalize(expr, surface=None, beta=None, sw_table=None, rank_env=None):
     expands chern-of-twist when the degree equals the argument's
     virtual rank (rank-level Manivel identity), resolves Seiberg-Witten
     leaves against a table (class -> (invariant, pairings), by default
-    the surface's own) when surface and beta are supplied, flattens
-    and sorts commutative operations, and collects scales.
+    the surface's own invariants with no pairings) when surface and
+    beta are supplied, flattens and sorts commutative operations, and
+    collects scales.
     """
     resolve = surface is not None and beta is not None
     if resolve and sw_table is None:
-        sw_table = surface.sw_table
+        sw_table = {k: (v, ()) for k, v in surface.sw_table.items()}
 
     def _norm(e):
         e = FormulaExpr(e.kind, e.params, e.attrs,

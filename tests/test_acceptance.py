@@ -353,11 +353,10 @@ def test_criterion_10_vanishing_bookkeeping():
     assert virtual_class_route(0, 2, G, (2,), h2_vanishing=True) \
         == ZERO_CLASS
     with pytest.raises(ValueError, match="vanish"):
-        SWTable(p2(), entries={(1,): (1, ())})
+        SWTable(p2(), entries={(1,): 1})
     with pytest.raises(ValueError, match="vanish"):
-        SWTable(G, entries={(2,): (Fraction(1, 2), ())})
+        SWTable(G, entries={(2,): Fraction(1, 2)})
     result = monopole_contribution(p2(), SWTable(p2(), {}), (1,), 1)
     assert result.value == 0
-    result = monopole_contribution(G, SWTable(G, {}, higher_mode=True),
-                                   (2,), 0)
+    result = monopole_contribution(G, SWTable(G, {}), (2,), 0)
     assert result.value == 0

@@ -36,7 +36,8 @@ def test_workflow_runs_tier1():
     # nodes, one runs every verify suite: the formal rings, the Euler
     # integrals of the chart-factor path and the Betti counts; one
     # counts the checks of the characters suite; one reads the CSV
-    # header of every command.
+    # header of every command; one runs a vw job whose Seiberg-Witten
+    # entries hold one invariant each and refuses any other key.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # the command line: --help exits 0 and prints the usage, a flag
@@ -81,6 +82,27 @@ def test_workflow_runs_tier1():
         + ["cmp %s %s" % (tmp % "vw0.txt", tmp % "vw3.txt"),
            "test \"$(tr '\\n' ' ' < %s)\" = \"-1/512 1/32 -27/128"
            " # seed 0 \"" % (tmp % "vw0.txt"),
+           ""])
+    # a Seiberg-Witten entry is one invariant: with sw = 2 for class 0
+    # on P2 the totals at n = 0, 1 are 1/512 and -9/256, and a "higher"
+    # key in the entry or "higher_mode" in sw exits 2
+    one_invariant = "\n".join([
+        "echo '%s' > %s" % (
+            '{"sw": {"entries": [{"beta": [0], "sw": 2%s}]%s}}' % extra,
+            tmp % name)
+        for name, extra in (("sw.json", ("", "")),
+                            ("sw_higher.json", (', "higher": []', "")),
+                            ("sw_higher_mode.json",
+                             ("", ', "higher_mode": true')))]
+        + ["test \"$(nesthilb vw --surface P2 --beta 0 --n 0:1 --job %s"
+           " | tr '\\n' ' ')\" = \"1/512 -9/256 # seed 0 \""
+           % (tmp % "sw.json"),
+           "for name in sw_higher sw_higher_mode; do",
+           "  code=0",
+           "  nesthilb vw --surface P2 --beta 0 --n 0:1 --job"
+           " \"$RUNNER_TEMP/$name.json\" > /dev/null || code=$?",
+           '  test "$code" = 2',
+           "done",
            ""])
     # a weight-dependent integral exits 3 at --order 0 and prints its
     # coefficients at --order 2; the expected exit is captured, since
@@ -178,8 +200,9 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    weighted, twist, delta, verify, characters, csv, push,
-                    reduced, traced, untraced, tier1_command()]
+                    one_invariant, weighted, twist, delta, verify,
+                    characters, csv, push, reduced, traced, untraced,
+                    tier1_command()]
     for run in (traced, untraced):
         (bench_step,) = [step for step in job["steps"]
                          if step.get("run") == run]

@@ -159,16 +159,15 @@ class TestJobSpec:
                 sw={"higher-mode": True})
 
     def test_sw_table_built_for_vw_only(self):
-        sw = {"entries": [{"beta": [1], "sw": 1}]}
-        lifted = job(command="vw", surface="P2", beta=[0], n=0,
-                     sw=dict(sw, higher_mode=True))
-        assert lifted.sw_table.invariant((1,)) == 1
+        sw = {"entries": [{"beta": [0], "sw": 2}]}
+        spec = job(command="vw", surface="P2", beta=[0], n=0, sw=sw)
+        assert spec.sw_table.invariant((0,)) == 2
         # other commands check the entries but build no table
         spec = job(command="integrate", surface="P2", formula="euler",
                    n=1, sw=sw)
         assert not hasattr(spec, "sw_table")
 
-    @pytest.mark.parametrize("sw", [None, {}, {"higher_mode": True}])
+    @pytest.mark.parametrize("sw", [None, {}])
     def test_missing_sw_entries_keep_surface_table(self, sw, tmp_path,
                                                    capsys):
         # an sw object without entries still reads the surface's table
@@ -180,6 +179,26 @@ class TestJobSpec:
         code = main(["vw", "--beta", "0", "--n", "0", "--job", str(path)])
         assert code == EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == "1/1024"
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"sw": {"higher_mode": True}}, "unknown field 'sw.higher_mode'"),
+        # an entry nonzero at vd != 0 has no way round its check
+        ({"sw": {"entries": [{"beta": [1], "sw": 1}], "higher_mode": True}},
+         "unknown field 'sw.higher_mode'"),
+        ({"sw": {"entries": [{"beta": [0], "sw": 1, "higher": []}]}},
+         "unknown key 'higher'"),
+        ({"surface": dict(P2_SW_CLASS_ZERO, sw_table=[
+            {"beta": [0], "sw": 1, "higher": []}])},
+         "unknown key 'higher'"),
+    ])
+    def test_sw_entry_holds_beta_and_sw_only(self, doc, key, tmp_path,
+                                             capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict({"surface": "P2"}, **doc)))
+        code = main(["vw", "--beta", "0", "--n", "0", "--job", str(path)])
+        assert code == EXIT_SCHEMA
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == EXIT_SCHEMA and key in error["message"]
 
     def test_explicit_sw_entries_replace_surface_table(self):
         fields = dict(command="vw", surface=P2_SW_CLASS_ZERO, beta=[0], n=0)
@@ -600,7 +619,7 @@ OUT_OF_DOMAIN = [
     ({"command": "push", "formula": "porteous:1,3,0"},
      "negative expected codimension"),
     ({"command": "fit", "n": 0, "runs": [["K3", [0]], ["P2", [1]]]},
-     "point contributions need a toric surface or a supplied table"),
+     "point contributions need a toric surface or a value in the run"),
     ({"command": "push", "formula": "reduced", "surface": "P2",
       "beta": [1], "n2": 1},
      "reduced formula needs the H2-vanishing flag"),

@@ -17,15 +17,16 @@ from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
     co_class
 from nesthilb import hilbloc as H
 from nesthilb.hilbloc import (
-    partitions, cells, conjugate, arm, leg, contains,
+    partitions, cells, conjugate, contains,
     box_character, ideal_numerator,
     structure_numerator, tangent_character, rhom_character,
-    rhom_global_character, rhom_assembled, assemble, chi_line_character,
+    rhom_global_character, assemble, chi_line_character,
     enumerate_fixed_points, full_tangent_character, equivariant_integrate,
     RatFunc, LocalizationContext,
 )
+from nesthilb.checks import rhom_by_assembly
 from support import sub_partitions, staircase_generators, \
-    nonequivariant_limit, point_base, integrate
+    nonequivariant_limit, point_base, integrate, arm, leg
 
 
 def gottsche_coefficient(e, n):
@@ -266,7 +267,7 @@ class TestAssembly:
         ctx = LocalizationContext(S)
         for pt in enumerate_fixed_points(ctx, 1, 1, nested=False):
             a = rhom_global_character(ctx, pt.mu, pt.nu, (1, 1))
-            b = rhom_assembled(S, pt.mu, pt.nu, (1, 1))
+            b = rhom_by_assembly(S, pt.mu, pt.nu, (1, 1))
             assert a == b
 
     def test_rhom_rank_is_riemann_roch(self):

@@ -21,12 +21,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesthilb import hilbloc as H
-from nesthilb.hilbloc import cells, arm, leg, partitions
+from nesthilb.hilbloc import cells, partitions
 from nesthilb.expr import FormulaExpr as FE, rhom, pushO, o1_line, taut, \
     co_class
 from nesthilb.ringcore import binom_general
 from nesthilb.surface import p2, p1xp1, f1, f2, surface_from_json
 from nesthilb.vw import monopole_integrand
+from support import arm, leg
 
 
 # ---------------------------------------------------------------------------

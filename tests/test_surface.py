@@ -7,9 +7,8 @@ from nesthilb.surface import (SurfaceData, ToricSurface, p2, p1xp1, f1, f2,
                               hirzebruch, k3_profile, general_type_profile,
                               elliptic_profile, builtin_surface,
                               riemann_roch_chi, vd_beta, twist_dim_d,
-                              surface_to_json, surface_from_json,
-                              load_surface)
-from support import toric_line_weights, is_effective
+                              surface_from_json, load_surface)
+from support import toric_line_weights, is_effective, surface_to_json
 
 
 class TestBuiltinInvariants:
@@ -64,7 +63,7 @@ class TestBuiltinInvariants:
         G = general_type_profile(2)
         assert (G.chiO, G.pg, G.e) == (2, 1, 22)
         assert G.dot((1,), (1,)) == 2
-        assert G.sw_table[(Fraction(1),)] == (1, ())
+        assert G.sw_table[(Fraction(1),)] == 1
         E = elliptic_profile()
         assert (E.chiO, E.K2, E.e, E.q) == (0, 0, 0, 1)
 
@@ -171,7 +170,7 @@ class TestToricCharts:
 class TestJson:
     def test_toric_round_trip(self):
         S = f1()
-        S.sw_table[(Fraction(1), Fraction(0))] = (Fraction(2), ())
+        S.sw_table[(Fraction(1), Fraction(0))] = Fraction(2)
         doc = surface_to_json(S)
         T = surface_from_json(json.loads(json.dumps(doc)))
         assert isinstance(T, ToricSurface)
@@ -186,12 +185,12 @@ class TestJson:
         assert (H.chiO, H.K2, H.e, H.q, H.pg) == (2, 3, 21, 0, 1)
         assert H.sw_table == G.sw_table
 
-    def test_higher_pairings_round_trip(self):
-        G = general_type_profile(2)
-        G.sw_table[(Fraction(1),)] = (Fraction(1), (Fraction(3), Fraction(-5)))
-        doc = surface_to_json(G)
-        H = surface_from_json(doc)
-        assert H.sw_table[(Fraction(1),)] == (1, (3, -5))
+    def test_entry_with_higher_pairings_rejected(self):
+        # an entry holds "beta" and "sw" only
+        doc = surface_to_json(general_type_profile(2))
+        doc["sw_table"][1]["higher"] = ["3", "-5"]
+        with pytest.raises(ValueError, match="unknown key 'higher'"):
+            surface_from_json(doc)
 
     def test_profile_fan_mismatch(self):
         doc = surface_to_json(p2())

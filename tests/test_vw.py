@@ -39,24 +39,12 @@ class TestSWTable:
 
     def test_rejects_nonzero_at_nonzero_dimension(self):
         with pytest.raises(ValueError, match="vanish"):
-            SWTable(p2(), entries={(1,): (1, ())})
-
-    def test_higher_mode_override(self):
-        t = SWTable(p2(), entries={(1,): (1, ())}, higher_mode=True)
-        assert t.invariant((1,)) == 1
+            SWTable(p2(), entries={(1,): 1})
 
     def test_missing_entry(self):
         t = SWTable(p2(), entries={})
         with pytest.raises(ValueError, match="missing SW entry"):
             t.invariant((0,))
-
-    def test_pairings(self):
-        t = SWTable(p2(), entries={(1,): (0, (0, 1))})
-        assert t.pairing((1,), 0) == 0
-        assert t.pairing((1,), 1) == 0
-        assert t.pairing((1,), 2) == 1
-        assert t.pairing((1,), 3) == 0
-        assert t.entries[(Fraction(1),)] == (0, (0, 1))
 
 
 class TestMonopoleIntegrand:
@@ -180,30 +168,24 @@ class TestPointContribution:
         r = point_contribution(p2(), (0,), 2)
         assert sorted(r.terms) == [(0, 2), (1, 1), (2, 0)]
 
-    def test_profile_needs_table(self):
+    def test_profile_needs_toric_surface(self):
         G = general_type_profile(1)
         with pytest.raises(ValueError, match="toric surface"):
             point_contribution(G, (1,), 0)
 
-    def test_table_supplied_terms(self):
-        G = general_type_profile(1)
-        key = (Fraction(1),)
-        table = {(key, 0, 1): Fraction(5), (key, 1, 0): Fraction(7)}
-        r = point_contribution(G, (1,), 1, point_table=table)
-        assert r.value == 12 and isinstance(r.value, Fraction)
-
-    def test_weighted_table_term_gives_ratfunc(self):
+    def test_weighted_table_term_gives_ratfunc(self, monkeypatch):
         # a term that depends on t makes the total a RatFunc, which
         # monopole_contribution refuses
-        G = general_type_profile(1)
-        key = (Fraction(1),)
-        table = {(key, 0, 1): Fraction(5),
-                 (key, 1, 0): RatFunc({0: 7, 1: 2})}
-        r = point_contribution(G, (1,), 1, point_table=table)
+        import nesthilb.vw as vw
+        monkeypatch.setattr(
+            vw, "equivariant_integrate",
+            lambda expr, ctx, n1, n2, seed=0:
+                RatFunc({0: 7, 1: 2}) if n1 == 1 else Fraction(5))
+        r = point_contribution(p2(), (0,), 1)
         assert r.value == RatFunc({0: 12, 1: 2})
-        sw = SWTable(G, {key: (1, ())})
+        sw = SWTable(p2(), {(0,): 1})
         with pytest.raises(ValueError, match="auxiliary weight"):
-            monopole_contribution(G, sw, (1,), 1, point_table=table)
+            monopole_contribution(p2(), sw, (0,), 1)
 
     def test_points_only_values(self):
         S = p2()
@@ -229,7 +211,7 @@ class TestMonopoleResult:
             vw, "point_contribution",
             lambda S, beta, n, **kw: MonopoleResult(beta, n,
                                                     RatFunc.const(3)))
-        sw = SWTable(p2(), {(0,): (1, ())})
+        sw = SWTable(p2(), {(0,): 1})
         r = monopole_contribution(p2(), sw, (0,), 1)
         assert r.value == 3 and isinstance(r.value, Fraction)
 
@@ -245,27 +227,25 @@ class TestMonopoleContribution:
             monopole_contribution(p2(), SWTable(p2(), {}), (0,), 0)
 
     def test_window_exclusion(self):
-        sw = SWTable(p2(), {(0,): (1, ())})
+        sw = SWTable(p2(), {(0,): 1})
         r = monopole_contribution(p2(), sw, (0,), 1, window=(0, -3))
         assert r.value == 0
         assert r.meta["excluded"] == "outside slope window"
 
     def test_weighted_values(self):
-        sw = SWTable(p2(), {(0,): (1, ())})
+        sw = SWTable(p2(), {(0,): 1})
         assert monopole_contribution(p2(), sw, (0,), 0).value \
             == Fraction(1, 1024)
-        doubled = SWTable(p2(), {(0,): (2, ())}, higher_mode=True)
+        doubled = SWTable(p2(), {(0,): 2})
         assert monopole_contribution(p2(), doubled, (0,), 1).value \
             == Fraction(-9, 256)
 
-    def test_profile_with_table_and_torsion_factor(self):
+    def test_profile_contribution_needs_toric_surface(self):
+        # class K on a general-type profile has vd = 0 and invariant 1,
+        # but no localization computes its point contribution
         G = general_type_profile(1)
-        key = (Fraction(1),)
-        table = {(key, 0, 1): Fraction(5), (key, 1, 0): Fraction(7)}
-        r = monopole_contribution(G, SWTable(G), (1,), 1,
-                                  point_table=table)
-        assert r.value == 12
-        assert r.meta["surface"] == G.name
+        with pytest.raises(ValueError, match="toric surface"):
+            monopole_contribution(G, SWTable(G), (1,), 1)
 
     @pytest.mark.parametrize("make,beta", [
         (p2, (0,)), (p2, (1,)), (p1xp1, (1, 1)), (f1, (1, 0)),
@@ -286,12 +266,12 @@ class TestMonopoleContribution:
             vw, "point_contribution",
             lambda S, beta, n, **kw: MonopoleResult(beta, n,
                                                     RatFunc({1: 1})))
-        sw = SWTable(p2(), {(0,): (1, ())})
+        sw = SWTable(p2(), {(0,): 1})
         with pytest.raises(ValueError, match="auxiliary weight"):
             monopole_contribution(p2(), sw, (0,), 1)
 
     def test_result_rows(self):
-        sw = SWTable(p2(), {(0,): (1, ())})
+        sw = SWTable(p2(), {(0,): 1})
         r = monopole_contribution(p2(), sw, (0,), 1)
         rows = r.rows()
         assert [row["n1"] for row in rows] == [0, 1, ""]
@@ -439,18 +419,19 @@ class TestSWCoupledPushforward:
 
     def test_table_resolution_normalizes(self):
         G = general_type_profile(1)
+        table = {k: (v, ()) for k, v in SWTable(G).entries.items()}
         expr = sw_coupled_pushforward("pg>0", 0, 0, 1, (1,), G,
-                                      swTable=SWTable(G))
+                                      swTable=table)
         resolved = normalize(
             sw_coupled_pushforward("pg>0", 0, 0, 1, (1,), G),
-            G, (1,), sw_table=SWTable(G).entries)
+            G, (1,), sw_table=table)
         assert expr == resolved
 
     def test_branch_collapse_on_rational_surface(self):
         # the irregular j-sum with pairings concentrated at the virtual
         # dimension reduces to the shifted single Chern class
         S = p2()
-        sw = SWTable(S, entries={(1,): (0, (0, 1))})
+        sw = {(1,): (0, (0, 1))}
         cases = [
             (0, 1, 1, (taut((1,), 2), taut((1,), 2))),
             (1, 1, 1, (taut((1,), 1), taut((1,), 2), taut((1,), 2))),
