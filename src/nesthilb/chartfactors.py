@@ -4,10 +4,10 @@ circle weight, as products of cached per-chart values.
 ``hilbloc.equivariant_integrate`` sends here the integrals whose
 integrand is a product (mul, scale, one) of euler nodes over K-classes
 (leaf, ksum, kdiff, dual) of chart-local leaves with no tp or o1 shift,
-in a problem without section lines; this module is imported by the
-first such integral only.  Every specialized weight is then k s, with
-no t part, so a node's value at a fixed point is a rational times a
-power of s.  Its K-class is a sum of pieces: one per chart, which
+in a problem without section lines, with the integrand's plan
+(``hilbloc._euler_plan``); this module is imported by the first such
+integral only.  Every specialized weight is then k s, with no t part,
+so a node's value at a fixed point is a rational times a power of s.  Its K-class is a sum of pieces: one per chart, which
 depends on that chart's partitions only, and the chi(L) terms, which
 depend on no point (the vertex factorization of Carlsson-Okounkov).  A
 product of weights is multiplicative in the exponent map, so the
@@ -19,12 +19,12 @@ errors and the pieces its direction specializes.  Chart factors are
 learned from the points it visited.  After such a point, each of its
 charts with no factor yet gets one, read through
 ``hilbloc.PointEvaluator``: a node's chi(L) part is its exponent map at
-the empty point, every chart empty, and chart c's part for partitions
-(mu, nu) is its map at the one-chart point, those partitions on chart
-c and none elsewhere, over the empty point's map.  The factor is the
-product of the nodes' chart parts over the one-chart point's tangent
-map, one reduced integer fraction with its s-degree, kept in the
-context.  Both maps read only pieces the visited point specialized, so
+the empty point (mus, nus, pb) with every chart empty and no pb, and
+chart c's part for partitions (mu, nu) is its map at the one-chart
+point, those partitions on chart c and none elsewhere, over the empty
+point's map.  The factor is the product of the nodes' chart parts over
+the one-chart point's tangent map, one reduced integer fraction with
+its s-degree, kept in the context.  Both maps read only pieces the visited point specialized, so
 a direction collides where the per-point path's does.  A chart part
 with the zero weight, checked node by node since the weights of two
 nodes can cancel, leaves the chart without a factor.
@@ -39,8 +39,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import hilbloc
-from .hilbloc import NO_SHIFT, NestedFixedPoint, PointEvaluator, \
-    _exps_sum, _merge_weights
+from .hilbloc import NO_SHIFT, PointEvaluator, _exps_sum, _merge_weights
 
 
 def _value(m):
@@ -58,20 +57,6 @@ def _value(m):
     return num // g, den // g, deg
 
 
-def _plan(expr):
-    """(scale, nodes) of an integrand: the product of its scales and the
-    K-classes of its euler nodes in evaluation order."""
-    if expr.kind == "euler":
-        return Fraction(1), [expr.children[0]]
-    scale = Fraction(expr.params[0] if expr.kind == "scale" else 1)
-    nodes = []
-    for child in expr.children:
-        s, more = _plan(child)
-        scale *= s
-        nodes += more
-    return scale, nodes
-
-
 def _factor(ctx, spec, nodes, chis, point):
     """The factor of a one-chart point of a visited point, or None where
     a node's part holds the zero weight.  Tangent pieces have positive
@@ -85,13 +70,14 @@ def _factor(ctx, spec, nodes, chis, point):
     return _value(_exps_sum(_merge_weights(parts), ev.tangent(), -1))
 
 
-def attempt(ctx, expr, points):
+def attempt(ctx, expr, plan, points):
     """The function of a direction that ``hilbloc._first_direction``
-    tries for the integral of ``expr`` over ``points``: the integral's
+    tries for the integral of ``expr``, whose plan is ``plan``, over
+    ``points``, each a fixed point (mus, nus, pb): the integral's
     s-expansion {(s_power, t_power): coefficient} at s-powers <= 0,
     with ``ctx.visited`` counted up from the zero each attempt starts
     at.  Values, visited points and errors are the per-point path's."""
-    scale, nodes = _plan(expr)
+    scale, nodes = plan
     kind = ("factors", expr.key())
     empty = ((),) * len(ctx.surface.charts)
 
@@ -99,7 +85,7 @@ def attempt(ctx, expr, points):
         tables = ctx.table(spec, kind, NO_SHIFT)
         totals, chis, const = {}, None, None
         for p in points:
-            charts = list(zip(tables, zip(p.mu, p.nu)))
+            charts = list(zip(tables, zip(p[0], p[1])))
             if const is not None:
                 num, den, deg = const
                 for table, parts in charts:
@@ -121,8 +107,7 @@ def attempt(ctx, expr, points):
             if ctx.visited == visited:
                 continue
             if chis is None:
-                at_empty = PointEvaluator(
-                    ctx, NestedFixedPoint(empty, empty), spec)
+                at_empty = PointEvaluator(ctx, (empty, empty, None), spec)
                 chis = [at_empty.weights(node) for node in nodes]
                 if not any((0, 0) in chi for chi in chis):
                     num, den, deg = _value(_merge_weights(chis))
@@ -132,8 +117,8 @@ def attempt(ctx, expr, points):
                 continue
             for c, (table, parts) in enumerate(charts):
                 if parts not in table:
-                    point = NestedFixedPoint(*(
-                        empty[:c] + (lam,) + empty[c + 1:] for lam in parts))
+                    point = tuple(empty[:c] + (lam,) + empty[c + 1:]
+                                  for lam in parts) + (None,)
                     table[parts] = _factor(ctx, spec, nodes, chis, point)
         return totals
     return run

@@ -248,9 +248,9 @@ def _suite_characters(nmax=3):
                 checks.append((
                     "rhom pieces %s beta=%s n1=%d n2=%d"
                     % (name, ",".join(map(str, beta)), n1, n2),
-                    all(hilbloc.rhom_global_character(ctx, p.mu, p.nu, beta)
-                        == rhom_by_assembly(ctx.surface, p.mu, p.nu, beta)
-                        for p in hilbloc.enumerate_fixed_points(
+                    all(hilbloc.rhom_global_character(ctx, mus, nus, beta)
+                        == rhom_by_assembly(ctx.surface, mus, nus, beta)
+                        for mus, nus, _ in hilbloc.enumerate_fixed_points(
                             ctx, n1, n2, nested=False))))
     return checks
 

@@ -24,7 +24,7 @@ import re
 import sys
 
 from .expr import FormulaExpr, expr_to_json, expr_from_json, co_class, \
-    parse_rational
+    parse_rational, rational_str
 # lazy modules (see the package docstring), reached through the module
 # at call time, so that a job loads only what its command runs; the
 # alias keeps the module apart from the many locals named surface
@@ -42,11 +42,12 @@ SUITE_NAMES = ("porteous", "delta", "segre", "euler", "characters", "all")
 # the job fields that a command-line flag of the same name overrides
 FLAGS = ("suite", "surface", "beta", "A", "formula", "n", "n1", "n2",
          "order", "threads", "seed", "format", "out")
-# the fields each command needs, and the formulas of those that take one
+# the fields each command needs, and the argument count of each formula
 REQUIRED = {"push": ("formula",), "integrate": ("surface", "formula", "n"),
             "vw": ("surface", "beta", "n"), "fit": ("n",)}
-FORMULAS = {"push": ("porteous", "reduced"),
-            "integrate": ("euler", "one", "co", "custom")}
+FORMULAS = {"push": {"porteous": 3, "reduced": 0},
+            "integrate": {"euler": 0, "one": 0, "co": 1, "custom": 0}}
+VW_COLUMNS = ("beta", "n", "n1", "n2", "value", "t_order")
 # the keys the two nested objects of a job may hold
 PARAMS_KEYS = ("expr", "monomials", "window", "h2_vanishing")
 SW_KEYS = ("entries",)
@@ -200,7 +201,7 @@ class JobSpec:
     that fixes the weight specialization.  Every field is parsed once,
     here (surfaces, formula, ``custom`` tree, fit runs, Seiberg-Witten
     entries, boolean params), and a ``vw`` job's Seiberg-Witten table
-    is built here; the handlers only compute.
+    is built and its class checked here; the handlers only compute.
 
     ``threads`` is accepted and validated (an integer from 1 to the CPU
     count) so that existing job files keep running, but nothing reads
@@ -285,8 +286,12 @@ class JobSpec:
         if self.command == "fit":
             self.runs = _parse_runs(doc.get("runs"))
         if self.command == "vw":
+            # a class that is integrated needs its entry and, when that
+            # is nonzero, a toric surface
             try:
                 self.sw_table = vw.SWTable(self.surface, sw_entries)
+                vw.class_weight(self.surface, self.sw_table, self.beta,
+                                self.window)
             except ValueError as err:
                 raise SchemaError(str(err))
 
@@ -320,10 +325,12 @@ class JobSpec:
                                   % piece)
         if name not in FORMULAS[self.command]:
             raise SchemaError("unknown formula %r" % name)
+        if len(args) != FORMULAS[self.command][name]:
+            raise SchemaError({"porteous": "formula 'porteous' takes r,e0,e1",
+                               "co": "formula 'co' takes the shift i"}.get(
+                name, "formula %r takes no arguments" % name))
         self.formula_name, self.formula_args = name, args
         if name == "porteous":
-            if len(args) != 3:
-                raise SchemaError("formula 'porteous' takes r,e0,e1")
             r, e0, e1 = args
             if not 1 <= r <= e0:
                 raise SchemaError("kernel rank out of range")
@@ -335,8 +342,6 @@ class JobSpec:
             raise SchemaError("reduced formula needs the H2-vanishing flag")
         if name == "reduced" and self.format == "csv":
             raise SchemaError("format 'csv' fits only polynomial output")
-        if name == "co" and len(args) != 1:
-            raise SchemaError("formula 'co' takes the shift i")
         if name == "co" and self.beta is None:
             raise SchemaError("formula 'co' needs beta")
         if name == "custom":
@@ -434,17 +439,22 @@ def _handle_integrate(job):
 def _handle_vw(job):
     rows = []
     # one context for every n and splitting of the job; a profile
-    # surface has none, and its point contributions fail in vw
+    # surface has none, and passes JobSpec only if its class gives 0
     ctx = None
     if isinstance(job.surface, surfaces.ToricSurface):
         ctx = hilbloc.LocalizationContext(job.surface, beta=job.beta)
+    beta = " ".join(map(rational_str, job.surface.cls(job.beta)))
     for n in job.n_range:
-        result = vw.monopole_contribution(
+        value, terms = vw.monopole_contribution(
             job.surface, job.sw_table, job.beta, n, seed=job.seed,
             window=job.window, context=ctx)
-        rows.extend(result.rows(job.order))
+        # one row per splitting, sorted, then the total with blank n1, n2
+        for (n1, n2), x in sorted(terms.items()) + [(("", ""), value)]:
+            rows.append(dict(zip(VW_COLUMNS, (
+                beta, n, n1, n2, hilbloc.format_value(x, job.order),
+                job.order))))
     return EXIT_OK, {"surface": job.surface.name,
-                     "columns": list(vw.ROW_FIELDS), "rows": rows}
+                     "columns": list(VW_COLUMNS), "rows": rows}
 
 
 def _handle_fit(job):

@@ -19,44 +19,47 @@ surviving negative powers of s mean the input was not the lift of a
 global class.
 
 Since every specialized weight is linear in s and t, a class value at
-a point is a short list of terms, each a homogeneous integer polynomial
-in s and t times a product of weight powers over one integer
-denominator: sums join the lists, products convolve the integer
+a point is a short list of terms (d, coefs, exps, den): the homogeneous
+integer polynomial sum_i coefs[i] s^i t^(d-i) times the product of
+(k s + c t)^e over the exponent map ``exps`` = {(k, c): e} (e < 0 in
+the denominator, no e = 0, no weight (0, 0)), over the nonzero integer
+``den``.  No term has only zero coefficients: zero is [] and one is
+[(0, [1], {}, 1)].  Sums join the lists, products convolve the integer
 coefficients.  Each term expands in s with coefficients that are
 Laurent polynomials in t, summed into one dict {(s_power, t_power):
 coefficient}; the s^0 part of the sum over points is a Fraction, or a
 RatFunc, the Laurent polynomial in t, when it depends on t.
 
 Per point, the work is assembly from chart pieces.  A fixed point is a
-tuple of per-chart partitions, and its characters are sums of pieces
-that depend on one chart only: the tangent character of (chart, lam),
-the Rhom correction of (chart, mu, nu, twist vertex), the tautological
-term of (chart, lam, vertex), and chi(L).  A point's weights are one
-exponent map {(k, c): e}, the product of (k s + c t)^e: positive e in
-the numerator, negative e in the denominator.  Specialization is linear,
-so the LocalizationContext of a job (all its integrals over one surface
-and class: an n range, the splittings n1 + n2 = n of a monopole
-contribution) keeps one memo, which builds each distinct piece once,
-and one map table, which holds its specializations (after its shift by
-the twist vertex and the leaf's monomial, so the collision check sees
-every final weight), one table per direction, kind and shift, keyed
-per chart by partition(s) and vertex.  Maps are kept for the whole
-job, also across redraws.  A point's map is one lookup per chart and
-one merge; no character sum is built per point.  A twist by a line is
-a shift too: the line's monomial, read with no direction, is passed
-down its body to the leaves, which add it to their own.  With no
-direction the same lookups give the shifted characters, merged the
-same way, so a point's character is read from the maps as well.  The
-tangent map of a point is built once and shared by its tangent leaves
-and the localization denominator.  An Euler product with no circle
-weight mostly skips the merge: the per-point path decides every point
-it meets first, and chart factors, each one integer fraction, are
-learned from the points it visited; a point whose charts all hold one
-multiplies them (see ``chartfactors``).
-Products add exponents, so a weight shared by numerator and
-denominator cancels as it arises, which is exact because each weight
-is a nonzero linear form k s + c t; the zero-weight and collision
-checks run before that.
+triple (mus, nus, pb) of per-chart partitions and a section line, and
+its characters are sums of pieces that depend on one chart only: the
+tangent character of (chart, lam), the Rhom correction of (chart, mu,
+nu, twist vertex), the tautological term of (chart, lam, vertex), and
+chi(L).  A point's weights are one exponent map {(k, c): e}, the
+product of (k s + c t)^e: positive e in the numerator, negative e in
+the denominator.  Specialization is linear, so the LocalizationContext
+of a job (all its integrals over one surface and class: an n range, the
+splittings n1 + n2 = n of a monopole contribution) keeps one memo,
+which builds each distinct piece once, and one map table, which holds
+its specializations (after its shift by the twist vertex and the leaf's
+monomial, so the collision check sees every final weight), one table
+per direction, kind and shift, keyed per chart by partition(s) and
+vertex.  Maps are kept for the whole job, also across redraws.  A
+point's map is one lookup per chart and one merge; no character sum is
+built per point.  A twist by a line is a shift too: the line's
+monomial, read with no direction, is passed down its body to the
+leaves, which add it to their own.  With no direction the same lookups
+give the shifted characters, merged the same way, so a point's
+character is read from the maps as well.  The tangent map of a point is
+built once and shared by its tangent leaves and the localization
+denominator.  An Euler product with no circle weight mostly skips the
+merge: the per-point path decides every point it meets first, and chart
+factors, each one integer fraction, are learned from the points it
+visited; a point whose charts all hold one multiplies them (see
+``chartfactors``).  Products add exponents, so a weight shared by
+numerator and denominator cancels as it arises, which is exact because
+each weight is a nonzero linear form k s + c t; the zero-weight and
+collision checks run before that.
 
 A product stops at its first factor whose value at the point is zero,
 and such a point is dropped before its tangent character is built.
@@ -346,33 +349,6 @@ def rhom_global_character(ctx, parts_a, parts_b, beta, spec=None,
 # fixed points
 
 
-class NestedFixedPoint:
-    """A torus-fixed point of S^[n1] x S^[n2] (times a weight line of a
-    section bundle when pb is set): per-chart partitions mu for the
-    first factor and nu for the second, each a tuple of partition
-    tuples, with mu_sigma inside nu_sigma demanded only by the incidence
-    subscheme, not by the ambient product.  Slotted, not a tuple: the
-    integrals build one per ambient point."""
-
-    __slots__ = ("mu", "nu", "pb")
-
-    def __init__(self, mu, nu, pb=None):
-        self.mu = mu
-        self.nu = nu
-        self.pb = pb
-
-    def __eq__(self, other):
-        return isinstance(other, NestedFixedPoint) \
-            and (self.mu, self.nu, self.pb) == (other.mu, other.nu, other.pb)
-
-    def __hash__(self):
-        return hash((self.mu, self.nu, self.pb))
-
-    def __repr__(self):
-        return "NestedFixedPoint(mu=%r, nu=%r, pb=%r)" % (
-            self.mu, self.nu, self.pb)
-
-
 def _chart_tuples(num_charts, total, levels):
     """All ways to place partitions of given total size on the charts,
     as a list built chart by chart from the last, each size's
@@ -396,10 +372,10 @@ def _chart_tuples(num_charts, total, levels):
 def enumerate_fixed_points(ctx, n1, n2, nested=True):
     """Fixed points of the nested incidence scheme inside
     S^[n1] x S^[n2] over the surface of the job's LocalizationContext
-    ``ctx``: chartwise nested pairs mu <= nu, crossed with the
-    projective bundle of sections of the context's class ``with_pb``
-    when it has one.  The context keeps the chart tuples of every size
-    once listed.
+    ``ctx``, each a triple (mus, nus, pb) of per-chart partitions,
+    chartwise nested mu <= nu, and the index pb of a section line of
+    the context's class ``with_pb`` (None when it has none).  The
+    context keeps the chart tuples of every size once listed.
 
     With ``nested=False`` the stream covers the whole ambient product,
     which is what localization sums run over.
@@ -417,7 +393,7 @@ def enumerate_fixed_points(ctx, n1, n2, nested=True):
                                   for mu, nu in zip(mus, nus)):
                 continue
             for pb in pb_range:
-                yield NestedFixedPoint(mus, nus, pb)
+                yield mus, nus, pb
 
 
 def full_tangent_character(ctx, point, spec=None):
@@ -586,51 +562,27 @@ def chern_value(weights, top):
     return total
 
 
-class PointValue:
-    """Class value at a fixed point: a sum of terms (d, coefs, exps,
-    den).  A term is the homogeneous integer polynomial
-    sum_i coefs[i] s^i t^(d-i) times the product of (k s + c t)^e over
-    the exponent map ``exps`` = {(k, c): e}, over the nonzero integer
-    ``den``.  A positive e is a numerator power, a negative e a
-    denominator power; no entry is 0, and the weight (0, 0) never
-    occurs.  No term has only zero coefficients, so the value zero is
-    the empty list."""
+def _times(a, b):
+    """The product of two point values."""
+    out = []
+    for d1, c1, e1, n1 in a:
+        for d2, c2, e2, n2 in b:
+            coefs = [0] * (d1 + d2 + 1)
+            for i, x in enumerate(c1):
+                if x:
+                    for j, y in enumerate(c2):
+                        coefs[i + j] += x * y
+            out.append((d1 + d2, coefs, _exps_sum(e1, e2), n1 * n2))
+    return out
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        self.terms = terms
-
-    @staticmethod
-    def unit():
-        return PointValue([(0, [1], {}, 1)])
-
-    @staticmethod
-    def zero():
-        return PointValue([])
-
-    def times(self, other):
-        out = []
-        for d1, c1, e1, n1 in self.terms:
-            for d2, c2, e2, n2 in other.terms:
-                coefs = [0] * (d1 + d2 + 1)
-                for i, x in enumerate(c1):
-                    if x:
-                        for j, y in enumerate(c2):
-                            coefs[i + j] += x * y
-                out.append((d1 + d2, coefs, _exps_sum(e1, e2), n1 * n2))
-        return PointValue(out)
-
-    def scaled(self, c):
-        c = Fraction(c)
-        if not c:
-            return PointValue([])
-        return PointValue([(d, [x * c.numerator for x in coefs], exps,
-                            den * c.denominator)
-                           for d, coefs, exps, den in self.terms])
-
-    def plus(self, other):
-        return PointValue(self.terms + other.terms)
+def _scaled(value, c):
+    """A point value times the rational number c."""
+    c = Fraction(c)
+    if not c:
+        return []
+    return [(d, [x * c.numerator for x in coefs], exps, den * c.denominator)
+            for d, coefs, exps, den in value]
 
 
 def _term_laurent(d, coefs, exps, den):
@@ -678,7 +630,7 @@ def _term_laurent(d, coefs, exps, den):
     return out, den
 
 
-def point_value_laurent(pv):
+def point_value_laurent(value):
     """Coefficients of a point value at s-degrees <= 0, exact, as
     {(s_power, t_power): coefficient}, summed over its terms.
 
@@ -693,7 +645,7 @@ def point_value_laurent(pv):
     1.
     """
     out = {}
-    for d, coefs, exps, den in pv.terms:
+    for d, coefs, exps, den in value:
         if exps:
             nums, den = _term_laurent(d, coefs, exps, den)
         else:
@@ -842,13 +794,14 @@ class LocalizationContext:
 
     def tangent_weights(self, spec, shift, point):
         """Exponent map of the tangent character times ``shift``."""
+        mus, nus, pb = point
         k = len(self._tangent_ws)
         # each chart's table serves its partition in mu and in nu
         maps = self.chart_maps(spec, "tangent", shift, [
-            (i % k, lam) for i, lam in enumerate(point.mu + point.nu) if lam])
-        if self.sections is not None and point.pb is not None:
+            (i % k, lam) for i, lam in enumerate(mus + nus) if lam])
+        if self.sections is not None and pb is not None:
             maps.append(self.global_map(spec, shift, _section_line_offsets,
-                                        self.sections, point.pb))
+                                        self.sections, pb))
         return _merge_weights(maps)
 
     def rhom_weights(self, spec, shift, parts_a, parts_b, beta, chi=True):
@@ -911,12 +864,13 @@ def _twist_class(S, beta, A, bc, ac, kc):
 def _homogeneous(d, coefs):
     """The point value sum_i coefs[i] s^i t^(d-i), zero when every
     coefficient is."""
-    return PointValue([(d, coefs, {}, 1)] if any(coefs) else [])
+    return [(d, coefs, {}, 1)] if any(coefs) else []
 
 
 class PointEvaluator:
-    """Values of a formula tree at one fixed point under the direction
-    ``spec``.  chern, euler and delta nodes read a K-class as its
+    """Values of a formula tree at one fixed point (mus, nus, pb) under
+    the direction ``spec``, each a term list (see the module
+    docstring).  chern, euler and delta nodes read a K-class as its
     exponent map, ``weights``, merged from the context's per-piece maps.
     A twist reads its line with no direction (``spec`` None, whose maps
     are characters), where it must be one monomial, and passes that
@@ -940,16 +894,15 @@ class PointEvaluator:
         return self._tangent
 
     def parts(self, index):
-        if index == 1:
-            return self.point.mu
-        if index == 2:
-            return self.point.nu
-        raise ValueError("nesting index out of range for localization")
+        if index not in (1, 2):
+            raise ValueError("nesting index out of range for localization")
+        return self.point[index - 1]
 
     def pb_vertex(self):
-        if self.ctx.sections is None or self.point.pb is None:
+        pb = self.point[2]
+        if self.ctx.sections is None or pb is None:
             raise ValueError("no projective bundle level in this problem")
-        return self.ctx.sections[self.point.pb]
+        return self.ctx.sections[pb]
 
     def leaf_shift(self, e, shift):
         """The leaf's resolution (see ``_resolve_leaf``), built once per
@@ -1019,7 +972,7 @@ class PointEvaluator:
 
     def cval(self, e):
         if e.kind == "one":
-            return PointValue.unit()
+            return [(0, [1], {}, 1)]
         if e.kind == "chern":
             n = e.params[0]
             ws = self.weights(e.children[0])
@@ -1027,15 +980,15 @@ class PointEvaluator:
                     and sum(ws.values()) - ws.get((0, 0), 0) < n:
                 # c_n with n < 0, or of an honest bundle with fewer
                 # than n nonzero weights
-                return PointValue.zero()
+                return []
             return _homogeneous(n, chern_value(ws, n)[n])
         if e.kind == "euler":
             exps = self.weights(e.children[0])
             if (0, 0) in exps:
                 if exps[0, 0] > 0:
-                    return PointValue.zero()
+                    return []
                 raise ValueError("non-isolated or non-generic weights")
-            return PointValue([(0, [1], exps, 1)])
+            return [(0, [1], exps, 1)]
         if e.kind == "delta":
             a, b = e.params
             chern = chern_value(self.weights(e.children[0]),
@@ -1045,20 +998,17 @@ class PointEvaluator:
             return _homogeneous(a * b, [det.get((i, a * b - i), 0)
                                         for i in range(a * b + 1)])
         if e.kind == "add":
-            out = PointValue.zero()
-            for c in e.children:
-                out = out.plus(self.cval(c))
-            return out
+            return [term for c in e.children for term in self.cval(c)]
         if e.kind == "mul":
-            out = PointValue.unit()
+            out = [(0, [1], {}, 1)]
             for c in e.children:
                 value = self.cval(c)
-                if not value.terms:
+                if not value:
                     return value
-                out = out.times(value)
+                out = _times(out, value)
             return out
         if e.kind == "scale":
-            return self.cval(e.children[0]).scaled(e.params[0])
+            return _scaled(self.cval(e.children[0]), e.params[0])
         raise ValueError("node %r has no equivariant value" % e.kind)
 
 
@@ -1066,14 +1016,24 @@ class PointEvaluator:
 # the integral
 
 
-def _euler_product(e):
-    """Whether e is a product (mul, scale, one) of euler nodes over
-    chart-local K-classes: the trees whose integrals take the
-    chart-factor path when there are no section lines."""
+def _euler_plan(e):
+    """(scale, nodes) of a product (mul, scale, one) of euler nodes over
+    chart-local K-classes, the trees whose integrals take the
+    chart-factor path when there are no section lines: the product of
+    its scales and the K-classes of its euler nodes in evaluation
+    order.  None for any other tree."""
     if e.kind == "euler":
-        return _chart_local(e.children[0])
-    return e.kind in ("mul", "scale", "one") \
-        and all(map(_euler_product, e.children))
+        return (Fraction(1), [e.children[0]]) \
+            if _chart_local(e.children[0]) else None
+    if e.kind not in ("mul", "scale", "one"):
+        return None
+    scale, nodes = Fraction(e.params[0] if e.kind == "scale" else 1), []
+    for child in e.children:
+        plan = _euler_plan(child)
+        if plan is None:
+            return None
+        scale, nodes = scale * plan[0], nodes + plan[1]
+    return scale, nodes
 
 
 def _chart_local(e):
@@ -1092,16 +1052,16 @@ def _point_contribution(ctx, expr, point, spec):
     check are counted in ``ctx.visited``."""
     ev = PointEvaluator(ctx, point, spec)
     val = ev.cval(expr)
-    if not val.terms:
+    if not val:
         return {}
     ctx.visited += 1
     tangent = ev.tangent()
     if (0, 0) in tangent or min(tangent.values(), default=0) < 0:
         raise ValueError("non-isolated or non-generic weights")
     # euler(tangent) shares the tangent's map: the quotient is empty
-    return point_value_laurent(PointValue(
+    return point_value_laurent(
         [(d, coefs, {} if exps is tangent else _exps_sum(exps, tangent, -1),
-          den) for d, coefs, exps, den in val.terms]))
+          den) for d, coefs, exps, den in val])
 
 
 def _draw_spec(rng):
@@ -1143,7 +1103,8 @@ def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
     A product (mul, scale, one) of euler nodes over ksum, kdiff and
     dual of chart-local leaves (tangent, taut, rhom, rhom0, pushO) with
     no tp or o1 shift, without section lines, takes the chart-factor
-    path of ``chartfactors``.  The per-point path decides every point
+    path of ``chartfactors`` with its plan, read once by
+    ``_euler_plan``.  The per-point path decides every point
     it meets first, and chart factors (the node values at the point
     with one chart's partitions and no others over those at the empty
     point) are learned from the points it visited; a point whose charts
@@ -1155,9 +1116,10 @@ def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
     points = list(enumerate_fixed_points(ctx, n1, n2, nested=False))
-    if ctx.with_pb is None and _euler_product(expr):
+    plan = None if ctx.with_pb is not None else _euler_plan(expr)
+    if plan is not None:
         from . import chartfactors
-        run = chartfactors.attempt(ctx, expr, points)
+        run = chartfactors.attempt(ctx, expr, plan, points)
     else:
         def run(spec):
             totals = {}

@@ -14,7 +14,9 @@ tree and handed to the equivariant evaluator.
 The integrand has degree 2(n1 + n2) + vd(beta) and S^[n1] x S^[n2] has
 dimension 2(n1 + n2), so every splitting integral is c t^vd(beta) in
 the circle weight t, for a rational c.  A monopole contribution
-integrates only classes with vd(beta) = 0: it is an exact rational.
+integrates only classes with vd(beta) = 0: it is an exact rational.  A
+contribution is the pair (value, terms) of its total and its splitting
+integrals {(n1, n2): integral}.
 """
 
 from fractions import Fraction
@@ -75,42 +77,6 @@ class SWTable:
         return self.entries[key]
 
 
-class MonopoleResult:
-    """One curve class contribution with its per-splitting terms: an
-    exact rational number (a monopole contribution) or a Laurent
-    polynomial in the circle weight (a point contribution)."""
-
-    __slots__ = ("beta", "n", "value", "terms", "meta")
-
-    def __init__(self, beta, n, value, terms=None, meta=None):
-        self.beta = tuple(beta)
-        self.n = n
-        self.value = value
-        self.terms = dict(terms or {})
-        self.meta = dict(meta or {})
-
-    def rows(self, order=0):
-        """CSV-ready dictionaries, one per splitting plus a total row
-        with blank splitting columns; a value that depends on the
-        circle weight prints its coefficients up to ``order``."""
-        out = [self._row(n1, n2, self.terms[(n1, n2)], order)
-               for (n1, n2) in sorted(self.terms)]
-        out.append(self._row("", "", self.value, order))
-        return out
-
-    def _row(self, n1, n2, value, order):
-        return {"beta": " ".join(rational_str(x) for x in self.beta),
-                "n": self.n, "n1": n1, "n2": n2,
-                "value": format_value(value, order), "t_order": order}
-
-    def __repr__(self):
-        return "MonopoleResult(beta=%r, n=%r, value=%r)" % (
-            self.beta, self.n, self.value)
-
-
-ROW_FIELDS = ("beta", "n", "n1", "n2", "value", "t_order")
-
-
 def monopole_integrand(n1, n2):
     """Integrand of one splitting of the rank-two monopole
     contribution: the class c_n(E_L) of the nested locus, n = n1 + n2,
@@ -153,10 +119,10 @@ def point_contribution(surface, beta, n, seed=0, context=None):
     about: they depend on the surface only through c1^2, c2, beta^2
     and c1.beta.
 
-    The value is c t^vd(beta) for a rational c (see the module
+    Returns the pair (value, terms), the terms as the integrals give
+    them.  The value is c t^vd(beta) for a rational c (see the module
     docstring): a Fraction when every splitting term is one, and a
-    RatFunc only when a term depends on t.  The terms are as the
-    integrals give them.
+    RatFunc only when a term depends on t.
 
     The integrals come from localization, so the surface must be
     toric.  The splittings share one LocalizationContext of the surface
@@ -177,8 +143,22 @@ def point_contribution(surface, beta, n, seed=0, context=None):
     weighted = [x for x in terms.values() if isinstance(x, RatFunc)]
     if weighted:
         total = sum(weighted, RatFunc.const(total))
-    meta = {"surface": surface.name, "seed": seed, "kind": "point"}
-    return MonopoleResult(key, n, total, terms, meta)
+    return total, terms
+
+
+def class_weight(surface, sw, beta, window=None):
+    """The weight SW * 4^q of a curve class's monopole contribution, 0
+    for a class outside the stable range of the slope data ``window`` =
+    (deg beta, deg K) or with nonzero virtual dimension, whose invariant
+    vanishes by definition.  A ValueError when the class needs a table
+    entry it lacks, or a toric surface for a nonzero weight."""
+    if window is not None and not window[0] < window[1] \
+            or vd_beta(surface, beta) != 0:
+        return Fraction(0)
+    weight = sw.invariant(beta) * Fraction(4) ** surface.q
+    if weight and not isinstance(surface, ToricSurface):
+        raise ValueError("point contributions need a toric surface")
+    return weight
 
 
 def monopole_contribution(surface, sw, beta, n, seed=0, window=None,
@@ -187,37 +167,28 @@ def monopole_contribution(surface, sw, beta, n, seed=0, window=None,
 
         SW * 4^q * (sum of splitting integrals).
 
-    The value is an exact rational: only classes with vd(beta) = 0 are
-    integrated, and their integrals carry no circle weight.  A total
-    that depends on the weight is refused with a ValueError.
+    Returns the pair (value, terms) of the weighted total, an exact
+    rational, and the unweighted terms of ``point_contribution``, or
+    (Fraction(0), {}) for a class that ``class_weight`` weighs 0.  Only
+    classes with vd(beta) = 0 are integrated, and their integrals carry
+    no circle weight.  A total that depends on the weight is refused
+    with a ValueError.
 
-    ``sw`` is the surface's SWTable.  ``window`` is caller-supplied
-    slope data (deg beta, deg K); a class outside the stable range is
-    excluded and contributes the zero result.  A class whose curve
-    locus has nonzero virtual dimension contributes zero by the
-    definition of the invariant, with no table entry needed.
-    ``context`` is passed on to ``point_contribution``, which needs a
-    toric surface.
+    ``sw`` is the surface's SWTable, ``window`` caller-supplied slope
+    data (deg beta, deg K).  ``context`` is passed on to
+    ``point_contribution``, which needs a toric surface.
     """
-    key = tuple(surface.cls(beta))
-    meta = {"surface": surface.name, "seed": seed, "kind": "monopole"}
-    if window is not None:
-        deg_b, deg_k = window
-        if not deg_b < deg_k:
-            meta["excluded"] = "outside slope window"
-            return MonopoleResult(key, n, Fraction(0), {}, meta)
-    if vd_beta(surface, key) != 0:
-        return MonopoleResult(key, n, Fraction(0), {}, meta)
-    weight = sw.invariant(key) * Fraction(4) ** surface.q
+    weight = class_weight(surface, sw, beta, window)
     if weight == 0:
-        return MonopoleResult(key, n, Fraction(0), {}, meta)
-    point = point_contribution(surface, key, n, seed=seed, context=context)
-    value = point.value * weight
+        return Fraction(0), {}
+    value, terms = point_contribution(surface, beta, n, seed=seed,
+                                      context=context)
+    value *= weight
     if isinstance(value, RatFunc):
         # vd(beta) = 0 makes every term constant, so a total that
         # depends on the weight is a fault, refused here
         value = value.as_fraction()
-    return MonopoleResult(key, n, value, point.terms, meta)
+    return value, terms
 
 
 MONOMIALS = ("1", "c1sq", "c2", "betasq", "c1beta")
@@ -306,7 +277,7 @@ def universality_fit(n, runs, monomials=None, seed=0):
         if len(run) > 2:
             value = run[2]
         else:
-            value = point_contribution(surface, beta, n, seed=seed).value
+            value = point_contribution(surface, beta, n, seed=seed)[0]
         values.append(_as_ratfunc(value))
         labels.append((surface.name, tuple(surface.cls(beta))))
     seen = {}

@@ -305,9 +305,9 @@ class TestRouting:
                 H.equivariant_integrate(EULER, ctx, 0, n)
                 pairs.update(
                     (c, parts)
-                    for p in H.enumerate_fixed_points(ctx, 0, n,
-                                                      nested=False)
-                    for c, parts in enumerate(zip(p.mu, p.nu)))
+                    for mus, nus, _ in H.enumerate_fixed_points(
+                        ctx, 0, n, nested=False)
+                    for c, parts in enumerate(zip(mus, nus)))
         assert 0 < len(calls) <= len(pairs)
 
     def test_points_with_every_factor_skip_the_per_point_path(self):
@@ -352,9 +352,8 @@ class TestChartTuples:
         pts = list(H.enumerate_fixed_points(ctx, 1, 4, nested=False))
         # the size-2 list was kept, not rebuilt, when size 4 was listed
         assert H._chart_tuples(3, 2, ctx.chart_levels) is first
-        assert [(p.mu, p.nu) for p in pts] == [
-            (p.mu, p.nu) for p in H.enumerate_fixed_points(
-                H.LocalizationContext(S), 1, 4, nested=False)]
+        assert pts == list(H.enumerate_fixed_points(
+            H.LocalizationContext(S), 1, 4, nested=False))
 
     def test_shared_context_stream_matches_fresh_context_stream(self):
         for make, beta in SURFACES:

@@ -37,7 +37,8 @@ def test_workflow_runs_tier1():
     # integrals of the chart-factor path and the Betti counts; one
     # counts the checks of the characters suite; one reads the CSV
     # header of every command; one runs a vw job whose Seiberg-Witten
-    # entries hold one invariant each and refuses any other key.
+    # entries hold one invariant each and refuses any other key; one
+    # pins vw rows and reads malformed jobs that exit at the schema.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # the command line: --help exits 0 and prints the usage, a flag
@@ -104,6 +105,33 @@ def test_workflow_runs_tier1():
            '  test "$code" = 2',
            "done",
            ""])
+    # a vw job's rows, pinned in CSV and read from JSON; a formula
+    # argument the formula does not take, a vw class without its
+    # Seiberg-Witten entry and one that needs a toric surface exit 2
+    rows_job = "--job %s" % (tmp % "rows.json")
+    rows = "\n".join([
+        "echo '%s' > %s" % ('{"sw": {"entries": [{"beta": [0], "sw": 2}]}}',
+                            tmp % "rows.json"),
+        "nesthilb vw --surface P2 --beta 0 --n 0:1 --format csv %s > %s"
+        % (rows_job, tmp % "rows.csv"),
+        "printf '%%s\\n' '# seed 0' %s | cmp - %s" % (" ".join([
+            "beta,n,n1,n2,value,t_order", "0,0,0,0,1/1024,0",
+            "0,0,,,1/512,0", "0,1,0,1,0,0", "0,1,1,0,-9/512,0",
+            "0,1,,,-9/256,0"]), tmp % "rows.csv"),
+        "test \"$(nesthilb vw --surface P2 --beta 0 --n 1 --format json"
+        " --order 2 %s | python3 -c 'import json, sys; print(\" \".join("
+        "str(r[\"n1\"]) + \":\" + r[\"value\"] for r in json.load("
+        "sys.stdin)[\"rows\"]))')\" = \"0:0 1:-9/512 :-9/256\"" % rows_job,
+        "for job in %s; do" % " ".join(
+            '"%s"' % job for job in (
+                "integrate --surface P2 --formula euler:7 --n 2",
+                "vw --surface K3 --beta 0 --n 0",
+                "vw --surface P2 --beta 0 --n 0")),
+        "  code=0",
+        "  nesthilb $job > /dev/null || code=$?",
+        '  test "$code" = 2',
+        "done",
+        ""])
     # a weight-dependent integral exits 3 at --order 0 and prints its
     # coefficients at --order 2; the expected exit is captured, since
     # the step's bash runs with -e
@@ -200,7 +228,7 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    one_invariant, weighted, twist, delta, verify,
+                    one_invariant, rows, weighted, twist, delta, verify,
                     characters, csv, push, reduced, traced, untraced,
                     tier1_command()]
     for run in (traced, untraced):

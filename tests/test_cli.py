@@ -201,7 +201,8 @@ class TestJobSpec:
         assert error["code"] == EXIT_SCHEMA and key in error["message"]
 
     def test_explicit_sw_entries_replace_surface_table(self):
-        fields = dict(command="vw", surface=P2_SW_CLASS_ZERO, beta=[0], n=0)
+        # class 1 has vd != 0, so the job needs no entry for its class
+        fields = dict(command="vw", surface=P2_SW_CLASS_ZERO, beta=[1], n=0)
         assert (0,) in job(sw={}, **fields).sw_table
         assert (0,) not in job(sw={"entries": []}, **fields).sw_table
 
@@ -441,12 +442,24 @@ class TestRun:
             == "result depends on the auxiliary weight"
         assert run(job(order=2, **spec)) == (EXIT_OK, "0 1 0\n0\n# seed 0\n")
 
-    def test_vw_missing_entry_exits_math(self):
-        code, text = run(job(command="vw", surface="P2", beta=[0], n=0))
-        assert code == EXIT_MATH
-        doc = json.loads(text)
-        assert doc["error"]["code"] == EXIT_MATH
-        assert "missing SW entry" in doc["error"]["message"]
+    def test_vw_missing_entry_exits_schema(self):
+        with pytest.raises(SchemaError, match="missing SW entry"):
+            job(command="vw", surface="P2", beta=[0], n=0)
+
+    @pytest.mark.parametrize("fields", [
+        # vd(2 K) = 1 on a general-type profile
+        dict(surface="general_type:1", beta=[2]),
+        # outside the slope window
+        dict(surface="P2", beta=[0], params={"window": [0, -3]}),
+        dict(surface="K3", beta=[0], params={"window": [0, -3]}),
+        # a zero entry
+        dict(surface="K3", beta=[0], sw={"entries": [{"beta": [0],
+                                                      "sw": 0}]}),
+    ])
+    def test_vw_class_not_integrated_needs_no_entry_or_toric_surface(
+            self, fields):
+        assert run(job(command="vw", n=[0, 1], **fields)) \
+            == (EXIT_OK, "0\n0\n# seed 0\n")
 
     def test_fit_default_runs(self):
         code, text = run(job(command="fit", n=0, format="json"))
@@ -543,6 +556,49 @@ class TestRun:
         assert json.loads(text)["seed"] == 5
 
 
+# the JSON document of a vw job over P2, class 0 with invariant 2, at
+# n = 1 and --order 2
+VW_JSON_ROWS = """{
+  "columns": [
+    "beta",
+    "n",
+    "n1",
+    "n2",
+    "value",
+    "t_order"
+  ],
+  "command": "vw",
+  "rows": [
+    {
+      "beta": "0",
+      "n": 1,
+      "n1": 0,
+      "n2": 1,
+      "t_order": 2,
+      "value": "0"
+    },
+    {
+      "beta": "0",
+      "n": 1,
+      "n1": 1,
+      "n2": 0,
+      "t_order": 2,
+      "value": "-9/512"
+    },
+    {
+      "beta": "0",
+      "n": 1,
+      "n1": "",
+      "n2": "",
+      "t_order": 2,
+      "value": "-9/256"
+    }
+  ],
+  "seed": 0,
+  "surface": "P2"
+}"""
+
+
 class TestOutputForms:
     """CSV output of every command, the fundamental class over an n
     range, and a vw window given on the command line's job file."""
@@ -572,6 +628,25 @@ class TestOutputForms:
         assert main(["vw", "--surface", "P2", "--beta", "0", "--n", "0:1",
                      "--job", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == "1/1024\n-9/512\n# seed 0\n"
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--n", "0:1", "--format", "csv"], [
+            "# seed 0", "beta,n,n1,n2,value,t_order", "0,0,0,0,1/1024,0",
+            "0,0,,,1/512,0", "0,1,0,1,0,0", "0,1,1,0,-9/512,0",
+            "0,1,,,-9/256,0"]),
+        (["--n", "1", "--format", "json", "--order", "2"],
+         VW_JSON_ROWS.splitlines()),
+    ])
+    def test_vw_rows(self, argv, want, tmp_path, capsys):
+        # the whole output: per n, one row per splitting, sorted, then
+        # the total with blank n1 and n2
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"sw": {"entries": [{"beta": [0],
+                                                        "sw": 2}]}}))
+        assert main(["vw", "--surface", "P2", "--beta", "0", "--job",
+                     str(path)] + argv) == EXIT_OK
+        assert capsys.readouterr().out == "".join(
+            line + "\n" for line in want)
 
 
 class TestPolarizationTwist:
@@ -630,6 +705,9 @@ OUT_OF_DOMAIN = [
       "surface": {"name": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
                   "basis": [0], "sw_table": [{"beta": [1], "sw": 1}]}},
      "invariant must vanish at nonzero virtual dimension (class (1))"),
+    # K3's own table gives class 0 the invariant 1
+    ({"command": "vw", "surface": "K3", "beta": [0], "n": 0},
+     "point contributions need a toric surface"),
 ]
 
 
@@ -643,7 +721,7 @@ class TestMain:
     def test_missing_sw_entry_names_the_class_in_p_q(self, capsys):
         # P2's own table has no entry for class 0
         code = main(["vw", "--surface", "P2", "--beta", "0", "--n", "0:1"])
-        assert code == EXIT_MATH
+        assert code == EXIT_SCHEMA
         message = json.loads(capsys.readouterr().out)["error"]["message"]
         assert message == "missing SW entry for class (0)"
         assert "Fraction(" not in message
@@ -840,6 +918,15 @@ class TestMain:
         (["push", "--formula", "reduced", "--surface", "P2", "--beta", "1",
           "--format", "csv"], {"params": {"h2_vanishing": True}},
          "format 'csv' fits only polynomial output"),
+        (["integrate", "--surface", "P2", "--formula", "euler:7", "--n",
+          "2"], None, "formula 'euler' takes no arguments"),
+        (["integrate", "--surface", "P2", "--formula", "one:1", "--n",
+          "2"], None, "formula 'one' takes no arguments"),
+        (["integrate", "--surface", "P2", "--formula", "custom:2", "--n",
+          "2"], PER_POINT, "formula 'custom' takes no arguments"),
+        (["push", "--formula", "reduced:9", "--surface", "P2", "--beta", "1",
+          "--n1", "1", "--n2", "1"], {"params": {"h2_vanishing": True}},
+         "formula 'reduced' takes no arguments"),
     ])
     def test_schema_boundary_messages(self, argv, doc, message, tmp_path,
                                       capsys):

@@ -265,23 +265,23 @@ class TestAssembly:
     def test_rhom_closed_form_matches_assembly(self):
         S = p1xp1()
         ctx = LocalizationContext(S)
-        for pt in enumerate_fixed_points(ctx, 1, 1, nested=False):
-            a = rhom_global_character(ctx, pt.mu, pt.nu, (1, 1))
-            b = rhom_by_assembly(S, pt.mu, pt.nu, (1, 1))
+        for mus, nus, _ in enumerate_fixed_points(ctx, 1, 1, nested=False):
+            a = rhom_global_character(ctx, mus, nus, (1, 1))
+            b = rhom_by_assembly(S, mus, nus, (1, 1))
             assert a == b
 
     def test_rhom_rank_is_riemann_roch(self):
         S = p2()
         ctx = LocalizationContext(S)
-        for pt in enumerate_fixed_points(ctx, 1, 2, nested=False):
-            ch = rhom_global_character(ctx, pt.mu, pt.nu, (2,))
+        for mus, nus, _ in enumerate_fixed_points(ctx, 1, 2, nested=False):
+            ch = rhom_global_character(ctx, mus, nus, (2,))
             assert sum(ch.values()) == H.riemann_roch_chi(S, (2,)) - 3
 
     def test_tangent_from_rhom(self):
         S = p2()
         ctx = LocalizationContext(S)
         for pt in enumerate_fixed_points(ctx, 0, 2):
-            ch = rhom_global_character(ctx, pt.nu, pt.nu, (0,))
+            ch = rhom_global_character(ctx, pt[1], pt[1], (0,))
             tangent = H._exps_sum(chi_line_character(S, (0,)), ch, -1)
             assert tangent == full_tangent_character(ctx, pt)
 
@@ -316,8 +316,8 @@ class TestFixedPoints:
     def test_nested_counts(self):
         pts = list(enumerate_fixed_points(LocalizationContext(p2()), 1, 2))
         assert len(pts) == 12
-        assert all(all(contains(nu, mu) for mu, nu in zip(p.mu, p.nu))
-                   for p in pts)
+        assert all(all(contains(nu, mu) for mu, nu in zip(mus, nus))
+                   for mus, nus, _ in pts)
 
     def test_ambient_counts(self):
         pts = list(enumerate_fixed_points(LocalizationContext(p2()), 1, 2,
@@ -328,7 +328,7 @@ class TestFixedPoints:
         ctx = LocalizationContext(p2(), with_pb=(1,))
         pts = list(enumerate_fixed_points(ctx, 0, 1))
         assert len(pts) == 9
-        assert {p.pb for p in pts} == {0, 1, 2}
+        assert {pb for _, _, pb in pts} == {0, 1, 2}
 
     def test_with_pb_needs_spanning_sections(self):
         # the negative-self-intersection section: effective but chi = 0
@@ -361,13 +361,12 @@ class TestFixedPoints:
                             if not nested or all(
                                 contains(nu, mu)
                                 for mu, nu in zip(mus, nus))]
-                    got = [(p.mu, p.nu, p.pb) for p in
-                           enumerate_fixed_points(ctx, n1, n2,
-                                                  nested=nested)]
+                    got = list(enumerate_fixed_points(ctx, n1, n2,
+                                                      nested=nested))
                     assert got == want, (n1, n2, nested)
         beta = (1,) * len(S.basis)
-        got = [(p.mu, p.nu, p.pb) for p in enumerate_fixed_points(
-            LocalizationContext(S, with_pb=beta), 1, 1)]
+        got = list(enumerate_fixed_points(
+            LocalizationContext(S, with_pb=beta), 1, 1))
         sections = range(len(S.polytope_points(beta)))
         assert got == [(mus, nus, pb) for nus in ref_chart_tuples(k, 1)
                        for mus in ref_chart_tuples(k, 1)

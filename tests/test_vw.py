@@ -14,7 +14,7 @@ from nesthilb.porteous import eval_formal, FormalEnv, nested_reduced_formula
 from nesthilb.hilbloc import LocalizationContext, RatFunc, \
     equivariant_integrate
 from nesthilb.vw import (
-    SWTable, MonopoleResult, monopole_integrand, monopole_contribution,
+    SWTable, monopole_integrand, monopole_contribution,
     point_contribution, universality_fit, fit_report, format_value,
     monomial_value, UniversalityError, _as_ratfunc,
 )
@@ -157,16 +157,16 @@ class TestPointContribution:
         A, B = p1xp1(), f2()
         for (a, b), n in (((1, 1), 0), ((1, 1), 1), ((2, 1), 0),
                           ((0, 0), 1)):
-            va = point_contribution(A, (a, b), n, seed=1).value
-            vb = point_contribution(B, (a + b, a), n, seed=2).value
+            va, _ = point_contribution(A, (a, b), n, seed=1)
+            vb, _ = point_contribution(B, (a + b, a), n, seed=2)
             assert va == vb
             # the value is c t^vd(beta): a Fraction exactly at vd = 0
             vd = vd_beta(A, A.cls((a, b)))
             assert isinstance(va, Fraction if vd == 0 else RatFunc)
 
     def test_terms_cover_splittings(self):
-        r = point_contribution(p2(), (0,), 2)
-        assert sorted(r.terms) == [(0, 2), (1, 1), (2, 0)]
+        _, terms = point_contribution(p2(), (0,), 2)
+        assert sorted(terms) == [(0, 2), (1, 1), (2, 0)]
 
     def test_profile_needs_toric_surface(self):
         G = general_type_profile(1)
@@ -181,8 +181,8 @@ class TestPointContribution:
             vw, "equivariant_integrate",
             lambda expr, ctx, n1, n2, seed=0:
                 RatFunc({0: 7, 1: 2}) if n1 == 1 else Fraction(5))
-        r = point_contribution(p2(), (0,), 1)
-        assert r.value == RatFunc({0: 12, 1: 2})
+        value, _ = point_contribution(p2(), (0,), 1)
+        assert value == RatFunc({0: 12, 1: 2})
         sw = SWTable(p2(), {(0,): 1})
         with pytest.raises(ValueError, match="auxiliary weight"):
             monopole_contribution(p2(), sw, (0,), 1)
@@ -192,35 +192,31 @@ class TestPointContribution:
         values = {0: Fraction(1, 1024), 1: Fraction(-9, 512),
                   2: Fraction(69, 512)}
         for n, expected in values.items():
-            value = point_contribution(S, (0,), n).value
+            value, _ = point_contribution(S, (0,), n)
             assert value == expected and isinstance(value, Fraction)
 
     def test_seed_independent(self):
         S = p2()
-        a = point_contribution(S, (0,), 1, seed=0).value
-        b = point_contribution(S, (0,), 1, seed=9).value
+        a, _ = point_contribution(S, (0,), 1, seed=0)
+        b, _ = point_contribution(S, (0,), 1, seed=9)
         assert a == b
 
 
-class TestMonopoleResult:
+class TestMonopoleContribution:
     def test_constant_value_becomes_fraction(self, monkeypatch):
         # the point contribution is a RatFunc; the weighted monopole
         # value built from it is an exact Fraction
         import nesthilb.vw as vw
-        monkeypatch.setattr(
-            vw, "point_contribution",
-            lambda S, beta, n, **kw: MonopoleResult(beta, n,
-                                                    RatFunc.const(3)))
+        monkeypatch.setattr(vw, "point_contribution",
+                            lambda S, beta, n, **kw: (RatFunc.const(3), {}))
         sw = SWTable(p2(), {(0,): 1})
-        r = monopole_contribution(p2(), sw, (0,), 1)
-        assert r.value == 3 and isinstance(r.value, Fraction)
+        value, _ = monopole_contribution(p2(), sw, (0,), 1)
+        assert value == 3 and isinstance(value, Fraction)
 
-
-class TestMonopoleContribution:
     def test_nonzero_dimension_forces_zero(self):
         # no table entry needed: the invariant vanishes by definition
-        r = monopole_contribution(p2(), SWTable(p2(), {}), (1,), 0)
-        assert r.value == 0 and r.terms == {}
+        assert monopole_contribution(p2(), SWTable(p2(), {}), (1,), 0) \
+            == (0, {})
 
     def test_missing_entry_at_dimension_zero(self):
         with pytest.raises(ValueError, match="missing SW entry"):
@@ -228,16 +224,16 @@ class TestMonopoleContribution:
 
     def test_window_exclusion(self):
         sw = SWTable(p2(), {(0,): 1})
-        r = monopole_contribution(p2(), sw, (0,), 1, window=(0, -3))
-        assert r.value == 0
-        assert r.meta["excluded"] == "outside slope window"
+        value, terms = monopole_contribution(p2(), sw, (0,), 1,
+                                             window=(0, -3))
+        assert value == 0 and terms == {}
 
     def test_weighted_values(self):
         sw = SWTable(p2(), {(0,): 1})
-        assert monopole_contribution(p2(), sw, (0,), 0).value \
+        assert monopole_contribution(p2(), sw, (0,), 0)[0] \
             == Fraction(1, 1024)
         doubled = SWTable(p2(), {(0,): 2})
-        assert monopole_contribution(p2(), doubled, (0,), 1).value \
+        assert monopole_contribution(p2(), doubled, (0,), 1)[0] \
             == Fraction(-9, 256)
 
     def test_profile_contribution_needs_toric_surface(self):
@@ -256,29 +252,17 @@ class TestMonopoleContribution:
         S = make()
         vd = vd_beta(S, S.cls(beta))
         for n in range(3):
-            r = point_contribution(S, beta, n)
-            for value in list(r.terms.values()) + [r.value]:
+            total, terms = point_contribution(S, beta, n)
+            for value in list(terms.values()) + [total]:
                 assert set(_as_ratfunc(value).terms) <= {vd}, (n, value)
 
     def test_weight_dependent_total_refused(self, monkeypatch):
         import nesthilb.vw as vw
-        monkeypatch.setattr(
-            vw, "point_contribution",
-            lambda S, beta, n, **kw: MonopoleResult(beta, n,
-                                                    RatFunc({1: 1})))
+        monkeypatch.setattr(vw, "point_contribution",
+                            lambda S, beta, n, **kw: (RatFunc({1: 1}), {}))
         sw = SWTable(p2(), {(0,): 1})
         with pytest.raises(ValueError, match="auxiliary weight"):
             monopole_contribution(p2(), sw, (0,), 1)
-
-    def test_result_rows(self):
-        sw = SWTable(p2(), {(0,): 1})
-        r = monopole_contribution(p2(), sw, (0,), 1)
-        rows = r.rows()
-        assert [row["n1"] for row in rows] == [0, 1, ""]
-        total = rows[-1]
-        assert parse_rational(total["value"]) == Fraction(-9, 512)
-        assert total["beta"] == "0"
-        assert total["t_order"] == 0
 
 
 class TestUniversalityFit:
