@@ -347,8 +347,12 @@ class JobSpec:
         if name == "custom":
             if "expr" not in self.params:
                 raise SchemaError("formula 'custom' needs params.expr")
+            # the tree's grammar, and every leaf resolved against the
+            # job's surface and classes
             try:
                 self.expr = expr_from_json(self.params["expr"], "params.expr")
+                hilbloc.LocalizationContext(
+                    self.surface, beta=self.beta, A=self.A).resolve(self.expr)
             except ValueError as err:
                 raise SchemaError(str(err))
         if self.command == "integrate" and (self.n1 or self.n2):

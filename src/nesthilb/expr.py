@@ -10,11 +10,11 @@ the tree, so a job that evaluates trees by localization loads neither
 the formal evaluator nor the ring model.
 
 Leaves are named K-theory symbols.  A twist descriptor on a leaf is a
-vector of integer coefficients (bc, ac, kc, o1, tp) meaning the line
+vector of coefficients (bc, ac, kc, o1, tp) meaning the line
 
     L_beta^bc (A)^ac K_S^kc O(1)^o1 t^tp,
 
-with beta and A bound at evaluation time.
+with beta and A bound at evaluation time (see ``hilbloc._resolve_leaf``).
 """
 
 import json
@@ -44,10 +44,11 @@ class FormulaExpr:
     """Immutable expression node.
 
     kind: one of "leaf", "one", "ksum", "kdiff", "dual", "twist",
-    "chern", "euler", "delta", "push", "cap", "add", "mul", "scale".
-    K-valued kinds (leaf, ksum, kdiff, dual, twist) may appear under
-    class-valued operators (chern, euler, delta); class-valued nodes
-    combine with add, mul, scale, cap, push.
+    "chern", "euler", "delta", "add", "mul", "scale".  K-valued kinds
+    (leaf, ksum, kdiff, dual, twist) combine with each other and sit
+    under the class-valued operators chern, euler and delta;
+    class-valued nodes (one, chern, euler, delta) combine with add, mul
+    and scale.
     """
 
     __slots__ = ("kind", "params", "attrs", "children", "_key")
@@ -103,14 +104,6 @@ class FormulaExpr:
     @staticmethod
     def delta(a, b, x):
         return FormulaExpr("delta", params=(a, b), children=(x,))
-
-    @staticmethod
-    def push(level, x):
-        return FormulaExpr("push", params=(level,), children=(x,))
-
-    @staticmethod
-    def cap(cycle, x):
-        return FormulaExpr("cap", children=(cycle, x))
 
     @staticmethod
     def add(*xs):
@@ -181,11 +174,11 @@ def o1_line(lvl=0):
     return FormulaExpr.leaf("O1", lvl=lvl)
 
 
-def taut(k_abs, level):
-    """Tautological bundle A^[n_level] of the line bundle with class
-    k_abs (an integer multiple of a surface generator recorded by the
-    evaluation environment)."""
-    return FormulaExpr.leaf("taut", a=k_abs, level=level)
+def taut(a, level):
+    """Tautological bundle A^[n_level] of the line bundle A whose class
+    is the vector ``a`` of integer coordinates in the surface's class
+    basis (a scalar is no class and does not resolve)."""
+    return FormulaExpr.leaf("taut", a=a, level=level)
 
 
 def co_class(bc=1, o1=0):
@@ -225,14 +218,18 @@ def expr_to_json(e):
     return doc
 
 
-# node grammar of the JSON form: kind -> (number of children, None for
-# any number; types of the params).  Only leaves carry attrs.
+# node grammar of the JSON form: kind -> (its sort, its children's sort,
+# their number (None for any), the types of its params).  A class node
+# sits at the root and under add, mul and scale, a K-class node under
+# chern, euler, delta and the K-level nodes.  Only leaves carry attrs.
+_K, _C = "K-class", "class"
 _GRAMMAR = {
-    "leaf": (0, ("name",)), "one": (0, ()), "ksum": (None, ()),
-    "kdiff": (2, ()), "dual": (1, ()), "twist": (2, ("int",)),
-    "chern": (1, ("int",)), "euler": (1, ()), "delta": (1, ("size", "int")),
-    "push": (1, ("int",)), "cap": (2, ()), "add": (None, ()),
-    "mul": (None, ()), "scale": (1, ("rational",)),
+    "leaf": (_K, None, 0, ("name",)), "ksum": (_K, _K, None, ()),
+    "kdiff": (_K, _K, 2, ()), "dual": (_K, _K, 1, ()),
+    "twist": (_K, _K, 2, ("int",)), "one": (_C, None, 0, ()),
+    "chern": (_C, _K, 1, ("int",)), "euler": (_C, _K, 1, ()),
+    "delta": (_C, _K, 1, ("size", "int")), "add": (_C, _C, None, ()),
+    "mul": (_C, _C, None, ()), "scale": (_C, _C, 1, ("rational",)),
 }
 _NODE_KEYS = {"kind", "params", "attrs", "children"}
 # nodes on the longest root-to-leaf path of a tree read from JSON: every
@@ -275,14 +272,15 @@ def _short_path(path):
     return "%s...%s" % (path[:first], path[path.rfind(".children[") + 1:])
 
 
-def expr_from_json(doc, path="expr", depth=1):
+def expr_from_json(doc, path="expr", depth=1, sort=_C):
     """Tree from its JSON form (see expr_to_json).
 
-    Checks the node grammar: known kind and keys, number of children
-    and params, param types, and attrs (on leaves only) holding
-    integers or rational strings, or lists of them, and a depth of at
-    most MAX_DEPTH nodes (``depth`` is the node's, the root's being 1).
-    A breach raises ValueError naming the node's path; past
+    Checks the node grammar: known kind and keys, a node of the sort
+    its position wants (a class at the root, see ``_GRAMMAR``), number
+    of children and params, param types, and attrs (on leaves only)
+    holding integers or rational strings, or lists of them, and a depth
+    of at most MAX_DEPTH nodes (``depth`` is the node's, the root's
+    being 1).  A breach raises ValueError naming the node's path; past
     SHORT_PATH_DEPTH the path is shortened to its first and last
     segments and the depth.
     """
@@ -298,7 +296,10 @@ def expr_from_json(doc, path="expr", depth=1):
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _GRAMMAR:
         raise ValueError("%s: unknown kind %r" % (where, kind))
-    arity, types = _GRAMMAR[kind]
+    own, inner, arity, types = _GRAMMAR[kind]
+    if own != sort:
+        raise ValueError("%s: %s is a %s node where a %s is wanted"
+                         % (where, kind, own, sort))
     params = doc.get("params", [])
     if not isinstance(params, list) or len(params) != len(types):
         raise ValueError("%s: %s takes %d param%s"
@@ -327,7 +328,8 @@ def expr_from_json(doc, path="expr", depth=1):
         raise ValueError("%s: %s takes %s children"
                          % (where, kind, "a list of" if arity is None
                             else arity))
-    children = [expr_from_json(c, "%s.children[%d]" % (path, i), depth + 1)
+    children = [expr_from_json(c, "%s.children[%d]" % (path, i), depth + 1,
+                               inner)
                 for i, c in enumerate(children)]
     return FormulaExpr(kind, params=params, attrs=attrs.items(),
                        children=children)

@@ -684,7 +684,7 @@ class LocalizationContext:
     nu), the tautological piece of (chart, lam)), and chi(L) and the
     section lines.  The context keeps one memo and one map table.  The
     memo, ``piece``, builds once each distinct character, a class's
-    chart vertices, a leaf's resolution with the class it twists by, and
+    chart vertices, a leaf's record (``leaf``, see ``_resolve_leaf``), and
     the ring of a delta node.  The table, ``table``, holds the maps of
     the pieces times vertex and shift, one table per direction, kind and
     shift (per chart, keyed by partition(s) and vertex), so a point's
@@ -735,6 +735,17 @@ class LocalizationContext:
         if value is None:
             value = self._pieces[key] = build(*args)
         return value
+
+    def leaf(self, e):
+        """The record of the leaf e (see ``_resolve_leaf``)."""
+        return self.piece(_resolve_leaf, e, self, key=e.key())
+
+    def resolve(self, e):
+        """Resolve every leaf of the tree e; the first that fails raises."""
+        if e.kind == "leaf":
+            self.leaf(e)
+        for child in e.children:
+            self.resolve(child)
 
     def st_class(self, chern, D):
         """The class sum_j sum_i chern[j][i] s^i t^(j - i), integer
@@ -826,39 +837,61 @@ class LocalizationContext:
 
 _CHART_LOCAL = ("rhom", "rhom0", "pushO", "taut", "tangent")
 _LEAVES = _CHART_LOCAL + ("O1",)
+_LEVELS = {"rhom": ("i", "j"), "rhom0": ("i", "j"), "taut": ("level",)}
 
 
 def _resolve_leaf(e, ctx):
-    """A leaf's name, which must have an equivariant value, its
-    attributes as a dict, and the class bc beta + ac A + kc K that a
-    rhom, rhom0 or pushO leaf twists by (None for other leaves)."""
-    name = e.params[0]
+    """The leaf e as the record (name, levels, cls, o1, tp), the one
+    place a leaf's attributes are read: the nesting levels it reads,
+    each 1 or 2 (i and j of rhom and rhom0, level of taut); the integer
+    class of its line (bc beta + ac A + kc K of rhom, rhom0 and pushO,
+    the vector a of taut, None for tangent and O1); the integers o1 and
+    tp of its monomial.  An absent attribute is 0 (a the zero class);
+    others are not read.  A leaf that does not resolve in ``ctx``
+    raises ValueError, as does an O1 leaf or o1 shift without section
+    lines."""
+    name, attrs, S = e.params[0], dict(e.attrs), ctx.surface
     if name not in _LEAVES:
         raise ValueError("leaf %r has no equivariant value" % name)
-    attrs, cls = dict(e.attrs), None
-    if name in ("rhom", "rhom0", "pushO"):
-        cls = _twist_class(ctx.surface, ctx.beta, ctx.A, attrs.get("bc", 0),
-                           attrs.get("ac", 0), attrs.get("kc", 0))
-    return name, attrs, cls
 
+    def number(key, value, integer=False):
+        try:
+            x = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            x = None
+        if x is None or integer and x.denominator != 1:
+            raise ValueError("leaf %r: attr %r must be %s" % (
+                name, key, "an integer" if integer else "a rational"))
+        return int(x) if integer else x
 
-def _twist_class(S, beta, A, bc, ac, kc):
-    """The class bc beta + ac A + kc K on the surface S as integers."""
-    cls = S.zero_class()
-    if bc:
-        if beta is None:
-            raise ValueError("twist references an unbound curve class")
-        cls = S.add(cls, S.scale(bc, S.cls(beta)))
-    if ac:
-        if A is None:
-            raise ValueError("twist references an unbound polarization")
-        cls = S.add(cls, S.scale(ac, S.cls(A)))
-    if kc:
-        cls = S.add(cls, S.scale(kc, S.K))
-    # chart vertices need integer coordinates
-    if any(x.denominator != 1 for x in cls):
-        raise ValueError("divisor coefficients must be integers")
-    return tuple(map(int, cls))
+    cls = None
+    if name == "taut":
+        a = attrs.get("a", S.zero_class())
+        if not isinstance(a, (list, tuple)) or len(a) != S.rank:
+            raise ValueError("leaf 'taut': attr 'a' must be a class vector"
+                             " of length %d" % S.rank)
+        cls = [number("a", x) for x in a]
+    elif name in ("rhom", "rhom0", "pushO"):
+        cls = S.zero_class()
+        for key, D, what in (("bc", ctx.beta, "curve class"),
+                             ("ac", ctx.A, "polarization"), ("kc", S.K, "")):
+            c = number(key, attrs.get(key, 0))
+            if c and D is None:
+                raise ValueError("twist references an unbound " + what)
+            if c:
+                cls = S.add(cls, S.scale(c, D))
+    if cls is not None:
+        # chart vertices need integer coordinates
+        if any(x.denominator != 1 for x in cls):
+            raise ValueError("divisor coefficients must be integers")
+        cls = tuple(map(int, cls))
+    o1, tp, *levels = (number(key, attrs.get(key, 0), True)
+                       for key in ("o1", "tp") + _LEVELS.get(name, ()))
+    if (o1 or name == "O1") and ctx.sections is None:
+        raise ValueError("no projective bundle level in this problem")
+    if any(i not in (1, 2) for i in levels):
+        raise ValueError("nesting index out of range for localization")
+    return name, tuple(levels), cls, o1, tp
 
 
 def _homogeneous(d, coefs):
@@ -893,36 +926,18 @@ class PointEvaluator:
                                                    spec=self.spec)
         return self._tangent
 
-    def parts(self, index):
-        if index not in (1, 2):
-            raise ValueError("nesting index out of range for localization")
-        return self.point[index - 1]
-
-    def pb_vertex(self):
-        pb = self.point[2]
-        if self.ctx.sections is None or pb is None:
-            raise ValueError("no projective bundle level in this problem")
-        return self.ctx.sections[pb]
-
-    def leaf_shift(self, e, shift):
-        """The leaf's resolution (see ``_resolve_leaf``), built once per
-        job, and the monomial (p, q, c) it is multiplied by: the
-        inherited ``shift`` times O(-o1) of the section line and the
-        auxiliary weight tp."""
-        leaf = self.ctx.piece(_resolve_leaf, e, self.ctx, key=e.key())
-        attrs, p, q = leaf[1], 0, 0
-        if attrs.get("o1"):
-            u = self.pb_vertex()
-            p, q = -attrs["o1"] * u[0], -attrs["o1"] * u[1]
-        return leaf, (p + shift[0], q + shift[1],
-                      attrs.get("tp", 0) + shift[2])
-
     def leaf_weights(self, e, shift):
-        (name, attrs, cls), shift = self.leaf_shift(e, shift)
+        """Exponent map of the leaf e, read from its record (see
+        ``_resolve_leaf``), times the inherited ``shift``, O(-o1) of the
+        section line and the auxiliary weight t^tp."""
         ctx, spec = self.ctx, self.spec
+        name, levels, cls, o1, tp = ctx.leaf(e)
+        u = ctx.sections[self.point[2]] if o1 or name == "O1" else (0, 0)
+        shift = (shift[0] - o1 * u[0], shift[1] - o1 * u[1], shift[2] + tp)
+        # the partitions of each level the leaf reads
+        parts = [self.point[i - 1] for i in levels]
         if name in ("rhom", "rhom0"):
-            parts_a = self.parts(attrs.get("i", 0))
-            parts_b = self.parts(attrs.get("j", 0))
+            parts_a, parts_b = parts
             if name == "rhom":
                 return rhom_global_character(ctx, parts_a, parts_b, cls,
                                              spec=spec, shift=shift)
@@ -932,14 +947,11 @@ class PointEvaluator:
             return ctx.global_map(spec, shift, chi_line_character,
                                   ctx.surface, cls)
         if name == "taut":
-            return ctx.taut_weights(spec, shift,
-                                    self.parts(attrs.get("level", 0)),
-                                    attrs.get("a", 0))
+            return ctx.taut_weights(spec, shift, parts[0], cls)
         if name == "tangent":
             if shift == NO_SHIFT:
                 return self.tangent()
             return ctx.tangent_weights(spec, shift, self.point)
-        u = self.pb_vertex()
         return specialize_weights({(-u[0], -u[1], 0): 1}, spec, shift)
 
     def weights(self, e, shift=NO_SHIFT):
@@ -1016,7 +1028,7 @@ class PointEvaluator:
 # the integral
 
 
-def _euler_plan(e):
+def _euler_plan(e, ctx):
     """(scale, nodes) of a product (mul, scale, one) of euler nodes over
     chart-local K-classes, the trees whose integrals take the
     chart-factor path when there are no section lines: the product of
@@ -1024,26 +1036,26 @@ def _euler_plan(e):
     order.  None for any other tree."""
     if e.kind == "euler":
         return (Fraction(1), [e.children[0]]) \
-            if _chart_local(e.children[0]) else None
+            if _chart_local(e.children[0], ctx) else None
     if e.kind not in ("mul", "scale", "one"):
         return None
     scale, nodes = Fraction(e.params[0] if e.kind == "scale" else 1), []
     for child in e.children:
-        plan = _euler_plan(child)
+        plan = _euler_plan(child, ctx)
         if plan is None:
             return None
         scale, nodes = scale * plan[0], nodes + plan[1]
     return scale, nodes
 
 
-def _chart_local(e):
+def _chart_local(e, ctx):
     """Whether the K-class e is a ksum, kdiff or dual of chart-local
     leaves with no circle weight (tp) and no section line (o1)."""
     if e.kind == "leaf":
-        return e.params[0] in _CHART_LOCAL and not e.attr("tp") \
-            and not e.attr("o1")
+        name, _, _, o1, tp = ctx.leaf(e)
+        return name in _CHART_LOCAL and not o1 and not tp
     return e.kind in ("ksum", "kdiff", "dual") \
-        and all(map(_chart_local, e.children))
+        and all(_chart_local(c, ctx) for c in e.children)
 
 
 def _point_contribution(ctx, expr, point, spec):
@@ -1089,9 +1101,11 @@ def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
     """Integrate a formula over S^[n1] x S^[n2] of the surface of the
     job's LocalizationContext ``ctx`` (times the bundle of section lines
     of its ``with_pb`` when it has one) by summing fixed point
-    contributions.  The integral leaves its direction, draws, points
-    and visited points on the context (``ctx.spec``, ``ctx.attempts``,
-    ``ctx.points``, ``ctx.visited``), also when it raises.
+    contributions.  A leaf that does not resolve (``ctx.resolve``)
+    raises before any point is listed; past that, the integral leaves
+    its direction, draws, points and visited points on the context
+    (``ctx.spec``, ``ctx.attempts``, ``ctx.points``, ``ctx.visited``),
+    also when it raises.
 
     Exact: the result is a Fraction when the integral is a number, and
     a RatFunc, the Laurent polynomial in the auxiliary weight, only
@@ -1115,8 +1129,9 @@ def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
     """
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
+    ctx.resolve(expr)
     points = list(enumerate_fixed_points(ctx, n1, n2, nested=False))
-    plan = None if ctx.with_pb is not None else _euler_plan(expr)
+    plan = None if ctx.with_pb is not None else _euler_plan(expr, ctx)
     if plan is not None:
         from . import chartfactors
         run = chartfactors.attempt(ctx, expr, plan, points)

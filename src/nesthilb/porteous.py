@@ -13,9 +13,8 @@ from .expr import FormulaExpr, rhom, pushO, o1_line
 # bound here too: the benchmark's tracer (perfbench/tracing.py) spans
 # the JSON grammar under these porteous names
 from .expr import expr_to_json, expr_from_json  # noqa: F401
-# lazy modules (see the package docstring): a formal job never loads
-# surface, and only a push node loads bundles
-from . import bundles
+# a lazy module (see the package docstring): a formal job never loads
+# surface
 from . import surface as surfaces
 
 
@@ -27,13 +26,12 @@ _KKINDS = ("leaf", "ksum", "kdiff", "dual", "twist")
 
 def eval_formal(expr, env):
     """Evaluate over graded rings.  ``env`` is a callable taking a leaf
-    and returning its KClass (or GradedClass for cycle symbols); K-level
-    nodes produce KClass, class-level nodes produce GradedClass.
-    ``env.ring`` is the ambient ring, ``env.space(level)`` the bundle
-    level for push nodes.  A `FormalEnv` keeps the values of inner nodes
-    by `FormulaExpr.key()` until its next `bind`, so a subtree shared
-    between nodes or evaluations is evaluated once; other environments
-    share values within one call.
+    and returning its KClass; K-level nodes produce KClass, class-level
+    nodes produce GradedClass.  ``env.ring`` is the ambient ring.  A
+    `FormalEnv` keeps the values of inner nodes by `FormulaExpr.key()`
+    until its next `bind`, so a subtree shared between nodes or
+    evaluations is evaluated once; other environments share values
+    within one call.
     """
     return _EvalFormal(env).k_or_class(expr)
 
@@ -114,34 +112,17 @@ class _EvalFormal:
             return out
         if e.kind == "scale":
             return self.cval(e.children[0]) * e.params[0]
-        if e.kind == "cap":
-            cycle, body = e.children
-            cyc = self.env(cycle)
-            if isinstance(cyc, KClass):
-                raise ValueError("cap cycle must evaluate to a class")
-            return self.cval(body) * cyc
-        if e.kind == "push":
-            space = self.env.space(e.params[0])
-            return bundles.proj_pushforward(space,
-                                            self.cval(e.children[0]))
-        if e.kind == "leaf":
-            val = self.env(e)
-            if isinstance(val, KClass):
-                raise ValueError("K-class leaf in class position")
-            return val
         raise ValueError("cannot evaluate node %r" % e.kind)
 
 
 class FormalEnv:
     """Leaf environment: explicit bindings keyed by leaf, with the
-    ambient ring and optional bundle levels for push nodes.  ``memo``
-    holds the values of inner nodes evaluated under the current
-    bindings, keyed by `FormulaExpr.key()`."""
+    ambient ring.  ``memo`` holds the values of inner nodes evaluated
+    under the current bindings, keyed by `FormulaExpr.key()`."""
 
-    def __init__(self, ring, bindings=None, spaces=None):
+    def __init__(self, ring, bindings=None):
         self.ring = ring
         self.bindings = dict(bindings or {})
-        self.spaces = dict(spaces or {})
         self.memo = {}
 
     def bind(self, leaf, value):
@@ -154,9 +135,6 @@ class FormalEnv:
             return self.bindings[leaf.key()]
         except KeyError:
             raise ValueError("unbound leaf %s" % leaf.key())
-
-    def space(self, level):
-        return self.spaces[level]
 
 
 # ---------------------------------------------------------------------------

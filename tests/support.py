@@ -273,11 +273,11 @@ def nested_vir_comparison(n1, n2, beta=None):
 
         c_{n1+n2}( Rpi_* L_beta(1) - Rhom_pi(I1, I2 L_beta(1)) )
 
-    capped against the product of the ambient cycle with the virtual
-    cycle of the curve system.
+    times the class of the product of the ambient cycle with the
+    virtual cycle of the curve system.
     """
     body = FormulaExpr.chern(n1 + n2, co_class(bc=1, o1=1))
-    return FormulaExpr.cap(FormulaExpr.leaf("svir"), body)
+    return FormulaExpr.mul(FormulaExpr.leaf("svir"), body)
 
 
 # -- the normal form, the duality rewrite and the l-step emitter -------

@@ -38,7 +38,8 @@ def test_workflow_runs_tier1():
     # counts the checks of the characters suite; one reads the CSV
     # header of every command; one runs a vw job whose Seiberg-Witten
     # entries hold one invariant each and refuses any other key; one
-    # pins vw rows and reads malformed jobs that exit at the schema.
+    # pins vw rows and reads malformed jobs that exit at the schema;
+    # one reads custom integrands whose leaves are malformed.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # the command line: --help exits 0 and prints the usage, a flag
@@ -132,6 +133,27 @@ def test_workflow_runs_tier1():
         '  test "$code" = 2',
         "done",
         ""])
+    # a custom integrand with a leaf attribute of the wrong type exits
+    # 2 with a JSON error document, for three such leaves
+    malformed = "\n".join([
+        "echo '%s' > %s" % (
+            '{"params": {"expr": {"kind": "chern", "params": [1],'
+            ' "children": [{"kind": "leaf", "params": ["%s"], "attrs":'
+            ' %s}]}}}' % leaf, tmp % ("%s.json" % name))
+        for name, leaf in (("tp", ("pushO", '{"tp": "1/2"}')),
+                           ("kc", ("rhom0", '{"i": 1, "j": 1, "kc": [0]}')),
+                           ("a", ("taut", '{"a": 1, "level": 2}')))]
+        + ["for name in tp kc a; do",
+           "  code=0",
+           "  nesthilb integrate --surface P2 --beta 1 --n 1 --formula"
+           " custom --job \"$RUNNER_TEMP/$name.json\" >"
+           " \"$RUNNER_TEMP/$name.out\" || code=$?",
+           '  test "$code" = 2',
+           "  test \"$(python3 -c 'import json, sys; print(json.load("
+           "sys.stdin)[\"error\"][\"code\"])' < \"$RUNNER_TEMP/$name.out\")\""
+           " = 2",
+           "done",
+           ""])
     # a weight-dependent integral exits 3 at --order 0 and prints its
     # coefficients at --order 2; the expected exit is captured, since
     # the step's bash runs with -e
@@ -228,7 +250,8 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    one_invariant, rows, weighted, twist, delta, verify,
+                    one_invariant, rows, malformed, weighted, twist, delta,
+                    verify,
                     characters, csv, push, reduced, traced, untraced,
                     tier1_command()]
     for run in (traced, untraced):

@@ -673,10 +673,16 @@ class TestPolarizationTwist:
             assert self.integrate(tmp_path, k, attr, flags) == EXIT_OK
             assert capsys.readouterr().out == "%d\n# seed 0\n" % want
 
-    def test_unbound_polarization_is_a_math_error(self, tmp_path, capsys):
-        assert self.integrate(tmp_path, 1, "ac", []) == EXIT_MATH
+    def test_unbound_polarization_is_a_schema_error(self, tmp_path, capsys):
+        # the leaf is resolved against the job's A before any point
+        assert self.integrate(tmp_path, 1, "ac", []) == EXIT_SCHEMA
         assert json.loads(capsys.readouterr().out)["error"]["message"] \
             == "twist references an unbound polarization"
+
+
+def chern1(node):
+    """The JSON form of c_1 of the K-class node."""
+    return {"kind": "chern", "params": [1], "children": [node]}
 
 
 # jobs outside the math's domain, with the message the math would raise
@@ -787,21 +793,63 @@ class TestMain:
             {"kind": "leaf", "params": ["picpoint"]}]},
          "leaf 'picpoint' has no equivariant value"),
         ({"kind": "push", "params": [0], "children": [{"kind": "one"}]},
-         "node 'push' has no equivariant value"),
+         "params.expr: unknown kind 'push'"),
     ])
-    def test_tree_without_equivariant_value_is_math_error(
+    def test_tree_without_equivariant_value_is_schema_error(
             self, expr, message, tmp_path, capsys):
-        # well-formed trees that localization cannot evaluate: formal
-        # leaves and bundle pushforwards exit 3, with nothing on stderr
+        # trees that localization cannot evaluate: formal leaves, and
+        # the bundle pushforward no command builds, exit 2 with nothing
+        # on stderr
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"params": {"expr": expr}}))
         code = main(["integrate", "--surface", "P2", "--formula", "custom",
                      "--n", "1", "--job", str(path)])
         captured = capsys.readouterr()
-        assert code == EXIT_MATH
+        assert code == EXIT_SCHEMA
         assert captured.err == ""
         assert json.loads(captured.out)["error"] \
-            == {"code": EXIT_MATH, "message": message}
+            == {"code": EXIT_SCHEMA, "message": message}
+
+    @pytest.mark.parametrize("expr,message", [
+        # attributes of the wrong type
+        (chern1({"kind": "leaf", "params": ["pushO"],
+                 "attrs": {"tp": "1/2"}}),
+         "leaf 'pushO': attr 'tp' must be an integer"),
+        (chern1({"kind": "leaf", "params": ["rhom0"],
+                 "attrs": {"i": 1, "j": 1, "kc": [0]}}),
+         "leaf 'rhom0': attr 'kc' must be a rational"),
+        (chern1({"kind": "leaf", "params": ["taut"],
+                 "attrs": {"a": 1, "level": 2}}),
+         "leaf 'taut': attr 'a' must be a class vector of"
+         " length 1"),
+        # leaves that do not resolve in the job
+        (chern1({"kind": "leaf", "params": ["rhom"],
+                 "attrs": {"i": 3, "j": 1}}),
+         "nesting index out of range for localization"),
+        (chern1({"kind": "leaf", "params": ["O1"]}),
+         "no projective bundle level in this problem"),
+        # nodes no command builds, or out of their place
+        ({"kind": "cap", "children": [{"kind": "one"}, {"kind": "one"}]},
+         "params.expr: unknown kind 'cap'"),
+        ({"kind": "euler", "children": [{"kind": "one"}]},
+         "params.expr.children[0]: one is a class node where a K-class is"
+         " wanted"),
+        ({"kind": "ksum", "children": []},
+         "params.expr: ksum is a K-class node where a class is wanted"),
+        ({"kind": "leaf", "params": ["tangent"]},
+         "params.expr: leaf is a K-class node where a class is wanted"),
+    ])
+    def test_malformed_custom_integrand_exits_at_schema(
+            self, expr, message, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"expr": expr}}))
+        code = main(["integrate", "--surface", "P2", "--beta", "1",
+                     "--formula", "custom", "--n", "1", "--job", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_SCHEMA
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] \
+            == {"code": EXIT_SCHEMA, "message": message}
 
     @pytest.mark.parametrize("doc", [
         {"command": "fit", "n": 1, "params": {"monomials": 5}},
@@ -1002,11 +1050,10 @@ class TestMain:
             assert message.endswith(": tree deeper than 200 nodes")
 
     def test_depth_error_names_the_path_briefly(self, tmp_path, capsys):
-        # a 201-node chain of duals: the message names the root, the
-        # first and last segments and the depth, not all 200 segments
-        node = {"kind": "leaf", "params": ["tangent"]}
-        for _ in range(200):
-            node = {"kind": "dual", "children": [node]}
+        # euler over a chain of 199 duals, 201 nodes deep: the message
+        # names the root, the first and last segments and the depth,
+        # not all 200 segments
+        node = self.dual_chain(199, False)
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"params": {"expr": node}}))
         code = main(["integrate", "--surface", "P2", "--formula", "custom",
@@ -1019,11 +1066,12 @@ class TestMain:
 
     def test_deep_grammar_error_names_the_path_briefly(self, tmp_path,
                                                        capsys):
-        # 198 duals ending in an unknown kind, inside the depth bound:
-        # the grammar error is named like the depth error
+        # euler over 197 duals ending in an unknown kind, inside the
+        # depth bound: the grammar error is named like the depth error
         node = {"kind": "bogus"}
-        for _ in range(198):
+        for _ in range(197):
             node = {"kind": "dual", "children": [node]}
+        node = {"kind": "euler", "children": [node]}
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"params": {"expr": node}}))
         code = main(["integrate", "--surface", "P2", "--formula", "custom",
@@ -1067,10 +1115,46 @@ SURFACES = st.one_of(
         "basis": st.one_of(st.lists(st.integers(-1, 4), max_size=3), JUNK),
         "profile": PROFILES, "sw_table": SW_ENTRIES}),
     JUNK)
-EXPRS = st.sampled_from([
+# custom integrands: leaves of the localization's vocabulary (and one
+# it lacks) whose attributes take every JSON type, at nesting levels 1
+# or 2 unless an attribute overrides them, under K-level nodes, under
+# chern and euler, and under products and sums; EXPRS draws a K-class
+# tree as the integrand too
+ATTR_VALUES = st.one_of(
+    st.integers(-1, 3), st.sampled_from(["1/2", "-1", "x", "1/0"]),
+    st.lists(st.one_of(st.integers(-1, 2), st.just("1/2")), max_size=2),
+    st.sampled_from([None, True, 1.5, {}]))
+LEVELS = st.sampled_from([1, 2])
+LEAVES = st.builds(
+    lambda name, levels, attrs: {"kind": "leaf", "params": [name],
+                                 "attrs": dict(levels, **attrs)},
+    st.sampled_from(["tangent", "taut", "rhom", "rhom0", "pushO", "O1",
+                     "sw"]),
+    st.fixed_dictionaries({"i": LEVELS, "j": LEVELS, "level": LEVELS}),
+    st.dictionaries(st.sampled_from(["i", "a", "bc", "ac", "kc", "o1",
+                                     "tp"]),
+                    ATTR_VALUES, max_size=2))
+K_TREES = st.recursive(LEAVES, lambda sub: st.one_of(
+    st.lists(sub, max_size=2).map(lambda xs: {"kind": "ksum",
+                                              "children": xs}),
+    st.lists(sub, min_size=2, max_size=2).map(lambda xs: {"kind": "kdiff",
+                                                          "children": xs}),
+    sub.map(lambda x: {"kind": "dual", "children": [x]})), max_leaves=3)
+CUSTOM_TREES = st.recursive(
+    st.one_of(st.just({"kind": "one"}),
+              st.tuples(st.integers(0, 2), K_TREES).map(
+                  lambda t: {"kind": "chern", "params": [t[0]],
+                             "children": [t[1]]}),
+              K_TREES.map(lambda x: {"kind": "euler", "children": [x]})),
+    lambda sub: st.lists(sub, max_size=2).flatmap(
+        lambda xs: st.sampled_from([{"kind": "mul", "children": xs},
+                                    {"kind": "add", "children": xs}])),
+    max_leaves=3)
+EXPRS = st.one_of(st.sampled_from([
     {"kind": "one"},
     {"kind": "euler", "children": [{"kind": "leaf", "params": ["tangent"]}]},
-    {"kind": "leaf", "params": ["taut"]}, {"foo": 1}, "x"])
+    {"kind": "leaf", "params": ["taut"]}, {"foo": 1}, "x"]), CUSTOM_TREES,
+    K_TREES)
 FIELD_VALUES = {
     "surface": SURFACES, "beta": VECTORS, "A": VECTORS,
     "n": st.one_of(st.integers(-1, 1),
@@ -1142,6 +1226,26 @@ def test_cli_contract(data):
     for key in data.draw(st.lists(st.sampled_from(sorted(FIELD_VALUES)),
                                   max_size=3, unique=True)):
         doc[key] = data.draw(FIELD_VALUES[key])
+    code = run_contract_job(command, doc)
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_MATH, EXIT_RESIDUAL)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(expr=CUSTOM_TREES)
+def test_cli_contract_custom_integrands(expr):
+    """A custom integrand of any shape ends in exit 0, 2 or 3: a leaf
+    attribute of the wrong type or a leaf that does not resolve stops
+    at the schema, never in a traceback."""
+    code = run_contract_job("integrate", {
+        "surface": "P2", "beta": [1], "formula": "custom", "n": "0:1",
+        "params": {"expr": expr}})
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_MATH)
+
+
+def run_contract_job(command, doc):
+    """The exit code of the job ``doc`` under ``command``, run from a job
+    file, after checking that a failure printed its JSON error document
+    and that nothing reached stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "job.json")
         with open(path, "w") as fh:
@@ -1149,7 +1253,7 @@ def test_cli_contract(data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--job", path])
-    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_MATH, EXIT_RESIDUAL)
     if code != EXIT_OK:
         assert json.loads(out.getvalue())["error"]["code"] == code
     assert err.getvalue() == ""
+    return code

@@ -163,10 +163,15 @@ class UncachedContext(H.LocalizationContext):
                     (int(u[0]), int(u[1]), 0)))
         return H._merge_weights(ch)
 
-    def twist_class(self, attrs):
-        return H._twist_class(self.surface, self.beta, self.A,
-                              attrs.get("bc", 0), attrs.get("ac", 0),
-                              attrs.get("kc", 0))
+    def twist_class(self, e):
+        """The class bc beta + ac A + kc K of the leaf e, read from its
+        attributes."""
+        S = self.surface
+        cls = S.scale(e.attr("kc"), S.K)
+        for key, D in (("bc", self.beta), ("ac", self.A)):
+            if e.attr(key):
+                cls = S.add(cls, S.scale(e.attr(key), S.cls(D)))
+        return tuple(map(int, cls))
 
 
 def ref_weight_poly(w):
@@ -362,23 +367,24 @@ class SumRouteEvaluator(H.PointEvaluator):
     maps, with a twist passed down as a shift, must give the same."""
 
     def leaf_char(self, e):
-        (name, attrs, _), shift = self.leaf_shift(e, H.NO_SHIFT)
-        ctx = self.ctx
+        name, ctx, point = e.params[0], self.ctx, self.point
+        o1 = e.attr("o1")
+        u = ctx.sections[point[2]] if o1 or name == "O1" else (0, 0)
+        shift = (-o1 * u[0], -o1 * u[1], e.attr("tp"))
         if name in ("rhom", "rhom0"):
-            cls = ctx.twist_class(attrs)
-            ch = ctx.rhom(self.parts(e.attr("i")), self.parts(e.attr("j")),
+            cls = ctx.twist_class(e)
+            ch = ctx.rhom(point[e.attr("i") - 1], point[e.attr("j") - 1],
                           cls)
             if name == "rhom0":
                 ch = H._exps_sum(ch, H.chi_line_character(ctx.surface, cls),
                                  -1)
         elif name == "pushO":
-            ch = H.chi_line_character(ctx.surface, ctx.twist_class(attrs))
+            ch = H.chi_line_character(ctx.surface, ctx.twist_class(e))
         elif name == "taut":
-            ch = ctx.taut(self.parts(e.attr("level")), e.attr("a"))
+            ch = ctx.taut(point[e.attr("level") - 1], e.attr("a"))
         elif name == "tangent":
-            ch = ctx.tangent(self.point)
+            ch = ctx.tangent(point)
         else:
-            u = self.pb_vertex()
             ch = {(-u[0], -u[1], 0): 1}
         return H.specialize_weights(ch, None, shift)
 

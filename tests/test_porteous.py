@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesthilb.ringcore import Ring, KClass, k_twist
-from nesthilb.bundles import free_model, projective_bundle
+from nesthilb.bundles import free_model, projective_bundle, proj_pushforward
 from nesthilb.surface import p2, general_type_profile, vd_beta
 from nesthilb.expr import (
     FormulaExpr as FE, rhom, pushO, o1_line, co_class,
@@ -46,8 +46,8 @@ class TestTree:
     def test_json_round_trip(self):
         e = FE.scale(Fraction(-3, 2), FE.mul(
             FE.chern(2, FE.kdiff(pushO(bc=1), rhom(1, 2, bc=1, o1=1))),
-            FE.cap(FE.leaf("svir"), FE.delta(2, 1, FE.dual(pushO(kc=1)))),
-            FE.push(0, FE.euler(FE.twist(pushO(), o1_line(), -2))),
+            FE.delta(2, 1, FE.dual(pushO(kc=1))),
+            FE.euler(FE.twist(pushO(), o1_line(), -2)),
         ))
         wire = json.dumps(expr_to_json(e), sort_keys=True)
         back = expr_from_json(json.loads(wire))
@@ -122,14 +122,12 @@ def expr_trees():
             st.lists(sub, max_size=3).map(lambda xs: FE.add(*xs)),
             st.lists(sub, max_size=3).map(lambda xs: FE.mul(*xs)),
             st.tuples(sub, sub).map(lambda ab: FE.kdiff(*ab)),
-            st.tuples(sub, sub).map(lambda ab: FE.cap(*ab)),
             sub.map(FE.dual), sub.map(FE.euler),
             st.tuples(sub, sub, st.integers(-2, 2)).map(
                 lambda t: FE.twist(*t)),
             st.tuples(st.integers(0, 4), sub).map(lambda t: FE.chern(*t)),
             st.tuples(st.integers(0, 3), st.integers(-1, 3), sub).map(
                 lambda t: FE.delta(*t)),
-            st.tuples(st.integers(0, 2), sub).map(lambda t: FE.push(*t)),
             st.tuples(st.fractions(max_denominator=5), sub).map(
                 lambda t: FE.scale(*t))),
         max_leaves=8)
@@ -305,15 +303,17 @@ class TestEvalFormal:
         assert eval_formal(e, env) == h ** 3
         assert env.lookups == 6
 
-    def test_push_node_segre(self):
+    def test_pushforward_of_evaluated_class_is_segre(self):
+        # h^4 evaluated on P(B) over a base with c(B) = 1 + c1 + c2 + c3
+        # pushes down to the Segre class s_2 = c1^2 - c2
         base = free_model(["c1", "c2", "c3"], degrees=[1, 2, 3], D=8)
         B = KClass(3, base.ring.one() + base.ring.gen("c1")
                    + base.ring.gen("c2") + base.ring.gen("c3"))
         model = projective_bundle(base, B)
-        env = FormalEnv(model.ring, spaces={0: model})
+        env = FormalEnv(model.ring)
         env.bind(o1_line(), model.taut["O1"])
         h_power = FE.mul(*([FE.chern(1, o1_line())] * 4))
-        out = eval_formal(FE.push(0, h_power), env)
+        out = proj_pushforward(model, eval_formal(h_power, env))
         c1 = base.ring.gen("c1")
         c2 = base.ring.gen("c2")
         assert out == c1 * c1 - c2
@@ -440,7 +440,7 @@ class TestNestedFormulas:
 
     def test_vir_comparison_rank(self):
         expr = nested_vir_comparison(1, 2)
-        assert expr.kind == "cap"
+        assert expr.kind == "mul"
         body = expr.children[1]
         assert body.kind == "chern" and body.params == (3,)
 
