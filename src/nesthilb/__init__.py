@@ -11,8 +11,9 @@ Modules:
 - porteous: formal evaluation of expression trees, and the formula
   emitters
 - hilbloc: torus fixed points, characters, Atiyah-Bott integration
-- chartfactors: the Euler-product integrals of hilbloc as products of
-  per-chart factors; hilbloc imports it at the first such integral
+- chartfactors: the integrals of hilbloc's Euler products of tangent
+  classes as products of per-chart series; hilbloc imports it at the
+  first such integral
 - vw: rank-2 monopole contributions and universality fits
 - checks: the suites of the ``verify`` command
 - cli: batch front-end

@@ -52,14 +52,12 @@ leaves, which add it to their own.  With no direction the same lookups
 give the shifted characters, merged the same way, so a point's
 character is read from the maps as well.  The tangent map of a point is
 built once and shared by its tangent leaves and the localization
-denominator.  An Euler product with no circle weight mostly skips the
-merge: the per-point path decides every point it meets first, and chart
-factors, each one integer fraction, are learned from the points it
-visited; a point whose charts all hold one multiplies them (see
-``chartfactors``).  Products add exponents, so a weight shared by
-numerator and denominator cancels as it arises, which is exact because
-each weight is a nonzero linear form k s + c t; the zero-weight and
-collision checks run before that.
+denominator.  An Euler product of tangent classes skips the points: its
+sum is the product of per-chart series of chart factors, each one
+integer fraction (see ``chartfactors``).  Products add exponents, so a
+weight shared by numerator and denominator cancels as it arises, which
+is exact because each weight is a nonzero linear form k s + c t; the
+zero-weight and collision checks run before that.
 
 A product stops at its first factor whose value at the point is zero,
 and such a point is dropped before its tangent character is built.
@@ -693,8 +691,9 @@ class LocalizationContext:
     twist's line and the wrappers ``full_tangent_character`` and
     ``rhom_global_character`` read.  Maps are kept for the whole job,
     also across redraws.  The same table keeps the chart factors of the
-    Euler products that take the chart-factor path, one per direction
-    and tree, keyed by the chart's partitions (see ``chartfactors``).
+    Euler products of tangent classes, one table per direction and
+    tree, keyed per chart by its partitions (mu, nu) (see
+    ``chartfactors``).
     The chart tuples of each size (``chart_levels``, see
     ``enumerate_fixed_points``) are listed once.
 
@@ -835,8 +834,12 @@ class LocalizationContext:
             (c, (lams[c], u[c])) for c in range(len(u)) if lams[c]]))
 
 
-_CHART_LOCAL = ("rhom", "rhom0", "pushO", "taut", "tangent")
-_LEAVES = _CHART_LOCAL + ("O1",)
+# the attributes each leaf kind accepts; lvl names a section level, and
+# the localization has one, level 0
+_TWIST = ("bc", "ac", "kc", "o1", "tp", "lvl")
+_ATTRS = {"tangent": ("o1", "tp"), "O1": ("o1", "tp", "lvl"),
+          "pushO": _TWIST, "rhom": ("i", "j") + _TWIST,
+          "rhom0": ("i", "j") + _TWIST, "taut": ("a", "level", "o1", "tp")}
 _LEVELS = {"rhom": ("i", "j"), "rhom0": ("i", "j"), "taut": ("level",)}
 
 
@@ -846,13 +849,16 @@ def _resolve_leaf(e, ctx):
     each 1 or 2 (i and j of rhom and rhom0, level of taut); the integer
     class of its line (bc beta + ac A + kc K of rhom, rhom0 and pushO,
     the vector a of taut, None for tangent and O1); the integers o1 and
-    tp of its monomial.  An absent attribute is 0 (a the zero class);
-    others are not read.  A leaf that does not resolve in ``ctx``
-    raises ValueError, as does an O1 leaf or o1 shift without section
-    lines."""
+    tp of its monomial.  An absent attribute is 0 (a the zero class).
+    A leaf that does not resolve in ``ctx`` raises ValueError, as do an
+    attribute outside its kind's set (``_ATTRS``), a section level lvl
+    other than 0, and an O1 leaf or o1 shift without section lines."""
     name, attrs, S = e.params[0], dict(e.attrs), ctx.surface
-    if name not in _LEAVES:
+    if name not in _ATTRS:
         raise ValueError("leaf %r has no equivariant value" % name)
+    for key in attrs:
+        if key not in _ATTRS[name]:
+            raise ValueError("leaf %r: unknown attr %r" % (name, key))
 
     def number(key, value, integer=False):
         try:
@@ -885,6 +891,8 @@ def _resolve_leaf(e, ctx):
         if any(x.denominator != 1 for x in cls):
             raise ValueError("divisor coefficients must be integers")
         cls = tuple(map(int, cls))
+    if number("lvl", attrs.get("lvl", 0), True):
+        raise ValueError("leaf %r: attr 'lvl' must be 0" % name)
     o1, tp, *levels = (number(key, attrs.get(key, 0), True)
                        for key in ("o1", "tp") + _LEVELS.get(name, ()))
     if (o1 or name == "O1") and ctx.sections is None:
@@ -1030,16 +1038,18 @@ class PointEvaluator:
 
 def _euler_plan(e, ctx):
     """(scale, nodes) of a product (mul, scale, one) of euler nodes over
-    chart-local K-classes, the trees whose integrals take the
-    chart-factor path when there are no section lines: the product of
-    its scales and the K-classes of its euler nodes in evaluation
-    order.  None for any other tree."""
+    tangent classes (see ``_tangent_class``) with a nonzero scale, the
+    trees whose integrals take the chart-factor path when there are no
+    section lines: the product of its scales and the K-classes of its
+    euler nodes in evaluation order.  None for any other tree."""
     if e.kind == "euler":
         return (Fraction(1), [e.children[0]]) \
-            if _chart_local(e.children[0], ctx) else None
+            if _tangent_class(e.children[0], ctx) else None
     if e.kind not in ("mul", "scale", "one"):
         return None
     scale, nodes = Fraction(e.params[0] if e.kind == "scale" else 1), []
+    if not scale:
+        return None
     for child in e.children:
         plan = _euler_plan(child, ctx)
         if plan is None:
@@ -1048,14 +1058,14 @@ def _euler_plan(e, ctx):
     return scale, nodes
 
 
-def _chart_local(e, ctx):
-    """Whether the K-class e is a ksum, kdiff or dual of chart-local
-    leaves with no circle weight (tp) and no section line (o1)."""
+def _tangent_class(e, ctx):
+    """Whether the K-class e is a ksum, kdiff or dual of tangent leaves
+    with no circle weight (tp) and no section line (o1)."""
     if e.kind == "leaf":
         name, _, _, o1, tp = ctx.leaf(e)
-        return name in _CHART_LOCAL and not o1 and not tp
+        return name == "tangent" and not o1 and not tp
     return e.kind in ("ksum", "kdiff", "dual") \
-        and all(_chart_local(c, ctx) for c in e.children)
+        and all(_tangent_class(c, ctx) for c in e.children)
 
 
 def _point_contribution(ctx, expr, point, spec):
@@ -1115,17 +1125,14 @@ def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
     work means running jobs side by side.
 
     A product (mul, scale, one) of euler nodes over ksum, kdiff and
-    dual of chart-local leaves (tangent, taut, rhom, rhom0, pushO) with
-    no tp or o1 shift, without section lines, takes the chart-factor
-    path of ``chartfactors`` with its plan, read once by
-    ``_euler_plan``.  The per-point path decides every point
-    it meets first, and chart factors (the node values at the point
-    with one chart's partitions and no others over those at the empty
-    point) are learned from the points it visited; a point whose charts
-    all hold a factor multiplies them.  So values, visited points and
-    errors are the per-point path's.  Every other tree (chern, delta,
-    twist, add, circle weights, section lines) is evaluated point by
-    point.
+    dual of tangent leaves with no tp or o1 shift, with a nonzero
+    scale, without section lines, takes the chart-factor path of
+    ``chartfactors`` with its plan, read once by ``_euler_plan``: the
+    (n1, n2) coefficient of a product of per-chart series, with every
+    listed point visited.  Its values, visited points and errors are
+    the per-point path's.  Every other tree (chern, delta, twist, add,
+    other leaves, circle weights, section lines, a zero scale) is
+    evaluated point by point; the points are listed for both paths.
     """
     if isinstance(expr, (int, Fraction)):
         expr = FormulaExpr.scale(expr, FormulaExpr.one())
@@ -1134,7 +1141,7 @@ def equivariant_integrate(expr, ctx, n1=0, n2=0, seed=0):
     plan = None if ctx.with_pb is not None else _euler_plan(expr, ctx)
     if plan is not None:
         from . import chartfactors
-        run = chartfactors.attempt(ctx, expr, plan, points)
+        run = chartfactors.attempt(ctx, expr, plan, n1, n2)
     else:
         def run(spec):
             totals = {}

@@ -133,8 +133,9 @@ def test_workflow_runs_tier1():
         '  test "$code" = 2',
         "done",
         ""])
-    # a custom integrand with a leaf attribute of the wrong type exits
-    # 2 with a JSON error document, for three such leaves
+    # a custom integrand with a leaf attribute of the wrong type, one
+    # outside its leaf's set or a section level other than 0 exits 2
+    # with a JSON error document, for five such leaves
     malformed = "\n".join([
         "echo '%s' > %s" % (
             '{"params": {"expr": {"kind": "chern", "params": [1],'
@@ -142,8 +143,10 @@ def test_workflow_runs_tier1():
             ' %s}]}}}' % leaf, tmp % ("%s.json" % name))
         for name, leaf in (("tp", ("pushO", '{"tp": "1/2"}')),
                            ("kc", ("rhom0", '{"i": 1, "j": 1, "kc": [0]}')),
-                           ("a", ("taut", '{"a": 1, "level": 2}')))]
-        + ["for name in tp kc a; do",
+                           ("a", ("taut", '{"a": 1, "level": 2}')),
+                           ("pt", ("pushO", '{"pt": 1}')),
+                           ("lvl", ("pushO", '{"lvl": 5}')))]
+        + ["for name in tp kc a pt lvl; do",
            "  code=0",
            "  nesthilb integrate --surface P2 --beta 1 --n 1 --formula"
            " custom --job \"$RUNNER_TEMP/$name.json\" >"

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from nesthilb import cli
 from nesthilb.expr import FormulaExpr as FE, parse_rational, MAX_DEPTH, \
-    expr_to_json, pushO, rhom
+    expr_from_json, expr_to_json, pushO, rhom
+from nesthilb.hilbloc import LocalizationContext
+from nesthilb.surface import p2
 from nesthilb.vw import MONOMIALS
 from nesthilb.checks import delta_euler_forms, segre_two_routes, \
     _series_coefficient
@@ -530,6 +532,10 @@ class TestRun:
         doc = json.loads(text)
         assert doc["expr"]["kind"]
         assert set(doc["info"]) == {"d", "reduced_vd", "degree"}
+        # its leaves, each with "lvl": 0, resolve where there are
+        # section lines and a polarization
+        LocalizationContext(p2(), beta=(1,), A=(1,), with_pb=(1,)).resolve(
+            expr_from_json(doc["expr"]))
 
     def test_integrate_co_vanishing(self):
         code, text = run(job(command="integrate", surface="P2",
@@ -828,6 +834,19 @@ class TestMain:
          "nesting index out of range for localization"),
         (chern1({"kind": "leaf", "params": ["O1"]}),
          "no projective bundle level in this problem"),
+        # an attribute outside the leaf's set, and a section level
+        # other than 0, which were once ignored
+        (chern1({"kind": "leaf", "params": ["pushO"], "attrs": {"pt": 1}}),
+         "leaf 'pushO': unknown attr 'pt'"),
+        (chern1({"kind": "leaf", "params": ["tangent"],
+                 "attrs": {"lvl": 5}}),
+         "leaf 'tangent': unknown attr 'lvl'"),
+        (chern1({"kind": "leaf", "params": ["rhom"],
+                 "attrs": {"i": 1, "j": 2, "lvl": 5}}),
+         "leaf 'rhom': attr 'lvl' must be 0"),
+        (chern1({"kind": "leaf", "params": ["taut"],
+                 "attrs": {"a": [1], "level": 2, "i": 1}}),
+         "leaf 'taut': unknown attr 'i'"),
         # nodes no command builds, or out of their place
         ({"kind": "cap", "children": [{"kind": "one"}, {"kind": "one"}]},
          "params.expr: unknown kind 'cap'"),
@@ -1116,24 +1135,25 @@ SURFACES = st.one_of(
         "profile": PROFILES, "sw_table": SW_ENTRIES}),
     JUNK)
 # custom integrands: leaves of the localization's vocabulary (and one
-# it lacks) whose attributes take every JSON type, at nesting levels 1
-# or 2 unless an attribute overrides them, under K-level nodes, under
-# chern and euler, and under products and sums; EXPRS draws a K-class
-# tree as the integrand too
+# it lacks) whose attributes, known to some leaf or to none, take every
+# JSON type, at the nesting levels 1 or 2 of the leaves that read them
+# unless an attribute overrides them, under K-level nodes, under chern
+# and euler, and under products and sums; EXPRS draws a K-class tree as
+# the integrand too
 ATTR_VALUES = st.one_of(
     st.integers(-1, 3), st.sampled_from(["1/2", "-1", "x", "1/0"]),
     st.lists(st.one_of(st.integers(-1, 2), st.just("1/2")), max_size=2),
     st.sampled_from([None, True, 1.5, {}]))
 LEVELS = st.sampled_from([1, 2])
-LEAVES = st.builds(
-    lambda name, levels, attrs: {"kind": "leaf", "params": [name],
-                                 "attrs": dict(levels, **attrs)},
-    st.sampled_from(["tangent", "taut", "rhom", "rhom0", "pushO", "O1",
-                     "sw"]),
-    st.fixed_dictionaries({"i": LEVELS, "j": LEVELS, "level": LEVELS}),
+LEVEL_KEYS = {"rhom": ("i", "j"), "rhom0": ("i", "j"), "taut": ("level",)}
+LEAVES = st.sampled_from(["tangent", "taut", "rhom", "rhom0", "pushO",
+                          "O1", "sw"]).flatmap(lambda name: st.builds(
+    lambda levels, attrs: {"kind": "leaf", "params": [name],
+                           "attrs": dict(levels, **attrs)},
+    st.fixed_dictionaries({k: LEVELS for k in LEVEL_KEYS.get(name, ())}),
     st.dictionaries(st.sampled_from(["i", "a", "bc", "ac", "kc", "o1",
-                                     "tp"]),
-                    ATTR_VALUES, max_size=2))
+                                     "tp", "lvl", "pt"]),
+                    ATTR_VALUES, max_size=2)))
 K_TREES = st.recursive(LEAVES, lambda sub: st.one_of(
     st.lists(sub, max_size=2).map(lambda xs: {"kind": "ksum",
                                               "children": xs}),
