@@ -200,8 +200,10 @@ class JobSpec:
     lengths), the formula or suite to run, output options, and the seed
     that fixes the weight specialization.  Every field is parsed once,
     here (surfaces, formula, ``custom`` tree, fit runs, Seiberg-Witten
-    entries, boolean params), and a ``vw`` job's Seiberg-Witten table
-    is built and its class checked here; the handlers only compute.
+    entries, boolean params), and a ``vw`` job's class is weighed here,
+    once, as ``weight`` (see ``vw.class_weight``), against the job's
+    ``sw.entries`` or else the surface's own table; the handlers only
+    compute.
 
     ``threads`` is accepted and validated (an integer from 1 to the CPU
     count) so that existing job files keep running, but nothing reads
@@ -254,10 +256,10 @@ class JobSpec:
             raise SchemaError("params.monomials must be a nonempty list of"
                               " names from %s" % ", ".join(vw.MONOMIALS))
         self.monomials = list(monomials)
-        self.window = _parse_window(self.params.get("window"))
+        window = _parse_window(self.params.get("window"))
         self.h2_vanishing = _parse_flag(self.params, "h2_vanishing",
                                         "params.h2_vanishing")
-        sw_entries = None
+        sw_table = None if self.surface is None else self.surface.sw_table
         sw = doc.get("sw")
         if sw is not None:
             if not isinstance(sw, dict):
@@ -270,7 +272,7 @@ class JobSpec:
                     raise SchemaError("field 'sw.entries' must be a list")
                 if self.surface is not None:
                     try:
-                        sw_entries = surfaces.parse_sw_entries(
+                        sw_table = surfaces.parse_sw_entries(
                             self.surface, entries)
                     except ValueError as err:
                         raise SchemaError("field 'sw.entries': %s" % err)
@@ -289,9 +291,8 @@ class JobSpec:
             # a class that is integrated needs its entry and, when that
             # is nonzero, a toric surface
             try:
-                self.sw_table = vw.SWTable(self.surface, sw_entries)
-                vw.class_weight(self.surface, self.sw_table, self.beta,
-                                self.window)
+                self.weight = vw.class_weight(self.surface, sw_table,
+                                              self.beta, window)
             except ValueError as err:
                 raise SchemaError(str(err))
 
@@ -352,7 +353,8 @@ class JobSpec:
             try:
                 self.expr = expr_from_json(self.params["expr"], "params.expr")
                 hilbloc.LocalizationContext(
-                    self.surface, beta=self.beta, A=self.A).resolve(self.expr)
+                    self.surface, beta=self.beta, A=self.A).resolve(
+                        self.expr, "params.expr")
             except ValueError as err:
                 raise SchemaError(str(err))
         if self.command == "integrate" and (self.n1 or self.n2):
@@ -442,16 +444,16 @@ def _handle_integrate(job):
 
 def _handle_vw(job):
     rows = []
-    # one context for every n and splitting of the job; a profile
-    # surface has none, and passes JobSpec only if its class gives 0
+    # one context for every n and splitting of the job, when its class
+    # is integrated: a nonzero weight implies a toric surface
     ctx = None
-    if isinstance(job.surface, surfaces.ToricSurface):
+    if job.weight:
         ctx = hilbloc.LocalizationContext(job.surface, beta=job.beta)
     beta = " ".join(map(rational_str, job.surface.cls(job.beta)))
     for n in job.n_range:
         value, terms = vw.monopole_contribution(
-            job.surface, job.sw_table, job.beta, n, seed=job.seed,
-            window=job.window, context=ctx)
+            job.surface, job.beta, n, job.weight, seed=job.seed,
+            context=ctx)
         # one row per splitting, sorted, then the total with blank n1, n2
         for (n1, n2), x in sorted(terms.items()) + [(("", ""), value)]:
             rows.append(dict(zip(VW_COLUMNS, (

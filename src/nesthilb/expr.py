@@ -265,11 +265,15 @@ _PARAM_TYPES = {
 }
 
 
-def _short_path(path):
-    """A deep node's path as its first and last child segments, e.g.
-    ``expr.children[0]...children[1]``."""
+def node_where(path, depth):
+    """A node as errors name it: its path, or past SHORT_PATH_DEPTH its
+    first and last child segments and its depth, e.g.
+    ``expr.children[0]...children[1] (depth 9)``."""
+    if depth <= SHORT_PATH_DEPTH:
+        return path
     first = path.find("]", path.find(".children[")) + 1
-    return "%s...%s" % (path[:first], path[path.rfind(".children[") + 1:])
+    return "%s...%s (depth %d)" % (
+        path[:first], path[path.rfind(".children[") + 1:], depth)
 
 
 def expr_from_json(doc, path="expr", depth=1, sort=_C):
@@ -284,8 +288,7 @@ def expr_from_json(doc, path="expr", depth=1, sort=_C):
     SHORT_PATH_DEPTH the path is shortened to its first and last
     segments and the depth.
     """
-    where = path if depth <= SHORT_PATH_DEPTH \
-        else "%s (depth %d)" % (_short_path(path), depth)
+    where = node_where(path, depth)
     if depth > MAX_DEPTH:
         raise ValueError("%s: tree deeper than %d nodes" % (where, MAX_DEPTH))
     if not isinstance(doc, dict):

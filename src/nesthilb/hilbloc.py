@@ -76,7 +76,7 @@ import math
 import random
 from fractions import Fraction
 
-from .expr import FormulaExpr, rational_str
+from .expr import FormulaExpr, rational_str, node_where
 from .surface import ToricSurface, riemann_roch_chi
 # lazy (see the package docstring): only a delta node loads the ring model
 from . import ringcore
@@ -739,12 +739,20 @@ class LocalizationContext:
         """The record of the leaf e (see ``_resolve_leaf``)."""
         return self.piece(_resolve_leaf, e, self, key=e.key())
 
-    def resolve(self, e):
-        """Resolve every leaf of the tree e; the first that fails raises."""
+    def resolve(self, e, path=None, depth=1):
+        """Resolve every leaf of the tree e; the first that fails raises.
+        Given the root's ``path``, its ValueError names the leaf first,
+        as ``expr.expr_from_json`` names a node."""
         if e.kind == "leaf":
-            self.leaf(e)
-        for child in e.children:
-            self.resolve(child)
+            try:
+                self.leaf(e)
+            except ValueError as err:
+                if path is None:
+                    raise
+                raise ValueError("%s: %s" % (node_where(path, depth), err))
+        for i, child in enumerate(e.children):
+            self.resolve(child, path and "%s.children[%d]" % (path, i),
+                         depth + 1)
 
     def st_class(self, chern, D):
         """The class sum_j sum_i chern[j][i] s^i t^(j - i), integer

@@ -20,7 +20,7 @@ Sections of the line bundle are the lattice points u with
 import json
 from fractions import Fraction
 
-from .expr import parse_rational
+from .expr import parse_rational, rational_str
 
 
 def _cross2(u, v):
@@ -31,8 +31,10 @@ class SurfaceData:
     """Numeric invariants and lattice data of a surface.
 
     gram is the intersection matrix of the chosen Neron-Severi basis,
-    K the canonical class in that basis, sw_table a map from class
-    tuples to Seiberg-Witten invariants (Fractions).
+    K the canonical class in that basis, sw_table the Seiberg-Witten
+    table: a dict from class tuples to invariants (Fractions), nonzero
+    only at classes of virtual dimension 0.  A parsed table is checked
+    by ``parse_sw_entries``; the builtin profiles build theirs in code.
     """
 
     def __init__(self, name, chiO, K2, e, q, pg, gram, K, sw_table=None,
@@ -119,7 +121,8 @@ class Chart:
 
 
 class ToricSurface(SurfaceData):
-    """Smooth complete toric surface from counterclockwise rays.
+    """Smooth complete toric surface from counterclockwise rays, each a
+    pair of integers.
 
     Derives the Neron-Severi basis (indices of basis rays supplied or
     the first two), the intersection form and the canonical class, and
@@ -128,13 +131,21 @@ class ToricSurface(SurfaceData):
     """
 
     def __init__(self, name, rays, basis=None, basis_names=None):
-        self.rays = [tuple(int(x) for x in r) for r in rays]
+        # booleans and floats are refused, not read as integers
+        for r in rays:
+            if not (isinstance(r, (list, tuple)) and len(r) == 2
+                    and all(type(x) is int for x in r)):
+                raise ValueError("ray %r is not a pair of integers" % (r,))
+        self.rays = [tuple(r) for r in rays]
         n = len(self.rays)
         if n < 3:
             raise ValueError("need at least three rays")
         self.charts = [Chart(i, self.rays[i], self.rays[(i + 1) % n])
                        for i in range(n)]
         self.basis = list(basis) if basis is not None else [0, 1]
+        if not all(type(i) is int and 0 <= i < n for i in self.basis):
+            raise ValueError("basis indices must be integers from 0 to %d"
+                             % (n - 1))
         rank = n - 2
         if len(self.basis) != rank:
             raise ValueError("basis must have %d rays" % rank)
@@ -239,6 +250,11 @@ class ToricSurface(SurfaceData):
 
     def __repr__(self):
         return "ToricSurface(%r, rays=%r)" % (self.name, self.rays)
+
+
+def class_str(key):
+    """A curve class as its p/q coordinates, e.g. (0) or (1, -1/2)."""
+    return "(%s)" % ", ".join(rational_str(x) for x in key)
 
 
 def riemann_roch_chi(surface, beta):
@@ -359,10 +375,14 @@ def builtin_surface(name):
 
 def parse_sw_entries(surface, entries):
     """Seiberg-Witten table of the surface from a list of entries
-    {"beta": class, "sw": invariant}: a map from class to invariant.
-    Numbers are JSON numbers or "p/q" strings.  A malformed entry,
-    including a class of the wrong rank or a key other than "beta" and
-    "sw", raises ValueError naming the entry."""
+    {"beta": class, "sw": invariant}: the dict class -> invariant (a
+    Fraction) that every table is.  Numbers are JSON numbers or "p/q"
+    strings.  A malformed entry, including a class of the wrong rank or
+    a key other than "beta" and "sw", raises ValueError naming the
+    entry.  The invariant is the degree of the zero-dimensional virtual
+    curve locus, so it vanishes by definition at nonzero virtual
+    dimension: a nonzero entry there raises ValueError naming the
+    class."""
     if not isinstance(entries, (list, tuple)):
         raise ValueError("Seiberg-Witten entries must be a list")
     table = {}
@@ -379,15 +399,18 @@ def parse_sw_entries(surface, entries):
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
             raise ValueError("malformed Seiberg-Witten entry %r: %s: %s"
                              % (entry, type(err).__name__, err))
+        if value and vd_beta(surface, key) != 0:
+            raise ValueError("invariant must vanish at nonzero virtual"
+                             " dimension (class %s)" % class_str(key))
         table[key] = value
     return table
 
 
 def surface_from_json(doc):
-    """Surface from its JSON form: "name", "rays" and "basis" of a
-    toric surface or the "profile" of another, and the Seiberg-Witten
-    entries "sw_table" (see parse_sw_entries).  A malformed document
-    raises ValueError naming the document."""
+    """Surface from its JSON form: "name", "rays" (integer pairs) and
+    "basis" (ray indices) of a toric surface or the "profile" of
+    another, and the Seiberg-Witten entries "sw_table", checked by
+    parse_sw_entries.  A malformed document raises ValueError."""
     try:
         name, prof = doc["name"], doc.get("profile") or {}
         if doc.get("rays"):
@@ -403,7 +426,7 @@ def surface_from_json(doc):
     except (KeyError, TypeError, IndexError) as err:
         raise ValueError("malformed surface document %r: %s: %s"
                          % (doc, type(err).__name__, err))
-    surf.sw_table.update(parse_sw_entries(surf, entries))
+    surf.sw_table = parse_sw_entries(surf, entries)
     return surf
 
 

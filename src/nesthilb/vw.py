@@ -3,13 +3,15 @@ pairs of Hilbert schemes, curve-class contributions weighted by
 Seiberg-Witten invariants, and exact universal-polynomial fits across
 surfaces.
 
-A monopole contribution at total length n is the invariant of the
-curve class times a torsion-counting power of two times the sum over
-splittings n = n1 + n2 of an integral over S^[n1] x S^[n2].  The
-integrand couples the class of the nested locus, the top Chern class
-of the Carlsson-Okounkov bundle, to a ratio of Euler classes of
-circle-weighted pair complexes; everything is built as one formula
-tree and handed to the equivariant evaluator.
+A monopole contribution at total length n is the weight of the curve
+class, its invariant times a torsion-counting power of two, times the
+sum over splittings n = n1 + n2 of an integral over S^[n1] x S^[n2].
+The invariants come from a Seiberg-Witten table, the dict class ->
+invariant that ``surface.parse_sw_entries`` checks (or a builtin
+profile's).  The integrand couples the class of the nested locus, the
+top Chern class of the Carlsson-Okounkov bundle, to a ratio of Euler
+classes of circle-weighted pair complexes; everything is built as one
+formula tree and handed to the equivariant evaluator.
 
 The integrand has degree 2(n1 + n2) + vd(beta) and S^[n1] x S^[n2] has
 dimension 2(n1 + n2), so every splitting integral is c t^vd(beta) in
@@ -21,8 +23,8 @@ integrals {(n1, n2): integral}.
 
 from fractions import Fraction
 
-from .expr import FormulaExpr, rhom, pushO, rational_str
-from .surface import ToricSurface, vd_beta
+from .expr import FormulaExpr, rhom, pushO
+from .surface import ToricSurface, vd_beta, class_str
 from .hilbloc import LocalizationContext, RatFunc, \
     equivariant_integrate, format_value
 
@@ -36,45 +38,6 @@ def _as_ratfunc(x):
     if isinstance(x, RatFunc):
         return x
     return RatFunc.const(x)
-
-
-def _class_str(key):
-    """A curve class as its p/q coordinates, e.g. (0) or (1, -1/2)."""
-    return "(%s)" % ", ".join(rational_str(x) for x in key)
-
-
-class SWTable:
-    """Seiberg-Witten data of one surface: per curve class, the
-    invariant, kept in ``entries`` as class -> Fraction.  ``entries``
-    defaults to the surface's own table and takes the same form.
-
-    The invariant is the degree of the zero-dimensional virtual curve
-    locus and vanishes by definition whenever that locus has nonzero
-    virtual dimension; an entry breaking this is rejected.
-    """
-
-    def __init__(self, surface, entries=None):
-        self.surface = surface
-        self.entries = {}
-        source = surface.sw_table if entries is None else entries
-        for beta, value in source.items():
-            key = tuple(surface.cls(beta))
-            value = Fraction(value)
-            if value and vd_beta(surface, key) != 0:
-                raise ValueError(
-                    "invariant must vanish at nonzero virtual dimension"
-                    " (class %s)" % _class_str(key))
-            self.entries[key] = value
-
-    def __contains__(self, beta):
-        return tuple(self.surface.cls(beta)) in self.entries
-
-    def invariant(self, beta):
-        key = tuple(self.surface.cls(beta))
-        if key not in self.entries:
-            raise ValueError("missing SW entry for class %s"
-                             % _class_str(key))
-        return self.entries[key]
 
 
 def monopole_integrand(n1, n2):
@@ -146,39 +109,38 @@ def point_contribution(surface, beta, n, seed=0, context=None):
     return total, terms
 
 
-def class_weight(surface, sw, beta, window=None):
-    """The weight SW * 4^q of a curve class's monopole contribution, 0
-    for a class outside the stable range of the slope data ``window`` =
-    (deg beta, deg K) or with nonzero virtual dimension, whose invariant
-    vanishes by definition.  A ValueError when the class needs a table
-    entry it lacks, or a toric surface for a nonzero weight."""
+def class_weight(surface, table, beta, window=None):
+    """The weight SW * 4^q of a curve class's monopole contribution, SW
+    its invariant in the Seiberg-Witten ``table`` (class -> invariant),
+    0 for a class outside the stable range of the slope data ``window``
+    = (deg beta, deg K) or with nonzero virtual dimension, whose
+    invariant vanishes by definition.  A ValueError when the class needs
+    a table entry it lacks, or a toric surface for a nonzero weight."""
     if window is not None and not window[0] < window[1] \
             or vd_beta(surface, beta) != 0:
         return Fraction(0)
-    weight = sw.invariant(beta) * Fraction(4) ** surface.q
+    key = surface.cls(beta)
+    if key not in table:
+        raise ValueError("missing SW entry for class %s" % class_str(key))
+    weight = table[key] * Fraction(4) ** surface.q
     if weight and not isinstance(surface, ToricSurface):
         raise ValueError("point contributions need a toric surface")
     return weight
 
 
-def monopole_contribution(surface, sw, beta, n, seed=0, window=None,
-                          context=None):
+def monopole_contribution(surface, beta, n, weight, seed=0, context=None):
     """Weighted contribution of one curve class at total length n:
 
-        SW * 4^q * (sum of splitting integrals).
+        weight * (sum of splitting integrals),
 
-    Returns the pair (value, terms) of the weighted total, an exact
-    rational, and the unweighted terms of ``point_contribution``, or
-    (Fraction(0), {}) for a class that ``class_weight`` weighs 0.  Only
-    classes with vd(beta) = 0 are integrated, and their integrals carry
-    no circle weight.  A total that depends on the weight is refused
-    with a ValueError.
-
-    ``sw`` is the surface's SWTable, ``window`` caller-supplied slope
-    data (deg beta, deg K).  ``context`` is passed on to
+    ``weight`` being the class's ``class_weight``.  Returns the pair
+    (value, terms) of the weighted total, an exact rational, and the
+    unweighted terms of ``point_contribution``, or (Fraction(0), {})
+    for weight 0.  A nonzero weight comes only with vd(beta) = 0, whose
+    integrals carry no circle weight, so a total that depends on the
+    weight is refused with a ValueError.  ``context`` is passed on to
     ``point_contribution``, which needs a toric surface.
     """
-    weight = class_weight(surface, sw, beta, window)
     if weight == 0:
         return Fraction(0), {}
     value, terms = point_contribution(surface, beta, n, seed=seed,

@@ -10,7 +10,8 @@ import pytest
 
 from nesthilb.ringcore import Ring, GradedClass, KClass, series_invert
 from nesthilb.bundles import grassmann_split_pushforward
-from nesthilb.surface import p2, p1xp1, f2, general_type_profile, vd_beta
+from nesthilb.surface import p2, p1xp1, f2, general_type_profile, vd_beta, \
+    parse_sw_entries
 from nesthilb.expr import FormulaExpr as FE, o1_line, taut, co_class
 from nesthilb.porteous import FormalEnv, eval_formal, \
     degeneracy_pushforward_X, degeneracy_pushforward_GrB, \
@@ -19,7 +20,7 @@ from nesthilb import hilbloc as H
 from nesthilb.hilbloc import partitions, tangent_character, \
     rhom_character, enumerate_fixed_points, equivariant_integrate, \
     LocalizationContext
-from nesthilb.vw import SWTable, point_contribution, \
+from nesthilb.vw import class_weight, point_contribution, \
     monopole_contribution, universality_fit, monomial_value
 from support import ZERO_CLASS, staircase_generators, \
     nonequivariant_limit, sw_coupled_pushforward, virtual_class_route, \
@@ -353,10 +354,10 @@ def test_criterion_10_vanishing_bookkeeping():
     assert virtual_class_route(0, 2, G, (2,), h2_vanishing=True) \
         == ZERO_CLASS
     with pytest.raises(ValueError, match="vanish"):
-        SWTable(p2(), entries={(1,): 1})
+        parse_sw_entries(p2(), [{"beta": [1], "sw": 1}])
     with pytest.raises(ValueError, match="vanish"):
-        SWTable(G, entries={(2,): Fraction(1, 2)})
-    value, _ = monopole_contribution(p2(), SWTable(p2(), {}), (1,), 1)
-    assert value == 0
-    value, _ = monopole_contribution(G, SWTable(G, {}), (2,), 0)
-    assert value == 0
+        parse_sw_entries(G, [{"beta": [2], "sw": "1/2"}])
+    for S, beta, n in ((p2(), (1,), 1), (G, (2,), 0)):
+        weight = class_weight(S, {}, beta)
+        assert weight == 0
+        assert monopole_contribution(S, beta, n, weight) == (0, {})

@@ -29,8 +29,16 @@ def five_rays():
                               "basis": [0, 1, 2]})
 
 
+def hexagon():
+    """A user toric surface: P2 blown up at its three fixed points."""
+    return surface_from_json({"name": "hexagon",
+                              "rays": [[1, 0], [1, 1], [0, 1], [-1, 0],
+                                       [-1, -1], [0, -1]],
+                              "basis": [0, 1, 2, 3]})
+
+
 SURFACES = [(p2, (1,)), (p1xp1, (1, 1)), (f1, (1, 1)), (f2, (2, 1)),
-            (five_rays, (1, 1, 1))]
+            (five_rays, (1, 1, 1)), (hexagon, (1, 1, 1, 1))]
 
 EULER = FE.euler(FE.leaf("tangent"))
 

@@ -39,7 +39,9 @@ def test_workflow_runs_tier1():
     # header of every command; one runs a vw job whose Seiberg-Witten
     # entries hold one invariant each and refuses any other key; one
     # pins vw rows and reads malformed jobs that exit at the schema;
-    # one reads custom integrands whose leaves are malformed.
+    # one reads custom integrands whose leaves are malformed; one reads
+    # a fan that is not integral, a Seiberg-Witten table that breaks
+    # the virtual-dimension rule and a leaf named by its path.
     console = ('test "$(nesthilb integrate --surface P2 --formula euler'
                ' --n 0:3 | head -n 4 | tr \'\\n\' \' \')" = "1 3 9 22 "')
     # the command line: --help exits 0 and prints the usage, a flag
@@ -157,6 +159,35 @@ def test_workflow_runs_tier1():
            " = 2",
            "done",
            ""])
+    # a surface document with a ray coordinate 1.5, one whose table
+    # gives class 1 of P2 the invariant 5, and a leaf with an unknown
+    # attribute exit 2; the leaf's message starts with its path
+    parsed = "\n".join([
+        "echo '%s' > %s" % (doc, tmp % ("%s.json" % name))
+        for name, doc in (
+            ("float_ray", '{"name": "x", "rays": [[1.5, 0], [0, 1],'
+                          ' [-1, -1]], "basis": [0]}'),
+            ("vd_breach", '{"name": "P2", "rays": [[1, 0], [0, 1],'
+                          ' [-1, -1]], "basis": [0], "sw_table": [{"beta":'
+                          ' [1], "sw": 5}]}'),
+            ("leaf", '{"params": {"expr": {"kind": "chern", "params": [1],'
+                     ' "children": [{"kind": "leaf", "params": ["pushO"],'
+                     ' "attrs": {"pt": 1}}]}}}'))]
+        + ["for name in float_ray vd_breach; do",
+           "  code=0",
+           "  nesthilb integrate --surface \"$RUNNER_TEMP/$name.json\""
+           " --formula euler --n 1 > /dev/null || code=$?",
+           '  test "$code" = 2',
+           "done",
+           "code=0",
+           "nesthilb integrate --surface P2 --formula custom --n 0 --job"
+           " %s > %s || code=$?" % (tmp % "leaf.json", tmp % "leaf.out"),
+           'test "$code" = 2',
+           "test \"$(python3 -c 'import json, sys; print(json.load("
+           "sys.stdin)[\"error\"][\"message\"].startswith("
+           "\"params.expr.children[0]\"))' < %s)\" = True"
+           % (tmp % "leaf.out"),
+           ""])
     # a weight-dependent integral exits 3 at --order 0 and prints its
     # coefficients at --order 2; the expected exit is captured, since
     # the step's bash runs with -e
@@ -253,7 +284,8 @@ def test_workflow_runs_tier1():
              " = 4\n")
     traced, untraced = bench % 1, bench % 0
     assert runs == ['pip install -e ".[test]"', console, errors, agree, vw,
-                    one_invariant, rows, malformed, weighted, twist, delta,
+                    one_invariant, rows, malformed, parsed, weighted, twist,
+                    delta,
                     verify,
                     characters, csv, push, reduced, traced, untraced,
                     tier1_command()]

@@ -160,14 +160,14 @@ class TestJobSpec:
             job(command="vw", surface="P2", beta=[0], n=0,
                 sw={"higher-mode": True})
 
-    def test_sw_table_built_for_vw_only(self):
+    def test_class_weighed_for_vw_only(self):
         sw = {"entries": [{"beta": [0], "sw": 2}]}
         spec = job(command="vw", surface="P2", beta=[0], n=0, sw=sw)
-        assert spec.sw_table.invariant((0,)) == 2
-        # other commands check the entries but build no table
+        assert spec.weight == 2
+        # other commands check the entries but weigh no class
         spec = job(command="integrate", surface="P2", formula="euler",
                    n=1, sw=sw)
-        assert not hasattr(spec, "sw_table")
+        assert not hasattr(spec, "weight")
 
     @pytest.mark.parametrize("sw", [None, {}])
     def test_missing_sw_entries_keep_surface_table(self, sw, tmp_path,
@@ -204,9 +204,16 @@ class TestJobSpec:
 
     def test_explicit_sw_entries_replace_surface_table(self):
         # class 1 has vd != 0, so the job needs no entry for its class
-        fields = dict(command="vw", surface=P2_SW_CLASS_ZERO, beta=[1], n=0)
-        assert (0,) in job(sw={}, **fields).sw_table
-        assert (0,) not in job(sw={"entries": []}, **fields).sw_table
+        fields = dict(command="vw", surface=P2_SW_CLASS_ZERO, n=0)
+        assert job(sw={"entries": []}, beta=[1], **fields).weight == 0
+        # class 0 is weighed by the surface's table, or by the entries
+        # that replace it
+        assert job(sw={}, beta=[0], **fields).weight == 1
+        assert job(sw={"entries": [{"beta": [0], "sw": 3}]}, beta=[0],
+                   **fields).weight == 3
+        with pytest.raises(SchemaError,
+                           match=r"^missing SW entry for class \(0\)$"):
+            job(sw={"entries": []}, beta=[0], **fields)
 
     def test_unknown_command(self):
         with pytest.raises(SchemaError, match="command"):
@@ -683,12 +690,23 @@ class TestPolarizationTwist:
         # the leaf is resolved against the job's A before any point
         assert self.integrate(tmp_path, 1, "ac", []) == EXIT_SCHEMA
         assert json.loads(capsys.readouterr().out)["error"]["message"] \
-            == "twist references an unbound polarization"
+            == ("params.expr.children[0].children[0]: twist references an"
+                " unbound polarization")
 
 
 def chern1(node):
     """The JSON form of c_1 of the K-class node."""
     return {"kind": "chern", "params": [1], "children": [node]}
+
+
+# a P2 fan whose table gives class 1, of virtual dimension 2, an invariant
+P2_VD_BREACH = dict(P2_SW_CLASS_ZERO, sw_table=[{"beta": [1], "sw": 5}])
+VD_RULE = "invariant must vanish at nonzero virtual dimension (class (1))"
+SW_VD_BREACH = {"sw": {"entries": [{"beta": [1], "sw": 1}]}}
+
+
+def fan(rays, basis):
+    return {"surface": {"name": "x", "rays": rays, "basis": basis}}
 
 
 # jobs outside the math's domain, with the message the math would raise
@@ -710,13 +728,6 @@ OUT_OF_DOMAIN = [
     ({"command": "push", "formula": "reduced", "surface": "P2",
       "beta": [1], "n2": 1},
      "reduced formula needs the H2-vanishing flag"),
-    ({"command": "vw", "surface": "P2", "beta": [0], "n": 1,
-      "sw": {"entries": [{"beta": [1], "sw": 1}]}},
-     "invariant must vanish at nonzero virtual dimension (class (1))"),
-    ({"command": "vw", "beta": [0], "n": 1,
-      "surface": {"name": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
-                  "basis": [0], "sw_table": [{"beta": [1], "sw": 1}]}},
-     "invariant must vanish at nonzero virtual dimension (class (1))"),
     # K3's own table gives class 0 the invariant 1
     ({"command": "vw", "surface": "K3", "beta": [0], "n": 0},
      "point contributions need a toric surface"),
@@ -794,10 +805,11 @@ class TestMain:
 
     @pytest.mark.parametrize("expr,message", [
         ({"kind": "euler", "children": [{"kind": "leaf", "params": ["sw"]}]},
-         "leaf 'sw' has no equivariant value"),
+         "params.expr.children[0]: leaf 'sw' has no equivariant value"),
         ({"kind": "euler", "children": [
             {"kind": "leaf", "params": ["picpoint"]}]},
-         "leaf 'picpoint' has no equivariant value"),
+         "params.expr.children[0]: leaf 'picpoint' has no equivariant"
+         " value"),
         ({"kind": "push", "params": [0], "children": [{"kind": "one"}]},
          "params.expr: unknown kind 'push'"),
     ])
@@ -820,33 +832,37 @@ class TestMain:
         # attributes of the wrong type
         (chern1({"kind": "leaf", "params": ["pushO"],
                  "attrs": {"tp": "1/2"}}),
-         "leaf 'pushO': attr 'tp' must be an integer"),
+         "params.expr.children[0]: leaf 'pushO': attr 'tp' must be an"
+         " integer"),
         (chern1({"kind": "leaf", "params": ["rhom0"],
                  "attrs": {"i": 1, "j": 1, "kc": [0]}}),
-         "leaf 'rhom0': attr 'kc' must be a rational"),
+         "params.expr.children[0]: leaf 'rhom0': attr 'kc' must be a"
+         " rational"),
         (chern1({"kind": "leaf", "params": ["taut"],
                  "attrs": {"a": 1, "level": 2}}),
-         "leaf 'taut': attr 'a' must be a class vector of"
-         " length 1"),
+         "params.expr.children[0]: leaf 'taut': attr 'a' must be a class"
+         " vector of length 1"),
         # leaves that do not resolve in the job
         (chern1({"kind": "leaf", "params": ["rhom"],
                  "attrs": {"i": 3, "j": 1}}),
-         "nesting index out of range for localization"),
+         "params.expr.children[0]: nesting index out of range for"
+         " localization"),
         (chern1({"kind": "leaf", "params": ["O1"]}),
-         "no projective bundle level in this problem"),
+         "params.expr.children[0]: no projective bundle level in this"
+         " problem"),
         # an attribute outside the leaf's set, and a section level
         # other than 0, which were once ignored
         (chern1({"kind": "leaf", "params": ["pushO"], "attrs": {"pt": 1}}),
-         "leaf 'pushO': unknown attr 'pt'"),
+         "params.expr.children[0]: leaf 'pushO': unknown attr 'pt'"),
         (chern1({"kind": "leaf", "params": ["tangent"],
                  "attrs": {"lvl": 5}}),
-         "leaf 'tangent': unknown attr 'lvl'"),
+         "params.expr.children[0]: leaf 'tangent': unknown attr 'lvl'"),
         (chern1({"kind": "leaf", "params": ["rhom"],
                  "attrs": {"i": 1, "j": 2, "lvl": 5}}),
-         "leaf 'rhom': attr 'lvl' must be 0"),
+         "params.expr.children[0]: leaf 'rhom': attr 'lvl' must be 0"),
         (chern1({"kind": "leaf", "params": ["taut"],
                  "attrs": {"a": [1], "level": 2, "i": 1}}),
-         "leaf 'taut': unknown attr 'i'"),
+         "params.expr.children[0]: leaf 'taut': unknown attr 'i'"),
         # nodes no command builds, or out of their place
         ({"kind": "cap", "children": [{"kind": "one"}, {"kind": "one"}]},
          "params.expr: unknown kind 'cap'"),
@@ -994,6 +1010,39 @@ class TestMain:
         (["push", "--formula", "reduced:9", "--surface", "P2", "--beta", "1",
           "--n1", "1", "--n2", "1"], {"params": {"h2_vanishing": True}},
          "formula 'reduced' takes no arguments"),
+        # a Seiberg-Witten table is refused where it is parsed, whatever
+        # the command
+        (["integrate", "--formula", "euler", "--n", "1"],
+         {"surface": P2_VD_BREACH}, "bad surface: " + VD_RULE),
+        (["vw", "--beta", "0", "--n", "1"], {"surface": P2_VD_BREACH},
+         "bad surface: " + VD_RULE),
+        (["vw", "--beta", "0", "--n", "1"],
+         {"surface": P2_VD_BREACH, "sw": {"entries": []}},
+         "bad surface: " + VD_RULE),
+        (["fit", "--n", "1"], {"runs": [[P2_VD_BREACH, [1]], ["P2", [2]]]},
+         "bad surface in runs: " + VD_RULE),
+        (["vw", "--surface", "P2", "--beta", "0", "--n", "1"], SW_VD_BREACH,
+         "field 'sw.entries': " + VD_RULE),
+        (["integrate", "--surface", "P2", "--formula", "euler", "--n", "1"],
+         SW_VD_BREACH, "field 'sw.entries': " + VD_RULE),
+        # a fan holds integer pairs and integer ray indices
+        (["integrate", "--formula", "euler", "--n", "1"],
+         fan([[1.5, 0], [0, 1], [-1, -1]], [0]),
+         "bad surface: ray [1.5, 0] is not a pair of integers"),
+        (["integrate", "--formula", "euler", "--n", "1"],
+         fan([[True, 0], [0, 1], [-1, -1]], [0]),
+         "bad surface: ray [True, 0] is not a pair of integers"),
+        (["integrate", "--formula", "euler", "--n", "1"],
+         fan([[1, 0, 0], [0, 1], [-1, -1]], [0]),
+         "bad surface: ray [1, 0, 0] is not a pair of integers"),
+        (["integrate", "--formula", "euler", "--n", "1"],
+         fan([[1, 0], [0, 1], [-1, -1]], [True]),
+         "bad surface: basis indices must be integers from 0 to 2"),
+        # a leaf that does not resolve is named by its path
+        (["integrate", "--surface", "P2", "--formula", "custom", "--n", "0"],
+         {"params": {"expr": chern1({"kind": "leaf", "params": ["pushO"],
+                                     "attrs": {"pt": 1}})}},
+         "params.expr.children[0]: leaf 'pushO': unknown attr 'pt'"),
     ])
     def test_schema_boundary_messages(self, argv, doc, message, tmp_path,
                                       capsys):
@@ -1082,6 +1131,22 @@ class TestMain:
         assert message == ("params.expr.children[0]...children[0]"
                            " (depth 201): tree deeper than 200 nodes")
         assert len(message) < 300
+
+    def test_deep_leaf_error_names_the_path_briefly(self, tmp_path, capsys):
+        # a leaf that does not resolve under euler and 9 duals is named
+        # like a grammar error that deep
+        node = {"kind": "leaf", "params": ["pushO"], "attrs": {"pt": 1}}
+        for _ in range(9):
+            node = {"kind": "dual", "children": [node]}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"params": {"expr": {
+            "kind": "euler", "children": [node]}}}))
+        code = main(["integrate", "--surface", "P2", "--formula", "custom",
+                     "--n", "0", "--job", str(path)])
+        assert code == EXIT_SCHEMA
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == ("params.expr.children[0]...children[0]"
+                           " (depth 11): leaf 'pushO': unknown attr 'pt'")
 
     def test_deep_grammar_error_names_the_path_briefly(self, tmp_path,
                                                        capsys):

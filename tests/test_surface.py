@@ -2,12 +2,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nesthilb.expr import FormulaExpr as FE, co_class
+from nesthilb.hilbloc import LocalizationContext, equivariant_integrate
 from nesthilb.surface import (SurfaceData, ToricSurface, p2, p1xp1, f1, f2,
                               hirzebruch, k3_profile, general_type_profile,
                               elliptic_profile, builtin_surface,
                               riemann_roch_chi, vd_beta, twist_dim_d,
                               surface_from_json, load_surface)
+from nesthilb.vw import point_contribution
 from support import toric_line_weights, is_effective, surface_to_json
 
 
@@ -56,6 +60,27 @@ class TestBuiltinInvariants:
     def test_nonsmooth_fan_rejected(self):
         with pytest.raises(ValueError):
             ToricSurface("bad", [(1, 0), (-1, 2), (0, -1)], basis=[0])
+
+    @pytest.mark.parametrize("rays,basis,message", [
+        # once truncated or read as integers, each of these was P2
+        ([[1.5, 0], [0, 1], [-1, -1]], [0],
+         "ray [1.5, 0] is not a pair of integers"),
+        ([[True, 0], [0, 1], [-1, -1]], [0],
+         "ray [True, 0] is not a pair of integers"),
+        ([[1, 0, 0], [0, 1], [-1, -1]], [0],
+         "ray [1, 0, 0] is not a pair of integers"),
+        ([[1, 0], [0, 1], [-1, -1]], [True],
+         "basis indices must be integers from 0 to 2"),
+        ([[1, 0], [0, 1], [-1, -1]], [3],
+         "basis indices must be integers from 0 to 2"),
+        ([[1, 0], [0, 1], [-1, -1]], [-1],
+         "basis indices must be integers from 0 to 2"),
+    ])
+    def test_fan_holds_integers(self, rays, basis, message):
+        doc = {"name": "x", "rays": rays, "basis": basis}
+        with pytest.raises(ValueError) as err:
+            surface_from_json(json.loads(json.dumps(doc)))
+        assert str(err.value) == message
 
     def test_profiles(self):
         K3 = k3_profile()
@@ -169,8 +194,9 @@ class TestToricCharts:
 
 class TestJson:
     def test_toric_round_trip(self):
+        # the exceptional curve e of F1 has virtual dimension 0
         S = f1()
-        S.sw_table[(Fraction(1), Fraction(0))] = Fraction(2)
+        S.sw_table[(Fraction(0), Fraction(1))] = Fraction(2)
         doc = surface_to_json(S)
         T = surface_from_json(json.loads(json.dumps(doc)))
         assert isinstance(T, ToricSurface)
@@ -209,3 +235,57 @@ class TestJson:
         S = load_surface(str(path))
         assert S.name == "P1xP1"
         assert S.K2 == 8
+
+
+# ---------------------------------------------------------------------------
+# lattice symmetry: a fan moved by GL(2, Z) and listed from another chart
+# is the same surface
+
+
+def _mul(g, h):
+    return tuple(tuple(sum(g[i][k] * h[k][j] for k in range(2))
+                       for j in range(2)) for i in range(2))
+
+
+# generators of GL(2, Z): a rotation by a quarter turn, a shear and a
+# reflection (determinant -1)
+GL2_GENERATORS = [((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (0, -1))]
+
+
+def moved(S, g, k):
+    """The surface S with its rays moved by g, reversed when det g = -1
+    to stay counterclockwise, and listed from chart k; the basis indices
+    follow their rays, so a class keeps its coordinates."""
+    n = len(S.rays)
+    rays = [(g[0][0] * x + g[0][1] * y, g[1][0] * x + g[1][1] * y)
+            for x, y in S.rays]
+    basis = list(S.basis)
+    if g[0][0] * g[1][1] - g[0][1] * g[1][0] == -1:
+        rays, basis = rays[::-1], [n - 1 - i for i in basis]
+    return ToricSurface(S.name, rays[k:] + rays[:k],
+                        basis=[(i - k) % n for i in basis])
+
+
+def lattice_invariants(S, beta):
+    ctx = LocalizationContext(S, beta=beta)
+    co = [equivariant_integrate(FE.chern(n, co_class(bc=1)), ctx, 0, n)
+          for n in range(4)]
+    return co, [point_contribution(S, beta, n) for n in range(3)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lattice_symmetry(data):
+    """co:0 integrals and point contributions of a class do not depend on
+    how its surface's fan is presented."""
+    make = data.draw(st.sampled_from([p2, p1xp1, f1, f2]))
+    S = make()
+    beta = tuple(data.draw(st.lists(st.integers(-1, 2), min_size=S.rank,
+                                    max_size=S.rank)))
+    g = ((1, 0), (0, 1))
+    for h in data.draw(st.lists(st.sampled_from(GL2_GENERATORS),
+                                max_size=4)):
+        g = _mul(g, h)
+    T = moved(S, g, data.draw(st.integers(0, len(S.rays) - 1)))
+    assert (T.gram, T.K) == (S.gram, S.K)
+    assert lattice_invariants(T, beta) == lattice_invariants(S, beta)

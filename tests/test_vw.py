@@ -1,5 +1,6 @@
-"""Seiberg-Witten coupled layer: tables, the monopole integrand,
-contribution sums, pushforward branches, and universality fits."""
+"""Seiberg-Witten coupled layer: tables and class weights, the monopole
+integrand, contribution sums, pushforward branches, and universality
+fits."""
 
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ from nesthilb.ringcore import Ring, KClass
 from nesthilb.expr import FormulaExpr as FE, taut, rhom, parse_rational
 from nesthilb.surface import p2, p1xp1, f1, f2, riemann_roch_chi, \
     vd_beta, general_type_profile, elliptic_profile, k3_profile, \
-    surface_from_json
+    surface_from_json, parse_sw_entries, builtin_surface, \
+    BUILTIN_SURFACES
 from nesthilb.porteous import eval_formal, FormalEnv, nested_reduced_formula
 from nesthilb.hilbloc import LocalizationContext, RatFunc, \
     equivariant_integrate
 from nesthilb.vw import (
-    SWTable, monopole_integrand, monopole_contribution,
+    class_weight, monopole_integrand, monopole_contribution,
     point_contribution, universality_fit, fit_report, format_value,
     monomial_value, UniversalityError, _as_ratfunc,
 )
@@ -29,22 +31,53 @@ def leaves(expr):
         yield from leaves(c)
 
 
-class TestSWTable:
+class TestSeibergWittenTable:
     def test_profile_table(self):
+        # a table is the dict class -> invariant
         G = general_type_profile(1)
-        t = SWTable(G)
-        assert t.invariant((0,)) == 1
-        assert t.invariant((1,)) == 1
-        assert (1,) in t and (5,) not in t
+        assert G.sw_table == {(0,): 1, (1,): 1}
+        assert (5,) not in G.sw_table
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SURFACES) + [
+        "general_type:1", "general_type:2,3", "general_type:5,4"])
+    def test_builtin_tables_vanish_at_nonzero_dimension(self, name):
+        # builtin tables are built in code, not parsed, and obey the
+        # rule that parse_sw_entries enforces
+        S = builtin_surface(name)
+        for beta, value in S.sw_table.items():
+            assert isinstance(value, Fraction)
+            assert value == 0 or vd_beta(S, beta) == 0, beta
 
     def test_rejects_nonzero_at_nonzero_dimension(self):
-        with pytest.raises(ValueError, match="vanish"):
-            SWTable(p2(), entries={(1,): 1})
+        message = ("invariant must vanish at nonzero virtual dimension"
+                   " (class (1))")
+        with pytest.raises(ValueError) as err:
+            parse_sw_entries(p2(), [{"beta": [1], "sw": 1}])
+        assert str(err.value) == message
+        # a surface document's table is parsed the same way
+        with pytest.raises(ValueError) as err:
+            surface_from_json({"name": "P2", "rays": [[1, 0], [0, 1],
+                                                      [-1, -1]],
+                               "basis": [0],
+                               "sw_table": [{"beta": [1], "sw": 5}]})
+        assert str(err.value) == message
+        # a zero invariant is allowed anywhere
+        assert parse_sw_entries(p2(), [{"beta": [1], "sw": 0}]) \
+            == {(1,): 0}
 
     def test_missing_entry(self):
-        t = SWTable(p2(), entries={})
-        with pytest.raises(ValueError, match="missing SW entry"):
-            t.invariant((0,))
+        with pytest.raises(ValueError) as err:
+            class_weight(p2(), {}, (0,))
+        assert str(err.value) == "missing SW entry for class (0)"
+
+    def test_weight_reads_the_table(self):
+        table = parse_sw_entries(p1xp1(), [{"beta": [0, 0], "sw": "3/2"}])
+        assert class_weight(p1xp1(), table, (0, 0)) == Fraction(3, 2)
+        # 4^q: the elliptic profile has q = 1, a zero entry weighs 0
+        E = elliptic_profile()
+        assert class_weight(E, {(0,): 0}, (0,)) == 0
+        with pytest.raises(ValueError, match="toric surface"):
+            class_weight(E, E.sw_table, (0,))
 
 
 class TestMonopoleIntegrand:
@@ -183,9 +216,8 @@ class TestPointContribution:
                 RatFunc({0: 7, 1: 2}) if n1 == 1 else Fraction(5))
         value, _ = point_contribution(p2(), (0,), 1)
         assert value == RatFunc({0: 12, 1: 2})
-        sw = SWTable(p2(), {(0,): 1})
         with pytest.raises(ValueError, match="auxiliary weight"):
-            monopole_contribution(p2(), sw, (0,), 1)
+            monopole_contribution(p2(), (0,), 1, Fraction(1))
 
     def test_points_only_values(self):
         S = p2()
@@ -209,31 +241,24 @@ class TestMonopoleContribution:
         import nesthilb.vw as vw
         monkeypatch.setattr(vw, "point_contribution",
                             lambda S, beta, n, **kw: (RatFunc.const(3), {}))
-        sw = SWTable(p2(), {(0,): 1})
-        value, _ = monopole_contribution(p2(), sw, (0,), 1)
+        value, _ = monopole_contribution(p2(), (0,), 1, Fraction(1))
         assert value == 3 and isinstance(value, Fraction)
 
     def test_nonzero_dimension_forces_zero(self):
         # no table entry needed: the invariant vanishes by definition
-        assert monopole_contribution(p2(), SWTable(p2(), {}), (1,), 0) \
-            == (0, {})
-
-    def test_missing_entry_at_dimension_zero(self):
-        with pytest.raises(ValueError, match="missing SW entry"):
-            monopole_contribution(p2(), SWTable(p2(), {}), (0,), 0)
+        weight = class_weight(p2(), {}, (1,))
+        assert weight == 0
+        assert monopole_contribution(p2(), (1,), 0, weight) == (0, {})
 
     def test_window_exclusion(self):
-        sw = SWTable(p2(), {(0,): 1})
-        value, terms = monopole_contribution(p2(), sw, (0,), 1,
-                                             window=(0, -3))
-        assert value == 0 and terms == {}
+        weight = class_weight(p2(), {(0,): 1}, (0,), window=(0, -3))
+        assert weight == 0
+        assert monopole_contribution(p2(), (0,), 1, weight) == (0, {})
 
     def test_weighted_values(self):
-        sw = SWTable(p2(), {(0,): 1})
-        assert monopole_contribution(p2(), sw, (0,), 0)[0] \
+        assert monopole_contribution(p2(), (0,), 0, Fraction(1))[0] \
             == Fraction(1, 1024)
-        doubled = SWTable(p2(), {(0,): 2})
-        assert monopole_contribution(p2(), doubled, (0,), 1)[0] \
+        assert monopole_contribution(p2(), (0,), 1, Fraction(2))[0] \
             == Fraction(-9, 256)
 
     def test_profile_contribution_needs_toric_surface(self):
@@ -241,7 +266,9 @@ class TestMonopoleContribution:
         # but no localization computes its point contribution
         G = general_type_profile(1)
         with pytest.raises(ValueError, match="toric surface"):
-            monopole_contribution(G, SWTable(G), (1,), 1)
+            class_weight(G, G.sw_table, (1,))
+        with pytest.raises(ValueError, match="toric surface"):
+            monopole_contribution(G, (1,), 1, Fraction(1))
 
     @pytest.mark.parametrize("make,beta", [
         (p2, (0,)), (p2, (1,)), (p1xp1, (1, 1)), (f1, (1, 0)),
@@ -260,9 +287,8 @@ class TestMonopoleContribution:
         import nesthilb.vw as vw
         monkeypatch.setattr(vw, "point_contribution",
                             lambda S, beta, n, **kw: (RatFunc({1: 1}), {}))
-        sw = SWTable(p2(), {(0,): 1})
         with pytest.raises(ValueError, match="auxiliary weight"):
-            monopole_contribution(p2(), sw, (0,), 1)
+            monopole_contribution(p2(), (0,), 1, Fraction(1))
 
 
 class TestUniversalityFit:
@@ -403,7 +429,7 @@ class TestSWCoupledPushforward:
 
     def test_table_resolution_normalizes(self):
         G = general_type_profile(1)
-        table = {k: (v, ()) for k, v in SWTable(G).entries.items()}
+        table = {k: (v, ()) for k, v in G.sw_table.items()}
         expr = sw_coupled_pushforward("pg>0", 0, 0, 1, (1,), G,
                                       swTable=table)
         resolved = normalize(
